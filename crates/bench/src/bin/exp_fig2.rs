@@ -1,67 +1,8 @@
 //! Reproduces Figure 2: the measurement node map — eight sites across
 //! four continents, plus Tianqi's ground segment, on an ASCII world grid.
-//!
-//! The site list comes from resolving the paper's passive scenario
-//! through [`ScenarioSpec::build`] — the same typed front door the
-//! campaign binaries use — not from the raw catalog calls.
 
-use satiot_scenarios::sites::{tianqi_ground_stations, yunnan_farm};
-use satiot_scenarios::ScenarioSpec;
-
-const COLS: usize = 90; // 4° of longitude per column.
-const ROWS: usize = 30; // 6° of latitude per row.
-
-fn plot(grid: &mut [Vec<char>], lat: f64, lon: f64, mark: char) {
-    let col = (((lon + 180.0) / 360.0) * (COLS as f64 - 1.0)).round() as usize;
-    let row = (((90.0 - lat) / 180.0) * (ROWS as f64 - 1.0)).round() as usize;
-    grid[row.min(ROWS - 1)][col.min(COLS - 1)] = mark;
-}
+use satiot_bench::reports;
 
 fn main() {
-    let scenario = ScenarioSpec::paper_passive()
-        .build()
-        .expect("builtin paper scenario resolves");
-    let sites: Vec<_> = scenario.sites.iter().map(|r| &r.site).collect();
-    let mut grid = vec![vec!['.'; COLS]; ROWS];
-    // Equator and meridian for orientation.
-    for cell in grid[ROWS / 2].iter_mut() {
-        *cell = '-';
-    }
-    for row in grid.iter_mut() {
-        row[COLS / 2] = '|';
-    }
-    for (_, gs) in tianqi_ground_stations() {
-        plot(
-            &mut grid,
-            gs.lat_rad.to_degrees(),
-            gs.lon_rad.to_degrees(),
-            'g',
-        );
-    }
-    let farm = yunnan_farm();
-    plot(
-        &mut grid,
-        farm.lat_rad.to_degrees(),
-        farm.lon_rad.to_degrees(),
-        'F',
-    );
-    for site in &sites {
-        plot(&mut grid, site.lat_deg, site.lon_deg, '#');
-    }
-
-    println!("== Fig 2: Measurement node map ==");
-    println!("(# passive site   g Tianqi ground station   F Yunnan farm)\n");
-    for row in &grid {
-        println!("{}", row.iter().collect::<String>());
-    }
-    println!();
-    for site in &sites {
-        println!(
-            "  # {:4} {:12} {:7.2}N {:8.2}E  {} stations from day {:.0}",
-            site.code, site.name, site.lat_deg, site.lon_deg, site.station_count, site.start_day
-        );
-    }
-    println!(
-        "\n27 stations, 8 sites, 4 continents — plus 12 Tianqi ground stations\nacross China and the active-deployment farm in Yunnan."
-    );
+    print!("{}", reports::fig2());
 }

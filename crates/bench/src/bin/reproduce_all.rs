@@ -79,13 +79,8 @@ fn main() {
         .collect();
 
     eprintln!("[6/6] rendering reports…");
-    let fig2 =
-        std::process::Command::new(std::env::current_exe().unwrap().with_file_name("exp_fig2"))
-            .output()
-            .map(|o| String::from_utf8_lossy(&o.stdout).into_owned())
-            .unwrap_or_else(|_| "run `exp_fig2` for the site map".into());
     let sections: Vec<(&str, String)> = vec![
-        ("Figure 2 — measurement node map", fig2),
+        ("Figure 2 — measurement node map", reports::fig2()),
         ("Table 1 — dataset overview", reports::table1(&passive)),
         ("Table 2 — expenditure comparison", reports::table2()),
         (

@@ -24,11 +24,73 @@ use satiot_measure::stats::{cdf_points, Histogram, Summary};
 use satiot_measure::table::{num, pct, render_series, Table};
 use satiot_orbit::elements::footprint_area_km2;
 use satiot_scenarios::constellations::all_constellations;
-use satiot_scenarios::sites::{availability_sites, measurement_sites};
+use satiot_scenarios::sites::{
+    availability_sites, measurement_sites, tianqi_ground_stations, yunnan_farm,
+};
+use satiot_scenarios::ScenarioSpec;
 use satiot_terrestrial::campaign::TerrestrialResults;
+use std::fmt::Write as _;
 
 /// The four constellation labels in the paper's order.
 pub const CONSTELLATIONS: [&str; 4] = ["Tianqi", "FOSSA", "PICO", "CSTP"];
+
+/// Figure 2 — the measurement node map: the eight passive sites across
+/// four continents, Tianqi's ground segment, and the Yunnan farm on an
+/// ASCII world grid (4° of longitude per column, 6° of latitude per
+/// row).
+///
+/// The site list comes from resolving the paper's passive scenario
+/// through [`ScenarioSpec::build`], the same typed front door the
+/// campaign binaries use.
+pub fn fig2() -> String {
+    const COLS: usize = 90;
+    const ROWS: usize = 30;
+    let scenario = ScenarioSpec::paper_passive()
+        .build()
+        .expect("builtin paper scenario resolves");
+    let sites: Vec<_> = scenario.sites.iter().map(|r| &r.site).collect();
+    let mut grid = vec![vec!['.'; COLS]; ROWS];
+    // Equator and meridian for orientation.
+    for cell in grid[ROWS / 2].iter_mut() {
+        *cell = '-';
+    }
+    for row in grid.iter_mut() {
+        row[COLS / 2] = '|';
+    }
+    let mut plot = |lat: f64, lon: f64, mark: char| {
+        let col = (((lon + 180.0) / 360.0) * (COLS as f64 - 1.0)).round() as usize;
+        let row = (((90.0 - lat) / 180.0) * (ROWS as f64 - 1.0)).round() as usize;
+        grid[row.min(ROWS - 1)][col.min(COLS - 1)] = mark;
+    };
+    for (_, gs) in tianqi_ground_stations() {
+        plot(gs.lat_rad.to_degrees(), gs.lon_rad.to_degrees(), 'g');
+    }
+    let farm = yunnan_farm();
+    plot(farm.lat_rad.to_degrees(), farm.lon_rad.to_degrees(), 'F');
+    for site in &sites {
+        plot(site.lat_deg, site.lon_deg, '#');
+    }
+
+    let mut out = String::from("== Fig 2: Measurement node map ==\n");
+    out.push_str("(# passive site   g Tianqi ground station   F Yunnan farm)\n\n");
+    for row in &grid {
+        out.extend(row.iter());
+        out.push('\n');
+    }
+    out.push('\n');
+    for site in &sites {
+        let _ = writeln!(
+            out,
+            "  # {:4} {:12} {:7.2}N {:8.2}E  {} stations from day {:.0}",
+            site.code, site.name, site.lat_deg, site.lon_deg, site.station_count, site.start_day
+        );
+    }
+    out.push_str(
+        "\n27 stations, 8 sites, 4 continents — plus 12 Tianqi ground stations\n\
+         across China and the active-deployment farm in Yunnan.\n",
+    );
+    out
+}
 
 /// Table 1 — dataset overview: per-city station counts, start month, and
 /// collected trace counts.
