@@ -5,74 +5,50 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use satiot_core::prelude::*;
 use satiot_terrestrial::campaign::{TerrestrialCampaign, TerrestrialConfig};
 
+/// A one-day passive campaign over the given sites.
+fn passive_day(sites: &[&str]) -> PassiveConfig {
+    let mut cfg = PassiveConfig {
+        max_days: 1.0,
+        ..Default::default()
+    };
+    cfg.sites.retain(|s| sites.contains(&s.code));
+    cfg
+}
+
 fn bench_campaigns(c: &mut Criterion) {
-    // Hermetic defaults: batched simulate kernels, ephemeris grids on.
     let opts = RunOptions::default();
     let mut group = c.benchmark_group("campaigns");
     group.sample_size(10);
 
     group.bench_function("passive_hk_1day", |b| {
+        let serial = opts.with_threads(Some(1));
         b.iter(|| {
-            #[allow(deprecated)] // bench pins the literal constructor
-            let mut cfg = PassiveConfig::quick(1.0);
-            cfg.sites.retain(|s| s.code == "HK");
-            cfg.parallel = false;
-            PassiveCampaign::new(cfg).run(&opts).unwrap()
+            PassiveCampaign::new(passive_day(&["HK"]))
+                .run(&serial)
+                .unwrap()
         })
     });
 
     // The sweep-pool payoff: the same three-site day, sharded one
     // *(site × satellite)* prediction task at a time across the work
-    // queue versus the legacy one-thread-per-site driver. The cache is
-    // cleared inside each iteration so both measure cold-cache sweeps.
+    // queue. The cache is cleared inside each iteration so it measures
+    // a cold-cache sweep.
     group.bench_function("passive_multisite_pool", |b| {
         b.iter(|| {
             satiot_core::sweep::clear();
-            #[allow(deprecated)] // bench pins the literal constructor
-            let mut cfg = PassiveConfig::quick(1.0);
-            cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ" | "SH"));
-            cfg.parallel = true;
-            PassiveCampaign::new(cfg).run(&opts).unwrap()
-        })
-    });
-
-    #[allow(deprecated)] // The legacy driver is the bench baseline.
-    group.bench_function("passive_multisite_site_threads", |b| {
-        b.iter(|| {
-            satiot_core::sweep::clear();
-            #[allow(deprecated)] // bench pins the literal constructor
-            let mut cfg = PassiveConfig::quick(1.0);
-            cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ" | "SH"));
-            cfg.parallel = true;
-            PassiveCampaign::new(cfg).run_with_site_threads()
+            PassiveCampaign::new(passive_day(&["HK", "GZ", "SH"]))
+                .run(&opts)
+                .unwrap()
         })
     });
 
     // Warm-cache repeat of the pooled sweep: what every campaign after
     // the first costs inside `reproduce_all` and the ablation binaries
-    // (prediction amortised away; only simulation remains). The legacy
-    // driver pays full prediction every run regardless of core count.
+    // (prediction amortised away; only simulation remains).
     group.bench_function("passive_multisite_pool_warm", |b| {
         b.iter(|| {
-            #[allow(deprecated)] // bench pins the literal constructor
-            let mut cfg = PassiveConfig::quick(1.0);
-            cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ" | "SH"));
-            cfg.parallel = true;
-            PassiveCampaign::new(cfg).run(&opts).unwrap()
-        })
-    });
-
-    // Same warm sweep with the SoA batch kernels disabled: the
-    // simulate-phase speedup `BENCH_simulate.json` commits is the gap
-    // between this and `passive_multisite_pool_warm`.
-    group.bench_function("passive_multisite_pool_warm_scalar", |b| {
-        b.iter(|| {
-            #[allow(deprecated)] // bench pins the literal constructor
-            let mut cfg = PassiveConfig::quick(1.0);
-            cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ" | "SH"));
-            cfg.parallel = true;
-            PassiveCampaign::new(cfg)
-                .run(&opts.with_batch(BatchMode::Off))
+            PassiveCampaign::new(passive_day(&["HK", "GZ", "SH"]))
+                .run(&opts)
                 .unwrap()
         })
     });

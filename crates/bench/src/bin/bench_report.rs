@@ -5,10 +5,15 @@
 //! through the sweep pool and the shared pass cache exactly like
 //! `PassiveCampaign`/`ActiveCampaign` — under both sampling backends:
 //!
-//! * **direct** (`SATIOT_EPHEMERIS=0` equivalent): every elevation query
-//!   runs SGP4 + GMST + frame rotation.
-//! * **ephemeris**: each satellite is propagated once onto a shared
-//!   [`EphemerisGrid`]; all observers interpolate.
+//! * **direct**: a plain [`PassPredictor::new`], so every elevation
+//!   query runs SGP4 + GMST + frame rotation.
+//! * **ephemeris**: the campaign predictor from [`sweep::predictor`];
+//!   each satellite is propagated once onto a shared [`EphemerisGrid`]
+//!   and all observers interpolate.
+//!
+//! Both backends run the legacy coarse scan ([`VisibilityMode::Off`]),
+//! so they stay pass-count-comparable: the margin sweep legitimately
+//! finds short passes the adaptive scan can step over.
 //!
 //! Each backend is measured cold (empty pass cache and grid store) and
 //! warm (immediately re-run, everything served from the cache). Work is
@@ -21,51 +26,34 @@
 //! than direct on the cold multi-observer sweep — so CI fails if the
 //! optimisation regresses. `--smoke` runs a smaller catalog for CI.
 //!
-//! A second matrix measures the **simulate** phase: a warm-cache passive
-//! sweep (pass lists precomputed, so wall time is the per-beacon channel
-//! work) under the legacy scalar pipeline (`SATIOT_BATCH=0` +
-//! `SATIOT_EPHEMERIS=0`, the pre-batching code path) versus the SoA
-//! batch kernels over ephemeris grids. Writes `BENCH_simulate.json` and
-//! asserts the batched path is at least 2× faster (1.5× under
-//! `--smoke`, where the sweep is too short to amortise).
-//!
-//! A third matrix measures the **coarse-scan** phase in isolation: the
-//! [`VisibilitySweep`] horizon-margin kernel over every satellite's
-//! ephemeris grid with all observers in one SoA arena, scalar
-//! (`SATIOT_VISIBILITY=scalar`) versus chunked/auto-vectorised lanes,
-//! each cold (first sweep) and warm (best of repeats). The two kernels
-//! must emit identical sign-change windows; writes
-//! `BENCH_visibility.json` and asserts the chunked kernel clears a 2×
-//! wall-time floor (1.4× under `--smoke`). The predict matrix above
-//! pins `SATIOT_VISIBILITY=0` so both of its backends run the same
-//! legacy coarse scan and stay pass-count-comparable.
-//!
-//! A fourth matrix measures the **spatial pre-cull** stage at
+//! A second matrix measures the **spatial pre-cull** stage at
 //! mega-constellation scale: a 10×36 Walker shell against 200
-//! uniform-on-sphere sites (4×9 × 60 under `--smoke`), predicted with
-//! `RunOptions::culling` off versus on. The two legs must agree
-//! bit-for-bit on every pass; the `orbit.cull.*` proof counters must
-//! show at least 5× fewer pairs surviving to grid interpolation, with a
-//! wall-clock floor on the warm sweep. Writes `BENCH_culling.json`.
+//! uniform-on-sphere sites (4×9 × 60 under `--smoke`), predicted by a
+//! plain gridded predictor (unculled) versus [`sweep::predictor`]
+//! (culled). The two legs must agree bit-for-bit on every pass; the
+//! `orbit.cull.*` proof counters must show at least 5× fewer pairs
+//! surviving to grid interpolation, with a wall-clock floor on the warm
+//! sweep. Writes `BENCH_culling.json`.
 //!
-//! A fifth matrix measures the **sweep server**: the same multi-seed
+//! A third matrix measures the **sweep server**: the same multi-seed
 //! job queue run as sequential cold batches (caches cleared before
 //! every job, the one-process-per-job workflow) versus one
 //! `SweepServer` pass sharing pass lists and ephemeris grids across
 //! jobs. Both legs must produce bit-identical job records and merged
 //! sketches; writes `BENCH_sweep.json` and asserts the server clears a
 //! 2× throughput floor (1.5× under `--smoke`).
+//!
+//! End-to-end wall, CPU and memory of the whole reproduction are
+//! measured by the benchmark under `perfbench/`, not here.
 
 use satiot_core::prelude::*;
 use satiot_core::{calib, sweep};
 use satiot_orbit::cull;
-use satiot_orbit::ephemeris::{self, EphemerisGrid, EphemerisMode};
+use satiot_orbit::ephemeris::EphemerisGrid;
 use satiot_orbit::frames::Geodetic;
-use satiot_orbit::pass::Pass;
-use satiot_orbit::sgp4;
+use satiot_orbit::pass::{Pass, PassPredictor};
+use satiot_orbit::sgp4::{self, Sgp4};
 use satiot_orbit::time::JulianDate;
-use satiot_orbit::topo::Observer;
-use satiot_orbit::visibility::{self, SweepOutcome, VisibilitySweep};
 use satiot_scenarios::constellations::{fossa, tianqi, SatelliteDef};
 use satiot_scenarios::sites::{tianqi_ground_stations, yunnan_farm};
 use satiot_scenarios::walker::WalkerShell;
@@ -84,12 +72,32 @@ struct Cell {
     passes: usize,
 }
 
+/// Builds one backend's predictor for `(key, sgp4, site, mask)`;
+/// `None` is a pair the backend proved empty.
+type Backend = fn(sweep::GridKey, &Sgp4, Geodetic, f64) -> Option<PassPredictor>;
+
+/// The direct-SGP4 reference: no grid, no cull.
+fn direct(_: sweep::GridKey, sgp4: &Sgp4, site: Geodetic, mask_rad: f64) -> Option<PassPredictor> {
+    Some(PassPredictor::new(sgp4.clone(), site, mask_rad))
+}
+
+/// The campaign predictor with the legacy coarse scan pinned.
+fn ephemeris(
+    key: sweep::GridKey,
+    sgp4: &Sgp4,
+    site: Geodetic,
+    mask_rad: f64,
+) -> Option<PassPredictor> {
+    sweep::predictor(key, sgp4, site, mask_rad).map(|p| p.with_visibility(VisibilityMode::Off))
+}
+
 /// Run the predict workload once: every (observer, satellite) pair
 /// through the shared pass cache on the sweep pool, mirroring the
 /// campaign predict phases.
 fn predict_all(
+    backend: Backend,
     observers: &[(&'static str, Geodetic)],
-    sats: &[(SatelliteDef, satiot_orbit::sgp4::Sgp4)],
+    sats: &[(SatelliteDef, Sgp4)],
     start: JulianDate,
     end: JulianDate,
     mask_rad: f64,
@@ -103,50 +111,38 @@ fn predict_all(
         sweep::passes_for(
             sweep::PassKey::new(name, sat.constellation, sat.sat_id, start, end, mask_rad),
             || {
-                sweep::sat_predictor(
-                    sat.constellation,
-                    sat.sat_id,
-                    sgp4,
-                    site,
-                    mask_rad,
-                    start,
-                    end,
-                )
+                let key = sweep::GridKey::new(sat.constellation, sat.sat_id, start, end);
+                backend(key, sgp4, site, mask_rad)
             },
         )
     })
 }
 
 fn measure(
-    backend: &'static str,
-    mode: EphemerisMode,
+    name: &'static str,
+    backend: Backend,
     observers: &[(&'static str, Geodetic)],
-    sats: &[(SatelliteDef, satiot_orbit::sgp4::Sgp4)],
+    sats: &[(SatelliteDef, Sgp4)],
     start: JulianDate,
     end: JulianDate,
     mask_rad: f64,
 ) -> (Cell, Cell) {
-    ephemeris::set_mode(mode);
-    // Pin the legacy coarse scan for both backends: the visibility sweep
-    // legitimately finds short passes the adaptive scan can step over,
-    // which would break this matrix's pass-count-equality check.
-    visibility::set_mode(VisibilityMode::Off);
     sweep::clear();
     let mut cells = Vec::with_capacity(2);
     for phase in ["cold", "warm"] {
         sgp4::reset_propagations();
         let t0 = Instant::now();
-        let lists = predict_all(observers, sats, start, end, mask_rad);
+        let lists = predict_all(backend, observers, sats, start, end, mask_rad);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let propagations = sgp4::propagations();
         let passes: usize = lists.iter().map(|l| l.len()).sum();
         println!(
-            "{backend:9} {phase:4}: {wall_ms:9.1} ms, {propagations:>9} propagations, \
+            "{name:9} {phase:4}: {wall_ms:9.1} ms, {propagations:>9} propagations, \
              {} lists, {passes} passes",
             lists.len(),
         );
         cells.push(Cell {
-            backend,
+            backend: name,
             phase,
             wall_ms,
             propagations,
@@ -157,87 +153,6 @@ fn measure(
     let warm = cells.pop().expect("warm cell");
     let cold = cells.pop().expect("cold cell");
     (cold, warm)
-}
-
-/// One measured cell of the simulate matrix: a warm-cache passive sweep,
-/// so wall time is dominated by the per-beacon simulate phase.
-struct SimCell {
-    config: &'static str,
-    wall_ms: f64,
-    propagations: u64,
-    traces: usize,
-    passes: usize,
-}
-
-fn simulate_config(smoke: bool) -> PassiveConfig {
-    // Smoke keeps three sites over two days — long enough that the
-    // measured walls dwarf scheduler jitter on a loaded CI runner.
-    #[allow(deprecated)] // report harness tweaks the literal config directly
-    let mut cfg = PassiveConfig::quick(if smoke { 2.0 } else { 3.0 });
-    if smoke {
-        cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ" | "SH"));
-    }
-    cfg.parallel = true;
-    cfg
-}
-
-fn measure_simulate(config: &'static str, opts: &RunOptions, smoke: bool) -> SimCell {
-    // The pass cache is not keyed on the ephemeris backend, so each cell
-    // starts from a clean slate and warms its own caches with a
-    // throwaway run before the measured one. Visibility is pinned to the
-    // legacy coarse scan so every cell simulates the identical pass
-    // workload (the sweep finds short passes the adaptive scan misses,
-    // which would skew the grid-backed cells).
-    let opts = &opts.with_visibility(VisibilityMode::Off);
-    sweep::clear();
-    let warmup = PassiveCampaign::new(simulate_config(smoke))
-        .run(opts)
-        .expect("simulate-matrix config is valid");
-    // Best of three repeats: the minimum wall is the least contaminated
-    // by scheduler noise, which matters on shared CI runners.
-    let mut wall_ms = f64::INFINITY;
-    let mut propagations = 0;
-    let mut results = warmup;
-    for _ in 0..3 {
-        sgp4::reset_propagations();
-        let t0 = Instant::now();
-        let rep = PassiveCampaign::new(simulate_config(smoke))
-            .run(opts)
-            .expect("simulate-matrix config is valid");
-        let rep_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            rep.traces.len(),
-            results.traces.len(),
-            "{config}: repeat runs diverged"
-        );
-        if rep_ms < wall_ms {
-            wall_ms = rep_ms;
-            propagations = sgp4::propagations();
-        }
-        results = rep;
-    }
-    println!(
-        "{config:9} warm: {wall_ms:9.1} ms, {propagations:>9} propagations, \
-         {} traces, {} passes",
-        results.traces.len(),
-        results.passes.len(),
-    );
-    SimCell {
-        config,
-        wall_ms,
-        propagations,
-        traces: results.traces.len(),
-        passes: results.passes.len(),
-    }
-}
-
-/// One measured cell of the visibility coarse-scan matrix.
-struct VisCell {
-    kernel: &'static str,
-    phase: &'static str,
-    wall_ms: f64,
-    points: usize,
-    events: usize,
 }
 
 /// One measured cell of the mega-scale culling matrix.
@@ -264,7 +179,7 @@ fn main() {
     let mut observers = tianqi_ground_stations();
     observers.push(("YUNNAN_FARM", yunnan_farm()));
 
-    let sats: Vec<(SatelliteDef, satiot_orbit::sgp4::Sgp4)> = spec
+    let sats: Vec<(SatelliteDef, Sgp4)> = spec
         .catalog(epoch)
         .into_iter()
         .map(|sat| {
@@ -280,27 +195,16 @@ fn main() {
     );
 
     let (start, end) = (epoch, epoch + days);
-    let (d_cold, d_warm) = measure(
-        "direct",
-        EphemerisMode::Off,
-        &observers,
-        &sats,
-        start,
-        end,
-        mask_rad,
-    );
+    let (d_cold, d_warm) = measure("direct", direct, &observers, &sats, start, end, mask_rad);
     let (e_cold, e_warm) = measure(
         "ephemeris",
-        EphemerisMode::On,
+        ephemeris,
         &observers,
         &sats,
         start,
         end,
         mask_rad,
     );
-    // Leave the process-wide latches the way the environment asked.
-    ephemeris::set_mode(opts.ephemeris);
-    visibility::set_mode(opts.visibility);
 
     assert_eq!(
         d_cold.passes, e_cold.passes,
@@ -354,118 +258,15 @@ fn main() {
         "warm re-runs must be served entirely from the pass cache"
     );
 
-    // --- Visibility matrix: scalar vs chunked horizon-margin kernels. ---
-    println!(
-        "\nvisibility matrix ({} coarse scan, {} sats × {} observers):",
-        if smoke { "smoke" } else { "full" },
-        sats.len(),
-        observers.len(),
-    );
-    let grids: Vec<EphemerisGrid> = sats
-        .iter()
-        .map(|(_, sgp4)| EphemerisGrid::build(sgp4, start, end))
-        .collect();
-    let mut arena = VisibilitySweep::new();
-    for &(_, site) in &observers {
-        arena.push(&Observer::new(site), mask_rad);
-    }
-    let sweep_all = |mode: VisibilityMode| -> Vec<Vec<SweepOutcome>> {
-        grids
-            .iter()
-            .map(|grid| {
-                arena
-                    .run(grid, start, end, mode)
-                    .expect("fully covered window sweeps")
-            })
-            .collect()
-    };
-    let repeats = if smoke { 5 } else { 3 };
-    let mut vis_cells: Vec<VisCell> = Vec::new();
-    let mut per_kernel: Vec<Vec<Vec<SweepOutcome>>> = Vec::new();
-    for (kernel, mode) in [
-        ("scalar", VisibilityMode::Scalar),
-        ("chunked", VisibilityMode::On),
-    ] {
-        let t0 = Instant::now();
-        let outcomes = sweep_all(mode);
-        let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let mut warm_ms = f64::INFINITY;
-        for _ in 0..repeats {
-            let t0 = Instant::now();
-            let rep = sweep_all(mode);
-            warm_ms = warm_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(rep, outcomes, "{kernel}: repeat sweeps diverged");
-        }
-        let points: usize = outcomes.iter().flatten().map(|o| o.points).sum();
-        let events: usize = outcomes.iter().flatten().map(|o| o.events.len()).sum();
-        for (phase, wall_ms) in [("cold", cold_ms), ("warm", warm_ms)] {
-            println!(
-                "{kernel:9} {phase:4}: {wall_ms:9.1} ms, {points:>9} margins, {events} events",
-            );
-            vis_cells.push(VisCell {
-                kernel,
-                phase,
-                wall_ms,
-                points,
-                events,
-            });
-        }
-        per_kernel.push(outcomes);
-    }
-    // The chunked kernel is an elementwise regrouping of the scalar
-    // margin arithmetic, so the emitted windows must match exactly.
-    assert_eq!(
-        per_kernel[0], per_kernel[1],
-        "scalar and chunked sweeps disagree on sign-change windows"
-    );
-    let vis_speedup = vis_cells[1].wall_ms / vis_cells[3].wall_ms.max(1e-9);
-    println!("coarse-scan wall speedup (scalar/chunked, warm): {vis_speedup:.2}×");
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"scenario\": {{");
-    let _ = writeln!(json, "    \"constellation\": \"{}\",", spec.name);
-    let _ = writeln!(json, "    \"satellites\": {},", sats.len());
-    let _ = writeln!(json, "    \"observers\": {},", observers.len());
-    let _ = writeln!(json, "    \"days\": {days},");
-    let _ = writeln!(json, "    \"mask_deg\": {},", mask_rad.to_degrees());
-    let _ = writeln!(json, "    \"smoke\": {smoke}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, c) in vis_cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"kernel\": \"{}\", \"phase\": \"{}\", \"wall_ms\": {:.3}, \
-             \"margins\": {}, \"events\": {}}}{}",
-            c.kernel,
-            c.phase,
-            c.wall_ms,
-            c.points,
-            c.events,
-            if i + 1 < vis_cells.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"warm_wall_speedup\": {vis_speedup:.3}\n}}");
-    std::fs::write("BENCH_visibility.json", &json).expect("write BENCH_visibility.json");
-    println!("wrote BENCH_visibility.json");
-
-    let vis_floor = if smoke { 1.4 } else { 2.0 };
-    assert!(
-        vis_speedup >= vis_floor,
-        "chunked visibility kernel must be at least {vis_floor}× faster than \
-         the scalar sweep on the warm coarse scan (got {vis_speedup:.2}×)"
-    );
-
     // --- Culling matrix: mega-scale Walker shell, pre-cull off vs on. ---
     // A dense mid-inclination shell against sites spread uniformly over
     // the sphere: most (site, sat) pairs either sit outside the shell's
     // latitude band or never enter the footprint cone during the short
     // window, so the conservative pre-cull should retire the bulk of the
-    // pair matrix before any grid interpolation. Both legs drive
-    // `predictor_with_mode` exactly like the campaign predict phase
-    // (shared per-satellite grids, per-pair coarse scans); the legacy
-    // coarse scan is pinned so the legs stay comparable.
+    // pair matrix before any grid interpolation. The culled leg drives
+    // `sweep::predictor` exactly like the campaign predict phase; the
+    // unculled leg is a plain predictor on the same shared grids. Both
+    // pin the legacy coarse scan.
     let shell = WalkerShell {
         planes: if smoke { 4 } else { 10 },
         sats_per_plane: if smoke { 9 } else { 36 },
@@ -476,7 +277,7 @@ fn main() {
     shell
         .validate()
         .expect("culling-matrix shell is well-formed");
-    let mega: Vec<satiot_orbit::sgp4::Sgp4> = shell
+    let mega: Vec<Sgp4> = shell
         .elements(epoch)
         .iter()
         .map(|e| e.to_sgp4().expect("walker shell propagates"))
@@ -506,19 +307,17 @@ fn main() {
         shell.inclination_deg,
         n_sites,
     );
-    let predict_mega = |culling: CullingMode| -> Vec<Vec<Pass>> {
+    let unculled: Backend = |key, sgp4, site, mask_rad| {
+        let (start, end) = key.range();
+        let grid = sweep::grid_for(key, || EphemerisGrid::build(sgp4, start, end));
+        Some(PassPredictor::new(sgp4.clone(), site, mask_rad).with_ephemeris(grid))
+    };
+    let predict_mega = |backend: Backend| -> Vec<Vec<Pass>> {
         let mut lists = Vec::with_capacity(cull_sites.len() * mega.len());
         for &site in &cull_sites {
             for (s, sgp4) in mega.iter().enumerate() {
-                let predictor = sweep::predictor_with_mode(
-                    EphemerisMode::On,
-                    VisibilityMode::Off,
-                    culling,
-                    sweep::GridKey::new("MEGA", s as u32, cs, ce),
-                    sgp4,
-                    site,
-                    cull_mask,
-                );
+                let key = sweep::GridKey::new("MEGA", s as u32, cs, ce);
+                let predictor = backend(key, sgp4, site, cull_mask);
                 lists.push(predictor.map(|p| p.passes(cs, ce)).unwrap_or_default());
             }
         }
@@ -527,11 +326,11 @@ fn main() {
     let cull_repeats = if smoke { 5 } else { 3 };
     let mut cull_cells: Vec<CullCell> = Vec::new();
     let mut per_leg: Vec<Vec<Vec<Pass>>> = Vec::new();
-    for (leg, culling) in [("unculled", CullingMode::Off), ("culled", CullingMode::On)] {
+    for (leg, backend) in [("unculled", unculled), ("culled", ephemeris as Backend)] {
         sweep::clear();
         cull::reset_stats();
         let t0 = Instant::now();
-        let lists = predict_mega(culling);
+        let lists = predict_mega(backend);
         let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
         // Warm repeats are served the shared grids from the cache, so
         // the measured wall is the per-pair cull + coarse-scan work the
@@ -540,7 +339,7 @@ fn main() {
         for _ in 0..cull_repeats {
             cull::reset_stats();
             let t0 = Instant::now();
-            let rep = predict_mega(culling);
+            let rep = predict_mega(backend);
             warm_ms = warm_ms.min(t0.elapsed().as_secs_f64() * 1e3);
             assert_eq!(rep, lists, "{leg}: repeat sweeps diverged");
         }
@@ -605,7 +404,7 @@ fn main() {
             cull_cells[0].pairs_kept
         ),
         (0, 0, 0),
-        "culling off must not touch the proof counters"
+        "the unculled leg must not touch the proof counters"
     );
     let pair_ratio = on_stats.0 as f64 / on_stats.2.max(1) as f64;
     let cull_speedup = cull_cells[1].wall_ms / cull_cells[3].wall_ms.max(1e-9);
@@ -664,85 +463,6 @@ fn main() {
         cull_speedup >= cull_floor,
         "culling must be at least {cull_floor}× faster than the unculled sweep \
          on the warm mega-scale matrix (got {cull_speedup:.2}×)"
-    );
-
-    // --- Simulate matrix: legacy scalar pipeline vs SoA batch kernels. ---
-    println!(
-        "\nsimulate matrix ({} passive sweep, warm pass cache):",
-        if smoke { "smoke" } else { "full" }
-    );
-    let legacy = measure_simulate(
-        "legacy",
-        &opts
-            .with_batch(BatchMode::Off)
-            .with_ephemeris(EphemerisMode::Off),
-        smoke,
-    );
-    // The two mixed cells attribute the win between the ephemeris-grid
-    // geometry sampling and the SoA channel kernels.
-    let grid_only = measure_simulate(
-        "grid-only",
-        &opts
-            .with_batch(BatchMode::Off)
-            .with_ephemeris(EphemerisMode::On),
-        smoke,
-    );
-    let batch_only = measure_simulate(
-        "batch-only",
-        &opts
-            .with_batch(BatchMode::On)
-            .with_ephemeris(EphemerisMode::Off),
-        smoke,
-    );
-    let batched = measure_simulate(
-        "batched",
-        &opts
-            .with_batch(BatchMode::On)
-            .with_ephemeris(EphemerisMode::On),
-        smoke,
-    );
-    sweep::clear();
-    let sim_speedup = legacy.wall_ms / batched.wall_ms.max(1e-9);
-    println!("simulate wall speedup (legacy/batched): {sim_speedup:.2}×");
-
-    let sim_cfg = simulate_config(smoke);
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"scenario\": {{");
-    let _ = writeln!(json, "    \"sites\": {},", sim_cfg.sites.len());
-    let _ = writeln!(
-        json,
-        "    \"constellations\": {},",
-        sim_cfg.constellations.len()
-    );
-    let _ = writeln!(json, "    \"days\": {},", sim_cfg.max_days);
-    let _ = writeln!(json, "    \"smoke\": {smoke}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"cells\": [");
-    let cells = [&legacy, &grid_only, &batch_only, &batched];
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"config\": \"{}\", \"wall_ms\": {:.3}, \"sgp4_propagations\": {}, \
-             \"traces\": {}, \"passes\": {}}}{}",
-            c.config,
-            c.wall_ms,
-            c.propagations,
-            c.traces,
-            c.passes,
-            if i + 1 < cells.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"simulate_wall_speedup\": {sim_speedup:.3}\n}}");
-    std::fs::write("BENCH_simulate.json", &json).expect("write BENCH_simulate.json");
-    println!("wrote BENCH_simulate.json");
-
-    let floor = if smoke { 1.5 } else { 2.0 };
-    assert!(
-        sim_speedup >= floor,
-        "batched simulate must be at least {floor}× faster than the legacy \
-         scalar pipeline on the warm passive sweep (got {sim_speedup:.2}×)"
     );
 
     // --- Sweep matrix: sequential cold batches vs the warm sweep server. ---

@@ -22,8 +22,10 @@ fn main() {
         .into_iter()
         .filter(|s| s.code == "HK")
         .collect::<Vec<_>>();
-    #[allow(deprecated)] // calibration tweaks the literal config directly
-    let mut pcfg = PassiveConfig::quick(days);
+    let mut pcfg = PassiveConfig {
+        max_days: days,
+        ..Default::default()
+    };
     pcfg.sites = hk.clone();
     let passive = PassiveCampaign::new(pcfg).run(&opts).unwrap();
     println!("=== PASSIVE (HK, {days} days) ===");

@@ -1,7 +1,7 @@
 //! CI chaos smoke: replay hundreds of seeded fault-injection scenarios
 //! through the campaign pipeline and assert (a) zero panics anywhere and
-//! (b) reproducible, driver-independent degradation accounting — the
-//! serial and pooled passive drivers must report bit-identical
+//! (b) reproducible, thread-count-independent degradation accounting —
+//! one-thread and pooled passive runs must report bit-identical
 //! [`FaultLog`]s, and an active campaign replayed with the same damaged
 //! config must degrade identically.
 //!
@@ -73,9 +73,11 @@ fn main() {
     // path must degrade (counted in the fault log, sketches intact),
     // never panic the campaign.
     {
-        #[allow(deprecated)] // chaos runs feed deliberately hostile literal configs
-        let mut cfg = PassiveConfig::quick(0.5);
-        cfg.constellations = vec![tianqi()];
+        let mut cfg = PassiveConfig {
+            max_days: 0.5,
+            constellations: vec![tianqi()],
+            ..Default::default()
+        };
         cfg.sites.truncate(2);
         let spill = SinkMode::SpillCsv {
             path: "/proc/satiot-no-such-dir/spill.csv",
@@ -171,12 +173,14 @@ fn main() {
 }
 
 /// Family 0: a perturbed passive campaign must run (or be rejected)
-/// identically under the serial and pooled drivers.
+/// identically on one thread and on the pool.
 fn passive_scenario(plan: &mut ChaosPlan, opts: &RunOptions) -> Verdict {
-    #[allow(deprecated)] // chaos runs feed deliberately hostile literal configs
-    let mut cfg = PassiveConfig::quick(0.5);
-    cfg.seed = plan.derived_seed();
-    cfg.constellations = vec![tianqi()];
+    let mut cfg = PassiveConfig {
+        seed: plan.derived_seed(),
+        max_days: 0.5,
+        constellations: vec![tianqi()],
+        ..Default::default()
+    };
 
     let mut sites = measurement_sites();
     let mut site = sites.swap_remove(plan.index_in(sites.len()));
@@ -212,11 +216,9 @@ fn passive_scenario(plan: &mut ChaosPlan, opts: &RunOptions) -> Verdict {
         };
     }
 
-    let mut serial_cfg = cfg.clone();
-    serial_cfg.parallel = false;
-    cfg.parallel = true;
-    let serial = PassiveCampaign::new(serial_cfg).run(opts);
-    let pooled = PassiveCampaign::new(cfg).run(opts);
+    let campaign = PassiveCampaign::new(cfg);
+    let serial = campaign.run(&opts.with_threads(Some(1)));
+    let pooled = campaign.run(opts);
     match (serial, pooled) {
         (Ok(a), Ok(b)) => {
             if a.faults != b.faults {
@@ -408,7 +410,7 @@ fn terrestrial_scenario(plan: &mut ChaosPlan) -> Verdict {
 /// [`ScenarioError`] (identically on replay); text that still parses
 /// must round-trip to an identical spec with an identical fingerprint,
 /// and a spec that builds into a runnable campaign must degrade with
-/// bit-identical [`FaultLog`]s under the serial and pooled drivers.
+/// bit-identical [`FaultLog`]s on one thread and on the pool.
 fn scenario_spec_scenario(plan: &mut ChaosPlan, opts: &RunOptions) -> Verdict {
     let base = match plan.index_in(4) {
         0 => ScenarioSpec::tianqi_hk(),
@@ -498,11 +500,9 @@ fn scenario_spec_scenario(plan: &mut ChaosPlan, opts: &RunOptions) -> Verdict {
             cfg.max_days = 0.25;
             cfg.sites.truncate(1);
             cfg.constellations.truncate(1);
-            let mut serial_cfg = cfg.clone();
-            serial_cfg.parallel = false;
-            cfg.parallel = true;
-            let serial = PassiveCampaign::new(serial_cfg).run(opts);
-            let pooled = PassiveCampaign::new(cfg).run(opts);
+            let campaign = PassiveCampaign::new(cfg);
+            let serial = campaign.run(&opts.with_threads(Some(1)));
+            let pooled = campaign.run(opts);
             match (serial, pooled) {
                 (Ok(x), Ok(y)) => {
                     if x.faults != y.faults {

@@ -1,24 +1,13 @@
-//! CI determinism smoke: a quick multi-site passive campaign run four
-//! ways — serial, on the sweep pool, with the legacy per-site-thread
-//! driver, and under both simulate kernels (SoA batched vs scalar) —
-//! must produce bit-identical traces and pass records, and the
-//! pass-prediction cache must have computed each list exactly once.
-//! A further section pins the bounded-memory sink: the aggregating mode
-//! retains zero traces (obs-counter-audited) yet sketches identically
-//! across drivers, with quantiles inside the documented error band.
-//! The final section pins the visibility-sweep kernels: the chunked
-//! (auto-vectorised) horizon-margin sweep must yield bit-identical
-//! campaigns to its scalar twin under the pooled, serial, *and* legacy
-//! site-thread drivers (the pass cache is cleared between modes — it
-//! does not key on the visibility knob). A cull section then proves the
-//! spatial pre-cull stage is lossless: the culled run's pass set is
-//! bit-identical to the unculled run's across drivers, with the
-//! `orbit.cull.*` proof counters balancing exactly.
-//!
-//! The environment picks the baseline options (CI invokes this binary
-//! once with `SATIOT_BATCH=0` and once with `SATIOT_BATCH=1`), but the
-//! explicit batched-vs-scalar comparison below runs regardless, so even
-//! a single invocation pins the kernel equivalence.
+//! CI determinism smoke: a quick multi-site passive campaign run on
+//! the sweep pool twice and on one thread must produce bit-identical
+//! traces and pass records, the pass-prediction cache must have
+//! computed each list exactly once, and the `orbit.cull.*` proof
+//! counters must balance (`considered == culled + kept`). A further
+//! section pins the bounded-memory sink: the aggregating mode retains
+//! zero traces (obs-counter-audited) yet sketches identically across
+//! thread counts, with quantiles inside the documented error band. The
+//! last section pins the committed scenario file against its builtin
+//! twin.
 //!
 //! Exits non-zero (panics) on any divergence, so the CI step is just
 //! `cargo run --release -p satiot-bench --bin determinism_smoke`.
@@ -32,7 +21,7 @@ use satiot_orbit::cull;
 // Shared-slot view of the sink's retention counter (name-keyed).
 static SINK_RETAINED: Counter = Counter::new("measure.sink.traces_retained");
 
-fn config(parallel: bool) -> PassiveConfig {
+fn config() -> PassiveConfig {
     // The smoke campaign is itself expressed as a scenario spec — the
     // same typed front door the experiment binaries use — so the
     // determinism gates below also pin the spec→config path.
@@ -43,9 +32,7 @@ fn config(parallel: bool) -> PassiveConfig {
         .map(|code| SiteRef::Named((*code).to_string()))
         .collect();
     let scenario = spec.build().expect("catalog site codes resolve");
-    let mut cfg = PassiveConfig::from_scenario(&scenario);
-    cfg.parallel = parallel;
-    cfg
+    PassiveConfig::from_scenario(&scenario)
 }
 
 fn assert_identical(label: &str, a: &PassiveResults, b: &PassiveResults) {
@@ -76,36 +63,33 @@ fn assert_identical(label: &str, a: &PassiveResults, b: &PassiveResults) {
 
 fn main() {
     let opts = RunOptions::from_env().apply();
-    println!(
-        "determinism smoke: batch={:?} ephemeris={:?} visibility={:?}",
-        opts.batch, opts.ephemeris, opts.visibility
-    );
+    let serial_opts = opts.with_threads(Some(1));
+    println!("determinism smoke: threads={:?}", opts.threads);
     sweep::clear();
-    let pooled_a = PassiveCampaign::new(config(true)).run(&opts).unwrap();
-    let pooled_b = PassiveCampaign::new(config(true)).run(&opts).unwrap();
-    let serial = PassiveCampaign::new(config(false)).run(&opts).unwrap();
-    #[allow(deprecated)] // Pins the legacy driver against the pool.
-    let legacy = PassiveCampaign::new(config(true))
-        .run_with_site_threads()
-        .unwrap();
+    cull::reset_stats();
+    let pooled_a = PassiveCampaign::new(config()).run(&opts).unwrap();
+    let pooled_b = PassiveCampaign::new(config()).run(&opts).unwrap();
+    let serial = PassiveCampaign::new(config()).run(&serial_opts).unwrap();
 
     assert_identical("pool vs pool", &pooled_a, &pooled_b);
-    assert_identical("pool vs serial", &pooled_a, &serial);
-    assert_identical("pool vs site-threads", &pooled_a, &legacy);
+    assert_identical("pool vs one thread", &pooled_a, &serial);
 
-    // The SoA gather/scatter path must be a pure re-grouping of the
-    // scalar arithmetic — same floating-point op order per element, same
-    // RNG draw sequence — so the two kernels are compared bit-for-bit
-    // here under the same ephemeris backend, whatever `SATIOT_BATCH`
-    // selected as the baseline above.
-    let batched = PassiveCampaign::new(config(true))
-        .run(&opts.with_batch(BatchMode::On))
-        .unwrap();
-    let scalar = PassiveCampaign::new(config(true))
-        .run(&opts.with_batch(BatchMode::Off))
-        .unwrap();
-    assert_identical("batched vs scalar", &batched, &scalar);
-    assert_identical("batched vs baseline", &batched, &pooled_a);
+    // The spatial pre-cull only ever drops (site, sat) pairs that
+    // geometry proves can never clear the horizon; every pair reaching
+    // the decision is either culled or kept.
+    let stats = cull::stats();
+    println!(
+        "cull: {} considered, {} culled, {} kept",
+        stats.pairs_considered,
+        stats.pairs_culled(),
+        stats.pairs_kept
+    );
+    assert!(stats.pairs_considered > 0, "cull stage never consulted");
+    assert_eq!(
+        stats.pairs_considered,
+        stats.pairs_culled() + stats.pairs_kept,
+        "cull proof counters do not balance"
+    );
 
     let cache = sweep::stats();
     println!(
@@ -126,10 +110,10 @@ fn main() {
 
     // Bounded-memory mode: the aggregating sink must not perturb the
     // simulation, must retain nothing (obs-counter-audited), and must
-    // sketch identically across the serial and pooled drivers — the
-    // sketch merge happens per site in configuration order, exactly
-    // like the trace merge it replaces.
-    let full = PassiveCampaign::new(config(true))
+    // sketch identically on one thread and on the pool — the sketch
+    // merge happens per site in configuration order, exactly like the
+    // trace merge it replaces.
+    let full = PassiveCampaign::new(config())
         .run(&opts.with_sink(SinkMode::Full))
         .unwrap();
     // Audit the bounded runs from a clean counter slate (the full run
@@ -137,8 +121,10 @@ fn main() {
     metrics::set_enabled(true);
     metrics::reset();
     let agg_opts = opts.with_sink(SinkMode::Aggregate);
-    let agg_pooled = PassiveCampaign::new(config(true)).run(&agg_opts).unwrap();
-    let agg_serial = PassiveCampaign::new(config(false)).run(&agg_opts).unwrap();
+    let agg_pooled = PassiveCampaign::new(config()).run(&agg_opts).unwrap();
+    let agg_serial = PassiveCampaign::new(config())
+        .run(&agg_opts.with_threads(Some(1)))
+        .unwrap();
     assert!(
         agg_pooled.traces.traces.is_empty(),
         "aggregate sink retained traces"
@@ -156,7 +142,7 @@ fn main() {
     );
     assert_eq!(
         agg_pooled.sketch, agg_serial.sketch,
-        "serial and pooled aggregate sketches diverged"
+        "one-thread and pooled aggregate sketches diverged"
     );
     assert_eq!(
         agg_pooled.sketch, full.sketch,
@@ -187,7 +173,7 @@ fn main() {
         );
     }
     println!(
-        "aggregate sink: 0 retained, {} emitted, sketches identical across drivers",
+        "aggregate sink: 0 retained, {} emitted, sketches identical across thread counts",
         agg_pooled.sink.emitted
     );
 
@@ -203,120 +189,18 @@ fn main() {
         grids.computes, grids.entries as u64,
         "an ephemeris grid was sampled more than once"
     );
-    if opts.ephemeris != EphemerisMode::Off {
-        // HK and GZ start the same campaign day, so their satellites
-        // share (satellite, window) grids across sites.
-        assert!(
-            grids.hits() > 0,
-            "no grid was ever shared across observers — keying is broken"
-        );
-    }
-
-    // Visibility-sweep kernel equivalence: the chunked (auto-vectorised)
-    // horizon-margin sweep and its scalar twin evaluate the same inlined
-    // margin arithmetic per lane, so whole campaigns must match
-    // bit-for-bit under every driver. The pass cache does not key on the
-    // visibility mode, so each mode starts from a cleared cache; the
-    // legacy site-thread driver resolves the global latch, which
-    // `apply()` pins before each batch.
-    let mut per_mode: Vec<PassiveResults> = Vec::new();
-    for mode in [VisibilityMode::Scalar, VisibilityMode::On] {
-        sweep::clear();
-        let mode_opts = opts.with_visibility(mode).apply();
-        let pooled = PassiveCampaign::new(config(true)).run(&mode_opts).unwrap();
-        let serial = PassiveCampaign::new(config(false)).run(&mode_opts).unwrap();
-        assert_identical(
-            &format!("visibility {mode:?}: pool vs serial"),
-            &pooled,
-            &serial,
-        );
-        if opts.visibility == mode {
-            // The legacy driver resolves its options from the
-            // environment, so it can only be pinned for the mode the
-            // environment actually selected (CI covers the others by
-            // re-running this binary under each `SATIOT_VISIBILITY`).
-            #[allow(deprecated)] // Pins the legacy driver's kernel too.
-            let legacy = PassiveCampaign::new(config(true))
-                .run_with_site_threads()
-                .unwrap();
-            assert_identical(
-                &format!("visibility {mode:?}: pool vs site-threads"),
-                &pooled,
-                &legacy,
-            );
-        }
-        per_mode.push(pooled);
-    }
-    assert_identical("visibility scalar vs vector", &per_mode[0], &per_mode[1]);
-
-    // Spatial pre-cull equivalence: culling only ever drops (site, sat)
-    // pairs that geometry proves can never clear the horizon, so the
-    // culled campaign's pass set must be bit-identical to the unculled
-    // one under every driver. The proof counters must balance exactly
-    // (considered == culled + kept) when the stage is on, and must not
-    // move at all when it is off.
-    let mut per_cull: Vec<PassiveResults> = Vec::new();
-    for culling in [CullingMode::Off, CullingMode::On] {
-        sweep::clear();
-        cull::reset_stats();
-        let mode_opts = opts.with_culling(culling).apply();
-        let pooled = PassiveCampaign::new(config(true)).run(&mode_opts).unwrap();
-        let serial = PassiveCampaign::new(config(false)).run(&mode_opts).unwrap();
-        assert_identical(
-            &format!("culling {culling:?}: pool vs serial"),
-            &pooled,
-            &serial,
-        );
-        if opts.culling == culling {
-            // As above: the legacy driver re-reads the environment, so it
-            // is pinned only for the mode `SATIOT_CULLING` selected.
-            #[allow(deprecated)] // Pins the legacy driver under the cull too.
-            let legacy = PassiveCampaign::new(config(true))
-                .run_with_site_threads()
-                .unwrap();
-            assert_identical(
-                &format!("culling {culling:?}: pool vs site-threads"),
-                &pooled,
-                &legacy,
-            );
-        }
-        let stats = cull::stats();
-        match culling {
-            CullingMode::Off => assert_eq!(
-                (
-                    stats.pairs_considered,
-                    stats.pairs_culled(),
-                    stats.pairs_kept
-                ),
-                (0, 0, 0),
-                "culling off must not touch the proof counters"
-            ),
-            CullingMode::On => {
-                assert!(stats.pairs_considered > 0, "cull stage never consulted");
-                assert_eq!(
-                    stats.pairs_considered,
-                    stats.pairs_culled() + stats.pairs_kept,
-                    "cull proof counters do not balance"
-                );
-            }
-        }
-        println!(
-            "culling {culling:?}: {} considered, {} culled, {} kept",
-            stats.pairs_considered,
-            stats.pairs_culled(),
-            stats.pairs_kept
-        );
-        per_cull.push(pooled);
-    }
-    assert_identical("culling off vs on", &per_cull[0], &per_cull[1]);
-    // Restore the environment-selected baseline latch for good measure.
-    opts.apply();
+    // HK and GZ start the same campaign day, so their satellites share
+    // (satellite, window) grids across sites.
+    assert!(
+        grids.hits() > 0,
+        "no grid was ever shared across observers — keying is broken"
+    );
 
     // Scenario-file determinism: the committed `tianqi_hk.scenario.json`
     // must load back to exactly the compiled-in scenario — equal spec,
     // equal fingerprint — and the campaign it configures must be
-    // bit-identical to the compiled-in one under both the pooled and
-    // serial drivers. This is the contract that lets sweep checkpoints
+    // bit-identical to the compiled-in one on the pool and on one
+    // thread. This is the contract that lets sweep checkpoints
     // key on scenario fingerprints.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -340,17 +224,15 @@ fn main() {
     let from_file_pooled = PassiveCampaign::new(PassiveConfig::from_scenario(&loaded_scenario))
         .run(&opts)
         .unwrap();
-    let from_file_serial = {
-        let mut cfg = PassiveConfig::from_scenario(&loaded_scenario);
-        cfg.parallel = false;
-        PassiveCampaign::new(cfg).run(&opts).unwrap()
-    };
+    let from_file_serial = PassiveCampaign::new(PassiveConfig::from_scenario(&loaded_scenario))
+        .run(&serial_opts)
+        .unwrap();
     let from_builtin = PassiveCampaign::new(PassiveConfig::from_scenario(&builtin_scenario))
         .run(&opts)
         .unwrap();
     assert_identical("scenario file vs builtin", &from_file_pooled, &from_builtin);
     assert_identical(
-        "scenario file: pool vs serial",
+        "scenario file: pool vs one thread",
         &from_file_pooled,
         &from_file_serial,
     );

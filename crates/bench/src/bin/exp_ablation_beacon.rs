@@ -19,8 +19,10 @@ fn main() {
         ],
     );
     for interval in [15.0f64, 30.0, 60.0, 120.0] {
-        #[allow(deprecated)] // ablation sweeps the literal config directly
-        let mut cfg = PassiveConfig::quick(days);
+        let mut cfg = PassiveConfig {
+            max_days: days,
+            ..Default::default()
+        };
         cfg.sites.retain(|s| s.code == "HK");
         cfg.constellations.retain(|c| c.name == "Tianqi");
         for c in &mut cfg.constellations {

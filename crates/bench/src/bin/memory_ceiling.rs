@@ -40,15 +40,14 @@ static EMITTED: Counter = Counter::new("measure.sink.traces_emitted");
 static RETAINED: Counter = Counter::new("measure.sink.traces_retained");
 
 fn config(days: f64) -> PassiveConfig {
-    #[allow(deprecated)] // ceiling probe tweaks the literal config directly
-    let mut cfg = PassiveConfig::quick(days);
-    cfg.sites = measurement_sites()
-        .into_iter()
-        .filter(|s| matches!(s.code, "HK" | "GZ" | "SH"))
-        .collect();
-    cfg.max_days = days;
-    cfg.parallel = true;
-    cfg
+    PassiveConfig {
+        max_days: days,
+        sites: measurement_sites()
+            .into_iter()
+            .filter(|s| matches!(s.code, "HK" | "GZ" | "SH"))
+            .collect(),
+        ..Default::default()
+    }
 }
 
 /// Rough in-RAM footprint of a full trace set: struct size plus the
@@ -75,7 +74,7 @@ fn sketch_bytes(g: &ConstellationSketch) -> usize {
 
 /// Assert one metric's sketch quantiles sit inside the error band of
 /// the exact per-constellation order statistics.
-fn assert_in_band(label: &str, sketch: &QuantileSketch, exact: &mut Vec<f64>) {
+fn assert_in_band(label: &str, sketch: &QuantileSketch, exact: &mut [f64]) {
     exact.sort_by(|a, b| a.total_cmp(b));
     assert_eq!(
         sketch.count(),

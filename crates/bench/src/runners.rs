@@ -5,9 +5,9 @@
 //! here so the experiment binaries keep their one-line imports. Every
 //! runner resolves the rest of its options through
 //! [`RunOptions::from_env`] and installs them process-wide with
-//! [`RunOptions::apply`], so `SATIOT_THREADS` / `SATIOT_EPHEMERIS` /
-//! `SATIOT_BATCH` / `SATIOT_METRICS` all keep working for the bench
-//! fleet without any binary touching the environment directly.
+//! [`RunOptions::apply`], so `SATIOT_THREADS` / `SATIOT_SINK` /
+//! `SATIOT_METRICS` all keep working for the bench fleet without any
+//! binary touching the environment directly.
 //!
 //! ## Scenario files
 //!

@@ -183,51 +183,6 @@ impl LinkBudget {
         }
     }
 
-    /// Finish one packet sample from kernel-precomputed terms: the
-    /// batched counterpart of [`LinkBudget::sample`].
-    ///
-    /// `mean_rssi_dbm` and `k_linear` come from the
-    /// [`batch`](crate::batch) kernels (bit-identical to
-    /// [`mean_rssi_dbm`](Self::mean_rssi_dbm) /
-    /// [`FadingParams::k_linear`](crate::fading::FadingParams::k_linear)),
-    /// and `noise_floor_dbm` is hoisted once per budget. The invariant
-    /// checks, the single Rician fast-fading draw, and the metric
-    /// side-effects all happen here in the same order as the scalar
-    /// path, so the RNG stream and the returned sample stay
-    /// bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_prepared(
-        &self,
-        distance_km: f64,
-        elevation_rad: f64,
-        weather: Weather,
-        mean_rssi_dbm: f64,
-        k_linear: f64,
-        shadowing_db: f64,
-        noise_floor_dbm: f64,
-        rng: &mut Rng,
-    ) -> LinkSample {
-        satiot_obs::invariants::check_elevation_rad("budget::sample", elevation_rad);
-        satiot_obs::invariants::check_non_negative("budget::sample distance", distance_km);
-        // Same draw as `FadingParams::draw_fast_fading_db`, with the
-        // K-factor precomputed by the batch kernel.
-        let gain = rng.rician_power_gain(k_linear);
-        let fast = 10.0 * gain.max(1e-9).log10();
-        let rssi = mean_rssi_dbm + shadowing_db + fast;
-        let snr_db = rssi - noise_floor_dbm;
-        LINK_SAMPLES.inc();
-        SNR_DB.record(snr_db);
-        match weather {
-            Weather::Sunny => WEATHER_SUNNY.inc(),
-            Weather::Cloudy => WEATHER_CLOUDY.inc(),
-            Weather::Rainy => WEATHER_RAINY.inc(),
-        }
-        LinkSample {
-            rssi_dbm: rssi,
-            snr_db,
-        }
-    }
-
     /// Draw the per-pass shadowing term for this link, dB.
     pub fn draw_shadowing_db(&self, weather: Weather, rng: &mut Rng) -> f64 {
         self.fading.draw_shadowing_db(weather, rng)

@@ -21,10 +21,6 @@
 //! * [`noise`] — thermal noise floor for a given bandwidth/noise figure.
 //! * [`budget`] — the end-to-end composition: geometry + hardware +
 //!   weather + fading → RSSI and SNR for one packet.
-//! * [`batch`] — structure-of-arrays kernels evaluating the
-//!   deterministic part of the chain over `&[f64]` slices in fixed-size
-//!   chunks, bit-identical to the scalar path (the campaign simulate
-//!   hot path).
 //!
 //! Every stochastic draw takes an explicit [`satiot_sim::Rng`], keeping
 //! campaigns reproducible.
@@ -35,7 +31,6 @@
 
 pub mod antenna;
 pub mod atmosphere;
-pub mod batch;
 pub mod budget;
 pub mod fading;
 pub mod fspl;

@@ -300,12 +300,9 @@ impl ActiveCampaign {
 
     /// Run the simulation.
     ///
-    /// `opts` selects the thread count for the contact-plan sweep and
-    /// the ephemeris backend for every predictor. The event-driven
-    /// uplink path stays scalar regardless of `opts.batch` — its RNG
-    /// draws interleave with event scheduling, so there is no gather
-    /// phase to batch — but the grid-backed geometry sampling applies
-    /// here exactly as in the passive campaign.
+    /// `opts` selects the thread count for the contact-plan sweep. The
+    /// grid-backed geometry sampling applies here exactly as in the
+    /// passive campaign.
     ///
     /// # Errors
     ///
@@ -366,10 +363,7 @@ impl ActiveCampaign {
             let sgp4 = sat
                 .sgp4()
                 .map_err(|e| SatIotError::orbit("building Tianqi farm predictors", e))?;
-            let predictor = sweep::predictor_with_mode(
-                opts.ephemeris,
-                opts.visibility,
-                opts.culling,
+            let predictor = sweep::predictor(
                 GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days),
                 &sgp4,
                 farm,
@@ -380,7 +374,6 @@ impl ActiveCampaign {
                 // passes, so its event-loop predictor is never sampled;
                 // a plain ungridded one keeps the index mapping intact.
                 PassPredictor::new(sgp4.clone(), farm, calib::THEORETICAL_MASK_RAD)
-                    .with_visibility(opts.visibility)
             });
             predictors.push(predictor);
             sgp4s.push(sgp4);
@@ -398,10 +391,7 @@ impl ActiveCampaign {
                         calib::THEORETICAL_MASK_RAD,
                     ),
                     || {
-                        sweep::predictor_with_mode(
-                            opts.ephemeris,
-                            opts.visibility,
-                            opts.culling,
+                        sweep::predictor(
                             GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days),
                             &sgp4,
                             farm,
@@ -453,10 +443,7 @@ impl ActiveCampaign {
                         gs_mask_rad,
                     ),
                     || {
-                        sweep::predictor_with_mode(
-                            opts.ephemeris,
-                            opts.visibility,
-                            opts.culling,
+                        sweep::predictor(
                             GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days + 1.0),
                             &sgp4,
                             gs,

@@ -1,54 +1,29 @@
 //! Typed campaign run options: the one place `SATIOT_*` knobs are read.
 //!
-//! Before this module, every binary re-read its own slice of the
-//! environment (`SATIOT_THREADS` in the pool, `SATIOT_EPHEMERIS` in the
-//! orbit crate, `SATIOT_METRICS` in obs, `SATIOT_CHAOS_SEED` in sim,
-//! `SATIOT_SCALE` in bench), which made a campaign's effective
-//! configuration impossible to see in one place and impossible to set
-//! programmatically without mutating the process environment.
-//! [`RunOptions`] replaces that: campaigns take `&RunOptions`, the
-//! environment is parsed exactly once by [`RunOptions::from_env`], and
-//! [`RunOptions::apply`] installs the process-wide latches (pool worker
-//! count, ephemeris mode, visibility scan mode, metrics flag, chaos
-//! seed) for code that sits below the campaign API.
+//! Campaigns take `&RunOptions`, the environment is parsed exactly once
+//! by [`RunOptions::from_env`], and [`RunOptions::apply`] installs the
+//! process-wide settings that code below the campaign API reads (pool
+//! worker count, metrics flag, chaos seed, cache budget). Every knob
+//! changes *what* is computed or *where* results go; the pipeline
+//! itself has one shape.
 //!
 //! ```
-//! use satiot_core::options::{BatchMode, RunOptions};
-//! use satiot_orbit::ephemeris::EphemerisMode;
+//! use satiot_core::options::{RunOptions, Scale};
+//! use satiot_core::sink::SinkMode;
 //!
 //! // Machine defaults; no environment involved.
 //! let opts = RunOptions::default();
-//! assert_eq!(opts.batch, BatchMode::On);
+//! assert_eq!(opts.scale, Scale::Full);
 //!
 //! // Builder-style overrides on top of the environment.
 //! let opts = RunOptions::from_env()
 //!     .with_threads(Some(2))
-//!     .with_ephemeris(EphemerisMode::Off)
-//!     .with_batch(BatchMode::Off);
+//!     .with_sink(SinkMode::Aggregate);
 //! assert_eq!(opts.threads, Some(2));
 //! ```
 
 use crate::sink::SinkMode;
-use satiot_orbit::cull::{self, CullingMode};
-use satiot_orbit::ephemeris::{self, EphemerisMode};
-use satiot_orbit::visibility::{self, VisibilityMode};
 use satiot_sim::{chaos, pool};
-
-/// Whether the campaign simulate phase runs the batched SoA channel
-/// kernels or the element-at-a-time scalar path.
-///
-/// Both paths are bit-identical (the A/B invariant `determinism_smoke`
-/// pins); [`BatchMode::Off`] exists for baselining and bisection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Gather each pass into SoA arenas and run the chunked kernels
-    /// (the default).
-    #[default]
-    On,
-    /// Evaluate the channel chain one beacon at a time (the legacy hot
-    /// path; `SATIOT_BATCH=0`).
-    Off,
-}
 
 /// Campaign scale: truncated smoke dimensions or the paper's full ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,8 +69,8 @@ impl Scale {
 
 /// Typed options for one campaign run.
 ///
-/// `Default` is the machine default (auto thread count, grids on,
-/// batching on, metrics off) with **no** environment involvement —
+/// `Default` is the machine default (auto thread count, metrics off,
+/// full scale, full-trace sink) with **no** environment involvement —
 /// hermetic for tests. [`from_env`](Self::from_env) layers the
 /// `SATIOT_*` knobs on top; the `with_*` builders override either.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,19 +78,6 @@ pub struct RunOptions {
     /// Worker threads for the sweep pool phases; `None` uses the
     /// machine's available parallelism (`SATIOT_THREADS`).
     pub threads: Option<usize>,
-    /// Pass-prediction sampling backend (`SATIOT_EPHEMERIS`).
-    pub ephemeris: EphemerisMode,
-    /// Pass-prediction coarse-scan strategy (`SATIOT_VISIBILITY`:
-    /// `0`/`off` = legacy adaptive scan, `scalar` = element-at-a-time
-    /// margin sweep, anything else = chunked vector kernels).
-    pub visibility: VisibilityMode,
-    /// Spatial pre-culling of (site, satellite) pairs before pass
-    /// prediction (`SATIOT_CULLING`: `0`/`off` = predict every pair,
-    /// bit-identical legacy; anything else = conservative cull, the
-    /// default).
-    pub culling: CullingMode,
-    /// Simulate-phase channel evaluation strategy (`SATIOT_BATCH`).
-    pub batch: BatchMode,
     /// Root seed for the chaos perturbation engine
     /// (`SATIOT_CHAOS_SEED`).
     pub chaos_seed: u64,
@@ -153,10 +115,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             threads: None,
-            ephemeris: EphemerisMode::On,
-            visibility: VisibilityMode::On,
-            culling: CullingMode::On,
-            batch: BatchMode::On,
             chaos_seed: chaos::DEFAULT_SEED,
             metrics: false,
             scale: Scale::Full,
@@ -201,8 +159,6 @@ impl RunOptions {
     ///
     /// * `SATIOT_THREADS`: unparsable → auto (`None`); `0` is the
     ///   *documented* spelling of auto, not a rejection.
-    /// * `SATIOT_EPHEMERIS` / `SATIOT_VISIBILITY` / `SATIOT_CULLING` /
-    ///   `SATIOT_BATCH`: unknown word → the `On` default.
     /// * `SATIOT_CHAOS_SEED`: unparsable → the built-in chaos seed.
     /// * `SATIOT_SCALE`: unknown word → `full`.
     /// * `SATIOT_SINK`: unknown mode or a pathless `csv:`/`jsonl:` →
@@ -230,40 +186,6 @@ impl RunOptions {
                 None
             }
         });
-        let ephemeris = match lookup("SATIOT_EPHEMERIS").as_deref() {
-            Some("0") | Some("off") | Some("false") => EphemerisMode::Off,
-            Some("validate") => EphemerisMode::Validate,
-            Some("1") | Some("on") | Some("true") | Some("") | None => EphemerisMode::On,
-            Some(v) => {
-                reject("SATIOT_EPHEMERIS", v, "the grid backend (on)");
-                EphemerisMode::On
-            }
-        };
-        let visibility = match lookup("SATIOT_VISIBILITY").as_deref() {
-            Some("0") | Some("off") | Some("false") => VisibilityMode::Off,
-            Some("scalar") => VisibilityMode::Scalar,
-            Some("1") | Some("on") | Some("true") | Some("") | None => VisibilityMode::On,
-            Some(v) => {
-                reject("SATIOT_VISIBILITY", v, "the vector kernels (on)");
-                VisibilityMode::On
-            }
-        };
-        let culling = match lookup("SATIOT_CULLING").as_deref() {
-            Some("0") | Some("off") | Some("false") => CullingMode::Off,
-            Some("1") | Some("on") | Some("true") | Some("") | None => CullingMode::On,
-            Some(v) => {
-                reject("SATIOT_CULLING", v, "the spatial pre-cull (on)");
-                CullingMode::On
-            }
-        };
-        let batch = match lookup("SATIOT_BATCH").as_deref() {
-            Some("0") | Some("off") | Some("false") => BatchMode::Off,
-            Some("1") | Some("on") | Some("true") | Some("") | None => BatchMode::On,
-            Some(v) => {
-                reject("SATIOT_BATCH", v, "the SoA kernels (on)");
-                BatchMode::On
-            }
-        };
         let chaos_seed = lookup("SATIOT_CHAOS_SEED")
             .and_then(|v| match v.trim().parse::<u64>() {
                 Ok(s) => Some(s),
@@ -340,10 +262,6 @@ impl RunOptions {
         });
         let opts = RunOptions {
             threads,
-            ephemeris,
-            visibility,
-            culling,
-            batch,
             chaos_seed,
             metrics,
             scale,
@@ -359,30 +277,6 @@ impl RunOptions {
     /// Override the pool worker count (`None` = machine default).
     pub fn with_threads(mut self, threads: Option<usize>) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Override the ephemeris sampling backend.
-    pub fn with_ephemeris(mut self, mode: EphemerisMode) -> Self {
-        self.ephemeris = mode;
-        self
-    }
-
-    /// Override the pass-prediction coarse-scan strategy.
-    pub fn with_visibility(mut self, mode: VisibilityMode) -> Self {
-        self.visibility = mode;
-        self
-    }
-
-    /// Override the spatial pre-culling mode.
-    pub fn with_culling(mut self, mode: CullingMode) -> Self {
-        self.culling = mode;
-        self
-    }
-
-    /// Override the simulate-phase batching strategy.
-    pub fn with_batch(mut self, mode: BatchMode) -> Self {
-        self.batch = mode;
         self
     }
 
@@ -440,17 +334,13 @@ impl RunOptions {
         self
     }
 
-    /// Install these options into the process-wide latches consumed by
-    /// code below the campaign API: the pool worker count, the
-    /// ephemeris mode, the visibility scan mode, the culling mode, the
-    /// metrics flag, the chaos seed, and the cache payload budget.
-    /// Binaries call `RunOptions::from_env().apply()` once at startup;
-    /// returns `self` for chaining into a campaign call.
+    /// Install these options into the process-wide settings read by
+    /// code below the campaign API: the pool worker count, the metrics
+    /// flag, the chaos seed, and the cache payload budget. Binaries
+    /// call `RunOptions::from_env().apply()` once at startup; returns
+    /// `self` for chaining into a campaign call.
     pub fn apply(self) -> Self {
         pool::set_thread_count(self.threads);
-        ephemeris::set_mode(self.ephemeris);
-        visibility::set_mode(self.visibility);
-        cull::set_mode(self.culling);
         satiot_obs::metrics::set_enabled(self.metrics);
         chaos::set_seed(self.chaos_seed);
         crate::sweep::set_cache_budget_bytes(self.sweep_cache_mb.map(|mb| mb << 20));
@@ -481,10 +371,6 @@ mod tests {
     fn every_knob_parses() {
         let opts = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "4"),
-            ("SATIOT_EPHEMERIS", "validate"),
-            ("SATIOT_VISIBILITY", "scalar"),
-            ("SATIOT_CULLING", "off"),
-            ("SATIOT_BATCH", "0"),
             ("SATIOT_CHAOS_SEED", "12345"),
             ("SATIOT_METRICS", "1"),
             ("SATIOT_SCALE", "quick"),
@@ -499,10 +385,6 @@ mod tests {
         assert_eq!(opts.sweep_shard, Some((1, 4)));
         assert_eq!(opts.sweep_cache_mb, Some(256));
         assert_eq!(opts.threads, Some(4));
-        assert_eq!(opts.ephemeris, EphemerisMode::Validate);
-        assert_eq!(opts.visibility, VisibilityMode::Scalar);
-        assert_eq!(opts.culling, CullingMode::Off);
-        assert_eq!(opts.batch, BatchMode::Off);
         assert_eq!(opts.chaos_seed, 12345);
         assert!(opts.metrics);
         assert_eq!(opts.scale, Scale::Quick);
@@ -534,20 +416,12 @@ mod tests {
     fn malformed_values_fall_back() {
         let opts = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "zero"),
-            ("SATIOT_EPHEMERIS", "plenty"),
-            ("SATIOT_VISIBILITY", "simd512"),
-            ("SATIOT_CULLING", "aggressive"),
-            ("SATIOT_BATCH", "yes"),
             ("SATIOT_CHAOS_SEED", "-3"),
             ("SATIOT_METRICS", "0"),
             ("SATIOT_SCALE", "huge"),
             ("SATIOT_SINK", "firehose"),
         ]));
         assert_eq!(opts.threads, None);
-        assert_eq!(opts.ephemeris, EphemerisMode::On);
-        assert_eq!(opts.visibility, VisibilityMode::On);
-        assert_eq!(opts.culling, CullingMode::On);
-        assert_eq!(opts.batch, BatchMode::On);
         assert_eq!(opts.chaos_seed, chaos::DEFAULT_SEED);
         assert!(!opts.metrics);
         assert_eq!(opts.scale, Scale::Full);
@@ -605,34 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_visibility_warns_and_falls_back_to_on() {
-        for bad in ["simd512", "fast", "2"] {
-            let (opts, warnings) = parse_with_warnings(&[("SATIOT_VISIBILITY", bad)]);
-            assert_eq!(
-                opts.visibility,
-                VisibilityMode::On,
-                "SATIOT_VISIBILITY={bad:?}"
-            );
-            assert_eq!(warnings.len(), 1, "SATIOT_VISIBILITY={bad:?}: {warnings:?}");
-            assert!(warnings[0].contains("SATIOT_VISIBILITY"), "{warnings:?}");
-        }
-        for (good, want) in [
-            ("0", VisibilityMode::Off),
-            ("off", VisibilityMode::Off),
-            ("scalar", VisibilityMode::Scalar),
-            ("on", VisibilityMode::On),
-            ("1", VisibilityMode::On),
-        ] {
-            let (opts, warnings) = parse_with_warnings(&[("SATIOT_VISIBILITY", good)]);
-            assert_eq!(opts.visibility, want, "SATIOT_VISIBILITY={good:?}");
-            assert!(
-                warnings.is_empty(),
-                "SATIOT_VISIBILITY={good:?}: {warnings:?}"
-            );
-        }
-    }
-
-    #[test]
     fn malformed_sweep_knobs_warn_and_fall_back() {
         for bad in ["3", "1/", "/4", "4/4", "5/4", "a/b", "1/4/2"] {
             let (opts, warnings) = parse_with_warnings(&[("SATIOT_SWEEP_SHARD", bad)]);
@@ -670,10 +516,6 @@ mod tests {
     fn every_rejection_path_warns_exactly_once() {
         let (opts, warnings) = parse_with_warnings(&[
             ("SATIOT_THREADS", "zero"),
-            ("SATIOT_EPHEMERIS", "plenty"),
-            ("SATIOT_VISIBILITY", "simd512"),
-            ("SATIOT_CULLING", "aggressive"),
-            ("SATIOT_BATCH", "yes"),
             ("SATIOT_CHAOS_SEED", "-3"),
             ("SATIOT_SCALE", "huge"),
             ("SATIOT_SINK", "firehose"),
@@ -688,7 +530,7 @@ mod tests {
             "malformed values must not leak into the options"
         );
         // …and every one of them was reported.
-        assert_eq!(warnings.len(), 11, "{warnings:?}");
+        assert_eq!(warnings.len(), 7, "{warnings:?}");
     }
 
     #[test]
@@ -697,31 +539,23 @@ mod tests {
         // field, leaving the rest of the parsed values intact.
         let base = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "8"),
-            ("SATIOT_BATCH", "off"),
+            ("SATIOT_SINK", "null"),
             ("SATIOT_SCALE", "quick"),
         ]));
         let opts = base
             .with_threads(Some(2))
-            .with_batch(BatchMode::On)
-            .with_ephemeris(EphemerisMode::Off)
-            .with_visibility(VisibilityMode::Off)
-            .with_culling(CullingMode::Off)
             .with_chaos_seed(7)
             .with_metrics(true)
             .with_scale(Scale::Full)
             .with_sink(SinkMode::Aggregate);
         assert_eq!(opts.sink, SinkMode::Aggregate);
         assert_eq!(opts.threads, Some(2));
-        assert_eq!(opts.batch, BatchMode::On);
-        assert_eq!(opts.ephemeris, EphemerisMode::Off);
-        assert_eq!(opts.visibility, VisibilityMode::Off);
-        assert_eq!(opts.culling, CullingMode::Off);
         assert_eq!(opts.chaos_seed, 7);
         assert!(opts.metrics);
         assert_eq!(opts.scale, Scale::Full);
         // Untouched builder chains preserve the parsed values.
         assert_eq!(base.threads, Some(8));
-        assert_eq!(base.batch, BatchMode::Off);
+        assert_eq!(base.sink, SinkMode::Null);
         assert_eq!(base.scale, Scale::Quick);
     }
 

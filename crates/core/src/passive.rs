@@ -20,41 +20,32 @@
 //! bit-for-bit reproducible regardless of thread count or scheduling.
 //!
 //! Inside the simulate phase, each covered pass first runs a *listen
-//! prepass* shared by both kernels: the deterministic coverage gates
-//! plus the stochastic listen-efficiency gate, drawn in emission order,
-//! yielding the pass's heard emissions. The batched path then evaluates
-//! those in three steps (see [`crate::options::BatchMode`]): a *gather*
-//! step collects each heard emission's geometry into a reusable
-//! structure-of-arrays arena, a *kernel* step runs the chunked
-//! [`satiot_channel::batch`] kernels and the Doppler-penalty table over
-//! the arena's columns, and a *scatter* step walks the arena in emission
-//! order consuming the pass RNG stream in exactly the scalar order
-//! (fading draws, then the decode draw). `SATIOT_BATCH=0` restores the
-//! element-at-a-time path; the two are bit-identical, which
-//! `determinism_smoke` pins.
+//! prepass*: the deterministic coverage gates plus the stochastic
+//! listen-efficiency gate, drawn in emission order, yielding the pass's
+//! heard emissions. The channel loop then samples geometry, link,
+//! Doppler and decode for each heard emission in order. The prepass
+//! fixes the pass RNG stream's draw order — every listen draw first,
+//! then the per-reception fading and decode draws — and spares the
+//! loop from sampling geometry for emissions nobody heard.
 
 use crate::calib;
 use crate::error::{Fault, FaultLog, SatIotError};
-use crate::geometry::{beacon_times, sample_at, GeometrySample};
-use crate::options::{BatchMode, RunOptions};
+use crate::geometry::{beacon_times, sample_at};
+use crate::options::RunOptions;
 use crate::scheduler::{CandidatePass, Coverage, PredictiveScheduler, Scheduler, VanillaScheduler};
 use crate::sink::{self, SinkStats, SpillPart};
 use crate::station::{AvailabilityParams, StationAvailability};
 use crate::sweep::{self, GridKey, PassKey};
 use satiot_channel::antenna::AntennaPattern;
-use satiot_channel::batch::ChannelBatch;
 use satiot_channel::budget::LinkBudget;
 use satiot_channel::weather::WeatherProcess;
 use satiot_measure::contact::{ContactStats, EffectiveWindow, TheoreticalWindow};
 use satiot_measure::sketch::TraceAggregate;
 use satiot_measure::trace::{BeaconTrace, TraceSet};
 use satiot_obs::metrics::{Counter, Timer};
-use satiot_orbit::cull::CullingMode;
-use satiot_orbit::ephemeris::EphemerisMode;
 use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
 use satiot_orbit::time::JulianDate;
-use satiot_orbit::visibility::VisibilityMode;
 use satiot_phy::doppler::total_penalty_db;
 use satiot_phy::params::LoRaConfig;
 use satiot_phy::per::packet_decodes;
@@ -100,8 +91,6 @@ pub struct PassiveConfig {
     pub constellations: Vec<ConstellationSpec>,
     /// Ground-station antenna.
     pub ground_antenna: AntennaPattern,
-    /// Shard sites across threads.
-    pub parallel: bool,
 }
 
 impl Default for PassiveConfig {
@@ -114,24 +103,11 @@ impl Default for PassiveConfig {
             sites: satiot_scenarios::sites::measurement_sites(),
             constellations: all_constellations(),
             ground_antenna: AntennaPattern::QuarterWaveMonopole,
-            parallel: true,
         }
     }
 }
 
 impl PassiveConfig {
-    /// A truncated campaign (first `days` days per site) for tests and
-    /// quick experiments.
-    #[deprecated(note = "construct campaigns through `ScenarioSpec::build()` and \
-                `PassiveConfig::from_scenario` — literal construction \
-                bypasses scenario validation and fingerprinting")]
-    pub fn quick(days: f64) -> Self {
-        PassiveConfig {
-            max_days: days,
-            ..Default::default()
-        }
-    }
-
     /// Build a passive configuration from a resolved scenario — the
     /// typed front door every campaign binary shares. Scenario fields
     /// that are unset (`seed`, `max_days`, `scheduler`) keep the
@@ -319,11 +295,9 @@ impl PassiveCampaign {
     /// through the shared [`crate::sweep`] cache; the *simulate* phase
     /// then replays each site on its own forked RNG stream. Sites merge
     /// in configuration order, so the output is bit-identical to a
-    /// serial run (`parallel_and_serial_agree` pins this).
+    /// one-thread run (`parallel_and_serial_agree` pins this).
     ///
-    /// `opts` selects the thread count, the ephemeris backend for both
-    /// phases, and whether the simulate phase runs the batched SoA
-    /// kernels or the scalar hot path (bit-identical either way).
+    /// `opts` selects the thread count and the trace sink.
     ///
     /// # Errors
     ///
@@ -340,11 +314,7 @@ impl PassiveCampaign {
         let root = Rng::from_seed(self.config.seed);
         let n_sites = self.config.sites.len();
         let n_sats = sats.len();
-        let threads = if self.config.parallel {
-            opts.threads.unwrap_or_else(pool::thread_count)
-        } else {
-            1
-        };
+        let threads = opts.threads.unwrap_or_else(pool::thread_count);
 
         // Predict phase: satellite-granularity sharding over the cache.
         let tasks: Vec<(usize, usize)> = (0..n_sites)
@@ -352,14 +322,7 @@ impl PassiveCampaign {
             .collect();
         let lists: Vec<Arc<Vec<Pass>>> =
             pool::parallel_map_with(&tasks, threads, |_, &(si, qi)| {
-                predict_site_sat(
-                    &self.config.sites[si],
-                    &sats[qi],
-                    self.config.max_days,
-                    opts.ephemeris,
-                    opts.visibility,
-                    opts.culling,
-                )
+                predict_site_sat(&self.config.sites[si], &sats[qi], self.config.max_days)
             });
         let site_lists: Vec<&[Arc<Vec<Pass>>]> = (0..n_sites)
             .map(|s| &lists[s * n_sats..(s + 1) * n_sats])
@@ -369,55 +332,9 @@ impl PassiveCampaign {
         let partials: Vec<PassiveResults> =
             pool::parallel_map_with(&self.config.sites, threads, |idx, site| {
                 let rng = root.fork_indexed("site", idx as u64);
-                run_site(
-                    &self.config,
-                    opts,
-                    idx,
-                    site,
-                    &sats,
-                    rng,
-                    Some(site_lists[idx]),
-                )
+                run_site(&self.config, opts, idx, site, &sats, rng, site_lists[idx])
             });
         let mut results = merge(partials);
-        finalize(&mut results);
-        Ok(results)
-    }
-
-    /// The pre-pool driver: one scoped thread per site, each predicting
-    /// its passes inline and uncached. Kept as the measured baseline the
-    /// pooled sweep is benchmarked against (`benches/campaigns.rs`);
-    /// produces bit-identical results to [`Self::run`] under the same
-    /// environment (it resolves its options via
-    /// [`RunOptions::from_env`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::run`].
-    #[deprecated(note = "use `run(&RunOptions)`; this legacy driver resolves \
-                         its options from the environment")]
-    pub fn run_with_site_threads(&self) -> Result<PassiveResults, SatIotError> {
-        let opts = RunOptions::from_env();
-        self.validate()?;
-        let sats = self.flatten_sats()?;
-        let root = Rng::from_seed(self.config.seed);
-        let mut slots: Vec<Option<PassiveResults>> =
-            (0..self.config.sites.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (idx, (site, slot)) in self.config.sites.iter().zip(slots.iter_mut()).enumerate() {
-                let rng = root.fork_indexed("site", idx as u64);
-                let sats = &sats;
-                let cfg = &self.config;
-                let opts = &opts;
-                scope.spawn(move || {
-                    *slot = Some(run_site(cfg, opts, idx, site, sats, rng, None));
-                });
-            }
-        });
-        // A scoped thread that panicked would already have propagated at
-        // the scope join; an unfilled slot is therefore unreachable, but
-        // degrade to an empty partial rather than panicking on it.
-        let mut results = merge(slots.into_iter().map(|s| s.unwrap_or_default()).collect());
         finalize(&mut results);
         Ok(results)
     }
@@ -483,7 +400,7 @@ impl PassiveCampaign {
 }
 
 /// Merge per-site partial results in site order (sketch merges
-/// included, so the aggregate is identical across drivers).
+/// included, so the aggregate is identical across thread counts).
 fn merge(partials: Vec<PassiveResults>) -> PassiveResults {
     let mut merged = PassiveResults::default();
     for p in partials {
@@ -544,16 +461,8 @@ fn site_range(site: &Site, max_days: f64) -> (JulianDate, JulianDate, f64) {
 }
 
 /// Predict (through the shared cache) one satellite's passes over one
-/// site for the site's configured campaign range, honouring the run's
-/// ephemeris and visibility modes.
-fn predict_site_sat(
-    site: &Site,
-    sat: &FlatSat,
-    max_days: f64,
-    mode: EphemerisMode,
-    visibility: VisibilityMode,
-    culling: CullingMode,
-) -> Arc<Vec<Pass>> {
+/// site for the site's configured campaign range.
+fn predict_site_sat(site: &Site, sat: &FlatSat, max_days: f64) -> Arc<Vec<Pass>> {
     let (start, end, _) = site_range(site, max_days);
     let grid_key = GridKey::new(sat.constellation, sat.sat_id, start, end);
     sweep::passes_for(
@@ -566,10 +475,7 @@ fn predict_site_sat(
             calib::THEORETICAL_MASK_RAD,
         ),
         || {
-            sweep::predictor_with_mode(
-                mode,
-                visibility,
-                culling,
+            sweep::predictor(
                 grid_key,
                 &sat.sgp4,
                 site.geodetic(),
@@ -577,85 +483,6 @@ fn predict_site_sat(
             )
         },
     )
-}
-
-/// Reusable structure-of-arrays arena for one pass's gathered beacon
-/// emissions: the heard emissions' timestamps, stations, and geometry
-/// columns, plus the [`ChannelBatch`] the chunked kernels run over. One arena lives per simulate-phase worker (`run_site`
-/// allocates it once and `clear` keeps the column capacity across
-/// passes), so the hot loop performs no per-pass allocation in steady
-/// state.
-#[derive(Debug, Default)]
-struct EmissionArena {
-    /// Emission instants (heard emissions, in emission order).
-    t: Vec<JulianDate>,
-    /// Station assigned by the covering piece.
-    station: Vec<u32>,
-    /// Whether `sample_at` produced geometry for the entry (it declines
-    /// degenerate look angles). Absent-geometry entries consume no RNG
-    /// in either kernel; the scatter phase just steps over them.
-    geom_ok: Vec<bool>,
-    /// Doppler shift at emission, Hz (0 when `geom_ok` is false).
-    doppler_hz: Vec<f64>,
-    /// Doppler drift at emission, Hz/s (0 when `geom_ok` is false).
-    doppler_rate_hz_s: Vec<f64>,
-    /// Per-entry demodulator Doppler penalty (`None` = out of sync
-    /// range), filled by [`Self::compute_penalties`].
-    penalty: Vec<Option<f64>>,
-    /// Geometry input / channel output columns for the SoA kernels.
-    batch: ChannelBatch,
-}
-
-impl EmissionArena {
-    /// Entries gathered for the current pass.
-    fn len(&self) -> usize {
-        self.t.len()
-    }
-
-    /// Empty every column, keeping capacity for the next pass.
-    fn clear(&mut self) {
-        self.t.clear();
-        self.station.clear();
-        self.geom_ok.clear();
-        self.doppler_hz.clear();
-        self.doppler_rate_hz_s.clear();
-        self.penalty.clear();
-        self.batch.clear();
-    }
-
-    /// Append one heard emission. Entries without geometry get
-    /// placeholder zeros in the numeric columns; the scatter phase steps
-    /// over them, so the placeholders never reach a link sample.
-    fn push(&mut self, t: JulianDate, station: u32, geom: Option<GeometrySample>) {
-        self.t.push(t);
-        self.station.push(station);
-        match geom {
-            Some(g) => {
-                self.geom_ok.push(true);
-                self.doppler_hz.push(g.doppler_hz);
-                self.doppler_rate_hz_s.push(g.doppler_rate_hz_s);
-                self.batch.push(g.range_km, g.elevation_rad);
-            }
-            None => {
-                self.geom_ok.push(false);
-                self.doppler_hz.push(0.0);
-                self.doppler_rate_hz_s.push(0.0);
-                self.batch.push(0.0, 0.0);
-            }
-        }
-    }
-
-    /// Fill the Doppler-penalty column from the gathered shift/drift
-    /// columns (deterministic; no RNG).
-    fn compute_penalties(&mut self, cfg: &LoRaConfig, payload_len: usize) {
-        self.penalty.clear();
-        self.penalty.extend(
-            self.doppler_hz
-                .iter()
-                .zip(&self.doppler_rate_hz_s)
-                .map(|(&hz, &hz_s)| total_penalty_db(cfg, payload_len, hz, hz_s)),
-        );
-    }
 }
 
 /// The coverage piece to probe for station liveness at culmination: the
@@ -688,9 +515,8 @@ fn piece_for_tca<'a>(pieces: &[&'a Coverage], tca: JulianDate) -> Option<&'a Cov
 
 /// Simulate one site end to end. `site_idx` is the site's configuration
 /// index (it selects the RNG stream upstream and names spill-sink part
-/// files here); `prepredicted` carries the predict phase's
-/// per-satellite pass lists; `None` predicts inline (the legacy
-/// uncached baseline).
+/// files here); `lists` carries the predict phase's per-satellite pass
+/// lists.
 fn run_site(
     cfg: &PassiveConfig,
     opts: &RunOptions,
@@ -698,7 +524,7 @@ fn run_site(
     site: &Site,
     sats: &[FlatSat],
     rng: Rng,
-    prepredicted: Option<&[Arc<Vec<Pass>>]>,
+    lists: &[Arc<Vec<Pass>>],
 ) -> PassiveResults {
     let _shard_span = SITE_SHARD_S.start();
     let mut results = PassiveResults::default();
@@ -724,9 +550,8 @@ fn run_site(
         &mut weather_rng,
     );
 
-    // Pass predictions for every satellite: cached lists from the
-    // predict phase when provided, inline prediction otherwise. The
-    // simulate-phase predictors are grid-backed too (sharing the predict
+    // The predict phase's cached pass lists for every satellite. The
+    // simulate-phase predictors are grid-backed (sharing the predict
     // phase's grid `Arc`s through [`sweep::grid_for`]): `sample_at`
     // probes `t` and `t + 1 s`, and an instant outside the grid window
     // falls back to direct SGP4 bit-identically, so the geometry loop is
@@ -734,30 +559,17 @@ fn run_site(
     let mut predictors: Vec<PassPredictor> = Vec::with_capacity(sats.len());
     let mut candidates: Vec<CandidatePass> = Vec::new();
     for (i, sat) in sats.iter().enumerate() {
+        candidates.extend(lists[i].iter().map(|pass| CandidatePass {
+            sat_index: i,
+            pass: *pass,
+        }));
         let grid_key = GridKey::new(sat.constellation, sat.sat_id, start, end);
-        let predictor = sweep::predictor_with_mode(
-            opts.ephemeris,
-            opts.visibility,
-            opts.culling,
+        let predictor = sweep::predictor(
             grid_key,
             &sat.sgp4,
             site.geodetic(),
             calib::THEORETICAL_MASK_RAD,
         );
-        match (&predictor, prepredicted) {
-            (_, Some(lists)) => candidates.extend(lists[i].iter().map(|pass| CandidatePass {
-                sat_index: i,
-                pass: *pass,
-            })),
-            (Some(p), None) => candidates.extend(
-                p.passes(start, end)
-                    .into_iter()
-                    .map(|pass| CandidatePass { sat_index: i, pass }),
-            ),
-            // Culled pair: the pass list is provably empty, skip the
-            // inline scan entirely.
-            (None, None) => {}
-        }
         // A culled satellite contributes no candidate passes, so its
         // predictor slot is never sampled; a plain ungridded predictor
         // keeps the index mapping intact.
@@ -767,7 +579,6 @@ fn run_site(
                 site.geodetic(),
                 calib::THEORETICAL_MASK_RAD,
             )
-            .with_visibility(opts.visibility)
         }));
     }
     PASSES_PREDICTED.add(candidates.len() as u64);
@@ -808,10 +619,8 @@ fn run_site(
 
     let beacon_cfg = LoRaConfig::dts_beacon();
     let epoch = campaign_epoch();
-    // One SoA arena per simulate worker, reused across every pass of the
-    // site (cleared, not reallocated) — likewise the heard-emission list
-    // the listen-gate prepass fills for both kernels.
-    let mut arena = EmissionArena::default();
+    // The heard-emission list the listen-gate prepass fills, reused
+    // across every pass of the site (cleared, not reallocated).
     let mut heard: Vec<(JulianDate, u32)> = Vec::new();
 
     for (pass_idx, pieces) in coverage_by_pass.iter().enumerate() {
@@ -879,16 +688,14 @@ fn run_site(
         let mut positions: Vec<f64> = Vec::new();
 
         // Coverage gates and the listen-efficiency draws, hoisted ahead
-        // of the channel work for both kernels. Every gate is applied in
-        // emission order — is any station listening at this instant, is
-        // the assigned station powered and online, has it finished
-        // retuning to this satellite, and is it free of housekeeping
-        // (MQTT sync, OTA, retune; the one stochastic gate) — so the
-        // pass RNG stream reads: all listen draws for the pass, then the
-        // per-reception fading/decode draws. Drawing the listen gates up
-        // front keeps the scalar and batched paths on one stream *and*
-        // spares the batched gather from sampling geometry for emissions
-        // nobody heard.
+        // of the channel work. Every gate is applied in emission order —
+        // is any station listening at this instant, is the assigned
+        // station powered and online, has it finished retuning to this
+        // satellite, and is it free of housekeeping (MQTT sync, OTA,
+        // retune; the one stochastic gate) — so the pass RNG stream
+        // reads: all listen draws for the pass, then the per-reception
+        // fading/decode draws. Moving the listen draws into the channel
+        // loop would reorder that stream and change every result.
         heard.clear();
         for t in &emissions {
             let piece = pieces.iter().find(|c| *t >= c.start && *t <= c.end);
@@ -905,109 +712,45 @@ fn run_site(
             heard.push((*t, piece.station));
         }
 
-        match opts.batch {
-            // The legacy element-at-a-time hot path (`SATIOT_BATCH=0`):
-            // the batched branch below must replay this loop's RNG
-            // stream draw for draw.
-            BatchMode::Off => {
-                for &(t, station) in &heard {
-                    let Some(geom) = sample_at(predictor, t, sat.frequency_mhz * 1e6) else {
-                        continue;
-                    };
-                    let sample = budget.sample(
-                        geom.range_km,
-                        geom.elevation_rad,
-                        wx,
-                        shadowing,
-                        &mut pass_rng,
-                    );
-                    let Some(doppler_penalty) = total_penalty_db(
-                        &beacon_cfg,
-                        beacon_len,
-                        geom.doppler_hz,
-                        geom.doppler_rate_hz_s,
-                    ) else {
-                        continue; // Offset beyond sync range.
-                    };
-                    let snr = sample.snr_db - doppler_penalty;
-                    if !packet_decodes(&beacon_cfg, beacon_len, snr, &mut pass_rng) {
-                        continue;
-                    }
-                    BEACONS_DECODED.inc();
-                    let t_rel_campaign = t.seconds_since(epoch);
-                    received_times_rel.push(t.seconds_since(start));
-                    positions.push(cp.pass.normalized_position(t));
-                    trace_sink.record(BeaconTrace {
-                        time_s: t_rel_campaign,
-                        site: site.code.to_string(),
-                        station,
-                        constellation: sat.constellation.to_string(),
-                        sat_id: sat.sat_id,
-                        rssi_dbm: sample.rssi_dbm,
-                        snr_db: snr,
-                        elevation_deg: geom.elevation_rad.to_degrees(),
-                        distance_km: geom.range_km,
-                        doppler_hz: geom.doppler_hz,
-                        weather: wx.label(),
-                    });
-                }
+        for &(t, station) in &heard {
+            let Some(geom) = sample_at(predictor, t, sat.frequency_mhz * 1e6) else {
+                continue;
+            };
+            let sample = budget.sample(
+                geom.range_km,
+                geom.elevation_rad,
+                wx,
+                shadowing,
+                &mut pass_rng,
+            );
+            let Some(doppler_penalty) = total_penalty_db(
+                &beacon_cfg,
+                beacon_len,
+                geom.doppler_hz,
+                geom.doppler_rate_hz_s,
+            ) else {
+                continue; // Offset beyond sync range.
+            };
+            let snr = sample.snr_db - doppler_penalty;
+            if !packet_decodes(&beacon_cfg, beacon_len, snr, &mut pass_rng) {
+                continue;
             }
-            // The batched path: gather → kernels → scatter.
-            BatchMode::On => {
-                // Gather: geometry for the heard emissions only; no RNG
-                // is touched, so gathering cannot shift any stream.
-                arena.clear();
-                for &(t, station) in &heard {
-                    arena.push(t, station, sample_at(predictor, t, sat.frequency_mhz * 1e6));
-                }
-                // Kernels: chunked SoA channel math over the gathered
-                // columns, then the deterministic Doppler penalties.
-                arena.batch.run(&budget, wx);
-                arena.compute_penalties(&beacon_cfg, beacon_len);
-                // Scatter: walk the arena in emission order, consuming
-                // the pass RNG stream in exactly the scalar order
-                // (fading draws, then the decode draw).
-                let noise_floor_dbm = budget.noise_floor_dbm();
-                for i in 0..arena.len() {
-                    if !arena.geom_ok[i] {
-                        continue;
-                    }
-                    let sample = budget.sample_prepared(
-                        arena.batch.range_km[i],
-                        arena.batch.elevation_rad[i],
-                        wx,
-                        arena.batch.mean_rssi_dbm[i],
-                        arena.batch.k_linear[i],
-                        shadowing,
-                        noise_floor_dbm,
-                        &mut pass_rng,
-                    );
-                    let Some(doppler_penalty) = arena.penalty[i] else {
-                        continue; // Offset beyond sync range.
-                    };
-                    let snr = sample.snr_db - doppler_penalty;
-                    if !packet_decodes(&beacon_cfg, beacon_len, snr, &mut pass_rng) {
-                        continue;
-                    }
-                    BEACONS_DECODED.inc();
-                    let t = arena.t[i];
-                    received_times_rel.push(t.seconds_since(start));
-                    positions.push(cp.pass.normalized_position(t));
-                    trace_sink.record(BeaconTrace {
-                        time_s: t.seconds_since(epoch),
-                        site: site.code.to_string(),
-                        station: arena.station[i],
-                        constellation: sat.constellation.to_string(),
-                        sat_id: sat.sat_id,
-                        rssi_dbm: sample.rssi_dbm,
-                        snr_db: snr,
-                        elevation_deg: arena.batch.elevation_rad[i].to_degrees(),
-                        distance_km: arena.batch.range_km[i],
-                        doppler_hz: arena.doppler_hz[i],
-                        weather: wx.label(),
-                    });
-                }
-            }
+            BEACONS_DECODED.inc();
+            received_times_rel.push(t.seconds_since(start));
+            positions.push(cp.pass.normalized_position(t));
+            trace_sink.record(BeaconTrace {
+                time_s: t.seconds_since(epoch),
+                site: site.code.to_string(),
+                station,
+                constellation: sat.constellation.to_string(),
+                sat_id: sat.sat_id,
+                rssi_dbm: sample.rssi_dbm,
+                snr_db: snr,
+                elevation_deg: geom.elevation_rad.to_degrees(),
+                distance_km: geom.range_km,
+                doppler_hz: geom.doppler_hz,
+                weather: wx.label(),
+            });
         }
 
         let theoretical = TheoreticalWindow {
@@ -1078,14 +821,11 @@ pub fn theoretical_daily_hours(spec: &ConstellationSpec, site: &Site, days: u32)
                 calib::THEORETICAL_MASK_RAD,
             ),
             || {
-                sweep::sat_predictor(
-                    sat.constellation,
-                    sat.sat_id,
+                sweep::predictor(
+                    GridKey::new(sat.constellation, sat.sat_id, start, end),
                     &sgp4,
                     site.geodetic(),
                     calib::THEORETICAL_MASK_RAD,
-                    start,
-                    end,
                 )
             },
         )
@@ -1143,7 +883,6 @@ mod tests {
             sites: vec![hk_site()],
             constellations: vec![fossa()],
             ground_antenna: AntennaPattern::QuarterWaveMonopole,
-            parallel: false,
         }
     }
 
@@ -1270,9 +1009,8 @@ mod tests {
             .collect()
     }
 
-    /// The serial path, the pooled satellite-granularity sharding, and
-    /// the legacy per-site-thread baseline must all produce bit-identical
-    /// campaigns.
+    /// A one-thread run and the pooled satellite-granularity sharding
+    /// must produce bit-identical campaigns.
     #[test]
     fn parallel_and_serial_agree() {
         let mut cfg = small_config();
@@ -1281,37 +1019,15 @@ mod tests {
             .filter(|s| matches!(s.code, "HK" | "GZ"))
             .collect();
         cfg.max_days = 1.0;
-        let serial = PassiveCampaign::new(cfg.clone()).run(&opts()).unwrap();
-        cfg.parallel = true;
         let campaign = PassiveCampaign::new(cfg);
+        let serial = campaign.run(&opts().with_threads(Some(1))).unwrap();
         let pooled = campaign.run(&opts()).unwrap();
-        #[allow(deprecated)]
-        let legacy = campaign.run_with_site_threads().unwrap();
-        for other in [&pooled, &legacy] {
-            assert_eq!(serial.traces.len(), other.traces.len());
-            assert_eq!(serial.passes.len(), other.passes.len());
-            for (a, b) in serial.traces.traces.iter().zip(&other.traces.traces) {
-                assert_eq!(a, b);
-            }
-            assert_eq!(pass_fingerprint(&serial), pass_fingerprint(other));
+        assert_eq!(serial.traces.len(), pooled.traces.len());
+        assert_eq!(serial.passes.len(), pooled.passes.len());
+        for (a, b) in serial.traces.traces.iter().zip(&pooled.traces.traces) {
+            assert_eq!(a, b);
         }
-    }
-
-    /// The tentpole A/B invariant: the batched SoA simulate path and the
-    /// scalar hot path produce bit-identical campaigns, under both
-    /// ephemeris backends.
-    #[test]
-    fn batched_and_scalar_paths_agree() {
-        for mode in [EphemerisMode::On, EphemerisMode::Off] {
-            let campaign = PassiveCampaign::new(small_config());
-            let batched = campaign.run(&opts().with_ephemeris(mode)).unwrap();
-            let scalar = campaign
-                .run(&opts().with_ephemeris(mode).with_batch(BatchMode::Off))
-                .unwrap();
-            assert!(!batched.traces.is_empty(), "no beacons under {mode:?}");
-            assert_eq!(batched.traces.traces, scalar.traces.traces);
-            assert_eq!(pass_fingerprint(&batched), pass_fingerprint(&scalar));
-        }
+        assert_eq!(pass_fingerprint(&serial), pass_fingerprint(&pooled));
     }
 
     /// `station_up` must probe the station of the piece containing TCA
@@ -1521,7 +1237,7 @@ mod tests {
     }
 
     /// The null sink drops everything but still counts emissions, and
-    /// the aggregate is identical across serial and pooled drivers.
+    /// the aggregate is identical across one-thread and pooled runs.
     #[test]
     fn null_sink_and_pooled_aggregate_are_consistent() {
         use crate::sink::SinkMode;
@@ -1539,13 +1255,10 @@ mod tests {
             .filter(|s| matches!(s.code, "HK" | "GZ"))
             .collect();
         cfg.max_days = 1.0;
-        let serial = PassiveCampaign::new(cfg.clone())
-            .run(&opts().with_sink(SinkMode::Aggregate))
-            .unwrap();
-        cfg.parallel = true;
-        let pooled = PassiveCampaign::new(cfg)
-            .run(&opts().with_sink(SinkMode::Aggregate))
-            .unwrap();
+        let campaign = PassiveCampaign::new(cfg);
+        let aggregate = opts().with_sink(SinkMode::Aggregate);
+        let serial = campaign.run(&aggregate.with_threads(Some(1))).unwrap();
+        let pooled = campaign.run(&aggregate).unwrap();
         // Shards merge in configuration order: bit-identical aggregates.
         assert_eq!(serial.sketch, pooled.sketch);
         assert_eq!(serial.sink, pooled.sink);
@@ -1553,16 +1266,16 @@ mod tests {
 
     /// A damaged site degrades the campaign (skipped + counted) instead
     /// of poisoning it; the healthy sites still produce output, and the
-    /// accounting is identical across the serial and pooled drivers.
+    /// accounting is identical across one-thread and pooled runs.
     #[test]
     fn damaged_site_is_skipped_and_counted() {
         let mut broken = hk_site();
         broken.lat_deg = f64::NAN;
         let mut cfg = small_config();
         cfg.sites = vec![hk_site(), broken];
-        let serial = PassiveCampaign::new(cfg.clone()).run(&opts()).unwrap();
-        cfg.parallel = true;
-        let pooled = PassiveCampaign::new(cfg).run(&opts()).unwrap();
+        let campaign = PassiveCampaign::new(cfg);
+        let serial = campaign.run(&opts().with_threads(Some(1))).unwrap();
+        let pooled = campaign.run(&opts()).unwrap();
         for r in [&serial, &pooled] {
             assert_eq!(r.faults.skipped_sites, 1, "{}", r.faults);
             assert!(!r.traces.is_empty(), "healthy site produced nothing");

@@ -19,7 +19,7 @@
 
 pub use crate::active::{ActiveCampaign, ActiveConfig, ActiveResults};
 pub use crate::error::{Fault, FaultLog, SatIotError};
-pub use crate::options::{BatchMode, RunOptions, Scale};
+pub use crate::options::{RunOptions, Scale};
 pub use crate::passive::{PassiveCampaign, PassiveConfig, PassiveResults, SchedulerKind};
 pub use crate::sink::{SinkMode, SinkStats};
 pub use crate::sweep::PassKey;
@@ -27,6 +27,9 @@ pub use crate::sweep_server::{
     CacheAttribution, ConstellationOutcome, JobRecord, SweepConfig, SweepJob, SweepOutcome,
     SweepServer,
 };
+// The three mode enums stay in the prelude only because the benchmark
+// worker under `perfbench/` imports them from here; `EphemerisMode` and
+// `CullingMode` go with it when the benchmark is next rebased.
 pub use satiot_orbit::cull::CullingMode;
 pub use satiot_orbit::ephemeris::EphemerisMode;
 pub use satiot_orbit::visibility::VisibilityMode;

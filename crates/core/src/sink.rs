@@ -26,8 +26,8 @@
 //!
 //! Every sink also feeds the streaming sketches (except [`Null`]), so
 //! sketch-vs-exact comparisons can run from a single campaign. Shards
-//! merge in configuration order — sketch merges included — keeping the
-//! serial, pooled, and legacy drivers bit-identical (the invariant
+//! merge in configuration order — sketch merges included — keeping
+//! one-thread and pooled runs bit-identical (the invariant
 //! `determinism_smoke` pins).
 //!
 //! Accounting is proof-carrying: the `measure.sink.traces_emitted`,

@@ -1259,34 +1259,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_amortises_caches_across_jobs() {
-        // Same scenario, different seeds: pass lists and grids are
-        // shared, so only the first job predicts. A day cap no other
-        // test uses keeps this test's cache keys private, so parallel
-        // test execution cannot pre-warm or perturb the attribution.
-        let jobs: Vec<SweepJob> = (0..3)
-            .map(|i| quick_job(&format!("amort-{i}"), 40 + i).with_max_days(0.37))
-            .collect();
-        let outcome = SweepServer::new(RunOptions::default()).run(&jobs).unwrap();
-        assert_eq!(outcome.records.len(), 3);
-        assert_eq!(outcome.jobs_run, 3);
-        let first = &outcome.records[0].cache;
-        assert_eq!(first.pass_lookups, first.pass_computes);
-        assert!(first.pass_computes > 0, "cold job must predict");
-        for warm in &outcome.records[1..] {
-            assert_eq!(warm.cache.pass_computes, 0, "warm job predicted");
-            assert_eq!(warm.cache.grid_computes, 0, "warm job rebuilt grids");
-            assert!(warm.cache.pass_hits() > 0);
-        }
-        // Merged sketch equals the per-record merge by construction.
-        let mut manual = TraceAggregate::new();
-        for r in &outcome.records {
-            manual.merge(r.sketch.as_ref().unwrap());
-        }
-        assert_eq!(outcome.merged, manual);
-    }
-
-    #[test]
     fn kill_free_resume_is_bit_identical() {
         let dir = std::env::temp_dir().join(format!("satiot_sweep_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

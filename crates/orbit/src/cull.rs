@@ -28,9 +28,9 @@
 //! ## Margin math — why the cull is conservative
 //!
 //! The tests must never drop a pair with a real pass (the culled pass
-//! set is asserted *bit-identical* to the unculled one in the
-//! determinism smoke), so every approximation is padded in the
-//! direction that keeps pairs:
+//! set is asserted *bit-identical* to the unculled one by
+//! `bench_report`'s culling matrix), so every approximation is padded
+//! in the direction that keeps pairs:
 //!
 //! * The cone half-angle is evaluated with *exact* geocentric radii,
 //!   `λ = acos(r_site/r_sat · cos ε̃) − ε̃`, with `r_sat` the maximum
@@ -75,7 +75,7 @@ use crate::frames::Geodetic;
 use crate::time::JulianDate;
 use core::f64::consts::PI;
 use satiot_obs::metrics::Counter;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Pad, km, added to the satellite's maximum geocentric radius before
 /// computing the cone half-angle. Covers SGP4 short-period J₂ radial
@@ -102,42 +102,18 @@ pub const CONE_MARGIN_RAD: f64 = 0.0053;
 /// covering rate variation between the sampled instants.
 pub const ANGULAR_RATE_PAD: f64 = 1.1;
 
-/// Whether pass prediction pre-culls (site, satellite) pairs (the
-/// `SATIOT_CULLING` knob).
+/// Whether pass prediction pre-culls (site, satellite) pairs: always.
+///
+/// One variant only. It exists because the benchmark worker under
+/// `perfbench/` still names it when calling
+/// `satiot_core::sweep::predictor_with_mode`; it goes when the
+/// benchmark is next rebased.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CullingMode {
-    /// Predict every pair — the bit-identical legacy baseline
-    /// (`SATIOT_CULLING=0`).
-    Off,
-    /// Drop provably-invisible pairs before any grid interpolation
-    /// (the default). Conservative: the surviving pass set is
-    /// bit-identical to [`CullingMode::Off`].
+    /// Drop provably-invisible pairs before any grid interpolation.
+    /// Conservative: the surviving pass set is bit-identical to an
+    /// unculled prediction.
     On,
-}
-
-// Cached mode: 255 = not yet pinned.
-static MODE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The process-wide culling mode. Defaults to [`CullingMode::On`] until
-/// pinned with [`set_mode`]; the `SATIOT_CULLING` environment knob
-/// reaches this latch through
-/// `satiot_core::RunOptions::from_env().apply()` — this module never
-/// reads the environment itself.
-pub fn mode() -> CullingMode {
-    match MODE.load(Relaxed) {
-        0 => CullingMode::Off,
-        _ => CullingMode::On,
-    }
-}
-
-/// Pin the mode programmatically (tests and A/B harnesses that cannot
-/// restart the process). Call before any campaign runs.
-pub fn set_mode(m: CullingMode) {
-    let code = match m {
-        CullingMode::Off => 0,
-        CullingMode::On => 1,
-    };
-    MODE.store(code, Relaxed);
 }
 
 // Always-on proof-of-work counters (plain atomics so they report even
@@ -157,7 +133,7 @@ static OBS_KEPT: Counter = Counter::new("orbit.cull.pairs_kept");
 /// Snapshot of the cull proof counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CullStats {
-    /// Pairs that reached the cull decision with culling on.
+    /// Pairs that reached the cull decision.
     pub pairs_considered: u64,
     /// Pairs dropped by the latitude-band test.
     pub pairs_culled_lat_band: u64,
@@ -340,16 +316,6 @@ mod tests {
 
     fn epoch() -> JulianDate {
         JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0)
-    }
-
-    #[test]
-    fn mode_latch_round_trips() {
-        let before = mode();
-        set_mode(CullingMode::Off);
-        assert_eq!(mode(), CullingMode::Off);
-        set_mode(CullingMode::On);
-        assert_eq!(mode(), CullingMode::On);
-        set_mode(before);
     }
 
     #[test]

@@ -151,17 +151,16 @@ impl PassPredictor {
         self.ephemeris.as_ref()
     }
 
-    /// Choose how the coarse scan runs. [`VisibilityMode::Scalar`] and
-    /// [`VisibilityMode::On`] replace the adaptive elevation scan with
-    /// a bit-identical pair of margin sweeps over the attached
-    /// ephemeris grid's columns (see the [`visibility`] module docs);
-    /// they take effect only when a grid is attached *and* covers the
-    /// scan window *and* the mask sits inside `(−π/2, π/2)` — the scan
-    /// falls back to the legacy loop otherwise, so enabling a sweep
-    /// never changes which windows are answerable. Raw constructors
-    /// default to [`VisibilityMode::Off`] (the legacy scan);
-    /// `satiot_core::sweep` threads the process-wide knob through
-    /// here.
+    /// Choose how the coarse scan runs. [`VisibilityMode::On`]
+    /// replaces the adaptive elevation scan with the chunked margin
+    /// sweep over the attached ephemeris grid's columns (see the
+    /// [`visibility`] module docs); it takes effect only when a grid is
+    /// attached *and* covers the scan window *and* the mask sits inside
+    /// `(−π/2, π/2)` — the scan falls back to the legacy loop
+    /// otherwise, so enabling the sweep never changes which windows are
+    /// answerable. Raw constructors default to [`VisibilityMode::Off`]
+    /// (the legacy scan); the campaign predictors built by
+    /// `satiot_core::sweep` turn the sweep on.
     pub fn with_visibility(mut self, mode: VisibilityMode) -> Self {
         self.visibility = mode;
         self
@@ -860,7 +859,7 @@ mod tests {
         for (alt, incl, mask_deg) in [(550.0, 97.6, 0.0), (550.0, 97.6, 10.0), (700.0, 55.0, 5.0)] {
             let sgp4 = leo_sgp4(alt, incl);
             let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
-            let mask = (mask_deg as f64).to_radians();
+            let mask = f64::to_radians(mask_deg);
             let legacy = PassPredictor::new(sgp4.clone(), hk(), mask)
                 .with_ephemeris(Arc::clone(&grid))
                 .with_visibility(VisibilityMode::Off);
@@ -879,35 +878,6 @@ mod tests {
                     .abs();
                 assert!(dmax < 0.01, "max elevation drifted {dmax}°");
             }
-        }
-    }
-
-    /// Scalar and chunked sweeps must agree to the bit — same margin
-    /// expression, same events, same bisection brackets, same passes.
-    #[test]
-    fn scalar_and_vector_sweeps_yield_bit_identical_passes() {
-        use crate::ephemeris::EphemerisGrid;
-        use crate::visibility::VisibilityMode;
-        let sgp4 = leo_sgp4(550.0, 97.6);
-        let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
-        let end = start + 2.0;
-        let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
-        let scalar = PassPredictor::new(sgp4.clone(), hk(), 5.0_f64.to_radians())
-            .with_ephemeris(Arc::clone(&grid))
-            .with_visibility(VisibilityMode::Scalar);
-        let vector = PassPredictor::new(sgp4, hk(), 5.0_f64.to_radians())
-            .with_ephemeris(grid)
-            .with_visibility(VisibilityMode::On);
-        let a = scalar.passes(start, end);
-        let b = vector.passes(start, end);
-        assert!(!a.is_empty());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.aos.0.to_bits(), y.aos.0.to_bits());
-            assert_eq!(x.los.0.to_bits(), y.los.0.to_bits());
-            assert_eq!(x.tca.0.to_bits(), y.tca.0.to_bits());
-            assert_eq!(x.max_elevation_rad.to_bits(), y.max_elevation_rad.to_bits());
-            assert_eq!(x.tca_range_km.to_bits(), y.tca_range_km.to_bits());
         }
     }
 

@@ -68,27 +68,25 @@
 //!    cannot fall below `−`[`CANDIDATE_GUARD_KM`] and it is never
 //!    missed.
 //!
-//! ## Bit-identity between the scalar and chunked kernels
+//! ## Bit-identity with the element-at-a-time oracle
 //!
-//! [`VisibilityMode::Scalar`] evaluates the margin element-at-a-time;
-//! [`VisibilityMode::On`] evaluates it in [`CHUNK`]-wide batches.
-//! Both paths call the *same* inlined [`margin_terms`] expression per
-//! element, and the chunked kernel is a straight elementwise loop
-//! over fixed-width arrays: auto-vectorisation (including the
-//! runtime-dispatched AVX2 recompile on `x86_64`) maps each IEEE-754
-//! operation onto per-lane SIMD equivalents with identical rounding,
-//! and no reassociation or FMA contraction is enabled. Identical
-//! margins ⟹ identical sign changes ⟹ identical event lists ⟹
-//! bit-identical refined passes. `SATIOT_VISIBILITY=0`
-//! ([`VisibilityMode::Off`]) restores the legacy adaptive scan
-//! outright, which refines from *different* (coarser) brackets and is
-//! therefore equivalent only to refinement tolerance, not to the bit.
+//! The chunked kernel evaluates the margin in [`CHUNK`]-wide batches
+//! through the *same* inlined `margin_terms` expression per element
+//! that the element-at-a-time sweep (kept as a test oracle) uses, and
+//! it is a straight elementwise loop over fixed-width arrays:
+//! auto-vectorisation (including the runtime-dispatched AVX2 recompile
+//! on `x86_64`) maps each IEEE-754 operation onto per-lane SIMD
+//! equivalents with identical rounding, and no reassociation or FMA
+//! contraction is enabled. Identical margins ⟹ identical sign changes
+//! ⟹ identical event lists ⟹ bit-identical refined passes.
+//! [`VisibilityMode::Off`] keeps the legacy adaptive scan, which
+//! refines from *different* (coarser) brackets and is therefore
+//! equivalent only to refinement tolerance, not to the bit.
 
 use crate::ephemeris::EphemerisGrid;
 use crate::time::JulianDate;
 use crate::topo::Observer;
 use satiot_obs::metrics::Counter;
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 /// Column sweeps executed (one per satellite grid per scan) (metrics).
 static SWEEPS: Counter = Counter::new("orbit.visibility.sweeps");
@@ -114,46 +112,16 @@ pub const CHUNK: usize = 64;
 /// the interval holds no pass.
 pub const CANDIDATE_GUARD_KM: f64 = 0.2;
 
-/// How pass prediction scans for horizon crossings (the
-/// `SATIOT_VISIBILITY` knob; see the module docs).
+/// How pass prediction scans for horizon crossings (see the module
+/// docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VisibilityMode {
-    /// The legacy adaptive elevation scan (the A/B baseline;
-    /// `SATIOT_VISIBILITY=0`).
+    /// The legacy adaptive elevation scan (the default of a raw
+    /// [`PassPredictor`](crate::pass::PassPredictor)).
     Off,
-    /// Margin sweep, element-at-a-time (`SATIOT_VISIBILITY=scalar`) —
-    /// the bit-identical scalar baseline of the chunked kernels.
-    Scalar,
-    /// Margin sweep in [`CHUNK`]-wide vector kernels (the default).
+    /// Margin sweep in [`CHUNK`]-wide vector kernels (what every
+    /// campaign predictor runs).
     On,
-}
-
-// Cached mode: 255 = not yet pinned.
-static MODE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The process-wide visibility mode. Defaults to [`VisibilityMode::On`]
-/// until pinned with [`set_mode`]; the `SATIOT_VISIBILITY` environment
-/// knob reaches this latch through
-/// `satiot_core::RunOptions::from_env().apply()` — this module never
-/// reads the environment itself.
-pub fn mode() -> VisibilityMode {
-    match MODE.load(Relaxed) {
-        0 => VisibilityMode::Off,
-        1 => VisibilityMode::Scalar,
-        _ => VisibilityMode::On,
-    }
-}
-
-/// Pin the mode programmatically (tests and A/B harnesses that cannot
-/// restart the process). Call before any campaign runs: the mode must
-/// not change mid-run.
-pub fn set_mode(m: VisibilityMode) {
-    let code = match m {
-        VisibilityMode::Off => 0,
-        VisibilityMode::Scalar => 1,
-        VisibilityMode::On => 2,
-    };
-    MODE.store(code, Relaxed);
 }
 
 /// What a sweep event window asks refinement to do.
@@ -208,9 +176,8 @@ struct ObsParams {
 
 /// The horizon margin and its exact time derivative for one
 /// (observer, satellite-state) pair — the *single* FP expression both
-/// the scalar path and the chunked kernels evaluate, which is what
-/// makes [`VisibilityMode::Scalar`] and [`VisibilityMode::On`]
-/// bit-identical (see the module docs).
+/// the chunked kernels and the element-at-a-time test oracle evaluate,
+/// which is what makes them bit-identical (see the module docs).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // Scalar SoA lanes by design: arrays of structs would defeat vectorisation.
 fn margin_terms(px: f64, py: f64, pz: f64, vx: f64, vy: f64, vz: f64, p: ObsParams) -> (f64, f64) {
@@ -470,10 +437,9 @@ impl Detector {
 /// let mut sweep = VisibilitySweep::new();
 /// sweep.push(&Observer::new(Geodetic::from_degrees(22.32, 114.17, 0.05)), 0.0);
 /// sweep.push(&Observer::new(Geodetic::from_degrees(39.9, 116.4, 0.05)), 0.0);
-/// let scalar = sweep.run(&grid, epoch, epoch + 1.0, VisibilityMode::Scalar).unwrap();
-/// let vector = sweep.run(&grid, epoch, epoch + 1.0, VisibilityMode::On).unwrap();
-/// assert_eq!(scalar, vector); // bit-identical events
-/// assert!(scalar.iter().any(|o| !o.events.is_empty()));
+/// let outcomes = sweep.run(&grid, epoch, epoch + 1.0, VisibilityMode::On).unwrap();
+/// assert_eq!(outcomes.len(), 2); // one per observer
+/// assert!(outcomes.iter().any(|o| !o.events.is_empty()));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VisibilitySweep {
@@ -536,7 +502,7 @@ impl VisibilitySweep {
     /// Answers `None` — callers fall back to the legacy scan — when
     /// the mode is [`VisibilityMode::Off`], the arena is empty, the
     /// window is degenerate, or the grid does not cover the whole
-    /// window (including the `SATIOT_EPHEMERIS=0` no-grid world).
+    /// window.
     pub fn run(
         &self,
         grid: &EphemerisGrid,
@@ -544,7 +510,33 @@ impl VisibilitySweep {
         end: JulianDate,
         mode: VisibilityMode,
     ) -> Option<Vec<SweepOutcome>> {
-        if mode == VisibilityMode::Off || self.is_empty() {
+        match mode {
+            VisibilityMode::On => self.sweep(grid, start, end, Self::sweep_chunked),
+            VisibilityMode::Off => None,
+        }
+    }
+
+    /// [`Self::run`] through the element-at-a-time oracle kernel.
+    #[cfg(test)]
+    fn run_scalar(
+        &self,
+        grid: &EphemerisGrid,
+        start: JulianDate,
+        end: JulianDate,
+    ) -> Option<Vec<SweepOutcome>> {
+        self.sweep(grid, start, end, Self::sweep_scalar)
+    }
+
+    /// The sweep shared by both kernels: boundary feeds, the lattice
+    /// columns through `kernel`, and the metrics.
+    fn sweep(
+        &self,
+        grid: &EphemerisGrid,
+        start: JulianDate,
+        end: JulianDate,
+        kernel: fn(&Self, &EphemerisGrid, usize, usize, &mut [Detector]),
+    ) -> Option<Vec<SweepOutcome>> {
+        if self.is_empty() {
             return None;
         }
         let n = grid.len();
@@ -570,11 +562,7 @@ impl VisibilitySweep {
         let mut detectors: Vec<Detector> = (0..self.len()).map(|_| Detector::new()).collect();
         self.feed_boundary(grid, start, &mut detectors);
         if k_first <= k_last {
-            match mode {
-                VisibilityMode::On => self.sweep_chunked(grid, k_first, k_last, &mut detectors),
-                VisibilityMode::Scalar => self.sweep_scalar(grid, k_first, k_last, &mut detectors),
-                VisibilityMode::Off => unreachable!("handled above"),
-            }
+            kernel(self, grid, k_first, k_last, &mut detectors);
         }
         self.feed_boundary(grid, end, &mut detectors);
 
@@ -596,7 +584,7 @@ impl VisibilitySweep {
     /// Feed the exact window boundary to every detector, through the
     /// grid's Hermite interpolant and the shared margin expression.
     /// An uninterpolable boundary (NaN bracketing samples) feeds NaN
-    /// margins, which read as "below the mask" in both kernel modes.
+    /// margins, which read as "below the mask" in both kernels.
     fn feed_boundary(&self, grid: &EphemerisGrid, t: JulianDate, detectors: &mut [Detector]) {
         let (p, v) = match grid.state_at(t) {
             Some(s) => (s.position_km, s.velocity_km_s),
@@ -675,8 +663,8 @@ impl VisibilitySweep {
 
     /// The element-at-a-time sweep: the same margin expression and
     /// feed order as [`Self::sweep_chunked`], one column at a time —
-    /// the bit-identical scalar baseline the bench matrix measures
-    /// the kernels against.
+    /// the bit-identical oracle the chunked kernel is tested against.
+    #[cfg(test)]
     fn sweep_scalar(
         &self,
         grid: &EphemerisGrid,
@@ -743,19 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_latch_round_trips() {
-        for m in [
-            VisibilityMode::Off,
-            VisibilityMode::Scalar,
-            VisibilityMode::On,
-        ] {
-            set_mode(m);
-            assert_eq!(mode(), m);
-        }
-        set_mode(VisibilityMode::On);
-    }
-
-    #[test]
     fn margin_sign_agrees_with_elevation() {
         // The margin test must agree with `asin(z/r) > mask` at every
         // grid column for a realistic geometry and several masks.
@@ -763,7 +738,7 @@ mod tests {
         let grid = EphemerisGrid::build(&sgp4, epoch(), epoch() + 1.0);
         let obs = hk();
         for mask_deg in [0.0, 5.0, 25.0] {
-            let mask = (mask_deg as f64).to_radians();
+            let mask = f64::to_radians(mask_deg);
             let mut sweep = VisibilitySweep::new();
             sweep.push(&obs, mask);
             let p = sweep.params(0);
@@ -836,9 +811,7 @@ mod tests {
         );
         let start = epoch().plus_seconds(13.0); // off-lattice boundaries
         let end = epoch().plus_seconds(2.0 * 86_400.0 - 29.0);
-        let scalar = sweep
-            .run(&grid, start, end, VisibilityMode::Scalar)
-            .expect("covered window");
+        let scalar = sweep.run_scalar(&grid, start, end).expect("covered window");
         let vector = sweep
             .run(&grid, start, end, VisibilityMode::On)
             .expect("covered window");

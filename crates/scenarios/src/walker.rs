@@ -554,7 +554,7 @@ mod tests {
         let lam = footprint_half_angle_rad(alt, mask);
         let expected = 0.5 * (1.0 - lam.cos());
         for incl_deg in [30.0, 53.0, 97.6] {
-            let incl = (incl_deg as f64).to_radians();
+            let incl = f64::to_radians(incl_deg);
             const N: usize = 400;
             let mut acc = 0.0;
             for k in 0..N {

@@ -1,6 +1,6 @@
 //! Reproducibility: identical seeds must replay identical campaigns —
 //! across the passive, active, and terrestrial drivers, and regardless
-//! of site-level parallelism.
+//! of the thread count.
 
 use satiot::core::active::{ActiveCampaign, ActiveConfig};
 use satiot::core::passive::{PassiveCampaign, PassiveConfig};
@@ -9,22 +9,24 @@ use satiot::terrestrial::campaign::{TerrestrialCampaign, TerrestrialConfig};
 
 use satiot::core::RunOptions;
 
-/// Hermetic run options: batched kernels, ephemeris grids, no env reads.
+/// Hermetic run options: machine defaults, no env reads.
 fn opts() -> RunOptions {
     RunOptions::default()
 }
 
 #[test]
 fn passive_is_bit_identical_across_runs_and_threading() {
-    #[allow(deprecated)] // test pins the literal constructor
-    let mut cfg = PassiveConfig::quick(2.0);
+    let mut cfg = PassiveConfig {
+        max_days: 2.0,
+        constellations: vec![pico()],
+        ..Default::default()
+    };
     cfg.sites.retain(|s| matches!(s.code, "HK" | "SYD" | "GZ"));
-    cfg.constellations = vec![pico()];
-    cfg.parallel = false;
-    let serial = PassiveCampaign::new(cfg.clone()).run(&opts()).unwrap();
-    let serial2 = PassiveCampaign::new(cfg.clone()).run(&opts()).unwrap();
-    cfg.parallel = true;
-    let parallel = PassiveCampaign::new(cfg).run(&opts()).unwrap();
+    let campaign = PassiveCampaign::new(cfg);
+    let one_thread = opts().with_threads(Some(1));
+    let serial = campaign.run(&one_thread).unwrap();
+    let serial2 = campaign.run(&one_thread).unwrap();
+    let parallel = campaign.run(&opts()).unwrap();
 
     assert_eq!(serial.traces.traces, serial2.traces.traces);
     assert_eq!(serial.traces.traces, parallel.traces.traces);

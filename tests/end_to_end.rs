@@ -11,17 +11,18 @@ use satiot::terrestrial::campaign::{TerrestrialCampaign, TerrestrialConfig};
 
 use satiot::core::RunOptions;
 
-/// Hermetic run options: batched kernels, ephemeris grids, no env reads.
+/// Hermetic run options: machine defaults, no env reads.
 fn opts() -> RunOptions {
     RunOptions::default()
 }
 
 fn small_passive() -> PassiveConfig {
-    #[allow(deprecated)] // test pins the literal constructor
-    let mut cfg = PassiveConfig::quick(3.0);
+    let mut cfg = PassiveConfig {
+        max_days: 3.0,
+        constellations: vec![tianqi(), fossa()],
+        ..Default::default()
+    };
     cfg.sites.retain(|s| s.code == "HK");
-    cfg.constellations = vec![tianqi(), fossa()];
-    cfg.parallel = false;
     cfg
 }
 
@@ -156,9 +157,11 @@ fn satellite_beats_terrestrial_on_nothing_but_coverage() {
 #[test]
 fn all_sites_produce_data_at_full_breadth() {
     // Every Table 1 site yields traces once its deployment window opens.
-    #[allow(deprecated)] // test pins the literal constructor
-    let mut cfg = PassiveConfig::quick(2.0);
-    cfg.constellations = vec![tianqi()];
+    let cfg = PassiveConfig {
+        max_days: 2.0,
+        constellations: vec![tianqi()],
+        ..Default::default()
+    };
     let results = PassiveCampaign::new(cfg).run(&opts()).unwrap();
     for site in measurement_sites() {
         let n = results.traces.by_site(site.code).count();

@@ -13,7 +13,7 @@ use satiot::scenarios::constellations::fossa;
 
 use satiot::core::RunOptions;
 
-/// Hermetic run options: batched kernels, ephemeris grids, no env reads.
+/// Hermetic run options: machine defaults, no env reads.
 fn opts() -> RunOptions {
     RunOptions::default()
 }
@@ -101,14 +101,18 @@ fn single_node_single_day_still_works() {
 fn passive_with_no_sites_or_no_constellations_is_rejected() {
     // A campaign with nothing to observe is a configuration error, not an
     // empty success: the caller gets a typed rejection up front.
-    #[allow(deprecated)] // test feeds deliberately invalid literal configs
-    let mut cfg = PassiveConfig::quick(1.0);
+    let mut cfg = PassiveConfig {
+        max_days: 1.0,
+        ..Default::default()
+    };
     cfg.sites.clear();
     let err = PassiveCampaign::new(cfg).run(&opts()).unwrap_err();
     assert!(matches!(err, SatIotError::EmptyPassList { .. }), "{err}");
 
-    #[allow(deprecated)] // test feeds deliberately invalid literal configs
-    let mut cfg = PassiveConfig::quick(1.0);
+    let mut cfg = PassiveConfig {
+        max_days: 1.0,
+        ..Default::default()
+    };
     cfg.constellations.clear();
     cfg.sites.retain(|s| s.code == "HK");
     let err = PassiveCampaign::new(cfg).run(&opts()).unwrap_err();
@@ -122,10 +126,12 @@ fn passive_before_site_start_produces_nothing() {
     // each site's own start, so instead verify a zero-length cap.  A
     // zero-day window is degenerate per site, so it is skipped and
     // counted rather than scanned.
-    #[allow(deprecated)] // test feeds deliberately invalid literal configs
-    let mut cfg = PassiveConfig::quick(0.0);
+    let mut cfg = PassiveConfig {
+        max_days: 0.0,
+        constellations: vec![fossa()],
+        ..Default::default()
+    };
     cfg.sites.retain(|s| s.code == "HK");
-    cfg.constellations = vec![fossa()];
     let r = PassiveCampaign::new(cfg).run(&opts()).unwrap();
     assert!(r.traces.is_empty());
     assert_eq!(r.faults.skipped_sites, 1);

@@ -14,16 +14,17 @@ use satiot::terrestrial::campaign::{TerrestrialCampaign, TerrestrialConfig};
 
 use satiot::core::RunOptions;
 
-/// Hermetic run options: batched kernels, ephemeris grids, no env reads.
+/// Hermetic run options: machine defaults, no env reads.
 fn opts() -> RunOptions {
     RunOptions::default()
 }
 
 fn hk_passive(days: f64) -> PassiveConfig {
-    #[allow(deprecated)] // test pins the literal constructor
-    let mut cfg = PassiveConfig::quick(days);
+    let mut cfg = PassiveConfig {
+        max_days: days,
+        ..Default::default()
+    };
     cfg.sites.retain(|s| s.code == "HK");
-    cfg.parallel = false;
     cfg
 }
 

@@ -9,7 +9,7 @@ use satiot::terrestrial::campaign::{TerrestrialCampaign, TerrestrialConfig};
 
 use satiot::core::RunOptions;
 
-/// Hermetic run options: batched kernels, ephemeris grids, no env reads.
+/// Hermetic run options: machine defaults, no env reads.
 fn opts() -> RunOptions {
     RunOptions::default()
 }
@@ -17,8 +17,10 @@ use satiot_bench::reports;
 
 #[test]
 fn every_report_renders_from_a_one_day_campaign() {
-    #[allow(deprecated)] // test pins the literal constructor
-    let mut pcfg = PassiveConfig::quick(1.5);
+    let mut pcfg = PassiveConfig {
+        max_days: 1.5,
+        ..Default::default()
+    };
     pcfg.sites.retain(|s| {
         matches!(
             s.code,
@@ -57,6 +59,7 @@ fn every_report_renders_from_a_one_day_campaign() {
         ("Fig 11", reports::fig11(&terrestrial)),
         ("Fig 12a", reports::fig12a(&[(20, &active)])),
         ("Fig 12b", reports::fig12b(&[(3, &active)])),
+        ("Fig 2", reports::fig2()),
     ];
     for (name, body) in &sections {
         assert!(!body.is_empty(), "{name} rendered empty");
@@ -69,4 +72,5 @@ fn every_report_renders_from_a_one_day_campaign() {
     assert!(sections[2].1.contains("Tianqi"));
     assert!(sections[9].1.contains("Terrestrial LoRaWAN"));
     assert!(sections[16].1.contains("1630.0"));
+    assert!(sections[20].1.contains("Hong Kong"));
 }

@@ -12,11 +12,12 @@ use satiot::scenarios::constellations::pico;
 /// A small deterministic campaign with two sites, so per-site spill
 /// parts and sketch shard merges are both exercised.
 fn small_config() -> PassiveConfig {
-    #[allow(deprecated)] // test pins the literal constructor
-    let mut cfg = PassiveConfig::quick(1.0);
+    let mut cfg = PassiveConfig {
+        max_days: 1.0,
+        constellations: vec![pico()],
+        ..Default::default()
+    };
     cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ"));
-    cfg.constellations = vec![pico()];
-    cfg.parallel = false;
     cfg
 }
 
@@ -70,22 +71,19 @@ fn spill_archives_equal_the_full_trace_set() {
 
 #[test]
 fn aggregate_sink_is_bounded_and_driver_independent() {
-    let mut cfg = small_config();
+    let campaign = PassiveCampaign::new(small_config());
     let opts = RunOptions::default().with_sink(SinkMode::Aggregate);
-    let full = PassiveCampaign::new(cfg.clone())
-        .run(&RunOptions::default())
-        .unwrap();
-    let serial = PassiveCampaign::new(cfg.clone()).run(&opts).unwrap();
-    cfg.parallel = true;
-    let pooled = PassiveCampaign::new(cfg).run(&opts).unwrap();
+    let full = campaign.run(&RunOptions::default()).unwrap();
+    let serial = campaign.run(&opts.with_threads(Some(1))).unwrap();
+    let pooled = campaign.run(&opts).unwrap();
 
     // Bounded: nothing retained, every decode accounted for.
     assert!(serial.traces.traces.is_empty());
     assert_eq!(serial.sink.retained, 0);
     assert_eq!(serial.sink.emitted, full.traces.traces.len() as u64);
 
-    // Driver-independent: serial and pooled aggregate runs, and the
-    // full run's own sketch, are bit-identical.
+    // Thread-count-independent: one-thread and pooled aggregate runs,
+    // and the full run's own sketch, are bit-identical.
     let sketch = serial.sketch.as_ref().expect("aggregate run sketches");
     assert_eq!(serial.sketch, pooled.sketch);
     assert_eq!(serial.sketch, full.sketch);
