@@ -1,32 +1,14 @@
-//! Runs every ablation and extension binary in sequence (quick scale
-//! unless overridden) — the design-choice appendix to `reproduce_all`.
+//! Renders every ablation (A1–A7) and extension (E1–E4) in sequence —
+//! the design-choice appendix to `reproduce_all`. Runs at full scale
+//! unless `SATIOT_SCALE=quick`.
 
-use std::process::Command;
-
-const BINARIES: &[&str] = &[
-    "exp_ablation_scheduler",
-    "exp_ablation_retx",
-    "exp_ablation_buffer",
-    "exp_ablation_beacon",
-    "exp_ablation_downlink",
-    "exp_ablation_doppler",
-    "exp_ablation_sf",
-    "exp_extension_solar",
-    "exp_extension_mac",
-    "exp_extension_cost",
-    "exp_extension_gateways",
-];
+use satiot_bench::experiments::{Campaigns, ABLATIONS};
+use satiot_bench::Scale;
 
 fn main() {
-    let me = std::env::current_exe().expect("own path");
-    for bin in BINARIES {
-        println!("\n################ {bin} ################");
-        let output = Command::new(me.with_file_name(bin))
-            .output()
-            .unwrap_or_else(|e| panic!("failed to run {bin}: {e}"));
-        print!("{}", String::from_utf8_lossy(&output.stdout));
-        if !output.status.success() {
-            eprintln!("{bin} exited with {:?}", output.status);
-        }
+    let campaigns = Campaigns::new(Scale::from_env());
+    for e in ABLATIONS {
+        println!("\n################ {} ################", e.title);
+        print!("{}", (e.render)(&campaigns));
     }
 }

@@ -23,7 +23,7 @@ static SINK_RETAINED: Counter = Counter::new("measure.sink.traces_retained");
 
 fn config() -> PassiveConfig {
     // The smoke campaign is itself expressed as a scenario spec — the
-    // same typed front door the experiment binaries use — so the
+    // same typed front door the experiment runners use — so the
     // determinism gates below also pin the spec→config path.
     let mut spec = ScenarioSpec::paper_passive();
     spec.max_days = Some(1.0);

@@ -4,7 +4,7 @@
 //! The `maritime_tracker` scenario carries an inline site with a
 //! four-waypoint great-circle [`MobilityTrack`]. This binary resolves
 //! it through [`ScenarioSpec::build`], discretises the track into
-//! [`ObserverLeg`]s (waypoints always cut a leg, so no leg spans a
+//! [`ObserverLeg`](satiot_orbit::pass::ObserverLeg)s (waypoints always cut a leg, so no leg spans a
 //! course change) and predicts every Tianqi contact with
 //! [`PassPredictor::passes_over_legs`] — the moving-observer path that
 //! bypasses the site-code-keyed pass cache entirely.

@@ -1,14 +1,18 @@
 //! Shared infrastructure for the satiot experiment binaries.
 //!
-//! Every `exp_*` binary reproduces one table or figure of the paper; the
-//! campaign runners and report formatters live here so `reproduce_all`
-//! can run each campaign once and emit every report from the same data.
+//! [`experiments`] lists every paper table and figure, ablation and
+//! extension once, by id; `reproduce_all` renders the paper set (or the
+//! ids it is given) and `ablations_all` the ablations, each running
+//! every shared campaign at most once. The campaign runners, the paper
+//! report formatters and the ablation studies live beside it.
 //!
 //! Scale control: set `SATIOT_SCALE=quick` for a fast sanity run
 //! (truncated campaigns) or leave unset for full paper scale (passive:
 //! every site from its Table 1 start date through 2025-03; active: one
 //! month).
 
+pub mod ablations;
+pub mod experiments;
 pub mod reports;
 pub mod runners;
 

@@ -1,8 +1,9 @@
 //! Report formatters: one function per paper table/figure.
 //!
 //! Each function takes campaign results and renders the same rows or
-//! series the paper reports, so a binary is just `run campaign → print
-//! report`. All functions are pure formatting — no simulation here.
+//! series the paper reports, so an experiment is just `run campaign →
+//! render report`. All functions are pure formatting — no simulation
+//! here.
 
 use satiot_core::active::ActiveResults;
 use satiot_core::passive::{theoretical_daily_hours, PassiveResults};

@@ -1,13 +1,12 @@
 //! Campaign runners at the configured scale.
 //!
-//! The [`Scale`] type itself now lives in `satiot_core::options` (one
+//! The [`Scale`] type itself lives in `satiot_core::options` (one
 //! `SATIOT_*` parsing site for the whole workspace); it is re-exported
-//! here so the experiment binaries keep their one-line imports. Every
-//! runner resolves the rest of its options through
-//! [`RunOptions::from_env`] and installs them process-wide with
-//! [`RunOptions::apply`], so `SATIOT_THREADS` / `SATIOT_SINK` /
-//! `SATIOT_METRICS` all keep working for the bench fleet without any
-//! binary touching the environment directly.
+//! here for the experiment registry. Every runner resolves the rest of
+//! its options through [`RunOptions::from_env`] and installs them
+//! process-wide with [`RunOptions::apply`], so `SATIOT_THREADS` /
+//! `SATIOT_SINK` / `SATIOT_METRICS` all keep working for every
+//! experiment without any of them touching the environment directly.
 //!
 //! ## Scenario files
 //!
@@ -41,11 +40,11 @@ pub fn scenario_override(opts: &RunOptions) -> Option<ResolvedScenario> {
 ///
 /// The scaled defaults are always valid, so a rejected config is a bug;
 /// abort with the typed error rather than returning a `Result` every
-/// bench binary would immediately unwrap.
+/// experiment would immediately unwrap.
 pub fn run_passive(scale: Scale) -> PassiveResults {
     let opts = RunOptions::from_env().with_scale(scale).apply();
     // The compiled-in default is itself a scenario — the paper's full
-    // passive campaign — so every passive binary goes through
+    // passive campaign — so every passive run goes through
     // `ScenarioSpec::build()` whether or not `SATIOT_SCENARIO` is set.
     let scenario = scenario_override(&opts).unwrap_or_else(|| {
         ScenarioSpec::paper_passive()
@@ -61,14 +60,9 @@ pub fn run_passive(scale: Scale) -> PassiveResults {
         .unwrap_or_else(|e| panic!("passive campaign rejected its scaled config: {e}"))
 }
 
-/// Run the default active campaign at this scale.
-pub fn run_active(scale: Scale) -> ActiveResults {
-    run_active_with(scale, |_| {})
-}
-
 /// Run an active campaign with config tweaks applied on top of the
 /// scaled defaults (and on top of the `SATIOT_SCENARIO` override, when
-/// one is set — the binary's tweaks win).
+/// one is set — the caller's tweaks win).
 pub fn run_active_with<F: FnOnce(&mut ActiveConfig)>(scale: Scale, tweak: F) -> ActiveResults {
     let opts = RunOptions::from_env().with_scale(scale).apply();
     let mut cfg = match scenario_override(&opts) {
@@ -85,11 +79,6 @@ pub fn run_active_with<F: FnOnce(&mut ActiveConfig)>(scale: Scale, tweak: F) -> 
     ActiveCampaign::new(cfg)
         .run(&opts)
         .unwrap_or_else(|e| panic!("active campaign rejected its scaled config: {e}"))
-}
-
-/// Run the terrestrial baseline at this scale.
-pub fn run_terrestrial(scale: Scale) -> TerrestrialResults {
-    run_terrestrial_with(scale, |_| {})
 }
 
 /// Run a terrestrial campaign with config tweaks (applied on top of the

@@ -100,13 +100,13 @@ pub struct ActiveConfig {
     /// Effective downlink service time per packet, seconds of ground-
     /// station contact. This is the satellite's share of contact capacity
     /// per stored packet (the operator multiplexes every customer's
-    /// traffic over the same contacts); `exp_ablation_downlink` sweeps it
+    /// traffic over the same contacts); ablation A5 sweeps it
     /// into the congested regime.
     pub downlink_service_s: f64,
     /// TLE-based Doppler pre-compensation on every DtS link — the
-    /// optimisation the paper's conclusion calls for (`exp_ablation_doppler`).
+    /// optimisation the paper's conclusion calls for (ablation A6).
     pub doppler_compensation: bool,
-    /// Uplink medium-access policy (`exp_extension_mac`).
+    /// Uplink medium-access policy (extension E2).
     pub mac: MacPolicy,
 }
 

@@ -4,7 +4,7 @@
 //! store-and-forward paradigm at both ends of the DtS link: nodes buffer
 //! sensor data while waiting for a pass; satellites buffer uplinks while
 //! waiting for a ground station. This buffer records drop statistics so
-//! the buffer-sizing ablation (`exp_ablation_buffer`) can quantify the
+//! the buffer-sizing ablation (A3, `ablation_buffer`) can quantify the
 //! paper's sizing guidance.
 
 use std::collections::VecDeque;

@@ -3,7 +3,7 @@
 //! Campaigns take `&RunOptions`, the environment is parsed exactly once
 //! by [`RunOptions::from_env`], and [`RunOptions::apply`] installs the
 //! process-wide settings that code below the campaign API reads (pool
-//! worker count, metrics flag, chaos seed, cache budget). Every knob
+//! worker count, metrics flag, cache budget). Every knob
 //! changes *what* is computed or *where* results go; the pipeline
 //! itself has one shape.
 //!
@@ -79,7 +79,7 @@ pub struct RunOptions {
     /// machine's available parallelism (`SATIOT_THREADS`).
     pub threads: Option<usize>,
     /// Root seed for the chaos perturbation engine
-    /// (`SATIOT_CHAOS_SEED`).
+    /// (`SATIOT_CHAOS_SEED`); `chaos_smoke` builds its engine from it.
     pub chaos_seed: u64,
     /// Whether the `satiot_obs` metrics registry records
     /// (`SATIOT_METRICS`).
@@ -336,13 +336,12 @@ impl RunOptions {
 
     /// Install these options into the process-wide settings read by
     /// code below the campaign API: the pool worker count, the metrics
-    /// flag, the chaos seed, and the cache payload budget. Binaries
-    /// call `RunOptions::from_env().apply()` once at startup; returns
-    /// `self` for chaining into a campaign call.
+    /// flag, and the cache payload budget. Binaries call
+    /// `RunOptions::from_env().apply()` once at startup; returns `self`
+    /// for chaining into a campaign call.
     pub fn apply(self) -> Self {
         pool::set_thread_count(self.threads);
         satiot_obs::metrics::set_enabled(self.metrics);
-        chaos::set_seed(self.chaos_seed);
         crate::sweep::set_cache_budget_bytes(self.sweep_cache_mb.map(|mb| mb << 20));
         self
     }

@@ -24,8 +24,7 @@ pub use crate::passive::{PassiveCampaign, PassiveConfig, PassiveResults, Schedul
 pub use crate::sink::{SinkMode, SinkStats};
 pub use crate::sweep::PassKey;
 pub use crate::sweep_server::{
-    CacheAttribution, ConstellationOutcome, JobRecord, SweepConfig, SweepJob, SweepOutcome,
-    SweepServer,
+    CacheAttribution, ConstellationOutcome, JobRecord, SweepJob, SweepOutcome, SweepServer,
 };
 // The three mode enums stay in the prelude only because the benchmark
 // worker under `perfbench/` imports them from here; `EphemerisMode` and

@@ -90,7 +90,7 @@ impl SatellitePayload {
     /// This models the L2D2-style contact-capacity constraint: a
     /// satellite's buffered backlog drains at a finite rate only while a
     /// station is in view, so congested satellites deliver late — the
-    /// mechanism behind `exp_ablation_downlink`.
+    /// mechanism behind ablation A5 (`ablation_downlink`).
     pub fn schedule_downlink(&mut self, t: f64, service_s: f64) -> Option<f64> {
         let start = self.next_contact_s(t.max(self.downlink_free_s))?;
         let finish = self.advance_through_contacts(start, service_s)?;

@@ -12,7 +12,7 @@
 //!   satellite list on a fixed dwell, blind to the geometry; it covers a
 //!   pass only when its rotation happens to point at the right satellite.
 //!
-//! The ablation `exp_ablation_scheduler` quantifies the difference.
+//! Ablation A1 (`ablation_scheduler`) quantifies the difference.
 
 use satiot_orbit::pass::Pass;
 use satiot_orbit::time::JulianDate;

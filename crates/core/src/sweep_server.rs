@@ -1,7 +1,7 @@
 //! Campaign-as-a-service: the resumable, sharded sweep driver.
 //!
 //! Every frontier study in the paper — Tables 1–3, the cost crossover
-//! surfaces, every `exp_extension_*` — is a *sweep*: many campaign
+//! surfaces, the bench extensions — is a *sweep*: many campaign
 //! configurations over seeds, schedulers, sites, and constellations.
 //! Run as independent batch processes those sweeps are cold-start
 //! workloads — each run rebuilds the ephemeris grids and pass lists the
@@ -67,7 +67,6 @@ use satiot_measure::sketch::{
 use satiot_obs::metrics::Counter;
 use satiot_scenarios::constellations::all_constellations;
 use satiot_scenarios::sites::measurement_sites;
-use satiot_sim::pool;
 use satiot_sim::rng::Rng;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -363,9 +362,9 @@ impl SweepJob {
 // ---------------------------------------------------------------------------
 
 /// Cache work attributed to one job: the [`crate::sweep`] counter
-/// deltas across its execution. Exact when jobs run sequentially (the
-/// default); zeroed under job-level parallelism, where concurrent jobs
-/// share the counters and a per-job delta would lie.
+/// deltas across its execution. Jobs run one at a time, so the delta
+/// is exact as long as no other campaign runs in the process
+/// meanwhile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheAttribution {
     /// Pass-cache lookups issued by this job.
@@ -489,25 +488,16 @@ impl SweepOutcome {
 // The server
 // ---------------------------------------------------------------------------
 
-/// Sweep-server configuration, resolved from [`RunOptions`] (the
-/// `SATIOT_SWEEP_*` knobs) or set programmatically.
-#[derive(Debug, Clone, Default)]
-pub struct SweepConfig {
-    /// Checkpoint directory; `None` disables checkpoint/resume.
-    pub spill_dir: Option<PathBuf>,
-    /// `(index, count)` shard assignment; `None` runs every job.
-    pub shard: Option<(usize, usize)>,
-    /// Jobs to execute concurrently on the sweep pool. The default `1`
-    /// runs jobs sequentially (each campaign still parallelises
-    /// internally) and is what makes [`CacheAttribution`] exact.
-    pub job_parallelism: usize,
-}
-
 /// The long-running sweep driver. See the module docs for the contract.
+///
+/// Jobs run one at a time; each campaign parallelises internally.
 #[derive(Debug, Clone)]
 pub struct SweepServer {
     opts: RunOptions,
-    config: SweepConfig,
+    /// Checkpoint directory; `None` disables checkpoint/resume.
+    spill_dir: Option<PathBuf>,
+    /// `(index, count)` shard assignment; `None` runs every job.
+    shard: Option<(usize, usize)>,
 }
 
 impl SweepServer {
@@ -522,33 +512,21 @@ impl SweepServer {
         }
         SweepServer {
             opts,
-            config: SweepConfig {
-                spill_dir: opts.sweep_dir.map(PathBuf::from),
-                shard: opts.sweep_shard,
-                job_parallelism: 1,
-            },
+            spill_dir: opts.sweep_dir.map(PathBuf::from),
+            shard: opts.sweep_shard,
         }
     }
 
     /// Override the checkpoint directory.
     pub fn with_spill_dir(mut self, dir: Option<&Path>) -> SweepServer {
-        self.config.spill_dir = dir.map(Path::to_path_buf);
+        self.spill_dir = dir.map(Path::to_path_buf);
         self
     }
 
     /// Override the shard assignment (`(index, count)`, `index <
     /// count`).
     pub fn with_shard(mut self, shard: Option<(usize, usize)>) -> SweepServer {
-        self.config.shard = shard;
-        self
-    }
-
-    /// Override job-level parallelism. Anything above `1` trades exact
-    /// per-job [`CacheAttribution`] (zeroed, since concurrent jobs
-    /// share the counters) for concurrency; results stay bit-identical
-    /// because each job's streams derive from its own seed.
-    pub fn with_job_parallelism(mut self, jobs: usize) -> SweepServer {
-        self.config.job_parallelism = jobs.max(1);
+        self.shard = shard;
         self
     }
 
@@ -579,18 +557,18 @@ impl SweepServer {
                 });
             }
         }
-        if let Some((index, count)) = self.config.shard {
+        if let Some((index, count)) = self.shard {
             if index >= count || count == 0 {
                 return Err(SatIotError::InvalidConfig {
-                    field: "SweepConfig.shard",
+                    field: "SweepServer.shard",
                     value: index as f64,
                     requirement: "index < count and count >= 1",
                 });
             }
         }
-        if let Some(dir) = &self.config.spill_dir {
+        if let Some(dir) = &self.spill_dir {
             std::fs::create_dir_all(dir).map_err(|_| SatIotError::InvalidName {
-                field: "SweepConfig.spill_dir",
+                field: "SweepServer.spill_dir",
                 name: dir.display().to_string(),
                 suggestion: None,
             })?;
@@ -604,7 +582,7 @@ impl SweepServer {
         let mut jobs_resumed = 0usize;
         let mut kept = 0usize;
         for (i, job) in jobs.iter().enumerate() {
-            if let Some((index, count)) = self.config.shard {
+            if let Some((index, count)) = self.shard {
                 if i % count != index {
                     jobs_skipped += 1;
                     JOBS_SKIPPED.fetch_add(1, Relaxed);
@@ -625,21 +603,10 @@ impl SweepServer {
         }
 
         // Execute the pending jobs.
-        if self.config.job_parallelism <= 1 {
-            for (slot, job) in &pending {
-                let record = self.execute(job, true)?;
-                sweep::enforce_cache_budget();
-                slots[*slot] = Some(record);
-            }
-        } else {
-            let results: Vec<Result<JobRecord, SatIotError>> =
-                pool::parallel_map_with(&pending, self.config.job_parallelism, |_, (_, job)| {
-                    self.execute(job, false)
-                });
+        for (slot, job) in pending {
+            let record = self.execute(job)?;
             sweep::enforce_cache_budget();
-            for ((slot, _), result) in pending.iter().zip(results) {
-                slots[*slot] = Some(result?);
-            }
+            slots[slot] = Some(record);
         }
 
         let records: Vec<JobRecord> = slots.into_iter().flatten().collect();
@@ -660,7 +627,7 @@ impl SweepServer {
     }
 
     /// Execute one job end-to-end and checkpoint the result.
-    fn execute(&self, job: &SweepJob, attribute: bool) -> Result<JobRecord, SatIotError> {
+    fn execute(&self, job: &SweepJob) -> Result<JobRecord, SatIotError> {
         let (pass_before, grid_before) = (sweep::stats(), sweep::grid_stats());
         let config = job.to_config()?;
         let resolved: Vec<String> = config
@@ -672,16 +639,12 @@ impl SweepServer {
         // no matter what the caller's options say about single runs.
         let opts = self.opts.with_sink(SinkMode::Aggregate);
         let results = PassiveCampaign::new(config).run(&opts)?;
-        let cache = if attribute {
-            let (pass_after, grid_after) = (sweep::stats(), sweep::grid_stats());
-            CacheAttribution {
-                pass_lookups: pass_after.lookups - pass_before.lookups,
-                pass_computes: pass_after.computes - pass_before.computes,
-                grid_lookups: grid_after.lookups - grid_before.lookups,
-                grid_computes: grid_after.computes - grid_before.computes,
-            }
-        } else {
-            CacheAttribution::default()
+        let (pass_after, grid_after) = (sweep::stats(), sweep::grid_stats());
+        let cache = CacheAttribution {
+            pass_lookups: pass_after.lookups - pass_before.lookups,
+            pass_computes: pass_after.computes - pass_before.computes,
+            grid_lookups: grid_after.lookups - grid_before.lookups,
+            grid_computes: grid_after.computes - grid_before.computes,
         };
         let constellations = resolved
             .iter()
@@ -725,7 +688,7 @@ impl SweepServer {
     /// spec. Any mismatch — checksum, fingerprint, spec, or RNG stream
     /// position — rejects the file (counted) and the job re-runs.
     fn try_resume(&self, job: &SweepJob) -> Option<JobRecord> {
-        let dir = self.config.spill_dir.as_ref()?;
+        let dir = self.spill_dir.as_ref()?;
         let path = checkpoint_path(dir, job);
         let text = std::fs::read_to_string(&path).ok()?;
         match codec::decode(&text, job) {
@@ -743,7 +706,7 @@ impl SweepServer {
     /// IO failure degrades to "no checkpoint" (the job simply re-runs
     /// on resume) rather than failing the sweep.
     fn write_checkpoint(&self, record: &JobRecord) {
-        let Some(dir) = &self.config.spill_dir else {
+        let Some(dir) = &self.spill_dir else {
             return;
         };
         let path = checkpoint_path(dir, &record.job);

@@ -3,7 +3,7 @@
 //! The analysis layer: trace records, contact-window extraction, summary
 //! statistics, and report rendering. This is the code path that turns raw
 //! campaign output into the paper's tables and figures, and it is shared
-//! by every `exp_*` binary in `satiot-bench`.
+//! by every experiment in `satiot-bench`.
 //!
 //! * [`trace`] — packet-trace records (what a TinyGS-style station logs
 //!   per received beacon, and what the active deployment logs per packet).

@@ -19,7 +19,7 @@
 //! * [`QuantileSketch`] — a fixed-width bucket map over the full real
 //!   line (`BTreeMap<i64, u64>` keyed by `floor(v / width)`).
 //!   **Hard contract**: `quantile(p)` is within `width / 2` of the
-//!   nearest-rank exact percentile ([`stats::nearest_rank_sorted`]),
+//!   nearest-rank exact percentile ([`crate::stats::nearest_rank_sorted`]),
 //!   and `merge` is *exact* — integer counts add, so merged-per-shard
 //!   and global sketches are bit-identical regardless of sharding or
 //!   merge order (associative and commutative; property-tested).

@@ -1,7 +1,7 @@
-//! Plain-text table and series rendering for the experiment binaries.
+//! Plain-text table and series rendering for the experiment reports.
 //!
-//! Every `exp_*` binary prints the same rows/series the paper's tables
-//! and figures report; this module keeps the formatting in one place.
+//! Every experiment prints the same rows/series the paper's tables and
+//! figures report; this module keeps the formatting in one place.
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default)]

@@ -8,11 +8,10 @@
 //!
 //! Every elevation/look-angle query flows through one pluggable sampling
 //! backend: direct SGP4 propagation (the default), or a shared
-//! [`EphemerisGrid`](crate::ephemeris::EphemerisGrid) attached with
-//! [`PassPredictor::with_ephemeris`] — in which case the coarse scan,
-//! the crossing bisections, and the culmination search all interpolate
-//! instead of propagating, and multiple observers amortise one
-//! trajectory.
+//! [`EphemerisGrid`] attached with [`PassPredictor::with_ephemeris`] —
+//! in which case the coarse scan, the crossing bisections, and the
+//! culmination search all interpolate instead of propagating, and
+//! multiple observers amortise one trajectory.
 
 use crate::ephemeris::EphemerisGrid;
 use crate::error::OrbitError;
@@ -406,14 +405,15 @@ impl PassPredictor {
         result
     }
 
-    /// Golden-section probe for the elevation peak inside `[lo, hi]`
-    /// (one lattice interval): the elevation profile of a LEO pass is
-    /// unimodal, and a ≤ 180 s below-horizon window holds at most one
-    /// approach — the same assumption [`Self::finish_pass`] rests on.
-    fn peak_probe(&self, lo: JulianDate, hi: JulianDate) -> (JulianDate, f64) {
+    /// Golden-section search for the elevation maximum inside
+    /// `[lo, hi]`, to a 0.05 s bracket; returns the bracket's midpoint.
+    /// The elevation profile of a LEO pass is unimodal. Unlike a
+    /// ternary search, each iteration reuses one interior probe and
+    /// evaluates only one new point, and the interval shrinks by 0.618
+    /// per evaluation instead of 0.667 per two — about a third fewer
+    /// elevation samples to the same bracket.
+    fn golden_peak(&self, mut lo: JulianDate, mut hi: JulianDate) -> JulianDate {
         const INV_PHI: f64 = 0.618_033_988_749_894_9; // (√5 − 1) / 2
-        let mut lo = lo;
-        let mut hi = hi;
         let mut m1 = JulianDate(hi.0 - INV_PHI * (hi.0 - lo.0));
         let mut m2 = JulianDate(lo.0 + INV_PHI * (hi.0 - lo.0));
         let mut e1 = self.elevation_at(m1);
@@ -436,7 +436,14 @@ impl PassPredictor {
                 e1 = self.elevation_at(m1);
             }
         }
-        let t_peak = JulianDate(0.5 * (lo.0 + hi.0));
+        JulianDate(0.5 * (lo.0 + hi.0))
+    }
+
+    /// Probe for the elevation peak inside `[lo, hi]` (one lattice
+    /// interval): a ≤ 180 s below-horizon window holds at most one
+    /// approach, so [`Self::golden_peak`]'s unimodality holds here too.
+    fn peak_probe(&self, lo: JulianDate, hi: JulianDate) -> (JulianDate, f64) {
+        let t_peak = self.golden_peak(lo, hi);
         (t_peak, self.elevation_at(t_peak))
     }
 
@@ -480,38 +487,7 @@ impl PassPredictor {
         if los.seconds_since(aos) < 1.0 {
             return None; // Grazing contact below timing resolution.
         }
-        // Golden-section search for the elevation maximum (the elevation
-        // profile of a LEO pass is unimodal). Unlike the ternary search
-        // this replaces, each iteration reuses one interior probe and
-        // evaluates only one new point, and the interval shrinks by
-        // 0.618 per evaluation instead of 0.667 per two — about a third
-        // fewer elevation samples to the same 0.05 s bracket.
-        const INV_PHI: f64 = 0.618_033_988_749_894_9; // (√5 − 1) / 2
-        let mut lo = aos;
-        let mut hi = los;
-        let mut m1 = JulianDate(hi.0 - INV_PHI * (hi.0 - lo.0));
-        let mut m2 = JulianDate(lo.0 + INV_PHI * (hi.0 - lo.0));
-        let mut e1 = self.elevation_at(m1);
-        let mut e2 = self.elevation_at(m2);
-        for _ in 0..80 {
-            if hi.seconds_since(lo) < 0.05 {
-                break;
-            }
-            if e1 < e2 {
-                lo = m1;
-                m1 = m2;
-                e1 = e2;
-                m2 = JulianDate(lo.0 + INV_PHI * (hi.0 - lo.0));
-                e2 = self.elevation_at(m2);
-            } else {
-                hi = m2;
-                m2 = m1;
-                e2 = e1;
-                m1 = JulianDate(hi.0 - INV_PHI * (hi.0 - lo.0));
-                e1 = self.elevation_at(m1);
-            }
-        }
-        let tca = JulianDate(0.5 * (lo.0 + hi.0));
+        let tca = self.golden_peak(aos, los);
         let la = self.look_at(tca)?;
         satiot_obs::invariants::check_elevation_rad(
             "pass::finish_pass max elevation",

@@ -27,32 +27,9 @@
 //! ```
 
 use crate::rng::Rng;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
-/// Default root seed when none is pinned.
+/// Default root seed (`SATIOT_CHAOS_SEED` unset).
 pub const DEFAULT_SEED: u64 = 0xC4A0_5EED;
-
-static PINNED_SEED: AtomicU64 = AtomicU64::new(DEFAULT_SEED);
-static SEED_PINNED: AtomicBool = AtomicBool::new(false);
-
-/// Pin the root chaos seed process-wide. Typed campaign options
-/// (`satiot_core::RunOptions`) call this from `apply()`, which is how
-/// the `SATIOT_CHAOS_SEED` environment knob reaches this module — it
-/// never reads the environment itself.
-pub fn set_seed(seed: u64) {
-    PINNED_SEED.store(seed, Relaxed);
-    SEED_PINNED.store(true, Relaxed);
-}
-
-/// Root seed for a chaos batch: the pinned seed when [`set_seed`] was
-/// called, otherwise [`DEFAULT_SEED`].
-pub fn seed() -> u64 {
-    if SEED_PINNED.load(Relaxed) {
-        PINNED_SEED.load(Relaxed)
-    } else {
-        DEFAULT_SEED
-    }
-}
 
 /// The seeded scenario factory.
 #[derive(Debug, Clone)]
@@ -315,18 +292,6 @@ mod tests {
         ] {
             assert!(seen.contains(&label), "never drew {label}");
         }
-    }
-
-    #[test]
-    fn seed_latch_defaults_then_pins() {
-        // Before anything pins it, the default applies.
-        if !SEED_PINNED.load(Relaxed) {
-            assert_eq!(seed(), DEFAULT_SEED);
-        }
-        set_seed(0xBEEF);
-        assert_eq!(seed(), 0xBEEF);
-        set_seed(DEFAULT_SEED);
-        assert_eq!(seed(), DEFAULT_SEED);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct TerrestrialConfig {
     pub gateway_distance_km: Vec<f64>,
     /// Long-run gateway uptime ∈ (0, 1]; 1.0 models the paper's mains-
     /// powered, professionally sited gateways, lower values the remote
-    /// solar-powered reality (`exp_extension_gateways`).
+    /// solar-powered reality (extension E4, `extension_gateways`).
     pub gateway_uptime: f64,
     /// Scripted outage windows (seconds since campaign start) during
     /// which the whole terrestrial path — gateways and backhaul — is
@@ -223,10 +223,12 @@ impl TerrestrialCampaign {
     /// Run the baseline.
     ///
     /// Returns a typed [`SatIotError`] for configurations the campaign
-    /// cannot meaningfully simulate (see [`Self::validate`]); values
-    /// that merely fall outside their domain (uptime above 1, negative
-    /// distances) are clamped and counted in the result's
-    /// [`FaultLog`] instead of aborting the run.
+    /// cannot meaningfully simulate (a non-positive or non-finite span
+    /// or period, a non-finite uptime or distance, no gateway distances,
+    /// malformed or overlapping outages); values that merely fall
+    /// outside their domain (uptime above 1, negative distances) are
+    /// clamped and counted in the result's [`FaultLog`] instead of
+    /// aborting the run.
     pub fn run(&self) -> Result<TerrestrialResults, SatIotError> {
         self.validate()?;
         let cfg = &self.config;
