@@ -112,15 +112,12 @@ fn main() {
             let mut intervals: Vec<(f64, f64)> = Vec::new();
             let mut total_passes = 0usize;
             for (s, sgp4) in sgp4s.iter().enumerate() {
-                // The legacy coarse scan stays pinned on this binary's
-                // predictors.
                 let predictor = sweep::predictor(
                     sweep::GridKey::new("MEGA", s as u32, start, end),
                     sgp4,
                     site,
                     mask_rad,
-                )
-                .map(|p| p.with_visibility(VisibilityMode::Off));
+                );
                 let passes = predictor.map(|p| p.passes(start, end)).unwrap_or_default();
                 total_passes += passes.len();
                 frac_sum += passes.iter().map(|p| p.duration_s()).sum::<f64>() / window_s;

@@ -347,37 +347,17 @@ impl ActiveCampaign {
         let spec = tianqi();
         let gs_sites = tianqi_ground_stations();
 
-        // Predictors are kept for geometry sampling during the event
-        // loop; the pass lists themselves come from the shared cache so
-        // the 12 active-campaign configurations inside `reproduce_all`
-        // predict each one exactly once. The event-loop predictors are
-        // grid-backed over the farm window (sharing the farm sweep's
-        // grid `Arc`s); instants outside the window fall back to direct
-        // SGP4 bit-identically.
         // Build (and thereby validate) every propagator exactly once;
         // the pool closures below clone these instead of re-deriving —
         // and possibly panicking on — the raw elements.
-        let mut sgp4s: Vec<Sgp4> = Vec::with_capacity(catalog.len());
-        let mut predictors: Vec<PassPredictor> = Vec::with_capacity(catalog.len());
-        for sat in &catalog {
-            let sgp4 = sat
-                .sgp4()
-                .map_err(|e| SatIotError::orbit("building Tianqi farm predictors", e))?;
-            let predictor = sweep::predictor(
-                GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days),
-                &sgp4,
-                farm,
-                calib::THEORETICAL_MASK_RAD,
-            )
-            .unwrap_or_else(|| {
-                // A culled (farm, satellite) pair produces no farm
-                // passes, so its event-loop predictor is never sampled;
-                // a plain ungridded one keeps the index mapping intact.
-                PassPredictor::new(sgp4.clone(), farm, calib::THEORETICAL_MASK_RAD)
-            });
-            predictors.push(predictor);
-            sgp4s.push(sgp4);
-        }
+        let sgp4s: Vec<Sgp4> = catalog
+            .iter()
+            .map(|sat| sat.sgp4())
+            .collect::<Result<_, _>>()
+            .map_err(|e| SatIotError::orbit("building Tianqi farm predictors", e))?;
+        // The pass lists come from the shared cache, so the 12
+        // active-campaign configurations inside `reproduce_all` predict
+        // each one exactly once.
         let farm_lists: Vec<Arc<Vec<Pass>>> =
             pool::parallel_map_with(&catalog, threads, |i, sat| {
                 let sgp4 = sgp4s[i].clone();
@@ -400,6 +380,32 @@ impl ActiveCampaign {
                     },
                 )
             });
+        // Geometry sampling during the event loop goes through one
+        // predictor per satellite with farm passes (no other is
+        // sampled). They are grid-backed over the farm window, sharing
+        // the farm sweep's grid `Arc`s without consulting the cull
+        // again; instants outside the window fall back to direct SGP4
+        // bit-identically.
+        let predictors: Vec<Option<PassPredictor>> = catalog
+            .iter()
+            .zip(&sgp4s)
+            .zip(&farm_lists)
+            .map(|((sat, sgp4), list)| {
+                (!list.is_empty()).then(|| {
+                    sweep::gridded_predictor(
+                        GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days),
+                        sgp4,
+                        farm,
+                        calib::THEORETICAL_MASK_RAD,
+                    )
+                })
+            })
+            .collect();
+        let predictor = |sat: usize| {
+            predictors[sat]
+                .as_ref()
+                .expect("a satellite with farm passes has a sampling predictor")
+        };
         let mut farm_passes: Vec<(usize, Pass)> = Vec::new(); // (sat, pass)
         for (i, list) in farm_lists.iter().enumerate() {
             farm_passes.extend(list.iter().map(|pass| (i, *pass)));
@@ -510,9 +516,8 @@ impl ActiveCampaign {
                 }
                 // Trim the window to the above-threshold arc by bisecting
                 // the (unimodal) elevation profile on each flank.
-                let predictor = &predictors[*sat];
-                let rise = bisect_elevation(predictor, p.aos, p.tca, trim, true);
-                let fall = bisect_elevation(predictor, p.tca, p.los, trim, false);
+                let rise = bisect_elevation(predictor(*sat), p.aos, p.tca, trim, true);
+                let fall = bisect_elevation(predictor(*sat), p.tca, p.los, trim, false);
                 intervals.push((rise.seconds_since(t0), fall.seconds_since(t0)));
             }
             intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -606,7 +611,7 @@ impl ActiveCampaign {
                     let t_rx = t + beacon_airtime;
                     let when = t0.plus_seconds(t_rx);
                     if let Some(geom) =
-                        sample_at(&predictors[sat], when, spec.dts_frequency_mhz * 1e6)
+                        sample_at(predictor(sat), when, spec.dts_frequency_mhz * 1e6)
                     {
                         let mut heard = false;
                         #[allow(clippy::needless_range_loop)] // Index is a node id used in events.
@@ -677,7 +682,7 @@ impl ActiveCampaign {
                                     // Sample the uplink as received on orbit.
                                     let up_when = t0.plus_seconds(start);
                                     if let Some(up_geom) = sample_at(
-                                        &predictors[sat],
+                                        predictor(sat),
                                         up_when,
                                         spec.dts_frequency_mhz * 1e6,
                                     ) {
@@ -857,7 +862,7 @@ impl ActiveCampaign {
                 } => {
                     let when = t0.plus_seconds(t);
                     if let Some(geom) =
-                        sample_at(&predictors[sat], when, spec.dts_frequency_mhz * 1e6)
+                        sample_at(predictor(sat), when, spec.dts_frequency_mhz * 1e6)
                     {
                         let mut link = downlink;
                         link.clutter_scale = clutter(pass, node);

@@ -550,32 +550,24 @@ fn run_site(
         &mut weather_rng,
     );
 
-    // The predict phase's cached pass lists for every satellite. The
-    // simulate-phase predictors are grid-backed (sharing the predict
-    // phase's grid `Arc`s through [`sweep::grid_for`]): `sample_at`
-    // probes `t` and `t + 1 s`, and an instant outside the grid window
-    // falls back to direct SGP4 bit-identically, so the geometry loop is
-    // safe to interpolate.
-    let mut predictors: Vec<PassPredictor> = Vec::with_capacity(sats.len());
+    // The predict phase's cached pass lists for every satellite, and a
+    // grid-backed sampling predictor for each satellite with candidate
+    // passes (no other is sampled), sharing the predict phase's grid
+    // `Arc`s without consulting the cull again. `sample_at` probes `t`
+    // and `t + 1 s`; an instant outside the grid window falls back to
+    // direct SGP4 bit-identically, so the geometry loop is safe to
+    // interpolate.
+    let mut predictors: Vec<Option<PassPredictor>> = Vec::with_capacity(sats.len());
     let mut candidates: Vec<CandidatePass> = Vec::new();
     for (i, sat) in sats.iter().enumerate() {
         candidates.extend(lists[i].iter().map(|pass| CandidatePass {
             sat_index: i,
             pass: *pass,
         }));
-        let grid_key = GridKey::new(sat.constellation, sat.sat_id, start, end);
-        let predictor = sweep::predictor(
-            grid_key,
-            &sat.sgp4,
-            site.geodetic(),
-            calib::THEORETICAL_MASK_RAD,
-        );
-        // A culled satellite contributes no candidate passes, so its
-        // predictor slot is never sampled; a plain ungridded predictor
-        // keeps the index mapping intact.
-        predictors.push(predictor.unwrap_or_else(|| {
-            PassPredictor::new(
-                sat.sgp4.clone(),
+        predictors.push((!lists[i].is_empty()).then(|| {
+            sweep::gridded_predictor(
+                GridKey::new(sat.constellation, sat.sat_id, start, end),
+                &sat.sgp4,
                 site.geodetic(),
                 calib::THEORETICAL_MASK_RAD,
             )
@@ -626,7 +618,9 @@ fn run_site(
     for (pass_idx, pieces) in coverage_by_pass.iter().enumerate() {
         let cp = &candidates[pass_idx];
         let sat = &sats[cp.sat_index];
-        let predictor = &predictors[cp.sat_index];
+        let predictor = predictors[cp.sat_index]
+            .as_ref()
+            .expect("a satellite with passes has a sampling predictor");
         let mut pass_rng = rng.fork_indexed("pass", pass_idx as u64);
 
         if pieces.is_empty() {

@@ -26,9 +26,9 @@ pub use crate::sweep::PassKey;
 pub use crate::sweep_server::{
     CacheAttribution, ConstellationOutcome, JobRecord, SweepJob, SweepOutcome, SweepServer,
 };
-// The three mode enums stay in the prelude only because the benchmark
-// worker under `perfbench/` imports them from here; `EphemerisMode` and
-// `CullingMode` go with it when the benchmark is next rebased.
+// The three one-variant mode enums stay in the prelude only because the
+// benchmark worker under `perfbench/` imports them from here; they go
+// when the benchmark is next rebased.
 pub use satiot_orbit::cull::CullingMode;
 pub use satiot_orbit::ephemeris::EphemerisMode;
 pub use satiot_orbit::visibility::VisibilityMode;

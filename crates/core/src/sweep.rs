@@ -42,7 +42,7 @@ use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
 use satiot_orbit::time::JulianDate;
 use satiot_orbit::visibility::VisibilityMode;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -87,28 +87,6 @@ static CLOCK: AtomicU64 = AtomicU64::new(0);
 /// invariant `determinism_smoke` pins.
 static BUDGET_BYTES: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// Intern `s` into a process-lived string, so cache keys stay `Copy`
-/// (`&'static str` fields) without forcing *callers* with
-/// dynamically-named sites to leak one allocation per call: each
-/// distinct name is leaked exactly once, and every later interning of
-/// the same text returns the same pointer. The table only ever holds
-/// site/constellation names, so it is bounded by the catalog size.
-pub fn intern(s: &str) -> &'static str {
-    static TABLE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut table = TABLE
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .expect("intern table poisoned");
-    match table.get(s) {
-        Some(interned) => interned,
-        None => {
-            let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-            table.insert(leaked);
-            leaked
-        }
-    }
-}
-
 /// Identity of one cached pass list.
 ///
 /// Two predictions may share a list only when *everything* that feeds
@@ -135,19 +113,20 @@ pub struct PassKey {
 impl PassKey {
     /// Build a key from the predictor's natural inputs.
     ///
-    /// Names are interned (see [`intern`]), so callers may pass borrowed
-    /// or dynamically-built strings; the key itself stays `Copy`.
+    /// Names are `&'static str` so the key stays `Copy`: catalog
+    /// literals, or names a resolved scenario interned through
+    /// `satiot_scenarios::walker::intern_name`.
     pub fn new(
-        site: &str,
-        constellation: &str,
+        site: &'static str,
+        constellation: &'static str,
         sat_id: u32,
         start: JulianDate,
         end: JulianDate,
         mask_rad: f64,
     ) -> PassKey {
         PassKey {
-            site: intern(site),
-            constellation: intern(constellation),
+            site,
+            constellation,
             sat_id,
             start_bits: start.0.to_bits(),
             end_bits: end.0.to_bits(),
@@ -482,7 +461,7 @@ fn enforce_on(
 /// store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridKey {
-    /// Constellation label (interned).
+    /// Constellation label.
     pub constellation: &'static str,
     /// Satellite id within the constellation.
     pub sat_id: u32,
@@ -493,10 +472,16 @@ pub struct GridKey {
 }
 
 impl GridKey {
-    /// Build a key from the scan window's natural inputs.
-    pub fn new(constellation: &str, sat_id: u32, start: JulianDate, end: JulianDate) -> GridKey {
+    /// Build a key from the scan window's natural inputs (the name as
+    /// in [`PassKey::new`]).
+    pub fn new(
+        constellation: &'static str,
+        sat_id: u32,
+        start: JulianDate,
+        end: JulianDate,
+    ) -> GridKey {
         GridKey {
-            constellation: intern(constellation),
+            constellation,
             sat_id,
             start_bits: start.0.to_bits(),
             end_bits: end.0.to_bits(),
@@ -577,22 +562,18 @@ pub fn grid_stats() -> GridStats {
     }
 }
 
-/// Build the pass predictor every campaign driver uses for one
+/// Build the pass predictor every campaign predict phase uses for one
 /// `(satellite, site, window)` triple, the window being `key`'s range.
 ///
 /// The pair first runs the conservative spatial pre-cull (see
 /// [`satiot_orbit::cull`]): the latitude-band test needs no propagation
-/// at all, so it runs before the shared [`EphemerisGrid`] for the
-/// window is fetched from [`grid_for`] (built on first use); the
-/// footprint-cone test then scans only that grid's raw samples. A
-/// culled pair returns `None` — its pass list over the window is
-/// provably empty — and the always-on `orbit.cull.*` proof counters
-/// record every decision. A kept pair gets a predictor that
-/// interpolates the grid and runs the chunked margin sweep as its
-/// coarse scan.
-///
-/// Every predict phase and simulate phase builds its predictors here,
-/// so they share not just the algorithm but the very same grid `Arc`s.
+/// at all, so it runs before [`gridded_predictor`] fetches the shared
+/// [`EphemerisGrid`]; the footprint-cone test then scans only that
+/// grid's raw samples. A culled pair returns `None` — its pass list
+/// over the window is provably empty — and the always-on `orbit.cull.*`
+/// proof counters record every decision, once per call. A kept pair
+/// gets the gridded predictor, whose covering grid makes its coarse
+/// scan the chunked margin sweep.
 pub fn predictor(
     key: GridKey,
     sgp4: &Sgp4,
@@ -609,18 +590,34 @@ pub fn predictor(
         cull::record_lat_band_cull();
         return None;
     }
+    let predictor = gridded_predictor(key, sgp4, site, mask_rad);
+    let grid = predictor
+        .ephemeris()
+        .expect("a gridded predictor carries its grid");
     let (start, end) = key.range();
-    let grid = grid_for(key, || EphemerisGrid::build(sgp4, start, end));
-    if cull::cone_clears_grid(&grid, site, mask_rad, start, end) {
+    if cull::cone_clears_grid(grid, site, mask_rad, start, end) {
         cull::record_cone_cull();
         return None;
     }
     cull::record_kept();
-    Some(
-        PassPredictor::new(sgp4.clone(), site, mask_rad)
-            .with_ephemeris(grid)
-            .with_visibility(VisibilityMode::On),
-    )
+    Some(predictor)
+}
+
+/// The predictor for one `(satellite, site, window)` triple over the
+/// shared [`EphemerisGrid`] for `key` (from [`grid_for`], built on
+/// first use), without the cull. The simulate phases sample geometry
+/// through it, for the satellites whose cached pass lists are not
+/// empty, so they share the predict phase's grid `Arc`s without
+/// consulting the cull a second time.
+pub fn gridded_predictor(
+    key: GridKey,
+    sgp4: &Sgp4,
+    site: Geodetic,
+    mask_rad: f64,
+) -> PassPredictor {
+    let (start, end) = key.range();
+    let grid = grid_for(key, || EphemerisGrid::build(sgp4, start, end));
+    PassPredictor::new(sgp4.clone(), site, mask_rad).with_ephemeris(grid)
 }
 
 /// [`predictor`], spelled with the one-variant mode enums. It exists
@@ -629,14 +626,14 @@ pub fn predictor(
 #[doc(hidden)]
 pub fn predictor_with_mode(
     _ephemeris: EphemerisMode,
-    visibility: VisibilityMode,
+    _visibility: VisibilityMode,
     _culling: CullingMode,
     key: GridKey,
     sgp4: &Sgp4,
     site: Geodetic,
     mask_rad: f64,
 ) -> Option<PassPredictor> {
-    predictor(key, sgp4, site, mask_rad).map(|p| p.with_visibility(visibility))
+    predictor(key, sgp4, site, mask_rad)
 }
 
 #[cfg(test)]
@@ -687,19 +684,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert!(b.len() >= a.len(), "wider range lost passes");
-    }
-
-    #[test]
-    fn interning_is_idempotent_and_pointer_stable() {
-        let a = intern("TEST_INTERN_SITE");
-        let b = intern(&String::from("TEST_INTERN_SITE"));
-        assert_eq!(a, "TEST_INTERN_SITE");
-        assert!(std::ptr::eq(a, b), "same text interned to two pointers");
-        // Keys built from borrowed strings equal keys built from literals.
-        let owned = String::from("TEST_INTERN_SITE");
-        let k1 = PassKey::new(&owned, "T", 0, epoch(), epoch() + 1.0, 0.0);
-        let k2 = PassKey::new("TEST_INTERN_SITE", "T", 0, epoch(), epoch() + 1.0, 0.0);
-        assert_eq!(k1, k2);
     }
 
     #[test]

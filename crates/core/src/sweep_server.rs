@@ -14,7 +14,8 @@
 //!   *(constellation, window, mask)* reuse the first job's pass lists
 //!   and grids; only prediction-relevant differences recompute. The
 //!   per-job [`CacheAttribution`] deltas prove where the reuse happened
-//!   (`BENCH_sweep.json` pins the resulting throughput floor).
+//!   (the `sweep_server_amortisation` test pins it: warm jobs compute
+//!   nothing, and the server beats cold jobs on the clock).
 //! * **Bounded memory.** Jobs run under the aggregating sink — traces
 //!   stream into the PR-6 mergeable sketches ([`TraceAggregate`]'s
 //!   exact merge law), so sweep memory is O(jobs' summaries), never

@@ -28,9 +28,9 @@
 //! ## Margin math — why the cull is conservative
 //!
 //! The tests must never drop a pair with a real pass (the culled pass
-//! set is asserted *bit-identical* to the unculled one by
-//! `bench_report`'s culling matrix), so every approximation is padded
-//! in the direction that keeps pairs:
+//! set is asserted *bit-identical* to the unculled one on a mega-shell
+//! matrix by `satiot-core`'s `sweep_cull` test), so every approximation
+//! is padded in the direction that keeps pairs:
 //!
 //! * The cone half-angle is evaluated with *exact* geocentric radii,
 //!   `λ = acos(r_site/r_sat · cos ε̃) − ε̃`, with `r_sat` the maximum
@@ -64,11 +64,11 @@
 //! `orbit.cull.pairs_considered` / `pairs_culled` / `pairs_kept` are
 //! always-on plain atomics in the style of `orbit.sgp4.propagations`
 //! (they count even with `SATIOT_METRICS` off, because the determinism
-//! smoke and `bench_report` assert on them), mirrored into the obs
-//! metrics registry under the same names. `considered = culled + kept`
-//! always holds; `pairs_kept` is exactly the number of pairs that went
-//! on to grid interpolation, which is the quantity the committed
-//! `BENCH_culling.json` proves shrinks ≥ 5× at mega-scale.
+//! smoke and the `sweep_cull` test assert on them), mirrored into the
+//! obs metrics registry under the same names. `considered = culled +
+//! kept` always holds; `pairs_kept` is exactly the number of pairs that
+//! went on to grid interpolation, which the `sweep_cull` test proves
+//! shrinks ≥ 5× on a mega-shell matrix.
 
 use crate::ephemeris::EphemerisGrid;
 use crate::frames::Geodetic;

@@ -80,7 +80,6 @@ pub use sgp4::{Sgp4, StateTeme};
 pub use time::JulianDate;
 pub use tle::Tle;
 pub use vec3::Vec3;
-pub use visibility::VisibilityMode;
 
 /// Speed of light in km/s, used for Doppler computations.
 pub const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;

@@ -9,9 +9,10 @@
 //! Every elevation/look-angle query flows through one pluggable sampling
 //! backend: direct SGP4 propagation (the default), or a shared
 //! [`EphemerisGrid`] attached with [`PassPredictor::with_ephemeris`] —
-//! in which case the coarse scan, the crossing bisections, and the
-//! culmination search all interpolate instead of propagating, and
-//! multiple observers amortise one trajectory.
+//! in which case the crossing bisections and the culmination search
+//! interpolate instead of propagating, multiple observers amortise one
+//! trajectory, and a grid covering the whole scan window replaces the
+//! adaptive coarse scan with the margin sweep of [`visibility`].
 
 use crate::ephemeris::EphemerisGrid;
 use crate::error::OrbitError;
@@ -19,7 +20,7 @@ use crate::frames::{teme_to_ecef, Geodetic, StateEcef};
 use crate::sgp4::Sgp4;
 use crate::time::JulianDate;
 use crate::topo::Observer;
-use crate::visibility::{self, SweepEventKind, SweepOutcome, VisibilityMode};
+use crate::visibility::{self, SweepEventKind, SweepOutcome};
 use satiot_obs::metrics::Counter;
 use std::sync::Arc;
 
@@ -110,13 +111,13 @@ pub struct PassPredictor {
     observer: Observer,
     /// Elevation mask, radians.
     pub min_elevation_rad: f64,
-    /// Coarse scan step, seconds. 30 s cannot skip over a LEO pass above
-    /// a ≤ 10° mask; lower it for very high masks.
+    /// Smallest step of the adaptive coarse scan, seconds (default 30).
+    /// The scan can skip a pass only if the pass is shorter than this
+    /// step; lower it to catch shorter grazing passes. The margin sweep
+    /// that replaces the scan over a covering grid does not read it.
     pub coarse_step_s: f64,
     /// Optional shared ephemeris backend (see [`Self::with_ephemeris`]).
     ephemeris: Option<Arc<EphemerisGrid>>,
-    /// How the coarse scan runs (see [`Self::with_visibility`]).
-    visibility: VisibilityMode,
 }
 
 impl PassPredictor {
@@ -131,7 +132,6 @@ impl PassPredictor {
             min_elevation_rad,
             coarse_step_s: 30.0,
             ephemeris: None,
-            visibility: VisibilityMode::Off,
         }
     }
 
@@ -139,7 +139,11 @@ impl PassPredictor {
     /// covers are Hermite-interpolated (no SGP4, no GMST, no frame
     /// rotation); queries outside it fall back to direct propagation,
     /// so attaching a grid never changes *which* instants are
-    /// answerable — only how cheaply.
+    /// answerable — only how cheaply. A scan whose window the grid
+    /// covers, under a mask inside `(−π/2, π/2)`, brackets crossings
+    /// with the chunked margin sweep (see the [`visibility`] module
+    /// docs) instead of the adaptive scan; any other scan (a partial
+    /// grid, an extreme mask) keeps the adaptive scan.
     pub fn with_ephemeris(mut self, grid: Arc<EphemerisGrid>) -> Self {
         self.ephemeris = Some(grid);
         self
@@ -148,26 +152,6 @@ impl PassPredictor {
     /// The attached ephemeris backend, if any.
     pub fn ephemeris(&self) -> Option<&Arc<EphemerisGrid>> {
         self.ephemeris.as_ref()
-    }
-
-    /// Choose how the coarse scan runs. [`VisibilityMode::On`]
-    /// replaces the adaptive elevation scan with the chunked margin
-    /// sweep over the attached ephemeris grid's columns (see the
-    /// [`visibility`] module docs); it takes effect only when a grid is
-    /// attached *and* covers the scan window *and* the mask sits inside
-    /// `(−π/2, π/2)` — the scan falls back to the legacy loop
-    /// otherwise, so enabling the sweep never changes which windows are
-    /// answerable. Raw constructors default to [`VisibilityMode::Off`]
-    /// (the legacy scan); the campaign predictors built by
-    /// `satiot_core::sweep` turn the sweep on.
-    pub fn with_visibility(mut self, mode: VisibilityMode) -> Self {
-        self.visibility = mode;
-        self
-    }
-
-    /// The configured scan mode.
-    pub fn visibility(&self) -> VisibilityMode {
-        self.visibility
     }
 
     /// The satellite's ECEF state at `t` through the sampling backend:
@@ -257,12 +241,15 @@ impl PassPredictor {
     /// A pass already in progress at `start` is reported with `aos = start`;
     /// one still in progress at `end` is truncated at `end`.
     ///
-    /// The coarse scan is *adaptive*: while the satellite sits far below
-    /// the horizon the step grows with angular distance (a LEO satellite's
-    /// elevation rate as seen from the ground never exceeds ~0.25°/s near
-    /// the horizon, so a satellite at −E° needs at least `E/0.25` seconds
-    /// to reach it — stepping a quarter of that with a 600 s cap cannot
-    /// skip a pass). Multi-month campaign scans become ~6× cheaper.
+    /// Over an attached grid that covers the window, crossings are
+    /// bracketed by the margin sweep, which misses no pass (see the
+    /// [`visibility`] module docs). Otherwise the coarse scan is
+    /// *adaptive*: while the satellite sits far below the mask the step
+    /// grows with the elevation deficit (a LEO satellite at −E° needs at
+    /// least `4E` seconds to reach the horizon, so a `2E` s step cannot
+    /// overshoot it; 600 s cap), which makes multi-month scans ~6×
+    /// cheaper. Near the mask it steps [`Self::coarse_step_s`], so it
+    /// can skip a pass shorter than that step, but none longer.
     ///
     /// Non-finite bounds or masks degrade to an empty pass list (and a
     /// bump of the `orbit.pass.non_finite_scans` metric); callers that
@@ -296,23 +283,16 @@ impl PassPredictor {
         if end <= start {
             return result;
         }
-        // Margin sweep first, when configured and applicable. The mask
-        // gate keeps the margin ⟺ elevation equivalence valid (asin is
-        // only monotone on (−π/2, π/2)); `sweep_one` itself answers
-        // `None` when the grid is absent or does not cover the window,
-        // in which case the legacy scan below takes over.
-        if self.visibility != VisibilityMode::Off
-            && self.min_elevation_rad.abs() < core::f64::consts::FRAC_PI_2
-        {
+        // Margin sweep first, when a grid is attached. The mask gate
+        // keeps the margin ⟺ elevation equivalence valid (asin is only
+        // monotone on (−π/2, π/2)); `sweep_one` itself answers `None`
+        // when the grid does not cover the window, in which case the
+        // adaptive scan below takes over.
+        if self.min_elevation_rad.abs() < core::f64::consts::FRAC_PI_2 {
             if let Some(grid) = &self.ephemeris {
-                if let Some(sweep) = visibility::sweep_one(
-                    grid,
-                    &self.observer,
-                    self.min_elevation_rad,
-                    start,
-                    end,
-                    self.visibility,
-                ) {
+                if let Some(sweep) =
+                    visibility::sweep_one(grid, &self.observer, self.min_elevation_rad, start, end)
+                {
                     return self.refine_sweep(&sweep, start, end);
                 }
             }
@@ -358,9 +338,9 @@ impl PassPredictor {
 
     /// Turn a margin sweep's sparse event list into refined passes,
     /// through the same bisection ([`Self::refine_crossing`]) and
-    /// golden-section ([`Self::finish_pass`]) machinery as the legacy
-    /// scan — only the *bracketing* changed, from adaptive elevation
-    /// probes to grid-column sign changes.
+    /// golden-section ([`Self::finish_pass`]) machinery as the adaptive
+    /// scan — only the *bracketing* differs: grid-column sign changes
+    /// instead of adaptive elevation probes.
     fn refine_sweep(&self, sweep: &SweepOutcome, start: JulianDate, end: JulianDate) -> Vec<Pass> {
         let mut result = Vec::new();
         let mut aos: Option<JulianDate> = sweep.above_at_start.then_some(start);
@@ -454,8 +434,13 @@ impl PassPredictor {
     /// horizon at v/d ≈ 7.6 km/s / 2 300 km). Climbing a deficit of `E`
     /// degrees therefore takes at least `4E` seconds; stepping `2E`
     /// seconds can consume at most half the deficit, so the satellite is
-    /// still below the mask at the next sample and no crossing is skipped.
-    /// The step never drops below `coarse_step_s` and never exceeds the
+    /// still below the mask at the next sample. The floor is the
+    /// weak point: less than `coarse_step_s / 2` degrees below the mask
+    /// (or above it) the scan steps `coarse_step_s` regardless, and a
+    /// pass that rises and sets again inside one such step is missed.
+    /// So the guarantee is that no pass longer than `coarse_step_s` is
+    /// skipped; grazing passes shorter than that can be (the margin
+    /// sweep over a grid has no such floor). The step never exceeds the
     /// 600 s safety cap — even when a caller raises the public
     /// `coarse_step_s` above the cap (`f64::clamp` would panic on an
     /// inverted `min > max` range there).
@@ -773,36 +758,49 @@ mod tests {
         }
     }
 
-    /// A grid-backed predictor must reproduce direct prediction within
-    /// the documented ephemeris contract: same pass count, boundaries
-    /// within the refinement tolerance, elevation within 0.01°.
+    /// A grid-backed predictor, whose covering grid makes it bracket
+    /// crossings with the margin sweep, must reproduce direct prediction
+    /// within the documented ephemeris contract: same pass count,
+    /// boundaries within the refinement tolerance, elevation within
+    /// 0.01°. The direct reference scans with a 1 s floor, so it skips
+    /// no pass the sweep can report (`finish_pass` drops shorter ones).
     #[test]
     fn grid_backend_matches_direct_within_contract() {
         use crate::ephemeris::EphemerisGrid;
-        let sgp4 = leo_sgp4(550.0, 97.6);
         let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
-        let end = start + 1.0;
-        let direct = PassPredictor::new(sgp4.clone(), hk(), 5.0_f64.to_radians());
-        let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
-        let gridded = PassPredictor::new(sgp4, hk(), 5.0_f64.to_radians()).with_ephemeris(grid);
-        let a = direct.passes(start, end);
-        let b = gridded.passes(start, end);
-        assert_eq!(a.len(), b.len(), "pass counts diverged");
-        for (x, y) in a.iter().zip(&b) {
-            assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
-            assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
-            let dmax = (y.max_elevation_rad - x.max_elevation_rad)
-                .to_degrees()
-                .abs();
-            assert!(dmax < 0.01, "max elevation drifted {dmax}°");
-        }
-        // Pointwise elevations agree within the contract too.
-        for k in 0..100 {
-            let t = start.plus_seconds(864.0 * k as f64);
-            let d = (gridded.elevation_at(t) - direct.elevation_at(t))
-                .to_degrees()
-                .abs();
-            assert!(d < 0.01, "elevation drifted {d}° at sample {k}");
+        let end = start + 2.0;
+        for (alt, incl, mask_deg) in [
+            (550.0, 97.6, 0.0),
+            (550.0, 97.6, 5.0),
+            (550.0, 97.6, 10.0),
+            (700.0, 55.0, 5.0),
+        ] {
+            let sgp4 = leo_sgp4(alt, incl);
+            let mask = f64::to_radians(mask_deg);
+            let mut direct = PassPredictor::new(sgp4.clone(), hk(), mask);
+            direct.coarse_step_s = 1.0;
+            let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
+            let gridded = PassPredictor::new(sgp4, hk(), mask).with_ephemeris(grid);
+            let a = direct.passes(start, end);
+            let b = gridded.passes(start, end);
+            assert_eq!(a.len(), b.len(), "pass counts diverged at mask {mask_deg}°");
+            assert!(!a.is_empty(), "test geometry has no passes");
+            for (x, y) in a.iter().zip(&b) {
+                assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
+                assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
+                let dmax = (y.max_elevation_rad - x.max_elevation_rad)
+                    .to_degrees()
+                    .abs();
+                assert!(dmax < 0.01, "max elevation drifted {dmax}°");
+            }
+            // Pointwise elevations agree within the contract too.
+            for k in 0..100 {
+                let t = start.plus_seconds(1728.0 * k as f64);
+                let d = (gridded.elevation_at(t) - direct.elevation_at(t))
+                    .to_degrees()
+                    .abs();
+                assert!(d < 0.01, "elevation drifted {d}° at sample {k}");
+            }
         }
     }
 
@@ -822,70 +820,29 @@ mod tests {
         assert_eq!(a, b, "fallback must be bit-identical to direct");
     }
 
-    /// The margin sweep must find the same passes as the legacy scan
-    /// over the same grid, to refinement tolerance: equal counts,
-    /// boundaries within the bisection bracket, elevations within the
-    /// grid contract.
-    #[test]
-    fn sweep_scan_matches_legacy_scan_within_tolerance() {
-        use crate::ephemeris::EphemerisGrid;
-        use crate::visibility::VisibilityMode;
-        let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
-        let end = start + 2.0;
-        for (alt, incl, mask_deg) in [(550.0, 97.6, 0.0), (550.0, 97.6, 10.0), (700.0, 55.0, 5.0)] {
-            let sgp4 = leo_sgp4(alt, incl);
-            let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
-            let mask = f64::to_radians(mask_deg);
-            let legacy = PassPredictor::new(sgp4.clone(), hk(), mask)
-                .with_ephemeris(Arc::clone(&grid))
-                .with_visibility(VisibilityMode::Off);
-            let swept = PassPredictor::new(sgp4, hk(), mask)
-                .with_ephemeris(grid)
-                .with_visibility(VisibilityMode::On);
-            let a = legacy.passes(start, end);
-            let b = swept.passes(start, end);
-            assert_eq!(a.len(), b.len(), "pass counts diverged at mask {mask_deg}");
-            assert!(!a.is_empty(), "test geometry has no passes");
-            for (x, y) in a.iter().zip(&b) {
-                assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
-                assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
-                let dmax = (y.max_elevation_rad - x.max_elevation_rad)
-                    .to_degrees()
-                    .abs();
-                assert!(dmax < 0.01, "max elevation drifted {dmax}°");
-            }
-        }
-    }
-
     /// A mask raised to just under a pass's culmination shrinks the
     /// contact to less than one grid step; the candidate windows must
     /// still surface it instead of stepping over it.
     #[test]
     fn sweep_finds_passes_shorter_than_one_grid_step() {
         use crate::ephemeris::EphemerisGrid;
-        use crate::visibility::VisibilityMode;
         let sgp4 = leo_sgp4(550.0, 97.6);
         let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
         let end = start + 1.0;
         let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
         // Find the day's best culmination with an open mask…
-        let open = PassPredictor::new(sgp4.clone(), hk(), 0.0)
-            .with_ephemeris(Arc::clone(&grid))
-            .with_visibility(VisibilityMode::On);
+        let open = PassPredictor::new(sgp4.clone(), hk(), 0.0).with_ephemeris(Arc::clone(&grid));
         let best = open
             .passes(start, end)
             .iter()
             .map(|p| p.max_elevation_rad)
             .fold(f64::MIN, f64::max);
         // …then mask 0.15° below it: the surviving contact lasts well
-        // under the 60 s grid step. (The legacy adaptive scan's
-        // no-skip guarantee only covers masks ≤ 10°, and it can
-        // genuinely step over this contact — the sweep's candidate
-        // windows must not.)
+        // under the 60 s grid step. (The adaptive scan skips no pass
+        // longer than its 30 s floor, and can genuinely step over this
+        // contact — the sweep's candidate windows must not.)
         let mask = best - 0.15_f64.to_radians();
-        let swept = PassPredictor::new(sgp4, hk(), mask)
-            .with_ephemeris(grid)
-            .with_visibility(VisibilityMode::On);
+        let swept = PassPredictor::new(sgp4, hk(), mask).with_ephemeris(grid);
         let passes = swept.passes(start, end);
         assert!(!passes.is_empty(), "short pass missed by the sweep");
         for pass in &passes {
@@ -898,38 +855,29 @@ mod tests {
         }
     }
 
-    /// Without a grid (or with a mask outside (−π/2, π/2)) the sweep
-    /// modes must fall back to the legacy scan, bit-identically.
+    /// A grid that covers only part of the window, or a mask outside
+    /// (−π/2, π/2), keeps the adaptive scan: covered instants still
+    /// interpolate, and the passes agree with direct prediction.
     #[test]
-    fn sweep_without_grid_falls_back_to_legacy_scan() {
+    fn partial_grids_and_extreme_masks_keep_the_adaptive_scan() {
         use crate::ephemeris::EphemerisGrid;
-        use crate::visibility::VisibilityMode;
         let sgp4 = leo_sgp4(550.0, 97.6);
         let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
         let end = start + 1.0;
-        let legacy = PassPredictor::new(sgp4.clone(), hk(), 0.0);
-        let gridless =
-            PassPredictor::new(sgp4.clone(), hk(), 0.0).with_visibility(VisibilityMode::On);
-        let a = legacy.passes(start, end);
-        let b = gridless.passes(start, end);
-        assert_eq!(a, b, "no grid ⇒ sweep must defer to the legacy scan");
-        // A grid that covers only half the window also defers — to the
-        // legacy scan *over that same grid* (covered instants still
-        // interpolate; the sweep itself refuses the partial window).
+        let direct = PassPredictor::new(sgp4.clone(), hk(), 0.0).passes(start, end);
         let half = Arc::new(EphemerisGrid::build(&sgp4, start, start + 0.5));
-        let partial_off = PassPredictor::new(sgp4.clone(), hk(), 0.0)
-            .with_ephemeris(Arc::clone(&half))
-            .with_visibility(VisibilityMode::Off);
-        let partial_on = PassPredictor::new(sgp4.clone(), hk(), 0.0)
+        let partial = PassPredictor::new(sgp4.clone(), hk(), 0.0)
             .with_ephemeris(half)
-            .with_visibility(VisibilityMode::On);
-        assert_eq!(
-            partial_off.passes(start, end),
-            partial_on.passes(start, end)
-        );
-        // An always-above mask below −π/2 defers too (and stays one
-        // whole-window pass under both paths).
-        let wide_open = PassPredictor::new(sgp4, hk(), -2.0).with_visibility(VisibilityMode::On);
+            .passes(start, end);
+        assert_eq!(direct.len(), partial.len());
+        for (x, y) in direct.iter().zip(&partial) {
+            assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
+            assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
+        }
+        // An always-above mask below −π/2, over a covering grid, stays
+        // one whole-window pass.
+        let full = Arc::new(EphemerisGrid::build(&sgp4, start, end));
+        let wide_open = PassPredictor::new(sgp4, hk(), -2.0).with_ephemeris(full);
         let passes = wide_open.passes(start, end);
         assert_eq!(passes.len(), 1);
         assert!((passes[0].aos.0 - start.0).abs() < 1e-12);

@@ -1,7 +1,7 @@
 //! Vectorised visibility kernels: margin sweeps over ephemeris-grid
 //! columns for every observer of one satellite.
 //!
-//! The legacy coarse scan in [`pass`](crate::pass) walks time
+//! The adaptive coarse scan in [`pass`](crate::pass) walks time
 //! per-(site, sat) pair, calling the full look-angle projection
 //! (`asin`, `atan2`, range rate) at every probe — the per-timestep
 //! scalar anti-pattern. This module replaces the *coarse-scan phase*
@@ -45,7 +45,7 @@
 //! interval whose endpoints are both below the mask but whose margin
 //! may peek above it in the interior is reported as a
 //! [`SweepEventKind::Candidate`] window. The bracketing argument
-//! matches the legacy scan's: LEO passes over one site are ≥ 45 min
+//! matches the adaptive scan's: LEO passes over one site are ≥ 45 min
 //! apart, so one ≤ 180 s lattice interval contains at most one
 //! crossing (two crossings inside one interval — a whole pass — is
 //! exactly the candidate case).
@@ -78,8 +78,8 @@
 //! on `x86_64`) maps each IEEE-754 operation onto per-lane SIMD
 //! equivalents with identical rounding, and no reassociation or FMA
 //! contraction is enabled. Identical margins ⟹ identical sign changes
-//! ⟹ identical event lists ⟹ bit-identical refined passes.
-//! [`VisibilityMode::Off`] keeps the legacy adaptive scan, which
+//! ⟹ identical event lists ⟹ bit-identical refined passes. The
+//! adaptive scan (no grid, or a grid that does not cover the window)
 //! refines from *different* (coarser) brackets and is therefore
 //! equivalent only to refinement tolerance, not to the bit.
 
@@ -112,15 +112,16 @@ pub const CHUNK: usize = 64;
 /// the interval holds no pass.
 pub const CANDIDATE_GUARD_KM: f64 = 0.2;
 
-/// How pass prediction scans for horizon crossings (see the module
-/// docs).
+/// How pass prediction scans for horizon crossings over a covering
+/// grid: always the margin sweep.
+///
+/// One variant only. It exists because the benchmark worker under
+/// `perfbench/` still names it when calling [`VisibilitySweep::run`]
+/// and `satiot_core::sweep::predictor_with_mode`; it goes when the
+/// benchmark is next rebased.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VisibilityMode {
-    /// The legacy adaptive elevation scan (the default of a raw
-    /// [`PassPredictor`](crate::pass::PassPredictor)).
-    Off,
-    /// Margin sweep in [`CHUNK`]-wide vector kernels (what every
-    /// campaign predictor runs).
+    /// Margin sweep in [`CHUNK`]-wide vector kernels.
     On,
 }
 
@@ -353,7 +354,7 @@ impl Detector {
     #[inline]
     fn feed(&mut self, t: JulianDate, m: f64, dm: f64) {
         self.points += 1;
-        let above = m > 0.0; // NaN margins read as "below", like the legacy scan.
+        let above = m > 0.0; // NaN margins read as "below", like the adaptive scan.
         if !self.started {
             self.started = true;
             self.above_at_start = above;
@@ -460,7 +461,7 @@ impl VisibilitySweep {
 
     /// Hoist one observer's loop invariants into the arena. `mask_rad`
     /// must lie inside `(−π/2, π/2)` for the margin ⟺ elevation
-    /// equivalence to hold (callers outside that range use the legacy
+    /// equivalence to hold (callers outside that range use the adaptive
     /// scan).
     pub fn push(&mut self, observer: &Observer, mask_rad: f64) {
         let site = observer.position_ecef();
@@ -499,21 +500,17 @@ impl VisibilitySweep {
     /// Sweep `grid`'s columns across `[start, end]` for every observer
     /// in the arena.
     ///
-    /// Answers `None` — callers fall back to the legacy scan — when
-    /// the mode is [`VisibilityMode::Off`], the arena is empty, the
-    /// window is degenerate, or the grid does not cover the whole
-    /// window.
+    /// Answers `None` — callers fall back to the adaptive scan — when
+    /// the arena is empty, the window is degenerate, or the grid does
+    /// not cover the whole window.
     pub fn run(
         &self,
         grid: &EphemerisGrid,
         start: JulianDate,
         end: JulianDate,
-        mode: VisibilityMode,
+        _mode: VisibilityMode,
     ) -> Option<Vec<SweepOutcome>> {
-        match mode {
-            VisibilityMode::On => self.sweep(grid, start, end, Self::sweep_chunked),
-            VisibilityMode::Off => None,
-        }
+        self.sweep(grid, start, end, Self::sweep_chunked)
     }
 
     /// [`Self::run`] through the element-at-a-time oracle kernel.
@@ -555,7 +552,7 @@ impl VisibilitySweep {
         // Lattice columns strictly inside (start, end); the exact
         // boundaries are fed as interpolated pseudo-columns so a pass
         // in progress at `start` (or truncated at `end`) is seen the
-        // same way the legacy scan sees it.
+        // same way the adaptive scan sees it.
         let k_first = x_start.floor() as usize + 1;
         let k_last = (x_end.ceil() as usize).saturating_sub(1).min(n - 1);
 
@@ -701,11 +698,10 @@ pub fn sweep_one(
     mask_rad: f64,
     start: JulianDate,
     end: JulianDate,
-    mode: VisibilityMode,
 ) -> Option<SweepOutcome> {
     let mut sweep = VisibilitySweep::new();
     sweep.push(observer, mask_rad);
-    let mut outcomes = sweep.run(grid, start, end, mode)?;
+    let mut outcomes = sweep.run(grid, start, end, VisibilityMode::On)?;
     outcomes.pop()
 }
 
@@ -838,7 +834,7 @@ mod tests {
         let grid = EphemerisGrid::build(&sgp4, start, end);
         let obs = hk();
         let mask = 5.0_f64.to_radians();
-        let outcome = sweep_one(&grid, &obs, mask, start, end, VisibilityMode::On).unwrap();
+        let outcome = sweep_one(&grid, &obs, mask, start, end).unwrap();
 
         let el = |t: JulianDate| {
             let s = grid.state_at(t).unwrap();
@@ -882,39 +878,13 @@ mod tests {
         let grid = EphemerisGrid::build(&sgp4, epoch(), epoch() + 0.5);
         let obs = hk();
         // Window extends past the grid.
-        assert!(sweep_one(&grid, &obs, 0.0, epoch(), epoch() + 5.0, VisibilityMode::On).is_none());
+        assert!(sweep_one(&grid, &obs, 0.0, epoch(), epoch() + 5.0).is_none());
         // Degenerate / reversed windows.
-        assert!(sweep_one(&grid, &obs, 0.0, epoch(), epoch(), VisibilityMode::On).is_none());
-        assert!(sweep_one(
-            &grid,
-            &obs,
-            0.0,
-            epoch() + 0.4,
-            epoch() + 0.1,
-            VisibilityMode::On
-        )
-        .is_none());
-        // Off mode always defers to the legacy scan.
-        assert!(sweep_one(
-            &grid,
-            &obs,
-            0.0,
-            epoch(),
-            epoch() + 0.4,
-            VisibilityMode::Off
-        )
-        .is_none());
+        assert!(sweep_one(&grid, &obs, 0.0, epoch(), epoch()).is_none());
+        assert!(sweep_one(&grid, &obs, 0.0, epoch() + 0.4, epoch() + 0.1).is_none());
         // Empty grid.
         let empty = EphemerisGrid::build(&sgp4, epoch(), epoch());
-        assert!(sweep_one(
-            &empty,
-            &obs,
-            0.0,
-            epoch(),
-            epoch() + 0.4,
-            VisibilityMode::On
-        )
-        .is_none());
+        assert!(sweep_one(&empty, &obs, 0.0, epoch(), epoch() + 0.4).is_none());
     }
 
     #[test]
@@ -948,7 +918,7 @@ mod tests {
         // Failed-propagation samples store NaN state; the margin
         // arithmetic must propagate it and the detector must read NaN
         // margins as "below" (no spurious events, not above at start),
-        // matching how the legacy scan reports unanswerable instants.
+        // matching how the adaptive scan reports unanswerable instants.
         let p = ObsParams {
             sx: 0.0,
             sy: 0.0,
