@@ -1,10 +1,12 @@
 //! Design-choice ablations (A1–A7) and extensions (E1–E4): the appendix
-//! to the paper sections in [`crate::reports`].
+//! to the paper sections in [`crate::reports`]. The workload extensions
+//! E5–E7 live in [`crate::extensions`].
 //!
 //! Each function is an [`crate::experiments`] renderer: it runs the
-//! campaigns its study needs at the registry's scale and returns the
-//! rendered tables and closing remarks. `ablations_all` renders them in
-//! registry order; `reproduce_all <id>` renders any one of them.
+//! campaigns its study needs with the registry's options and returns
+//! the rendered tables and closing remarks. `ablations_all` renders
+//! them in registry order; `reproduce_all <id>` renders any one of
+//! them.
 
 use crate::experiments::Campaigns;
 use crate::runners;
@@ -41,9 +43,7 @@ use std::fmt::Write as _;
 /// re-predicting them. The per-job cache attribution printed at the end
 /// proves it.
 pub fn scheduler(campaigns: &Campaigns) -> String {
-    let scale = campaigns.scale();
-    let opts = RunOptions::from_env().with_scale(scale).apply();
-    let days = scale.passive_days().min(14.0);
+    let days = campaigns.scale().passive_days().min(14.0);
     // One representative site keeps the ablation fast; the seed is the
     // campaign default.
     let seed = PassiveConfig::default().seed;
@@ -66,7 +66,7 @@ pub fn scheduler(campaigns: &Campaigns) -> String {
             .with_sites(["HK"])
     })
     .collect();
-    let outcome = SweepServer::new(opts)
+    let outcome = SweepServer::new(*campaigns.options())
         .run(&jobs)
         .expect("scheduler ablation sweep runs");
 
@@ -111,7 +111,7 @@ pub fn scheduler(campaigns: &Campaigns) -> String {
 
 /// Ablation A2: retransmission cap sweep — reliability vs. energy.
 pub fn retx(campaigns: &Campaigns) -> String {
-    let scale = campaigns.scale();
+    let opts = campaigns.options();
     let mut t = Table::new(
         "Ablation A2: retransmission cap vs reliability and energy",
         &[
@@ -123,7 +123,7 @@ pub fn retx(campaigns: &Campaigns) -> String {
         ],
     );
     for max_attempts in [1u32, 2, 4, 6, 8] {
-        let r = runners::run_active_with(scale, |c| c.max_attempts = max_attempts);
+        let r = runners::run_active_with(opts, |c| c.max_attempts = max_attempts);
         t.row(&[
             max_attempts.to_string(),
             pct(r.reliability()),
@@ -140,13 +140,13 @@ pub fn retx(campaigns: &Campaigns) -> String {
 /// Ablation A3: node store-and-forward buffer sizing vs. data loss (the
 /// paper's §3.1 buffer-sizing guidance, quantified).
 pub fn buffer(campaigns: &Campaigns) -> String {
-    let scale = campaigns.scale();
+    let opts = campaigns.options();
     let mut t = Table::new(
         "Ablation A3: node buffer capacity vs loss",
         &["Buffer (packets)", "reliability", "buffer drop ratio"],
     );
     for capacity in [2usize, 4, 8, 16, 64] {
-        let r = runners::run_active_with(scale, |c| c.buffer_capacity = capacity);
+        let r = runners::run_active_with(opts, |c| c.buffer_capacity = capacity);
         let drops = r.node_drop_ratio.iter().sum::<f64>() / r.node_drop_ratio.len() as f64;
         t.row(&[capacity.to_string(), pct(r.reliability()), pct(drops)]);
     }
@@ -159,9 +159,7 @@ pub fn buffer(campaigns: &Campaigns) -> String {
 /// detection — how beacon cadence shapes what a passive observer can
 /// measure.
 pub fn beacon(campaigns: &Campaigns) -> String {
-    let scale = campaigns.scale();
-    let opts = RunOptions::from_env().with_scale(scale).apply();
-    let days = scale.passive_days().min(10.0);
+    let days = campaigns.scale().passive_days().min(10.0);
     let mut t = Table::new(
         "Ablation A4: Tianqi beacon interval vs measured windows",
         &[
@@ -182,7 +180,7 @@ pub fn beacon(campaigns: &Campaigns) -> String {
             c.beacon_interval_s = interval;
         }
         let results = PassiveCampaign::new(cfg)
-            .run(&opts)
+            .run(campaigns.options())
             .expect("beacon ablation config is valid");
         let stats = results.contact_stats_covered("Tianqi", &[]);
         t.row(&[
@@ -205,7 +203,7 @@ pub fn beacon(campaigns: &Campaigns) -> String {
 /// much other customer traffic shares the downlink — and shows delivery
 /// latency collapsing from "next pass" to "hours of backlog".
 pub fn downlink(campaigns: &Campaigns) -> String {
-    let scale = campaigns.scale();
+    let opts = campaigns.options();
     let mut t = Table::new(
         "Ablation A5: downlink service time vs delivery latency",
         &[
@@ -217,7 +215,7 @@ pub fn downlink(campaigns: &Campaigns) -> String {
         ],
     );
     for service in [0.1f64, 30.0, 120.0, 300.0, 600.0] {
-        let r = runners::run_active_with(scale, |c| c.downlink_service_s = service);
+        let r = runners::run_active_with(opts, |c| c.downlink_service_s = service);
         let b = LatencyBreakdown::compute(&r.timelines);
         t.row(&[
             num(service, 1),
@@ -241,7 +239,7 @@ pub fn downlink(campaigns: &Campaigns) -> String {
 /// and how many retransmissions does Doppler actually cost, and does
 /// compensation let higher (more sensitive) spreading factors pay off?
 pub fn doppler(campaigns: &Campaigns) -> String {
-    let scale = campaigns.scale();
+    let opts = campaigns.options();
     let mut t = Table::new(
         "Ablation A6: Doppler pre-compensation on the DtS link",
         &[
@@ -256,7 +254,7 @@ pub fn doppler(campaigns: &Campaigns) -> String {
         ("uncompensated (paper)", false),
         ("TLE pre-compensated", true),
     ] {
-        let r = runners::run_active_with(scale, |c| c.doppler_compensation = comp);
+        let r = runners::run_active_with(opts, |c| c.doppler_compensation = comp);
         let b = LatencyBreakdown::compute(&r.timelines);
         let up = if r.counters.uplinks_tx == 0 {
             0.0
@@ -409,7 +407,7 @@ pub fn solar(campaigns: &Campaigns) -> String {
 /// grow; this extension quantifies what deterministic slot ownership
 /// buys at increasing node density on one farm.
 pub fn mac(campaigns: &Campaigns) -> String {
-    let scale = campaigns.scale();
+    let opts = campaigns.options();
     let mut t = Table::new(
         "Extension E2: uplink MAC policy vs collisions",
         &[
@@ -423,7 +421,7 @@ pub fn mac(campaigns: &Campaigns) -> String {
     );
     for nodes in [3u32, 10, 24] {
         for (label, mac) in [("random", MacPolicy::RandomSlot), ("TDMA", MacPolicy::Tdma)] {
-            let r = runners::run_active_with(scale, |c| {
+            let r = runners::run_active_with(opts, |c| {
                 c.nodes = nodes;
                 c.mac = mac;
             });
@@ -465,8 +463,7 @@ pub fn mac(campaigns: &Campaigns) -> String {
 /// resumable — measures each constellation's delivery ratio, and the
 /// satellite cost per delivered kilobyte inflates by its inverse.
 /// Unreliable links are a cost axis, not just a coverage one.
-pub fn cost(_: &Campaigns) -> String {
-    let opts = RunOptions::from_env().apply();
+pub fn cost(campaigns: &Campaigns) -> String {
     let sat_pricing = SatellitePricing::default();
     let terr_pricing = TerrestrialPricing::default();
 
@@ -516,7 +513,7 @@ pub fn cost(_: &Campaigns) -> String {
                 .with_sites(["HK"])
         })
         .collect();
-    let outcome = SweepServer::new(opts)
+    let outcome = SweepServer::new(*campaigns.options())
         .run(&jobs)
         .expect("delivery-ratio sweep runs");
 
@@ -593,7 +590,7 @@ pub fn cost(_: &Campaigns) -> String {
 /// mains-powered lab hardware: with realistic uptime, a single gateway
 /// forfeits the terrestrial architecture's headline ~100 % reliability.
 pub fn gateways(campaigns: &Campaigns) -> String {
-    let scale = campaigns.scale();
+    let opts = campaigns.options();
     let mut t = Table::new(
         "Extension E4: gateway count x uptime vs terrestrial reliability",
         &[
@@ -607,7 +604,7 @@ pub fn gateways(campaigns: &Campaigns) -> String {
     for gateways in [1u32, 2, 3] {
         let mut cells = vec![gateways.to_string()];
         for uptime in [1.0f64, 0.9, 0.7, 0.5] {
-            let r = runners::run_terrestrial_with(scale, |c| {
+            let r = runners::run_terrestrial_with(opts, |c| {
                 c.gateways = gateways;
                 c.gateway_distance_km = vec![0.4, 1.1, 2.0][..gateways as usize].to_vec();
                 c.gateway_uptime = uptime;

@@ -5,17 +5,19 @@
 //! …) and a section title with a renderer that reads its campaign
 //! results from a shared [`Campaigns`] value. `reproduce_all` renders
 //! [`PAPER`] into `EXPERIMENTS.md`, or the ids it is given;
-//! `ablations_all` renders [`ABLATIONS`].
+//! `ablations_all` renders [`ABLATIONS`], the ablations and extensions
+//! E1–E7.
 //!
 //! [`Campaigns`] runs each shared campaign at most once, on first use,
 //! so a set of sections costs exactly the campaigns it reads: `fig10`
 //! runs none, `fig5a` runs the terrestrial baseline and two active
 //! campaigns, and the whole paper set runs each campaign once.
 
-use crate::{ablations, reports, runners, Scale};
+use crate::{ablations, extensions, reports, runners, Scale};
 use satiot_channel::antenna::AntennaPattern;
 use satiot_channel::weather::Weather;
 use satiot_core::active::ActiveResults;
+use satiot_core::options::RunOptions;
 use satiot_core::passive::PassiveResults;
 use satiot_terrestrial::campaign::TerrestrialResults;
 use std::cell::OnceCell;
@@ -23,8 +25,7 @@ use std::cell::OnceCell;
 /// One renderable section.
 #[derive(Debug)]
 pub struct Experiment {
-    /// Selector for `reproduce_all <id>`: the experiment's former
-    /// binary name without `exp_`.
+    /// Selector for `reproduce_all <id>`.
     pub id: &'static str,
     /// Section title; for [`PAPER`], the `EXPERIMENTS.md` heading.
     pub title: &'static str,
@@ -68,7 +69,7 @@ pub const PAPER: &[Experiment] = &[
     exp("fig12b", "Figure 12b — concurrency sweep", |c| reports::fig12b(&c.node_runs())),
 ];
 
-/// The design-choice ablations (A1–A7) and extensions (E1–E4).
+/// The design-choice ablations (A1–A7) and extensions (E1–E7).
 #[rustfmt::skip]
 pub const ABLATIONS: &[Experiment] = &[
     exp("ablation_scheduler", "Ablation A1 — scheduler policy", ablations::scheduler),
@@ -82,6 +83,9 @@ pub const ABLATIONS: &[Experiment] = &[
     exp("extension_mac", "Extension E2 — slotted MAC", ablations::mac),
     exp("extension_cost", "Extension E3 — cost crossover", ablations::cost),
     exp("extension_gateways", "Extension E4 — gateway redundancy", ablations::gateways),
+    exp("extension_megascale", "Extension E5 — mega-shell availability", extensions::megascale),
+    exp("extension_disrupted", "Extension E6 — disrupted comms", extensions::disrupted),
+    exp("extension_mobile", "Extension E7 — mobile tracker", extensions::mobile),
 ];
 
 /// The paper or ablation section with this id.
@@ -120,10 +124,10 @@ const PAYLOADS: [usize; 3] = [10, 60, 120];
 const NODE_COUNTS: [u32; 3] = [1, 2, 3];
 
 /// The campaigns the paper sections share, each run at most once, on
-/// first use, at one [`Scale`].
+/// first use, with one set of [`RunOptions`] (and so at one [`Scale`]).
 #[derive(Default)]
 pub struct Campaigns {
-    scale: Scale,
+    opts: RunOptions,
     passive: OnceCell<PassiveResults>,
     active: OnceCell<ActiveResults>,
     active_no_retx: OnceCell<ActiveResults>,
@@ -143,30 +147,35 @@ fn once<'a, T>(cell: &'a OnceCell<T>, what: &str, campaign: impl FnOnce() -> T) 
 }
 
 impl Campaigns {
-    /// Campaigns at `scale`; nothing runs until a section asks.
-    pub fn new(scale: Scale) -> Campaigns {
+    /// Campaigns run with `opts`; nothing runs until a section asks.
+    pub fn new(opts: RunOptions) -> Campaigns {
         Campaigns {
-            scale,
+            opts,
             ..Campaigns::default()
         }
     }
 
+    /// The options every campaign runs with.
+    pub fn options(&self) -> &RunOptions {
+        &self.opts
+    }
+
     /// The scale every campaign runs at.
     pub fn scale(&self) -> Scale {
-        self.scale
+        self.opts.scale
     }
 
     /// The passive campaign.
     pub fn passive(&self) -> &PassiveResults {
         once(&self.passive, "passive campaign", || {
-            runners::run_passive(self.scale)
+            runners::run_passive(&self.opts)
         })
     }
 
     /// The default active campaign.
     pub fn active(&self) -> &ActiveResults {
         once(&self.active, "active campaign (default)", || {
-            runners::run_active_with(self.scale, |_| {})
+            runners::run_active_with(&self.opts, |_| {})
         })
     }
 
@@ -175,14 +184,14 @@ impl Campaigns {
         once(
             &self.active_no_retx,
             "active campaign (no retransmissions)",
-            || runners::run_active_with(self.scale, |c| c.max_attempts = 1),
+            || runners::run_active_with(&self.opts, |c| c.max_attempts = 1),
         )
     }
 
     /// The terrestrial baseline.
     pub fn terrestrial(&self) -> &TerrestrialResults {
         once(&self.terrestrial, "terrestrial baseline", || {
-            runners::run_terrestrial_with(self.scale, |_| {})
+            runners::run_terrestrial_with(&self.opts, |_| {})
         })
     }
 
@@ -192,7 +201,7 @@ impl Campaigns {
             FIG5B_CONDITIONS
                 .iter()
                 .map(|&(_, antenna, weather)| {
-                    runners::run_active_with(self.scale, |c| {
+                    runners::run_active_with(&self.opts, |c| {
                         c.node_antenna = antenna;
                         c.weather_override = Some(weather);
                     })
@@ -207,7 +216,7 @@ impl Campaigns {
         let runs = once(&self.payload, "active sweep (payload)", || {
             PAYLOADS
                 .iter()
-                .map(|&p| runners::run_active_with(self.scale, |c| c.payload_bytes = p))
+                .map(|&p| runners::run_active_with(&self.opts, |c| c.payload_bytes = p))
                 .collect()
         });
         PAYLOADS.into_iter().zip(runs).collect()
@@ -218,7 +227,7 @@ impl Campaigns {
         let runs = once(&self.nodes, "active sweep (concurrency)", || {
             NODE_COUNTS
                 .iter()
-                .map(|&n| runners::run_active_with(self.scale, |c| c.nodes = n))
+                .map(|&n| runners::run_active_with(&self.opts, |c| c.nodes = n))
                 .collect()
         });
         NODE_COUNTS.into_iter().zip(runs).collect()
@@ -235,7 +244,7 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             assert!(!ids[..i].contains(id), "duplicate experiment id {id}");
         }
-        assert_eq!((PAPER.len(), ABLATIONS.len()), (21, 11));
+        assert_eq!((PAPER.len(), ABLATIONS.len()), (21, 14));
     }
 
     #[test]
@@ -252,7 +261,7 @@ mod tests {
 
     #[test]
     fn campaign_free_sections_run_no_campaign() {
-        let c = Campaigns::new(Scale::Quick);
+        let c = Campaigns::new(RunOptions::default().with_scale(Scale::Quick));
         for id in ["fig2", "table2", "fig10", "ablation_sf"] {
             assert!(!(find(id).expect("registered").render)(&c).is_empty());
         }

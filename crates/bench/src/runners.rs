@@ -1,12 +1,11 @@
-//! Campaign runners at the configured scale.
+//! Campaign runners at the options' scale.
 //!
 //! The [`Scale`] type itself lives in `satiot_core::options` (one
 //! `SATIOT_*` parsing site for the whole workspace); it is re-exported
-//! here for the experiment registry. Every runner resolves the rest of
-//! its options through [`RunOptions::from_env`] and installs them
-//! process-wide with [`RunOptions::apply`], so `SATIOT_THREADS` /
-//! `SATIOT_SINK` / `SATIOT_METRICS` all keep working for every
-//! experiment without any of them touching the environment directly.
+//! here for the experiment registry. Every runner takes the
+//! [`RunOptions`] the registry's [`Campaigns`](crate::experiments::Campaigns)
+//! carries: a binary parses them once in `main`, and a test builds them
+//! by hand, so no runner reads the environment.
 //!
 //! ## Scenario files
 //!
@@ -16,7 +15,7 @@
 //! configuration from the resolved scenario instead of the compiled-in
 //! defaults. Fields the scenario leaves unset (`max_days` in
 //! particular) keep the scaled defaults, so `SATIOT_SCALE=quick` still
-//! truncates a scenario-driven smoke run. A scenario that fails to
+//! truncates a scenario-driven run. A scenario that fails to
 //! parse, validate, or resolve aborts the binary with the typed
 //! [`ScenarioError`] — a mis-spelled scenario must never silently fall
 //! back to the compiled-in campaign.
@@ -36,68 +35,65 @@ pub fn scenario_override(opts: &RunOptions) -> Option<ResolvedScenario> {
     })
 }
 
-/// Run the passive campaign at this scale.
+/// Run the passive campaign at the options' scale.
 ///
 /// The scaled defaults are always valid, so a rejected config is a bug;
 /// abort with the typed error rather than returning a `Result` every
 /// experiment would immediately unwrap.
-pub fn run_passive(scale: Scale) -> PassiveResults {
-    let opts = RunOptions::from_env().with_scale(scale).apply();
+pub fn run_passive(opts: &RunOptions) -> PassiveResults {
     // The compiled-in default is itself a scenario — the paper's full
     // passive campaign — so every passive run goes through
     // `ScenarioSpec::build()` whether or not `SATIOT_SCENARIO` is set.
-    let scenario = scenario_override(&opts).unwrap_or_else(|| {
+    let scenario = scenario_override(opts).unwrap_or_else(|| {
         ScenarioSpec::paper_passive()
             .build()
             .expect("builtin paper scenario resolves")
     });
     let mut cfg = PassiveConfig::from_scenario(&scenario);
     if scenario.max_days.is_none() {
-        cfg.max_days = scale.passive_days();
+        cfg.max_days = opts.scale.passive_days();
     }
     PassiveCampaign::new(cfg)
-        .run(&opts)
+        .run(opts)
         .unwrap_or_else(|e| panic!("passive campaign rejected its scaled config: {e}"))
 }
 
 /// Run an active campaign with config tweaks applied on top of the
 /// scaled defaults (and on top of the `SATIOT_SCENARIO` override, when
 /// one is set — the caller's tweaks win).
-pub fn run_active_with<F: FnOnce(&mut ActiveConfig)>(scale: Scale, tweak: F) -> ActiveResults {
-    let opts = RunOptions::from_env().with_scale(scale).apply();
-    let mut cfg = match scenario_override(&opts) {
+pub fn run_active_with<F: FnOnce(&mut ActiveConfig)>(opts: &RunOptions, tweak: F) -> ActiveResults {
+    let mut cfg = match scenario_override(opts) {
         Some(scenario) => {
             let mut cfg = ActiveConfig::from_scenario(&scenario);
             if scenario.max_days.is_none() {
-                cfg.days = scale.active_days();
+                cfg.days = opts.scale.active_days();
             }
             cfg
         }
-        None => ActiveConfig::quick(scale.active_days()),
+        None => ActiveConfig::quick(opts.scale.active_days()),
     };
     tweak(&mut cfg);
     ActiveCampaign::new(cfg)
-        .run(&opts)
+        .run(opts)
         .unwrap_or_else(|e| panic!("active campaign rejected its scaled config: {e}"))
 }
 
 /// Run a terrestrial campaign with config tweaks (applied on top of the
 /// `SATIOT_SCENARIO` override, when one is set).
 pub fn run_terrestrial_with<F: FnOnce(&mut TerrestrialConfig)>(
-    scale: Scale,
+    opts: &RunOptions,
     tweak: F,
 ) -> TerrestrialResults {
-    let opts = RunOptions::from_env().with_scale(scale);
-    let mut cfg = match scenario_override(&opts) {
+    let mut cfg = match scenario_override(opts) {
         Some(scenario) => {
             let mut cfg = TerrestrialConfig::from_scenario(&scenario);
             if scenario.max_days.is_none() {
-                cfg.days = scale.active_days();
+                cfg.days = opts.scale.active_days();
             }
             cfg
         }
         None => TerrestrialConfig {
-            days: scale.active_days(),
+            days: opts.scale.active_days(),
             ..Default::default()
         },
     };
@@ -107,6 +103,20 @@ pub fn run_terrestrial_with<F: FnOnce(&mut TerrestrialConfig)>(
         .unwrap_or_else(|e| panic!("terrestrial campaign rejected its scaled config: {e}"))
 }
 
+/// The sweep queue the `sweep_worker` binary runs and the
+/// kill-and-resume test replays: one scenario over eight seeds, so the
+/// sweep amortises predictions like real sweeps do, with each job long
+/// enough to kill mid-queue.
+pub fn checkpoint_jobs() -> Vec<SweepJob> {
+    (0..8)
+        .map(|i| {
+            SweepJob::new(format!("ckpt-{i}"), 0x5EED + i)
+                .with_max_days(1.5)
+                .with_sites(["HK", "SH"])
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +124,8 @@ mod tests {
     #[test]
     fn tweaks_apply() {
         // A one-day campaign with a tweak reaches the tweak.
-        let r = run_active_with(Scale::Quick, |c| {
+        let opts = RunOptions::default().with_scale(Scale::Quick);
+        let r = run_active_with(&opts, |c| {
             c.days = 0.5;
             c.nodes = 1;
         });

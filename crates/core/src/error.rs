@@ -18,7 +18,8 @@
 //!   into a `satiot_obs` counter (`core.faults.*`, visible under
 //!   `SATIOT_METRICS=1`), and the log itself is merged per site in
 //!   configuration order, so serial and pooled campaign drivers produce
-//!   bit-identical accounting — the invariant `chaos_smoke` pins.
+//!   bit-identical accounting — the invariant the `satiot-bench` chaos
+//!   test pins.
 
 use core::fmt;
 use satiot_obs::metrics::Counter;

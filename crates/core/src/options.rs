@@ -1,11 +1,12 @@
 //! Typed campaign run options: the one place `SATIOT_*` knobs are read.
 //!
-//! Campaigns take `&RunOptions`, the environment is parsed exactly once
-//! by [`RunOptions::from_env`], and [`RunOptions::apply`] installs the
-//! process-wide settings that code below the campaign API reads (pool
-//! worker count, metrics flag, cache budget). Every knob
-//! changes *what* is computed or *where* results go; the pipeline
-//! itself has one shape.
+//! Campaigns take `&RunOptions`. Each binary's `main` parses the
+//! environment exactly once with [`RunOptions::from_env`] and calls
+//! [`RunOptions::apply`] once to install the process-wide settings that
+//! code below the campaign API reads (pool worker count, metrics flag,
+//! cache budget); library code and tests only ever receive the value.
+//! Every knob changes *what* is computed or *where* results go; the
+//! pipeline itself has one shape.
 //!
 //! ```
 //! use satiot_core::options::{RunOptions, Scale};
@@ -15,20 +16,21 @@
 //! let opts = RunOptions::default();
 //! assert_eq!(opts.scale, Scale::Full);
 //!
-//! // Builder-style overrides on top of the environment.
-//! let opts = RunOptions::from_env()
+//! // Builder-style overrides on top of parsed knobs (a binary's `main`
+//! // parses with `from_env`; `from_lookup` takes any variable source).
+//! let opts = RunOptions::from_lookup(|key| (key == "SATIOT_SCALE").then(|| "quick".into()))
 //!     .with_threads(Some(2))
 //!     .with_sink(SinkMode::Aggregate);
-//! assert_eq!(opts.threads, Some(2));
+//! assert_eq!((opts.scale, opts.threads), (Scale::Quick, Some(2)));
 //! ```
 
 use crate::sink::SinkMode;
-use satiot_sim::{chaos, pool};
+use satiot_sim::pool;
 
-/// Campaign scale: truncated smoke dimensions or the paper's full ones.
+/// Campaign scale: truncated quick dimensions or the paper's full ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
-    /// Truncated campaigns for smoke runs (CI, benches);
+    /// Truncated campaigns for quick runs and tests;
     /// `SATIOT_SCALE=quick`.
     Quick,
     /// The paper's full campaign dimensions (the default).
@@ -37,11 +39,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from `SATIOT_SCALE` (default: full).
-    pub fn from_env() -> Scale {
-        RunOptions::from_env().scale
-    }
-
     /// Per-site cap on passive campaign days.
     pub fn passive_days(self) -> f64 {
         match self {
@@ -78,9 +75,6 @@ pub struct RunOptions {
     /// Worker threads for the sweep pool phases; `None` uses the
     /// machine's available parallelism (`SATIOT_THREADS`).
     pub threads: Option<usize>,
-    /// Root seed for the chaos perturbation engine
-    /// (`SATIOT_CHAOS_SEED`); `chaos_smoke` builds its engine from it.
-    pub chaos_seed: u64,
     /// Whether the `satiot_obs` metrics registry records
     /// (`SATIOT_METRICS`).
     pub metrics: bool,
@@ -105,9 +99,9 @@ pub struct RunOptions {
     /// enforces it between jobs.
     pub sweep_cache_mb: Option<u64>,
     /// Path to a `.scenario.json` file (`SATIOT_SCENARIO`); `None` runs
-    /// each binary's compiled-in scenario. Campaign binaries load it
-    /// through `ScenarioSpec::from_file` and build their configs from
-    /// the resolved scenario.
+    /// the compiled-in scenarios. The experiment runners load it through
+    /// `ScenarioSpec::from_file` and build their configs from the
+    /// resolved scenario.
     pub scenario: Option<&'static str>,
 }
 
@@ -115,7 +109,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             threads: None,
-            chaos_seed: chaos::DEFAULT_SEED,
             metrics: false,
             scale: Scale::Full,
             sink: SinkMode::Full,
@@ -159,7 +152,6 @@ impl RunOptions {
     ///
     /// * `SATIOT_THREADS`: unparsable → auto (`None`); `0` is the
     ///   *documented* spelling of auto, not a rejection.
-    /// * `SATIOT_CHAOS_SEED`: unparsable → the built-in chaos seed.
     /// * `SATIOT_SCALE`: unknown word → `full`.
     /// * `SATIOT_SINK`: unknown mode or a pathless `csv:`/`jsonl:` →
     ///   the full-trace sink.
@@ -186,15 +178,6 @@ impl RunOptions {
                 None
             }
         });
-        let chaos_seed = lookup("SATIOT_CHAOS_SEED")
-            .and_then(|v| match v.trim().parse::<u64>() {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    reject("SATIOT_CHAOS_SEED", &v, "the built-in seed");
-                    None
-                }
-            })
-            .unwrap_or(chaos::DEFAULT_SEED);
         let metrics = lookup("SATIOT_METRICS")
             .map(|v| !v.is_empty() && v != "0")
             .unwrap_or(false);
@@ -262,7 +245,6 @@ impl RunOptions {
         });
         let opts = RunOptions {
             threads,
-            chaos_seed,
             metrics,
             scale,
             sink,
@@ -277,12 +259,6 @@ impl RunOptions {
     /// Override the pool worker count (`None` = machine default).
     pub fn with_threads(mut self, threads: Option<usize>) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Override the chaos root seed.
-    pub fn with_chaos_seed(mut self, seed: u64) -> Self {
-        self.chaos_seed = seed;
         self
     }
 
@@ -370,7 +346,6 @@ mod tests {
     fn every_knob_parses() {
         let opts = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "4"),
-            ("SATIOT_CHAOS_SEED", "12345"),
             ("SATIOT_METRICS", "1"),
             ("SATIOT_SCALE", "quick"),
             ("SATIOT_SINK", "aggregate"),
@@ -384,7 +359,6 @@ mod tests {
         assert_eq!(opts.sweep_shard, Some((1, 4)));
         assert_eq!(opts.sweep_cache_mb, Some(256));
         assert_eq!(opts.threads, Some(4));
-        assert_eq!(opts.chaos_seed, 12345);
         assert!(opts.metrics);
         assert_eq!(opts.scale, Scale::Quick);
         assert_eq!(opts.sink, SinkMode::Aggregate);
@@ -415,13 +389,11 @@ mod tests {
     fn malformed_values_fall_back() {
         let opts = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "zero"),
-            ("SATIOT_CHAOS_SEED", "-3"),
             ("SATIOT_METRICS", "0"),
             ("SATIOT_SCALE", "huge"),
             ("SATIOT_SINK", "firehose"),
         ]));
         assert_eq!(opts.threads, None);
-        assert_eq!(opts.chaos_seed, chaos::DEFAULT_SEED);
         assert!(!opts.metrics);
         assert_eq!(opts.scale, Scale::Full);
         assert_eq!(opts.sink, SinkMode::Full);
@@ -515,7 +487,6 @@ mod tests {
     fn every_rejection_path_warns_exactly_once() {
         let (opts, warnings) = parse_with_warnings(&[
             ("SATIOT_THREADS", "zero"),
-            ("SATIOT_CHAOS_SEED", "-3"),
             ("SATIOT_SCALE", "huge"),
             ("SATIOT_SINK", "firehose"),
             ("SATIOT_SWEEP_SHARD", "broken"),
@@ -529,7 +500,7 @@ mod tests {
             "malformed values must not leak into the options"
         );
         // …and every one of them was reported.
-        assert_eq!(warnings.len(), 7, "{warnings:?}");
+        assert_eq!(warnings.len(), 6, "{warnings:?}");
     }
 
     #[test]
@@ -543,13 +514,11 @@ mod tests {
         ]));
         let opts = base
             .with_threads(Some(2))
-            .with_chaos_seed(7)
             .with_metrics(true)
             .with_scale(Scale::Full)
             .with_sink(SinkMode::Aggregate);
         assert_eq!(opts.sink, SinkMode::Aggregate);
         assert_eq!(opts.threads, Some(2));
-        assert_eq!(opts.chaos_seed, 7);
         assert!(opts.metrics);
         assert_eq!(opts.scale, Scale::Full);
         // Untouched builder chains preserve the parsed values.

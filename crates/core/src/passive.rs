@@ -119,7 +119,7 @@ impl PassiveConfig {
     /// sound for a fixed observer. Mobile sites flow through
     /// [`satiot_scenarios::MobilityTrack::legs`] and
     /// [`satiot_orbit::pass::PassPredictor::passes_over_legs`] instead
-    /// (see `exp_mobile`).
+    /// (see extension E7, `extension_mobile`).
     pub fn from_scenario(scenario: &satiot_scenarios::ResolvedScenario) -> PassiveConfig {
         let mut cfg = PassiveConfig::default();
         if let Some(seed) = scenario.seed {

@@ -27,8 +27,8 @@
 //! Every sink also feeds the streaming sketches (except [`Null`]), so
 //! sketch-vs-exact comparisons can run from a single campaign. Shards
 //! merge in configuration order — sketch merges included — keeping
-//! one-thread and pooled runs bit-identical (the invariant
-//! `determinism_smoke` pins).
+//! one-thread and pooled runs bit-identical (the invariant the
+//! workspace's `sinks` test pins).
 //!
 //! Accounting is proof-carrying: the `measure.sink.traces_emitted`,
 //! `measure.sink.traces_retained`, and `measure.sink.traces_spilled`

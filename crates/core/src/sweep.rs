@@ -9,7 +9,7 @@
 //! computes the list (exactly once, even under concurrent access from
 //! the sweep pool), and every later request — a re-run with a different
 //! scheduler, a second campaign in the same ablation, a determinism
-//! smoke pass — returns the shared `Arc` instantly.
+//! replay — returns the shared `Arc` instantly.
 //!
 //! Prediction is a pure function of the key (no RNG is involved), so
 //! caching cannot perturb campaign determinism: a cached list is
@@ -67,7 +67,7 @@ static GRID_EVICTED: Counter = Counter::new("core.sweep.grid_evictions");
 
 // The proof-of-work counters behind [`stats`] are plain atomics rather
 // than obs counters so they report even when `SATIOT_METRICS` is off
-// (the determinism smoke and `reproduce_all` assert on them).
+// (the `cache_exactly_once` test and `reproduce_all` assert on them).
 static LOOKUPS: AtomicU64 = AtomicU64::new(0);
 static COMPUTES: AtomicU64 = AtomicU64::new(0);
 static PASS_EVICTIONS: AtomicU64 = AtomicU64::new(0);
@@ -84,7 +84,7 @@ static CLOCK: AtomicU64 = AtomicU64::new(0);
 /// Combined payload budget for [`enforce_cache_budget`], in bytes.
 /// `u64::MAX` is the "no budget" sentinel (the default): eviction is
 /// entirely disabled, preserving the exactly-once `computes == entries`
-/// invariant `determinism_smoke` pins.
+/// invariant the `cache_exactly_once` test pins.
 static BUDGET_BYTES: AtomicU64 = AtomicU64::new(u64::MAX);
 
 /// Identity of one cached pass list.
@@ -280,12 +280,12 @@ where
 pub struct CacheStats {
     /// Total [`passes_for`] calls.
     pub lookups: u64,
-    /// Lookups that ran a prediction. With no eviction budget set (the
-    /// default), `computes == entries` proves every cached pass list
-    /// was predicted exactly once this process. Under a budget, evicted
-    /// keys recompute on their next lookup; the invariant loosens to
-    /// `computes ≤ entries + evictions` (an evicted key not looked up
-    /// again leaves a gap, one looked up again closes it).
+    /// Lookups that ran a prediction. Each compute fills one slot and
+    /// each eviction empties one, so at rest `computes == entries +
+    /// evictions`: every pass list was predicted exactly once per
+    /// residency. With no eviction budget set (the default) nothing is
+    /// evicted, and `computes == entries` proves every cached pass list
+    /// was predicted exactly once this process.
     pub computes: u64,
     /// Distinct keys currently cached.
     pub entries: usize,
@@ -531,10 +531,10 @@ where
 pub struct GridStats {
     /// Total [`grid_for`] calls.
     pub lookups: u64,
-    /// Lookups that built a grid. `computes == entries` proves every
-    /// stored grid was sampled exactly once this process (loosening to
-    /// account for `evictions` once a budget is set, as for
-    /// [`CacheStats::computes`]).
+    /// Lookups that built a grid. As for [`CacheStats::computes`], at
+    /// rest `computes == entries + evictions`, and with no budget set
+    /// `computes == entries` proves every stored grid was sampled
+    /// exactly once this process.
     pub computes: u64,
     /// Distinct grids currently stored.
     pub entries: usize,

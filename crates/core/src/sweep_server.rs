@@ -29,9 +29,10 @@
 //!   resumes by reloading completed jobs and re-running only the rest,
 //!   losing at most the in-flight job; because every job's results are
 //!   a pure function of its spec, the resumed outcome is bit-identical
-//!   to an uninterrupted run (`sweep_smoke` SIGKILLs a live sweep in CI
-//!   to prove it). Floats round-trip through their exact bit patterns,
-//!   and a FNV-64 content checksum rejects torn or stale files.
+//!   to an uninterrupted run (the `satiot-bench` `sweep_kill_resume`
+//!   test SIGKILLs a live sweep worker to prove it). Floats round-trip
+//!   through their exact bit patterns, and a FNV-64 content checksum
+//!   rejects torn or stale files.
 //! * **Sharding.** `SATIOT_SWEEP_SHARD=i/n` assigns every `n`-th job
 //!   (round-robin by queue position) to this process, so a sweep can
 //!   spread across OS processes sharing one spill directory; shard
@@ -84,7 +85,7 @@ static M_CHECKPOINTS_WRITTEN: Counter = Counter::new("core.sweep.server.checkpoi
 static M_CHECKPOINTS_REJECTED: Counter = Counter::new("core.sweep.server.checkpoints_rejected");
 
 // Always-on proof counters (plain atomics, like `sweep::stats`): the
-// kill/resume smoke asserts on them with `SATIOT_METRICS` off.
+// kill-and-resume test asserts on them with `SATIOT_METRICS` off.
 static JOBS_RUN: AtomicU64 = AtomicU64::new(0);
 static JOBS_RESUMED: AtomicU64 = AtomicU64::new(0);
 static JOBS_SKIPPED: AtomicU64 = AtomicU64::new(0);
@@ -442,7 +443,7 @@ impl JobRecord {
     /// Result identity: every deterministic field — spec, RNG position,
     /// trace counts, outcomes, sketch — ignoring provenance (`resumed`)
     /// and cache warmth (`cache`). This is the "bit-identical to an
-    /// uninterrupted run" relation the kill/resume smoke asserts.
+    /// uninterrupted run" relation the kill-and-resume test asserts.
     pub fn same_results(&self, other: &JobRecord) -> bool {
         self.job.same_spec(&other.job)
             && self.fingerprint == other.fingerprint

@@ -63,12 +63,12 @@
 //!
 //! `orbit.cull.pairs_considered` / `pairs_culled` / `pairs_kept` are
 //! always-on plain atomics in the style of `orbit.sgp4.propagations`
-//! (they count even with `SATIOT_METRICS` off, because the determinism
-//! smoke and the `sweep_cull` test assert on them), mirrored into the
-//! obs metrics registry under the same names. `considered = culled +
-//! kept` always holds; `pairs_kept` is exactly the number of pairs that
-//! went on to grid interpolation, which the `sweep_cull` test proves
-//! shrinks ≥ 5× on a mega-shell matrix.
+//! (they count even with `SATIOT_METRICS` off, because the
+//! `sweep_cull` and `extension_megascale` tests assert on them),
+//! mirrored into the obs metrics registry under the same names.
+//! `considered = culled + kept` always holds; `pairs_kept` is exactly
+//! the number of pairs that went on to grid interpolation, which the
+//! `sweep_cull` test proves shrinks ≥ 5× on a mega-shell matrix.
 
 use crate::ephemeris::EphemerisGrid;
 use crate::frames::Geodetic;
@@ -160,8 +160,8 @@ pub fn stats() -> CullStats {
     }
 }
 
-/// Reset the proof counters (benchmark sections and the determinism
-/// smoke isolate measurements with this).
+/// Reset the proof counters (benchmark sections and counter tests
+/// isolate measurements with this).
 pub fn reset_stats() {
     PAIRS_CONSIDERED.store(0, Relaxed);
     PAIRS_CULLED_LAT_BAND.store(0, Relaxed);

@@ -36,8 +36,8 @@
 //!   probes the hardest points — inter-sample midpoints);
 //! * interpolated **elevation** within [`MAX_ELEVATION_ERROR_DEG`] of
 //!   direct SGP4 from any ground observer (checked across the Table-3
-//!   constellations by the `ephemeris_check` CI binary and by the
-//!   `prop_orbit` property tests).
+//!   constellations by the `satiot-scenarios` `ephemeris_contract`
+//!   test and by the `prop_orbit` property tests).
 //!
 //! ## One backend
 //!
@@ -45,8 +45,8 @@
 //! a shared grid; a [`PassPredictor`](crate::pass::PassPredictor) with
 //! no grid samples direct SGP4, which remains the out-of-window
 //! fallback and the test oracle. [`EphemerisGrid::validate`] probes a
-//! grid against direct SGP4, and the `ephemeris_check` CI binary runs
-//! it across the Table-3 constellations.
+//! grid against direct SGP4, and the `ephemeris_contract` test runs it
+//! across the Table-3 constellations.
 
 use crate::frames::{teme_to_ecef, StateEcef};
 use crate::sgp4::Sgp4;

@@ -1090,7 +1090,7 @@ fn parse_terrestrial(val: &JsonValue) -> Result<TerrestrialSpec, ScenarioError> 
 // pinned bitwise by fingerprint regression tests below).
 
 impl ScenarioSpec {
-    /// The determinism-smoke scenario: Tianqi over Hong Kong, one day.
+    /// The front-door scenario: Tianqi over Hong Kong, one day.
     pub fn tianqi_hk() -> ScenarioSpec {
         ScenarioSpec {
             name: "tianqi_hk".to_string(),
@@ -1479,6 +1479,13 @@ mod tests {
                 parsed.fingerprint(),
                 pinned,
                 "{} fingerprint drifted (update the pin only with the scenario)",
+                builtin.name
+            );
+            let resolved = |spec: &ScenarioSpec| spec.build().expect("scenario resolves");
+            assert_eq!(
+                resolved(&parsed).fingerprint,
+                resolved(&builtin).fingerprint,
+                "{} resolved fingerprints diverged",
                 builtin.name
             );
         }

@@ -38,10 +38,10 @@
 //! * `p_vis = E_u[Δ_max / π]`.
 //!
 //! For `n` satellites of a shell, phases decorrelate over time, so the
-//! union availability is `1 − (1 − p_vis)^n`. The `exp_megascale`
-//! binary validates simulated mega-shell statistics against these
-//! predictions, giving a second ground truth independent of the paper's
-//! measured bands.
+//! union availability is `1 − (1 − p_vis)^n`. Extension E5
+//! (`extension_megascale` in `satiot-bench`) validates simulated
+//! mega-shell statistics against these predictions, giving a second
+//! ground truth independent of the paper's measured bands.
 
 use crate::constellations::SatelliteDef;
 use crate::json::{escape_json, JsonError, JsonParser, JsonValue};
@@ -382,7 +382,7 @@ pub fn theta_max(site_lat_rad: f64, sat_lat_rad: f64, cone_rad: f64) -> f64 {
 ///
 /// Exactly `0.0` when the site lies outside the shell's reachable
 /// latitude band — every sample contributes a hard zero — which
-/// `exp_megascale` uses to cross-check the latitude-band cull.
+/// extension E5 uses to cross-check the latitude-band cull.
 pub fn single_sat_visibility_fraction(
     site_lat_rad: f64,
     incl_rad: f64,

@@ -5,15 +5,15 @@
 //! sites, empty constellations — yet panics in any one code path abort a
 //! whole multi-hour sweep. This module is the deterministic half of the
 //! robustness harness: a seeded perturbation engine that derives, per
-//! scenario index, a reproducible plan of input mutations. The
-//! `chaos_smoke` binary (in `satiot-bench`) replays hundreds of such
-//! scenarios across the pooled and serial campaign drivers, asserting
-//! zero panics and bit-identical degradation accounting.
+//! scenario index, a reproducible plan of input mutations. The chaos
+//! test in `satiot-bench` replays hundreds of such scenarios per seed,
+//! over a fixed list of seeds, across the pooled and serial campaign
+//! drivers, asserting zero panics and bit-identical degradation
+//! accounting.
 //!
 //! Everything here is a pure function of `(seed, scenario index)`: the
 //! engine forks one labelled [`crate::Rng`] stream per scenario, so a
-//! failing scenario reproduces from its index alone
-//! (`SATIOT_CHAOS_SEED=<seed> chaos_smoke` replays the whole batch).
+//! failing scenario reproduces from its seed and index alone.
 //!
 //! ```
 //! use satiot_sim::chaos::ChaosEngine;
@@ -28,7 +28,7 @@
 
 use crate::rng::Rng;
 
-/// Default root seed (`SATIOT_CHAOS_SEED` unset).
+/// The root seed the chaos test always replays.
 pub const DEFAULT_SEED: u64 = 0xC4A0_5EED;
 
 /// The seeded scenario factory.

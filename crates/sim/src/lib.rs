@@ -22,8 +22,8 @@
 //!   work queue over scoped threads that shards independent tasks
 //!   (pass predictions, site simulations) across every core.
 //! * [`chaos`] — seeded fault injection: deterministic perturbation
-//!   plans (`SATIOT_CHAOS_SEED`) that mutate campaign inputs so the
-//!   `chaos_smoke` harness can assert the pipeline degrades gracefully
+//!   plans that mutate campaign inputs so a chaos test (in
+//!   `satiot-bench`) can assert the pipeline degrades gracefully
 //!   instead of panicking.
 //!
 //! ## Example

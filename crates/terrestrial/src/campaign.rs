@@ -48,7 +48,8 @@ pub struct TerrestrialConfig {
     pub gateway_uptime: f64,
     /// Scripted outage windows (seconds since campaign start) during
     /// which the whole terrestrial path — gateways and backhaul — is
-    /// down, modelling a disaster scenario (`exp_disrupted`). The gate
+    /// down, modelling a disaster scenario (extension E6,
+    /// `extension_disrupted`). The gate
     /// is applied *after* every stochastic draw, so an empty list is
     /// bit-identical to the pre-outage baseline.
     pub outages: Vec<OutageWindow>,

@@ -1,10 +1,12 @@
 //! Reproducibility: identical seeds must replay identical campaigns —
-//! across the passive, active, and terrestrial drivers, and regardless
-//! of the thread count.
+//! across the passive, active, and terrestrial drivers, regardless of
+//! the thread count, and whether a scenario comes from its committed
+//! file or its compiled-in twin.
 
 use satiot::core::active::{ActiveCampaign, ActiveConfig};
-use satiot::core::passive::{PassiveCampaign, PassiveConfig};
+use satiot::core::passive::{PassiveCampaign, PassiveConfig, PassiveResults};
 use satiot::scenarios::constellations::pico;
+use satiot::scenarios::ScenarioSpec;
 use satiot::terrestrial::campaign::{TerrestrialCampaign, TerrestrialConfig};
 
 use satiot::core::RunOptions;
@@ -12,6 +14,23 @@ use satiot::core::RunOptions;
 /// Hermetic run options: machine defaults, no env reads.
 fn opts() -> RunOptions {
     RunOptions::default()
+}
+
+/// Two passive runs agree to the bit: traces, and every pass record's
+/// window, weather, coverage and station state.
+fn assert_identical(label: &str, a: &PassiveResults, b: &PassiveResults) {
+    assert_eq!(a.traces.traces, b.traces.traces, "{label}: traces");
+    assert_eq!(a.passes.len(), b.passes.len(), "{label}: pass counts");
+    for (x, y) in a.passes.iter().zip(&b.passes) {
+        assert_eq!(x.window, y.window, "{label}: window");
+        assert_eq!(x.weather, y.weather, "{label}: weather");
+        assert_eq!(
+            x.covered_s.to_bits(),
+            y.covered_s.to_bits(),
+            "{label}: coverage"
+        );
+        assert_eq!(x.station_up, y.station_up, "{label}: station state");
+    }
 }
 
 #[test]
@@ -25,16 +44,37 @@ fn passive_is_bit_identical_across_runs_and_threading() {
     let campaign = PassiveCampaign::new(cfg);
     let one_thread = opts().with_threads(Some(1));
     let serial = campaign.run(&one_thread).unwrap();
-    let serial2 = campaign.run(&one_thread).unwrap();
-    let parallel = campaign.run(&opts()).unwrap();
+    assert_identical(
+        "one thread, twice",
+        &serial,
+        &campaign.run(&one_thread).unwrap(),
+    );
+    assert_identical(
+        "one thread vs pool",
+        &serial,
+        &campaign.run(&opts()).unwrap(),
+    );
 
-    assert_eq!(serial.traces.traces, serial2.traces.traces);
-    assert_eq!(serial.traces.traces, parallel.traces.traces);
-    assert_eq!(serial.passes.len(), parallel.passes.len());
-    for (a, b) in serial.passes.iter().zip(&parallel.passes) {
-        assert_eq!(a.window, b.window);
-        assert_eq!(a.weather, b.weather);
-    }
+    // The committed scenario file configures exactly the campaign of its
+    // compiled-in twin, on the pool and on one thread.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/tianqi_hk.scenario.json"
+    );
+    let campaign_of = |spec: ScenarioSpec| {
+        PassiveCampaign::new(PassiveConfig::from_scenario(
+            &spec.build().expect("scenario resolves"),
+        ))
+    };
+    let from_file = campaign_of(ScenarioSpec::from_file(path).expect("committed file loads"));
+    let pooled = from_file.run(&opts()).unwrap();
+    let builtin = campaign_of(ScenarioSpec::tianqi_hk()).run(&opts()).unwrap();
+    assert_identical("scenario file vs builtin", &pooled, &builtin);
+    assert_identical(
+        "scenario file: pool vs one thread",
+        &pooled,
+        &from_file.run(&one_thread).unwrap(),
+    );
 }
 
 #[test]
