@@ -1,6 +1,6 @@
 //! The sweep-server worker that the kill-and-resume test SIGKILLs:
 //! `sweep_worker <dir>` runs [`checkpoint_jobs`] with checkpoints in
-//! `<dir>`, unsharded.
+//! `<dir>`.
 
 use satiot_bench::runners::checkpoint_jobs;
 use satiot_core::prelude::*;
@@ -12,7 +12,6 @@ fn main() {
         .expect("usage: sweep_worker <spill dir>");
     SweepServer::new(RunOptions::from_env().apply())
         .with_spill_dir(Some(Path::new(&dir)))
-        .with_shard(None)
         .run(&checkpoint_jobs())
         .expect("worker sweep runs");
 }

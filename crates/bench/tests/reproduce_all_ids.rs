@@ -2,7 +2,8 @@
 //! unknown id is rejected before any work with the list of valid ids,
 //! and a named section prints without writing `EXPERIMENTS.md`. The
 //! binary reads its `SATIOT_*` knobs once: a malformed one warns once,
-//! and `SATIOT_SCENARIO` drives every runner.
+//! a retired one warns once and changes nothing, and `SATIOT_SCENARIO`
+//! drives every runner.
 //!
 //! Each spawn clears the environment and sets only the knobs it tests.
 
@@ -73,6 +74,40 @@ fn a_malformed_knob_warns_once() {
     let warnings: Vec<&str> = stderr.lines().filter(|l| l.contains("warning")).collect();
     assert_eq!(warnings.len(), 1, "{stderr}");
     assert!(warnings[0].contains("SATIOT_THREADS"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn retired_knobs_warn_and_change_nothing() {
+    let dir = scratch_dir("retired");
+    let quick = ("SATIOT_SCALE", "quick");
+    let plain = reproduce_all(&dir, &["table1"], &[quick]);
+    let retired = reproduce_all(
+        &dir,
+        &["table1"],
+        &[
+            quick,
+            ("SATIOT_SINK", "aggregate"),
+            ("SATIOT_SWEEP_SHARD", "0/2"),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&retired.stderr);
+    assert!(
+        plain.status.success() && retired.status.success(),
+        "{stderr}"
+    );
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.contains("warning")).collect();
+    assert_eq!(warnings.len(), 2, "{stderr}");
+    for knob in ["SATIOT_SINK", "SATIOT_SWEEP_SHARD"] {
+        let named = warnings.iter().filter(|w| w.contains(&format!("{knob} ")));
+        assert_eq!(named.count(), 1, "one warning for {knob}:\n{stderr}");
+    }
+    assert!(warnings.iter().all(|w| w.contains("ignored")), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&retired.stdout),
+        String::from_utf8_lossy(&plain.stdout),
+        "a retired knob changed the table"
+    );
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 

@@ -2,15 +2,11 @@
 //! `sweep_worker` binary runs [`checkpoint_jobs`] with checkpoints on,
 //! is SIGKILLed once two have landed, one survivor is corrupted, and
 //! the sweep resumes in-process. It must lose at most the in-flight job
-//! and come out bit-identical to an uninterrupted run.
-//!
-//! The resume is read through the process-wide sweep-server counters,
-//! so this is the only test in this binary (one process per
-//! integration-test file).
+//! and come out bit-identical to an uninterrupted run. The resumed
+//! outcome itself counts the resumed jobs and the rejected checkpoint.
 
 use satiot_bench::runners::checkpoint_jobs;
 use satiot_core::prelude::*;
-use satiot_core::sweep_server::server_stats;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -38,7 +34,6 @@ fn killed_sweep_resumes_bit_identically() {
     // The uninterrupted reference.
     let reference = SweepServer::new(opts)
         .with_spill_dir(None)
-        .with_shard(None)
         .run(&jobs)
         .expect("reference sweep runs");
     assert_eq!(reference.records.len(), jobs.len());
@@ -84,13 +79,10 @@ fn killed_sweep_resumes_bit_identically() {
     std::fs::write(victim, &bytes).expect("corrupt the victim checkpoint");
 
     // Resume and compare against the reference.
-    let before = server_stats();
     let resumed = SweepServer::new(opts)
         .with_spill_dir(Some(&dir))
-        .with_shard(None)
         .run(&jobs)
         .expect("resumed sweep runs");
-    let after = server_stats();
     let intact = survivors.len() - 1;
     assert_eq!(
         resumed.jobs_resumed, intact,
@@ -102,14 +94,12 @@ fn killed_sweep_resumes_bit_identically() {
         "exactly the non-checkpointed jobs must re-run"
     );
     assert_eq!(
-        after.checkpoints_rejected - before.checkpoints_rejected,
-        1,
+        resumed.checkpoints_rejected, 1,
         "the corrupted checkpoint must be rejected by its checksum"
     );
     assert_eq!(
-        after.jobs_resumed - before.jobs_resumed,
-        intact as u64,
-        "the counters must agree with the outcome"
+        resumed.checkpoints_written, resumed.jobs_run,
+        "every re-run job must checkpoint again"
     );
     assert!(
         resumed.same_results(&reference),

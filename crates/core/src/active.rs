@@ -51,8 +51,6 @@ use satiot_scenarios::sites::{campaign_epoch, tianqi_ground_stations, yunnan_far
 use satiot_sim::{pool, Engine, Rng, SimTime};
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 /// Farm passes driving the active campaign's event schedule (metrics).
 static FARM_PASSES: Counter = Counter::new("core.active.farm_passes");
 /// Wall-clock seconds each *(satellite × ground-station)* contact-plan
@@ -496,7 +494,7 @@ impl ActiveCampaign {
         let uplink_len = Message::Uplink(Uplink {
             node_id: 0,
             seq: 0,
-            data: Bytes::from(vec![0u8; cfg.payload_bytes]),
+            data: vec![0u8; cfg.payload_bytes],
         })
         .phy_payload_len(uplink_cfg.cr);
         let beacon_airtime = airtime_s(&beacon_cfg, beacon_len);

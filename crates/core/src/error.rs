@@ -187,7 +187,6 @@ static SKIPPED_SITES: Counter = Counter::new("core.faults.skipped_sites");
 static CORRUPT_SEQS: Counter = Counter::new("core.faults.corrupt_seqs_dropped");
 static SGP4_FAILURES: Counter = Counter::new("core.faults.sgp4_failures");
 static CLAMPED_CONFIGS: Counter = Counter::new("core.faults.clamped_configs");
-static SINK_IO_ERRORS: Counter = Counter::new("core.faults.sink_io_errors");
 
 /// One class of recoverable input damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,9 +205,6 @@ pub enum Fault {
     Sgp4Failure,
     /// An out-of-range config value was clamped into its domain.
     ClampedConfig,
-    /// A spill-sink write failed; the shard degraded to null behaviour
-    /// (traces counted but no longer archived) instead of panicking.
-    SinkIo,
 }
 
 impl Fault {
@@ -220,7 +216,6 @@ impl Fault {
             Fault::CorruptSeq => &CORRUPT_SEQS,
             Fault::Sgp4Failure => &SGP4_FAILURES,
             Fault::ClampedConfig => &CLAMPED_CONFIGS,
-            Fault::SinkIo => &SINK_IO_ERRORS,
         }
     }
 }
@@ -244,8 +239,6 @@ pub struct FaultLog {
     pub sgp4_failures: u64,
     /// Config values clamped into their domain.
     pub clamped_configs: u64,
-    /// Spill-sink IO failures survived by degrading to null behaviour.
-    pub sink_io_errors: u64,
 }
 
 impl FaultLog {
@@ -267,7 +260,6 @@ impl FaultLog {
             Fault::CorruptSeq => &mut self.corrupt_seqs,
             Fault::Sgp4Failure => &mut self.sgp4_failures,
             Fault::ClampedConfig => &mut self.clamped_configs,
-            Fault::SinkIo => &mut self.sink_io_errors,
         };
         *slot += n;
         fault.counter().add(n);
@@ -283,7 +275,6 @@ impl FaultLog {
         self.corrupt_seqs += other.corrupt_seqs;
         self.sgp4_failures += other.sgp4_failures;
         self.clamped_configs += other.clamped_configs;
-        self.sink_io_errors += other.sink_io_errors;
     }
 
     /// Total recorded faults across every class.
@@ -294,7 +285,6 @@ impl FaultLog {
             + self.corrupt_seqs
             + self.sgp4_failures
             + self.clamped_configs
-            + self.sink_io_errors
     }
 
     /// Whether the run saw no input damage at all.
@@ -308,14 +298,13 @@ impl fmt::Display for FaultLog {
         write!(
             f,
             "faults: nan_times={} degenerate={} skipped_sites={} corrupt_seqs={} \
-             sgp4={} clamped={} sink_io={}",
+             sgp4={} clamped={}",
             self.nan_pass_times,
             self.degenerate_passes,
             self.skipped_sites,
             self.corrupt_seqs,
             self.sgp4_failures,
-            self.clamped_configs,
-            self.sink_io_errors
+            self.clamped_configs
         )
     }
 }

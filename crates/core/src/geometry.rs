@@ -74,16 +74,6 @@ pub fn beacon_times(pass: &Pass, interval_s: f64, phase_s: f64) -> Vec<JulianDat
     out
 }
 
-/// Whether a pass has a well-formed, positive-duration window (finite
-/// AOS/LOS/TCA and `los > aos`). Campaign drivers use this to skip and
-/// count degenerate passes instead of feeding them to samplers.
-pub fn pass_is_well_formed(pass: &Pass) -> bool {
-    pass.aos.0.is_finite()
-        && pass.los.0.is_finite()
-        && pass.tca.0.is_finite()
-        && pass.duration_s() > 0.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,9 +34,9 @@
 //!   campaigns, the theoretical-availability analysis, and the
 //!   bench/ablation binaries; paired with `satiot_sim::pool` it turns
 //!   campaign setup into one cached parallel sweep.
-//! * [`sink`] — pluggable trace sinks ([`SinkMode`]): where the
-//!   simulate phase routes decoded beacons — full in-RAM retention,
-//!   bounded-memory streaming sketches, disk spill, or nothing.
+//! * [`sink`] — the trace sink ([`SinkMode`]): what the simulate phase
+//!   keeps of its decoded beacons — every trace in RAM, or only the
+//!   bounded-memory streaming sketches.
 //! * [`options`] — typed run options ([`RunOptions`]): the single place
 //!   the `SATIOT_*` environment knobs are parsed, and the typed argument
 //!   both campaign `run` entry points take.
@@ -68,4 +68,4 @@ pub use active::{ActiveCampaign, ActiveConfig, ActiveResults};
 pub use error::{Fault, FaultLog, SatIotError};
 pub use options::{RunOptions, Scale};
 pub use passive::{PassiveCampaign, PassiveConfig, PassiveResults};
-pub use sink::{SinkMode, SinkStats, TraceSink};
+pub use sink::{SinkMode, SinkStats};

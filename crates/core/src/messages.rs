@@ -12,7 +12,6 @@
 //! so the full encode → corrupt → CRC-reject path of a real modem is
 //! exercised by the simulator.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use satiot_phy::frame::{FrameError, LoRaFrame};
 use satiot_phy::params::CodingRate;
 
@@ -91,7 +90,7 @@ pub struct Uplink {
     /// retransmissions — the server deduplicates on it).
     pub seq: u64,
     /// Sensor payload bytes.
-    pub data: Bytes,
+    pub data: Vec<u8>,
 }
 
 /// A satellite's acknowledgement of one uplink.
@@ -117,91 +116,81 @@ pub enum Message {
 impl Message {
     /// Serialise into a PHY frame with the given coding rate.
     pub fn to_frame(&self, cr: CodingRate) -> LoRaFrame {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         match self {
             Message::Beacon(b) => {
-                buf.put_u8(TAG_BEACON);
-                buf.put_u32(b.sat_id);
-                buf.put_u32(b.counter);
-                buf.put_u16(b.battery_mv);
-                buf.put_i16(b.temperature_dc);
-                buf.put_u32(b.uptime_s);
-                buf.put_u16(b.buffered);
+                buf.push(TAG_BEACON);
+                buf.extend_from_slice(&b.sat_id.to_be_bytes());
+                buf.extend_from_slice(&b.counter.to_be_bytes());
+                buf.extend_from_slice(&b.battery_mv.to_be_bytes());
+                buf.extend_from_slice(&b.temperature_dc.to_be_bytes());
+                buf.extend_from_slice(&b.uptime_s.to_be_bytes());
+                buf.extend_from_slice(&b.buffered.to_be_bytes());
                 // Reserved bytes keep the wire image at the calibrated
                 // 24-byte beacon payload.
-                buf.put_slice(&[0u8; 5]);
+                buf.extend_from_slice(&[0u8; 5]);
             }
             Message::Uplink(u) => {
-                buf.put_u8(TAG_UPLINK);
-                buf.put_u32(u.node_id);
-                buf.put_u64(u.seq);
-                buf.put_slice(&u.data);
+                buf.push(TAG_UPLINK);
+                buf.extend_from_slice(&u.node_id.to_be_bytes());
+                buf.extend_from_slice(&u.seq.to_be_bytes());
+                buf.extend_from_slice(&u.data);
             }
             Message::Ack(a) => {
-                buf.put_u8(TAG_ACK);
-                buf.put_u32(a.node_id);
-                buf.put_u64(a.seq);
+                buf.push(TAG_ACK);
+                buf.extend_from_slice(&a.node_id.to_be_bytes());
+                buf.extend_from_slice(&a.seq.to_be_bytes());
             }
         }
-        LoRaFrame::new(buf.freeze(), cr)
+        LoRaFrame::new(buf, cr)
     }
 
     /// Parse from a decoded PHY frame payload.
     pub fn from_frame(frame: &LoRaFrame) -> Result<Message, MessageError> {
-        let mut buf = frame.payload.clone();
-        if buf.is_empty() {
-            return Err(MessageError::Truncated);
-        }
-        let tag = buf.get_u8();
+        let (&tag, body) = frame.payload.split_first().ok_or(MessageError::Truncated)?;
+        // The body after the tag, once it holds at least `len` bytes.
+        let fields = |len: usize| {
+            if body.len() < len {
+                Err(MessageError::Truncated)
+            } else {
+                Ok(Fields(body))
+            }
+        };
         match tag {
             TAG_BEACON => {
-                if buf.len() < 23 {
-                    return Err(MessageError::Truncated);
-                }
-                let sat_id = buf.get_u32();
-                let counter = buf.get_u32();
-                let battery_mv = buf.get_u16();
-                let temperature_dc = buf.get_i16();
-                let uptime_s = buf.get_u32();
-                let buffered = buf.get_u16();
+                let mut f = fields(23)?;
                 Ok(Message::Beacon(Beacon {
-                    sat_id,
-                    counter,
-                    battery_mv,
-                    temperature_dc,
-                    uptime_s,
-                    buffered,
+                    sat_id: u32::from_be_bytes(f.take()),
+                    counter: u32::from_be_bytes(f.take()),
+                    battery_mv: u16::from_be_bytes(f.take()),
+                    temperature_dc: i16::from_be_bytes(f.take()),
+                    uptime_s: u32::from_be_bytes(f.take()),
+                    buffered: u16::from_be_bytes(f.take()),
                 }))
             }
             TAG_UPLINK => {
-                if buf.len() < 12 {
-                    return Err(MessageError::Truncated);
-                }
-                let node_id = buf.get_u32();
-                let seq = buf.get_u64();
+                let mut f = fields(12)?;
                 Ok(Message::Uplink(Uplink {
-                    node_id,
-                    seq,
-                    data: buf,
+                    node_id: u32::from_be_bytes(f.take()),
+                    seq: u64::from_be_bytes(f.take()),
+                    data: f.0.to_vec(),
                 }))
             }
             TAG_ACK => {
-                if buf.len() < 12 {
-                    return Err(MessageError::Truncated);
-                }
-                let node_id = buf.get_u32();
-                let seq = buf.get_u64();
-                Ok(Message::Ack(Ack { node_id, seq }))
+                let mut f = fields(12)?;
+                Ok(Message::Ack(Ack {
+                    node_id: u32::from_be_bytes(f.take()),
+                    seq: u64::from_be_bytes(f.take()),
+                }))
             }
             other => Err(MessageError::UnknownTag(other)),
         }
     }
 
-    /// Wire round trip: encode to frame bytes and decode back. Used by
-    /// the campaign to exercise the full codec path.
+    /// Wire round trip: encode to frame bytes and decode back, through
+    /// the full codec path (the codec tests use it).
     pub fn wire_round_trip(&self, cr: CodingRate) -> Result<Message, MessageError> {
-        let wire = self.to_frame(cr).encode();
-        let frame = LoRaFrame::decode(wire)?;
+        let frame = LoRaFrame::decode(&self.to_frame(cr).encode())?;
         Message::from_frame(&frame)
     }
 
@@ -209,6 +198,21 @@ impl Message {
     /// length the airtime formula should be fed.
     pub fn phy_payload_len(&self, cr: CodingRate) -> usize {
         self.to_frame(cr).wire_len()
+    }
+}
+
+/// Big-endian fields read in order from a payload whose length the
+/// caller has already checked.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    /// The next `N` bytes.
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self.0.split_at(N);
+        self.0 = rest;
+        let mut out = [0u8; N];
+        out.copy_from_slice(head);
+        out
     }
 }
 
@@ -234,7 +238,7 @@ mod tests {
         let msg = Message::Uplink(Uplink {
             node_id: 2,
             seq: 0xDEAD_BEEF_0042,
-            data: Bytes::from_static(b"soil=0.31;t=22.4C;rh=88"),
+            data: b"soil=0.31;t=22.4C;rh=88".to_vec(),
         });
         let back = msg.wire_round_trip(CodingRate::Cr4_8).unwrap();
         assert_eq!(back, msg);
@@ -269,18 +273,18 @@ mod tests {
         let msg = Message::Uplink(Uplink {
             node_id: 1,
             seq: 7,
-            data: Bytes::from_static(&[9; 20]),
+            data: vec![9; 20],
         });
-        let mut wire = msg.to_frame(CodingRate::Cr4_8).encode().to_vec();
+        let mut wire = msg.to_frame(CodingRate::Cr4_8).encode();
         let mid = wire.len() / 2;
         wire[mid] ^= 0xA5;
-        let result = LoRaFrame::decode(Bytes::from(wire)).map_err(MessageError::from);
+        let result = LoRaFrame::decode(&wire).map_err(MessageError::from);
         assert!(result.is_err());
     }
 
     #[test]
     fn unknown_tag_is_rejected() {
-        let frame = LoRaFrame::new(Bytes::from_static(&[0x7F, 0, 0, 0, 0]), CodingRate::Cr4_5);
+        let frame = LoRaFrame::new(vec![0x7F, 0, 0, 0, 0], CodingRate::Cr4_5);
         assert_eq!(
             Message::from_frame(&frame),
             Err(MessageError::UnknownTag(0x7F))
@@ -290,10 +294,10 @@ mod tests {
     #[test]
     fn truncated_messages_are_rejected() {
         for tag in [TAG_BEACON, TAG_UPLINK, TAG_ACK] {
-            let frame = LoRaFrame::new(Bytes::from(vec![tag, 1, 2]), CodingRate::Cr4_5);
+            let frame = LoRaFrame::new(vec![tag, 1, 2], CodingRate::Cr4_5);
             assert_eq!(Message::from_frame(&frame), Err(MessageError::Truncated));
         }
-        let empty = LoRaFrame::new(Bytes::new(), CodingRate::Cr4_5);
+        let empty = LoRaFrame::new(Vec::new(), CodingRate::Cr4_5);
         assert_eq!(Message::from_frame(&empty), Err(MessageError::Truncated));
     }
 
@@ -302,12 +306,12 @@ mod tests {
         let small = Message::Uplink(Uplink {
             node_id: 0,
             seq: 0,
-            data: Bytes::from(vec![0; 10]),
+            data: vec![0; 10],
         });
         let large = Message::Uplink(Uplink {
             node_id: 0,
             seq: 0,
-            data: Bytes::from(vec![0; 120]),
+            data: vec![0; 120],
         });
         let d = large.phy_payload_len(CodingRate::Cr4_8) - small.phy_payload_len(CodingRate::Cr4_8);
         assert_eq!(d, 110);

@@ -3,10 +3,12 @@
 //! Campaigns take `&RunOptions`. Each binary's `main` parses the
 //! environment exactly once with [`RunOptions::from_env`] and calls
 //! [`RunOptions::apply`] once to install the process-wide settings that
-//! code below the campaign API reads (pool worker count, metrics flag,
-//! cache budget); library code and tests only ever receive the value.
-//! Every knob changes *what* is computed or *where* results go; the
-//! pipeline itself has one shape.
+//! code below the campaign API reads (pool worker count, metrics flag);
+//! library code and tests only ever receive the value. Every knob
+//! changes *what* is computed or *where* results go; the pipeline itself
+//! has one shape. A set `SATIOT_*` variable that is not one of the six
+//! knobs (a retired knob or a typo) is reported, never silently
+//! ignored.
 //!
 //! ```
 //! use satiot_core::options::{RunOptions, Scale};
@@ -26,6 +28,32 @@
 
 use crate::sink::SinkMode;
 use satiot_sim::pool;
+
+/// Every `SATIOT_*` knob [`RunOptions::from_env`] reads.
+const KNOBS: [&str; 6] = [
+    "SATIOT_THREADS",
+    "SATIOT_METRICS",
+    "SATIOT_SCALE",
+    "SATIOT_SWEEP_DIR",
+    "SATIOT_SWEEP_CACHE_MB",
+    "SATIOT_SCENARIO",
+];
+
+/// One warning per `SATIOT_*` name in `names` that is not a knob (a
+/// retired knob such as `SATIOT_SINK`, or a typo), naming it as
+/// ignored. Other names pass silently; the result is in name order.
+fn unknown_knob_warnings(names: impl IntoIterator<Item = String>) -> Vec<String> {
+    let mut unknown: Vec<String> = names
+        .into_iter()
+        .filter(|name| name.starts_with("SATIOT_") && !KNOBS.contains(&name.as_str()))
+        .collect();
+    unknown.sort();
+    let knobs = KNOBS.join(", ");
+    unknown
+        .iter()
+        .map(|name| format!("{name} is not a knob and is ignored (knobs: {knobs})"))
+        .collect()
+}
 
 /// Campaign scale: truncated quick dimensions or the paper's full ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,7 +97,9 @@ impl Scale {
 /// `Default` is the machine default (auto thread count, metrics off,
 /// full scale, full-trace sink) with **no** environment involvement —
 /// hermetic for tests. [`from_env`](Self::from_env) layers the
-/// `SATIOT_*` knobs on top; the `with_*` builders override either.
+/// `SATIOT_*` knobs on top; the `with_*` builders override either. The
+/// trace sink is the one field no knob sets: `reproduce_all` needs the
+/// full traces and the sweep server forces the aggregating sink.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
     /// Worker threads for the sweep pool phases; `None` uses the
@@ -81,22 +111,15 @@ pub struct RunOptions {
     /// Campaign scale for the bench/reproduction binaries
     /// (`SATIOT_SCALE`).
     pub scale: Scale,
-    /// Where the simulate phase routes decoded beacon traces
-    /// (`SATIOT_SINK`: `full` | `aggregate` | `null` | `csv:<path>` |
-    /// `jsonl:<path>`).
+    /// What the simulate phase keeps of its decoded beacon traces.
     pub sink: SinkMode,
     /// Sweep-server spill directory for checkpoint/resume
     /// (`SATIOT_SWEEP_DIR`); `None` disables checkpointing.
     pub sweep_dir: Option<&'static str>,
-    /// Sweep-server shard assignment as `(index, count)`
-    /// (`SATIOT_SWEEP_SHARD=i/n`, `i < n`); `None` runs every job.
-    pub sweep_shard: Option<(usize, usize)>,
     /// Combined payload budget for the process-wide pass cache and
     /// ephemeris grid store, MiB (`SATIOT_SWEEP_CACHE_MB`; `0` or unset
-    /// = unlimited, preserving exactly-once memoisation). Installed by
-    /// [`apply`](Self::apply) through
-    /// [`crate::sweep::set_cache_budget_bytes`]; the sweep server
-    /// enforces it between jobs.
+    /// = unlimited, preserving exactly-once memoisation). The sweep
+    /// server enforces it between jobs; nothing else evicts.
     pub sweep_cache_mb: Option<u64>,
     /// Path to a `.scenario.json` file (`SATIOT_SCENARIO`); `None` runs
     /// the compiled-in scenarios. The experiment runners load it through
@@ -113,7 +136,6 @@ impl Default for RunOptions {
             scale: Scale::Full,
             sink: SinkMode::Full,
             sweep_dir: None,
-            sweep_shard: None,
             sweep_cache_mb: None,
             scenario: None,
         }
@@ -126,10 +148,13 @@ impl RunOptions {
     ///
     /// Malformed values fall back to the documented defaults (see
     /// [`from_lookup_with_warnings`](Self::from_lookup_with_warnings))
-    /// and each rejection is reported on stderr, so a typo'd knob is
-    /// visible instead of silently ignored.
+    /// and each rejection is reported on stderr, as is every set
+    /// `SATIOT_*` variable that is not a knob, so a typo'd or retired
+    /// knob is visible instead of silently ignored.
     pub fn from_env() -> RunOptions {
-        let (opts, warnings) = Self::from_lookup_with_warnings(|key| std::env::var(key).ok());
+        let (opts, mut warnings) = Self::from_lookup_with_warnings(|key| std::env::var(key).ok());
+        let names = std::env::vars_os().filter_map(|(name, _)| name.into_string().ok());
+        warnings.extend(unknown_knob_warnings(names));
         for w in &warnings {
             eprintln!("satiot: warning: {w}");
         }
@@ -153,16 +178,15 @@ impl RunOptions {
     /// * `SATIOT_THREADS`: unparsable → auto (`None`); `0` is the
     ///   *documented* spelling of auto, not a rejection.
     /// * `SATIOT_SCALE`: unknown word → `full`.
-    /// * `SATIOT_SINK`: unknown mode or a pathless `csv:`/`jsonl:` →
-    ///   the full-trace sink.
     /// * `SATIOT_SWEEP_DIR`: empty → checkpointing off.
-    /// * `SATIOT_SWEEP_SHARD`: anything but `i/n` with `i < n` → run
-    ///   every job.
     /// * `SATIOT_SWEEP_CACHE_MB`: unparsable → unlimited; `0` is the
     ///   documented spelling of unlimited, not a rejection.
     /// * `SATIOT_SCENARIO`: empty → the compiled-in scenario. (Whether
     ///   the file exists and parses is decided by the binary that loads
     ///   it, with a typed `ScenarioError`.)
+    ///
+    /// A lookup cannot list its variables, so set `SATIOT_*` names that
+    /// are not knobs are reported by [`from_env`](Self::from_env) alone.
     pub fn from_lookup_with_warnings<F: Fn(&str) -> Option<String>>(
         lookup: F,
     ) -> (RunOptions, Vec<String>) {
@@ -189,23 +213,6 @@ impl RunOptions {
                 Scale::Full
             }
         };
-        let sink = match lookup("SATIOT_SINK").as_deref() {
-            Some("aggregate") | Some("agg") => SinkMode::Aggregate,
-            Some("null") => SinkMode::Null,
-            // Spill paths leak once per parse so `RunOptions` stays
-            // `Copy`; a process configures at most a handful of runs.
-            Some(v) if v.starts_with("csv:") && v.len() > 4 => SinkMode::SpillCsv {
-                path: Box::leak(v["csv:".len()..].to_string().into_boxed_str()),
-            },
-            Some(v) if v.starts_with("jsonl:") && v.len() > 6 => SinkMode::SpillJsonl {
-                path: Box::leak(v["jsonl:".len()..].to_string().into_boxed_str()),
-            },
-            Some("full") | Some("") | None => SinkMode::Full,
-            Some(v) => {
-                reject("SATIOT_SINK", v, "the full-trace sink");
-                SinkMode::Full
-            }
-        };
         let sweep_dir = lookup("SATIOT_SWEEP_DIR").and_then(|v| {
             if v.is_empty() {
                 reject("SATIOT_SWEEP_DIR", &v, "no checkpointing");
@@ -213,17 +220,6 @@ impl RunOptions {
             } else {
                 Some(&*Box::leak(v.into_boxed_str()))
             }
-        });
-        let sweep_shard = lookup("SATIOT_SWEEP_SHARD").and_then(|v| {
-            let parsed = v.split_once('/').and_then(|(i, n)| {
-                let i = i.trim().parse::<usize>().ok()?;
-                let n = n.trim().parse::<usize>().ok()?;
-                (i < n).then_some((i, n))
-            });
-            if parsed.is_none() {
-                reject("SATIOT_SWEEP_SHARD", &v, "an unsharded sweep");
-            }
-            parsed
         });
         let sweep_cache_mb = lookup("SATIOT_SWEEP_CACHE_MB").and_then(|v| {
             match v.trim().parse::<u64>() {
@@ -247,9 +243,8 @@ impl RunOptions {
             threads,
             metrics,
             scale,
-            sink,
+            sink: SinkMode::Full,
             sweep_dir,
-            sweep_shard,
             sweep_cache_mb,
             scenario,
         };
@@ -288,13 +283,6 @@ impl RunOptions {
         self
     }
 
-    /// Override the sweep shard assignment (`(index, count)`,
-    /// `index < count`).
-    pub fn with_sweep_shard(mut self, shard: Option<(usize, usize)>) -> Self {
-        self.sweep_shard = shard;
-        self
-    }
-
     /// Override the combined cache payload budget in MiB (`None` =
     /// unlimited).
     pub fn with_sweep_cache_mb(mut self, mb: Option<u64>) -> Self {
@@ -311,14 +299,12 @@ impl RunOptions {
     }
 
     /// Install these options into the process-wide settings read by
-    /// code below the campaign API: the pool worker count, the metrics
-    /// flag, and the cache payload budget. Binaries call
-    /// `RunOptions::from_env().apply()` once at startup; returns `self`
-    /// for chaining into a campaign call.
+    /// code below the campaign API: the pool worker count and the
+    /// metrics flag. Binaries call `RunOptions::from_env().apply()` once
+    /// at startup; returns `self` for chaining into a campaign call.
     pub fn apply(self) -> Self {
         pool::set_thread_count(self.threads);
         satiot_obs::metrics::set_enabled(self.metrics);
-        crate::sweep::set_cache_budget_bytes(self.sweep_cache_mb.map(|mb| mb << 20));
         self
     }
 }
@@ -348,41 +334,17 @@ mod tests {
             ("SATIOT_THREADS", "4"),
             ("SATIOT_METRICS", "1"),
             ("SATIOT_SCALE", "quick"),
-            ("SATIOT_SINK", "aggregate"),
             ("SATIOT_SWEEP_DIR", "/tmp/sweep"),
-            ("SATIOT_SWEEP_SHARD", "1/4"),
             ("SATIOT_SWEEP_CACHE_MB", "256"),
             ("SATIOT_SCENARIO", "/tmp/run.scenario.json"),
         ]));
         assert_eq!(opts.scenario, Some("/tmp/run.scenario.json"));
         assert_eq!(opts.sweep_dir, Some("/tmp/sweep"));
-        assert_eq!(opts.sweep_shard, Some((1, 4)));
         assert_eq!(opts.sweep_cache_mb, Some(256));
         assert_eq!(opts.threads, Some(4));
         assert!(opts.metrics);
         assert_eq!(opts.scale, Scale::Quick);
-        assert_eq!(opts.sink, SinkMode::Aggregate);
-    }
-
-    #[test]
-    fn sink_knob_parses_every_mode() {
-        let parse = |v: &str| RunOptions::from_lookup(lookup_from(&[("SATIOT_SINK", v)])).sink;
-        assert_eq!(parse("full"), SinkMode::Full);
-        assert_eq!(parse("aggregate"), SinkMode::Aggregate);
-        assert_eq!(parse("agg"), SinkMode::Aggregate);
-        assert_eq!(parse("null"), SinkMode::Null);
-        match parse("csv:/tmp/run.csv") {
-            SinkMode::SpillCsv { path } => assert_eq!(path, "/tmp/run.csv"),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse("jsonl:/tmp/run.jsonl") {
-            SinkMode::SpillJsonl { path } => assert_eq!(path, "/tmp/run.jsonl"),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Pathless spill specs and junk fall back to Full.
-        assert_eq!(parse("csv:"), SinkMode::Full);
-        assert_eq!(parse("jsonl:"), SinkMode::Full);
-        assert_eq!(parse("parquet:/tmp/x"), SinkMode::Full);
+        assert_eq!(opts.sink, SinkMode::Full);
     }
 
     #[test]
@@ -391,12 +353,10 @@ mod tests {
             ("SATIOT_THREADS", "zero"),
             ("SATIOT_METRICS", "0"),
             ("SATIOT_SCALE", "huge"),
-            ("SATIOT_SINK", "firehose"),
         ]));
         assert_eq!(opts.threads, None);
         assert!(!opts.metrics);
         assert_eq!(opts.scale, Scale::Full);
-        assert_eq!(opts.sink, SinkMode::Full);
     }
 
     #[test]
@@ -429,41 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn malformed_sink_warns_and_falls_back_to_full() {
-        for bad in ["firehose", "csv:", "jsonl:", "aggregate "] {
-            let (opts, warnings) = parse_with_warnings(&[("SATIOT_SINK", bad)]);
-            assert_eq!(opts.sink, SinkMode::Full, "SATIOT_SINK={bad:?}");
-            assert_eq!(warnings.len(), 1, "SATIOT_SINK={bad:?}: {warnings:?}");
-            assert!(warnings[0].contains("SATIOT_SINK"), "{warnings:?}");
-        }
-        for good in [
-            "full",
-            "aggregate",
-            "agg",
-            "null",
-            "csv:/tmp/a.csv",
-            "jsonl:/tmp/a.jl",
-        ] {
-            let (_, warnings) = parse_with_warnings(&[("SATIOT_SINK", good)]);
-            assert!(warnings.is_empty(), "SATIOT_SINK={good:?}: {warnings:?}");
-        }
-    }
-
-    #[test]
     fn malformed_sweep_knobs_warn_and_fall_back() {
-        for bad in ["3", "1/", "/4", "4/4", "5/4", "a/b", "1/4/2"] {
-            let (opts, warnings) = parse_with_warnings(&[("SATIOT_SWEEP_SHARD", bad)]);
-            assert_eq!(opts.sweep_shard, None, "SATIOT_SWEEP_SHARD={bad:?}");
-            assert_eq!(
-                warnings.len(),
-                1,
-                "SATIOT_SWEEP_SHARD={bad:?}: {warnings:?}"
-            );
-        }
-        let (opts, warnings) = parse_with_warnings(&[("SATIOT_SWEEP_SHARD", "0/1")]);
-        assert_eq!(opts.sweep_shard, Some((0, 1)));
-        assert!(warnings.is_empty(), "{warnings:?}");
-
         let (opts, warnings) = parse_with_warnings(&[("SATIOT_SWEEP_CACHE_MB", "lots")]);
         assert_eq!(opts.sweep_cache_mb, None);
         assert_eq!(warnings.len(), 1, "{warnings:?}");
@@ -488,8 +414,6 @@ mod tests {
         let (opts, warnings) = parse_with_warnings(&[
             ("SATIOT_THREADS", "zero"),
             ("SATIOT_SCALE", "huge"),
-            ("SATIOT_SINK", "firehose"),
-            ("SATIOT_SWEEP_SHARD", "broken"),
             ("SATIOT_SWEEP_CACHE_MB", "big"),
             ("SATIOT_SCENARIO", ""),
         ]);
@@ -500,7 +424,30 @@ mod tests {
             "malformed values must not leak into the options"
         );
         // …and every one of them was reported.
-        assert_eq!(warnings.len(), 6, "{warnings:?}");
+        assert_eq!(warnings.len(), 4, "{warnings:?}");
+    }
+
+    #[test]
+    fn unknown_satiot_names_warn_once_each() {
+        let names = |list: &[&str]| list.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        // The six knobs and non-SATIOT names pass silently.
+        let mut silent = names(&KNOBS);
+        silent.extend(names(&["PATH", "HOME", "SATIOT", "satiot_sink"]));
+        assert!(unknown_knob_warnings(silent).is_empty());
+        // Retired knobs and typos warn once each, in name order, naming
+        // the variable as ignored.
+        let warnings = unknown_knob_warnings(names(&[
+            "SATIOT_SWEEP_SHARD",
+            "PATH",
+            "SATIOT_SINK",
+            "SATIOT_THREADS",
+            "SATIOT_THREAD",
+        ]));
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        let expected = ["SATIOT_SINK ", "SATIOT_SWEEP_SHARD ", "SATIOT_THREAD "];
+        for (w, name) in warnings.iter().zip(expected) {
+            assert!(w.starts_with(name) && w.contains("ignored"), "{w}");
+        }
     }
 
     #[test]
@@ -509,7 +456,6 @@ mod tests {
         // field, leaving the rest of the parsed values intact.
         let base = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "8"),
-            ("SATIOT_SINK", "null"),
             ("SATIOT_SCALE", "quick"),
         ]));
         let opts = base
@@ -523,7 +469,7 @@ mod tests {
         assert_eq!(opts.scale, Scale::Full);
         // Untouched builder chains preserve the parsed values.
         assert_eq!(base.threads, Some(8));
-        assert_eq!(base.sink, SinkMode::Null);
+        assert_eq!(base.sink, SinkMode::Full);
         assert_eq!(base.scale, Scale::Quick);
     }
 

@@ -33,7 +33,7 @@ use crate::error::{Fault, FaultLog, SatIotError};
 use crate::geometry::{beacon_times, sample_at};
 use crate::options::RunOptions;
 use crate::scheduler::{CandidatePass, Coverage, PredictiveScheduler, Scheduler, VanillaScheduler};
-use crate::sink::{self, SinkStats, SpillPart};
+use crate::sink::{SinkStats, TraceSink};
 use crate::station::{AvailabilityParams, StationAvailability};
 use crate::sweep::{self, GridKey, PassKey};
 use satiot_channel::antenna::AntennaPattern;
@@ -171,7 +171,7 @@ pub struct SitePassRecord {
 pub struct PassiveResults {
     /// Every decoded beacon — populated only under the full-trace sink
     /// ([`crate::sink::SinkMode::Full`], the default); empty under the
-    /// bounded-memory modes.
+    /// aggregating sink.
     pub traces: TraceSet,
     /// Every covered pass.
     pub passes: Vec<SitePassRecord>,
@@ -179,15 +179,12 @@ pub struct PassiveResults {
     /// NaN passes dropped, …), merged per site in configuration order.
     pub faults: FaultLog,
     /// Streaming per-constellation sketches over the decoded beacons,
-    /// merged per site in configuration order. `None` only under the
-    /// null sink (or when every site was skipped).
+    /// merged per site in configuration order. `None` only when every
+    /// site was skipped.
     pub sketch: Option<TraceAggregate>,
-    /// Sink accounting: how many traces were emitted, retained in RAM,
-    /// and spilled to disk.
+    /// Sink accounting: how many traces were emitted and how many were
+    /// retained in RAM.
     pub sink: SinkStats,
-    /// Spill parts awaiting final concatenation (drained by the
-    /// campaign drivers before returning).
-    pub(crate) spill_parts: Vec<SpillPart>,
 }
 
 impl PassiveResults {
@@ -332,11 +329,9 @@ impl PassiveCampaign {
         let partials: Vec<PassiveResults> =
             pool::parallel_map_with(&self.config.sites, threads, |idx, site| {
                 let rng = root.fork_indexed("site", idx as u64);
-                run_site(&self.config, opts, idx, site, &sats, rng, site_lists[idx])
+                run_site(&self.config, opts, site, &sats, rng, site_lists[idx])
             });
-        let mut results = merge(partials);
-        finalize(&mut results);
-        Ok(results)
+        Ok(merge(partials))
     }
 
     /// Reject configurations the campaign cannot run meaningfully.
@@ -413,18 +408,8 @@ fn merge(partials: Vec<PassiveResults>) -> PassiveResults {
             (_, None) => {}
         }
         merged.sink.merge(&p.sink);
-        merged.spill_parts.extend(p.spill_parts);
     }
     merged
-}
-
-/// Concatenate any spill parts into the final archive (in site order —
-/// `merge` collected them in configuration order) and fold IO failures
-/// into the fault ledger.
-fn finalize(results: &mut PassiveResults) {
-    let parts = std::mem::take(&mut results.spill_parts);
-    let io_errors = sink::finalize_spill(&parts);
-    results.faults.record_n(Fault::SinkIo, io_errors);
 }
 
 /// Drop candidate passes the pipeline cannot simulate: NaN/∞ AOS, LOS,
@@ -513,14 +498,11 @@ fn piece_for_tca<'a>(pieces: &[&'a Coverage], tca: JulianDate) -> Option<&'a Cov
         })
 }
 
-/// Simulate one site end to end. `site_idx` is the site's configuration
-/// index (it selects the RNG stream upstream and names spill-sink part
-/// files here); `lists` carries the predict phase's per-satellite pass
-/// lists.
+/// Simulate one site end to end on its forked RNG stream; `lists`
+/// carries the predict phase's per-satellite pass lists.
 fn run_site(
     cfg: &PassiveConfig,
     opts: &RunOptions,
-    site_idx: usize,
     site: &Site,
     sats: &[FlatSat],
     rng: Rng,
@@ -540,7 +522,7 @@ fn run_site(
     }
     // The shard's trace sink: decoded beacons flow here instead of an
     // unconditional in-RAM Vec (see `crate::sink`).
-    let mut trace_sink = opts.sink.shard(site_idx);
+    let mut trace_sink = TraceSink::new(opts.sink);
 
     // Weather timeline, indexed by seconds since site start.
     let mut weather_rng = rng.fork("weather");
@@ -776,10 +758,8 @@ fn run_site(
 
     let out = trace_sink.finish();
     results.traces = out.traces;
-    results.sketch = out.sketch;
+    results.sketch = Some(out.sketch);
     results.sink = out.stats;
-    results.spill_parts.extend(out.spill);
-    results.faults.record_n(Fault::SinkIo, out.io_errors);
     results
 }
 
@@ -1230,18 +1210,10 @@ mod tests {
         assert_eq!(full.faults, agg.faults);
     }
 
-    /// The null sink drops everything but still counts emissions, and
-    /// the aggregate is identical across one-thread and pooled runs.
+    /// The aggregate is identical across one-thread and pooled runs.
     #[test]
-    fn null_sink_and_pooled_aggregate_are_consistent() {
+    fn pooled_aggregate_matches_serial() {
         use crate::sink::SinkMode;
-
-        let campaign = PassiveCampaign::new(small_config());
-        let null = campaign.run(&opts().with_sink(SinkMode::Null)).unwrap();
-        assert!(null.traces.is_empty());
-        assert!(null.sketch.is_none());
-        assert!(null.sink.emitted > 0, "null sink still counts emissions");
-        assert_eq!(null.sink.retained, 0);
 
         let mut cfg = small_config();
         cfg.sites = measurement_sites()

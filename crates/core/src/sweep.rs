@@ -81,12 +81,6 @@ static GRID_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 /// (2⁶⁴ lookups).
 static CLOCK: AtomicU64 = AtomicU64::new(0);
 
-/// Combined payload budget for [`enforce_cache_budget`], in bytes.
-/// `u64::MAX` is the "no budget" sentinel (the default): eviction is
-/// entirely disabled, preserving the exactly-once `computes == entries`
-/// invariant the `cache_exactly_once` test pins.
-static BUDGET_BYTES: AtomicU64 = AtomicU64::new(u64::MAX);
-
 /// Identity of one cached pass list.
 ///
 /// Two predictions may share a list only when *everything* that feeds
@@ -283,9 +277,9 @@ pub struct CacheStats {
     /// Lookups that ran a prediction. Each compute fills one slot and
     /// each eviction empties one, so at rest `computes == entries +
     /// evictions`: every pass list was predicted exactly once per
-    /// residency. With no eviction budget set (the default) nothing is
-    /// evicted, and `computes == entries` proves every cached pass list
-    /// was predicted exactly once this process.
+    /// residency. In a process that never enforces a budget (the
+    /// default) nothing is evicted, and `computes == entries` proves
+    /// every cached pass list was predicted exactly once this process.
     pub computes: u64,
     /// Distinct keys currently cached.
     pub entries: usize,
@@ -343,39 +337,19 @@ pub struct EvictionSweep {
     pub bytes_retained: u64,
 }
 
-/// Set (or clear, with `None`) the combined payload budget in bytes for
-/// both process-wide stores. The default is no budget: nothing is ever
-/// evicted and the exactly-once `computes == entries` invariant holds
-/// for the whole process lifetime. With a budget, each
-/// [`enforce_cache_budget`] call drops least-recently-used entries —
-/// pass lists and grids ranked on one shared recency axis — until the
-/// combined approximate payload fits.
-pub fn set_cache_budget_bytes(budget: Option<u64>) {
-    BUDGET_BYTES.store(budget.unwrap_or(u64::MAX), Relaxed);
-}
-
-/// The configured payload budget, if any.
-pub fn cache_budget_bytes() -> Option<u64> {
-    match BUDGET_BYTES.load(Relaxed) {
-        u64::MAX => None,
-        b => Some(b),
-    }
-}
-
-/// Evict least-recently-used entries across *both* stores until their
-/// combined approximate payload fits the configured budget. A no-op
-/// (and lock-free) when no budget is set.
+/// Evict least-recently-used entries across *both* stores — pass lists
+/// and grids ranked on one shared recency axis — until their combined
+/// approximate payload fits `budget_bytes`.
 ///
-/// Lookups themselves never evict — the hot path stays lock-light and
-/// budget-less processes keep exactly-once memoisation. Long-lived
-/// drivers call this at their job boundaries (the sweep server does so
-/// after every job), so a sweep over disjoint windows is bounded by the
-/// budget instead of growing with the number of distinct windows.
-pub fn enforce_cache_budget() -> EvictionSweep {
-    let Some(budget) = cache_budget_bytes() else {
-        return EvictionSweep::default();
-    };
-    let sweep = enforce_on(cache(), grid_store(), budget);
+/// Lookups themselves never evict — the hot path stays lock-light, and
+/// a process that never calls this keeps exactly-once memoisation
+/// (`computes == entries`). Long-lived drivers call it at their job
+/// boundaries (the sweep server does so after every job when its
+/// options set a budget), so a sweep over disjoint windows is bounded
+/// by the budget instead of growing with the number of distinct
+/// windows.
+pub fn enforce_cache_budget(budget_bytes: u64) -> EvictionSweep {
+    let sweep = enforce_on(cache(), grid_store(), budget_bytes);
     if sweep.pass_lists_evicted > 0 {
         PASS_EVICTIONS.fetch_add(sweep.pass_lists_evicted as u64, Relaxed);
         CACHE_EVICTED.add(sweep.pass_lists_evicted as u64);
@@ -532,9 +506,9 @@ pub struct GridStats {
     /// Total [`grid_for`] calls.
     pub lookups: u64,
     /// Lookups that built a grid. As for [`CacheStats::computes`], at
-    /// rest `computes == entries + evictions`, and with no budget set
-    /// `computes == entries` proves every stored grid was sampled
-    /// exactly once this process.
+    /// rest `computes == entries + evictions`, and with no budget
+    /// enforced `computes == entries` proves every stored grid was
+    /// sampled exactly once this process.
     pub computes: u64,
     /// Distinct grids currently stored.
     pub entries: usize,
@@ -789,20 +763,6 @@ mod tests {
         let sweep = enforce_on(&passes, &grids, u64::MAX - 1);
         assert_eq!(sweep.pass_lists_evicted, 0);
         assert_eq!(sweep.bytes_retained, pass_list_bytes(&list(5)));
-    }
-
-    #[test]
-    fn cache_budget_latch_round_trips() {
-        // The latch itself is process-global; leave it unset on exit so
-        // concurrent campaign tests keep exactly-once memoisation.
-        // (Nothing evicts unless `enforce_cache_budget` is called, and
-        // this test never calls it with a finite budget installed.)
-        assert_eq!(cache_budget_bytes(), None);
-        assert_eq!(enforce_cache_budget(), EvictionSweep::default());
-        set_cache_budget_bytes(Some(64 << 20));
-        assert_eq!(cache_budget_bytes(), Some(64 << 20));
-        set_cache_budget_bytes(None);
-        assert_eq!(cache_budget_bytes(), None);
     }
 
     #[test]

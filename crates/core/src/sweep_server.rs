@@ -1,4 +1,4 @@
-//! Campaign-as-a-service: the resumable, sharded sweep driver.
+//! Campaign-as-a-service: the resumable sweep driver.
 //!
 //! Every frontier study in the paper — Tables 1–3, the cost crossover
 //! surfaces, the bench extensions — is a *sweep*: many campaign
@@ -19,9 +19,10 @@
 //! * **Bounded memory.** Jobs run under the aggregating sink — traces
 //!   stream into the PR-6 mergeable sketches ([`TraceAggregate`]'s
 //!   exact merge law), so sweep memory is O(jobs' summaries), never
-//!   O(traces). Between jobs the server enforces the configured cache
-//!   payload budget ([`crate::sweep::enforce_cache_budget`]), so a
-//!   sweep over disjoint windows cannot grow without bound.
+//!   O(traces). Between jobs the server enforces the cache payload
+//!   budget its options carry (`RunOptions::sweep_cache_mb`, through
+//!   [`crate::sweep::enforce_cache_budget`]), so a sweep over disjoint
+//!   windows cannot grow without bound.
 //! * **Checkpoint/resume.** With a spill directory configured, each
 //!   completed job's results — its sketch, per-constellation outcomes,
 //!   and root RNG stream position — are written to
@@ -32,11 +33,8 @@
 //!   to an uninterrupted run (the `satiot-bench` `sweep_kill_resume`
 //!   test SIGKILLs a live sweep worker to prove it). Floats round-trip
 //!   through their exact bit patterns, and a FNV-64 content checksum
-//!   rejects torn or stale files.
-//! * **Sharding.** `SATIOT_SWEEP_SHARD=i/n` assigns every `n`-th job
-//!   (round-robin by queue position) to this process, so a sweep can
-//!   spread across OS processes sharing one spill directory; shard
-//!   outcomes merge exactly through the sketch merge law.
+//!   rejects torn or stale files. The [`SweepOutcome`] counts the jobs
+//!   run and resumed and the checkpoints written and rejected.
 //!
 //! ```
 //! use satiot_core::prelude::*;
@@ -71,61 +69,12 @@ use satiot_scenarios::constellations::all_constellations;
 use satiot_scenarios::sites::measurement_sites;
 use satiot_sim::rng::Rng;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Jobs executed end-to-end by this process (metrics).
+// Report-only mirrors of the `SweepOutcome` tallies (metrics).
 static M_JOBS_RUN: Counter = Counter::new("core.sweep.server.jobs_run");
-/// Jobs reloaded from checkpoints instead of re-run (metrics).
 static M_JOBS_RESUMED: Counter = Counter::new("core.sweep.server.jobs_resumed");
-/// Jobs skipped because they belong to another shard (metrics).
-static M_JOBS_SKIPPED: Counter = Counter::new("core.sweep.server.jobs_skipped");
-/// Checkpoints written (metrics).
 static M_CHECKPOINTS_WRITTEN: Counter = Counter::new("core.sweep.server.checkpoints_written");
-/// Checkpoints rejected as corrupt/stale/mismatched (metrics).
 static M_CHECKPOINTS_REJECTED: Counter = Counter::new("core.sweep.server.checkpoints_rejected");
-
-// Always-on proof counters (plain atomics, like `sweep::stats`): the
-// kill-and-resume test asserts on them with `SATIOT_METRICS` off.
-static JOBS_RUN: AtomicU64 = AtomicU64::new(0);
-static JOBS_RESUMED: AtomicU64 = AtomicU64::new(0);
-static JOBS_SKIPPED: AtomicU64 = AtomicU64::new(0);
-static CHECKPOINTS_WRITTEN: AtomicU64 = AtomicU64::new(0);
-static CHECKPOINTS_REJECTED: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the server's always-on proof counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// Jobs executed end-to-end by this process.
-    pub jobs_run: u64,
-    /// Jobs reloaded from checkpoints instead of re-run.
-    pub jobs_resumed: u64,
-    /// Jobs skipped because they belong to another shard.
-    pub jobs_skipped: u64,
-    /// Checkpoints written.
-    pub checkpoints_written: u64,
-    /// Checkpoints rejected (corrupt, torn, or for a different spec).
-    pub checkpoints_rejected: u64,
-}
-
-/// Read the server's proof counters.
-pub fn server_stats() -> ServerStats {
-    ServerStats {
-        jobs_run: JOBS_RUN.load(Relaxed),
-        jobs_resumed: JOBS_RESUMED.load(Relaxed),
-        jobs_skipped: JOBS_SKIPPED.load(Relaxed),
-        checkpoints_written: CHECKPOINTS_WRITTEN.load(Relaxed),
-        checkpoints_rejected: CHECKPOINTS_REJECTED.load(Relaxed),
-    }
-}
-
-/// Zero the server's proof counters (bench legs isolating one sweep).
-pub fn reset_server_stats() {
-    JOBS_RUN.store(0, Relaxed);
-    JOBS_RESUMED.store(0, Relaxed);
-    JOBS_SKIPPED.store(0, Relaxed);
-    CHECKPOINTS_WRITTEN.store(0, Relaxed);
-    CHECKPOINTS_REJECTED.store(0, Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Jobs
@@ -459,7 +408,7 @@ impl JobRecord {
 /// The merged outcome of one sweep.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepOutcome {
-    /// Per-job records, in queue order (shard-skipped jobs omitted).
+    /// Per-job records, in queue order.
     pub records: Vec<JobRecord>,
     /// All job sketches merged through the exact sketch merge law.
     pub merged: TraceAggregate,
@@ -467,14 +416,18 @@ pub struct SweepOutcome {
     pub jobs_run: usize,
     /// Jobs reloaded from checkpoints.
     pub jobs_resumed: usize,
-    /// Jobs left to other shards.
-    pub jobs_skipped: usize,
+    /// Checkpoints written for the jobs run.
+    pub checkpoints_written: usize,
+    /// Checkpoints found but rejected (corrupt, torn, or for a
+    /// different spec); their jobs re-ran.
+    pub checkpoints_rejected: usize,
 }
 
 impl SweepOutcome {
     /// Whether two outcomes carry bit-identical results (see
     /// [`JobRecord::same_results`]; `merged` is covered by exact
-    /// equality, run/resume tallies are provenance and ignored).
+    /// equality, run/resume and checkpoint tallies are provenance and
+    /// ignored).
     pub fn same_results(&self, other: &SweepOutcome) -> bool {
         self.records.len() == other.records.len()
             && self
@@ -498,37 +451,22 @@ pub struct SweepServer {
     opts: RunOptions,
     /// Checkpoint directory; `None` disables checkpoint/resume.
     spill_dir: Option<PathBuf>,
-    /// `(index, count)` shard assignment; `None` runs every job.
-    shard: Option<(usize, usize)>,
 }
 
 impl SweepServer {
-    /// A server honouring `opts` — including its `SATIOT_SWEEP_DIR`,
-    /// `SATIOT_SWEEP_SHARD`, and `SATIOT_SWEEP_CACHE_MB` knobs. A
-    /// configured cache budget is installed process-wide here
-    /// (mirroring [`RunOptions::apply`]) and enforced between jobs; an
-    /// unconfigured one leaves the process latch alone.
+    /// A server honouring `opts` — including its `SATIOT_SWEEP_DIR` and
+    /// `SATIOT_SWEEP_CACHE_MB` knobs. A configured cache budget is
+    /// enforced between jobs; without one nothing is evicted.
     pub fn new(opts: RunOptions) -> SweepServer {
-        if let Some(mb) = opts.sweep_cache_mb {
-            sweep::set_cache_budget_bytes(Some(mb << 20));
-        }
         SweepServer {
             opts,
             spill_dir: opts.sweep_dir.map(PathBuf::from),
-            shard: opts.sweep_shard,
         }
     }
 
     /// Override the checkpoint directory.
     pub fn with_spill_dir(mut self, dir: Option<&Path>) -> SweepServer {
         self.spill_dir = dir.map(Path::to_path_buf);
-        self
-    }
-
-    /// Override the shard assignment (`(index, count)`, `index <
-    /// count`).
-    pub fn with_shard(mut self, shard: Option<(usize, usize)>) -> SweepServer {
-        self.shard = shard;
         self
     }
 
@@ -542,8 +480,7 @@ impl SweepServer {
     /// # Errors
     ///
     /// Any job validation error (see [`SweepJob::to_config`]), a
-    /// duplicate fingerprint ([`SatIotError::InvalidName`]), a shard
-    /// index out of range ([`SatIotError::InvalidConfig`]), or a
+    /// duplicate fingerprint ([`SatIotError::InvalidName`]), or a
     /// campaign failure from an executed job.
     pub fn run(&self, jobs: &[SweepJob]) -> Result<SweepOutcome, SatIotError> {
         for job in jobs {
@@ -559,15 +496,6 @@ impl SweepServer {
                 });
             }
         }
-        if let Some((index, count)) = self.shard {
-            if index >= count || count == 0 {
-                return Err(SatIotError::InvalidConfig {
-                    field: "SweepServer.shard",
-                    value: index as f64,
-                    requirement: "index < count and count >= 1",
-                });
-            }
-        }
         if let Some(dir) = &self.spill_dir {
             std::fs::create_dir_all(dir).map_err(|_| SatIotError::InvalidName {
                 field: "SweepServer.spill_dir",
@@ -576,59 +504,55 @@ impl SweepServer {
             })?;
         }
 
-        // Partition the queue: other shards' jobs, resumable jobs,
-        // pending jobs.
+        // Partition the queue: resumable jobs, pending jobs.
+        let mut outcome = SweepOutcome::default();
         let mut slots: Vec<Option<JobRecord>> = Vec::with_capacity(jobs.len());
         let mut pending: Vec<(usize, &SweepJob)> = Vec::new();
-        let mut jobs_skipped = 0usize;
-        let mut jobs_resumed = 0usize;
-        let mut kept = 0usize;
-        for (i, job) in jobs.iter().enumerate() {
-            if let Some((index, count)) = self.shard {
-                if i % count != index {
-                    jobs_skipped += 1;
-                    JOBS_SKIPPED.fetch_add(1, Relaxed);
-                    M_JOBS_SKIPPED.inc();
-                    continue;
+        for job in jobs {
+            let resumed = match self.load_checkpoint(job) {
+                Some(Ok(record)) => Some(record),
+                Some(Err(_)) => {
+                    outcome.checkpoints_rejected += 1;
+                    M_CHECKPOINTS_REJECTED.inc();
+                    None
                 }
-            }
-            kept += 1;
-            if let Some(record) = self.try_resume(job) {
-                jobs_resumed += 1;
-                JOBS_RESUMED.fetch_add(1, Relaxed);
+                None => None,
+            };
+            if resumed.is_some() {
+                outcome.jobs_resumed += 1;
                 M_JOBS_RESUMED.inc();
-                slots.push(Some(record));
             } else {
                 pending.push((slots.len(), job));
-                slots.push(None);
             }
+            slots.push(resumed);
         }
 
-        // Execute the pending jobs.
+        // Execute the pending jobs, checkpointing each and holding the
+        // caches to the budget between them.
         for (slot, job) in pending {
             let record = self.execute(job)?;
-            sweep::enforce_cache_budget();
+            outcome.jobs_run += 1;
+            M_JOBS_RUN.inc();
+            if self.write_checkpoint(&record) {
+                outcome.checkpoints_written += 1;
+                M_CHECKPOINTS_WRITTEN.inc();
+            }
+            if let Some(mb) = self.opts.sweep_cache_mb {
+                sweep::enforce_cache_budget(mb << 20);
+            }
             slots[slot] = Some(record);
         }
 
-        let records: Vec<JobRecord> = slots.into_iter().flatten().collect();
-        debug_assert_eq!(records.len(), kept);
-        let mut merged = TraceAggregate::new();
-        for record in &records {
+        outcome.records = slots.into_iter().flatten().collect();
+        for record in &outcome.records {
             if let Some(sketch) = &record.sketch {
-                merged.merge(sketch);
+                outcome.merged.merge(sketch);
             }
         }
-        Ok(SweepOutcome {
-            jobs_run: records.iter().filter(|r| !r.resumed).count(),
-            jobs_resumed,
-            jobs_skipped,
-            records,
-            merged,
-        })
+        Ok(outcome)
     }
 
-    /// Execute one job end-to-end and checkpoint the result.
+    /// Execute one job end-to-end.
     fn execute(&self, job: &SweepJob) -> Result<JobRecord, SatIotError> {
         let (pass_before, grid_before) = (sweep::stats(), sweep::grid_stats());
         let config = job.to_config()?;
@@ -680,47 +604,34 @@ impl SweepServer {
             cache,
             sketch: results.sketch.clone(),
         };
-        JOBS_RUN.fetch_add(1, Relaxed);
-        M_JOBS_RUN.inc();
-        self.write_checkpoint(&record);
         Ok(record)
     }
 
-    /// Load `job`'s checkpoint, if a valid one exists for exactly this
-    /// spec. Any mismatch — checksum, fingerprint, spec, or RNG stream
-    /// position — rejects the file (counted) and the job re-runs.
-    fn try_resume(&self, job: &SweepJob) -> Option<JobRecord> {
+    /// Load `job`'s checkpoint: `None` when there is no file, `Err` when
+    /// one exists but fails to verify. Any mismatch — checksum,
+    /// fingerprint, spec, or RNG stream position — rejects the file and
+    /// the job re-runs.
+    fn load_checkpoint(&self, job: &SweepJob) -> Option<Result<JobRecord, String>> {
         let dir = self.spill_dir.as_ref()?;
-        let path = checkpoint_path(dir, job);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match codec::decode(&text, job) {
-            Ok(record) => Some(record),
-            Err(_) => {
-                CHECKPOINTS_REJECTED.fetch_add(1, Relaxed);
-                M_CHECKPOINTS_REJECTED.inc();
-                None
-            }
-        }
+        let text = std::fs::read_to_string(checkpoint_path(dir, job)).ok()?;
+        Some(codec::decode(&text, job))
     }
 
     /// Write `record`'s checkpoint atomically (tmp + rename), so a kill
     /// mid-write leaves either the old file or none — never a torn one.
-    /// IO failure degrades to "no checkpoint" (the job simply re-runs
-    /// on resume) rather than failing the sweep.
-    fn write_checkpoint(&self, record: &JobRecord) {
+    /// Returns whether a checkpoint was written: IO failure degrades to
+    /// "no checkpoint" (the job simply re-runs on resume) rather than
+    /// failing the sweep.
+    fn write_checkpoint(&self, record: &JobRecord) -> bool {
         let Some(dir) = &self.spill_dir else {
-            return;
+            return false;
         };
         let path = checkpoint_path(dir, &record.job);
         let tmp = path.with_extension("tmp");
         let text = codec::encode(record);
-        let written = std::fs::write(&tmp, text.as_bytes())
+        std::fs::write(&tmp, text.as_bytes())
             .and_then(|()| std::fs::rename(&tmp, &path))
-            .is_ok();
-        if written {
-            CHECKPOINTS_WRITTEN.fetch_add(1, Relaxed);
-            M_CHECKPOINTS_WRITTEN.inc();
-        }
+            .is_ok()
     }
 }
 
@@ -1235,12 +1146,14 @@ mod tests {
         let cold = server.run(&jobs).unwrap();
         assert_eq!(cold.jobs_run, 3);
         assert_eq!(cold.jobs_resumed, 0);
+        assert_eq!(cold.checkpoints_written, 3);
 
         // Second run: everything resumes, nothing re-executes, results
         // identical bit for bit.
         let resumed = server.run(&jobs).unwrap();
         assert_eq!(resumed.jobs_run, 0);
         assert_eq!(resumed.jobs_resumed, 3);
+        assert_eq!(resumed.checkpoints_written, 0);
         assert!(resumed.same_results(&cold));
 
         // Drop one checkpoint: exactly that job re-runs, results still
@@ -1249,60 +1162,31 @@ mod tests {
         let partial = server.run(&jobs).unwrap();
         assert_eq!(partial.jobs_run, 1);
         assert_eq!(partial.jobs_resumed, 2);
+        assert_eq!(partial.checkpoints_rejected, 0);
         assert!(partial.same_results(&cold));
+
+        // Corrupt one checkpoint: it is rejected, that job re-runs and
+        // rewrites it, and results stay identical.
+        std::fs::write(
+            checkpoint_path(&dir, &jobs[2]),
+            "satiot-sweep-checkpoint v1\n",
+        )
+        .unwrap();
+        let healed = server.run(&jobs).unwrap();
+        assert_eq!(healed.checkpoints_rejected, 1);
+        assert_eq!(healed.jobs_run, 1);
+        assert_eq!(healed.checkpoints_written, 1);
+        assert!(healed.same_results(&cold));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn shards_partition_the_queue_and_merge_exactly() {
-        let jobs: Vec<SweepJob> = (0..4)
-            .map(|i| quick_job(&format!("shard-{i}"), 90 + i))
-            .collect();
-        let whole = SweepServer::new(RunOptions::default()).run(&jobs).unwrap();
-        let shard0 = SweepServer::new(RunOptions::default())
-            .with_shard(Some((0, 2)))
-            .run(&jobs)
-            .unwrap();
-        let shard1 = SweepServer::new(RunOptions::default())
-            .with_shard(Some((1, 2)))
-            .run(&jobs)
-            .unwrap();
-        assert_eq!(shard0.records.len(), 2);
-        assert_eq!(shard0.jobs_skipped, 2);
-        assert_eq!(shard1.records.len(), 2);
-        // Round-robin assignment.
-        assert_eq!(shard0.records[0].job.tag, "shard-0");
-        assert_eq!(shard1.records[0].job.tag, "shard-1");
-        // The shards' merged sketches fold into the whole-queue result
-        // exactly (merge is associative and commutative on counts).
-        let mut folded = TraceAggregate::new();
-        for r in shard0.records.iter().chain(&shard1.records) {
-            folded.merge(r.sketch.as_ref().unwrap());
-        }
-        assert_eq!(folded.total, whole.merged.total);
-        // Per-record results match the whole-queue run job for job.
-        for r in shard0.records.iter().chain(&shard1.records) {
-            let whole_r = whole
-                .records
-                .iter()
-                .find(|w| w.fingerprint == r.fingerprint)
-                .unwrap();
-            assert!(r.same_results(whole_r));
-        }
-    }
-
-    #[test]
-    fn duplicate_jobs_and_bad_shards_are_rejected() {
+    fn duplicate_jobs_are_rejected() {
         let job = quick_job("dup", 5);
         let err = SweepServer::new(RunOptions::default())
             .run(&[job.clone(), job.clone()])
             .unwrap_err();
         assert!(matches!(err, SatIotError::InvalidName { .. }), "{err:?}");
-        let err = SweepServer::new(RunOptions::default())
-            .with_shard(Some((2, 2)))
-            .run(std::slice::from_ref(&job))
-            .unwrap_err();
-        assert!(matches!(err, SatIotError::InvalidConfig { .. }), "{err:?}");
     }
 }

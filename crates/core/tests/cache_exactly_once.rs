@@ -4,10 +4,9 @@
 //! holds the ceiling, results do not change, and each compute is
 //! accounted for by an entry or an eviction.
 //!
-//! The test clears both stores, sets the process-wide budget latch and
-//! reads the stores' counters, which any campaign running in the same
-//! process would also move, so it is the only test in this binary (one
-//! process per integration-test file).
+//! The test clears both stores and reads their counters, which any
+//! campaign running in the same process would also move, so it is the
+//! only test in this binary (one process per integration-test file).
 
 use satiot_core::prelude::*;
 use satiot_core::sweep;
@@ -43,8 +42,9 @@ fn repeated_campaigns_compute_each_entry_once() {
 }
 
 /// Disjoint windows grow both stores without bound unless the budget
-/// stops them. The budget is half the queue's natural footprint, so
-/// the check tracks the scenario instead of a magic constant.
+/// stops them. The budget is half the queue's natural footprint,
+/// rounded down to whole MiB, so the check tracks the scenario instead
+/// of a magic constant.
 fn budget_holds_and_results_do_not_change() {
     let jobs: Vec<SweepJob> = (0..6)
         .map(|i| {
@@ -53,20 +53,23 @@ fn budget_holds_and_results_do_not_change() {
                 .with_sites(["HK"])
         })
         .collect();
-    let server = SweepServer::new(RunOptions::default())
-        .with_spill_dir(None)
-        .with_shard(None);
     let footprint = || sweep::stats().approx_bytes + sweep::grid_stats().approx_bytes;
     sweep::clear();
-    let unbudgeted = server.run(&jobs).expect("unbudgeted sweep runs");
+    let unbudgeted = SweepServer::new(RunOptions::default())
+        .run(&jobs)
+        .expect("unbudgeted sweep runs");
     let natural = footprint();
-    assert!(natural > 0, "the sweep left nothing in the stores");
+    let budget_mb = (natural / 2) >> 20;
+    assert!(
+        budget_mb > 0,
+        "the sweep's {natural} B footprint is too small to halve"
+    );
 
-    let budget = natural / 2;
+    let budget = budget_mb << 20;
     sweep::clear();
-    sweep::set_cache_budget_bytes(Some(budget));
-    let budgeted = server.run(&jobs).expect("budgeted sweep runs");
-    sweep::set_cache_budget_bytes(None);
+    let budgeted = SweepServer::new(RunOptions::default().with_sweep_cache_mb(Some(budget_mb)))
+        .run(&jobs)
+        .expect("budgeted sweep runs");
     let bounded = footprint();
     let (cache, grids) = (sweep::stats(), sweep::grid_stats());
     assert!(

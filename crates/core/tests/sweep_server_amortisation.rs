@@ -54,9 +54,7 @@ fn server_beats_cold_jobs_with_identical_results() {
         .map(|i| SweepJob::new(format!("bench-{i}"), 0xB0B + i).with_max_days(0.5))
         .collect();
     // No checkpoints: the server leg must not resume the cold leg.
-    let server = SweepServer::new(RunOptions::default())
-        .with_spill_dir(None)
-        .with_shard(None);
+    let server = SweepServer::new(RunOptions::default()).with_spill_dir(None);
 
     let t0 = Instant::now();
     let mut cold: Vec<JobRecord> = Vec::new();

@@ -1,13 +1,12 @@
-//! CSV and JSONL persistence for beacon traces.
+//! CSV persistence for beacon traces.
 //!
 //! The paper publishes its dataset as packet traces; this module gives
 //! campaigns the same archival path — a dependency-free codec for
 //! [`BeaconTrace`] sets, so a seven-month run can be written once and
-//! re-analysed offline without re-simulating. Both formats are also the
-//! on-disk side of the spill sinks in `satiot_core::sink`, which stream
-//! traces out of RAM during a campaign.
+//! re-analysed offline without re-simulating (the `trace_archive`
+//! example archives a full-trace campaign this way).
 //!
-//! Two data-integrity rules hold on both paths:
+//! Two data-integrity rules hold:
 //!
 //! * **Hostile names round-trip.** Site and constellation labels that
 //!   contain commas, quotes, or newlines are quoted RFC 4180-style on
@@ -112,14 +111,13 @@ fn write_field<W: Write>(w: &mut W, field: &str) -> io::Result<()> {
 pub fn write_traces<W: Write>(traces: &TraceSet, mut w: W) -> io::Result<()> {
     writeln!(w, "{HEADER}")?;
     for t in &traces.traces {
-        write_trace_row(&mut w, t)?;
+        write_row(&mut w, t)?;
     }
     Ok(())
 }
 
-/// Write a single CSV row (no header) — the incremental unit the spill
-/// sink uses to stream traces to disk during a campaign.
-pub fn write_trace_row<W: Write>(w: &mut W, t: &BeaconTrace) -> io::Result<()> {
+/// Write a single CSV row (no header).
+fn write_row<W: Write>(w: &mut W, t: &BeaconTrace) -> io::Result<()> {
     write!(w, "{:.3},", t.time_s)?;
     write_field(w, &t.site)?;
     write!(w, ",{},", t.station)?;
@@ -287,177 +285,6 @@ pub fn read_traces<R: BufRead>(r: R) -> Result<TraceSet, CsvError> {
             line: 1,
             reason: "empty input (missing header)".to_string(),
         });
-    }
-    Ok(set)
-}
-
-// ---------------------------------------------------------------------------
-// JSONL: one flat JSON object per line
-// ---------------------------------------------------------------------------
-
-/// Escape a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialise a trace set as JSONL (one flat object per line, no header).
-pub fn write_traces_jsonl<W: Write>(traces: &TraceSet, mut w: W) -> io::Result<()> {
-    for t in &traces.traces {
-        write_trace_jsonl(&mut w, t)?;
-    }
-    Ok(())
-}
-
-/// Write a single JSONL record — the incremental unit the JSONL spill
-/// sink uses.
-pub fn write_trace_jsonl<W: Write>(w: &mut W, t: &BeaconTrace) -> io::Result<()> {
-    writeln!(
-        w,
-        concat!(
-            "{{\"time_s\":{:.3},\"site\":\"{}\",\"station\":{},",
-            "\"constellation\":\"{}\",\"sat_id\":{},\"rssi_dbm\":{:.2},",
-            "\"snr_db\":{:.2},\"elevation_deg\":{:.3},\"distance_km\":{:.3},",
-            "\"doppler_hz\":{:.1},\"weather\":\"{}\"}}"
-        ),
-        t.time_s,
-        json_escape(&t.site),
-        t.station,
-        json_escape(&t.constellation),
-        t.sat_id,
-        t.rssi_dbm,
-        t.snr_db,
-        t.elevation_deg,
-        t.distance_km,
-        t.doppler_hz,
-        t.weather,
-    )
-}
-
-/// Pull one `"key": value` pair out of a flat JSON object body,
-/// returning the raw value text and the rest of the input.
-fn json_take_pair(rest: &str, line_no: usize) -> Result<(String, String, &str), CsvError> {
-    let malformed = |reason: String| CsvError::Malformed {
-        line: line_no,
-        reason,
-    };
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| malformed("expected key".to_string()))?;
-    let key_end = rest
-        .find('"')
-        .ok_or_else(|| malformed("unterminated key".to_string()))?;
-    let key = rest[..key_end].to_string();
-    let rest = rest[key_end + 1..].trim_start();
-    let rest = rest
-        .strip_prefix(':')
-        .ok_or_else(|| malformed(format!("expected ':' after key {key:?}")))?;
-    let rest = rest.trim_start();
-    if let Some(body) = rest.strip_prefix('"') {
-        // String value: scan for the closing quote, honouring escapes.
-        let mut value = String::new();
-        let mut chars = body.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => return Ok((key, value, &body[i + 1..])),
-                '\\' => match chars.next() {
-                    Some((_, '"')) => value.push('"'),
-                    Some((_, '\\')) => value.push('\\'),
-                    Some((_, 'n')) => value.push('\n'),
-                    Some((_, 'r')) => value.push('\r'),
-                    Some((_, 't')) => value.push('\t'),
-                    Some((j, 'u')) => {
-                        let hex = body
-                            .get(j + 1..j + 5)
-                            .ok_or_else(|| malformed("truncated \\u escape".to_string()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| malformed(format!("bad \\u escape {hex:?}")))?;
-                        value.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| malformed(format!("invalid codepoint \\u{hex}")))?,
-                        );
-                        // Skip the four hex digits.
-                        for _ in 0..4 {
-                            chars.next();
-                        }
-                    }
-                    other => {
-                        return Err(malformed(format!("bad escape {other:?}")));
-                    }
-                },
-                c => value.push(c),
-            }
-        }
-        Err(malformed("unterminated string value".to_string()))
-    } else {
-        // Bare value (number): runs to the next ',' or '}'.
-        let end = rest
-            .find([',', '}'])
-            .ok_or_else(|| malformed("unterminated value".to_string()))?;
-        Ok((key, rest[..end].trim().to_string(), &rest[end..]))
-    }
-}
-
-/// Parse a JSONL trace archive produced by [`write_traces_jsonl`].
-/// Enforces the same integrity rules as [`read_traces`]: hostile labels
-/// unescape, non-finite floats are rejected by column name.
-pub fn read_traces_jsonl<R: BufRead>(r: R) -> Result<TraceSet, CsvError> {
-    let mut set = TraceSet::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let line_no = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let malformed = |reason: String| CsvError::Malformed {
-            line: line_no,
-            reason,
-        };
-        let body = trimmed
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| malformed("expected a JSON object".to_string()))?;
-        // Collect values into CSV column order, then reuse the shared
-        // field-level validation.
-        let mut fields: Vec<Option<String>> = vec![None; COLUMNS.len()];
-        let mut rest = body;
-        loop {
-            let (key, value, after) = json_take_pair(rest, line_no)?;
-            let col = COLUMNS
-                .iter()
-                .position(|c| *c == key)
-                .ok_or_else(|| malformed(format!("unknown key {key:?}")))?;
-            if fields[col].replace(value).is_some() {
-                return Err(malformed(format!("duplicate key {key:?}")));
-            }
-            let after = after.trim_start();
-            match after.strip_prefix(',') {
-                Some(next) => rest = next,
-                None if after.is_empty() => break,
-                None => {
-                    return Err(malformed(format!("trailing garbage {after:?}")));
-                }
-            }
-        }
-        let fields: Vec<String> = fields
-            .into_iter()
-            .enumerate()
-            .map(|(i, f)| f.ok_or_else(|| malformed(format!("missing key {:?}", COLUMNS[i]))))
-            .collect::<Result<_, _>>()?;
-        set.push(trace_from_fields(&fields, line_no)?);
     }
     Ok(set)
 }
@@ -653,42 +480,5 @@ mod tests {
     fn empty_lines_are_skipped() {
         let text = format!("{HEADER}\n\n\n");
         assert!(read_traces(text.as_bytes()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn jsonl_round_trip_with_hostile_names() {
-        for set in [sample_set(), hostile_set()] {
-            let mut buf = Vec::new();
-            write_traces_jsonl(&set, &mut buf).unwrap();
-            let back = read_traces_jsonl(&buf[..]).unwrap();
-            assert_eq!(back.len(), set.len());
-            for (a, b) in set.traces.iter().zip(&back.traces) {
-                assert_eq!(a.site, b.site);
-                assert_eq!(a.constellation, b.constellation);
-                assert_eq!(a.station, b.station);
-                assert_eq!(a.weather, b.weather);
-                assert!((a.time_s - b.time_s).abs() < 1e-3);
-            }
-        }
-    }
-
-    #[test]
-    fn jsonl_rejects_non_finite_and_garbage() {
-        let good = r#"{"time_s":1.0,"site":"HK","station":0,"constellation":"Tianqi","sat_id":1,"rssi_dbm":-125.0,"snr_db":-8.0,"elevation_deg":30.0,"distance_km":1200.0,"doppler_hz":-4000.0,"weather":"sunny"}"#;
-        assert_eq!(read_traces_jsonl(good.as_bytes()).unwrap().len(), 1);
-        let cases = [
-            good.replace("-125.0", "NaN"),
-            good.replace("1200.0", "inf"),
-            good.replace("\"sunny\"", "\"hail\""),
-            good.replace("\"site\"", "\"sight\""),
-            good.replace('}', ""),
-            "not json at all".to_string(),
-        ];
-        for bad in cases {
-            assert!(
-                read_traces_jsonl(bad.as_bytes()).is_err(),
-                "accepted {bad:?}"
-            );
-        }
     }
 }

@@ -16,11 +16,11 @@
 //! * [`latency`] — per-packet latency decomposition (Fig 5c/5d).
 //! * [`table`] — plain-text table/series rendering for the experiment
 //!   binaries.
-//! * [`csv`] — dependency-free CSV/JSONL persistence for trace sets (the
+//! * [`csv`] — dependency-free CSV persistence for trace sets (the
 //!   paper publishes its dataset as packet traces; so do we).
-//! * [`sketch`] — mergeable streaming sketches (Welford moments,
-//!   fixed-width quantile sketches, P² estimators) so month-long
-//!   campaigns summarise in O(sites) memory instead of O(traces).
+//! * [`sketch`] — mergeable streaming sketches (Welford moments and
+//!   fixed-width quantile sketches) so month-long campaigns summarise in
+//!   O(sites) memory instead of O(traces).
 
 // Library code must surface failures as typed errors or counted
 // degradation, not ad-hoc unwraps; CI promotes this to deny.
@@ -36,7 +36,7 @@ pub mod table;
 pub mod trace;
 
 pub use contact::{effective_windows, ContactStats, EffectiveWindow};
-pub use sketch::{MetricSketch, P2Quantile, QuantileSketch, StreamSummary, TraceAggregate};
+pub use sketch::{MetricSketch, QuantileSketch, StreamSummary, TraceAggregate};
 pub use stats::{cdf_points, Histogram, Summary};
 pub use table::Table;
 pub use trace::BeaconTrace;

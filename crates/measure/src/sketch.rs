@@ -4,12 +4,12 @@
 //! The paper's passive dataset is 121,744 beacon traces over seven
 //! months; the ROADMAP's mega-constellation regime is orders of
 //! magnitude beyond that. This module supplies the statistics layer the
-//! streaming sink architecture (`satiot_core::sink`) feeds: per-shard
+//! aggregating trace sink (`satiot_core::sink`) feeds: per-shard
 //! estimators that observe one value at a time in O(1), and that
 //! **merge** across shards so pooled per-site workers can combine their
 //! partials in configuration order with memory O(sites), not O(traces).
 //!
-//! Three estimators, with distinct accuracy contracts:
+//! Two estimators, with distinct accuracy contracts:
 //!
 //! * [`StreamSummary`] — count / mean / variance / min / max via
 //!   Welford's online update, merged with Chan's parallel formula.
@@ -23,15 +23,6 @@
 //!   and `merge` is *exact* — integer counts add, so merged-per-shard
 //!   and global sketches are bit-identical regardless of sharding or
 //!   merge order (associative and commutative; property-tested).
-//! * [`P2Quantile`] — the Jain–Chlamtac P² online percentile estimator:
-//!   five markers, O(1) state, no buckets. **Hard contract** on
-//!   arbitrary finite inputs: exact for n ≤ 5, always within the
-//!   observed `[min, max]`, monotone marker heights. Its tighter
-//!   accuracy (typically well under 1 % of the interquartile range on
-//!   i.i.d. streams) is empirical, not guaranteed, and it does *not*
-//!   merge — use it per-stream or for refinement, and use
-//!   [`QuantileSketch`] wherever the merge law or a hard error band is
-//!   required.
 //!
 //! Non-finite observations are dropped and counted (mirrored into the
 //! `obs.invariants.non_finite_flagged` data-quality counter), matching
@@ -41,7 +32,6 @@
 //! statistics the aggregating campaign sink retains instead of the
 //! traces themselves.
 
-use crate::stats::percentile_sorted;
 use crate::trace::BeaconTrace;
 use satiot_obs::invariants::flag_non_finite;
 use std::collections::BTreeMap;
@@ -359,179 +349,6 @@ impl QuantileSketch {
 }
 
 // ---------------------------------------------------------------------------
-// P2Quantile: Jain–Chlamtac online percentile estimator
-// ---------------------------------------------------------------------------
-
-/// The P² (piecewise-parabolic) online estimator of one percentile:
-/// five markers tracking min, the p/2, p, and (1+p)/2 percentiles, and
-/// max, adjusted per observation without storing the sample.
-///
-/// Hard guarantees on arbitrary finite inputs (property-tested): exact
-/// for n ≤ 5 (it simply sorts its buffer), the estimate always lies in
-/// the observed `[min, max]`, and marker heights stay monotone. Its
-/// much tighter accuracy on i.i.d. streams is empirical; where a hard
-/// error band or a merge law is needed, use [`QuantileSketch`].
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    /// The target quantile in (0, 1).
-    p: f64,
-    /// First five observations, sorted lazily at marker initialisation.
-    initial: Vec<f64>,
-    /// Marker heights (valid once `count >= 5`).
-    q: [f64; 5],
-    /// Marker positions, 1-based (valid once `count >= 5`).
-    pos: [f64; 5],
-    /// Finite observations so far.
-    count: u64,
-    /// Non-finite observations dropped (also flagged through
-    /// `satiot_obs`).
-    pub non_finite_dropped: u64,
-}
-
-impl P2Quantile {
-    /// An estimator for quantile `p` ∈ (0, 1) (e.g. 0.5 for the
-    /// median).
-    pub fn new(p: f64) -> P2Quantile {
-        assert!(p > 0.0 && p < 1.0, "P2 quantile {p} outside (0, 1)");
-        P2Quantile {
-            p,
-            initial: Vec::with_capacity(5),
-            q: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            count: 0,
-            non_finite_dropped: 0,
-        }
-    }
-
-    /// Finite observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Observe one value. Non-finite values are dropped and counted.
-    pub fn observe(&mut self, x: f64) {
-        if !flag_non_finite("measure::sketch::P2Quantile::observe", x) {
-            self.non_finite_dropped += 1;
-            return;
-        }
-        self.count += 1;
-        if self.count <= 5 {
-            self.initial.push(x);
-            if self.count == 5 {
-                self.initial.sort_by(|a, b| a.total_cmp(b));
-                for (i, v) in self.initial.iter().enumerate() {
-                    self.q[i] = *v;
-                }
-            }
-            return;
-        }
-
-        // Locate the cell and update the extreme markers.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            // Largest i in 0..=3 with q[i] <= x.
-            (0..4).rev().find(|&i| self.q[i] <= x).unwrap_or(0)
-        };
-        for i in (k + 1)..5 {
-            self.pos[i] += 1.0;
-        }
-
-        // Desired positions for the current count.
-        let n = self.count as f64;
-        let p = self.p;
-        let desired = [
-            1.0,
-            1.0 + (n - 1.0) * p / 2.0,
-            1.0 + (n - 1.0) * p,
-            1.0 + (n - 1.0) * (1.0 + p) / 2.0,
-            n,
-        ];
-
-        // Adjust the three interior markers. Indexed: each step reads
-        // both neighbours and writes marker `i`, so an iterator over
-        // `desired` cannot express the borrow pattern.
-        #[allow(clippy::needless_range_loop)]
-        for i in 1..4 {
-            let d = desired[i] - self.pos[i];
-            if (d >= 1.0 && self.pos[i + 1] - self.pos[i] > 1.0)
-                || (d <= -1.0 && self.pos[i - 1] - self.pos[i] < -1.0)
-            {
-                let d = d.signum();
-                let qn = self.parabolic(i, d);
-                self.q[i] = if self.q[i - 1] < qn && qn < self.q[i + 1] {
-                    qn
-                } else {
-                    self.linear(i, d)
-                };
-                self.pos[i] += d;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic (P²) height prediction for marker `i` moved
-    /// by `d` ∈ {−1, +1}.
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.q;
-        let np = &self.pos;
-        q[i] + d / (np[i + 1] - np[i - 1])
-            * ((np[i] - np[i - 1] + d) * (q[i + 1] - q[i]) / (np[i + 1] - np[i])
-                + (np[i + 1] - np[i] - d) * (q[i] - q[i - 1]) / (np[i] - np[i - 1]))
-    }
-
-    /// Linear fallback when the parabolic prediction leaves the
-    /// neighbouring heights.
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.pos[j] - self.pos[i])
-    }
-
-    /// The current estimate of the target quantile. Exact (the sorted
-    /// buffer's interpolated percentile) for n ≤ 5; 0 for an empty
-    /// estimator.
-    pub fn estimate(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.count <= 5 {
-            let mut sorted = self.initial.clone();
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            return percentile_sorted(&sorted, self.p * 100.0);
-        }
-        self.q[2]
-    }
-
-    /// Minimum finite observation (marker 0), 0 while empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else if self.count <= 5 {
-            self.initial.iter().copied().fold(f64::INFINITY, f64::min)
-        } else {
-            self.q[0]
-        }
-    }
-
-    /// Maximum finite observation (marker 4), 0 while empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else if self.count <= 5 {
-            self.initial
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
-        } else {
-            self.q[4]
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // MetricSketch + TraceAggregate: what the aggregating sink retains
 // ---------------------------------------------------------------------------
 
@@ -840,47 +657,6 @@ mod tests {
         assert_eq!(sk.non_finite_dropped, 1);
         let q = sk.quantile(50.0);
         assert!(q.is_finite());
-    }
-
-    #[test]
-    fn p2_exact_for_small_samples() {
-        let mut p2 = P2Quantile::new(0.5);
-        for v in [3.0, 1.0, 2.0] {
-            p2.observe(v);
-        }
-        assert_eq!(p2.estimate(), 2.0);
-    }
-
-    #[test]
-    fn p2_tracks_uniform_median() {
-        let mut seed = 1;
-        let mut p2 = P2Quantile::new(0.5);
-        let mut values = Vec::new();
-        for _ in 0..5000 {
-            let v = lcg(&mut seed) * 200.0 - 100.0;
-            p2.observe(v);
-            values.push(v);
-        }
-        values.sort_by(|a, b| a.total_cmp(b));
-        let exact = nearest_rank_sorted(&values, 50.0);
-        let est = p2.estimate();
-        // Empirical accuracy on an i.i.d. stream: well inside 1 % of
-        // the range.
-        assert!((est - exact).abs() < 2.0, "p2 {est} vs exact {exact}");
-        assert!(est >= p2.min() && est <= p2.max());
-    }
-
-    #[test]
-    fn p2_estimate_bounded_and_drops_non_finite() {
-        let mut p2 = P2Quantile::new(0.9);
-        p2.observe(f64::NAN);
-        assert_eq!(p2.count(), 0);
-        assert_eq!(p2.non_finite_dropped, 1);
-        for i in 0..100 {
-            p2.observe(if i % 7 == 0 { 1000.0 } else { 0.0 });
-        }
-        let est = p2.estimate();
-        assert!((0.0..=1000.0).contains(&est));
     }
 
     fn trace(constellation: &str, site: &str, rssi: f64) -> BeaconTrace {

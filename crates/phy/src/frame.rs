@@ -17,7 +17,6 @@
 //! ```
 
 use crate::params::CodingRate;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Public LoRa sync word used by the measured DtS constellations (the
 /// "public network" value).
@@ -71,12 +70,12 @@ pub struct LoRaFrame {
     /// Whether the CRC trailer is present (always true for uplink data).
     pub crc_on: bool,
     /// Application payload.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 impl LoRaFrame {
     /// Build a frame around `payload` with the public sync word and CRC.
-    pub fn new(payload: impl Into<Bytes>, coding_rate: CodingRate) -> Self {
+    pub fn new(payload: impl Into<Vec<u8>>, coding_rate: CodingRate) -> Self {
         LoRaFrame {
             sync_word: PUBLIC_SYNC_WORD,
             coding_rate,
@@ -86,30 +85,30 @@ impl LoRaFrame {
     }
 
     /// Serialise into the wire image.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(6 + self.payload.len());
-        buf.put_u8(self.sync_word);
-        buf.put_u8(self.payload.len() as u8);
-        buf.put_u8(self.coding_rate.cr_value() as u8);
-        buf.put_u8(if self.crc_on { FLAG_CRC } else { 0 });
-        buf.put_slice(&self.payload);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_len());
+        buf.extend_from_slice(&[
+            self.sync_word,
+            self.payload.len() as u8,
+            self.coding_rate.cr_value() as u8,
+            if self.crc_on { FLAG_CRC } else { 0 },
+        ]);
+        buf.extend_from_slice(&self.payload);
         if self.crc_on {
-            buf.put_u16(crc16_ccitt(&self.payload));
+            buf.extend_from_slice(&crc16_ccitt(&self.payload).to_be_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// Parse and validate a wire image.
-    pub fn decode(mut buf: Bytes) -> Result<LoRaFrame, FrameError> {
-        if buf.len() < 4 {
+    pub fn decode(buf: &[u8]) -> Result<LoRaFrame, FrameError> {
+        let &[sync_word, len, cr_raw, flags, ref rest @ ..] = buf else {
             return Err(FrameError::Truncated);
-        }
-        let sync_word = buf.get_u8();
+        };
         if sync_word != PUBLIC_SYNC_WORD {
             return Err(FrameError::BadSyncWord { found: sync_word });
         }
-        let len = buf.get_u8() as usize;
-        let cr_raw = buf.get_u8();
+        let len = len as usize;
         let coding_rate = match cr_raw {
             1 => CodingRate::Cr4_5,
             2 => CodingRate::Cr4_6,
@@ -117,7 +116,6 @@ impl LoRaFrame {
             4 => CodingRate::Cr4_8,
             _ => return Err(FrameError::BadCodingRate),
         };
-        let flags = buf.get_u8();
         if flags & !FLAG_CRC != 0 {
             // Reserved flag bits must be zero: strict parsing makes every
             // single-bit corruption of the header detectable.
@@ -125,21 +123,18 @@ impl LoRaFrame {
         }
         let crc_on = flags & FLAG_CRC != 0;
         let expected = len + if crc_on { 2 } else { 0 };
-        if buf.len() != expected {
+        if rest.len() != expected {
             return Err(FrameError::LengthMismatch);
         }
-        let payload = buf.split_to(len);
-        if crc_on {
-            let stated = buf.get_u16();
-            if stated != crc16_ccitt(&payload) {
-                return Err(FrameError::BadCrc);
-            }
+        let (payload, trailer) = rest.split_at(len);
+        if crc_on && trailer != crc16_ccitt(payload).to_be_bytes() {
+            return Err(FrameError::BadCrc);
         }
         Ok(LoRaFrame {
             sync_word,
             coding_rate,
             crc_on,
-            payload,
+            payload: payload.to_vec(),
         })
     }
 
@@ -183,14 +178,14 @@ mod tests {
         let frame = LoRaFrame::new(&b"hello satellite"[..], CodingRate::Cr4_8);
         let wire = frame.encode();
         assert_eq!(wire.len(), frame.wire_len());
-        let back = LoRaFrame::decode(wire).unwrap();
+        let back = LoRaFrame::decode(&wire).unwrap();
         assert_eq!(back, frame);
     }
 
     #[test]
     fn empty_payload_round_trips() {
-        let frame = LoRaFrame::new(Bytes::new(), CodingRate::Cr4_5);
-        let back = LoRaFrame::decode(frame.encode()).unwrap();
+        let frame = LoRaFrame::new(Vec::new(), CodingRate::Cr4_5);
+        let back = LoRaFrame::decode(&frame.encode()).unwrap();
         assert!(back.payload.is_empty());
     }
 
@@ -199,9 +194,9 @@ mod tests {
         let frame = LoRaFrame::new(&b"20-byte sensor data."[..], CodingRate::Cr4_5);
         let wire = frame.encode();
         for i in 0..wire.len() {
-            let mut corrupted = wire.to_vec();
+            let mut corrupted = wire.clone();
             corrupted[i] ^= 0x40;
-            let result = LoRaFrame::decode(Bytes::from(corrupted));
+            let result = LoRaFrame::decode(&corrupted);
             assert!(
                 result.is_err() || result.as_ref().unwrap() != &frame,
                 "byte {i}: corruption not detected"
@@ -214,10 +209,10 @@ mod tests {
         let frame = LoRaFrame::new(&b"payload"[..], CodingRate::Cr4_5);
         let wire = frame.encode();
         for cut in 0..wire.len() {
-            assert!(LoRaFrame::decode(wire.slice(..cut)).is_err(), "cut {cut}");
+            assert!(LoRaFrame::decode(&wire[..cut]).is_err(), "cut {cut}");
         }
         assert!(matches!(
-            LoRaFrame::decode(wire.slice(..2)),
+            LoRaFrame::decode(&wire[..2]),
             Err(FrameError::Truncated)
         ));
     }
@@ -225,10 +220,10 @@ mod tests {
     #[test]
     fn foreign_sync_word_is_rejected() {
         let frame = LoRaFrame::new(&b"x"[..], CodingRate::Cr4_5);
-        let mut wire = frame.encode().to_vec();
+        let mut wire = frame.encode();
         wire[0] = 0x12; // Private-network sync word.
         assert_eq!(
-            LoRaFrame::decode(Bytes::from(wire)),
+            LoRaFrame::decode(&wire),
             Err(FrameError::BadSyncWord { found: 0x12 })
         );
     }
@@ -236,31 +231,25 @@ mod tests {
     #[test]
     fn bad_crc_is_rejected_specifically() {
         let frame = LoRaFrame::new(&b"data"[..], CodingRate::Cr4_5);
-        let mut wire = frame.encode().to_vec();
+        let mut wire = frame.encode();
         let last = wire.len() - 1;
         wire[last] ^= 0xFF;
-        assert_eq!(
-            LoRaFrame::decode(Bytes::from(wire)),
-            Err(FrameError::BadCrc)
-        );
+        assert_eq!(LoRaFrame::decode(&wire), Err(FrameError::BadCrc));
     }
 
     #[test]
     fn reserved_coding_rate_is_rejected() {
         let frame = LoRaFrame::new(&b"x"[..], CodingRate::Cr4_5);
-        let mut wire = frame.encode().to_vec();
+        let mut wire = frame.encode();
         wire[2] = 7;
-        assert_eq!(
-            LoRaFrame::decode(Bytes::from(wire)),
-            Err(FrameError::BadCodingRate)
-        );
+        assert_eq!(LoRaFrame::decode(&wire), Err(FrameError::BadCodingRate));
     }
 
     #[test]
     fn max_payload_round_trips() {
         let payload: Vec<u8> = (0..255).map(|i| i as u8).collect();
         let frame = LoRaFrame::new(payload, CodingRate::Cr4_6);
-        let back = LoRaFrame::decode(frame.encode()).unwrap();
+        let back = LoRaFrame::decode(&frame.encode()).unwrap();
         assert_eq!(back.payload.len(), 255);
         assert_eq!(back.coding_rate, CodingRate::Cr4_6);
     }

@@ -20,7 +20,7 @@
 //!   LEO pass sweeps ±~10 kHz with rates that cross several FFT bins
 //!   during a high-SF packet, a loss mechanism unique to satellite LoRa.
 //! * [`frame`] — the logical wire image of a LoRa frame (header, payload,
-//!   CRC-16), encoded/decoded via `bytes`.
+//!   CRC-16), encoded to and decoded from plain byte vectors.
 //! * [`collision`] — SINR and capture-effect resolution among
 //!   overlapping transmissions.
 

@@ -76,13 +76,13 @@ proptest! {
     ) {
         let frame = LoRaFrame::new(payload.clone(), CodingRate::Cr4_8);
         let wire = frame.encode();
-        let decoded = LoRaFrame::decode(wire.clone()).unwrap();
+        let decoded = LoRaFrame::decode(&wire).unwrap();
         prop_assert_eq!(&decoded.payload[..], &payload[..]);
 
         let mut corrupted = wire.to_vec();
         let pos = ((flip_pos_frac * corrupted.len() as f64) as usize).min(corrupted.len() - 1);
         corrupted[pos] ^= 1 << flip_bit;
-        let result = LoRaFrame::decode(bytes::Bytes::from(corrupted));
+        let result = LoRaFrame::decode(&corrupted);
         prop_assert!(
             result.is_err() || result.as_ref().unwrap() != &frame,
             "corruption at byte {pos} undetected"
