@@ -26,7 +26,9 @@ use crate::geometry::sample_at;
 use crate::messages::{Ack, Beacon, Message, Uplink};
 use crate::node::{BeaconReaction, NodeMachine};
 use crate::options::RunOptions;
+use crate::passive::sanitize_candidates;
 use crate::satellite::{merge_contacts, SatellitePayload};
+use crate::scheduler::CandidatePass;
 use crate::server::DeliveryLog;
 use crate::sweep::{self, GridKey, PassKey};
 use satiot_channel::antenna::AntennaPattern;
@@ -404,25 +406,15 @@ impl ActiveCampaign {
                 .as_ref()
                 .expect("a satellite with farm passes has a sampling predictor")
         };
-        let mut farm_passes: Vec<(usize, Pass)> = Vec::new(); // (sat, pass)
-        for (i, list) in farm_lists.iter().enumerate() {
-            farm_passes.extend(list.iter().map(|pass| (i, *pass)));
+        let mut farm_passes: Vec<CandidatePass> = Vec::new();
+        for (sat_index, list) in farm_lists.iter().enumerate() {
+            farm_passes.extend(list.iter().map(|&pass| CandidatePass { sat_index, pass }));
         }
         // Healthy predictors never emit degenerate passes, but externally
         // cached or corrupted lists might; drop and count them so the
         // event schedule below can assume well-formed windows.
-        farm_passes.retain(|(_, p)| {
-            if !(p.aos.0.is_finite() && p.los.0.is_finite() && p.tca.0.is_finite()) {
-                faults.record(Fault::NanPassTime);
-                return false;
-            }
-            if p.duration_s() <= 0.0 {
-                faults.record(Fault::DegeneratePass);
-                return false;
-            }
-            true
-        });
-        farm_passes.sort_by(|a, b| a.1.aos.0.total_cmp(&b.1.aos.0));
+        sanitize_candidates(&mut farm_passes, &mut faults);
+        farm_passes.sort_by(|a, b| a.pass.aos.0.total_cmp(&b.pass.aos.0));
         FARM_PASSES.add(farm_passes.len() as u64);
 
         // GS contact plans: one *(satellite × station)* prediction per
@@ -508,14 +500,14 @@ impl ActiveCampaign {
         let plan: Vec<(f64, f64)> = {
             let trim = calib::LISTEN_PLAN_TRIM_EL_DEG.to_radians();
             let mut intervals: Vec<(f64, f64)> = Vec::new();
-            for (sat, p) in farm_passes.iter() {
+            for CandidatePass { sat_index, pass: p } in &farm_passes {
                 if p.max_elevation_rad.to_degrees() < calib::LISTEN_PLAN_MIN_MAX_EL_DEG {
                     continue;
                 }
                 // Trim the window to the above-threshold arc by bisecting
                 // the (unimodal) elevation profile on each flank.
-                let rise = bisect_elevation(predictor(*sat), p.aos, p.tca, trim, true);
-                let fall = bisect_elevation(predictor(*sat), p.tca, p.los, trim, false);
+                let rise = bisect_elevation(predictor(*sat_index), p.aos, p.tca, trim, true);
+                let fall = bisect_elevation(predictor(*sat_index), p.tca, p.los, trim, false);
                 intervals.push((rise.seconds_since(t0), fall.seconds_since(t0)));
             }
             intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -565,13 +557,13 @@ impl ActiveCampaign {
                 Event::DataGen { node: n },
             );
         }
-        for (idx, (sat, pass)) in farm_passes.iter().enumerate() {
+        for (idx, CandidatePass { sat_index, pass }) in farm_passes.iter().enumerate() {
             let aos_s = pass.aos.seconds_since(t0);
-            let phase = (*sat as f64 * 1.37) % spec.beacon_interval_s;
+            let phase = (*sat_index as f64 * 1.37) % spec.beacon_interval_s;
             engine.schedule_at(
                 SimTime::from_secs(aos_s + phase),
                 Event::BeaconTx {
-                    sat: *sat,
+                    sat: *sat_index,
                     pass: idx,
                     counter: 0,
                 },
@@ -604,8 +596,8 @@ impl ActiveCampaign {
                 }
                 Event::BeaconTx { sat, pass, counter } => {
                     counters.beacons_tx += 1;
-                    let (sat_idx, p) = farm_passes[pass];
-                    debug_assert_eq!(sat_idx, sat);
+                    let CandidatePass { sat_index, pass: p } = farm_passes[pass];
+                    debug_assert_eq!(sat_index, sat);
                     let t_rx = t + beacon_airtime;
                     let when = t0.plus_seconds(t_rx);
                     if let Some(geom) =
@@ -885,7 +877,7 @@ impl ActiveCampaign {
                     nodes[node].on_ack_timeout(seq, t);
                 }
                 Event::PassEnd { pass } => {
-                    let (_, p) = farm_passes[pass];
+                    let p = farm_passes[pass].pass;
                     let los_s = p.los.seconds_since(t0);
                     for n in nodes.iter_mut() {
                         n.on_pass_end(los_s);

@@ -32,6 +32,7 @@ use crate::calib;
 use crate::error::{Fault, FaultLog, SatIotError};
 use crate::geometry::{beacon_times, sample_at};
 use crate::options::RunOptions;
+use crate::satellite::merge_contacts;
 use crate::scheduler::{CandidatePass, Coverage, PredictiveScheduler, Scheduler, VanillaScheduler};
 use crate::sink::{SinkStats, TraceSink};
 use crate::station::{AvailabilityParams, StationAvailability};
@@ -56,24 +57,16 @@ use std::sync::Arc;
 
 /// Candidate passes predicted across all sites and satellites (metrics).
 static PASSES_PREDICTED: Counter = Counter::new("core.passive.passes_predicted");
-/// Beacons transmitted inside predicted windows (metrics).
+/// Beacons transmitted inside predicted windows, covered or not (metrics).
 static BEACONS_EMITTED: Counter = Counter::new("core.passive.beacons_emitted");
 /// Beacons that survived the link, Doppler, and PER draws (metrics).
 static BEACONS_DECODED: Counter = Counter::new("core.passive.beacons_decoded");
 /// Wall-clock seconds each per-site shard took (metrics).
 static SITE_SHARD_S: Timer = Timer::new("core.passive.site_shard_s");
 
-/// Which station-assignment policy a campaign uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchedulerKind {
-    /// The paper's customised predictive scheduler.
-    Predictive,
-    /// Vanilla TinyGS rotation with the given dwell.
-    Vanilla {
-        /// Seconds per rotation slot.
-        dwell_s: f64,
-    },
-}
+/// Which station-assignment policy a campaign uses: the scenario
+/// crate's scheduler setting, so scenarios and campaigns share one enum.
+pub use satiot_scenarios::spec::SchedulerSpec as SchedulerKind;
 
 /// Passive-campaign configuration.
 #[derive(Debug, Clone)]
@@ -129,12 +122,7 @@ impl PassiveConfig {
             cfg.max_days = days;
         }
         if let Some(scheduler) = scenario.scheduler {
-            cfg.scheduler = match scheduler {
-                satiot_scenarios::spec::SchedulerSpec::Predictive => SchedulerKind::Predictive,
-                satiot_scenarios::spec::SchedulerSpec::Vanilla { dwell_s } => {
-                    SchedulerKind::Vanilla { dwell_s }
-                }
-            };
+            cfg.scheduler = scheduler;
         }
         cfg.sites = scenario.static_sites();
         cfg.constellations = scenario.constellations.clone();
@@ -617,6 +605,7 @@ fn run_site(
             // between covered and uncovered windows.
             let phase = (sat.sat_id as f64 * 1.37) % sat.beacon_interval_s;
             let transmitted = beacon_times(&cp.pass, sat.beacon_interval_s, phase).len();
+            BEACONS_EMITTED.add(transmitted as u64);
             results.passes.push(SitePassRecord {
                 site: site.code,
                 constellation: sat.constellation,
@@ -805,22 +794,14 @@ pub fn theoretical_daily_hours(spec: &ConstellationSpec, site: &Site, days: u32)
         )
     });
     // Collect all pass intervals (seconds relative to start).
-    let mut intervals: Vec<(f64, f64)> = lists
+    let intervals: Vec<(f64, f64)> = lists
         .iter()
         .flat_map(|l| {
             l.iter()
                 .map(|pass| (pass.aos.seconds_since(start), pass.los.seconds_since(start)))
         })
         .collect();
-    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // Union sweep.
-    let mut union: Vec<(f64, f64)> = Vec::new();
-    for (s, e) in intervals {
-        match union.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => union.push((s, e)),
-        }
-    }
+    let union = merge_contacts(intervals);
     // Slice per day.
     (0..days)
         .map(|d| {

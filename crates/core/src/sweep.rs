@@ -546,8 +546,8 @@ pub fn grid_stats() -> GridStats {
 /// grid's raw samples. A culled pair returns `None` — its pass list
 /// over the window is provably empty — and the always-on `orbit.cull.*`
 /// proof counters record every decision, once per call. A kept pair
-/// gets the gridded predictor, whose covering grid makes its coarse
-/// scan the chunked margin sweep.
+/// gets the gridded predictor, whose margin sweep reads the covering
+/// grid.
 pub fn predictor(
     key: GridKey,
     sgp4: &Sgp4,
@@ -689,17 +689,18 @@ mod tests {
 
         // Two observers over the same window share one grid Arc. The
         // gridded predictors run the margin-sweep scan, so this also
-        // pins sweep-vs-direct agreement end to end.
+        // pins sweep-vs-reference agreement end to end.
         let on_a = predictor(key, &sgp4, site_a, 0.0).expect("a visible pair is kept");
         let on_b = predictor(key, &sgp4, site_b, 0.0).expect("a visible pair is kept");
         let (ga, gb) = (on_a.ephemeris().unwrap(), on_b.ephemeris().unwrap());
         assert!(Arc::ptr_eq(ga, gb), "same window built two grids");
         assert!(ga.validate(&sgp4, 256).within_contract());
 
-        // Grid-backed pass lists agree with direct prediction within the
-        // documented contract; here the discretisation is fine enough
-        // that pass counts must match exactly.
-        let direct = PassPredictor::new(sgp4.clone(), site_a, 0.0).passes(start, end);
+        // Grid-backed pass lists agree with the direct-SGP4 reference
+        // scan (1 s floor) within the documented contract; pass counts
+        // must match exactly.
+        let direct =
+            PassPredictor::new(sgp4.clone(), site_a, 0.0).reference_passes(start, end, 1.0);
         let gridded = on_a.passes(start, end);
         assert_eq!(direct.len(), gridded.len());
         for (d, g) in direct.iter().zip(&gridded) {

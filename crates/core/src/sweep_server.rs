@@ -67,6 +67,7 @@ use satiot_measure::sketch::{
 use satiot_obs::metrics::Counter;
 use satiot_scenarios::constellations::all_constellations;
 use satiot_scenarios::sites::measurement_sites;
+use satiot_scenarios::{ConstellationRef, ScenarioSpec, SiteRef};
 use satiot_sim::rng::Rng;
 use std::path::{Path, PathBuf};
 
@@ -81,7 +82,8 @@ static M_CHECKPOINTS_REJECTED: Counter = Counter::new("core.sweep.server.checkpo
 // ---------------------------------------------------------------------------
 
 /// One campaign job in a sweep queue: a passive-campaign scenario plus
-/// the seed and tag that identify it.
+/// the seed and tag that identify it, resolved by [`Self::to_config`]
+/// through the same front door as a scenario file.
 ///
 /// Empty `sites`/`constellations` lists mean "all of the paper's
 /// catalog"; non-empty lists select by site code / constellation label
@@ -190,121 +192,39 @@ impl SweepJob {
             && self.constellations == other.constellations
     }
 
-    /// Validate the job and resolve it into a campaign configuration.
+    /// Resolve the job through [`ScenarioSpec::build`], the scenario
+    /// front door, with the tag as the scenario name. The seed is set
+    /// afterwards (job seeds may exceed a scenario seed's 2^53 bound),
+    /// and sites and constellations are sorted into catalog order.
     ///
     /// # Errors
     ///
-    /// [`SatIotError::InvalidName`] for a tag the checkpoint codec
-    /// cannot store, an unknown site code or constellation label, or a
-    /// duplicated selection; [`SatIotError::NonFiniteTime`] /
-    /// [`SatIotError::InvalidConfig`] for an unusable day cap. (An
-    /// invalid vanilla dwell is rejected by the campaign itself.)
+    /// [`SatIotError::InvalidName`] on a `scenario` field: a tag the
+    /// checkpoint codec cannot store, an unknown or duplicated site or
+    /// constellation, an unusable day cap or vanilla dwell. So
+    /// [`SweepServer::run`] rejects all of them before any job runs.
     pub fn to_config(&self) -> Result<PassiveConfig, SatIotError> {
-        if self.tag.is_empty()
-            || !self
-                .tag
-                .chars()
-                .all(|c| (c.is_ascii_graphic() || c == ' ') && c != '"' && c != '\\')
-        {
-            return Err(SatIotError::InvalidName {
-                field: "SweepJob.tag",
-                name: self.tag.clone(),
-                suggestion: None,
-            });
-        }
-        if !self.max_days.is_finite() {
-            return Err(SatIotError::NonFiniteTime {
-                context: "SweepJob.max_days",
-                value: self.max_days,
-            });
-        }
-        if self.max_days <= 0.0 {
-            return Err(SatIotError::InvalidConfig {
-                field: "SweepJob.max_days",
-                value: self.max_days,
-                requirement: "must be > 0 simulated days",
-            });
-        }
-        let catalog_sites = measurement_sites();
-        let sites = if self.sites.is_empty() {
-            catalog_sites
-        } else {
-            for code in &self.sites {
-                if !catalog_sites
-                    .iter()
-                    .any(|s| s.code.eq_ignore_ascii_case(code))
-                {
-                    return Err(SatIotError::InvalidName {
-                        field: "SweepJob.sites",
-                        name: code.clone(),
-                        suggestion: satiot_scenarios::site_code_suggestion(code),
-                    });
-                }
-                if self
-                    .sites
-                    .iter()
-                    .filter(|c| c.eq_ignore_ascii_case(code))
-                    .count()
-                    > 1
-                {
-                    return Err(SatIotError::InvalidName {
-                        field: "SweepJob.sites (duplicated)",
-                        name: code.clone(),
-                        suggestion: None,
-                    });
-                }
-            }
-            catalog_sites
-                .into_iter()
-                .filter(|s| self.sites.iter().any(|c| c.eq_ignore_ascii_case(s.code)))
-                .collect()
+        let spec = ScenarioSpec {
+            name: self.tag.clone(),
+            max_days: Some(self.max_days),
+            scheduler: Some(self.scheduler),
+            sites: self.sites.iter().cloned().map(SiteRef::Named).collect(),
+            constellations: self
+                .constellations
+                .iter()
+                .cloned()
+                .map(ConstellationRef::Named)
+                .collect(),
+            ..ScenarioSpec::default()
         };
-        let catalog_consts = all_constellations();
-        let constellations = if self.constellations.is_empty() {
-            catalog_consts
-        } else {
-            for label in &self.constellations {
-                if !catalog_consts
-                    .iter()
-                    .any(|c| c.name.eq_ignore_ascii_case(label))
-                {
-                    return Err(SatIotError::InvalidName {
-                        field: "SweepJob.constellations",
-                        name: label.clone(),
-                        suggestion: satiot_scenarios::constellation_suggestion(label),
-                    });
-                }
-                if self
-                    .constellations
-                    .iter()
-                    .filter(|l| l.eq_ignore_ascii_case(label))
-                    .count()
-                    > 1
-                {
-                    return Err(SatIotError::InvalidName {
-                        field: "SweepJob.constellations (duplicated)",
-                        name: label.clone(),
-                        suggestion: None,
-                    });
-                }
-            }
-            catalog_consts
-                .into_iter()
-                .filter(|c| {
-                    self.constellations
-                        .iter()
-                        .any(|l| l.eq_ignore_ascii_case(c.name))
-                })
-                .collect()
-        };
-        Ok(PassiveConfig {
-            seed: self.seed,
-            max_days: self.max_days,
-            scheduler: self.scheduler,
-            sites,
-            constellations,
-            ..PassiveConfig::default()
-        })
+        let mut cfg = PassiveConfig::from_scenario(&spec.build()?);
+        cfg.seed = self.seed;
+        let (sites, constellations) = (measurement_sites(), all_constellations());
+        cfg.sites
+            .sort_by_key(|s| sites.iter().position(|c| c.code == s.code));
+        cfg.constellations
+            .sort_by_key(|s| constellations.iter().position(|c| c.name == s.name));
+        Ok(cfg)
     }
 }
 
@@ -1061,7 +981,8 @@ mod tests {
     #[test]
     fn job_validation_rejects_bad_specs() {
         let assert_invalid = |job: SweepJob| {
-            assert!(job.to_config().is_err(), "{job:?} should be rejected");
+            let err = job.to_config().expect_err("a bad job resolves");
+            assert!(matches!(err, SatIotError::InvalidName { .. }), "{err:?}");
         };
         assert_invalid(SweepJob::new("", 1));
         assert_invalid(SweepJob::new("tab\tchar", 1));
@@ -1071,6 +992,9 @@ mod tests {
         assert_invalid(SweepJob::new("ok", 1).with_sites(["ATLANTIS"]));
         assert_invalid(SweepJob::new("ok", 1).with_sites(["HK", "HK"]));
         assert_invalid(SweepJob::new("ok", 1).with_constellations(["IRIDIUM_NEXT_XXL"]));
+        assert_invalid(
+            SweepJob::new("ok", 1).with_scheduler(SchedulerKind::Vanilla { dwell_s: 0.0 }),
+        );
         assert!(quick_job("ok", 1).to_config().is_ok());
     }
 
@@ -1078,15 +1002,22 @@ mod tests {
     fn job_selection_is_order_independent() {
         let a = SweepJob::new("a", 1)
             .with_sites(["HK", "SH"])
+            .with_constellations(["PICO", "FOSSA"])
             .to_config()
             .unwrap();
         let b = SweepJob::new("b", 1)
             .with_sites(["SH", "HK"])
+            .with_constellations(["FOSSA", "PICO"])
             .to_config()
             .unwrap();
-        let codes = |cfg: &PassiveConfig| cfg.sites.iter().map(|s| s.code).collect::<Vec<_>>();
-        assert_eq!(codes(&a), codes(&b), "catalog order must win");
-        assert_eq!(a.sites.len(), 2);
+        let names = |cfg: &PassiveConfig| {
+            let codes = cfg.sites.iter().map(|s| s.code);
+            codes
+                .chain(cfg.constellations.iter().map(|c| c.name))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&a), names(&b), "catalog order must win");
+        assert_eq!(names(&a).len(), 4);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The shared ephemeris grids pay, proven by the process-wide
 //! `orbit.sgp4.propagations` counter: over the active campaign's
 //! observer set, the campaign predictors of `sweep::predictor`
-//! propagate at least 3× less than direct-SGP4 predictors, find the
-//! same passes, and a warm re-run through the pass cache propagates
-//! nothing.
+//! propagate at least 3× less than the direct-SGP4 reference scan at
+//! its 30 s floor, find the same passes as the reference at a 1 s
+//! floor, and a warm re-run through the pass cache propagates nothing.
 //!
 //! The test resets and reads that counter, which any prediction running
 //! in the same process would also move, so it is the only test in this
@@ -74,23 +74,21 @@ fn campaign_predictors_propagate_less_and_find_the_same_passes() {
     assert!(cold.iter().zip(&warm).all(|(a, b)| Arc::ptr_eq(a, b)));
     sweep::clear();
 
-    // Default direct-SGP4 predictors, no grid and no cache.
-    let direct = |step_s: f64| {
+    // The direct-SGP4 reference scan, no grid and no cache.
+    let direct = |floor_s: f64| {
         move |(_, site): (&'static str, Geodetic), _: &SatelliteDef, sgp4: &Sgp4| {
-            let mut predictor = PassPredictor::new(sgp4.clone(), site, mask);
-            predictor.coarse_step_s = step_s;
-            predictor.passes(start, end)
+            PassPredictor::new(sgp4.clone(), site, mask).reference_passes(start, end, floor_s)
         }
     };
     let (_, direct_propagations) = propagations_of(&pairs, direct(30.0));
     let ratio = direct_propagations as f64 / cold_propagations.max(1) as f64;
     assert!(
         ratio >= 3.0,
-        "campaign predictors must propagate at least 3× less than direct ones \
+        "campaign predictors must propagate at least 3× less than the reference scan \
          (got {ratio:.2}×: {direct_propagations} direct, {cold_propagations} campaign)"
     );
 
-    // Same passes as a direct reference whose 1 s scan floor skips no
+    // Same passes as the reference scan at a 1 s floor, which skips no
     // pass the margin sweep can report.
     let (reference, _) = propagations_of(&pairs, direct(1.0));
     assert!(

@@ -6,7 +6,7 @@
 //! shell at all, and over a short window most satellites' ground tracks
 //! never come near most sites. This module proves such pairs empty with
 //! cheap geometry — **before** any ephemeris-grid interpolation or
-//! coarse elevation scan — so the campaign predict phase costs
+//! margin sweep — so the campaign predict phase costs
 //! O(visible pairs).
 //!
 //! Two conservative tests run in sequence:

@@ -41,12 +41,15 @@
 //!
 //! ## One backend
 //!
-//! Every campaign predictor built through `satiot_core::sweep` attaches
-//! a shared grid; a [`PassPredictor`](crate::pass::PassPredictor) with
-//! no grid samples direct SGP4, which remains the out-of-window
-//! fallback and the test oracle. [`EphemerisGrid::validate`] probes a
-//! grid against direct SGP4, and the `ephemeris_contract` test runs it
-//! across the Table-3 constellations.
+//! Every pass scan sweeps a grid: campaign predictors built through
+//! `satiot_core::sweep` attach a shared one, and a
+//! [`PassPredictor`](crate::pass::PassPredictor) without a covering grid
+//! builds one for its scan window and drops it afterwards. Direct SGP4
+//! remains the out-of-window fallback, the sampling backend of a
+//! predictor with no grid, and the test oracle (the predictor's
+//! adaptive reference scan). [`EphemerisGrid::validate`] probes a grid
+//! against direct SGP4, and the `ephemeris_contract` test runs it across
+//! the Table-3 constellations.
 
 use crate::frames::{teme_to_ecef, StateEcef};
 use crate::sgp4::Sgp4;

@@ -55,8 +55,8 @@ pub enum OrbitError {
         field: &'static str,
     },
     /// A pass scan was requested over a non-finite time range or
-    /// elevation mask (NaN/∞ bounds would otherwise stall the coarse
-    /// scan forever — NaN never advances past `end`).
+    /// elevation mask (a NaN bound has no grid to sweep and no instant
+    /// to refine).
     NonFiniteScan {
         /// Which scan input was non-finite (`"start"`, `"end"`, `"mask"`).
         field: &'static str,

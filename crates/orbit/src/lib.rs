@@ -16,8 +16,8 @@
 //! * [`frames`] — TEME → ECEF rotation, WGS-84 geodetic conversions.
 //! * [`topo`] — topocentric look angles (azimuth, elevation, slant range,
 //!   range-rate) and Doppler shift for a ground observer.
-//! * [`pass`] — contact-window (pass) prediction via coarse search plus
-//!   bisection refinement of AOS/LOS times.
+//! * [`pass`] — contact-window (pass) prediction: a margin sweep over an
+//!   ephemeris grid plus bisection refinement of AOS/LOS times.
 //! * [`ephemeris`] — per-satellite precomputed ECEF grids with cubic
 //!   Hermite interpolation, so multi-site sweeps propagate each
 //!   satellite once instead of once per observer.

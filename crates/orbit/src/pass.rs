@@ -2,17 +2,22 @@
 //!
 //! A *pass* is the interval during which a satellite sits above a minimum
 //! elevation mask as seen from a ground site — the paper's "theoretical
-//! contact window". Prediction uses a coarse scan (default 30 s) to
-//! bracket horizon crossings, then bisection to refine AOS/LOS to ~10 ms,
-//! and a golden-section search for the culmination (maximum elevation).
+//! contact window". Every pass list comes from one scan: the margin
+//! sweep of [`visibility`] over an [`EphemerisGrid`] brackets the
+//! horizon crossings, bisection refines AOS/LOS to ~10 ms, and a
+//! golden-section search finds the culmination (maximum elevation).
 //!
-//! Every elevation/look-angle query flows through one pluggable sampling
-//! backend: direct SGP4 propagation (the default), or a shared
-//! [`EphemerisGrid`] attached with [`PassPredictor::with_ephemeris`] —
-//! in which case the crossing bisections and the culmination search
-//! interpolate instead of propagating, multiple observers amortise one
-//! trajectory, and a grid covering the whole scan window replaces the
-//! adaptive coarse scan with the margin sweep of [`visibility`].
+//! The sweep reads the grid attached with
+//! [`PassPredictor::with_ephemeris`] when that grid covers the scan
+//! window; otherwise the predictor builds a grid for the window, sweeps
+//! it and drops it. Refinement samples through the predictor's own
+//! backend — the attached grid where it covers an instant, direct SGP4
+//! elsewhere — so a predictor's passes agree with its
+//! [`PassPredictor::elevation_at`] and [`PassPredictor::look_at`], and
+//! multiple observers amortise one shared trajectory.
+//!
+//! The adaptive direct-SGP4 scan, `reference_passes`, is kept only as
+//! the oracle the sweep is tested against.
 
 use crate::ephemeris::EphemerisGrid;
 use crate::error::OrbitError;
@@ -21,7 +26,9 @@ use crate::sgp4::Sgp4;
 use crate::time::JulianDate;
 use crate::topo::Observer;
 use crate::visibility::{self, SweepEventKind, SweepOutcome};
+use core::f64::consts::FRAC_PI_2;
 use satiot_obs::metrics::Counter;
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Completed contact windows emitted by all predictors (metrics).
@@ -35,8 +42,8 @@ static LEGS_SCANNED: Counter = Counter::new("orbit.pass.legs_scanned");
 /// `position` throughout `[start, end]`. Mobility tracks (ships, asset
 /// trackers) are discretised into legs upstream — within a leg the pass
 /// geometry is that of a fixed site, so each leg reuses the whole
-/// fixed-observer machinery (adaptive scan, margin sweeps, shared
-/// ephemeris grids).
+/// fixed-observer machinery (margin sweep, refinement, one shared
+/// ephemeris grid).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObserverLeg {
     /// Leg start (inclusive).
@@ -111,11 +118,6 @@ pub struct PassPredictor {
     observer: Observer,
     /// Elevation mask, radians.
     pub min_elevation_rad: f64,
-    /// Smallest step of the adaptive coarse scan, seconds (default 30).
-    /// The scan can skip a pass only if the pass is shorter than this
-    /// step; lower it to catch shorter grazing passes. The margin sweep
-    /// that replaces the scan over a covering grid does not read it.
-    pub coarse_step_s: f64,
     /// Optional shared ephemeris backend (see [`Self::with_ephemeris`]).
     ephemeris: Option<Arc<EphemerisGrid>>,
 }
@@ -130,7 +132,6 @@ impl PassPredictor {
             sgp4,
             observer: Observer::new(site),
             min_elevation_rad,
-            coarse_step_s: 30.0,
             ephemeris: None,
         }
     }
@@ -140,10 +141,8 @@ impl PassPredictor {
     /// rotation); queries outside it fall back to direct propagation,
     /// so attaching a grid never changes *which* instants are
     /// answerable — only how cheaply. A scan whose window the grid
-    /// covers, under a mask inside `(−π/2, π/2)`, brackets crossings
-    /// with the chunked margin sweep (see the [`visibility`] module
-    /// docs) instead of the adaptive scan; any other scan (a partial
-    /// grid, an extreme mask) keeps the adaptive scan.
+    /// covers sweeps it; any other scan sweeps a grid built for its
+    /// window (see [`Self::passes`]).
     pub fn with_ephemeris(mut self, grid: Arc<EphemerisGrid>) -> Self {
         self.ephemeris = Some(grid);
         self
@@ -179,7 +178,7 @@ impl PassPredictor {
                     .look_at_ecef(state.position_km, state.velocity_km_s)
                     .elevation_rad
             }
-            None => -core::f64::consts::FRAC_PI_2,
+            None => -FRAC_PI_2,
         }
     }
 
@@ -191,10 +190,10 @@ impl PassPredictor {
         })
     }
 
-    /// Re-site the predictor: same satellite, sampling backend, mask
-    /// and scan configuration, new observer position. Moving-observer
-    /// scans re-use one satellite ephemeris grid across every leg this
-    /// way — the grid stores the *satellite* trajectory, which is
+    /// Re-site the predictor: same satellite, sampling backend and
+    /// mask, new observer position. Moving-observer scans re-use one
+    /// satellite ephemeris grid across every leg this way — the grid
+    /// stores the *satellite* trajectory, which is
     /// observer-independent.
     pub fn with_observer_position(mut self, site: Geodetic) -> Self {
         self.observer = Observer::new(site);
@@ -203,8 +202,10 @@ impl PassPredictor {
 
     /// Passes seen by a *moving* observer described as piecewise legs:
     /// each leg pins the observer at its position and scans its own
-    /// window through [`Self::try_passes`]; the per-leg lists
-    /// concatenate in time order.
+    /// window as [`Self::try_passes`] would; the per-leg lists
+    /// concatenate in time order. A leg the attached grid does not
+    /// cover sweeps one grid built over the span of all legs, shared by
+    /// every such leg.
     ///
     /// Legs must be chronological and non-overlapping (gaps are fine —
     /// nothing is scanned inside them). A contact that straddles a leg
@@ -217,10 +218,24 @@ impl PassPredictor {
                 return Err(OrbitError::UnorderedLegs { index: i + 1 });
             }
         }
+        for leg in legs {
+            self.check_scan(leg.start, leg.end)?;
+        }
+        let first = legs.iter().map(|l| l.start.0).fold(f64::INFINITY, f64::min);
+        let last = legs
+            .iter()
+            .map(|l| l.end.0)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let span = OnceCell::new();
+        let span_grid = || {
+            span.get_or_init(|| {
+                EphemerisGrid::build(&self.sgp4, JulianDate(first), JulianDate(last))
+            })
+        };
         let mut out = Vec::new();
         for leg in legs {
             let sited = self.clone().with_observer_position(leg.position);
-            out.extend(sited.try_passes(leg.start, leg.end)?);
+            out.extend(sited.scan_passes(leg.start, leg.end, span_grid));
             LEGS_SCANNED.inc();
         }
         Ok(out)
@@ -241,15 +256,11 @@ impl PassPredictor {
     /// A pass already in progress at `start` is reported with `aos = start`;
     /// one still in progress at `end` is truncated at `end`.
     ///
-    /// Over an attached grid that covers the window, crossings are
-    /// bracketed by the margin sweep, which misses no pass (see the
-    /// [`visibility`] module docs). Otherwise the coarse scan is
-    /// *adaptive*: while the satellite sits far below the mask the step
-    /// grows with the elevation deficit (a LEO satellite at −E° needs at
-    /// least `4E` seconds to reach the horizon, so a `2E` s step cannot
-    /// overshoot it; 600 s cap), which makes multi-month scans ~6×
-    /// cheaper. Near the mask it steps [`Self::coarse_step_s`], so it
-    /// can skip a pass shorter than that step, but none longer.
+    /// Crossings are bracketed by the margin sweep over the attached
+    /// grid when it covers the window, else over a grid built for the
+    /// window; the sweep misses no pass (see the [`visibility`] module
+    /// docs). A mask outside `[−π/2, π/2]` is clamped into it first:
+    /// elevation never leaves that range, so no answer changes.
     ///
     /// Non-finite bounds or masks degrade to an empty pass list (and a
     /// bump of the `orbit.pass.non_finite_scans` metric); callers that
@@ -260,10 +271,16 @@ impl PassPredictor {
 
     /// Fallible sibling of [`Self::passes`]: rejects non-finite scan
     /// bounds and elevation masks with a typed error instead of
-    /// degrading to an empty list. A NaN bound is not merely a wrong
-    /// answer — `t >= end` never becomes true, so the coarse scan of
-    /// the infallible path would otherwise never terminate.
+    /// degrading to an empty list.
     pub fn try_passes(&self, start: JulianDate, end: JulianDate) -> Result<Vec<Pass>, OrbitError> {
+        self.check_scan(start, end)?;
+        let local = OnceCell::new();
+        let local_grid = || local.get_or_init(|| EphemerisGrid::build(&self.sgp4, start, end));
+        Ok(self.scan_passes(start, end, local_grid))
+    }
+
+    /// Reject non-finite scan bounds and masks.
+    fn check_scan(&self, start: JulianDate, end: JulianDate) -> Result<(), OrbitError> {
         for (field, value) in [
             ("start", start.0),
             ("end", end.0),
@@ -274,73 +291,37 @@ impl PassPredictor {
                 return Err(OrbitError::NonFiniteScan { field, value });
             }
         }
-        Ok(self.scan_passes(start, end))
+        Ok(())
     }
 
-    /// The coarse-scan + refinement loop (bounds already validated).
-    fn scan_passes(&self, start: JulianDate, end: JulianDate) -> Vec<Pass> {
-        let mut result = Vec::new();
+    /// The one scan (bounds already validated): sweep the attached grid
+    /// when it covers `[start, end]`, else the grid `spare` supplies
+    /// (built on first use), then refine the sweep's events.
+    fn scan_passes<'g>(
+        &self,
+        start: JulianDate,
+        end: JulianDate,
+        spare: impl FnOnce() -> &'g EphemerisGrid,
+    ) -> Vec<Pass> {
         if end <= start {
-            return result;
+            return Vec::new();
         }
-        // Margin sweep first, when a grid is attached. The mask gate
-        // keeps the margin ⟺ elevation equivalence valid (asin is only
-        // monotone on (−π/2, π/2)); `sweep_one` itself answers `None`
-        // when the grid does not cover the window, in which case the
-        // adaptive scan below takes over.
-        if self.min_elevation_rad.abs() < core::f64::consts::FRAC_PI_2 {
-            if let Some(grid) = &self.ephemeris {
-                if let Some(sweep) =
-                    visibility::sweep_one(grid, &self.observer, self.min_elevation_rad, start, end)
-                {
-                    return self.refine_sweep(&sweep, start, end);
-                }
-            }
-        }
-        let mask = self.min_elevation_rad;
-
-        let mut t_prev = start;
-        let mut el_prev = self.elevation_at(t_prev);
-        let mut above_prev = el_prev > mask;
-        let mut aos: Option<JulianDate> = if above_prev { Some(start) } else { None };
-
-        loop {
-            let step_s = self.adaptive_step_s(el_prev);
-            let t = JulianDate(t_prev.0 + step_s / 86_400.0);
-            let t_clamped = if t > end { end } else { t };
-            let el = self.elevation_at(t_clamped);
-            let above = el > mask;
-            if above && !above_prev {
-                aos = Some(self.refine_crossing(t_prev, t_clamped));
-            } else if !above && above_prev {
-                let los = self.refine_crossing(t_prev, t_clamped);
-                if let Some(a) = aos.take() {
-                    if let Some(pass) = self.finish_pass(a, los) {
-                        result.push(pass);
-                    }
-                }
-            }
-            above_prev = above;
-            el_prev = el;
-            t_prev = t_clamped;
-            if t_prev >= end {
-                break;
-            }
-        }
-        // Pass still in progress at `end`.
-        if let Some(a) = aos {
-            if let Some(pass) = self.finish_pass(a, end) {
-                result.push(pass);
-            }
-        }
-        result
+        // Clamping keeps the margin ⟺ elevation equivalence valid: asin
+        // is monotone on [−π/2, π/2]. `sweep_one` answers `None` when a
+        // grid does not cover the window.
+        let mask = self.min_elevation_rad.clamp(-FRAC_PI_2, FRAC_PI_2);
+        let sweep =
+            |grid: &EphemerisGrid| visibility::sweep_one(grid, &self.observer, mask, start, end);
+        self.ephemeris
+            .as_deref()
+            .and_then(sweep)
+            .or_else(|| sweep(spare()))
+            .map_or_else(Vec::new, |outcome| self.refine_sweep(&outcome, start, end))
     }
 
     /// Turn a margin sweep's sparse event list into refined passes,
-    /// through the same bisection ([`Self::refine_crossing`]) and
-    /// golden-section ([`Self::finish_pass`]) machinery as the adaptive
-    /// scan — only the *bracketing* differs: grid-column sign changes
-    /// instead of adaptive elevation probes.
+    /// through bisection ([`Self::refine_crossing`]) and golden-section
+    /// ([`Self::finish_pass`]) over the predictor's sampling backend.
     fn refine_sweep(&self, sweep: &SweepOutcome, start: JulianDate, end: JulianDate) -> Vec<Pass> {
         let mut result = Vec::new();
         let mut aos: Option<JulianDate> = sweep.above_at_start.then_some(start);
@@ -354,9 +335,7 @@ impl PassPredictor {
                 SweepEventKind::Falling => {
                     if let Some(a) = aos.take() {
                         let los = self.refine_crossing(event.t_lo, event.t_hi);
-                        if let Some(pass) = self.finish_pass(a, los) {
-                            result.push(pass);
-                        }
+                        result.extend(self.finish_pass(a, los));
                     }
                 }
                 SweepEventKind::Candidate => {
@@ -368,9 +347,7 @@ impl PassPredictor {
                         if el_peak > self.min_elevation_rad {
                             let a = self.refine_crossing(event.t_lo, t_peak);
                             let los = self.refine_crossing(t_peak, event.t_hi);
-                            if let Some(pass) = self.finish_pass(a, los) {
-                                result.push(pass);
-                            }
+                            result.extend(self.finish_pass(a, los));
                         }
                     }
                 }
@@ -378,9 +355,58 @@ impl PassPredictor {
         }
         // Pass still in progress at `end`.
         if let Some(a) = aos {
-            if let Some(pass) = self.finish_pass(a, end) {
-                result.push(pass);
+            result.extend(self.finish_pass(a, end));
+        }
+        result
+    }
+
+    /// The direct-SGP4 reference scan: the oracle the margin sweep is
+    /// tested against, with no caller outside tests. It samples direct
+    /// SGP4 only — never an attached grid — and steps adaptively. A
+    /// ground observer never sees a LEO satellite's elevation rise
+    /// faster than ~0.25°/s (the rate peaks near the horizon at v/d ≈
+    /// 7.6 km/s / 2 300 km), so climbing a deficit of `E` degrees takes
+    /// at least `4E` seconds and a `2E` s step (600 s cap) cannot
+    /// overshoot the mask. Less than `floor_s / 2` degrees below the
+    /// mask, or above it, the scan steps `floor_s`: it can skip a pass
+    /// shorter than `floor_s`, but none longer, and panics on a floor
+    /// that is not positive. Bounds and masks degrade as in
+    /// [`Self::passes`].
+    #[doc(hidden)]
+    pub fn reference_passes(&self, start: JulianDate, end: JulianDate, floor_s: f64) -> Vec<Pass> {
+        assert!(floor_s > 0.0, "a step floor of {floor_s} s");
+        let mut result = Vec::new();
+        if self.check_scan(start, end).is_err() || end <= start {
+            return result;
+        }
+        let mut direct = self.clone();
+        direct.ephemeris = None;
+        let mask = direct.min_elevation_rad;
+        let mut t_prev = start;
+        let mut el_prev = direct.elevation_at(t_prev);
+        let mut aos: Option<JulianDate> = (el_prev > mask).then_some(start);
+        loop {
+            let step_s = (2.0 * (mask - el_prev).to_degrees()).max(floor_s);
+            let t = JulianDate((t_prev.0 + step_s.min(600.0) / 86_400.0).min(end.0));
+            let el = direct.elevation_at(t);
+            let above = el > mask;
+            if above && aos.is_none() {
+                aos = Some(direct.refine_crossing(t_prev, t));
+            } else if !above {
+                if let Some(a) = aos.take() {
+                    let los = direct.refine_crossing(t_prev, t);
+                    result.extend(direct.finish_pass(a, los));
+                }
             }
+            el_prev = el;
+            t_prev = t;
+            if t_prev >= end {
+                break;
+            }
+        }
+        // Pass still in progress at `end`.
+        if let Some(a) = aos {
+            result.extend(direct.finish_pass(a, end));
         }
         result
     }
@@ -425,28 +451,6 @@ impl PassPredictor {
     fn peak_probe(&self, lo: JulianDate, hi: JulianDate) -> (JulianDate, f64) {
         let t_peak = self.golden_peak(lo, hi);
         (t_peak, self.elevation_at(t_peak))
-    }
-
-    /// Coarse-scan step given the current elevation (see [`Self::passes`]).
-    ///
-    /// Safety argument: a ground observer never sees a LEO satellite's
-    /// elevation rise faster than ~0.25°/s (the rate peaks near the
-    /// horizon at v/d ≈ 7.6 km/s / 2 300 km). Climbing a deficit of `E`
-    /// degrees therefore takes at least `4E` seconds; stepping `2E`
-    /// seconds can consume at most half the deficit, so the satellite is
-    /// still below the mask at the next sample. The floor is the
-    /// weak point: less than `coarse_step_s / 2` degrees below the mask
-    /// (or above it) the scan steps `coarse_step_s` regardless, and a
-    /// pass that rises and sets again inside one such step is missed.
-    /// So the guarantee is that no pass longer than `coarse_step_s` is
-    /// skipped; grazing passes shorter than that can be (the margin
-    /// sweep over a grid has no such floor). The step never exceeds the
-    /// 600 s safety cap — even when a caller raises the public
-    /// `coarse_step_s` above the cap (`f64::clamp` would panic on an
-    /// inverted `min > max` range there).
-    fn adaptive_step_s(&self, elevation_rad: f64) -> f64 {
-        let deficit_deg = (self.min_elevation_rad - elevation_rad).to_degrees();
-        (2.0 * deficit_deg).max(self.coarse_step_s).min(600.0)
     }
 
     /// Bisection: elevation crosses the mask somewhere in `(lo, hi)`.
@@ -628,24 +632,6 @@ mod tests {
         }
     }
 
-    /// A `coarse_step_s` above the 600 s adaptive cap used to panic in
-    /// `adaptive_step_s` (`f64::clamp` with min > max); it must instead
-    /// saturate at the cap and still find passes.
-    #[test]
-    fn coarse_step_above_cap_does_not_panic() {
-        let sgp4 = leo_sgp4(550.0, 97.6);
-        let mut p = PassPredictor::new(sgp4, hk(), 0.0);
-        p.coarse_step_s = 900.0;
-        assert!(p.adaptive_step_s(-0.5) <= 600.0);
-        assert!(p.adaptive_step_s(0.5) <= 600.0);
-        let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
-        // Must not panic; a 600 s effective step can still skip short
-        // passes, so only sanity-check what it does find.
-        for pass in p.passes(start, start + 1.0) {
-            assert!(pass.los > pass.aos);
-        }
-    }
-
     /// A NaN scan bound used to hang the coarse scan forever (`t >= end`
     /// never turns true); it must now degrade to an empty list on the
     /// infallible path and a typed error on the fallible one.
@@ -758,12 +744,13 @@ mod tests {
         }
     }
 
-    /// A grid-backed predictor, whose covering grid makes it bracket
-    /// crossings with the margin sweep, must reproduce direct prediction
-    /// within the documented ephemeris contract: same pass count,
-    /// boundaries within the refinement tolerance, elevation within
-    /// 0.01°. The direct reference scans with a 1 s floor, so it skips
-    /// no pass the sweep can report (`finish_pass` drops shorter ones).
+    /// Both backends sweep — the grid-backed predictor its covering
+    /// grid, the direct one a grid built for the window — and both must
+    /// reproduce the direct-SGP4 reference scan within the documented
+    /// ephemeris contract: same pass count, boundaries within the
+    /// refinement tolerance, elevation within 0.01°. The reference scans
+    /// with a 1 s floor, so it skips no pass the sweep can report
+    /// (`finish_pass` drops shorter ones).
     #[test]
     fn grid_backend_matches_direct_within_contract() {
         use crate::ephemeris::EphemerisGrid;
@@ -777,21 +764,21 @@ mod tests {
         ] {
             let sgp4 = leo_sgp4(alt, incl);
             let mask = f64::to_radians(mask_deg);
-            let mut direct = PassPredictor::new(sgp4.clone(), hk(), mask);
-            direct.coarse_step_s = 1.0;
+            let direct = PassPredictor::new(sgp4.clone(), hk(), mask);
             let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
             let gridded = PassPredictor::new(sgp4, hk(), mask).with_ephemeris(grid);
-            let a = direct.passes(start, end);
-            let b = gridded.passes(start, end);
-            assert_eq!(a.len(), b.len(), "pass counts diverged at mask {mask_deg}°");
-            assert!(!a.is_empty(), "test geometry has no passes");
-            for (x, y) in a.iter().zip(&b) {
-                assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
-                assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
-                let dmax = (y.max_elevation_rad - x.max_elevation_rad)
-                    .to_degrees()
-                    .abs();
-                assert!(dmax < 0.01, "max elevation drifted {dmax}°");
+            let reference = direct.reference_passes(start, end, 1.0);
+            assert!(!reference.is_empty(), "test geometry has no passes");
+            for swept in [direct.passes(start, end), gridded.passes(start, end)] {
+                assert_eq!(reference.len(), swept.len(), "mask {mask_deg}°");
+                for (x, y) in reference.iter().zip(&swept) {
+                    assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
+                    assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
+                    let dmax = (y.max_elevation_rad - x.max_elevation_rad)
+                        .to_degrees()
+                        .abs();
+                    assert!(dmax < 0.01, "max elevation drifted {dmax}°");
+                }
             }
             // Pointwise elevations agree within the contract too.
             for k in 0..100 {
@@ -821,30 +808,37 @@ mod tests {
     }
 
     /// A mask raised to just under a pass's culmination shrinks the
-    /// contact to less than one grid step; the candidate windows must
-    /// still surface it instead of stepping over it.
+    /// contact to less than one grid step, between two lattice samples
+    /// that both sit below the mask. No sign change brackets it, so the
+    /// candidate windows must surface it instead of stepping over it.
     #[test]
     fn sweep_finds_passes_shorter_than_one_grid_step() {
         use crate::ephemeris::EphemerisGrid;
         let sgp4 = leo_sgp4(550.0, 97.6);
-        let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
+        let day = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
+        // Find the day's best culmination with an open mask…
+        let best = PassPredictor::new(sgp4.clone(), hk(), 0.0)
+            .passes(day, day + 1.0)
+            .into_iter()
+            .max_by(|a, b| a.max_elevation_rad.total_cmp(&b.max_elevation_rad))
+            .expect("a pass");
+        // …shift the window so that the 60 s lattice, which starts two
+        // steps before the window, puts it midway between two samples…
+        let start = day.plus_seconds(best.tca.seconds_since(day) % 60.0 - 30.0);
         let end = start + 1.0;
         let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
-        // Find the day's best culmination with an open mask…
-        let open = PassPredictor::new(sgp4.clone(), hk(), 0.0).with_ephemeris(Arc::clone(&grid));
-        let best = open
-            .passes(start, end)
-            .iter()
-            .map(|p| p.max_elevation_rad)
-            .fold(f64::MIN, f64::max);
         // …then mask 0.15° below it: the surviving contact lasts well
-        // under the 60 s grid step. (The adaptive scan skips no pass
-        // longer than its 30 s floor, and can genuinely step over this
-        // contact — the sweep's candidate windows must not.)
-        let mask = best - 0.15_f64.to_radians();
-        let swept = PassPredictor::new(sgp4, hk(), mask).with_ephemeris(grid);
+        // under the grid step. (The reference scan at a 30 s floor can
+        // genuinely step over this contact — the sweep must not.)
+        let mask = best.max_elevation_rad - 0.15_f64.to_radians();
+        let swept = PassPredictor::new(sgp4, hk(), mask).with_ephemeris(Arc::clone(&grid));
+        let k = (best.tca.seconds_since(grid.sample_time(0)) / grid.step_s()) as usize;
+        for t in [grid.sample_time(k), grid.sample_time(k + 1)] {
+            assert!(swept.elevation_at(t) < mask, "sample above the mask");
+        }
         let passes = swept.passes(start, end);
         assert!(!passes.is_empty(), "short pass missed by the sweep");
+        assert_eq!(passes.len(), swept.reference_passes(start, end, 1.0).len());
         for pass in &passes {
             assert!(pass.duration_s() < 60.0, "contact should be sub-step");
             // The found window is genuine: its culmination clears the
@@ -856,37 +850,36 @@ mod tests {
     }
 
     /// A grid that covers only part of the window, or a mask outside
-    /// (−π/2, π/2), keeps the adaptive scan: covered instants still
-    /// interpolate, and the passes agree with direct prediction.
+    /// [−π/2, π/2], still sweeps (a grid built for the window, a clamped
+    /// mask) and agrees with the reference scan; covered instants still
+    /// interpolate. An open mask below −π/2 stays one whole-window pass,
+    /// and a mask above π/2 sees nothing.
     #[test]
-    fn partial_grids_and_extreme_masks_keep_the_adaptive_scan() {
+    fn partial_grids_and_extreme_masks_still_sweep() {
         use crate::ephemeris::EphemerisGrid;
         let sgp4 = leo_sgp4(550.0, 97.6);
         let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
         let end = start + 1.0;
-        let direct = PassPredictor::new(sgp4.clone(), hk(), 0.0).passes(start, end);
         let half = Arc::new(EphemerisGrid::build(&sgp4, start, start + 0.5));
-        let partial = PassPredictor::new(sgp4.clone(), hk(), 0.0)
-            .with_ephemeris(half)
-            .passes(start, end);
-        assert_eq!(direct.len(), partial.len());
-        for (x, y) in direct.iter().zip(&partial) {
-            assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
-            assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
-        }
-        // An always-above mask below −π/2, over a covering grid, stays
-        // one whole-window pass.
         let full = Arc::new(EphemerisGrid::build(&sgp4, start, end));
-        let wide_open = PassPredictor::new(sgp4, hk(), -2.0).with_ephemeris(full);
-        let passes = wide_open.passes(start, end);
-        assert_eq!(passes.len(), 1);
-        assert!((passes[0].aos.0 - start.0).abs() < 1e-12);
+        let windows = |grid, mask| {
+            let p = PassPredictor::new(sgp4.clone(), hk(), mask).with_ephemeris(grid);
+            let (reference, swept) = (p.reference_passes(start, end, 1.0), p.passes(start, end));
+            assert_eq!(reference.len(), swept.len(), "mask {mask}");
+            for (x, y) in reference.iter().zip(&swept) {
+                assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
+                assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
+            }
+            swept.iter().map(|p| (p.aos, p.los)).collect::<Vec<_>>()
+        };
+        assert!(!windows(half, 0.0).is_empty());
+        assert_eq!(windows(Arc::clone(&full), -2.0), [(start, end)]);
+        assert!(windows(full, 2.0).is_empty());
     }
 
     /// A moving-observer scan whose legs all sit at one position must
-    /// reproduce the fixed-observer scan over the union window (to
-    /// refinement precision), except for contacts split at leg
-    /// boundaries.
+    /// reproduce the fixed-observer scan over the union window, except
+    /// for contacts split at leg boundaries.
     #[test]
     fn legs_at_a_fixed_position_match_the_fixed_scan() {
         let sgp4 = leo_sgp4(550.0, 97.6);
@@ -915,17 +908,11 @@ mod tests {
                 position: hk(),
             },
         ];
+        // The legs sweep one grid over their span, which is the fixed
+        // scan's grid over the same window: every bracket, hence every
+        // refined pass, is identical.
         let moving = p.passes_over_legs(&legs).expect("ordered legs");
-        assert_eq!(fixed.len(), moving.len());
-        // The coarse sampling grid is anchored at each leg's start, so
-        // each boundary may land anywhere inside its own bisection
-        // bracket — compare at the scan's stated ~10 ms resolution
-        // (5e-7 d ≈ 43 ms).
-        for (a, b) in fixed.iter().zip(&moving) {
-            assert!((a.aos.0 - b.aos.0).abs() < 5e-7);
-            assert!((a.los.0 - b.los.0).abs() < 5e-7);
-            assert!((a.tca.0 - b.tca.0).abs() < 5e-7);
-        }
+        assert_eq!(fixed, moving);
     }
 
     /// A leg far from the first position sees different passes, and

@@ -1,11 +1,11 @@
 //! Vectorised visibility kernels: margin sweeps over ephemeris-grid
 //! columns for every observer of one satellite.
 //!
-//! The adaptive coarse scan in [`pass`](crate::pass) walks time
-//! per-(site, sat) pair, calling the full look-angle projection
-//! (`asin`, `atan2`, range rate) at every probe — the per-timestep
-//! scalar anti-pattern. This module replaces the *coarse-scan phase*
-//! with a data-parallel sweep:
+//! Every pass list of [`pass`](crate::pass) brackets its horizon
+//! crossings here. Rather than walking time per (site, sat) pair and
+//! calling the full look-angle projection (`asin`, `atan2`, range rate)
+//! at every probe — the per-timestep scalar anti-pattern — the
+//! bracketing phase is a data-parallel sweep:
 //!
 //! 1. hoist each observer's ECEF site vector, zenith basis vector, and
 //!    `sin(mask)` into a structure-of-arrays arena
@@ -27,7 +27,7 @@
 //! elevation > mask  ⟺  z / r > sin(mask)  ⟺  m := z − r·sin(mask) > 0
 //! ```
 //!
-//! for any mask inside `(−π/2, π/2)` — so the kernel needs one `sqrt`
+//! for any mask in `[−π/2, π/2]` — so the kernel needs one `sqrt`
 //! and no transcendentals per (observer, column). The margin's exact
 //! time derivative falls out of the grid's stored ECEF velocities:
 //! `m′ = v·ζ − sin(mask)·(ρ·v)/r`, which powers near-miss detection
@@ -44,9 +44,8 @@
 //! (≤ [`MAX_STEP_S`](crate::ephemeris::MAX_STEP_S)); a lattice
 //! interval whose endpoints are both below the mask but whose margin
 //! may peek above it in the interior is reported as a
-//! [`SweepEventKind::Candidate`] window. The bracketing argument
-//! matches the adaptive scan's: LEO passes over one site are ≥ 45 min
-//! apart, so one ≤ 180 s lattice interval contains at most one
+//! [`SweepEventKind::Candidate`] window. LEO passes over one site are
+//! ≥ 45 min apart, so one ≤ 180 s lattice interval contains at most one
 //! crossing (two crossings inside one interval — a whole pass — is
 //! exactly the candidate case).
 //!
@@ -79,8 +78,8 @@
 //! equivalents with identical rounding, and no reassociation or FMA
 //! contraction is enabled. Identical margins ⟹ identical sign changes
 //! ⟹ identical event lists ⟹ bit-identical refined passes. The
-//! adaptive scan (no grid, or a grid that does not cover the window)
-//! refines from *different* (coarser) brackets and is therefore
+//! direct-SGP4 reference scan that [`pass`](crate::pass) keeps as a
+//! test oracle refines from *different* brackets and is therefore
 //! equivalent only to refinement tolerance, not to the bit.
 
 use crate::ephemeris::EphemerisGrid;
@@ -354,7 +353,7 @@ impl Detector {
     #[inline]
     fn feed(&mut self, t: JulianDate, m: f64, dm: f64) {
         self.points += 1;
-        let above = m > 0.0; // NaN margins read as "below", like the adaptive scan.
+        let above = m > 0.0; // NaN margins read as "below", like a failed propagation.
         if !self.started {
             self.started = true;
             self.above_at_start = above;
@@ -460,9 +459,9 @@ impl VisibilitySweep {
     }
 
     /// Hoist one observer's loop invariants into the arena. `mask_rad`
-    /// must lie inside `(−π/2, π/2)` for the margin ⟺ elevation
-    /// equivalence to hold (callers outside that range use the adaptive
-    /// scan).
+    /// must lie in `[−π/2, π/2]` for the margin ⟺ elevation
+    /// equivalence to hold (`PassPredictor` clamps its mask into that
+    /// range first).
     pub fn push(&mut self, observer: &Observer, mask_rad: f64) {
         let site = observer.position_ecef();
         let zenith = observer.zenith();
@@ -500,9 +499,9 @@ impl VisibilitySweep {
     /// Sweep `grid`'s columns across `[start, end]` for every observer
     /// in the arena.
     ///
-    /// Answers `None` — callers fall back to the adaptive scan — when
-    /// the arena is empty, the window is degenerate, or the grid does
-    /// not cover the whole window.
+    /// Answers `None` when the arena is empty, the window is
+    /// degenerate, or the grid does not cover the whole window
+    /// (`PassPredictor` then sweeps a grid built for the window).
     pub fn run(
         &self,
         grid: &EphemerisGrid,
@@ -551,8 +550,8 @@ impl VisibilitySweep {
         }
         // Lattice columns strictly inside (start, end); the exact
         // boundaries are fed as interpolated pseudo-columns so a pass
-        // in progress at `start` (or truncated at `end`) is seen the
-        // same way the adaptive scan sees it.
+        // in progress at `start` (or truncated at `end`) is seen at the
+        // exact window edge.
         let k_first = x_start.floor() as usize + 1;
         let k_last = (x_end.ceil() as usize).saturating_sub(1).min(n - 1);
 
@@ -918,7 +917,8 @@ mod tests {
         // Failed-propagation samples store NaN state; the margin
         // arithmetic must propagate it and the detector must read NaN
         // margins as "below" (no spurious events, not above at start),
-        // matching how the adaptive scan reports unanswerable instants.
+        // matching how `PassPredictor::elevation_at` reports
+        // unanswerable instants (−90°).
         let p = ObsParams {
             sx: 0.0,
             sy: 0.0,

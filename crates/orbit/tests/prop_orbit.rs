@@ -161,7 +161,7 @@ proptest! {
     }
 
     /// The latitude-band cull is conservative: whenever it fires, the
-    /// full predictor (direct SGP4, no grid) finds zero passes over a
+    /// full predictor (no attached grid) finds zero passes over a
     /// two-day window — equivalently, it never fires for a pair with a
     /// nonzero-duration pass.
     #[test]
@@ -188,8 +188,8 @@ proptest! {
     }
 
     /// The footprint-cone grid scan is conservative: whenever it clears
-    /// a window, both the direct and the grid-backed predictors find
-    /// zero passes in that window.
+    /// a window, both the direct-SGP4 reference scan (1 s floor) and the
+    /// grid-backed predictor find zero passes in that window.
     #[test]
     fn cone_cull_is_conservative(
         alt in 400.0_f64..1_200.0,
@@ -208,7 +208,7 @@ proptest! {
         let (start, end) = (epoch(), epoch() + 0.5);
         let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
         if cull::cone_clears_grid(&grid, site, mask, start, end) {
-            let direct = PassPredictor::new(sgp4.clone(), site, mask).passes(start, end);
+            let direct = PassPredictor::new(sgp4.clone(), site, mask).reference_passes(start, end, 1.0);
             prop_assert!(
                 direct.is_empty(),
                 "cone cull dropped a pair with {} direct passes (alt {alt}, incl {incl}, lat {lat}, lon {lon})",

@@ -11,9 +11,9 @@
 //! [`ObserverLeg`]s — short windows during which the observer is pinned
 //! at the leg-midpoint position — which
 //! [`PassPredictor::passes_over_legs`](satiot_orbit::pass::PassPredictor::passes_over_legs)
-//! scans one by one. The discretisation is deterministic (pure
-//! arithmetic on the waypoint table), so campaigns over mobile sites
-//! stay bit-identical across drivers.
+//! scans one by one over one shared ephemeris grid. The discretisation
+//! is deterministic (pure arithmetic on the waypoint table), so
+//! campaigns over mobile sites stay bit-identical across drivers.
 
 use crate::spec::ScenarioError;
 use satiot_orbit::frames::Geodetic;

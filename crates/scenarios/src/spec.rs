@@ -143,9 +143,8 @@ impl From<WalkerParseError> for ScenarioError {
     }
 }
 
-/// Station-assignment policy, as scenario files spell it. Mirrors
-/// `satiot_core::SchedulerKind` without depending on core (the
-/// dependency points the other way); core converts on build.
+/// Station-assignment policy, as scenario files spell it. Campaigns
+/// take it as is: `satiot_core` re-exports it as `SchedulerKind`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerSpec {
     /// The paper's customised predictive scheduler.
