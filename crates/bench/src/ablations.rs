@@ -11,6 +11,7 @@
 use crate::experiments::Campaigns;
 use crate::runners;
 use satiot_core::active::MacPolicy;
+use satiot_core::messages::BEACON_ON_AIR_BYTES;
 use satiot_core::prelude::*;
 use satiot_econ::{
     crossover_month, satellite_cost, terrestrial_cost, Deployment, SatellitePricing,
@@ -308,19 +309,20 @@ pub fn spreading_factor(_: &Campaigns) -> String {
             sf,
             ..LoRaConfig::dts_beacon()
         };
-        let airtime_ms = airtime_s(&cfg, 30) * 1_000.0;
+        let len = BEACON_ON_AIR_BYTES;
+        let airtime_ms = airtime_s(&cfg, len) * 1_000.0;
         let mut raw = Vec::new();
         let mut comp = Vec::new();
         for &(snr, offset, rate) in GEOMETRIES {
             // The SNR is a property of the link, not the SF (same RSSI,
             // same 125 kHz noise floor); the PER curve applies each SF's
             // own demodulation threshold.
-            raw.push(match total_penalty_db(&cfg, 30, offset, rate) {
-                Some(pen) => packet_success_probability(&cfg, 30, snr - pen),
+            raw.push(match total_penalty_db(&cfg, len, offset, rate) {
+                Some(pen) => packet_success_probability(&cfg, len, snr - pen),
                 None => 0.0,
             });
-            comp.push(match compensated_penalty_db(&cfg, 30, offset, rate) {
-                Some(pen) => packet_success_probability(&cfg, 30, snr - pen),
+            comp.push(match compensated_penalty_db(&cfg, len, offset, rate) {
+                Some(pen) => packet_success_probability(&cfg, len, snr - pen),
                 None => 0.0,
             });
         }

@@ -909,16 +909,8 @@ mod tests {
         acc.record(&SatNodeProfile, SatNodeMode::Sleep, 80_000.0);
         acc.record(&SatNodeProfile, SatNodeMode::McuRx, 6_000.0);
         acc.record(&SatNodeProfile, SatNodeMode::McuTx, 400.0);
-        let mut latency_min =
-            satiot_measure::sketch::MetricSketch::new(satiot_measure::sketch::LATENCY_WIDTH_MIN);
-        for t in &timelines {
-            if let Some(d) = t.delivered_s {
-                latency_min.observe((d - t.generated_s) / 60.0);
-            }
-        }
         ActiveResults {
             timelines,
-            latency_min,
             sent,
             delivered_seqs,
             node_energy: vec![acc],

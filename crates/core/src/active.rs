@@ -23,7 +23,7 @@
 use crate::calib;
 use crate::error::{Fault, FaultLog, SatIotError};
 use crate::geometry::sample_at;
-use crate::messages::{Ack, Beacon, Message, Uplink};
+use crate::messages;
 use crate::node::{BeaconReaction, NodeMachine};
 use crate::options::RunOptions;
 use crate::passive::sanitize_candidates;
@@ -38,7 +38,6 @@ use satiot_energy::accounting::EnergyAccount;
 use satiot_energy::profile::{SatNodeMode, SatNodeProfile};
 use satiot_measure::latency::PacketTimeline;
 use satiot_measure::reliability::SentPacket;
-use satiot_measure::sketch::{MetricSketch, LATENCY_WIDTH_MIN};
 use satiot_obs::metrics::{Counter, Timer};
 use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
@@ -49,7 +48,9 @@ use satiot_phy::doppler::{compensated_penalty_db, total_penalty_db};
 use satiot_phy::params::LoRaConfig;
 use satiot_phy::per::packet_decodes;
 use satiot_scenarios::constellations::tianqi;
-use satiot_scenarios::sites::{campaign_epoch, tianqi_ground_stations, yunnan_farm, Climate};
+use satiot_scenarios::sites::{
+    campaign_epoch, tianqi_ground_stations, yunnan_farm, Climate, YUNNAN_FARM,
+};
 use satiot_sim::{pool, Engine, Rng, SimTime};
 use std::sync::Arc;
 
@@ -203,11 +204,6 @@ pub struct ActiveCounters {
 pub struct ActiveResults {
     /// Per-packet latency timelines (one per generated packet).
     pub timelines: Vec<PacketTimeline>,
-    /// Streaming sketch of end-to-end delivery latency in **minutes**
-    /// (bucket width [`LATENCY_WIDTH_MIN`]), fed as packets deliver —
-    /// the O(1)-memory counterpart of walking `timelines` after the
-    /// fact, and the summary a bounded-memory active campaign keeps.
-    pub latency_min: MetricSketch,
     /// Sent-packet records for reliability analyses.
     pub sent: Vec<SentPacket>,
     /// Sequence IDs delivered to the server.
@@ -363,7 +359,7 @@ impl ActiveCampaign {
                 let sgp4 = sgp4s[i].clone();
                 sweep::passes_for(
                     PassKey::new(
-                        "YUNNAN_FARM",
+                        YUNNAN_FARM,
                         sat.constellation,
                         sat.sat_id,
                         t0,
@@ -481,14 +477,9 @@ impl ActiveCampaign {
         let uplink_cfg = LoRaConfig::dts_uplink();
         let downlink = LinkBudget::dts_downlink(spec.dts_frequency_mhz, cfg.node_antenna);
         let uplink = LinkBudget::dts_uplink(spec.dts_frequency_mhz, cfg.node_antenna);
-        let beacon_len = Message::Beacon(Beacon::nominal(0, 0)).phy_payload_len(beacon_cfg.cr);
-        let ack_len = Message::Ack(Ack { node_id: 0, seq: 0 }).phy_payload_len(beacon_cfg.cr);
-        let uplink_len = Message::Uplink(Uplink {
-            node_id: 0,
-            seq: 0,
-            data: vec![0u8; cfg.payload_bytes],
-        })
-        .phy_payload_len(uplink_cfg.cr);
+        let beacon_len = messages::BEACON_ON_AIR_BYTES;
+        let ack_len = messages::ACK_ON_AIR_BYTES;
+        let uplink_len = messages::uplink_on_air_bytes(cfg.payload_bytes);
         let beacon_airtime = airtime_s(&beacon_cfg, beacon_len);
         let ack_airtime = airtime_s(&beacon_cfg, ack_len);
         let uplink_airtime = airtime_s(&uplink_cfg, uplink_len);
@@ -816,7 +807,8 @@ impl ActiveCampaign {
                             // satellite's shared downlink (finite contact
                             // capacity), then the operator's processing
                             // pipeline — minus its residual loss (downlink
-                            // corruption / expiry).
+                            // corruption / expiry), which frees the packet's
+                            // buffer slot at once.
                             if is_new && rng.chance(1.0 - calib::DELIVERY_LOSS_PROB) {
                                 if let Some(done) =
                                     sats[me.sat].schedule_downlink(t, downlink_service_s)
@@ -829,6 +821,8 @@ impl ActiveCampaign {
                                         None => d,
                                     });
                                 }
+                            } else if is_new {
+                                sats[me.sat].free_newest_at(t);
                             }
                             // ACK after turnaround.
                             counters.acks_tx += 1;
@@ -907,14 +901,12 @@ impl ActiveCampaign {
         let mut timelines = Vec::with_capacity(records.len());
         let mut sent = Vec::with_capacity(records.len());
         let mut delivered_seqs = std::collections::HashSet::new();
-        let mut latency_min = MetricSketch::new(LATENCY_WIDTH_MIN);
         for (seq, rec) in records.iter().enumerate() {
             // Only count deliveries within the horizon (the paper's
             // matching window).
             let delivered_s = rec.delivered_s.filter(|d| *d <= horizon_s);
-            if let Some(d) = delivered_s {
+            if delivered_s.is_some() {
                 delivered_seqs.insert(seq as u64);
-                latency_min.observe((d - rec.generated_s) / 60.0);
             }
             timelines.push(PacketTimeline {
                 generated_s: rec.generated_s,
@@ -935,7 +927,6 @@ impl ActiveCampaign {
 
         Ok(ActiveResults {
             timelines,
-            latency_min,
             sent,
             delivered_seqs,
             node_energy,
@@ -1081,33 +1072,6 @@ mod tests {
         assert_eq!(a.delivered_seqs, b.delivered_seqs);
         assert_eq!(a.counters.uplinks_tx, b.counters.uplinks_tx);
         assert_eq!(a.counters.acks_ok, b.counters.acks_ok);
-    }
-
-    /// The streaming latency sketch must agree with the exact per-packet
-    /// timelines it summarises: same delivered count, mean within float
-    /// round-off, quantiles within the sketch's documented band.
-    #[test]
-    fn latency_sketch_matches_timelines() {
-        use satiot_measure::stats::nearest_rank_sorted;
-        let r = quick_results(3.0, 5);
-        let mut exact: Vec<f64> = r
-            .timelines
-            .iter()
-            .filter_map(|t| t.delivered_s.map(|d| (d - t.generated_s) / 60.0))
-            .collect();
-        assert!(!exact.is_empty(), "no deliveries");
-        assert_eq!(r.latency_min.summary.count, exact.len() as u64);
-        let mean = exact.iter().sum::<f64>() / exact.len() as f64;
-        assert!((r.latency_min.summary.mean - mean).abs() < 1e-9);
-        exact.sort_by(|a, b| a.total_cmp(b));
-        for p in [10.0, 50.0, 90.0] {
-            let est = r.latency_min.quantiles.quantile(p);
-            let want = nearest_rank_sorted(&exact, p);
-            assert!(
-                (est - want).abs() <= r.latency_min.quantiles.width() / 2.0 + 1e-9,
-                "p{p}: sketch {est} vs exact {want}"
-            );
-        }
     }
 
     #[test]

@@ -99,9 +99,20 @@ impl<T> StoreAndForward<T> {
         self.queue.front_mut()
     }
 
+    /// Mutable access to the newest packet.
+    pub(crate) fn back_mut(&mut self) -> Option<&mut T> {
+        self.queue.back_mut()
+    }
+
     /// Remove and return the oldest packet.
     pub fn pop(&mut self) -> Option<T> {
         self.queue.pop_front()
+    }
+
+    /// Remove every packet `keep` rejects (packets that left the buffer
+    /// out of order), preserving the order of the rest.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&T) -> bool) {
+        self.queue.retain(keep);
     }
 
     /// Current depth.

@@ -5,10 +5,6 @@
 //! Keeping them in one annotated module makes the fit auditable: change a
 //! constant, re-run `reproduce_all`, and diff EXPERIMENTS.md.
 
-/// Beacon payload length, bytes. TinyGS-class beacons carry telemetry
-/// (battery, temperature, IDs) of a few tens of bytes.
-pub const BEACON_PAYLOAD_BYTES: usize = 24;
-
 /// Application sensor payload, bytes (paper §3.2: 20-byte data).
 pub const SENSOR_PAYLOAD_BYTES: usize = 20;
 
@@ -18,9 +14,6 @@ pub const SENSOR_PERIOD_S: f64 = 1_800.0;
 /// Maximum DtS retransmissions after the first attempt (paper §3.2:
 /// "a maximum of five retransmissions").
 pub const MAX_RETRANSMISSIONS: u32 = 5;
-
-/// ACK payload length, bytes (sequence echo + status).
-pub const ACK_PAYLOAD_BYTES: usize = 8;
 
 /// Delay between a satellite finishing an uplink decode and starting the
 /// ACK transmission, seconds (processing turnaround).
@@ -140,9 +133,9 @@ mod tests {
 
     #[test]
     fn ack_timeout_exceeds_turnaround_plus_airtime() {
-        // ACK at SF10/125 kHz with 8 bytes ≈ 0.29 s on air.
+        // The 19 B ACK the campaigns send, at the beacon's SF10/125 kHz.
         let cfg = satiot_phy::params::LoRaConfig::dts_beacon();
-        let ack_airtime = satiot_phy::airtime::airtime_s(&cfg, ACK_PAYLOAD_BYTES);
+        let ack_airtime = satiot_phy::airtime::airtime_s(&cfg, crate::messages::ACK_ON_AIR_BYTES);
         assert!(ACK_TIMEOUT_S > ACK_TURNAROUND_S + ack_airtime + 0.5);
     }
 

@@ -5,8 +5,8 @@
 //!
 //! * [`calib`] — every calibration constant in one place, each annotated
 //!   with the paper observation it is fitted against.
-//! * [`messages`] — the DtS application protocol: beacons, uplinks, ACKs,
-//!   encoded through the `satiot-phy` frame codec.
+//! * [`messages`] — the DtS message sizes: how many bytes each beacon,
+//!   uplink and ACK puts on air, in one table.
 //! * [`buffer`] — the store-and-forward buffer used by nodes (awaiting a
 //!   pass) and satellites (awaiting a ground station).
 //! * [`error`] — the typed error spine ([`SatIotError`]) plus the

@@ -31,6 +31,7 @@
 use crate::calib;
 use crate::error::{Fault, FaultLog, SatIotError};
 use crate::geometry::{beacon_times, sample_at};
+use crate::messages::BEACON_ON_AIR_BYTES;
 use crate::options::RunOptions;
 use crate::satellite::merge_contacts;
 use crate::scheduler::{CandidatePass, Coverage, PredictiveScheduler, Scheduler, VanillaScheduler};
@@ -634,9 +635,6 @@ fn run_site(
         // Per-pass horizon severity: the skyline differs by azimuth.
         let (clo, chi) = calib::CLUTTER_SCALE_RANGE;
         budget.clutter_scale = pass_rng.uniform(clo, chi);
-        let beacon_len =
-            crate::messages::Message::Beacon(crate::messages::Beacon::nominal(sat.sat_id, 0))
-                .phy_payload_len(beacon_cfg.cr);
 
         // Weather + per-pass shadowing drawn at culmination.
         let tca_rel = cp.pass.tca.seconds_since(start);
@@ -690,14 +688,14 @@ fn run_site(
             );
             let Some(doppler_penalty) = total_penalty_db(
                 &beacon_cfg,
-                beacon_len,
+                BEACON_ON_AIR_BYTES,
                 geom.doppler_hz,
                 geom.doppler_rate_hz_s,
             ) else {
                 continue; // Offset beyond sync range.
             };
             let snr = sample.snr_db - doppler_penalty;
-            if !packet_decodes(&beacon_cfg, beacon_len, snr, &mut pass_rng) {
+            if !packet_decodes(&beacon_cfg, BEACON_ON_AIR_BYTES, snr, &mut pass_rng) {
                 continue;
             }
             BEACONS_DECODED.inc();

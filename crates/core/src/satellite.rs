@@ -14,6 +14,10 @@ pub struct OrbitPacket {
     pub seq: u64,
     /// Time the satellite accepted the uplink, s.
     pub accepted_s: f64,
+    /// Time the packet leaves the buffer and frees its slot, s: when its
+    /// downlink completes, or at once when it is lost in delivery. It
+    /// stays infinite while no downlink is scheduled.
+    pub freed_s: f64,
 }
 
 /// Satellite payload state.
@@ -54,16 +58,19 @@ impl SatellitePayload {
 
     /// Accept an uplink at `t`. Returns `true` if this sequence is new
     /// (stored), `false` for a duplicate (re-ACK only). A full buffer
-    /// rejects new packets entirely (no ACK — congestion loss).
+    /// rejects new packets entirely (no ACK — congestion loss); packets
+    /// freed by `t` no longer count against it.
     pub fn accept_uplink(&mut self, node_id: u32, seq: u64, t: f64) -> Option<bool> {
         if self.seen.contains(&seq) {
             self.duplicates += 1;
             return Some(false);
         }
+        self.buffer.retain(|p| p.freed_s > t);
         let pkt = OrbitPacket {
             node_id,
             seq,
             accepted_s: t,
+            freed_s: f64::INFINITY,
         };
         if self.buffer.push(pkt).is_some() {
             // Tail-dropped: satellite resource exhaustion.
@@ -81,11 +88,13 @@ impl SatellitePayload {
         self.gs_contacts.get(idx).map(|&(start, _)| start.max(t))
     }
 
-    /// Schedule one packet through the shared downlink: the packet becomes
-    /// ready at `t`, waits for a ground-station contact AND for the
-    /// downlink to be free, then occupies it for `service_s` seconds of
-    /// *contact* time (service suspends between contacts). Returns the
-    /// downlink completion time, or `None` if the contact plan runs out.
+    /// Schedule the newest accepted packet through the shared downlink:
+    /// the packet becomes ready at `t`, waits for a ground-station
+    /// contact AND for the downlink to be free, then occupies it for
+    /// `service_s` seconds of *contact* time (service suspends between
+    /// contacts). Returns the downlink completion time, when the packet
+    /// frees its buffer slot, or `None` if the contact plan runs out (the
+    /// packet then keeps its slot).
     ///
     /// This models the L2D2-style contact-capacity constraint: a
     /// satellite's buffered backlog drains at a finite rate only while a
@@ -95,7 +104,16 @@ impl SatellitePayload {
         let start = self.next_contact_s(t.max(self.downlink_free_s))?;
         let finish = self.advance_through_contacts(start, service_s)?;
         self.downlink_free_s = finish;
+        self.free_newest_at(finish);
         Some(finish)
+    }
+
+    /// Free the newest accepted packet's slot from `t` on: when its
+    /// downlink completes, or at once when it is lost in delivery.
+    pub(crate) fn free_newest_at(&mut self, t: f64) {
+        if let Some(pkt) = self.buffer.back_mut() {
+            pkt.freed_s = t;
+        }
     }
 
     /// Advance `service_s` seconds of contact time starting at `from`
@@ -194,6 +212,33 @@ mod tests {
         // The rejected sequence can be accepted later once space frees.
         sat.buffer.pop();
         assert_eq!(sat.accept_uplink(0, 3, 3.0), Some(true));
+    }
+
+    #[test]
+    fn completed_downlinks_free_their_slots() {
+        let mut sat = payload();
+        sat.buffer = StoreAndForward::new(2, DropPolicy::DropNewest);
+        assert_eq!(sat.accept_uplink(0, 1, 0.0), Some(true));
+        assert_eq!(sat.schedule_downlink(0.0, 10.0), Some(110.0));
+        assert_eq!(sat.accept_uplink(0, 2, 1.0), Some(true));
+        assert_eq!(sat.schedule_downlink(1.0, 10.0), Some(120.0));
+        // Both packets hold their slots until their downlinks complete.
+        assert_eq!(sat.accept_uplink(0, 3, 105.0), None);
+        assert_eq!(sat.accept_uplink(0, 3, 120.0), Some(true));
+        assert_eq!(sat.buffer.len(), 1);
+    }
+
+    #[test]
+    fn lost_packets_free_their_slots_and_stranded_ones_keep_them() {
+        let mut sat = SatellitePayload::new(0, vec![]);
+        sat.buffer = StoreAndForward::new(2, DropPolicy::DropNewest);
+        assert_eq!(sat.accept_uplink(0, 1, 0.0), Some(true));
+        sat.free_newest_at(0.0);
+        assert_eq!(sat.accept_uplink(0, 2, 1.0), Some(true));
+        // No contact is left, so packet 2 keeps its slot.
+        assert_eq!(sat.schedule_downlink(1.0, 10.0), None);
+        assert_eq!(sat.accept_uplink(0, 3, 2.0), Some(true));
+        assert_eq!(sat.accept_uplink(0, 4, 3.0), None);
     }
 
     #[test]

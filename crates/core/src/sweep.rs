@@ -88,6 +88,13 @@ static CLOCK: AtomicU64 = AtomicU64::new(0);
 /// constellation + id), the scan range, and the elevation mask. The
 /// `f64` range/mask fields are keyed by their exact bit patterns, so
 /// even sub-ulp differences key separately — correctness over hit rate.
+///
+/// The key names a site and a constellation by label, so a label must
+/// name one definition per process: one position per site code, one
+/// shell layout per constellation label. `ScenarioSpec::build` enforces
+/// this for inline definitions, rejecting a catalog label or a label
+/// already bound to another definition. Code that builds a `Site` or
+/// `ConstellationSpec` by hand must keep the same rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PassKey {
     /// Site code (`"HK"`, a ground-station name, `"YUNNAN_FARM"`, …).
@@ -432,7 +439,8 @@ fn enforce_on(
 /// not depend on who is watching. Every observer — eight measurement
 /// sites, twelve ground stations, any mask — over the same `(satellite,
 /// window)` shares one grid, and that sharing is the whole point of the
-/// store.
+/// store. As in [`PassKey`], the constellation label must name one shell
+/// layout per process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridKey {
     /// Constellation label.

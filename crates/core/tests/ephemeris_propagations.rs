@@ -1,25 +1,30 @@
-//! The shared ephemeris grids pay, proven by the process-wide
-//! `orbit.sgp4.propagations` counter: over the active campaign's
+//! The shared ephemeris grids pay, proven by the metrics-gated
+//! `orbit.sgp4.propagate_calls` counter: over the active campaign's
 //! observer set, the campaign predictors of `sweep::predictor`
 //! propagate at least 3× less than the direct-SGP4 reference scan at
 //! its 30 s floor, find the same passes as the reference at a 1 s
 //! floor, and a warm re-run through the pass cache propagates nothing.
 //!
-//! The test resets and reads that counter, which any prediction running
-//! in the same process would also move, so it is the only test in this
-//! binary (one process per integration-test file).
+//! The test enables the process-wide metrics registry and reads that
+//! counter, which any prediction running in the same process would also
+//! move, so it is the only test in this binary (one process per
+//! integration-test file).
 
 use satiot_core::calib::THEORETICAL_MASK_RAD;
 use satiot_core::sweep::{self, GridKey, PassKey};
+use satiot_obs::metrics::{self, Counter};
 use satiot_orbit::ephemeris::MAX_ELEVATION_ERROR_DEG;
 use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::PassPredictor;
-use satiot_orbit::sgp4::{self, Sgp4};
+use satiot_orbit::sgp4::Sgp4;
 use satiot_orbit::time::JulianDate;
 use satiot_scenarios::constellations::{fossa, SatelliteDef};
-use satiot_scenarios::sites::{tianqi_ground_stations, yunnan_farm};
+use satiot_scenarios::sites::{tianqi_ground_stations, yunnan_farm, YUNNAN_FARM};
 use satiot_sim::pool;
 use std::sync::Arc;
+
+/// Shared-slot view of `Sgp4::propagate`'s call counter (name-keyed).
+static PROPAGATE_CALLS: Counter = Counter::new("orbit.sgp4.propagate_calls");
 
 /// Every (observer, satellite) pair, observer-major.
 type Pairs<'a> = Vec<((&'static str, Geodetic), &'a (SatelliteDef, Sgp4))>;
@@ -30,22 +35,23 @@ fn propagations_of<T: Send>(
     pairs: &Pairs<'_>,
     predict: impl Fn((&'static str, Geodetic), &SatelliteDef, &Sgp4) -> T + Sync,
 ) -> (Vec<T>, u64) {
-    sgp4::reset_propagations();
+    let before = PROPAGATE_CALLS.value();
     let out = pool::parallel_map(pairs, |_, &(observer, (sat, sgp4))| {
         predict(observer, sat, sgp4)
     });
-    (out, sgp4::propagations())
+    (out, PROPAGATE_CALLS.value() - before)
 }
 
 #[test]
 fn campaign_predictors_propagate_less_and_find_the_same_passes() {
+    metrics::set_enabled(true);
     let epoch = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
     let (start, end) = (epoch, epoch + 1.0);
     let mask = THEORETICAL_MASK_RAD;
     // The active campaign's observers: 12 Tianqi ground stations plus
     // the Yunnan farm, sharing each satellite's window.
     let mut observers = tianqi_ground_stations();
-    observers.push(("YUNNAN_FARM", yunnan_farm()));
+    observers.push((YUNNAN_FARM, yunnan_farm()));
     let sats: Vec<(SatelliteDef, Sgp4)> = fossa()
         .catalog(epoch)
         .into_iter()

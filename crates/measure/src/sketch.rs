@@ -44,8 +44,6 @@ pub const SNR_WIDTH_DB: f64 = 0.25;
 pub const DISTANCE_WIDTH_KM: f64 = 5.0;
 /// Bucket width of the elevation quantile sketch, degrees.
 pub const ELEVATION_WIDTH_DEG: f64 = 0.5;
-/// Bucket width of the end-to-end latency quantile sketch, minutes.
-pub const LATENCY_WIDTH_MIN: f64 = 1.0;
 
 // ---------------------------------------------------------------------------
 // StreamSummary: mergeable moments

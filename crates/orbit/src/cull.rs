@@ -62,10 +62,9 @@
 //! ## Proof counters
 //!
 //! `orbit.cull.pairs_considered` / `pairs_culled` / `pairs_kept` are
-//! always-on plain atomics in the style of `orbit.sgp4.propagations`
-//! (they count even with `SATIOT_METRICS` off, because the
-//! `sweep_cull` and `extension_megascale` tests assert on them),
-//! mirrored into the obs metrics registry under the same names.
+//! always-on plain atomics (they count even with `SATIOT_METRICS` off,
+//! because the `sweep_cull` and `extension_megascale` tests assert on
+//! them), mirrored into the obs metrics registry under the same names.
 //! `considered = culled + kept` always holds; `pairs_kept` is exactly
 //! the number of pairs that went on to grid interpolation, which the
 //! `sweep_cull` test proves shrinks ≥ 5× on a mega-shell matrix.

@@ -26,22 +26,6 @@ use satiot_obs::metrics::{Counter, Histogram};
 
 /// Total [`Sgp4::propagate`] invocations (metrics).
 static PROPAGATE_CALLS: Counter = Counter::new("orbit.sgp4.propagate_calls");
-// The `orbit.sgp4.propagations` proof counter: a plain always-on atomic
-// (unlike the metrics-gated counter above) so benchmark harnesses can
-// verify SGP4-call savings without enabling the whole metrics registry.
-// A relaxed fetch_add is ~1 ns against the ~1 µs propagation itself.
-static PROPAGATIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Total propagations performed by this process (the always-on
-/// `orbit.sgp4.propagations` counter; see [`reset_propagations`]).
-pub fn propagations() -> u64 {
-    PROPAGATIONS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Zero the [`propagations`] counter (benchmark phase boundaries).
-pub fn reset_propagations() {
-    PROPAGATIONS.store(0, std::sync::atomic::Ordering::Relaxed);
-}
 /// Newton iterations Kepler's equation needed per propagation (metrics).
 static KEPLER_ITERATIONS: Histogram = Histogram::new(
     "orbit.sgp4.kepler_iterations",
@@ -362,7 +346,6 @@ impl Sgp4 {
     /// set degenerates (eccentricity blow-up, decay, …) at this offset.
     pub fn propagate(&self, tsince_min: f64) -> Result<StateTeme, OrbitError> {
         PROPAGATE_CALLS.inc();
-        PROPAGATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let t = tsince_min;
 
         // ---- Secular gravity and atmospheric drag. ----

@@ -3,9 +3,10 @@
 //! Real LoRa is chirp-spread on air; what matters to a packet-level
 //! simulator and to the application stack is the byte layout the modem
 //! exposes: sync word, explicit header (length, coding rate, CRC flag),
-//! payload, and the CRC-16 trailer. This codec gives the protocol layers
-//! of `satiot-core` a concrete, checkable serialisation — corrupting any
-//! byte breaks the CRC, exactly like on hardware.
+//! payload, and the CRC-16 trailer. [`HEADER_BYTES`] and [`CRC_BYTES`]
+//! are the framing overhead every DtS message length in `satiot-core`
+//! adds to its body. The codec is checkable: corrupting any byte breaks
+//! the CRC, exactly like on hardware.
 //!
 //! Layout (all integers big-endian):
 //!
@@ -21,6 +22,12 @@ use crate::params::CodingRate;
 /// Public LoRa sync word used by the measured DtS constellations (the
 /// "public network" value).
 pub const PUBLIC_SYNC_WORD: u8 = 0x34;
+
+/// Bytes ahead of the payload: the sync word and the three header bytes.
+pub const HEADER_BYTES: usize = 4;
+
+/// Bytes of the CRC-16 trailer.
+pub const CRC_BYTES: usize = 2;
 
 /// Frame flags: CRC present.
 const FLAG_CRC: u8 = 0b0000_0001;
@@ -122,7 +129,7 @@ impl LoRaFrame {
             return Err(FrameError::BadFlags);
         }
         let crc_on = flags & FLAG_CRC != 0;
-        let expected = len + if crc_on { 2 } else { 0 };
+        let expected = len + if crc_on { CRC_BYTES } else { 0 };
         if rest.len() != expected {
             return Err(FrameError::LengthMismatch);
         }
@@ -141,7 +148,7 @@ impl LoRaFrame {
     /// Total on-air byte count of the image (what airtime should be
     /// computed over at the PHY payload level).
     pub fn wire_len(&self) -> usize {
-        4 + self.payload.len() + if self.crc_on { 2 } else { 0 }
+        HEADER_BYTES + self.payload.len() + if self.crc_on { CRC_BYTES } else { 0 }
     }
 }
 

@@ -37,7 +37,10 @@ pub struct Shell {
 /// A constellation as the paper characterises it.
 #[derive(Debug, Clone)]
 pub struct ConstellationSpec {
-    /// Operator label (`"Tianqi"` …).
+    /// Operator label (`"Tianqi"` …). The pass and grid caches key
+    /// satellites by it, so one label names one shell layout per
+    /// process; `ScenarioSpec::build` enforces this for inline
+    /// constellations.
     pub name: &'static str,
     /// Operator region (Table 3's Region column).
     pub region: &'static str,

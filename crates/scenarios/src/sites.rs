@@ -70,7 +70,9 @@ impl Climate {
 /// One measurement site of the passive campaign.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// Short code as used in the paper's Table 1 (`"HK"` …).
+    /// Short code as used in the paper's Table 1 (`"HK"` …). The pass
+    /// cache keys observers by it, so one code names one position per
+    /// process; `ScenarioSpec::build` enforces this for inline sites.
     pub code: &'static str,
     /// Full city name.
     pub name: &'static str,
@@ -241,6 +243,9 @@ pub fn tianqi_ground_stations() -> Vec<(&'static str, Geodetic)> {
         ("Kashgar", Geodetic::from_degrees(39.54, 76.02, 1.29)),
     ]
 }
+
+/// The observer label of [`yunnan_farm`] in pass-cache keys.
+pub const YUNNAN_FARM: &str = "YUNNAN_FARM";
 
 /// The Yunnan coffee plantation hosting the three Tianqi nodes
 /// (Appendix B: near China's border in Yunnan province).

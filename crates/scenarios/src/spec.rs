@@ -31,11 +31,15 @@
 use crate::constellations::{all_constellations, constellation_suggestion, ConstellationSpec};
 use crate::json::{escape_json, JsonError, JsonParser, JsonValue};
 use crate::mobility::{MobilityTrack, Waypoint};
-use crate::sites::{measurement_sites, site_code_suggestion, Climate, Site};
-use crate::walker::{intern_name, WalkerConstellation, WalkerParseError};
+use crate::sites::{
+    measurement_sites, site_code_suggestion, tianqi_ground_stations, Climate, Site, YUNNAN_FARM,
+};
+use crate::walker::{intern_name, WalkerConstellation, WalkerParseError, WalkerShell};
 
 use core::fmt;
 use core::fmt::Write as _;
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// The spec version this build reads and writes.
 pub const SPEC_VERSION: u32 = 1;
@@ -73,6 +77,18 @@ pub enum ScenarioError {
         name: String,
         /// Closest catalog entry, for "did you mean" messages.
         suggestion: Option<&'static str>,
+    },
+    /// An inline site code or constellation label that would alias
+    /// another definition in the label-keyed pass and grid caches: it
+    /// equals a catalog label, or this process already bound it to a
+    /// different position or shell layout.
+    LabelConflict {
+        /// The offending field.
+        field: String,
+        /// The offending label.
+        label: String,
+        /// What the label already names.
+        bound_to: &'static str,
     },
     /// Reading the scenario file failed.
     Io {
@@ -122,6 +138,14 @@ impl fmt::Display for ScenarioError {
                 }
                 Ok(())
             }
+            ScenarioError::LabelConflict {
+                field,
+                label,
+                bound_to,
+            } => write!(
+                f,
+                "scenario field `{field}`: label {label:?} already names {bound_to}"
+            ),
             ScenarioError::Io { path, message } => {
                 write!(f, "scenario file {path:?}: {message}")
             }
@@ -398,6 +422,13 @@ impl ScenarioSpec {
                 ));
             }
         }
+        // An inline label may not reuse a catalog label. The list is
+        // built only when an inline entry needs it.
+        let catalog = std::cell::OnceCell::new();
+        let in_catalog = |label: &str| {
+            let catalog = catalog.get_or_init(catalog_labels);
+            catalog.iter().any(|c| c.eq_ignore_ascii_case(label))
+        };
         for (i, c) in self.constellations.iter().enumerate() {
             if let ConstellationRef::Inline {
                 walker,
@@ -405,6 +436,10 @@ impl ScenarioSpec {
             } = c
             {
                 walker.validate()?;
+                if in_catalog(&walker.name) {
+                    let field = format!("constellations[{i}].walker.name");
+                    return Err(label_conflict(&field, &walker.name, "a catalog entry"));
+                }
                 if !tx_power_dbm.is_finite() {
                     return Err(ScenarioError::invalid(
                         &format!("constellations[{i}].tx_power_dbm"),
@@ -416,6 +451,10 @@ impl ScenarioSpec {
         for (i, s) in self.sites.iter().enumerate() {
             if let SiteRef::Inline(spec) = s {
                 spec.validate(i)?;
+                if in_catalog(&spec.code) {
+                    let field = format!("sites[{i}].code");
+                    return Err(label_conflict(&field, &spec.code, "a catalog entry"));
+                }
             }
         }
         if let Some(nodes) = self.nodes {
@@ -503,7 +542,14 @@ impl ScenarioSpec {
     /// Resolve the spec against the catalogs: validate, look up every
     /// named site and constellation (case-insensitively, rejecting
     /// duplicates with "did you mean" suggestions), intern inline
-    /// definitions, and stamp the spec fingerprint.
+    /// definitions, bind their labels for the rest of the process, and
+    /// stamp the spec fingerprint.
+    ///
+    /// The pass and grid caches key a site by its code and a satellite
+    /// by its constellation label, so one label names one definition:
+    /// an inline fixed site's code stays bound to its position and an
+    /// inline constellation's label to its shell layout. A label this
+    /// process already bound to a different definition is rejected.
     ///
     /// Empty `sites` / `constellations` select the full catalogs, the
     /// same convention as `SweepJob`. A `weather` override rewrites
@@ -586,6 +632,7 @@ impl ScenarioSpec {
                 constellations.push(spec);
             }
         }
+        bind_labels(self)?;
 
         Ok(ResolvedScenario {
             name: self.name.clone(),
@@ -892,6 +939,81 @@ impl SiteSpec {
         let _ = write!(out, "}}");
         out
     }
+}
+
+// ---------------------------------------------------------------------
+// Labels: one label names one definition.
+
+/// The labels an inline definition may not reuse, compared ignoring
+/// ASCII case: the Table-1 site codes, the Tianqi ground stations, the
+/// Yunnan farm and the Table-3 constellations. The caches key those by
+/// the same labels.
+fn catalog_labels() -> Vec<&'static str> {
+    measurement_sites()
+        .into_iter()
+        .map(|s| s.code)
+        .chain(tianqi_ground_stations().into_iter().map(|(name, _)| name))
+        .chain([YUNNAN_FARM])
+        .chain(all_constellations().into_iter().map(|c| c.name))
+        .collect()
+}
+
+/// A `label` in `field` that already names something else.
+fn label_conflict(field: &str, label: &str, bound_to: &'static str) -> ScenarioError {
+    ScenarioError::LabelConflict {
+        field: field.to_string(),
+        label: label.to_string(),
+        bound_to,
+    }
+}
+
+/// What an inline label names: a fixed site's position, or a
+/// constellation's Walker shells.
+#[derive(Debug, Clone, PartialEq)]
+enum Definition {
+    Position([f64; 3]),
+    Shells(Vec<WalkerShell>),
+}
+
+/// Bind every inline label of `spec` to its definition for the life of
+/// the process, or reject the first label already bound to a different
+/// one; a rejected spec binds nothing. Mobile sites are exempt: their
+/// passes never enter the site-keyed pass cache.
+fn bind_labels(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
+    type Bound = HashMap<(&'static str, String), Definition>;
+    static BOUND: OnceLock<Mutex<Bound>> = OnceLock::new();
+    let sites = spec.sites.iter().filter_map(|s| match s {
+        SiteRef::Inline(s) if s.track.is_none() => Some((
+            ("scenario.sites", s.code.clone()),
+            Definition::Position([s.lat_deg, s.lon_deg, s.alt_km]),
+        )),
+        _ => None,
+    });
+    let constellations = spec.constellations.iter().filter_map(|c| match c {
+        ConstellationRef::Inline { walker, .. } => Some((
+            ("scenario.constellations", walker.name.clone()),
+            Definition::Shells(walker.shells.clone()),
+        )),
+        ConstellationRef::Named(_) => None,
+    });
+    let labels: Vec<_> = sites.chain(constellations).collect();
+    let mut bound = BOUND
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let rebound = labels
+        .iter()
+        .find(|(key, definition)| bound.get(key).is_some_and(|b| b != definition));
+    if let Some(((field, label), definition)) = rebound {
+        let bound_to = match definition {
+            Definition::Position(_) => "a site at another position",
+            Definition::Shells(_) => "a constellation with another shell layout",
+        };
+        return Err(label_conflict(field, label, bound_to));
+    }
+    // Labels already bound are bound to an equal definition.
+    bound.extend(labels);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1383,6 +1505,96 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// One label names one definition: an inline label may not reuse a
+    /// catalog label in any case, nor rebind a label this process bound
+    /// to another position or shell layout.
+    #[test]
+    fn labels_name_one_definition() {
+        let site = |code: &str, lat_deg: f64| {
+            SiteRef::Inline(SiteSpec {
+                code: code.to_string(),
+                name: code.to_string(),
+                lat_deg,
+                lon_deg: 10.0,
+                alt_km: 0.0,
+                stations: 1,
+                start_day: 0.0,
+                climate: Climate::Maritime,
+                track: None,
+            })
+        };
+        let walker = |name: &str, planes: u32| ConstellationRef::Inline {
+            walker: WalkerConstellation {
+                name: name.to_string(),
+                shells: vec![WalkerShell {
+                    planes,
+                    sats_per_plane: 4,
+                    altitude_km: 550.0,
+                    inclination_deg: 53.0,
+                    phasing: 1,
+                }],
+                frequency_mhz: 401.0,
+                beacon_interval_s: 60.0,
+            },
+            tx_power_dbm: 20.0,
+        };
+        let spec = |sites, constellations| ScenarioSpec {
+            name: "labels".to_string(),
+            sites,
+            constellations,
+            ..ScenarioSpec::default()
+        };
+        let conflict = |spec: ScenarioSpec| match spec.build() {
+            Err(ScenarioError::LabelConflict {
+                label, bound_to, ..
+            }) => (label, bound_to),
+            other => panic!("expected a label conflict, got {other:?}"),
+        };
+
+        for code in ["hk", "Beijing", "yunnan_farm", "TIANQI"] {
+            let catalog = (code.to_string(), "a catalog entry");
+            assert_eq!(conflict(spec(vec![site(code, 1.0)], vec![])), catalog);
+        }
+        let catalog = ("fossa".to_string(), "a catalog entry");
+        assert_eq!(conflict(spec(vec![], vec![walker("fossa", 3)])), catalog);
+
+        let first = spec(
+            vec![site("LABEL-SITE", 1.0)],
+            vec![walker("LABEL-SHELL", 3)],
+        );
+        first.build().expect("first binding");
+        first.build().expect("the same definitions bind again");
+        assert_eq!(
+            conflict(spec(vec![site("LABEL-SITE", 2.0)], vec![])),
+            ("LABEL-SITE".to_string(), "a site at another position")
+        );
+        assert_eq!(
+            conflict(spec(vec![], vec![walker("LABEL-SHELL", 4)])),
+            (
+                "LABEL-SHELL".to_string(),
+                "a constellation with another shell layout"
+            )
+        );
+        // A rejected spec binds nothing.
+        let rejected = spec(
+            vec![site("LABEL-FREE", 5.0), site("LABEL-SITE", 2.0)],
+            vec![],
+        );
+        assert!(rejected.build().is_err());
+        spec(vec![site("LABEL-FREE", 6.0)], vec![])
+            .build()
+            .expect("the rejected spec left its other labels unbound");
+        // A mobile site's code keys no cache, so it never binds.
+        let mut ship = ScenarioSpec::maritime_tracker();
+        for lat_deg in [22.3, 23.3] {
+            if let SiteRef::Inline(s) = &mut ship.sites[0] {
+                s.code = "LABEL-SHIP".to_string();
+                s.lat_deg = lat_deg;
+            }
+            ship.build().expect("mobile sites do not bind");
+        }
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! satellite system (§3.2): three RAKwireless-class gateways with LTE
 //! backhaul serving the same three sensors.
 //!
-//! * [`adr`] — the LoRaWAN Adaptive Data Rate controller (a structural
-//!   advantage the DtS link cannot have against a 7.6 km/s gateway).
 //! * [`backhaul`] — the LTE backhaul delay model.
 //! * [`node`] — the class-A node duty cycle (sleep → standby → tx → rx
 //!   windows → sleep) with energy residencies.
@@ -17,7 +15,6 @@
 // degradation, not ad-hoc unwraps; CI promotes this to deny.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod adr;
 pub mod backhaul;
 pub mod campaign;
 pub mod node;

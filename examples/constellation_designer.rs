@@ -32,9 +32,19 @@ fn main() {
         site.name, site.code
     );
     println!("sats  theoretical h/day  est. effective h/day  mean gap (min)");
-    for count in [4u32, 8, 16, 22, 32, 48, 64] {
+    // Pass lists are cached by constellation label, so every size needs
+    // a label of its own.
+    for (count, name) in [
+        (4u32, "Design-4"),
+        (8, "Design-8"),
+        (16, "Design-16"),
+        (22, "Design-22"),
+        (32, "Design-32"),
+        (48, "Design-48"),
+        (64, "Design-64"),
+    ] {
         let spec = ConstellationSpec {
-            name: "Design",
+            name,
             region: "-",
             shells: vec![Shell {
                 count,

@@ -10,6 +10,7 @@ use satiot::channel::atmosphere::{clutter_loss_db, tropo_loss_db, weather_loss_d
 use satiot::channel::budget::LinkBudget;
 use satiot::channel::fspl::fspl_db;
 use satiot::channel::weather::Weather;
+use satiot::core::messages::BEACON_ON_AIR_BYTES;
 use satiot::phy::airtime::airtime_s;
 use satiot::phy::params::LoRaConfig;
 use satiot::phy::per::packet_success_probability;
@@ -39,7 +40,7 @@ fn main() {
     let mut budget = LinkBudget::dts_downlink(spec.dts_frequency_mhz, antenna);
     budget.tx_power_dbm = spec.tx_power_dbm;
     let cfg = LoRaConfig::dts_beacon();
-    let beacon_bytes = 30;
+    let beacon_bytes = BEACON_ON_AIR_BYTES;
 
     println!(
         "Beacon downlink budget: {} @ {:.3} MHz, {:.0} km shell, {} antenna, {} sky",

@@ -6,6 +6,7 @@
 use satiot::channel::antenna::AntennaPattern;
 use satiot::channel::budget::LinkBudget;
 use satiot::channel::weather::Weather;
+use satiot::core::messages::BEACON_ON_AIR_BYTES;
 use satiot::orbit::frames::Geodetic;
 use satiot::orbit::pass::PassPredictor;
 use satiot::orbit::sgp4::Sgp4;
@@ -64,7 +65,7 @@ fn main() {
         let range = (-re * el.sin()) + ((re * el.sin()).powi(2) + h * h + 2.0 * re * h).sqrt();
         let rssi = budget.mean_rssi_dbm(range, el, Weather::Sunny);
         let snr = rssi - budget.noise_floor_dbm();
-        let p = packet_success_probability(&cfg, 30, snr);
+        let p = packet_success_probability(&cfg, BEACON_ON_AIR_BYTES, snr);
         println!("  {el_deg:>6.1}  {range:>9.0}  {rssi:>9.1}  {snr:>7.1}  {p:>8.3}");
     }
     println!("\nThe mid-elevation sweet spot above is why effective contact windows are");

@@ -9,6 +9,7 @@
 //! ```
 
 use satiot::cli::{parse, CampaignKind, Command, USAGE};
+use satiot::core::messages::BEACON_ON_AIR_BYTES;
 use satiot::core::prelude::*;
 use satiot::measure::latency::LatencyBreakdown;
 use satiot::measure::stats::Summary;
@@ -210,7 +211,7 @@ fn budget(
     );
     println!(
         "beacon airtime {:.0} ms, noise floor {:.1} dBm\n",
-        airtime_s(&cfg, 30) * 1e3,
+        airtime_s(&cfg, BEACON_ON_AIR_BYTES) * 1e3,
         link.noise_floor_dbm()
     );
     println!("el(deg)  range(km)  RSSI(dBm)  SNR(dB)  P(decode)");
@@ -222,14 +223,14 @@ fn budget(
         let snr = rssi - link.noise_floor_dbm();
         println!(
             "{el_deg:>6.1}  {range:>9.0}  {rssi:>9.1}  {snr:>7.1}  {:>8.3}",
-            packet_success_probability(&cfg, 30, snr)
+            packet_success_probability(&cfg, BEACON_ON_AIR_BYTES, snr)
         );
     }
 }
 
 fn campaign(kind: CampaignKind, days: f64) {
-    // `SATIOT_*` knobs (threads, batch kernels, ephemeris backend,
-    // metrics) still steer the CLI, resolved in one place.
+    // The `SATIOT_*` knobs (threads, metrics, the scenario file) steer
+    // the CLI, resolved in one place.
     let opts = RunOptions::from_env().apply();
     match kind {
         CampaignKind::Passive => {
