@@ -288,7 +288,7 @@ impl Disrupted {
             out,
             "terrestrial: {:>5} sent, reliability {:.3} with outages vs {:.3} baseline \
              ({} deliveries blacked out, {} the baseline carried in-window)",
-            self.terrestrial.sent.len(),
+            self.terrestrial.timelines.len(),
             self.terrestrial.reliability(),
             self.baseline.reliability(),
             self.blacked_out(),
@@ -298,7 +298,7 @@ impl Disrupted {
             out,
             "satellite:   {:>5} sent, reliability {:.3} — {} packets delivered inside the \
              terrestrial outage windows (store-and-forward)",
-            self.satellite.sent.len(),
+            self.satellite.timelines.len(),
             self.satellite.reliability(),
             self.in_outage(&self.satellite.timelines),
         );

@@ -18,8 +18,7 @@ use satiot_energy::profile::{
 };
 use satiot_measure::latency::LatencyBreakdown;
 use satiot_measure::reliability::{
-    attempts_distribution, reliability_by, reliability_per_window, share_of_windows_above,
-    Reliability,
+    attempts_distribution, reliability_per_window, share_of_windows_above, Reliability,
 };
 use satiot_measure::stats::{cdf_points, Histogram, Summary};
 use satiot_measure::table::{num, pct, render_series, Table};
@@ -483,35 +482,18 @@ pub fn fig5a(
         "Fig 5a: End-to-end reliability",
         &["System", "sent", "delivered", "reliability", "paper"],
     );
-    let rows: [(&str, usize, usize, f64, &str); 3] = [
-        (
-            "Terrestrial LoRaWAN",
-            terrestrial.sent.len(),
-            terrestrial.delivered_seqs.len(),
-            terrestrial.reliability(),
-            "~100%",
-        ),
-        (
-            "Tianqi (no retx)",
-            sat_no_retx.sent.len(),
-            sat_no_retx.delivered_seqs.len(),
-            sat_no_retx.reliability(),
-            "91%",
-        ),
-        (
-            "Tianqi (<=5 retx)",
-            sat_retx.sent.len(),
-            sat_retx.delivered_seqs.len(),
-            sat_retx.reliability(),
-            "96%",
-        ),
+    let rows = [
+        ("Terrestrial LoRaWAN", &terrestrial.timelines, "~100%"),
+        ("Tianqi (no retx)", &sat_no_retx.timelines, "91%"),
+        ("Tianqi (<=5 retx)", &sat_retx.timelines, "96%"),
     ];
-    for (name, sent, delivered, rel, paper) in rows {
+    for (name, ledger, paper) in rows {
+        let r = Reliability::compute(ledger);
         t.row(&[
             name.to_string(),
-            sent.to_string(),
-            delivered.to_string(),
-            pct(rel),
+            r.sent.to_string(),
+            r.delivered.to_string(),
+            pct(r.ratio()),
             paper.to_string(),
         ]);
     }
@@ -527,10 +509,10 @@ pub fn fig5b(runs: &[(&str, &ActiveResults)]) -> String {
     );
     for (label, results) in runs {
         let transmitted: Vec<_> = results
-            .sent
+            .timelines
             .iter()
             .filter(|p| p.attempts > 0)
-            .cloned()
+            .copied()
             .collect();
         let dist = attempts_distribution(&transmitted, 6);
         let mut cells = vec![label.to_string()];
@@ -807,12 +789,13 @@ pub fn fig12a(runs: &[(usize, &ActiveResults)]) -> String {
         };
         // The paper's Fig 12a metric: fraction of (daily) windows whose
         // end-to-end reliability reaches 90 %.
-        let windowed = reliability_per_window(&r.sent, &r.delivered_seqs, 86_400.0);
+        let windowed = reliability_per_window(&r.timelines, 86_400.0);
+        let rel = Reliability::compute(&r.timelines);
         t.row(&[
             payload.to_string(),
-            r.sent.len().to_string(),
-            r.delivered_seqs.len().to_string(),
-            pct(r.reliability()),
+            rel.sent.to_string(),
+            rel.delivered.to_string(),
+            pct(rel.ratio()),
             pct(attempt_success),
             num(r.mean_attempts(), 2),
             pct(share_of_windows_above(&windowed, 0.9)),
@@ -836,37 +819,16 @@ pub fn fig12b(runs: &[(u32, &ActiveResults)]) -> String {
     );
     let paper = ["94%", "92%", "89%"];
     for (i, (nodes, r)) in runs.iter().enumerate() {
+        let rel = Reliability::compute(&r.timelines);
         t.row(&[
             nodes.to_string(),
-            r.sent.len().to_string(),
-            r.delivered_seqs.len().to_string(),
-            pct(r.reliability()),
+            rel.sent.to_string(),
+            rel.delivered.to_string(),
+            pct(rel.ratio()),
             paper.get(i).unwrap_or(&"").to_string(),
         ]);
     }
     t.render()
-}
-
-/// Per-node reliability split (used by several analyses).
-pub fn per_node_reliability(results: &ActiveResults) -> String {
-    let groups = reliability_by(&results.sent, &results.delivered_seqs, |p| {
-        format!("node{}", p.node)
-    });
-    let mut t = Table::new("Per-node delivery", &["Node", "sent", "delivered", "ratio"]);
-    for (node, r) in groups {
-        t.row(&[
-            node,
-            r.sent.to_string(),
-            r.delivered.to_string(),
-            pct(r.ratio()),
-        ]);
-    }
-    t.render()
-}
-
-/// Reliability from raw pieces (helper for sweeps).
-pub fn reliability_of(results: &ActiveResults) -> Reliability {
-    Reliability::compute(&results.sent, &results.delivered_seqs)
 }
 
 #[cfg(test)]
@@ -876,33 +838,20 @@ mod tests {
     use satiot_energy::accounting::EnergyAccount;
     use satiot_energy::profile::{SatNodeProfile, TerrestrialProfile};
     use satiot_measure::latency::PacketTimeline;
-    use satiot_measure::reliability::SentPacket;
-    use std::collections::HashSet;
 
     /// A miniature ActiveResults with 4 packets, 3 delivered.
     fn tiny_active() -> ActiveResults {
-        let sent: Vec<SentPacket> = (0..4)
-            .map(|i| SentPacket {
-                seq: i,
-                node: (i % 2) as u32,
-                sent_s: i as f64 * 1_800.0,
-                payload_bytes: 20,
-                attempts: 1 + (i % 3) as u32,
-                weather: "sunny",
-            })
-            .collect();
-        let delivered_seqs: HashSet<u64> = [0, 1, 2].into_iter().collect();
-        let timelines: Vec<PacketTimeline> = sent
-            .iter()
-            .map(|p| PacketTimeline {
-                generated_s: p.sent_s,
-                first_tx_s: Some(p.sent_s + 600.0),
-                sat_rx_s: Some(p.sent_s + 700.0),
-                delivered_s: if delivered_seqs.contains(&p.seq) {
-                    Some(p.sent_s + 4_000.0)
-                } else {
-                    None
-                },
+        let timelines: Vec<PacketTimeline> = (0..4)
+            .map(|i| {
+                let sent_s = i as f64 * 1_800.0;
+                PacketTimeline {
+                    node: i % 2,
+                    attempts: 1 + i % 3,
+                    generated_s: sent_s,
+                    first_tx_s: Some(sent_s + 600.0),
+                    sat_rx_s: Some(sent_s + 700.0),
+                    delivered_s: (i < 3).then_some(sent_s + 4_000.0),
+                }
             })
             .collect();
         let mut acc = EnergyAccount::new();
@@ -911,10 +860,7 @@ mod tests {
         acc.record(&SatNodeProfile, SatNodeMode::McuTx, 400.0);
         ActiveResults {
             timelines,
-            sent,
-            delivered_seqs,
             node_energy: vec![acc],
-            server: satiot_core::server::DeliveryLog::new(),
             counters: ActiveCounters {
                 beacons_tx: 100,
                 beacons_heard: 40,
@@ -924,6 +870,7 @@ mod tests {
                 acks_tx: 6,
                 acks_ok: 4,
                 duplicates: 1,
+                server_duplicates: 0,
             },
             node_drop_ratio: vec![0.0],
             horizon_s: 86_400.0,
@@ -932,24 +879,17 @@ mod tests {
     }
 
     fn tiny_terrestrial() -> TerrestrialResults {
-        let sent: Vec<SentPacket> = (0..4)
-            .map(|i| SentPacket {
-                seq: i,
-                node: 0,
-                sent_s: i as f64 * 1_800.0,
-                payload_bytes: 20,
-                attempts: 1,
-                weather: "sunny",
-            })
-            .collect();
-        let delivered_seqs: HashSet<u64> = (0..4).collect();
-        let timelines = sent
-            .iter()
-            .map(|p| PacketTimeline {
-                generated_s: p.sent_s,
-                first_tx_s: Some(p.sent_s + 1.5),
-                sat_rx_s: Some(p.sent_s + 1.7),
-                delivered_s: Some(p.sent_s + 12.0),
+        let timelines = (0..4)
+            .map(|i| {
+                let sent_s = i as f64 * 1_800.0;
+                PacketTimeline {
+                    node: 0,
+                    attempts: 1,
+                    generated_s: sent_s,
+                    first_tx_s: Some(sent_s + 1.5),
+                    sat_rx_s: Some(sent_s + 1.7),
+                    delivered_s: Some(sent_s + 12.0),
+                }
             })
             .collect();
         let mut acc = EnergyAccount::new();
@@ -959,8 +899,6 @@ mod tests {
         acc.record(&TerrestrialProfile, TerrestrialMode::Standby, 100.0);
         TerrestrialResults {
             timelines,
-            sent,
-            delivered_seqs,
             node_energy: vec![acc],
             horizon_s: 86_400.0,
             faults: Default::default(),
@@ -1046,14 +984,5 @@ mod tests {
         assert!(out.contains("5/8-wave, sunny"));
         assert!(out.contains("1/4-wave, rainy"));
         assert!(out.contains("mean"));
-    }
-
-    #[test]
-    fn per_node_reliability_groups() {
-        let a = tiny_active();
-        let out = per_node_reliability(&a);
-        assert!(out.contains("node0"));
-        assert!(out.contains("node1"));
-        assert_eq!(reliability_of(&a).delivered, 3);
     }
 }

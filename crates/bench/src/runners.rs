@@ -130,6 +130,6 @@ mod tests {
             c.nodes = 1;
         });
         // 1 node × 48/day × 0.5 day, inclusive of both endpoints = 25.
-        assert_eq!(r.sent.len(), 25);
+        assert_eq!(r.timelines.len(), 25);
     }
 }

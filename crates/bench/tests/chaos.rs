@@ -253,7 +253,7 @@ fn active_scenario(plan: &mut ChaosPlan, opts: &RunOptions) -> Verdict {
         ActiveCampaign::new(cfg.clone()).run(opts),
         ActiveCampaign::new(cfg).run(opts),
         |r| &r.faults,
-        |a, b| a.sent.len() == b.sent.len() && a.delivered_seqs == b.delivered_seqs,
+        |a, b| a.timelines == b.timelines,
     )
 }
 
@@ -303,7 +303,7 @@ fn terrestrial_scenario(plan: &mut ChaosPlan) -> Verdict {
         TerrestrialCampaign::new(cfg.clone()).run(),
         TerrestrialCampaign::new(cfg).run(),
         |r| &r.faults,
-        |a, b| a.sent.len() == b.sent.len() && a.delivered_seqs == b.delivered_seqs,
+        |a, b| a.timelines == b.timelines,
     )
 }
 

@@ -16,8 +16,9 @@
 //!   can still be retransmitted (the paper's "contradicting results"
 //!   observation).
 //!
-//! Outputs: per-packet timelines (latency decomposition), sequence-ID
-//! reliability, retransmission distributions, and per-node energy
+//! Outputs: the packet ledger, one [`PacketTimeline`] per generated
+//! packet (latency decomposition, sequence-ID reliability and
+//! retransmission distributions all read it), and per-node energy
 //! residencies.
 
 use crate::calib;
@@ -29,7 +30,6 @@ use crate::options::RunOptions;
 use crate::passive::sanitize_candidates;
 use crate::satellite::{merge_contacts, SatellitePayload};
 use crate::scheduler::CandidatePass;
-use crate::server::DeliveryLog;
 use crate::sweep::{self, GridKey, PassKey};
 use satiot_channel::antenna::AntennaPattern;
 use satiot_channel::budget::LinkBudget;
@@ -37,7 +37,7 @@ use satiot_channel::weather::{Weather, WeatherProcess};
 use satiot_energy::accounting::EnergyAccount;
 use satiot_energy::profile::{SatNodeMode, SatNodeProfile};
 use satiot_measure::latency::PacketTimeline;
-use satiot_measure::reliability::SentPacket;
+use satiot_measure::reliability::Reliability;
 use satiot_obs::metrics::{Counter, Timer};
 use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
@@ -166,18 +166,6 @@ impl ActiveConfig {
     }
 }
 
-/// Per-packet bookkeeping.
-#[derive(Debug, Clone)]
-struct PacketRecord {
-    node: u32,
-    generated_s: f64,
-    first_tx_s: Option<f64>,
-    sat_rx_s: Option<f64>,
-    delivered_s: Option<f64>,
-    attempts: u32,
-    weather: &'static str,
-}
-
 /// Aggregate campaign counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ActiveCounters {
@@ -195,27 +183,27 @@ pub struct ActiveCounters {
     pub acks_tx: u64,
     /// ACKs decoded by nodes.
     pub acks_ok: u64,
-    /// Duplicate uplinks stored-side (ACK-loss retransmissions).
+    /// Uplinks a satellite decoded again after accepting them: ACK-loss
+    /// retransmissions, which the satellite re-ACKs but does not store.
     pub duplicates: u64,
+    /// Server arrivals of a sequence already delivered: one packet that
+    /// two satellites each accepted and forwarded. The ledger keeps the
+    /// earliest arrival.
+    pub server_duplicates: u64,
 }
 
 /// The campaign output.
 #[derive(Debug)]
 pub struct ActiveResults {
-    /// Per-packet latency timelines (one per generated packet).
+    /// The packet ledger: one entry per generated packet, indexed by
+    /// sequence ID. Only deliveries within the horizon are kept.
     pub timelines: Vec<PacketTimeline>,
-    /// Sent-packet records for reliability analyses.
-    pub sent: Vec<SentPacket>,
-    /// Sequence IDs delivered to the server.
-    pub delivered_seqs: std::collections::HashSet<u64>,
     /// Per-node energy residency accounts.
     pub node_energy: Vec<EnergyAccount<SatNodeMode>>,
     /// Aggregate counters.
     pub counters: ActiveCounters,
     /// Node buffer drop ratios.
     pub node_drop_ratio: Vec<f64>,
-    /// The subscriber server's arrival log (dedup bookkeeping).
-    pub server: DeliveryLog,
     /// Campaign length actually simulated, seconds.
     pub horizon_s: f64,
     /// Recoverable input damage survived during the run (clamped config
@@ -226,12 +214,12 @@ pub struct ActiveResults {
 impl ActiveResults {
     /// End-to-end delivery ratio.
     pub fn reliability(&self) -> f64 {
-        satiot_measure::reliability::Reliability::compute(&self.sent, &self.delivered_seqs).ratio()
+        Reliability::compute(&self.timelines).ratio()
     }
 
     /// Mean attempts per packet that was transmitted at least once.
     pub fn mean_attempts(&self) -> f64 {
-        let tx: Vec<&SentPacket> = self.sent.iter().filter(|p| p.attempts > 0).collect();
+        let tx: Vec<&PacketTimeline> = self.timelines.iter().filter(|p| p.attempts > 0).collect();
         if tx.is_empty() {
             0.0
         } else {
@@ -511,10 +499,9 @@ impl ActiveCampaign {
                 n
             })
             .collect();
-        let mut records: Vec<PacketRecord> = Vec::new();
+        let mut timelines: Vec<PacketTimeline> = Vec::new();
         let mut in_flight: Vec<InFlight> = Vec::new();
         let mut counters = ActiveCounters::default();
-        let mut server = DeliveryLog::new();
         let mut rng = root.fork("events");
 
         // Doppler penalty under the configured compensation mode.
@@ -572,15 +559,14 @@ impl ActiveCampaign {
             let wx = cfg.weather_override.unwrap_or_else(|| weather.at(now));
             match event {
                 Event::DataGen { node } => {
-                    let seq = records.len() as u64;
-                    records.push(PacketRecord {
+                    let seq = timelines.len() as u64;
+                    timelines.push(PacketTimeline {
                         node: node as u32,
+                        attempts: 0,
                         generated_s: t,
                         first_tx_s: None,
                         sat_rx_s: None,
                         delivered_s: None,
-                        attempts: 0,
-                        weather: wx.label(),
                     });
                     nodes[node].on_data(seq, t);
                     eng.schedule_in(cfg.period_s, Event::DataGen { node });
@@ -626,9 +612,9 @@ impl ActiveCampaign {
                                 BeaconReaction::Idle => {}
                                 BeaconReaction::Transmit { seq, .. } => {
                                     // A corrupted sequence number cannot
-                                    // index the record table: drop the
+                                    // index the ledger: drop the
                                     // transmission, count it, move on.
-                                    let Some(rec) = records.get_mut(seq as usize) else {
+                                    let Some(rec) = timelines.get_mut(seq as usize) else {
                                         faults.record(Fault::CorruptSeq);
                                         continue;
                                     };
@@ -789,10 +775,7 @@ impl ActiveCampaign {
                     match sats[me.sat].accept_uplink(me.node as u32, seq, t) {
                         None => { /* Satellite buffer full: no ACK. */ }
                         Some(is_new) => {
-                            if !is_new {
-                                counters.duplicates += 1;
-                            }
-                            let Some(rec) = records.get_mut(seq as usize) else {
+                            let Some(rec) = timelines.get_mut(seq as usize) else {
                                 // Wire-path damage: the stored sequence
                                 // does not map to a generated packet.
                                 faults.record(Fault::CorruptSeq);
@@ -802,8 +785,8 @@ impl ActiveCampaign {
                                 rec.sat_rx_s = Some(t);
                             }
                             // Every satellite that newly accepted this
-                            // sequence forwards its own copy: the server
-                            // deduplicates. Delivery queues through the
+                            // sequence forwards its own copy; the server
+                            // keeps the earliest. Delivery queues through the
                             // satellite's shared downlink (finite contact
                             // capacity), then the operator's processing
                             // pipeline — minus its residual loss (downlink
@@ -815,9 +798,11 @@ impl ActiveCampaign {
                                 {
                                     let proc = rng.exponential(calib::DELIVERY_PROCESSING_MEAN_S);
                                     let d = done + proc;
-                                    server.record(seq, me.node as u32, d);
                                     rec.delivered_s = Some(match rec.delivered_s {
-                                        Some(old) => old.min(d),
+                                        Some(old) => {
+                                            counters.server_duplicates += 1;
+                                            old.min(d)
+                                        }
                                         None => d,
                                     });
                                 }
@@ -897,42 +882,18 @@ impl ActiveCampaign {
             node_drop_ratio.push(node.buffer.drop_ratio());
         }
 
-        // --- Assemble packet-level outputs. ---
-        let mut timelines = Vec::with_capacity(records.len());
-        let mut sent = Vec::with_capacity(records.len());
-        let mut delivered_seqs = std::collections::HashSet::new();
-        for (seq, rec) in records.iter().enumerate() {
-            // Only count deliveries within the horizon (the paper's
-            // matching window).
-            let delivered_s = rec.delivered_s.filter(|d| *d <= horizon_s);
-            if delivered_s.is_some() {
-                delivered_seqs.insert(seq as u64);
-            }
-            timelines.push(PacketTimeline {
-                generated_s: rec.generated_s,
-                first_tx_s: rec.first_tx_s,
-                sat_rx_s: rec.sat_rx_s,
-                delivered_s,
-            });
-            sent.push(SentPacket {
-                seq: seq as u64,
-                node: rec.node,
-                sent_s: rec.generated_s,
-                payload_bytes: cfg.payload_bytes,
-                attempts: rec.attempts,
-                weather: rec.weather,
-            });
+        // Only deliveries within the horizon count (the paper's matching
+        // window).
+        for rec in &mut timelines {
+            rec.delivered_s = rec.delivered_s.filter(|d| *d <= horizon_s);
         }
         counters.duplicates = sats.iter().map(|s| s.duplicates).sum();
 
         Ok(ActiveResults {
             timelines,
-            sent,
-            delivered_seqs,
             node_energy,
             counters,
             node_drop_ratio,
-            server,
             horizon_s,
             faults,
         })
@@ -1051,7 +1012,8 @@ mod tests {
     fn campaign_moves_data_end_to_end() {
         let r = quick_results(3.0, 1);
         // 3 nodes × 48 packets/day × 3 days ≈ 432 generated.
-        assert!((400..=440).contains(&r.sent.len()), "sent {}", r.sent.len());
+        let sent = r.timelines.len();
+        assert!((400..=440).contains(&sent), "sent {sent}");
         assert!(
             r.counters.beacons_tx > 1_000,
             "beacons {}",
@@ -1059,7 +1021,10 @@ mod tests {
         );
         assert!(r.counters.uplinks_tx > 0);
         assert!(r.counters.uplinks_ok > 0);
-        assert!(!r.delivered_seqs.is_empty(), "nothing delivered");
+        assert!(
+            r.timelines.iter().any(|p| p.delivered_s.is_some()),
+            "nothing delivered"
+        );
         let rel = r.reliability();
         assert!(rel > 0.5, "reliability {rel}");
     }
@@ -1068,8 +1033,7 @@ mod tests {
     fn campaign_is_deterministic() {
         let a = quick_results(2.0, 9);
         let b = quick_results(2.0, 9);
-        assert_eq!(a.sent.len(), b.sent.len());
-        assert_eq!(a.delivered_seqs, b.delivered_seqs);
+        assert_eq!(a.timelines, b.timelines);
         assert_eq!(a.counters.uplinks_tx, b.counters.uplinks_tx);
         assert_eq!(a.counters.acks_ok, b.counters.acks_ok);
     }
@@ -1212,8 +1176,7 @@ mod tests {
         let r = ActiveCampaign::new(cfg)
             .run(&RunOptions::default())
             .unwrap();
-        assert!(r.sent.is_empty());
-        assert!(r.delivered_seqs.is_empty());
+        assert!(r.timelines.is_empty());
         assert!(r.node_energy.is_empty());
     }
 

@@ -67,10 +67,6 @@ pub const SATELLITE_BUFFER_CAPACITY: usize = 4_096;
 /// is the larger part).
 pub const DELIVERY_PROCESSING_MEAN_S: f64 = 3_600.0;
 
-/// Terrestrial LoRaWAN end-to-end delay mean, seconds (paper: 0.2 min
-/// average, dominated by gateway batching + LTE backhaul).
-pub const TERRESTRIAL_E2E_MEAN_S: f64 = 12.0;
-
 /// Rate at which transmissions from the thousands of *other* IoT devices
 /// inside the satellite's footprint (3.27×10⁷ km² for Tianqi's high
 /// shell — §3.1's congestion argument) overlap an uplink, per second of

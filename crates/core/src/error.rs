@@ -198,7 +198,7 @@ pub enum Fault {
     DegeneratePass,
     /// A site whose simulated range was empty or inverted was skipped.
     SkippedSite,
-    /// A wire-path sequence number indexed outside the record table and
+    /// A wire-path sequence number indexed outside the packet ledger and
     /// the packet was dropped.
     CorruptSeq,
     /// A satellite whose elements failed to build was excluded.

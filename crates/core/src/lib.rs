@@ -25,11 +25,11 @@
 //!   and downlink at ground-station contacts.
 //! * [`station`] — crowd-sourced ground-station availability (correlated
 //!   up/down spells of $30 hobbyist hardware).
-//! * [`server`] — the subscriber server's deduplicating arrival log
-//!   (the paper's Appendix B methodology).
 //! * [`active`] — the one-month active deployment (paper §2.3/§3.2):
 //!   three nodes on a Yunnan farm sending 20 B every 30 min through the
-//!   Tianqi constellation to a Hong Kong server.
+//!   Tianqi constellation to a Hong Kong server. Its packet ledger, one
+//!   `PacketTimeline` per sequence ID, is also the server's arrival log
+//!   (the paper's Appendix B methodology).
 //! * [`sweep`] — the process-wide pass-prediction cache shared by both
 //!   campaigns, the theoretical-availability analysis, and the
 //!   bench/ablation binaries; paired with `satiot_sim::pool` it turns
@@ -58,7 +58,6 @@ pub mod passive;
 pub mod prelude;
 pub mod satellite;
 pub mod scheduler;
-pub mod server;
 pub mod sink;
 pub mod station;
 pub mod sweep;

@@ -275,26 +275,10 @@ impl RunOptions {
         self
     }
 
-    /// Override the sweep-server spill directory (`None` = no
-    /// checkpointing). The path is interned for the process lifetime so
-    /// `RunOptions` stays `Copy`.
-    pub fn with_sweep_dir(mut self, dir: Option<&str>) -> Self {
-        self.sweep_dir = dir.map(|d| &*Box::leak(d.to_string().into_boxed_str()));
-        self
-    }
-
     /// Override the combined cache payload budget in MiB (`None` =
     /// unlimited).
     pub fn with_sweep_cache_mb(mut self, mb: Option<u64>) -> Self {
         self.sweep_cache_mb = mb;
-        self
-    }
-
-    /// Override the scenario file path (`None` = the compiled-in
-    /// scenario). The path is interned for the process lifetime so
-    /// `RunOptions` stays `Copy`.
-    pub fn with_scenario(mut self, path: Option<&str>) -> Self {
-        self.scenario = path.map(|p| &*Box::leak(p.to_string().into_boxed_str()));
         self
     }
 

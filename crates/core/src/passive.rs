@@ -182,20 +182,7 @@ impl PassiveResults {
     /// timeline: overlapping windows union per site and inter-contact
     /// gaps never span sites.
     pub fn contact_stats(&self, constellation: &str, sites: &[&str]) -> ContactStats {
-        let mut groups: Vec<(&str, Vec<EffectiveWindow>)> = Vec::new();
-        for p in self
-            .passes
-            .iter()
-            .filter(|p| p.constellation == constellation)
-            .filter(|p| sites.is_empty() || sites.contains(&p.site))
-        {
-            match groups.iter_mut().find(|(s, _)| *s == p.site) {
-                Some((_, v)) => v.push(p.window.clone()),
-                None => groups.push((p.site, vec![p.window.clone()])),
-            }
-        }
-        let groups: Vec<Vec<EffectiveWindow>> = groups.into_iter().map(|(_, v)| v).collect();
-        ContactStats::compute_grouped(&groups)
+        contact_stats_per_site(self.passes.iter(), constellation, sites)
     }
 
     /// All normalised reception positions (Fig 9 series).
@@ -215,19 +202,7 @@ impl PassiveResults {
     /// duration comparison of the paper's Figure 4a (a window's effective
     /// duration is only measurable where a station listened).
     pub fn contact_stats_covered(&self, constellation: &str, sites: &[&str]) -> ContactStats {
-        let mut groups: Vec<(&str, Vec<EffectiveWindow>)> = Vec::new();
-        for p in self
-            .covered_passes()
-            .filter(|p| p.constellation == constellation)
-            .filter(|p| sites.is_empty() || sites.contains(&p.site))
-        {
-            match groups.iter_mut().find(|(s, _)| *s == p.site) {
-                Some((_, v)) => v.push(p.window.clone()),
-                None => groups.push((p.site, vec![p.window.clone()])),
-            }
-        }
-        let groups: Vec<Vec<EffectiveWindow>> = groups.into_iter().map(|(_, v)| v).collect();
-        ContactStats::compute_grouped(&groups)
+        contact_stats_per_site(self.covered_passes(), constellation, sites)
     }
 
     /// Per-contact beacon reception ratios grouped by weather label
@@ -248,6 +223,27 @@ impl PassiveResults {
         }
         groups
     }
+}
+
+/// Contact statistics over the `passes` of one constellation, grouped
+/// into one timeline per site in first-seen order.
+fn contact_stats_per_site<'a>(
+    passes: impl Iterator<Item = &'a SitePassRecord>,
+    constellation: &str,
+    sites: &[&str],
+) -> ContactStats {
+    let mut groups: Vec<(&str, Vec<EffectiveWindow>)> = Vec::new();
+    for p in passes
+        .filter(|p| p.constellation == constellation)
+        .filter(|p| sites.is_empty() || sites.contains(&p.site))
+    {
+        match groups.iter_mut().find(|(s, _)| *s == p.site) {
+            Some((_, v)) => v.push(p.window.clone()),
+            None => groups.push((p.site, vec![p.window.clone()])),
+        }
+    }
+    let groups: Vec<Vec<EffectiveWindow>> = groups.into_iter().map(|(_, v)| v).collect();
+    ContactStats::compute_grouped(&groups)
 }
 
 /// The passive campaign driver.

@@ -12,7 +12,8 @@
 //!   paper's central analysis (Fig 4a/4b/9) of how much of each predicted
 //!   pass actually carries decodable beacons.
 //! * [`reliability`] — sequence-ID based end-to-end delivery analysis
-//!   (the paper's Appendix B methodology).
+//!   (the paper's Appendix B methodology), counted over the campaigns'
+//!   packet ledger of [`latency::PacketTimeline`] entries.
 //! * [`latency`] — per-packet latency decomposition (Fig 5c/5d).
 //! * [`table`] — plain-text table/series rendering for the experiment
 //!   binaries.

@@ -2,47 +2,29 @@
 //!
 //! The paper (Appendix B) gives every application packet a unique
 //! sequence ID and compares the set sent by the nodes against the set
-//! received at the server. This module reproduces that methodology and
-//! adds per-group breakdowns (per node, per weather, per payload size).
+//! received at the server. The campaigns keep that comparison in one
+//! packet ledger, a [`PacketTimeline`] per sequence ID: a packet was
+//! received exactly when its entry has a delivery time. This module
+//! counts over the ledger.
 
-use std::collections::{BTreeMap, HashSet};
-
-/// A sent packet record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SentPacket {
-    /// Unique sequence ID.
-    pub seq: u64,
-    /// Sending node index.
-    pub node: u32,
-    /// Send time, campaign seconds.
-    pub sent_s: f64,
-    /// Payload size, bytes.
-    pub payload_bytes: usize,
-    /// Number of DtS transmission attempts used (1 = no retransmission).
-    pub attempts: u32,
-    /// Weather label at send time.
-    pub weather: &'static str,
-}
+use crate::latency::PacketTimeline;
+use std::collections::BTreeMap;
 
 /// End-to-end delivery analysis.
 #[derive(Debug, Clone)]
 pub struct Reliability {
     /// Packets sent.
     pub sent: usize,
-    /// Packets delivered (matched by sequence ID).
+    /// Packets delivered.
     pub delivered: usize,
 }
 
 impl Reliability {
-    /// Match sent records against received sequence IDs.
-    pub fn compute(sent: &[SentPacket], received_seqs: &HashSet<u64>) -> Reliability {
-        let delivered = sent
-            .iter()
-            .filter(|p| received_seqs.contains(&p.seq))
-            .count();
+    /// Count the ledger's packets and the delivered ones among them.
+    pub fn compute(ledger: &[PacketTimeline]) -> Reliability {
         Reliability {
-            sent: sent.len(),
-            delivered,
+            sent: ledger.len(),
+            delivered: ledger.iter().filter(|p| p.delivered_s.is_some()).count(),
         }
     }
 
@@ -56,47 +38,20 @@ impl Reliability {
     }
 }
 
-/// Per-group delivery ratios keyed by an arbitrary label.
-pub fn reliability_by<F>(
-    sent: &[SentPacket],
-    received_seqs: &HashSet<u64>,
-    group: F,
-) -> BTreeMap<String, Reliability>
-where
-    F: Fn(&SentPacket) -> String,
-{
-    let mut groups: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    for p in sent {
-        let entry = groups.entry(group(p)).or_insert((0, 0));
-        entry.0 += 1;
-        if received_seqs.contains(&p.seq) {
-            entry.1 += 1;
-        }
-    }
-    groups
-        .into_iter()
-        .map(|(k, (sent, delivered))| (k, Reliability { sent, delivered }))
-        .collect()
-}
-
 /// Delivery ratio computed per time window of `window_s` seconds (keyed
 /// by the packets' send times) — the paper's Figure 12a presents its
 /// payload sweep as the distribution of such windowed reliabilities
 /// ("75 % of transmissions reach 90 % end-to-end reliability").
-pub fn reliability_per_window(
-    sent: &[SentPacket],
-    received_seqs: &HashSet<u64>,
-    window_s: f64,
-) -> Vec<f64> {
+pub fn reliability_per_window(ledger: &[PacketTimeline], window_s: f64) -> Vec<f64> {
     if window_s <= 0.0 {
         return Vec::new();
     }
     let mut windows: BTreeMap<i64, (usize, usize)> = BTreeMap::new();
-    for p in sent {
-        let k = (p.sent_s / window_s).floor() as i64;
+    for p in ledger {
+        let k = (p.generated_s / window_s).floor() as i64;
         let e = windows.entry(k).or_insert((0, 0));
         e.0 += 1;
-        if received_seqs.contains(&p.seq) {
+        if p.delivered_s.is_some() {
             e.1 += 1;
         }
     }
@@ -116,13 +71,13 @@ pub fn share_of_windows_above(windowed: &[f64], target: f64) -> f64 {
 
 /// Distribution of DtS attempts (the paper's Figure 5b series): fraction
 /// of packets using exactly `k` transmissions, for `k = 1 ..= max`.
-pub fn attempts_distribution(sent: &[SentPacket], max_attempts: u32) -> Vec<f64> {
+pub fn attempts_distribution(ledger: &[PacketTimeline], max_attempts: u32) -> Vec<f64> {
     let mut counts = vec![0usize; max_attempts as usize];
-    for p in sent {
+    for p in ledger {
         let k = p.attempts.clamp(1, max_attempts) as usize;
         counts[k - 1] += 1;
     }
-    let total = sent.len().max(1) as f64;
+    let total = ledger.len().max(1) as f64;
     counts.iter().map(|&c| c as f64 / total).collect()
 }
 
@@ -130,22 +85,23 @@ pub fn attempts_distribution(sent: &[SentPacket], max_attempts: u32) -> Vec<f64>
 mod tests {
     use super::*;
 
-    fn pkt(seq: u64, node: u32, attempts: u32, weather: &'static str) -> SentPacket {
-        SentPacket {
-            seq,
-            node,
-            sent_s: seq as f64 * 10.0,
-            payload_bytes: 20,
+    /// Packet `seq`, sent at `10 * seq` s, delivered or not.
+    fn pkt(seq: u64, attempts: u32, delivered: bool) -> PacketTimeline {
+        let sent_s = seq as f64 * 10.0;
+        PacketTimeline {
+            node: 0,
             attempts,
-            weather,
+            generated_s: sent_s,
+            first_tx_s: Some(sent_s + 1.0),
+            sat_rx_s: Some(sent_s + 2.0),
+            delivered_s: delivered.then_some(sent_s + 3.0),
         }
     }
 
     #[test]
     fn basic_ratio() {
-        let sent: Vec<SentPacket> = (0..10).map(|i| pkt(i, 0, 1, "sunny")).collect();
-        let received: HashSet<u64> = (0..9).collect();
-        let r = Reliability::compute(&sent, &received);
+        let ledger: Vec<PacketTimeline> = (0..10).map(|i| pkt(i, 1, i < 9)).collect();
+        let r = Reliability::compute(&ledger);
         assert_eq!(r.sent, 10);
         assert_eq!(r.delivered, 9);
         assert!((r.ratio() - 0.9).abs() < 1e-12);
@@ -153,46 +109,20 @@ mod tests {
 
     #[test]
     fn empty_campaign_is_perfect() {
-        let r = Reliability::compute(&[], &HashSet::new());
+        let r = Reliability::compute(&[]);
         assert_eq!(r.ratio(), 1.0);
-    }
-
-    #[test]
-    fn received_ids_not_sent_are_ignored() {
-        let sent = vec![pkt(1, 0, 1, "sunny")];
-        let received: HashSet<u64> = [1, 999, 1000].into_iter().collect();
-        let r = Reliability::compute(&sent, &received);
-        assert_eq!(r.delivered, 1);
-        assert_eq!(r.ratio(), 1.0);
-    }
-
-    #[test]
-    fn grouped_reliability() {
-        let sent = vec![
-            pkt(1, 0, 1, "sunny"),
-            pkt(2, 0, 1, "sunny"),
-            pkt(3, 1, 1, "rainy"),
-            pkt(4, 1, 1, "rainy"),
-        ];
-        let received: HashSet<u64> = [1, 2, 3].into_iter().collect();
-        let by_weather = reliability_by(&sent, &received, |p| p.weather.to_string());
-        assert!((by_weather["sunny"].ratio() - 1.0).abs() < 1e-12);
-        assert!((by_weather["rainy"].ratio() - 0.5).abs() < 1e-12);
-        let by_node = reliability_by(&sent, &received, |p| format!("node{}", p.node));
-        assert_eq!(by_node.len(), 2);
-        assert_eq!(by_node["node0"].delivered, 2);
     }
 
     #[test]
     fn attempts_distribution_normalises() {
-        let sent = vec![
-            pkt(1, 0, 1, "sunny"),
-            pkt(2, 0, 1, "sunny"),
-            pkt(3, 0, 3, "sunny"),
-            pkt(4, 0, 6, "sunny"), // Clamped into the last bucket.
-            pkt(5, 0, 9, "sunny"), // Clamped too.
+        let ledger = vec![
+            pkt(1, 1, true),
+            pkt(2, 1, true),
+            pkt(3, 3, true),
+            pkt(4, 6, true), // Clamped into the last bucket.
+            pkt(5, 9, true), // Clamped too.
         ];
-        let dist = attempts_distribution(&sent, 6);
+        let dist = attempts_distribution(&ledger, 6);
         assert_eq!(dist.len(), 6);
         assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((dist[0] - 0.4).abs() < 1e-12);
@@ -203,24 +133,14 @@ mod tests {
     #[test]
     fn windowed_reliability_buckets_by_time() {
         // Packets 0–3 in window 0 (all delivered), 4–7 in window 1 (half).
-        let sent: Vec<SentPacket> = (0..8)
-            .map(|i| SentPacket {
-                seq: i,
-                node: 0,
-                sent_s: i as f64 * 10.0,
-                payload_bytes: 20,
-                attempts: 1,
-                weather: "sunny",
-            })
-            .collect();
-        let received: HashSet<u64> = [0, 1, 2, 3, 4, 5].into_iter().collect();
-        let w = reliability_per_window(&sent, &received, 40.0);
+        let ledger: Vec<PacketTimeline> = (0..8).map(|i| pkt(i, 1, i < 6)).collect();
+        let w = reliability_per_window(&ledger, 40.0);
         assert_eq!(w.len(), 2);
         assert!((w[0] - 1.0).abs() < 1e-12);
         assert!((w[1] - 0.5).abs() < 1e-12);
         assert!((share_of_windows_above(&w, 0.9) - 0.5).abs() < 1e-12);
         assert!((share_of_windows_above(&w, 0.4) - 1.0).abs() < 1e-12);
-        assert!(reliability_per_window(&sent, &received, 0.0).is_empty());
+        assert!(reliability_per_window(&ledger, 0.0).is_empty());
         assert_eq!(share_of_windows_above(&[], 0.9), 0.0);
     }
 

@@ -61,12 +61,6 @@ impl SimTime {
     pub fn as_hours(self) -> f64 {
         self.0 / 3_600.0
     }
-
-    /// Days since the origin.
-    #[inline]
-    pub fn as_days(self) -> f64 {
-        self.0 / 86_400.0
-    }
 }
 
 impl PartialEq for SimTime {

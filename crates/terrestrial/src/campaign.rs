@@ -15,13 +15,11 @@ use satiot_core::station::{AvailabilityParams, StationAvailability};
 use satiot_energy::accounting::EnergyAccount;
 use satiot_energy::profile::TerrestrialMode;
 use satiot_measure::latency::PacketTimeline;
-use satiot_measure::reliability::SentPacket;
+use satiot_measure::reliability::Reliability;
 use satiot_phy::params::LoRaConfig;
 use satiot_phy::per::packet_decodes;
 use satiot_scenarios::{OutageWindow, ResolvedScenario};
 use satiot_sim::{Rng, SimTime};
-
-use std::collections::HashSet;
 
 /// Terrestrial campaign configuration (mirrors the satellite campaign's
 /// knobs so comparisons sweep both sides identically).
@@ -105,12 +103,9 @@ impl TerrestrialConfig {
 /// campaign).
 #[derive(Debug)]
 pub struct TerrestrialResults {
-    /// Per-packet timelines.
+    /// The packet ledger: one entry per generated packet, indexed by
+    /// sequence ID.
     pub timelines: Vec<PacketTimeline>,
-    /// Sent-packet records.
-    pub sent: Vec<SentPacket>,
-    /// Delivered sequence IDs.
-    pub delivered_seqs: HashSet<u64>,
     /// Per-node energy accounts.
     pub node_energy: Vec<EnergyAccount<TerrestrialMode>>,
     /// Campaign horizon, seconds.
@@ -124,7 +119,7 @@ pub struct TerrestrialResults {
 impl TerrestrialResults {
     /// End-to-end delivery ratio.
     pub fn reliability(&self) -> f64 {
-        satiot_measure::reliability::Reliability::compute(&self.sent, &self.delivered_seqs).ratio()
+        Reliability::compute(&self.timelines).ratio()
     }
 }
 
@@ -288,9 +283,6 @@ impl TerrestrialCampaign {
             .collect();
 
         let mut timelines = Vec::new();
-        let mut sent = Vec::new();
-        let mut delivered_seqs = HashSet::new();
-        let mut seq: u64 = 0;
         let mut cycles_per_node = vec![0u64; cfg.nodes as usize];
 
         for node in 0..cfg.nodes {
@@ -326,24 +318,14 @@ impl TerrestrialCampaign {
                 } else {
                     delay_s.map(|d| t + d)
                 };
-                if delivered_s.is_some() {
-                    delivered_seqs.insert(seq);
-                }
                 timelines.push(PacketTimeline {
+                    node,
+                    attempts: 1,
                     generated_s: t,
                     first_tx_s: Some(t + 1.5), // Standby then immediate Tx.
                     sat_rx_s: delivered_s.map(|_| t + 1.7),
                     delivered_s,
                 });
-                sent.push(SentPacket {
-                    seq,
-                    node,
-                    sent_s: t,
-                    payload_bytes: cfg.payload_bytes,
-                    attempts: 1,
-                    weather: wx.label(),
-                });
-                seq += 1;
                 cycles_per_node[node as usize] += 1;
                 t += cfg.period_s;
             }
@@ -364,8 +346,6 @@ impl TerrestrialCampaign {
 
         Ok(TerrestrialResults {
             timelines,
-            sent,
-            delivered_seqs,
             node_energy,
             horizon_s,
             faults,
@@ -391,7 +371,7 @@ mod tests {
     fn reliability_is_near_perfect() {
         let r = run_days(10.0);
         // 3 nodes × 48/day × 10 days.
-        assert_eq!(r.sent.len(), 1_440);
+        assert_eq!(r.timelines.len(), 1_440);
         let rel = r.reliability();
         assert!(rel > 0.995, "terrestrial reliability {rel}");
     }
@@ -421,8 +401,7 @@ mod tests {
     fn deterministic_per_seed() {
         let a = run_days(2.0);
         let b = run_days(2.0);
-        assert_eq!(a.delivered_seqs, b.delivered_seqs);
-        assert_eq!(a.timelines.len(), b.timelines.len());
+        assert_eq!(a.timelines, b.timelines);
     }
 
     #[test]
@@ -547,7 +526,7 @@ mod tests {
         // Clamped to 1.0 → behaves exactly like the always-up default.
         let base = run_days(1.0);
         assert!(base.faults.is_clean());
-        assert_eq!(r.delivered_seqs, base.delivered_seqs);
+        assert_eq!(r.timelines, base.timelines);
     }
 
     #[test]
@@ -557,7 +536,7 @@ mod tests {
         assert_eq!(r.faults.clamped_configs, 2);
         // The floored links still decode at near-zero range, so the run
         // produces a full packet record set.
-        assert_eq!(r.sent.len(), 3 * 48);
+        assert_eq!(r.timelines.len(), 3 * 48);
         assert!(r.reliability() > 0.99, "reliability {}", r.reliability());
     }
 
@@ -569,8 +548,7 @@ mod tests {
             c.outages = Vec::new();
         })
         .unwrap();
-        assert_eq!(base.delivered_seqs, gated.delivered_seqs);
-        assert_eq!(base.sent.len(), gated.sent.len());
+        assert_eq!(base.timelines, gated.timelines);
         for (a, b) in base.timelines.iter().zip(&gated.timelines) {
             assert_eq!(
                 a.delivered_s.map(f64::to_bits),
@@ -592,13 +570,9 @@ mod tests {
             c.outages = vec![window];
         })
         .unwrap();
-        for (pkt, (a, b)) in base
-            .sent
-            .iter()
-            .zip(base.timelines.iter().zip(&gated.timelines))
-        {
-            if window.contains(pkt.sent_s) {
-                assert_eq!(b.delivered_s, None, "t={}", pkt.sent_s);
+        for (a, b) in base.timelines.iter().zip(&gated.timelines) {
+            if window.contains(a.generated_s) {
+                assert_eq!(b.delivered_s, None, "t={}", a.generated_s);
             } else {
                 // Outside the window the gated run matches the baseline
                 // bitwise — the gate never consumes RNG draws.
@@ -606,7 +580,7 @@ mod tests {
                     a.delivered_s.map(f64::to_bits),
                     b.delivered_s.map(f64::to_bits),
                     "t={}",
-                    pkt.sent_s
+                    a.generated_s
                 );
             }
         }
@@ -691,7 +665,6 @@ mod tests {
         let b = run();
         assert_eq!(a.faults, b.faults);
         assert!(a.faults.clamped_configs >= 2);
-        assert_eq!(a.delivered_seqs, b.delivered_seqs);
-        assert_eq!(a.sent.len(), b.sent.len());
+        assert_eq!(a.timelines, b.timelines);
     }
 }

@@ -38,8 +38,8 @@ fn main() {
     println!("                         satellite (Tianqi)   terrestrial (LoRaWAN+LTE)");
     println!(
         "packets sent             {:>10}            {:>10}",
-        sat.sent.len(),
-        terr.sent.len()
+        sat.timelines.len(),
+        terr.timelines.len()
     );
     println!(
         "delivery reliability     {:>9.1}%            {:>9.1}%",

@@ -12,6 +12,7 @@ use satiot::cli::{parse, CampaignKind, Command, USAGE};
 use satiot::core::messages::BEACON_ON_AIR_BYTES;
 use satiot::core::prelude::*;
 use satiot::measure::latency::LatencyBreakdown;
+use satiot::measure::reliability::Reliability;
 use satiot::measure::stats::Summary;
 use satiot::orbit::pass::PassPredictor;
 use satiot::phy::airtime::airtime_s;
@@ -232,26 +233,24 @@ fn campaign(kind: CampaignKind, days: f64) {
     // The `SATIOT_*` knobs (threads, metrics, the scenario file) steer
     // the CLI, resolved in one place.
     let opts = RunOptions::from_env().apply();
+    // Every campaign goes through the scenario front door: either the
+    // `SATIOT_SCENARIO` file or the compiled-in paper campaign, with the
+    // CLI's day count filling an unset `max_days`.
+    let scenario = match opts.scenario {
+        Some(path) => ScenarioSpec::from_file(path).and_then(|s| s.build()),
+        None => ScenarioSpec::paper_passive().build(),
+    };
+    let mut scenario = match scenario {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("satiot: scenario rejected: {e}");
+            std::process::exit(2);
+        }
+    };
+    let days = *scenario.max_days.get_or_insert(days);
     match kind {
         CampaignKind::Passive => {
-            // The CLI goes through the scenario front door: either the
-            // `SATIOT_SCENARIO` file or the compiled-in paper campaign,
-            // with the CLI's day count filling an unset `max_days`.
-            let scenario = match opts.scenario {
-                Some(path) => ScenarioSpec::from_file(path).and_then(|s| s.build()),
-                None => ScenarioSpec::paper_passive().build(),
-            };
-            let scenario = match scenario {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("satiot: scenario rejected: {e}");
-                    std::process::exit(2);
-                }
-            };
-            let mut cfg = PassiveConfig::from_scenario(&scenario);
-            if scenario.max_days.is_none() {
-                cfg.max_days = days;
-            }
+            let cfg = PassiveConfig::from_scenario(&scenario);
             let results = match PassiveCampaign::new(cfg).run(&opts) {
                 Ok(r) => r,
                 Err(e) => {
@@ -279,7 +278,8 @@ fn campaign(kind: CampaignKind, days: f64) {
             );
         }
         CampaignKind::Active => {
-            let results = match ActiveCampaign::new(ActiveConfig::quick(days)).run(&opts) {
+            let cfg = ActiveConfig::from_scenario(&scenario);
+            let results = match ActiveCampaign::new(cfg).run(&opts) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("satiot: active campaign rejected: {e}");
@@ -287,33 +287,30 @@ fn campaign(kind: CampaignKind, days: f64) {
                 }
             };
             let b = LatencyBreakdown::compute(&results.timelines);
+            let rel = Reliability::compute(&results.timelines);
             println!("Active campaign (Yunnan farm), {days} day(s):");
             if !results.faults.is_clean() {
                 println!("  degraded inputs survived ({})", results.faults);
             }
             println!(
                 "  sent {} / delivered {} ({:.1}%)",
-                results.sent.len(),
-                results.delivered_seqs.len(),
-                results.reliability() * 100.0
+                rel.sent,
+                rel.delivered,
+                rel.ratio() * 100.0
             );
             println!(
                 "  latency wait/DtS/delivery/e2e = {:.1}/{:.1}/{:.1}/{:.1} min",
                 b.wait_min.mean, b.dts_min.mean, b.delivery_min.mean, b.end_to_end_min.mean
             );
             println!(
-                "  mean attempts {:.2}, server duplicate ratio {:.1}%",
+                "  mean attempts {:.2}, server duplicates {}",
                 results.mean_attempts(),
-                results.server.duplicate_ratio() * 100.0
+                results.counters.server_duplicates
             );
         }
         CampaignKind::Terrestrial => {
-            let results = match TerrestrialCampaign::new(TerrestrialConfig {
-                days,
-                ..Default::default()
-            })
-            .run()
-            {
+            let cfg = TerrestrialConfig::from_scenario(&scenario);
+            let results = match TerrestrialCampaign::new(cfg).run() {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("satiot: terrestrial campaign rejected: {e}");
@@ -321,15 +318,16 @@ fn campaign(kind: CampaignKind, days: f64) {
                 }
             };
             let b = LatencyBreakdown::compute(&results.timelines);
+            let rel = Reliability::compute(&results.timelines);
             println!("Terrestrial baseline, {days} day(s):");
             if !results.faults.is_clean() {
                 println!("  degraded inputs survived ({})", results.faults);
             }
             println!(
                 "  sent {} / delivered {} ({:.2}%)",
-                results.sent.len(),
-                results.delivered_seqs.len(),
-                results.reliability() * 100.0
+                rel.sent,
+                rel.delivered,
+                rel.ratio() * 100.0
             );
             println!("  e2e latency {:.2} min mean", b.end_to_end_min.mean);
         }

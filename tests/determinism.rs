@@ -83,17 +83,14 @@ fn active_replays_per_seed_and_diverges_across_seeds() {
     cfg.seed = 1234;
     let a = ActiveCampaign::new(cfg.clone()).run(&opts()).unwrap();
     let b = ActiveCampaign::new(cfg.clone()).run(&opts()).unwrap();
-    assert_eq!(a.delivered_seqs, b.delivered_seqs);
+    assert_eq!(a.timelines, b.timelines);
     assert_eq!(a.counters.uplinks_tx, b.counters.uplinks_tx);
     assert_eq!(a.counters.acks_ok, b.counters.acks_ok);
-    for (x, y) in a.timelines.iter().zip(&b.timelines) {
-        assert_eq!(x, y);
-    }
 
     cfg.seed = 4321;
     let c = ActiveCampaign::new(cfg).run(&opts()).unwrap();
     // Same workload, different channel randomness.
-    assert_eq!(a.sent.len(), c.sent.len());
+    assert_eq!(a.timelines.len(), c.timelines.len());
     assert_ne!(
         a.counters.uplinks_tx, c.counters.uplinks_tx,
         "different seeds should perturb the protocol trace"
@@ -108,25 +105,24 @@ fn terrestrial_replays_per_seed() {
     };
     let a = TerrestrialCampaign::new(cfg.clone()).run().unwrap();
     let b = TerrestrialCampaign::new(cfg).run().unwrap();
-    assert_eq!(a.delivered_seqs, b.delivered_seqs);
     assert_eq!(a.timelines, b.timelines);
 }
 
 #[test]
 fn config_knobs_change_outcomes_not_workload() {
     // Sweeping a protocol knob keeps the generated workload identical
-    // (same seq space) while changing protocol behaviour.
+    // (same sender and send time per sequence ID) while changing
+    // protocol behaviour.
     let mut one = ActiveConfig::quick(2.0);
     one.max_attempts = 1;
     let mut many = ActiveConfig::quick(2.0);
     many.max_attempts = 6;
     let r1 = ActiveCampaign::new(one).run(&opts()).unwrap();
     let r6 = ActiveCampaign::new(many).run(&opts()).unwrap();
-    assert_eq!(r1.sent.len(), r6.sent.len());
-    for (a, b) in r1.sent.iter().zip(&r6.sent) {
-        assert_eq!(a.seq, b.seq);
+    assert_eq!(r1.timelines.len(), r6.timelines.len());
+    for (a, b) in r1.timelines.iter().zip(&r6.timelines) {
         assert_eq!(a.node, b.node);
-        assert!((a.sent_s - b.sent_s).abs() < 1e-9);
+        assert!((a.generated_s - b.generated_s).abs() < 1e-9);
     }
     assert!(r6.mean_attempts() >= r1.mean_attempts());
 }

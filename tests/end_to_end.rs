@@ -104,14 +104,27 @@ fn server_log_agrees_with_delivered_set() {
     let r = ActiveCampaign::new(ActiveConfig::quick(3.0))
         .run(&opts())
         .unwrap();
-    // Every delivered seq (within the horizon) is in the server log; the
-    // log may additionally hold deliveries landing past the horizon.
-    let log_seqs = r.server.delivered_seqs();
-    for seq in &r.delivered_seqs {
-        assert!(log_seqs.contains(seq), "seq {seq} missing from server log");
+    // The ledger is the server's log: every delivered entry was sent,
+    // accepted on orbit, and arrived inside the campaign horizon (later
+    // arrivals fall outside the paper's matching window).
+    let mut delivered = 0u64;
+    for (seq, tl) in r.timelines.iter().enumerate() {
+        let Some(d) = tl.delivered_s else { continue };
+        let tx = tl.first_tx_s.expect("a delivered packet was sent");
+        let rx = tl
+            .sat_rx_s
+            .expect("a delivered packet was accepted on orbit");
+        assert!(
+            tx <= rx && rx <= d && d <= r.horizon_s,
+            "seq {seq}: tx {tx}, sat rx {rx}, delivered {d}, horizon {}",
+            r.horizon_s
+        );
+        delivered += 1;
     }
-    assert!(r.server.arrivals >= r.server.delivered() as u64);
-    assert!((0.0..=1.0).contains(&r.server.duplicate_ratio()));
+    assert!(delivered > 0, "nothing delivered");
+    // Each server arrival, first copy or duplicate, was an uplink a
+    // satellite decoded.
+    assert!(delivered + r.counters.server_duplicates <= r.counters.uplinks_ok);
 }
 
 #[test]
@@ -125,8 +138,9 @@ fn active_counters_are_consistent() {
     assert!(c.acks_ok <= c.acks_tx);
     // Every ACK corresponds to a decoded uplink.
     assert!(c.acks_tx <= c.uplinks_ok);
-    // Delivered set cannot exceed what was sent.
-    assert!(r.delivered_seqs.len() <= r.sent.len());
+    // Every uplink transmission is charged to one ledger entry.
+    let attempts: u64 = r.timelines.iter().map(|p| u64::from(p.attempts)).sum();
+    assert_eq!(attempts, c.uplinks_tx);
     // Energy residencies cover the horizon for every node.
     for acc in &r.node_energy {
         assert!((acc.total_time_s() - r.horizon_s).abs() < 1.0);

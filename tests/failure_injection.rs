@@ -38,8 +38,8 @@ fn zero_max_attempts_clamps_to_one() {
     let mut cfg = ActiveConfig::quick(1.0);
     cfg.max_attempts = 0; // NodeMachine clamps to ≥ 1; the clamp is counted.
     let r = ActiveCampaign::new(cfg).run(&opts()).unwrap();
-    assert!(r.sent.iter().all(|p| p.attempts <= 1));
-    assert!(!r.delivered_seqs.is_empty());
+    assert!(r.timelines.iter().all(|p| p.attempts <= 1));
+    assert!(r.timelines.iter().any(|p| p.delivered_s.is_some()));
     assert_eq!(r.faults.clamped_configs, 1);
 }
 
@@ -93,7 +93,7 @@ fn single_node_single_day_still_works() {
     cfg.node_antenna = AntennaPattern::QuarterWaveMonopole;
     let r = ActiveCampaign::new(cfg).run(&opts()).unwrap();
     assert_eq!(r.node_energy.len(), 1);
-    assert!(r.sent.len() >= 48);
+    assert!(r.timelines.len() >= 48);
     assert!(r.counters.uplinks_collided <= r.counters.uplinks_tx);
 }
 

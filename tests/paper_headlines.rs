@@ -153,8 +153,8 @@ fn ack_loss_inflates_retransmissions() {
         .run(&opts())
         .unwrap();
     let retx_share = 1.0
-        - r.sent.iter().filter(|p| p.attempts == 1).count() as f64
-            / r.sent.iter().filter(|p| p.attempts > 0).count().max(1) as f64;
+        - r.timelines.iter().filter(|p| p.attempts == 1).count() as f64
+            / r.timelines.iter().filter(|p| p.attempts > 0).count().max(1) as f64;
     assert!(
         (0.2..0.8).contains(&retx_share),
         "retransmission share {retx_share:.2}"
