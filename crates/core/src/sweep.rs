@@ -36,8 +36,8 @@
 
 use satiot_obs::metrics::{Counter, Gauge};
 use satiot_orbit::cull::{self, CullingMode};
-use satiot_orbit::ephemeris::{EphemerisGrid, EphemerisMode};
-use satiot_orbit::frames::{Geodetic, StateEcef};
+use satiot_orbit::ephemeris::{EphemerisGrid, EphemerisMode, EphemerisTile, TILE};
+use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
 use satiot_orbit::time::JulianDate;
@@ -45,6 +45,7 @@ use satiot_orbit::visibility::VisibilityMode;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::mem::size_of;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -64,6 +65,14 @@ static GRID_MISSES: Counter = Counter::new("core.sweep.grid_misses");
 static GRID_ENTRIES: Gauge = Gauge::new("core.sweep.grid_entries");
 /// Grids evicted by budget enforcement (metrics).
 static GRID_EVICTED: Counter = Counter::new("core.sweep.grid_evictions");
+/// Tile requests served without sampling (metrics).
+static TILE_HITS: Counter = Counter::new("core.sweep.tile_hits");
+/// Tile requests that sampled a tile (metrics).
+static TILE_MISSES: Counter = Counter::new("core.sweep.tile_misses");
+/// Distinct ephemeris tiles currently stored (metrics).
+static TILE_ENTRIES: Gauge = Gauge::new("core.sweep.tile_entries");
+/// Tiles evicted by budget enforcement (metrics).
+static TILE_EVICTED: Counter = Counter::new("core.sweep.tile_evictions");
 
 // The proof-of-work counters behind [`stats`] are plain atomics rather
 // than obs counters so they report even when `SATIOT_METRICS` is off
@@ -74,8 +83,11 @@ static PASS_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 static GRID_LOOKUPS: AtomicU64 = AtomicU64::new(0);
 static GRID_COMPUTES: AtomicU64 = AtomicU64::new(0);
 static GRID_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+static TILE_LOOKUPS: AtomicU64 = AtomicU64::new(0);
+static TILE_COMPUTES: AtomicU64 = AtomicU64::new(0);
+static TILE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Monotone LRU clock shared by both stores, so one cross-store
+/// Monotone LRU clock shared by the stores, so one cross-store
 /// eviction pass can order pass lists and grids on a single recency
 /// axis. Ticks only ever move forward; wraparound is unreachable
 /// (2⁶⁴ lookups).
@@ -163,9 +175,10 @@ impl<T> Default for Slot<T> {
 }
 
 /// A keyed exactly-once memoisation store — the shared implementation
-/// behind the pass cache and the grid store. Generic so the eviction
-/// machinery (and its tests) can run on private instances without
-/// perturbing the process-wide caches every campaign test shares.
+/// behind the pass cache, the grid store and the tile store. Generic so
+/// the eviction machinery (and its tests) can run on private instances
+/// without perturbing the process-wide caches every campaign test
+/// shares.
 #[derive(Debug)]
 struct Store<K, T> {
     map: Mutex<HashMap<K, Arc<Slot<T>>>>,
@@ -184,27 +197,51 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
 
     /// Resolve the slot for `key` (inserting an empty one if absent),
     /// stamp its recency tick, and run `make` if the cell is empty.
-    /// Returns `(payload, computed_here, map_len)`. The map lock is
-    /// held only to resolve the slot; the computation runs outside it,
-    /// so distinct keys compute in parallel while racing lookups of the
-    /// same key block on one computation (`OnceLock` exactly-once).
+    /// Returns `(payload, computed_here, map_len)`.
     fn get_or_compute<F: FnOnce() -> T>(&self, key: K, make: F) -> (Arc<T>, bool, usize) {
-        let (slot, len) = {
+        let mut make = Some(make);
+        let (mut values, computed, len) = self.get_or_compute_all(std::iter::once(key), |_| {
+            make.take().expect("one key computes at most once")()
+        });
+        let value = values.pop().expect("one key resolves one slot");
+        (value, computed == 1, len)
+    }
+
+    /// [`Self::get_or_compute`] over many keys: resolve every slot
+    /// (inserting empty ones) under one map lock and stamp them with one
+    /// recency tick, then fill each empty cell with `make(key)`, in key
+    /// order. Returns `(payloads, computed_here, map_len)`. The map lock
+    /// is held only to resolve the slots; the computations run outside
+    /// it, so distinct keys compute in parallel while racing lookups of
+    /// the same key block on one computation (`OnceLock` exactly-once).
+    fn get_or_compute_all<F: FnMut(K) -> T>(
+        &self,
+        keys: impl Iterator<Item = K> + Clone,
+        mut make: F,
+    ) -> (Vec<Arc<T>>, usize, usize) {
+        let (slots, len) = {
             let mut map = self.lock();
-            let slot = Arc::clone(map.entry(key).or_default());
-            (slot, map.len())
+            let slots: Vec<Arc<Slot<T>>> = keys
+                .clone()
+                .map(|key| Arc::clone(map.entry(key).or_default()))
+                .collect();
+            (slots, map.len())
         };
-        slot.last_used
-            .store(CLOCK.fetch_add(1, Relaxed) + 1, Relaxed);
-        let mut computed = false;
-        let value = slot
-            .cell
-            .get_or_init(|| {
-                computed = true;
-                Arc::new(make())
+        let tick = CLOCK.fetch_add(1, Relaxed) + 1;
+        let mut computed = 0;
+        let values = keys
+            .zip(slots)
+            .map(|(key, slot)| {
+                slot.last_used.store(tick, Relaxed);
+                slot.cell
+                    .get_or_init(|| {
+                        computed += 1;
+                        Arc::new(make(key))
+                    })
+                    .clone()
             })
-            .clone();
-        (value, computed, len)
+            .collect();
+        (values, computed, len)
     }
 
     fn len(&self) -> usize {
@@ -237,11 +274,16 @@ fn pass_list_bytes(list: &[Pass]) -> u64 {
     (std::mem::size_of_val(list) + size_of::<Vec<Pass>>()) as u64
 }
 
-/// Approximate heap payload of one stored ephemeris grid (the sample
-/// lattice dominates; struct headers are noise).
-fn grid_payload_bytes(grid: &EphemerisGrid) -> u64 {
-    (grid.len() * size_of::<StateEcef>() + size_of::<EphemerisGrid>()) as u64
+/// Approximate heap payload of one stored grid view: its struct and
+/// its array of tile pointers. The samples live in the tiles, which
+/// [`TILE_BYTES`] counts once each, however many views share them.
+fn view_bytes(grid: &EphemerisGrid) -> u64 {
+    (size_of::<EphemerisGrid>() + std::mem::size_of_val(grid.tiles())) as u64
 }
+
+/// Heap payload of one stored ephemeris tile ([`TILE`] samples and
+/// their aggregates).
+const TILE_BYTES: u64 = size_of::<EphemerisTile>() as u64;
 
 /// The pass list for `key`, predicting it with `make_predictor` on the
 /// first request and serving the shared list afterwards.
@@ -315,9 +357,9 @@ pub fn stats() -> CacheStats {
     }
 }
 
-/// Drop every cached pass list *and* every stored ephemeris grid, and
-/// zero both sets of counters (benches measuring cold-cache sweeps;
-/// long-lived processes rotating TLE epochs).
+/// Drop every cached pass list, stored ephemeris grid and stored tile,
+/// and zero all three sets of counters (benches measuring cold-cache
+/// sweeps; long-lived processes rotating TLE epochs).
 pub fn clear() {
     cache().clear();
     CACHE_ENTRIES.set(0);
@@ -329,6 +371,11 @@ pub fn clear() {
     GRID_LOOKUPS.store(0, Relaxed);
     GRID_COMPUTES.store(0, Relaxed);
     GRID_EVICTIONS.store(0, Relaxed);
+    tile_store().clear();
+    TILE_ENTRIES.set(0);
+    TILE_LOOKUPS.store(0, Relaxed);
+    TILE_COMPUTES.store(0, Relaxed);
+    TILE_EVICTIONS.store(0, Relaxed);
 }
 
 /// What one [`enforce_cache_budget`] pass did.
@@ -338,15 +385,19 @@ pub struct EvictionSweep {
     pub pass_lists_evicted: usize,
     /// Ephemeris grids dropped from the store.
     pub grids_evicted: usize,
+    /// Ephemeris tiles dropped from the store, once no view held them.
+    pub tiles_evicted: usize,
     /// Approximate payload bytes freed.
     pub bytes_freed: u64,
     /// Approximate payload bytes still held after the pass.
     pub bytes_retained: u64,
 }
 
-/// Evict least-recently-used entries across *both* stores — pass lists
-/// and grids ranked on one shared recency axis — until their combined
-/// approximate payload fits `budget_bytes`.
+/// Evict least-recently-used entries — pass lists and grid views ranked
+/// on one shared recency axis — until the combined approximate payload
+/// of all three stores fits `budget_bytes`. A tile goes only once no
+/// view holds it any more: first every such orphan, then each tile
+/// whose last holder an evicted view was.
 ///
 /// Lookups themselves never evict — the hot path stays lock-light, and
 /// a process that never calls this keeps exactly-once memoisation
@@ -356,7 +407,7 @@ pub struct EvictionSweep {
 /// by the budget instead of growing with the number of distinct
 /// windows.
 pub fn enforce_cache_budget(budget_bytes: u64) -> EvictionSweep {
-    let sweep = enforce_on(cache(), grid_store(), budget_bytes);
+    let sweep = enforce_on(cache(), grid_store(), tile_store(), budget_bytes);
     if sweep.pass_lists_evicted > 0 {
         PASS_EVICTIONS.fetch_add(sweep.pass_lists_evicted as u64, Relaxed);
         CACHE_EVICTED.add(sweep.pass_lists_evicted as u64);
@@ -367,25 +418,32 @@ pub fn enforce_cache_budget(budget_bytes: u64) -> EvictionSweep {
         GRID_EVICTED.add(sweep.grids_evicted as u64);
         GRID_ENTRIES.set(grid_store().len() as i64);
     }
+    if sweep.tiles_evicted > 0 {
+        TILE_EVICTIONS.fetch_add(sweep.tiles_evicted as u64, Relaxed);
+        TILE_EVICTED.add(sweep.tiles_evicted as u64);
+        TILE_ENTRIES.set(tile_store().len() as i64);
+    }
     sweep
 }
 
 /// The eviction pass itself, on explicit stores (unit-testable without
-/// touching the process-wide caches). Holds both map locks for the
+/// touching the process-wide caches). Holds all three map locks for the
 /// whole pass so a concurrent lookup cannot resurrect a key
 /// mid-eviction; lookups only ever take one lock briefly and never
-/// nest, so the fixed pass→grid acquisition order cannot deadlock.
+/// nest, so the fixed pass→grid→tile acquisition order cannot deadlock.
 fn enforce_on(
     passes: &Store<PassKey, Vec<Pass>>,
     grids: &Store<GridKey, EphemerisGrid>,
+    tiles: &Store<TileKey, EphemerisTile>,
     budget_bytes: u64,
 ) -> EvictionSweep {
     enum Victim {
         Pass(PassKey),
-        Grid(GridKey),
+        Grid(GridKey, Range<i64>),
     }
     let mut pass_map = passes.lock();
     let mut grid_map = grids.lock();
+    let mut tile_map = tiles.lock();
     let mut candidates: Vec<(u64, u64, Victim)> = Vec::new();
     let mut retained: u64 = 0;
     for (k, slot) in pass_map.iter() {
@@ -397,17 +455,34 @@ fn enforce_on(
     }
     for (k, slot) in grid_map.iter() {
         if let Some(grid) = slot.cell.get() {
-            let bytes = grid_payload_bytes(grid);
+            let bytes = view_bytes(grid);
             retained += bytes;
-            candidates.push((slot.last_used.load(Relaxed), bytes, Victim::Grid(*k)));
+            let tiles = grid.tiles();
+            let indices = tiles
+                .first()
+                .map_or(0..0, |t| t.index()..t.index() + tiles.len() as i64);
+            candidates.push((
+                slot.last_used.load(Relaxed),
+                bytes,
+                Victim::Grid(*k, indices),
+            ));
         }
     }
+    retained += tile_map.values().filter(|s| s.cell.get().is_some()).count() as u64 * TILE_BYTES;
     let mut sweep = EvictionSweep {
         bytes_retained: retained,
         ..EvictionSweep::default()
     };
     if retained <= budget_bytes {
         return sweep;
+    }
+    let orphans: Vec<TileKey> = tile_map
+        .iter()
+        .filter(|(_, slot)| unheld(slot))
+        .map(|(k, _)| *k)
+        .collect();
+    for key in orphans {
+        drop_if_unheld(&mut tile_map, key, &mut sweep);
     }
     // Oldest tick first; ticks are unique (one global fetch_add per
     // lookup), so the order is deterministic.
@@ -421,9 +496,15 @@ fn enforce_on(
                 pass_map.remove(&k);
                 sweep.pass_lists_evicted += 1;
             }
-            Victim::Grid(k) => {
+            Victim::Grid(k, indices) => {
+                // Dropping the store's slot drops the view (no campaign
+                // holds one between jobs), releasing its tiles.
                 grid_map.remove(&k);
                 sweep.grids_evicted += 1;
+                for index in indices {
+                    let key = TileKey::new(k.constellation, k.sat_id, index);
+                    drop_if_unheld(&mut tile_map, key, &mut sweep);
+                }
             }
         }
         sweep.bytes_freed += bytes;
@@ -432,15 +513,36 @@ fn enforce_on(
     sweep
 }
 
-/// Identity of one shared ephemeris grid.
+/// Whether a stored tile is held by no view: only the store's own `Arc`
+/// is left.
+fn unheld(slot: &Slot<EphemerisTile>) -> bool {
+    slot.cell.get().is_some_and(|t| Arc::strong_count(t) == 1)
+}
+
+/// Evict `key`'s tile if no view holds it, accounting for it in `sweep`.
+fn drop_if_unheld(
+    map: &mut HashMap<TileKey, Arc<Slot<EphemerisTile>>>,
+    key: TileKey,
+    sweep: &mut EvictionSweep,
+) {
+    if map.get(&key).is_some_and(|slot| unheld(slot)) {
+        map.remove(&key);
+        sweep.tiles_evicted += 1;
+        sweep.bytes_freed += TILE_BYTES;
+        sweep.bytes_retained -= TILE_BYTES;
+    }
+}
+
+/// Identity of one shared ephemeris grid view.
 ///
 /// Unlike [`PassKey`], the site and elevation mask are deliberately
 /// *absent*: a grid samples the satellite's ECEF trajectory, which does
 /// not depend on who is watching. Every observer — eight measurement
 /// sites, twelve ground stations, any mask — over the same `(satellite,
-/// window)` shares one grid, and that sharing is the whole point of the
-/// store. As in [`PassKey`], the constellation label must name one shell
-/// layout per process.
+/// window)` shares one view, and every window over the same satellite
+/// shares the view's tiles (see [`gridded_predictor`]). As in
+/// [`PassKey`], the constellation label must name one shell layout per
+/// process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridKey {
     /// Constellation label.
@@ -484,6 +586,58 @@ fn grid_store() -> &'static Store<GridKey, EphemerisGrid> {
     GRIDS.get_or_init(Store::new)
 }
 
+/// Identity of one shared ephemeris tile: a satellite (named as in
+/// [`GridKey`]) and a tile index on the absolute lattice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct TileKey {
+    constellation: &'static str,
+    sat_id: u32,
+    index: i64,
+}
+
+impl TileKey {
+    fn new(constellation: &'static str, sat_id: u32, index: i64) -> TileKey {
+        TileKey {
+            constellation,
+            sat_id,
+            index,
+        }
+    }
+}
+
+fn tile_store() -> &'static Store<TileKey, EphemerisTile> {
+    static TILES: OnceLock<Store<TileKey, EphemerisTile>> = OnceLock::new();
+    TILES.get_or_init(Store::new)
+}
+
+/// Tiles `indices` of the satellite `key` names, from `store`, sampling
+/// the missing ones from `sgp4`, under one map lock. Returns the tiles,
+/// how many were sampled here, and the store's size.
+fn tiles_from(
+    store: &Store<TileKey, EphemerisTile>,
+    key: GridKey,
+    sgp4: &Sgp4,
+    indices: Range<i64>,
+) -> (Vec<Arc<EphemerisTile>>, usize, usize) {
+    store.get_or_compute_all(
+        indices.map(|index| TileKey::new(key.constellation, key.sat_id, index)),
+        |tile| EphemerisTile::build(sgp4, tile.index),
+    )
+}
+
+/// The process's shared tiles `indices` of the satellite `key` names:
+/// the tile source of every campaign view.
+fn shared_tiles(key: GridKey, sgp4: &Sgp4, indices: Range<i64>) -> Vec<Arc<EphemerisTile>> {
+    let requested = (indices.end - indices.start) as u64;
+    let (tiles, computed, len) = tiles_from(tile_store(), key, sgp4, indices);
+    TILE_LOOKUPS.fetch_add(requested, Relaxed);
+    TILE_COMPUTES.fetch_add(computed as u64, Relaxed);
+    TILE_MISSES.add(computed as u64);
+    TILE_HITS.add(requested - computed as u64);
+    TILE_ENTRIES.set(len as i64);
+    tiles
+}
+
 /// The ephemeris grid for `key`, building it with `build` on the first
 /// request and serving the shared grid afterwards.
 ///
@@ -513,14 +667,15 @@ where
 pub struct GridStats {
     /// Total [`grid_for`] calls.
     pub lookups: u64,
-    /// Lookups that built a grid. As for [`CacheStats::computes`], at
-    /// rest `computes == entries + evictions`, and with no budget
-    /// enforced `computes == entries` proves every stored grid was
-    /// sampled exactly once this process.
+    /// Lookups that built a grid view. As for [`CacheStats::computes`],
+    /// at rest `computes == entries + evictions`, and with no budget
+    /// enforced `computes == entries` proves every stored view was
+    /// built exactly once this process.
     pub computes: u64,
-    /// Distinct grids currently stored.
+    /// Distinct grid views currently stored.
     pub entries: usize,
-    /// Approximate payload bytes currently held (sample lattices).
+    /// Approximate payload bytes currently held: each stored tile once,
+    /// plus every stored view's array of tile pointers.
     pub approx_bytes: u64,
     /// Grids evicted by [`enforce_cache_budget`] this process.
     pub evictions: u64,
@@ -539,8 +694,40 @@ pub fn grid_stats() -> GridStats {
         lookups: GRID_LOOKUPS.load(Relaxed),
         computes: GRID_COMPUTES.load(Relaxed),
         entries: grid_store().len(),
-        approx_bytes: grid_store().approx_bytes(grid_payload_bytes),
+        approx_bytes: grid_store().approx_bytes(view_bytes)
+            + tile_store().approx_bytes(|_| TILE_BYTES),
         evictions: GRID_EVICTIONS.load(Relaxed),
+    }
+}
+
+/// A snapshot of the tile store's proof-of-work counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileStats {
+    /// Tiles requested by view builds.
+    pub lookups: u64,
+    /// Requests that sampled a tile. At rest `computes == entries +
+    /// evictions`: every tile was sampled exactly once per residency.
+    pub computes: u64,
+    /// Distinct tiles currently stored.
+    pub entries: usize,
+    /// Tiles evicted by [`enforce_cache_budget`] this process.
+    pub evictions: u64,
+}
+
+impl TileStats {
+    /// SGP4 samples the sampled tiles took.
+    pub fn samples(&self) -> u64 {
+        self.computes * TILE as u64
+    }
+}
+
+/// Read the tile-store counters.
+pub fn tile_stats() -> TileStats {
+    TileStats {
+        lookups: TILE_LOOKUPS.load(Relaxed),
+        computes: TILE_COMPUTES.load(Relaxed),
+        entries: tile_store().len(),
+        evictions: TILE_EVICTIONS.load(Relaxed),
     }
 }
 
@@ -587,10 +774,12 @@ pub fn predictor(
 
 /// The predictor for one `(satellite, site, window)` triple over the
 /// shared [`EphemerisGrid`] for `key` (from [`grid_for`], built on
-/// first use), without the cull. The simulate phases sample geometry
-/// through it, for the satellites whose cached pass lists are not
-/// empty, so they share the predict phase's grid `Arc`s without
-/// consulting the cull a second time.
+/// first use), without the cull. The view is built over the process's
+/// shared tiles, so a window inside one already sampled propagates
+/// nothing. The simulate phases sample geometry through it, for the
+/// satellites whose cached pass lists are not empty, so they share the
+/// predict phase's grid `Arc`s without consulting the cull a second
+/// time.
 pub fn gridded_predictor(
     key: GridKey,
     sgp4: &Sgp4,
@@ -598,7 +787,9 @@ pub fn gridded_predictor(
     mask_rad: f64,
 ) -> PassPredictor {
     let (start, end) = key.range();
-    let grid = grid_for(key, || EphemerisGrid::build(sgp4, start, end));
+    let grid = grid_for(key, || {
+        EphemerisGrid::build_with(start, end, |indices| shared_tiles(key, sgp4, indices))
+    });
     PassPredictor::new(sgp4.clone(), site, mask_rad).with_ephemeris(grid)
 }
 
@@ -725,6 +916,7 @@ mod tests {
         // would race their exactly-once assertions.
         let passes: Store<PassKey, Vec<Pass>> = Store::new();
         let grids: Store<GridKey, EphemerisGrid> = Store::new();
+        let tiles: Store<TileKey, EphemerisTile> = Store::new();
         let base = make_predictor().passes(epoch(), epoch() + 1.0);
         assert!(!base.is_empty());
         let list = |n: usize| -> Vec<Pass> { base.iter().cycle().take(n).cloned().collect() };
@@ -734,24 +926,33 @@ mod tests {
         let k3 = PassKey::new("TEST_EVICT", "T", 3, epoch(), epoch() + 1.0, 0.0);
         let gk = GridKey::new("TEST_EVICT", 1, epoch(), epoch() + 0.2);
         let sgp4 = Elements::circular(550.0, 97.6, epoch()).to_sgp4().unwrap();
+        let view = |key: GridKey| {
+            let (start, end) = key.range();
+            grids.get_or_compute(key, || {
+                EphemerisGrid::build_with(start, end, |indices| {
+                    tiles_from(&tiles, key, &sgp4, indices).0
+                })
+            })
+        };
 
         passes.get_or_compute(k1, || list(40));
         passes.get_or_compute(k2, || list(20));
         passes.get_or_compute(k3, || list(10));
-        grids.get_or_compute(gk, || EphemerisGrid::build(&sgp4, epoch(), epoch() + 0.2));
+        view(gk);
         // Touch k1 again: k2 becomes the least recently used entry.
         let (_, recomputed, _) = passes.get_or_compute(k1, || unreachable!("k1 evicted early"));
         assert!(!recomputed);
 
         let pass_bytes = passes.approx_bytes(|l| pass_list_bytes(l));
-        let grid_bytes = grids.approx_bytes(grid_payload_bytes);
+        let grid_bytes = grids.approx_bytes(view_bytes) + tiles.approx_bytes(|_| TILE_BYTES);
         let total = pass_bytes + grid_bytes;
         assert!(pass_bytes > 0 && grid_bytes > 0);
 
         // Over budget by one byte: exactly the LRU entry (k2) must go.
-        let sweep = enforce_on(&passes, &grids, total - 1);
+        let sweep = enforce_on(&passes, &grids, &tiles, total - 1);
         assert_eq!(sweep.pass_lists_evicted, 1);
         assert_eq!(sweep.grids_evicted, 0);
+        assert_eq!(sweep.tiles_evicted, 0);
         assert_eq!(sweep.bytes_freed, pass_list_bytes(&list(20)));
         assert_eq!(sweep.bytes_freed + sweep.bytes_retained, total);
         assert!(sweep.bytes_retained < total);
@@ -760,18 +961,77 @@ mod tests {
         assert!(k2_recomputed, "the LRU entry survived the sweep");
         assert!(!k3_recomputed);
 
-        // Budget zero drains both stores completely.
-        let sweep = enforce_on(&passes, &grids, 0);
+        // Budget zero drains all three stores completely: the evicted
+        // view was its tiles' only holder.
+        let sweep = enforce_on(&passes, &grids, &tiles, 0);
         assert_eq!(sweep.bytes_retained, 0);
         assert_eq!(sweep.grids_evicted, 1);
+        assert!(sweep.tiles_evicted > 0);
         assert_eq!(passes.len(), 0);
         assert_eq!(grids.len(), 0);
+        assert_eq!(tiles.len(), 0);
+
+        // A tile some live view still holds outlives its evicted cached
+        // view, and goes as an orphan once that holder is gone.
+        let (held, _, _) = view(gk);
+        let held_tiles = held.tiles().len();
+        let sweep = enforce_on(&passes, &grids, &tiles, 0);
+        assert_eq!((sweep.grids_evicted, sweep.tiles_evicted), (1, 0));
+        assert_eq!(tiles.len(), held_tiles);
+        drop(held);
+        let sweep = enforce_on(&passes, &grids, &tiles, 0);
+        assert_eq!(sweep.tiles_evicted, held_tiles);
+        assert_eq!((tiles.len(), sweep.bytes_retained), (0, 0));
 
         // Under budget: a pass is a pure measurement, nothing moves.
         passes.get_or_compute(k1, || list(5));
-        let sweep = enforce_on(&passes, &grids, u64::MAX - 1);
+        let sweep = enforce_on(&passes, &grids, &tiles, u64::MAX - 1);
         assert_eq!(sweep.pass_lists_evicted, 0);
         assert_eq!(sweep.bytes_retained, pass_list_bytes(&list(5)));
+    }
+
+    #[test]
+    fn views_over_shared_tiles_match_private_views_bit_for_bit() {
+        let sgp4 = Elements::circular(550.0, 97.6, epoch()).to_sgp4().unwrap();
+        let site = Geodetic::from_degrees(22.32, 114.17, 0.05);
+        // A two-day window fills the store first; a one-day window that
+        // starts and ends off the lattice inside it is then served from
+        // the same tiles.
+        let wide = GridKey::new("TEST_TILES", 0, epoch(), epoch() + 2.0);
+        let (start, end) = (
+            epoch().plus_seconds(27_013.0),
+            epoch().plus_seconds(113_389.0),
+        );
+        let narrow = GridKey::new("TEST_TILES", 0, start, end);
+        let first = gridded_predictor(wide, &sgp4, site, 0.0);
+        let shared = gridded_predictor(narrow, &sgp4, site, 0.0);
+        let private = PassPredictor::new(sgp4.clone(), site, 0.0)
+            .with_ephemeris(Arc::new(EphemerisGrid::build(&sgp4, start, end)));
+        let (w, a, b) = (
+            first.ephemeris().unwrap(),
+            shared.ephemeris().unwrap(),
+            private.ephemeris().unwrap(),
+        );
+        // The narrow view reads the wide view's tiles, not new ones.
+        let offset = (a.tiles()[0].index() - w.tiles()[0].index()) as usize;
+        for (t, u) in a.tiles().iter().zip(&w.tiles()[offset..]) {
+            assert!(Arc::ptr_eq(t, u), "tile {} was sampled twice", t.index());
+        }
+        // Sample for sample, the shared view is the private one.
+        let bits = |g: &EphemerisGrid| -> Vec<[u64; 7]> {
+            g.runs(0..g.len())
+                .flat_map(|(k, run)| run.iter().enumerate().map(move |(i, s)| (k + i, *s)))
+                .map(|(k, s)| {
+                    let (p, v) = (s.position_km, s.velocity_km_s);
+                    [g.sample_time(k).0, p.x, p.y, p.z, v.x, v.y, v.z].map(f64::to_bits)
+                })
+                .collect()
+        };
+        assert_eq!(a.len(), b.len());
+        assert_eq!(bits(a), bits(b));
+        let passes = shared.passes(start, end);
+        assert!(!passes.is_empty());
+        assert_eq!(passes, private.passes(start, end));
     }
 
     #[test]

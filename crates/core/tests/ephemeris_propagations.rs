@@ -4,6 +4,9 @@
 //! propagate at least 3× less than the direct-SGP4 reference scan at
 //! its 30 s floor, find the same passes as the reference at a 1 s
 //! floor, and a warm re-run through the pass cache propagates nothing.
+//! Once a campaign has sampled a window, any window inside it — Fig 3a's,
+//! or another observer's sub-window — propagates nothing either, and a
+//! window one day longer samples only that day's tiles.
 //!
 //! The test enables the process-wide metrics registry and reads that
 //! counter, which any prediction running in the same process would also
@@ -11,15 +14,19 @@
 //! integration-test file).
 
 use satiot_core::calib::THEORETICAL_MASK_RAD;
-use satiot_core::sweep::{self, GridKey, PassKey};
+use satiot_core::passive::theoretical_daily_hours;
+use satiot_core::prelude::*;
+use satiot_core::sweep::{self, GridKey};
 use satiot_obs::metrics::{self, Counter};
-use satiot_orbit::ephemeris::MAX_ELEVATION_ERROR_DEG;
+use satiot_orbit::ephemeris::{MAX_ELEVATION_ERROR_DEG, TILE};
 use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::PassPredictor;
 use satiot_orbit::sgp4::Sgp4;
 use satiot_orbit::time::JulianDate;
 use satiot_scenarios::constellations::{fossa, SatelliteDef};
-use satiot_scenarios::sites::{tianqi_ground_stations, yunnan_farm, YUNNAN_FARM};
+use satiot_scenarios::sites::{
+    campaign_epoch, site_by_code, tianqi_ground_stations, yunnan_farm, YUNNAN_FARM,
+};
 use satiot_sim::pool;
 use std::sync::Arc;
 
@@ -42,9 +49,26 @@ fn propagations_of<T: Send>(
     (out, PROPAGATE_CALLS.value() - before)
 }
 
+/// FOSSA's catalog at `epoch`, with each satellite's propagator.
+fn fossa_sats(epoch: JulianDate) -> Vec<(SatelliteDef, Sgp4)> {
+    fossa()
+        .catalog(epoch)
+        .into_iter()
+        .map(|sat| {
+            let sgp4 = sat.sgp4().expect("catalog elements propagate");
+            (sat, sgp4)
+        })
+        .collect()
+}
+
 #[test]
 fn campaign_predictors_propagate_less_and_find_the_same_passes() {
     metrics::set_enabled(true);
+    campaign_predictors_beat_the_reference_scan();
+    windows_inside_a_sampled_one_propagate_nothing();
+}
+
+fn campaign_predictors_beat_the_reference_scan() {
     let epoch = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
     let (start, end) = (epoch, epoch + 1.0);
     let mask = THEORETICAL_MASK_RAD;
@@ -52,14 +76,7 @@ fn campaign_predictors_propagate_less_and_find_the_same_passes() {
     // the Yunnan farm, sharing each satellite's window.
     let mut observers = tianqi_ground_stations();
     observers.push((YUNNAN_FARM, yunnan_farm()));
-    let sats: Vec<(SatelliteDef, Sgp4)> = fossa()
-        .catalog(epoch)
-        .into_iter()
-        .map(|sat| {
-            let sgp4 = sat.sgp4().expect("catalog elements propagate");
-            (sat, sgp4)
-        })
-        .collect();
+    let sats = fossa_sats(epoch);
     let pairs: Pairs = observers
         .iter()
         .flat_map(|&o| sats.iter().map(move |s| (o, s)))
@@ -122,4 +139,64 @@ fn campaign_predictors_propagate_less_and_find_the_same_passes() {
             );
         }
     }
+}
+
+/// A three-day HK × FOSSA campaign samples its window's tiles; Fig 3a's
+/// two-day availability and another observer's one-day sub-window then
+/// read only those tiles, and a four-day window samples at most the
+/// added day's tiles, padding and tile rounding included.
+fn windows_inside_a_sampled_one_propagate_nothing() {
+    sweep::clear();
+    let hk = site_by_code("HK").expect("HK is a measurement site");
+    let cfg = PassiveConfig {
+        max_days: 3.0,
+        sites: vec![hk.clone()],
+        constellations: vec![fossa()],
+        ..Default::default()
+    };
+    let before = PROPAGATE_CALLS.value();
+    PassiveCampaign::new(cfg)
+        .run(&RunOptions::default())
+        .expect("campaign runs");
+    assert!(
+        PROPAGATE_CALLS.value() > before,
+        "the campaign sampled nothing"
+    );
+
+    let before = PROPAGATE_CALLS.value();
+    let hours = theoretical_daily_hours(&fossa(), &hk, 2);
+    assert!(
+        hours.iter().all(|h| *h > 0.0),
+        "FOSSA never seen: {hours:?}"
+    );
+    let fig3a = PROPAGATE_CALLS.value() - before;
+    assert_eq!(fig3a, 0, "Fig 3a's window inside the campaign's propagated");
+
+    // The campaign's satellites, seen over sub- and super-windows from
+    // the campaign's path (`sweep::predictor`, cull included).
+    let sats = fossa_sats(campaign_epoch());
+    let syd = site_by_code("SYD").expect("SYD is a measurement site");
+    let passes_over = |site: Geodetic, start: JulianDate, end: JulianDate| {
+        let observer = [("window", site)];
+        let pairs: Pairs = sats.iter().map(|s| (observer[0], s)).collect();
+        let (lists, propagations) = propagations_of(&pairs, |(_, site), sat, sgp4| {
+            let key = GridKey::new(sat.constellation, sat.sat_id, start, end);
+            sweep::predictor(key, sgp4, site, THEORETICAL_MASK_RAD)
+                .map(|p| p.passes(start, end).len())
+                .unwrap_or(0)
+        });
+        (lists.iter().sum::<usize>(), propagations)
+    };
+    let (passes, sub_window) = passes_over(syd.geodetic(), hk.start() + 1.0, hk.start() + 2.0);
+    assert!(passes > 0, "SYD sees no FOSSA pass in a day");
+    assert_eq!(sub_window, 0, "a one-day sub-window from SYD propagated");
+
+    let (passes, extended) = passes_over(hk.geodetic(), hk.start(), hk.start() + 4.0);
+    assert!(passes > 0);
+    let day_of_tiles = (sats.len() * (1_440 + 2 * TILE)) as u64;
+    assert!(
+        extended > 0 && extended <= day_of_tiles,
+        "a one-day extension propagated {extended} samples, over the {day_of_tiles} bound"
+    );
+    sweep::clear();
 }

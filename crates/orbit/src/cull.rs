@@ -250,9 +250,12 @@ pub fn never_in_latitude_band(
 }
 
 /// Footprint-cone scan over the coarse grid's **raw samples** (no
-/// interpolation): `true` iff every stored sample sits further than
-/// `λ + Δ + margin` (Earth-central angle) from the site, which proves
-/// no instant in `[start, end]` can see the satellite above the mask.
+/// interpolation): `true` iff every sample of the lattice intervals
+/// that touch `[start, end]` sits further than `λ + Δ + margin`
+/// (Earth-central angle) from the site, which proves no instant in
+/// `[start, end]` can see the satellite above the mask. Samples the
+/// view holds beyond those intervals (its padding and tile rounding)
+/// are not scanned.
 ///
 /// Returns `false` (keep) when the grid does not fully cover the scan
 /// window, has fewer than two samples, or any sample degenerates.
@@ -267,11 +270,11 @@ pub fn cone_clears_grid(
     if n < 2 {
         return false;
     }
-    // The scan window must be inside the sampled span (sub-millisecond
-    // slack for representation noise); a pass outside the samples could
-    // otherwise hide past the last column.
-    let eps_day = 1e-8;
-    if grid.sample_time(0).0 > start.0 + eps_day || grid.sample_time(n - 1).0 < end.0 - eps_day {
+    // The lattice intervals that touch the scan window must lie inside
+    // the view; a pass outside the samples could otherwise hide past
+    // the last column.
+    let (lo, hi) = (grid.index_at(start).floor(), grid.index_at(end).ceil());
+    if !(lo >= 0.0 && lo <= hi && hi <= (n - 1) as f64) {
         return false;
     }
     let s = site.to_ecef();
@@ -300,10 +303,12 @@ pub fn cone_clears_grid(
     // i.e. cos(angle) < cos(threshold). Short-circuits on the first
     // in-cone sample, so kept pairs pay only a partial scan.
     let cos_threshold = threshold.cos();
-    grid.samples().iter().all(|st| {
-        let r = st.position_km.norm();
-        let cos_angle = st.position_km.dot(s) / (r * r_site);
-        cos_angle < cos_threshold
+    grid.runs(lo as usize..hi as usize + 1).all(|(_, run)| {
+        run.iter().all(|st| {
+            let r = st.position_km.norm();
+            let cos_angle = st.position_km.dot(s) / (r * r_site);
+            cos_angle < cos_threshold
+        })
     })
 }
 
@@ -386,8 +391,8 @@ mod tests {
         assert!(cone_clears_grid(&grid, polar, 0.0, start, end));
         // A window not covered by the grid: keep.
         assert!(!cone_clears_grid(&grid, polar, 0.0, start, end + 1.0));
-        // A site under the first sample's ground track: keep.
-        let state = grid.samples()[0];
+        // A site under the ground track at the window start: keep.
+        let state = grid.state_at(start).expect("in-window query");
         let under = crate::frames::ecef_to_geodetic(state.position_km);
         let under = Geodetic::new(under.lat_rad, under.lon_rad, 0.0);
         assert!(!cone_clears_grid(&grid, under, 0.0, start, end));

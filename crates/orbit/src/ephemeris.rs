@@ -1,4 +1,5 @@
-//! Precomputed satellite ephemerides: propagate once, serve every site.
+//! Precomputed satellite ephemerides: propagate once, serve every site
+//! and every window.
 //!
 //! Pass prediction is observer-*dependent* (elevation masks, look
 //! angles) but the satellite trajectory it consumes is
@@ -8,16 +9,32 @@
 //! removes that waste in the shape of an inference-stack KV-cache —
 //! compute once, serve many:
 //!
-//! 1. propagate SGP4 over the scan window once, at a coarse cadence
-//!    ([`DEFAULT_STEP_S`]), storing the **ECEF** position *and* velocity
-//!    of every sample (the velocity falls out of [`teme_to_ecef`] for
-//!    free and is the *exact* time derivative of the ECEF position —
-//!    the transport theorem's `−ω×r` term is what makes it so);
+//! 1. propagate SGP4 once per point of one absolute lattice, every
+//!    [`STEP_S`] seconds from J2000, storing the **ECEF** position
+//!    *and* velocity of every sample (the velocity falls out of
+//!    [`teme_to_ecef`] for free and is the *exact* time derivative of
+//!    the ECEF position — the transport theorem's `−ω×r` term is what
+//!    makes it so);
 //! 2. answer any `state_at(t)` query by **cubic Hermite** interpolation
 //!    between the two bracketing samples — no SGP4, no `gmst_rad`, no
 //!    frame rotation on the per-site hot path;
 //! 3. feed the interpolated state to the observer's cheap
 //!    [`look_at_ecef`](crate::topo::Observer::look_at_ecef) projection.
+//!
+//! ## One lattice, shared tiles
+//!
+//! Lattice point `k` sits at [`lattice_time`]`(k)`, `k` whole steps
+//! after J2000, so every whole minute is a lattice point and sample
+//! `k`'s instant and state are a pure function of (satellite, `k`).
+//! An [`EphemerisTile`] holds [`TILE`] consecutive samples; tile `i`
+//! holds lattice points `i·TILE ..= i·TILE + TILE − 1`. A grid is a
+//! *view*: its first lattice index plus the tiles that cover its
+//! window, padded by two steps on each side. Views over overlapping
+//! windows therefore read the same samples: [`EphemerisGrid::build`]
+//! samples private tiles, and [`EphemerisGrid::build_with`] takes them
+//! from a tile source — `satiot_core::sweep` keeps one per process,
+//! so the passive site windows, Fig 3a's windows and the active
+//! campaign's windows all slice one set of SGP4 samples.
 //!
 //! ## Accuracy contract
 //!
@@ -25,11 +42,10 @@
 //! `‖f − H‖ ≤ h⁴/384 · max‖f⁗‖`. A LEO ECEF trajectory is dominated by
 //! a rotation at orbital rate `ω ≈ 1.1×10⁻³ rad/s` with radius
 //! `r ≈ 7000 km`, so `max‖f⁗‖ ≈ r·ω⁴` and the bound evaluates to
-//! ~0.35 m at `h = 60 s` — *sub-metre* at the default cadence, and
-//! still ≈ 28 m at the [`MAX_STEP_S`] clamp used for multi-month
-//! windows. Slant ranges are ≥ 400 km for any above-horizon LEO
-//! geometry, so even the clamped worst case perturbs elevation by
-//! < 0.004°, comfortably inside the documented contract:
+//! ~0.35 m at the lattice step `h = 60 s` — *sub-metre* for every
+//! window, however long. Slant ranges are ≥ 400 km for any
+//! above-horizon LEO geometry, so that error perturbs elevation by
+//! < 0.0001°, comfortably inside the documented contract:
 //!
 //! * interpolated **position** within [`MAX_POSITION_ERROR_KM`] of
 //!   direct SGP4 (asserted by [`EphemerisGrid::validate`], which
@@ -42,46 +58,51 @@
 //! ## One backend
 //!
 //! Every pass scan sweeps a grid: campaign predictors built through
-//! `satiot_core::sweep` attach a shared one, and a
-//! [`PassPredictor`](crate::pass::PassPredictor) without a covering grid
-//! builds one for its scan window and drops it afterwards. Direct SGP4
-//! remains the out-of-window fallback, the sampling backend of a
-//! predictor with no grid, and the test oracle (the predictor's
-//! adaptive reference scan). [`EphemerisGrid::validate`] probes a grid
-//! against direct SGP4, and the `ephemeris_contract` test runs it across
-//! the Table-3 constellations.
+//! `satiot_core::sweep` attach a view over the process's shared tiles,
+//! and a [`PassPredictor`](crate::pass::PassPredictor) without a
+//! covering grid builds one over private tiles for its scan window and
+//! drops it afterwards. Direct SGP4 remains the out-of-window fallback,
+//! the sampling backend of a predictor with no grid, and the test
+//! oracle (the predictor's adaptive reference scan).
+//! [`EphemerisGrid::validate`] probes a grid against direct SGP4, and
+//! the `ephemeris_contract` test runs it across the Table-3
+//! constellations.
 
 use crate::frames::{teme_to_ecef, StateEcef};
 use crate::sgp4::Sgp4;
-use crate::time::JulianDate;
+use crate::time::{JulianDate, JD_J2000};
 use crate::vec3::Vec3;
 use satiot_obs::metrics::Counter;
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Grids built process-wide (metrics).
+/// Views built process-wide (metrics).
 static GRIDS_BUILT: Counter = Counter::new("orbit.ephemeris.grids_built");
-/// SGP4 samples stored across all grids (metrics).
+/// SGP4 samples stored across all tiles (metrics).
 static GRID_SAMPLES: Counter = Counter::new("orbit.ephemeris.grid_samples");
 /// `state_at` queries answered by interpolation (metrics).
 static INTERPOLATIONS: Counter = Counter::new("orbit.ephemeris.interpolations");
 /// `state_at` queries outside the grid or over invalid samples (metrics).
 static GRID_MISSES: Counter = Counter::new("orbit.ephemeris.grid_misses");
 
-/// Default sample spacing, seconds. 60 s keeps the Hermite error
-/// sub-metre for any LEO orbit (see the module docs).
-pub const DEFAULT_STEP_S: f64 = 60.0;
+/// Lattice step, seconds. 60 s keeps the Hermite error sub-metre for
+/// any LEO orbit (see the module docs).
+pub const STEP_S: f64 = 60.0;
 
-/// Widest spacing a grid will ever use, seconds. Multi-month windows
-/// stretch the step (capping samples near [`TARGET_MAX_SAMPLES`]) but
-/// never beyond this, keeping the position error ≤ ~28 m ≪ the mask
-/// refinement scale.
-pub const MAX_STEP_S: f64 = 180.0;
+/// Lattice samples per tile: 4 h 16 min at [`STEP_S`], four visibility
+/// [`CHUNK`](crate::visibility::CHUNK)s. Short enough that the samples a
+/// view rounds out to stay small next to a two-day window's own; long
+/// enough that the per-tile store overhead stays under 2 % of the
+/// samples.
+pub const TILE: usize = 256;
 
-/// Soft cap on samples per grid (2¹⁷ ≈ 131 k ≈ 6 MB of f64 state); the
-/// step widens toward [`MAX_STEP_S`] before the count may grow past it.
-pub const TARGET_MAX_SAMPLES: usize = 1 << 17;
+/// Lattice indices a window may reach, either side of J2000 (2⁵³ steps,
+/// about 17 billion years): beyond it the index arithmetic would lose
+/// integer precision, so such windows build empty grids.
+const MAX_LATTICE_INDEX: f64 = 9_007_199_254_740_992.0;
 
 /// Position-error contract: interpolated ECEF position stays within
-/// this of direct SGP4, at any step up to [`MAX_STEP_S`].
+/// this of direct SGP4 at the lattice step.
 pub const MAX_POSITION_ERROR_KM: f64 = 0.05;
 
 /// Elevation-error contract versus direct SGP4, degrees, for any
@@ -98,6 +119,18 @@ pub const MAX_ELEVATION_ERROR_DEG: f64 = 0.01;
 pub enum EphemerisMode {
     /// Shared grids on the predict path.
     On,
+}
+
+/// The instant of lattice point `k`: `k` whole [`STEP_S`] steps after
+/// J2000. Every view computes a sample's instant here, so one lattice
+/// point has one instant, bit for bit.
+pub fn lattice_time(k: i64) -> JulianDate {
+    JulianDate(JD_J2000).plus_seconds(k as f64 * STEP_S)
+}
+
+/// The fractional lattice index of `t` (lattice point `k` sits at `k`).
+fn lattice_index(t: JulianDate) -> f64 {
+    t.seconds_since(JulianDate(JD_J2000)) / STEP_S
 }
 
 /// A worst-case probe report from [`EphemerisGrid::validate`].
@@ -118,8 +151,72 @@ impl ValidationReport {
     }
 }
 
-/// A precomputed, Hermite-interpolable ECEF trajectory of one satellite
-/// over one scan window.
+/// [`TILE`] consecutive lattice samples of one satellite, with the
+/// aggregates the spatial pre-cull reads.
+#[derive(Debug)]
+pub struct EphemerisTile {
+    /// Tile index: the tile holds lattice points from `index·TILE` on.
+    index: i64,
+    /// One `(position, velocity)` ECEF sample per lattice point. A
+    /// sample whose propagation failed stores NaN components; queries
+    /// bracketed by one degrade to `None` (callers fall back to direct
+    /// propagation, which reports the same failure its own way).
+    samples: [StateEcef; TILE],
+    /// Maximum geocentric radius over the samples, km (NaN when any
+    /// sample is degenerate).
+    max_radius_km: f64,
+    /// Maximum `|v|/|r|` over the samples, rad/s (NaN when any sample
+    /// is degenerate) — bounds how fast the satellite's ECEF direction
+    /// can swing, which bounds the Earth-central angle it can close
+    /// within one step.
+    max_angular_rate: f64,
+}
+
+impl EphemerisTile {
+    /// Propagate `sgp4` at the [`TILE`] lattice points of tile `index`.
+    pub fn build(sgp4: &Sgp4, index: i64) -> EphemerisTile {
+        let first = index * TILE as i64;
+        let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
+        let samples: [StateEcef; TILE] = std::array::from_fn(|j| {
+            let t = lattice_time(first + j as i64);
+            match sgp4.propagate_at(t) {
+                Ok(state) => teme_to_ecef(&state, t),
+                Err(_) => StateEcef {
+                    position_km: nan,
+                    velocity_km_s: nan,
+                },
+            }
+        });
+        GRID_SAMPLES.add(TILE as u64);
+        let mut max_radius_km = 0.0_f64;
+        let mut max_angular_rate = 0.0_f64;
+        for st in &samples {
+            let r = st.position_km.norm();
+            let rate = st.velocity_km_s.norm() / r;
+            if !(r.is_finite() && r > 0.0 && rate.is_finite()) {
+                max_radius_km = f64::NAN;
+                max_angular_rate = f64::NAN;
+                break;
+            }
+            max_radius_km = max_radius_km.max(r);
+            max_angular_rate = max_angular_rate.max(rate);
+        }
+        EphemerisTile {
+            index,
+            samples,
+            max_radius_km,
+            max_angular_rate,
+        }
+    }
+
+    /// The tile index.
+    pub fn index(&self) -> i64 {
+        self.index
+    }
+}
+
+/// A Hermite-interpolable ECEF trajectory of one satellite over one
+/// scan window: a view over the lattice tiles that cover the window.
 ///
 /// ```
 /// use satiot_orbit::elements::Elements;
@@ -136,112 +233,119 @@ impl ValidationReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EphemerisGrid {
-    /// Time of sample 0 (the window start minus the edge padding).
-    t0: JulianDate,
-    /// Sample spacing, seconds.
-    step_s: f64,
-    /// One `(position, velocity)` ECEF sample per lattice point. A
-    /// sample whose propagation failed stores NaN components; queries
-    /// bracketed by one degrade to `None` (callers fall back to direct
-    /// propagation, which reports the same failure its own way).
-    samples: Vec<StateEcef>,
-    /// Maximum geocentric radius over the samples, km (NaN when any
-    /// sample is degenerate). Grid-only aggregate consumed by the
-    /// spatial pre-cull; computed once here instead of once per
-    /// (site, satellite) pair.
+    /// Lattice index of sample 0 (the window start less two steps,
+    /// rounded down to the lattice).
+    first: i64,
+    /// Samples in the view.
+    len: usize,
+    /// Position of sample 0 inside `tiles[0]`.
+    offset: usize,
+    /// The tiles holding samples `0..len`, in lattice order.
+    tiles: Vec<Arc<EphemerisTile>>,
+    /// Maximum geocentric radius over the view's tiles, km (NaN when
+    /// the view is empty or any sample is degenerate). Consumed by the
+    /// spatial pre-cull; combined once here instead of once per (site,
+    /// satellite) pair.
     max_radius_km: f64,
-    /// Maximum `|v|/|r|` over the samples, rad/s (NaN when any sample
-    /// is degenerate) — bounds how fast the satellite's ECEF direction
-    /// can swing, which bounds the Earth-central angle it can close
-    /// within one step.
+    /// Maximum `|v|/|r|` over the view's tiles, rad/s (NaN as above).
     max_angular_rate: f64,
 }
 
 impl EphemerisGrid {
-    /// Sample spacing for a window of `span_s` seconds: the default
-    /// cadence, widened toward [`MAX_STEP_S`] so multi-month grids stay
-    /// near [`TARGET_MAX_SAMPLES`] samples.
-    pub fn step_for_span(span_s: f64) -> f64 {
-        let fitted = span_s / (TARGET_MAX_SAMPLES as f64 - 1.0);
-        fitted.clamp(DEFAULT_STEP_S, MAX_STEP_S)
+    /// Propagate `sgp4` across `[start, end]` into private tiles and
+    /// build the view over them (see [`Self::build_with`]).
+    pub fn build(sgp4: &Sgp4, start: JulianDate, end: JulianDate) -> EphemerisGrid {
+        Self::build_with(start, end, |tiles| {
+            tiles
+                .map(|index| Arc::new(EphemerisTile::build(sgp4, index)))
+                .collect()
+        })
     }
 
-    /// Propagate `sgp4` across `[start, end]` and build the grid.
+    /// The view over `[start, end]`, with its tiles from `tiles`: given
+    /// the range of tile indices the view needs, the source returns
+    /// those tiles in order (a shared store, or fresh private tiles).
     ///
-    /// The lattice is padded by two steps on each side so refinement
+    /// The view is padded by two steps on each side so refinement
     /// probes at the window edges — and the 1 s look-ahead the Doppler
     /// rate sampler uses at LOS — stay on-grid. Degenerate windows
-    /// (non-finite or `end ≤ start`) yield an empty grid whose
-    /// `state_at` always answers `None`.
-    pub fn build(sgp4: &Sgp4, start: JulianDate, end: JulianDate) -> EphemerisGrid {
-        let span_s = end.seconds_since(start);
-        if !(span_s.is_finite() && span_s > 0.0 && start.0.is_finite()) {
+    /// (non-finite or `end ≤ start`) never call the source and yield
+    /// an empty grid whose `state_at` always answers `None`.
+    ///
+    /// # Panics
+    ///
+    /// If the source returns other tiles than the ones asked for.
+    pub fn build_with(
+        start: JulianDate,
+        end: JulianDate,
+        tiles: impl FnOnce(Range<i64>) -> Vec<Arc<EphemerisTile>>,
+    ) -> EphemerisGrid {
+        let (x_start, x_end) = (lattice_index(start), lattice_index(end));
+        let in_range = |x: f64| x.abs() < MAX_LATTICE_INDEX;
+        if !(in_range(x_start) && in_range(x_end) && x_end > x_start) {
             return EphemerisGrid {
-                t0: start,
-                step_s: DEFAULT_STEP_S,
-                samples: Vec::new(),
+                first: 0,
+                len: 0,
+                offset: 0,
+                tiles: Vec::new(),
                 max_radius_km: f64::NAN,
                 max_angular_rate: f64::NAN,
             };
         }
-        let step_s = Self::step_for_span(span_s);
-        let t0 = start.plus_seconds(-2.0 * step_s);
-        let padded_span = span_s + 4.0 * step_s;
-        let n = (padded_span / step_s).ceil() as usize + 1;
-        let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
-        let samples: Vec<StateEcef> = (0..n)
-            .map(|k| {
-                let t = t0.plus_seconds(k as f64 * step_s);
-                match sgp4.propagate_at(t) {
-                    Ok(state) => teme_to_ecef(&state, t),
-                    Err(_) => StateEcef {
-                        position_km: nan,
-                        velocity_km_s: nan,
-                    },
+        let first = x_start.floor() as i64 - 2;
+        let last = x_end.ceil() as i64 + 2;
+        let tile_of = |k: i64| k.div_euclid(TILE as i64);
+        let indices = tile_of(first)..tile_of(last) + 1;
+        let tiles = tiles(indices.clone());
+        assert!(
+            tiles.iter().map(|t| t.index).eq(indices),
+            "the tile source returned tiles other than the ones asked for"
+        );
+        GRIDS_BUILT.inc();
+        // NaN-propagating max: one degenerate tile poisons the view.
+        let max = |f: fn(&EphemerisTile) -> f64| {
+            tiles.iter().map(|t| f(t)).fold(0.0_f64, |m, x| {
+                if m.is_nan() || x.is_nan() {
+                    f64::NAN
+                } else {
+                    m.max(x)
                 }
             })
-            .collect();
-        GRIDS_BUILT.inc();
-        GRID_SAMPLES.add(samples.len() as u64);
-        let mut max_radius_km = 0.0_f64;
-        let mut max_angular_rate = 0.0_f64;
-        for st in &samples {
-            let r = st.position_km.norm();
-            let rate = st.velocity_km_s.norm() / r;
-            if !(r.is_finite() && r > 0.0 && rate.is_finite()) {
-                max_radius_km = f64::NAN;
-                max_angular_rate = f64::NAN;
-                break;
-            }
-            max_radius_km = max_radius_km.max(r);
-            max_angular_rate = max_angular_rate.max(rate);
-        }
+        };
         EphemerisGrid {
-            t0,
-            step_s,
-            samples,
-            max_radius_km,
-            max_angular_rate,
+            first,
+            len: (last - first) as usize + 1,
+            offset: first.rem_euclid(TILE as i64) as usize,
+            max_radius_km: max(|t| t.max_radius_km),
+            max_angular_rate: max(|t| t.max_angular_rate),
+            tiles,
         }
     }
 
+    /// The view's fractional sample index of `t` (sample `k` sits at
+    /// `k`). Computed on the absolute lattice, so two views that hold
+    /// the same samples answer queries between them bit-identically.
+    pub fn index_at(&self, t: JulianDate) -> f64 {
+        lattice_index(t) - self.first as f64
+    }
+
     /// The interpolated ECEF state at `t`, or `None` when `t` falls
-    /// outside the lattice or a bracketing sample is invalid.
+    /// outside the view or a bracketing sample is invalid.
     pub fn state_at(&self, t: JulianDate) -> Option<StateEcef> {
-        let n = self.samples.len();
+        let n = self.len;
         if n < 2 {
             GRID_MISSES.inc();
             return None;
         }
-        let x = t.seconds_since(self.t0) / self.step_s;
+        let x = self.index_at(t);
         if !(x >= 0.0 && x <= (n - 1) as f64) {
             GRID_MISSES.inc();
             return None;
         }
         let i = (x as usize).min(n - 2);
         let s = x - i as f64;
-        let a = &self.samples[i];
-        let b = &self.samples[i + 1];
+        let a = self.sample(i);
+        let b = self.sample(i + 1);
         if !(a.position_km.x.is_finite() && b.position_km.x.is_finite()) {
             GRID_MISSES.inc();
             return None;
@@ -252,7 +356,7 @@ impl EphemerisGrid {
         // s = 0 and s = 1 the basis reproduces the stored samples
         // (position and velocity) exactly, so on-lattice queries carry
         // no interpolation error — only time-arithmetic rounding.
-        let h = self.step_s;
+        let h = STEP_S;
         let s2 = s * s;
         let s3 = s2 * s;
         let h00 = 2.0 * s3 - 3.0 * s2 + 1.0;
@@ -280,31 +384,37 @@ impl EphemerisGrid {
         })
     }
 
-    /// Number of stored samples.
+    /// Sample `k` of the view (`k < len`).
+    fn sample(&self, k: usize) -> &StateEcef {
+        let at = self.offset + k;
+        &self.tiles[at / TILE].samples[at % TILE]
+    }
+
+    /// Number of samples in the view.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len
     }
 
     /// Whether the grid holds no usable lattice (degenerate window).
     pub fn is_empty(&self) -> bool {
-        self.samples.len() < 2
+        self.len < 2
     }
 
-    /// Sample spacing, seconds.
+    /// Sample spacing, seconds: always [`STEP_S`].
     pub fn step_s(&self) -> f64 {
-        self.step_s
+        STEP_S
     }
 
-    /// Maximum geocentric radius over the stored samples, km — `NaN`
-    /// when the grid is empty or any sample is degenerate. The spatial
+    /// Maximum geocentric radius over the view's tiles, km — `NaN` when
+    /// the grid is empty or any sample is degenerate. The spatial
     /// pre-cull ([`cull`](crate::cull)) sizes its visibility cone from
     /// this instead of re-scanning the samples per (site, sat) pair.
     pub fn max_radius_km(&self) -> f64 {
         self.max_radius_km
     }
 
-    /// Maximum `|v|/|r|` over the stored samples, rad/s — `NaN` when
-    /// the grid is empty or any sample is degenerate. Bounds the
+    /// Maximum `|v|/|r|` over the view's tiles, rad/s — `NaN` when the
+    /// grid is empty or any sample is degenerate. Bounds the
     /// Earth-central angular rate of the satellite's ECEF direction
     /// (`|d r̂/dt| ≤ |v|/|r|`), hence how far it can move between
     /// samples.
@@ -312,22 +422,40 @@ impl EphemerisGrid {
         self.max_angular_rate
     }
 
-    /// The instant of lattice point `k`.
+    /// The instant of sample `k`.
     pub fn sample_time(&self, k: usize) -> JulianDate {
-        self.t0.plus_seconds(k as f64 * self.step_s)
+        lattice_time(self.first + k as i64)
     }
 
-    /// The raw lattice samples, one ECEF state per point (sample `k`
-    /// is at [`Self::sample_time`]`(k)`). Column-sweep kernels
-    /// ([`visibility`](crate::visibility)) consume these directly
-    /// instead of interpolating point queries.
-    pub fn samples(&self) -> &[StateEcef] {
-        &self.samples
+    /// The tiles the view reads, in lattice order.
+    pub fn tiles(&self) -> &[Arc<EphemerisTile>] {
+        &self.tiles
+    }
+
+    /// Samples `range` (clamped to the view) as contiguous runs, one
+    /// per tile touched: `(k, run)` holds samples `k .. k + run.len()`.
+    /// Column-sweep kernels ([`visibility`](crate::visibility)) and the
+    /// cone cull read the samples this way, with no per-sample tile
+    /// lookup.
+    pub fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (usize, &[StateEcef])> + '_ {
+        let end = range.end.min(self.len);
+        let mut k = range.start;
+        std::iter::from_fn(move || {
+            if k >= end {
+                return None;
+            }
+            let at = self.offset + k;
+            let (tile, within) = (at / TILE, at % TILE);
+            let take = (TILE - within).min(end - k);
+            let run = (k, &self.tiles[tile].samples[within..within + take]);
+            k += take;
+            Some(run)
+        })
     }
 
     /// Probe the grid against direct SGP4 at the inter-sample midpoints
     /// (the worst case for Hermite error), at most `max_probes` of
-    /// them, spread across the whole lattice.
+    /// them, spread across the whole view.
     pub fn validate(&self, sgp4: &Sgp4, max_probes: usize) -> ValidationReport {
         let mut report = ValidationReport {
             max_position_error_km: 0.0,
@@ -337,10 +465,10 @@ impl EphemerisGrid {
         if self.is_empty() || max_probes == 0 {
             return report;
         }
-        let intervals = self.samples.len() - 1;
+        let intervals = self.len - 1;
         let stride = intervals.div_ceil(max_probes).max(1);
         for i in (0..intervals).step_by(stride) {
-            let t = self.t0.plus_seconds((i as f64 + 0.5) * self.step_s);
+            let t = self.sample_time(i).plus_seconds(0.5 * STEP_S);
             let (Some(interp), Ok(state)) = (self.state_at(t), sgp4.propagate_at(t)) else {
                 continue;
             };
@@ -374,7 +502,7 @@ mod tests {
     fn interpolation_is_sub_metre_at_default_step() {
         let sgp4 = leo(550.0, 97.6);
         let grid = EphemerisGrid::build(&sgp4, epoch(), epoch() + 1.0);
-        assert!((grid.step_s() - DEFAULT_STEP_S).abs() < 1e-12);
+        assert!((grid.step_s() - STEP_S).abs() < 1e-12);
         // Probe every 37 s (never on-lattice) across the window.
         let mut worst = 0.0_f64;
         let mut t = epoch();
@@ -416,9 +544,9 @@ mod tests {
         for t in [
             start,
             end,
-            start.plus_seconds(-DEFAULT_STEP_S),
+            start.plus_seconds(-STEP_S),
             end.plus_seconds(1.0),
-            end.plus_seconds(2.0 * DEFAULT_STEP_S - 1.0),
+            end.plus_seconds(2.0 * STEP_S - 1.0),
         ] {
             assert!(grid.state_at(t).is_some(), "uncovered t = {:?}", t);
         }
@@ -442,15 +570,78 @@ mod tests {
         }
     }
 
+    /// Every sample of `grid`, through its per-tile runs.
+    fn samples(grid: &EphemerisGrid) -> Vec<StateEcef> {
+        grid.runs(0..grid.len())
+            .flat_map(|(_, run)| run.iter().copied())
+            .collect()
+    }
+
     #[test]
-    fn long_windows_widen_the_step_within_contract() {
-        // A 212-day passive-campaign window would need 305 k samples at
-        // 60 s; the step widens to keep the grid near the target size.
-        let span = 212.0 * 86_400.0;
-        let step = EphemerisGrid::step_for_span(span);
-        assert!(step > DEFAULT_STEP_S && step <= MAX_STEP_S, "step {step}");
-        // Short windows stay at the default cadence.
-        assert_eq!(EphemerisGrid::step_for_span(86_400.0), DEFAULT_STEP_S);
+    fn overlapping_windows_read_the_same_lattice_bits() {
+        // Two windows that overlap but start and end off the lattice:
+        // wherever their views share a lattice point, they hold the
+        // same instant and the same state, bit for bit.
+        let sgp4 = leo(550.0, 97.6);
+        let a = EphemerisGrid::build(&sgp4, epoch().plus_seconds(17.0), epoch() + 1.0);
+        let b = EphemerisGrid::build(&sgp4, epoch() + 0.4, epoch() + 1.7);
+        let shift = (b.sample_time(0).seconds_since(a.sample_time(0)) / STEP_S).round() as usize;
+        let (sa, sb) = (samples(&a), samples(&b));
+        assert_eq!((sa.len(), sb.len()), (a.len(), b.len()));
+        let bits = |s: &StateEcef| {
+            let (p, v) = (s.position_km, s.velocity_km_s);
+            [p.x, p.y, p.z, v.x, v.y, v.z].map(f64::to_bits)
+        };
+        let overlap = a.len() - shift;
+        assert!(overlap > 800);
+        for k in 0..overlap {
+            let (ka, kb) = (shift + k, k);
+            assert_eq!(a.sample_time(ka).0.to_bits(), b.sample_time(kb).0.to_bits());
+            assert_eq!(bits(&sa[ka]), bits(&sb[kb]), "sample {ka} of a");
+        }
+        // Off-lattice queries inside the overlap agree to the bit too.
+        let t = epoch() + 0.77;
+        let (qa, qb) = (a.state_at(t).unwrap(), b.state_at(t).unwrap());
+        assert_eq!(bits(&qa), bits(&qb));
+    }
+
+    #[test]
+    fn views_pad_the_window_and_round_out_to_tiles() {
+        let sgp4 = leo(550.0, 97.6);
+        let (start, end) = (epoch().plus_seconds(30.0), epoch().plus_seconds(5_000.0));
+        let grid = EphemerisGrid::build(&sgp4, start, end);
+        // The view starts two to three steps before the window and
+        // ends at least two after it.
+        assert!(grid.sample_time(0).seconds_since(start) <= -2.0 * STEP_S);
+        assert!(grid.sample_time(grid.len() - 1).seconds_since(end) >= 2.0 * STEP_S);
+        assert!(grid.sample_time(0).seconds_since(start) > -3.0 * STEP_S);
+        // The tiles hold every sample, and the runs tile the view
+        // contiguously without crossing a tile edge.
+        let tiles = grid.tiles();
+        let span = tiles.len() * TILE;
+        assert!(span >= grid.len() && span < grid.len() + 2 * TILE);
+        let mut next = 0;
+        for (k, run) in grid.runs(0..grid.len()) {
+            assert_eq!(k, next);
+            assert!(!run.is_empty() && run.len() <= TILE);
+            next += run.len();
+        }
+        assert_eq!(next, grid.len());
+        // The aggregates are the tiles' maxima.
+        let r_max = tiles.iter().map(|t| t.max_radius_km).fold(0.0, f64::max);
+        assert_eq!(grid.max_radius_km(), r_max);
+        assert!(samples(&grid).iter().all(|s| s.position_km.norm() <= r_max));
+    }
+
+    #[test]
+    #[should_panic(expected = "other than the ones asked for")]
+    fn a_tile_source_must_return_the_tiles_asked_for() {
+        let sgp4 = leo(550.0, 97.6);
+        EphemerisGrid::build_with(epoch(), epoch() + 0.5, |tiles| {
+            tiles
+                .map(|index| Arc::new(EphemerisTile::build(&sgp4, index + 1)))
+                .collect()
+        });
     }
 
     #[test]

@@ -446,7 +446,7 @@ impl PassPredictor {
     }
 
     /// Probe for the elevation peak inside `[lo, hi]` (one lattice
-    /// interval): a ≤ 180 s below-horizon window holds at most one
+    /// interval): a 60 s below-horizon window holds at most one
     /// approach, so [`Self::golden_peak`]'s unimodality holds here too.
     fn peak_probe(&self, lo: JulianDate, hi: JulianDate) -> (JulianDate, f64) {
         let t_peak = self.golden_peak(lo, hi);
@@ -504,19 +504,18 @@ mod tests {
 
     /// A circular polar-ish LEO satellite built from raw elements.
     fn leo_sgp4(alt_km: f64, incl_deg: f64) -> Sgp4 {
-        let a = EARTH_RADIUS_KM + alt_km;
-        let n = (MU_KM3_S2 / (a * a * a)).sqrt() * 60.0; // rad/min
-        Sgp4::from_elements(
-            n,
-            0.001,
-            incl_deg.to_radians(),
-            1.0,
-            0.0,
-            0.0,
-            1e-5,
+        leo_sgp4_at(
+            alt_km,
+            incl_deg,
             JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0),
         )
-        .unwrap()
+    }
+
+    /// [`leo_sgp4`] with its elements at `epoch`.
+    fn leo_sgp4_at(alt_km: f64, incl_deg: f64, epoch: JulianDate) -> Sgp4 {
+        let a = EARTH_RADIUS_KM + alt_km;
+        let n = (MU_KM3_S2 / (a * a * a)).sqrt() * 60.0; // rad/min
+        Sgp4::from_elements(n, 0.001, incl_deg.to_radians(), 1.0, 0.0, 0.0, 1e-5, epoch).unwrap()
     }
 
     fn hk() -> Geodetic {
@@ -813,19 +812,26 @@ mod tests {
     /// candidate windows must surface it instead of stepping over it.
     #[test]
     fn sweep_finds_passes_shorter_than_one_grid_step() {
-        use crate::ephemeris::EphemerisGrid;
-        let sgp4 = leo_sgp4(550.0, 97.6);
+        use crate::ephemeris::{lattice_time, EphemerisGrid, STEP_S};
         let day = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
+        let best_of_day = |sgp4: &Sgp4| {
+            PassPredictor::new(sgp4.clone(), hk(), 0.0)
+                .passes(day, day + 1.0)
+                .into_iter()
+                .max_by(|a, b| a.max_elevation_rad.total_cmp(&b.max_elevation_rad))
+                .expect("a pass")
+        };
         // Find the day's best culmination with an open mask…
-        let best = PassPredictor::new(sgp4.clone(), hk(), 0.0)
-            .passes(day, day + 1.0)
-            .into_iter()
-            .max_by(|a, b| a.max_elevation_rad.total_cmp(&b.max_elevation_rad))
-            .expect("a pass");
-        // …shift the window so that the 60 s lattice, which starts two
-        // steps before the window, puts it midway between two samples…
-        let start = day.plus_seconds(best.tca.seconds_since(day) % 60.0 - 30.0);
-        let end = start + 1.0;
+        let phase = |t: JulianDate| (t.seconds_since(lattice_time(0)) / STEP_S).rem_euclid(1.0);
+        let first = best_of_day(&leo_sgp4(550.0, 97.6));
+        // …and, since the 60 s lattice is absolute, move the satellite
+        // rather than the window: the same elements at an epoch shifted
+        // by δ culminate about δ later, midway between two samples…
+        let shift_s = (0.5 - phase(first.tca)) * STEP_S;
+        let sgp4 = leo_sgp4_at(550.0, 97.6, day.plus_seconds(shift_s));
+        let best = best_of_day(&sgp4);
+        assert!((phase(best.tca) - 0.5).abs() < 0.05, "TCA not mid-interval");
+        let (start, end) = (day, day + 1.0);
         let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
         // …then mask 0.15° below it: the surviving contact lasts well
         // under the grid step. (The reference scan at a 30 s floor can

@@ -40,19 +40,19 @@
 //! For each observer the sweep reports `above_at_start` plus an
 //! ordered event list. Every horizon crossing inside `[start, end]`
 //! is bracketed by exactly one [`SweepEventKind::Rising`] or
-//! [`SweepEventKind::Falling`] window no wider than one grid step
-//! (≤ [`MAX_STEP_S`](crate::ephemeris::MAX_STEP_S)); a lattice
-//! interval whose endpoints are both below the mask but whose margin
-//! may peek above it in the interior is reported as a
-//! [`SweepEventKind::Candidate`] window. LEO passes over one site are
-//! ≥ 45 min apart, so one ≤ 180 s lattice interval contains at most one
-//! crossing (two crossings inside one interval — a whole pass — is
-//! exactly the candidate case).
+//! [`SweepEventKind::Falling`] window no wider than one lattice step
+//! ([`STEP_S`](crate::ephemeris::STEP_S)); a lattice interval whose
+//! endpoints are both below the mask but whose margin may peek above
+//! it in the interior is reported as a [`SweepEventKind::Candidate`]
+//! window. LEO passes over one site are ≥ 45 min apart, so one 60 s
+//! lattice interval contains at most one crossing (two crossings
+//! inside one interval — a whole pass — is exactly the candidate case).
 //!
 //! Candidate detection is a three-stage filter on the cubic Hermite
 //! model of the margin over the interval (exact endpoint values *and*
-//! derivatives, so the model error is the same `h⁴/384·max‖m⁗‖`
-//! bound as the grid itself — ≈ 0.03 km at the widest step):
+//! derivatives, so the model error is bounded by `h⁴/384·max|m⁗|` —
+//! well under 0.03 km at the lattice step wherever the margin varies
+//! as smoothly as the trajectory, as it does near the horizon):
 //!
 //! 1. a Bézier convex-hull bound (`max` of the four control points)
 //!    rejects the overwhelmingly common deep-below intervals in ~8
@@ -63,9 +63,14 @@
 //!    `−`[`CANDIDATE_GUARD_KM`] — twice the combined interpolation +
 //!    grid position error — are handed to the golden-section
 //!    elevation probe in `pass`. A real pass hiding inside the
-//!    interval has a true margin maximum > 0, so its modelled maximum
-//!    cannot fall below `−`[`CANDIDATE_GUARD_KM`] and it is never
-//!    missed.
+//!    interval has a true margin maximum > 0, so while the model error
+//!    stays under the guard its modelled maximum cannot fall below
+//!    `−`[`CANDIDATE_GUARD_KM`] and it is never missed. Close to
+//!    zenith under a high mask the margin curves far faster than the
+//!    trajectory, the error can exceed the guard, and a contact shorter
+//!    than one step can be missed (a 7 s contact under a 68.6° mask
+//!    has been). Under a 0° mask a sub-step contact is a horizon
+//!    graze, where the model holds.
 //!
 //! ## Bit-identity with the element-at-a-time oracle
 //!
@@ -539,9 +544,8 @@ impl VisibilitySweep {
         if n < 2 {
             return None;
         }
-        let t0 = grid.sample_time(0);
-        let x_start = start.seconds_since(t0) / grid.step_s();
-        let x_end = end.seconds_since(t0) / grid.step_s();
+        let x_start = grid.index_at(start);
+        let x_end = grid.index_at(end);
         if !(x_start.is_finite() && x_end.is_finite() && x_start >= 0.0) {
             return None;
         }
@@ -597,9 +601,11 @@ impl VisibilitySweep {
         }
     }
 
-    /// The chunked sweep: gather [`CHUNK`] columns into SoA arrays
-    /// once, then run every observer's kernel over the gathered chunk
-    /// while it is hot in L1.
+    /// The chunked sweep: gather up to [`CHUNK`] columns of one tile
+    /// run into SoA arrays once, then run every observer's kernel over
+    /// the gathered chunk while it is hot in L1. Where the chunks start
+    /// does not matter: the chunk screen below skips only what the
+    /// scalar feed would not have reported.
     fn sweep_chunked(
         &self,
         grid: &EphemerisGrid,
@@ -607,16 +613,19 @@ impl VisibilitySweep {
         k_last: usize,
         detectors: &mut [Detector],
     ) {
-        let samples = grid.samples();
         let mut cols = ColumnChunk::zeroed();
         let mut times = [JulianDate(0.0); CHUNK];
         let mut m = [0.0_f64; CHUNK];
         let mut dm = [0.0_f64; CHUNK];
-        let mut k = k_first;
-        while k <= k_last {
-            let n_real = (k_last - k + 1).min(CHUNK);
-            for i in 0..n_real {
-                let s = &samples[k + i];
+        let step_s = grid.step_s();
+        let chunks = grid.runs(k_first..k_last + 1).flat_map(|(k, run)| {
+            run.chunks(CHUNK)
+                .enumerate()
+                .map(move |(c, chunk)| (k + c * CHUNK, chunk))
+        });
+        for (k, chunk) in chunks {
+            let n_real = chunk.len();
+            for (i, s) in chunk.iter().enumerate() {
                 cols.px[i] = s.position_km.x;
                 cols.py[i] = s.position_km.y;
                 cols.pz[i] = s.position_km.z;
@@ -625,7 +634,6 @@ impl VisibilitySweep {
                 cols.vz[i] = s.velocity_km_s.z;
                 times[i] = grid.sample_time(k + i);
             }
-            let step_s = grid.step_s();
             for (o, d) in detectors.iter_mut().enumerate() {
                 margin_chunk(&cols, self.params(o), &mut m, &mut dm);
                 // Chunk screen: the Hermite model of every interval in
@@ -653,7 +661,6 @@ impl VisibilitySweep {
                     d.feed(times[i], m[i], dm[i]);
                 }
             }
-            k += n_real;
         }
     }
 
@@ -668,20 +675,21 @@ impl VisibilitySweep {
         k_last: usize,
         detectors: &mut [Detector],
     ) {
-        let samples = grid.samples();
         for (o, d) in detectors.iter_mut().enumerate() {
             let p = self.params(o);
-            for (k, s) in samples.iter().enumerate().take(k_last + 1).skip(k_first) {
-                let (m, dm) = margin_terms(
-                    s.position_km.x,
-                    s.position_km.y,
-                    s.position_km.z,
-                    s.velocity_km_s.x,
-                    s.velocity_km_s.y,
-                    s.velocity_km_s.z,
-                    p,
-                );
-                d.feed(grid.sample_time(k), m, dm);
+            for (k, run) in grid.runs(k_first..k_last + 1) {
+                for (i, s) in run.iter().enumerate() {
+                    let (m, dm) = margin_terms(
+                        s.position_km.x,
+                        s.position_km.y,
+                        s.position_km.z,
+                        s.velocity_km_s.x,
+                        s.velocity_km_s.y,
+                        s.velocity_km_s.z,
+                        p,
+                    );
+                    d.feed(grid.sample_time(k + i), m, dm);
+                }
             }
         }
     }
@@ -737,8 +745,8 @@ mod tests {
             let mut sweep = VisibilitySweep::new();
             sweep.push(&obs, mask);
             let p = sweep.params(0);
-            for k in 0..grid.len() {
-                let s = grid.samples()[k];
+            let samples = grid.runs(0..grid.len()).flat_map(|(_, run)| run);
+            for (k, s) in samples.enumerate() {
                 let (m, _) = margin_terms(
                     s.position_km.x,
                     s.position_km.y,
