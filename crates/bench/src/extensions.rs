@@ -42,7 +42,7 @@ pub struct MegascaleCell {
     pub abs: f64,
     /// Passes the site saw across the shell.
     pub passes: usize,
-    /// How far the cell moved the `orbit.cull.*` counters.
+    /// How far the cell moved the `cull::stats()` counters.
     pub cull: CullStats,
 }
 

@@ -2,8 +2,8 @@
 //! closed forms, at both registry scales: a 4×6 shell over one day
 //! (quick) and an 8×8 shell over two days (full).
 //!
-//! Every cell reports how far it moved the process-wide `orbit.cull.*`
-//! counters, which any prediction running in the same process would
+//! Every cell reports how far it moved the process-wide
+//! `cull::stats()` counters, which any prediction running in the same process would
 //! also move, so this is the only test in this binary (one process per
 //! integration-test file).
 

@@ -234,11 +234,7 @@ enum Event {
     /// A node's sensor fires.
     DataGen { node: usize },
     /// A satellite starts emitting a beacon during a farm pass.
-    BeaconTx {
-        sat: usize,
-        pass: usize,
-        counter: u32,
-    },
+    BeaconTx { pass: usize },
     /// A node's uplink transmission completes at the satellite.
     UplinkEnd {
         node: usize,
@@ -540,11 +536,7 @@ impl ActiveCampaign {
             let phase = (*sat_index as f64 * 1.37) % spec.beacon_interval_s;
             engine.schedule_at(
                 SimTime::from_secs(aos_s + phase),
-                Event::BeaconTx {
-                    sat: *sat_index,
-                    pass: idx,
-                    counter: 0,
-                },
+                Event::BeaconTx { pass: idx },
             );
             engine.schedule_at(
                 SimTime::from_secs(pass.los.seconds_since(t0)),
@@ -571,10 +563,12 @@ impl ActiveCampaign {
                     nodes[node].on_data(seq, t);
                     eng.schedule_in(cfg.period_s, Event::DataGen { node });
                 }
-                Event::BeaconTx { sat, pass, counter } => {
+                Event::BeaconTx { pass } => {
                     counters.beacons_tx += 1;
-                    let CandidatePass { sat_index, pass: p } = farm_passes[pass];
-                    debug_assert_eq!(sat_index, sat);
+                    let CandidatePass {
+                        sat_index: sat,
+                        pass: p,
+                    } = farm_passes[pass];
                     let t_rx = t + beacon_airtime;
                     let when = t0.plus_seconds(t_rx);
                     if let Some(geom) =
@@ -705,14 +699,7 @@ impl ActiveCampaign {
                     // Next beacon within the pass.
                     let next = t + spec.beacon_interval_s;
                     if next < p.los.seconds_since(t0) {
-                        eng.schedule_at(
-                            SimTime::from_secs(next),
-                            Event::BeaconTx {
-                                sat,
-                                pass,
-                                counter: counter + 1,
-                            },
-                        );
+                        eng.schedule_at(SimTime::from_secs(next), Event::BeaconTx { pass });
                     }
                 }
                 Event::UplinkEnd {

@@ -15,6 +15,16 @@
 //! caching cannot perturb campaign determinism: a cached list is
 //! bit-identical to a fresh computation.
 //!
+//! Beside the pass cache sit the ephemeris grid store ([`grid_for`])
+//! and the tile store whose tiles its views slice (see
+//! [`gridded_predictor`]). Each store counts its own work, with metrics
+//! on or off: keys looked up, entries computed and entries evicted,
+//! read as one [`StoreStats`] each through [`stats`], [`grid_stats`]
+//! and [`tile_stats`]. At rest every store holds `computes == entries +
+//! evictions`, i.e. each entry was computed exactly once per residency;
+//! `reproduce_all`, `ablations_all` and the `cache_exactly_once` test
+//! assert it.
+//!
 //! ```
 //! use satiot_core::sweep::{passes_for, PassKey};
 //! use satiot_orbit::elements::Elements;
@@ -34,9 +44,8 @@
 //! assert!(std::sync::Arc::ptr_eq(&first, &again));
 //! ```
 
-use satiot_obs::metrics::{Counter, Gauge};
 use satiot_orbit::cull::{self, CullingMode};
-use satiot_orbit::ephemeris::{EphemerisGrid, EphemerisMode, EphemerisTile, TILE};
+use satiot_orbit::ephemeris::{EphemerisGrid, EphemerisMode, EphemerisTile};
 use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
@@ -48,44 +57,6 @@ use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// Cache lookups served without predicting (metrics).
-static CACHE_HITS: Counter = Counter::new("core.sweep.pass_cache_hits");
-/// Cache lookups that triggered a prediction (metrics).
-static CACHE_MISSES: Counter = Counter::new("core.sweep.pass_cache_misses");
-/// Distinct pass lists currently cached (metrics).
-static CACHE_ENTRIES: Gauge = Gauge::new("core.sweep.pass_cache_entries");
-/// Pass lists evicted by budget enforcement (metrics).
-static CACHE_EVICTED: Counter = Counter::new("core.sweep.pass_cache_evictions");
-/// Grid-store lookups served without building (metrics).
-static GRID_HITS: Counter = Counter::new("core.sweep.grid_hits");
-/// Grid-store lookups that built a grid (metrics).
-static GRID_MISSES: Counter = Counter::new("core.sweep.grid_misses");
-/// Distinct ephemeris grids currently stored (metrics).
-static GRID_ENTRIES: Gauge = Gauge::new("core.sweep.grid_entries");
-/// Grids evicted by budget enforcement (metrics).
-static GRID_EVICTED: Counter = Counter::new("core.sweep.grid_evictions");
-/// Tile requests served without sampling (metrics).
-static TILE_HITS: Counter = Counter::new("core.sweep.tile_hits");
-/// Tile requests that sampled a tile (metrics).
-static TILE_MISSES: Counter = Counter::new("core.sweep.tile_misses");
-/// Distinct ephemeris tiles currently stored (metrics).
-static TILE_ENTRIES: Gauge = Gauge::new("core.sweep.tile_entries");
-/// Tiles evicted by budget enforcement (metrics).
-static TILE_EVICTED: Counter = Counter::new("core.sweep.tile_evictions");
-
-// The proof-of-work counters behind [`stats`] are plain atomics rather
-// than obs counters so they report even when `SATIOT_METRICS` is off
-// (the `cache_exactly_once` test and `reproduce_all` assert on them).
-static LOOKUPS: AtomicU64 = AtomicU64::new(0);
-static COMPUTES: AtomicU64 = AtomicU64::new(0);
-static PASS_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static GRID_LOOKUPS: AtomicU64 = AtomicU64::new(0);
-static GRID_COMPUTES: AtomicU64 = AtomicU64::new(0);
-static GRID_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static TILE_LOOKUPS: AtomicU64 = AtomicU64::new(0);
-static TILE_COMPUTES: AtomicU64 = AtomicU64::new(0);
-static TILE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Monotone LRU clock shared by the stores, so one cross-store
 /// eviction pass can order pass lists and grids on a single recency
@@ -175,19 +146,28 @@ impl<T> Default for Slot<T> {
 }
 
 /// A keyed exactly-once memoisation store — the shared implementation
-/// behind the pass cache, the grid store and the tile store. Generic so
-/// the eviction machinery (and its tests) can run on private instances
-/// without perturbing the process-wide caches every campaign test
-/// shares.
+/// behind the pass cache, the grid store and the tile store — that
+/// counts its own work. Generic so the eviction machinery (and its
+/// tests) can run on private instances without perturbing the
+/// process-wide caches every campaign test shares.
 #[derive(Debug)]
 struct Store<K, T> {
     map: Mutex<HashMap<K, Arc<Slot<T>>>>,
+    /// Keys requested.
+    lookups: AtomicU64,
+    /// Requests that computed their entry.
+    computes: AtomicU64,
+    /// Entries [`enforce_on`] dropped.
+    evictions: AtomicU64,
 }
 
 impl<K: Copy + Eq + Hash, T> Store<K, T> {
     fn new() -> Store<K, T> {
         Store {
             map: Mutex::new(HashMap::new()),
+            lookups: AtomicU64::new(0),
+            computes: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -197,70 +177,107 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
 
     /// Resolve the slot for `key` (inserting an empty one if absent),
     /// stamp its recency tick, and run `make` if the cell is empty.
-    /// Returns `(payload, computed_here, map_len)`.
-    fn get_or_compute<F: FnOnce() -> T>(&self, key: K, make: F) -> (Arc<T>, bool, usize) {
+    fn get_or_compute<F: FnOnce() -> T>(&self, key: K, make: F) -> Arc<T> {
         let mut make = Some(make);
-        let (mut values, computed, len) = self.get_or_compute_all(std::iter::once(key), |_| {
+        let mut values = self.get_or_compute_all(std::iter::once(key), |_| {
             make.take().expect("one key computes at most once")()
         });
-        let value = values.pop().expect("one key resolves one slot");
-        (value, computed == 1, len)
+        values.pop().expect("one key resolves one slot")
     }
 
     /// [`Self::get_or_compute`] over many keys: resolve every slot
     /// (inserting empty ones) under one map lock and stamp them with one
     /// recency tick, then fill each empty cell with `make(key)`, in key
-    /// order. Returns `(payloads, computed_here, map_len)`. The map lock
-    /// is held only to resolve the slots; the computations run outside
-    /// it, so distinct keys compute in parallel while racing lookups of
-    /// the same key block on one computation (`OnceLock` exactly-once).
+    /// order. The map lock is held only to resolve the slots; the
+    /// computations run outside it, so distinct keys compute in parallel
+    /// while racing lookups of the same key block on one computation
+    /// (`OnceLock` exactly-once).
     fn get_or_compute_all<F: FnMut(K) -> T>(
         &self,
         keys: impl Iterator<Item = K> + Clone,
         mut make: F,
-    ) -> (Vec<Arc<T>>, usize, usize) {
-        let (slots, len) = {
+    ) -> Vec<Arc<T>> {
+        let slots: Vec<Arc<Slot<T>>> = {
             let mut map = self.lock();
-            let slots: Vec<Arc<Slot<T>>> = keys
-                .clone()
+            keys.clone()
                 .map(|key| Arc::clone(map.entry(key).or_default()))
-                .collect();
-            (slots, map.len())
+                .collect()
         };
+        self.lookups.fetch_add(slots.len() as u64, Relaxed);
         let tick = CLOCK.fetch_add(1, Relaxed) + 1;
-        let mut computed = 0;
-        let values = keys
-            .zip(slots)
+        keys.zip(slots)
             .map(|(key, slot)| {
                 slot.last_used.store(tick, Relaxed);
                 slot.cell
                     .get_or_init(|| {
-                        computed += 1;
+                        self.computes.fetch_add(1, Relaxed);
                         Arc::new(make(key))
                     })
                     .clone()
             })
-            .collect();
-        (values, computed, len)
+            .collect()
     }
 
-    fn len(&self) -> usize {
-        self.lock().len()
+    /// The counters, with `approx_bytes` the sum of `payload_bytes`
+    /// over every *computed* slot. Slots whose computation is still in
+    /// flight are counted as zero — their cost is attributed once the
+    /// cell fills.
+    fn stats(&self, payload_bytes: impl Fn(&T) -> u64) -> StoreStats {
+        let map = self.lock();
+        StoreStats {
+            lookups: self.lookups.load(Relaxed),
+            computes: self.computes.load(Relaxed),
+            entries: map.len(),
+            approx_bytes: map
+                .values()
+                .filter_map(|s| s.cell.get())
+                .map(|v| payload_bytes(v))
+                .sum(),
+            evictions: self.evictions.load(Relaxed),
+        }
     }
 
+    /// Drop every entry and zero the counters.
     fn clear(&self) {
-        self.lock().clear();
+        let mut map = self.lock();
+        map.clear();
+        for counter in [&self.lookups, &self.computes, &self.evictions] {
+            counter.store(0, Relaxed);
+        }
     }
+}
 
-    /// Sum of `payload_bytes` over every *computed* slot. Slots whose
-    /// computation is still in flight are counted as zero — their cost
-    /// is attributed once the cell fills.
-    fn approx_bytes(&self, payload_bytes: impl Fn(&T) -> u64) -> u64 {
-        self.lock()
-            .values()
-            .filter_map(|s| s.cell.get())
-            .map(|v| payload_bytes(v))
-            .sum()
+/// A snapshot of one store's proof-of-work counters: the pass cache's
+/// ([`stats`]), the grid store's ([`grid_stats`]) or the tile store's
+/// ([`tile_stats`]). They count whether or not metrics are on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Keys requested: one per [`passes_for`] or [`grid_for`] call, one
+    /// per tile a campaign view asks for.
+    pub lookups: u64,
+    /// Lookups that computed their entry. Each compute fills one slot
+    /// and each eviction empties one, so at rest `computes == entries +
+    /// evictions`: every entry was computed exactly once per residency.
+    /// In a process that never enforces a budget (the default) nothing
+    /// is evicted, and `computes == entries` proves every stored entry
+    /// was computed exactly once this process.
+    pub computes: u64,
+    /// Distinct keys currently stored.
+    pub entries: usize,
+    /// Approximate payload bytes currently held (map and slot overhead
+    /// excluded). A view's samples live in its tiles, so [`grid_stats`]
+    /// counts each stored tile once plus every view's array of tile
+    /// pointers.
+    pub approx_bytes: u64,
+    /// Entries evicted by [`enforce_cache_budget`] since the last
+    /// [`clear`].
+    pub evictions: u64,
+}
+
+impl StoreStats {
+    /// Lookups served without computing.
+    pub fn hits(&self) -> u64 {
+        self.lookups - self.computes
     }
 }
 
@@ -281,8 +298,9 @@ fn view_bytes(grid: &EphemerisGrid) -> u64 {
     (size_of::<EphemerisGrid>() + std::mem::size_of_val(grid.tiles())) as u64
 }
 
-/// Heap payload of one stored ephemeris tile ([`TILE`] samples and
-/// their aggregates).
+/// Heap payload of one stored ephemeris tile
+/// ([`TILE`](satiot_orbit::ephemeris::TILE) samples and their
+/// aggregates).
 const TILE_BYTES: u64 = size_of::<EphemerisTile>() as u64;
 
 /// The pass list for `key`, predicting it with `make_predictor` on the
@@ -301,81 +319,27 @@ pub fn passes_for<F>(key: PassKey, make_predictor: F) -> Arc<Vec<Pass>>
 where
     F: FnOnce() -> Option<PassPredictor>,
 {
-    LOOKUPS.fetch_add(1, Relaxed);
-    let (passes, computed, len) = cache().get_or_compute(key, || {
-        COMPUTES.fetch_add(1, Relaxed);
-        CACHE_MISSES.inc();
+    cache().get_or_compute(key, || {
         let (start, end) = key.range();
         match make_predictor() {
             Some(predictor) => predictor.passes(start, end),
             None => Vec::new(),
         }
-    });
-    CACHE_ENTRIES.set(len as i64);
-    if !computed {
-        CACHE_HITS.inc();
-    }
-    passes
+    })
 }
 
-/// A snapshot of the cache's proof-of-work counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Total [`passes_for`] calls.
-    pub lookups: u64,
-    /// Lookups that ran a prediction. Each compute fills one slot and
-    /// each eviction empties one, so at rest `computes == entries +
-    /// evictions`: every pass list was predicted exactly once per
-    /// residency. In a process that never enforces a budget (the
-    /// default) nothing is evicted, and `computes == entries` proves
-    /// every cached pass list was predicted exactly once this process.
-    pub computes: u64,
-    /// Distinct keys currently cached.
-    pub entries: usize,
-    /// Approximate payload bytes currently held (pass structs only;
-    /// map/slot overhead excluded).
-    pub approx_bytes: u64,
-    /// Pass lists evicted by [`enforce_cache_budget`] this process.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Lookups served without predicting.
-    pub fn hits(&self) -> u64 {
-        self.lookups - self.computes
-    }
-}
-
-/// Read the cache counters.
-pub fn stats() -> CacheStats {
-    CacheStats {
-        lookups: LOOKUPS.load(Relaxed),
-        computes: COMPUTES.load(Relaxed),
-        entries: cache().len(),
-        approx_bytes: cache().approx_bytes(|l| pass_list_bytes(l)),
-        evictions: PASS_EVICTIONS.load(Relaxed),
-    }
+/// The pass cache's counters.
+pub fn stats() -> StoreStats {
+    cache().stats(|l| pass_list_bytes(l))
 }
 
 /// Drop every cached pass list, stored ephemeris grid and stored tile,
-/// and zero all three sets of counters (benches measuring cold-cache
+/// and zero all three stores' counters (benches measuring cold-cache
 /// sweeps; long-lived processes rotating TLE epochs).
 pub fn clear() {
     cache().clear();
-    CACHE_ENTRIES.set(0);
-    LOOKUPS.store(0, Relaxed);
-    COMPUTES.store(0, Relaxed);
-    PASS_EVICTIONS.store(0, Relaxed);
     grid_store().clear();
-    GRID_ENTRIES.set(0);
-    GRID_LOOKUPS.store(0, Relaxed);
-    GRID_COMPUTES.store(0, Relaxed);
-    GRID_EVICTIONS.store(0, Relaxed);
     tile_store().clear();
-    TILE_ENTRIES.set(0);
-    TILE_LOOKUPS.store(0, Relaxed);
-    TILE_COMPUTES.store(0, Relaxed);
-    TILE_EVICTIONS.store(0, Relaxed);
 }
 
 /// What one [`enforce_cache_budget`] pass did.
@@ -407,30 +371,15 @@ pub struct EvictionSweep {
 /// by the budget instead of growing with the number of distinct
 /// windows.
 pub fn enforce_cache_budget(budget_bytes: u64) -> EvictionSweep {
-    let sweep = enforce_on(cache(), grid_store(), tile_store(), budget_bytes);
-    if sweep.pass_lists_evicted > 0 {
-        PASS_EVICTIONS.fetch_add(sweep.pass_lists_evicted as u64, Relaxed);
-        CACHE_EVICTED.add(sweep.pass_lists_evicted as u64);
-        CACHE_ENTRIES.set(cache().len() as i64);
-    }
-    if sweep.grids_evicted > 0 {
-        GRID_EVICTIONS.fetch_add(sweep.grids_evicted as u64, Relaxed);
-        GRID_EVICTED.add(sweep.grids_evicted as u64);
-        GRID_ENTRIES.set(grid_store().len() as i64);
-    }
-    if sweep.tiles_evicted > 0 {
-        TILE_EVICTIONS.fetch_add(sweep.tiles_evicted as u64, Relaxed);
-        TILE_EVICTED.add(sweep.tiles_evicted as u64);
-        TILE_ENTRIES.set(tile_store().len() as i64);
-    }
-    sweep
+    enforce_on(cache(), grid_store(), tile_store(), budget_bytes)
 }
 
 /// The eviction pass itself, on explicit stores (unit-testable without
-/// touching the process-wide caches). Holds all three map locks for the
-/// whole pass so a concurrent lookup cannot resurrect a key
-/// mid-eviction; lookups only ever take one lock briefly and never
-/// nest, so the fixed pass→grid→tile acquisition order cannot deadlock.
+/// touching the process-wide caches), adding what it drops to each
+/// store's `evictions`. Holds all three map locks for the whole pass so
+/// a concurrent lookup cannot resurrect a key mid-eviction; lookups
+/// only ever take one lock briefly and never nest, so the fixed
+/// pass→grid→tile acquisition order cannot deadlock.
 fn enforce_on(
     passes: &Store<PassKey, Vec<Pass>>,
     grids: &Store<GridKey, EphemerisGrid>,
@@ -509,6 +458,13 @@ fn enforce_on(
         }
         sweep.bytes_freed += bytes;
         sweep.bytes_retained -= bytes;
+    }
+    for (evictions, n) in [
+        (&passes.evictions, sweep.pass_lists_evicted),
+        (&grids.evictions, sweep.grids_evicted),
+        (&tiles.evictions, sweep.tiles_evicted),
+    ] {
+        evictions.fetch_add(n as u64, Relaxed);
     }
     sweep
 }
@@ -611,31 +567,17 @@ fn tile_store() -> &'static Store<TileKey, EphemerisTile> {
 }
 
 /// Tiles `indices` of the satellite `key` names, from `store`, sampling
-/// the missing ones from `sgp4`, under one map lock. Returns the tiles,
-/// how many were sampled here, and the store's size.
+/// the missing ones from `sgp4`, under one map lock.
 fn tiles_from(
     store: &Store<TileKey, EphemerisTile>,
     key: GridKey,
     sgp4: &Sgp4,
     indices: Range<i64>,
-) -> (Vec<Arc<EphemerisTile>>, usize, usize) {
+) -> Vec<Arc<EphemerisTile>> {
     store.get_or_compute_all(
         indices.map(|index| TileKey::new(key.constellation, key.sat_id, index)),
         |tile| EphemerisTile::build(sgp4, tile.index),
     )
-}
-
-/// The process's shared tiles `indices` of the satellite `key` names:
-/// the tile source of every campaign view.
-fn shared_tiles(key: GridKey, sgp4: &Sgp4, indices: Range<i64>) -> Vec<Arc<EphemerisTile>> {
-    let requested = (indices.end - indices.start) as u64;
-    let (tiles, computed, len) = tiles_from(tile_store(), key, sgp4, indices);
-    TILE_LOOKUPS.fetch_add(requested, Relaxed);
-    TILE_COMPUTES.fetch_add(computed as u64, Relaxed);
-    TILE_MISSES.add(computed as u64);
-    TILE_HITS.add(requested - computed as u64);
-    TILE_ENTRIES.set(len as i64);
-    tiles
 }
 
 /// The ephemeris grid for `key`, building it with `build` on the first
@@ -649,148 +591,71 @@ pub fn grid_for<F>(key: GridKey, build: F) -> Arc<EphemerisGrid>
 where
     F: FnOnce() -> EphemerisGrid,
 {
-    GRID_LOOKUPS.fetch_add(1, Relaxed);
-    let (grid, computed, len) = grid_store().get_or_compute(key, || {
-        GRID_COMPUTES.fetch_add(1, Relaxed);
-        GRID_MISSES.inc();
-        build()
-    });
-    GRID_ENTRIES.set(len as i64);
-    if !computed {
-        GRID_HITS.inc();
-    }
-    grid
+    grid_store().get_or_compute(key, build)
 }
 
-/// A snapshot of the grid store's proof-of-work counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridStats {
-    /// Total [`grid_for`] calls.
-    pub lookups: u64,
-    /// Lookups that built a grid view. As for [`CacheStats::computes`],
-    /// at rest `computes == entries + evictions`, and with no budget
-    /// enforced `computes == entries` proves every stored view was
-    /// built exactly once this process.
-    pub computes: u64,
-    /// Distinct grid views currently stored.
-    pub entries: usize,
-    /// Approximate payload bytes currently held: each stored tile once,
-    /// plus every stored view's array of tile pointers.
-    pub approx_bytes: u64,
-    /// Grids evicted by [`enforce_cache_budget`] this process.
-    pub evictions: u64,
-}
-
-impl GridStats {
-    /// Lookups served without building.
-    pub fn hits(&self) -> u64 {
-        self.lookups - self.computes
+/// The grid store's counters. Its `approx_bytes` includes the tile
+/// store's: every stored tile once, plus each view's tile pointers.
+pub fn grid_stats() -> StoreStats {
+    let views = grid_store().stats(view_bytes);
+    StoreStats {
+        approx_bytes: views.approx_bytes + tile_stats().approx_bytes,
+        ..views
     }
 }
 
-/// Read the grid-store counters.
-pub fn grid_stats() -> GridStats {
-    GridStats {
-        lookups: GRID_LOOKUPS.load(Relaxed),
-        computes: GRID_COMPUTES.load(Relaxed),
-        entries: grid_store().len(),
-        approx_bytes: grid_store().approx_bytes(view_bytes)
-            + tile_store().approx_bytes(|_| TILE_BYTES),
-        evictions: GRID_EVICTIONS.load(Relaxed),
-    }
-}
-
-/// A snapshot of the tile store's proof-of-work counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileStats {
-    /// Tiles requested by view builds.
-    pub lookups: u64,
-    /// Requests that sampled a tile. At rest `computes == entries +
-    /// evictions`: every tile was sampled exactly once per residency.
-    pub computes: u64,
-    /// Distinct tiles currently stored.
-    pub entries: usize,
-    /// Tiles evicted by [`enforce_cache_budget`] this process.
-    pub evictions: u64,
-}
-
-impl TileStats {
-    /// SGP4 samples the sampled tiles took.
-    pub fn samples(&self) -> u64 {
-        self.computes * TILE as u64
-    }
-}
-
-/// Read the tile-store counters.
-pub fn tile_stats() -> TileStats {
-    TileStats {
-        lookups: TILE_LOOKUPS.load(Relaxed),
-        computes: TILE_COMPUTES.load(Relaxed),
-        entries: tile_store().len(),
-        evictions: TILE_EVICTIONS.load(Relaxed),
-    }
+/// The tile store's counters. Each computed tile took
+/// [`TILE`](satiot_orbit::ephemeris::TILE) SGP4 samples.
+pub fn tile_stats() -> StoreStats {
+    tile_store().stats(|_| TILE_BYTES)
 }
 
 /// Build the pass predictor every campaign predict phase uses for one
 /// `(satellite, site, window)` triple, the window being `key`'s range.
 ///
-/// The pair first runs the conservative spatial pre-cull (see
-/// [`satiot_orbit::cull`]): the latitude-band test needs no propagation
-/// at all, so it runs before [`gridded_predictor`] fetches the shared
-/// [`EphemerisGrid`]; the footprint-cone test then scans only that
-/// grid's raw samples. A culled pair returns `None` — its pass list
-/// over the window is provably empty — and the always-on `orbit.cull.*`
-/// proof counters record every decision, once per call. A kept pair
-/// gets the gridded predictor, whose margin sweep reads the covering
-/// grid.
+/// The pair first passes [`cull::screen`], the conservative spatial
+/// pre-cull: its latitude-band test needs no propagation at all, so it
+/// runs before the shared [`EphemerisGrid`] is fetched, and its
+/// footprint-cone test then scans only that grid's raw samples. A
+/// culled pair returns `None` — its pass list over the window is
+/// provably empty — and the screen counts every verdict, once per call.
+/// A kept pair gets the gridded predictor, whose margin sweep reads the
+/// covering grid.
 pub fn predictor(
     key: GridKey,
     sgp4: &Sgp4,
     site: Geodetic,
     mask_rad: f64,
 ) -> Option<PassPredictor> {
-    cull::record_considered();
-    if cull::never_in_latitude_band(
-        site,
-        sgp4.inclination_rad(),
-        sgp4.apogee_radius_km(),
-        mask_rad,
-    ) {
-        cull::record_lat_band_cull();
-        return None;
-    }
-    let predictor = gridded_predictor(key, sgp4, site, mask_rad);
-    let grid = predictor
-        .ephemeris()
-        .expect("a gridded predictor carries its grid");
     let (start, end) = key.range();
-    if cull::cone_clears_grid(grid, site, mask_rad, start, end) {
-        cull::record_cone_cull();
-        return None;
-    }
-    cull::record_kept();
-    Some(predictor)
+    let grid = cull::screen(sgp4, site, mask_rad, start, end, || shared_grid(key, sgp4))?;
+    Some(PassPredictor::new(sgp4.clone(), site, mask_rad).with_ephemeris(grid))
 }
 
 /// The predictor for one `(satellite, site, window)` triple over the
-/// shared [`EphemerisGrid`] for `key` (from [`grid_for`], built on
-/// first use), without the cull. The view is built over the process's
-/// shared tiles, so a window inside one already sampled propagates
-/// nothing. The simulate phases sample geometry through it, for the
-/// satellites whose cached pass lists are not empty, so they share the
-/// predict phase's grid `Arc`s without consulting the cull a second
-/// time.
+/// shared [`EphemerisGrid`] for `key`, without the cull. The simulate
+/// phases sample geometry through it, for the satellites whose cached
+/// pass lists are not empty, so they share the predict phase's grid
+/// `Arc`s without consulting the cull a second time.
 pub fn gridded_predictor(
     key: GridKey,
     sgp4: &Sgp4,
     site: Geodetic,
     mask_rad: f64,
 ) -> PassPredictor {
+    PassPredictor::new(sgp4.clone(), site, mask_rad).with_ephemeris(shared_grid(key, sgp4))
+}
+
+/// The shared view for `key` (from [`grid_for`], built on first use)
+/// over the process's shared tiles, so a window inside one already
+/// sampled propagates nothing.
+fn shared_grid(key: GridKey, sgp4: &Sgp4) -> Arc<EphemerisGrid> {
     let (start, end) = key.range();
-    let grid = grid_for(key, || {
-        EphemerisGrid::build_with(start, end, |indices| shared_tiles(key, sgp4, indices))
-    });
-    PassPredictor::new(sgp4.clone(), site, mask_rad).with_ephemeris(grid)
+    grid_for(key, || {
+        EphemerisGrid::build_with(start, end, |indices| {
+            tiles_from(tile_store(), key, sgp4, indices)
+        })
+    })
 }
 
 /// [`predictor`], spelled with the one-variant mode enums. It exists
@@ -930,9 +795,33 @@ mod tests {
             let (start, end) = key.range();
             grids.get_or_compute(key, || {
                 EphemerisGrid::build_with(start, end, |indices| {
-                    tiles_from(&tiles, key, &sgp4, indices).0
+                    tiles_from(&tiles, key, &sgp4, indices)
                 })
             })
+        };
+        let all_stats = || {
+            [
+                passes.stats(|l| pass_list_bytes(l)),
+                grids.stats(view_bytes),
+                tiles.stats(|_| TILE_BYTES),
+            ]
+        };
+        // Every pass records what it dropped in each store's own
+        // counter, and every compute stays accounted for.
+        let enforce = |budget_bytes: u64| {
+            let before = all_stats();
+            let sweep = enforce_on(&passes, &grids, &tiles, budget_bytes);
+            let after = all_stats();
+            let evicted = [
+                sweep.pass_lists_evicted,
+                sweep.grids_evicted,
+                sweep.tiles_evicted,
+            ];
+            for ((b, a), n) in before.iter().zip(&after).zip(evicted) {
+                assert_eq!(a.evictions - b.evictions, n as u64);
+                assert_eq!(a.computes, a.entries as u64 + a.evictions);
+            }
+            sweep
         };
 
         passes.get_or_compute(k1, || list(40));
@@ -940,52 +829,51 @@ mod tests {
         passes.get_or_compute(k3, || list(10));
         view(gk);
         // Touch k1 again: k2 becomes the least recently used entry.
-        let (_, recomputed, _) = passes.get_or_compute(k1, || unreachable!("k1 evicted early"));
-        assert!(!recomputed);
+        passes.get_or_compute(k1, || unreachable!("k1 evicted early"));
 
-        let pass_bytes = passes.approx_bytes(|l| pass_list_bytes(l));
-        let grid_bytes = grids.approx_bytes(view_bytes) + tiles.approx_bytes(|_| TILE_BYTES);
+        let [pass_stats, view_stats, tile_stats] = all_stats();
+        let pass_bytes = pass_stats.approx_bytes;
+        let grid_bytes = view_stats.approx_bytes + tile_stats.approx_bytes;
         let total = pass_bytes + grid_bytes;
         assert!(pass_bytes > 0 && grid_bytes > 0);
+        assert_eq!((pass_stats.lookups, pass_stats.computes), (4, 3));
 
         // Over budget by one byte: exactly the LRU entry (k2) must go.
-        let sweep = enforce_on(&passes, &grids, &tiles, total - 1);
+        let sweep = enforce(total - 1);
         assert_eq!(sweep.pass_lists_evicted, 1);
         assert_eq!(sweep.grids_evicted, 0);
         assert_eq!(sweep.tiles_evicted, 0);
         assert_eq!(sweep.bytes_freed, pass_list_bytes(&list(20)));
         assert_eq!(sweep.bytes_freed + sweep.bytes_retained, total);
         assert!(sweep.bytes_retained < total);
-        let (_, k2_recomputed, _) = passes.get_or_compute(k2, || list(20));
-        let (_, k3_recomputed, _) = passes.get_or_compute(k3, || unreachable!("k3 evicted"));
-        assert!(k2_recomputed, "the LRU entry survived the sweep");
-        assert!(!k3_recomputed);
+        passes.get_or_compute(k2, || list(20));
+        passes.get_or_compute(k3, || unreachable!("k3 evicted"));
+        let recomputed = passes.stats(|l| pass_list_bytes(l)).computes - pass_stats.computes;
+        assert_eq!(recomputed, 1, "the LRU entry survived the sweep");
 
         // Budget zero drains all three stores completely: the evicted
         // view was its tiles' only holder.
-        let sweep = enforce_on(&passes, &grids, &tiles, 0);
+        let sweep = enforce(0);
         assert_eq!(sweep.bytes_retained, 0);
         assert_eq!(sweep.grids_evicted, 1);
         assert!(sweep.tiles_evicted > 0);
-        assert_eq!(passes.len(), 0);
-        assert_eq!(grids.len(), 0);
-        assert_eq!(tiles.len(), 0);
+        assert!(all_stats().iter().all(|s| s.entries == 0));
 
         // A tile some live view still holds outlives its evicted cached
         // view, and goes as an orphan once that holder is gone.
-        let (held, _, _) = view(gk);
+        let held = view(gk);
         let held_tiles = held.tiles().len();
-        let sweep = enforce_on(&passes, &grids, &tiles, 0);
+        let sweep = enforce(0);
         assert_eq!((sweep.grids_evicted, sweep.tiles_evicted), (1, 0));
-        assert_eq!(tiles.len(), held_tiles);
+        assert_eq!(all_stats()[2].entries, held_tiles);
         drop(held);
-        let sweep = enforce_on(&passes, &grids, &tiles, 0);
+        let sweep = enforce(0);
         assert_eq!(sweep.tiles_evicted, held_tiles);
-        assert_eq!((tiles.len(), sweep.bytes_retained), (0, 0));
+        assert_eq!((all_stats()[2].entries, sweep.bytes_retained), (0, 0));
 
         // Under budget: a pass is a pure measurement, nothing moves.
         passes.get_or_compute(k1, || list(5));
-        let sweep = enforce_on(&passes, &grids, &tiles, u64::MAX - 1);
+        let sweep = enforce(u64::MAX - 1);
         assert_eq!(sweep.pass_lists_evicted, 0);
         assert_eq!(sweep.bytes_retained, pass_list_bytes(&list(5)));
     }

@@ -64,18 +64,11 @@ use crate::sweep;
 use satiot_measure::sketch::{
     ConstellationSketch, MetricSketch, QuantileSketch, StreamSummary, TraceAggregate,
 };
-use satiot_obs::metrics::Counter;
 use satiot_scenarios::constellations::all_constellations;
 use satiot_scenarios::sites::measurement_sites;
 use satiot_scenarios::{ConstellationRef, ScenarioSpec, SiteRef};
 use satiot_sim::rng::Rng;
 use std::path::{Path, PathBuf};
-
-// Report-only mirrors of the `SweepOutcome` tallies (metrics).
-static M_JOBS_RUN: Counter = Counter::new("core.sweep.server.jobs_run");
-static M_JOBS_RESUMED: Counter = Counter::new("core.sweep.server.jobs_resumed");
-static M_CHECKPOINTS_WRITTEN: Counter = Counter::new("core.sweep.server.checkpoints_written");
-static M_CHECKPOINTS_REJECTED: Counter = Counter::new("core.sweep.server.checkpoints_rejected");
 
 // ---------------------------------------------------------------------------
 // Jobs
@@ -433,14 +426,12 @@ impl SweepServer {
                 Some(Ok(record)) => Some(record),
                 Some(Err(_)) => {
                     outcome.checkpoints_rejected += 1;
-                    M_CHECKPOINTS_REJECTED.inc();
                     None
                 }
                 None => None,
             };
             if resumed.is_some() {
                 outcome.jobs_resumed += 1;
-                M_JOBS_RESUMED.inc();
             } else {
                 pending.push((slots.len(), job));
             }
@@ -452,10 +443,8 @@ impl SweepServer {
         for (slot, job) in pending {
             let record = self.execute(job)?;
             outcome.jobs_run += 1;
-            M_JOBS_RUN.inc();
             if self.write_checkpoint(&record) {
                 outcome.checkpoints_written += 1;
-                M_CHECKPOINTS_WRITTEN.inc();
             }
             if let Some(mb) = self.opts.sweep_cache_mb {
                 sweep::enforce_cache_budget(mb << 20);

@@ -1,10 +1,10 @@
-//! The shared pass cache and ephemeris grid store compute each entry
-//! exactly once: over repeated campaigns, unbudgeted, every lookup
-//! after the first is served warm; under a cache budget, the footprint
-//! holds the ceiling, results do not change, and each compute is
-//! accounted for by an entry or an eviction.
+//! The shared pass cache, ephemeris grid store and tile store compute
+//! each entry exactly once: over repeated campaigns, unbudgeted, every
+//! lookup after the first is served warm; under a cache budget, the
+//! footprint holds the ceiling, results do not change, and each compute
+//! is accounted for by an entry or an eviction.
 //!
-//! The test clears both stores and reads their counters, which any
+//! The test clears the stores and reads their counters, which any
 //! campaign running in the same process would also move, so it is the
 //! only test in this binary (one process per integration-test file).
 
@@ -12,8 +12,9 @@ use satiot_core::prelude::*;
 use satiot_core::sweep;
 
 /// Two pooled runs and a one-thread run of three sites for one day
-/// predict each pass list and sample each grid once. HK and GZ start on
-/// the same campaign day, so their satellites share grids.
+/// predict each pass list, build each grid view and sample each tile
+/// once. HK and GZ start on the same campaign day, so their satellites
+/// share grids.
 fn repeated_campaigns_compute_each_entry_once() {
     let mut cfg = PassiveConfig {
         max_days: 1.0,
@@ -38,6 +39,11 @@ fn repeated_campaigns_compute_each_entry_once() {
         "an ephemeris grid was sampled more than once"
     );
     assert!(grids.hits() > 0, "no grid was shared across observers");
+    let tiles = sweep::tile_stats();
+    assert_eq!(
+        tiles.computes, tiles.entries as u64,
+        "an ephemeris tile was sampled more than once"
+    );
     sweep::clear();
 }
 
@@ -71,7 +77,7 @@ fn budget_holds_and_results_do_not_change() {
         .run(&jobs)
         .expect("budgeted sweep runs");
     let bounded = footprint();
-    let (cache, grids) = (sweep::stats(), sweep::grid_stats());
+    let (cache, grids, tiles) = (sweep::stats(), sweep::grid_stats(), sweep::tile_stats());
     assert!(
         bounded <= budget,
         "footprint {bounded} B exceeds the {budget} B budget"
@@ -80,6 +86,7 @@ fn budget_holds_and_results_do_not_change() {
         cache.evictions + grids.evictions > 0,
         "the budget never fired an eviction"
     );
+    assert!(tiles.evictions > 0, "the budget never evicted a tile");
     assert!(
         budgeted.same_results(&unbudgeted),
         "evictions changed sweep results"
@@ -87,6 +94,7 @@ fn budget_holds_and_results_do_not_change() {
     // Each compute fills one slot and each eviction empties one.
     assert_eq!(cache.computes, cache.entries as u64 + cache.evictions);
     assert_eq!(grids.computes, grids.entries as u64 + grids.evictions);
+    assert_eq!(tiles.computes, tiles.entries as u64 + tiles.evictions);
     sweep::clear();
 }
 

@@ -1,5 +1,5 @@
 //! The spatial pre-cull inside `sweep::predictor`, proven by the
-//! process-wide `orbit.cull.*` counters: it drops only empty pairs,
+//! process-wide `cull::stats()` counters: it drops only empty pairs,
 //! retires most of a mega-shell's pair matrix, and campaigns consult it
 //! once per (site, satellite) pair.
 //!

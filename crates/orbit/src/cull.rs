@@ -61,20 +61,23 @@
 //!
 //! ## Proof counters
 //!
-//! `orbit.cull.pairs_considered` / `pairs_culled` / `pairs_kept` are
-//! always-on plain atomics (they count even with `SATIOT_METRICS` off,
-//! because the `sweep_cull` and `extension_megascale` tests assert on
-//! them), mirrored into the obs metrics registry under the same names.
-//! `considered = culled + kept` always holds; `pairs_kept` is exactly
-//! the number of pairs that went on to grid interpolation, which the
-//! `sweep_cull` test proves shrinks ≥ 5× on a mega-shell matrix.
+//! [`screen`] runs both tests for one pair and counts its verdict:
+//! `pairs_considered`, `pairs_culled_lat_band`, `pairs_culled_cone` and
+//! `pairs_kept`, read through [`stats`]. They are plain atomics, so
+//! they count with metrics off (the `sweep_cull` and
+//! `extension_megascale` tests assert on them), and only the screen
+//! adds to them. `considered = culled + kept` always holds;
+//! `pairs_kept` is exactly the number of pairs that went on to grid
+//! interpolation, which the `sweep_cull` test proves shrinks ≥ 5× on a
+//! mega-shell matrix.
 
 use crate::ephemeris::EphemerisGrid;
 use crate::frames::Geodetic;
+use crate::sgp4::Sgp4;
 use crate::time::JulianDate;
 use core::f64::consts::PI;
-use satiot_obs::metrics::Counter;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Pad, km, added to the satellite's maximum geocentric radius before
 /// computing the cone half-angle. Covers SGP4 short-period J₂ radial
@@ -115,19 +118,11 @@ pub enum CullingMode {
     On,
 }
 
-// Always-on proof-of-work counters (plain atomics so they report even
-// when `SATIOT_METRICS` is off), obs-mirrored below.
+// The proof counters behind [`stats`]; only [`screen`] adds to them.
 static PAIRS_CONSIDERED: AtomicU64 = AtomicU64::new(0);
 static PAIRS_CULLED_LAT_BAND: AtomicU64 = AtomicU64::new(0);
 static PAIRS_CULLED_CONE: AtomicU64 = AtomicU64::new(0);
 static PAIRS_KEPT: AtomicU64 = AtomicU64::new(0);
-
-/// Pairs reaching the cull decision (metrics mirror).
-static OBS_CONSIDERED: Counter = Counter::new("orbit.cull.pairs_considered");
-/// Pairs dropped before interpolation (metrics mirror).
-static OBS_CULLED: Counter = Counter::new("orbit.cull.pairs_culled");
-/// Pairs that went on to full prediction (metrics mirror).
-static OBS_KEPT: Counter = Counter::new("orbit.cull.pairs_kept");
 
 /// Snapshot of the cull proof counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,28 +163,32 @@ pub fn reset_stats() {
     PAIRS_KEPT.store(0, Relaxed);
 }
 
-/// Count one pair reaching the cull decision.
-pub fn record_considered() {
+/// Screen one (site, satellite) pair over `[start, end]` and count the
+/// verdict. The latitude-band test runs first and needs no propagation;
+/// only a pair it keeps fetches its ephemeris grid with `grid`, for the
+/// footprint-cone scan. Returns `None` for a culled pair, whose pass
+/// list over the window is provably empty, and the grid for a kept one.
+pub fn screen(
+    sgp4: &Sgp4,
+    site: Geodetic,
+    mask_rad: f64,
+    start: JulianDate,
+    end: JulianDate,
+    grid: impl FnOnce() -> Arc<EphemerisGrid>,
+) -> Option<Arc<EphemerisGrid>> {
     PAIRS_CONSIDERED.fetch_add(1, Relaxed);
-    OBS_CONSIDERED.inc();
-}
-
-/// Count one pair dropped by the latitude-band test.
-pub fn record_lat_band_cull() {
-    PAIRS_CULLED_LAT_BAND.fetch_add(1, Relaxed);
-    OBS_CULLED.inc();
-}
-
-/// Count one pair dropped by the footprint-cone grid scan.
-pub fn record_cone_cull() {
-    PAIRS_CULLED_CONE.fetch_add(1, Relaxed);
-    OBS_CULLED.inc();
-}
-
-/// Count one pair that proceeded to full prediction.
-pub fn record_kept() {
+    let (incl_rad, apogee_km) = (sgp4.inclination_rad(), sgp4.apogee_radius_km());
+    if never_in_latitude_band(site, incl_rad, apogee_km, mask_rad) {
+        PAIRS_CULLED_LAT_BAND.fetch_add(1, Relaxed);
+        return None;
+    }
+    let grid = grid();
+    if cone_clears_grid(&grid, site, mask_rad, start, end) {
+        PAIRS_CULLED_CONE.fetch_add(1, Relaxed);
+        return None;
+    }
     PAIRS_KEPT.fetch_add(1, Relaxed);
-    OBS_KEPT.inc();
+    Some(grid)
 }
 
 /// Cone half-angle from exact geocentric radii:
@@ -399,20 +398,36 @@ mod tests {
     }
 
     #[test]
-    fn counters_account_exactly() {
+    fn screen_counts_each_verdict_once() {
+        let sgp4 = Elements::circular(550.0, 10.0, epoch())
+            .to_sgp4()
+            .expect("LEO elements");
+        let (start, end) = (epoch(), epoch() + 0.02);
+        let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
+        let ground = |position_km| {
+            let g = crate::frames::ecef_to_geodetic(position_km);
+            Geodetic::new(g.lat_rad, g.lon_rad, 0.0)
+        };
+        let at = |t| grid.state_at(t).expect("in-window query").position_km;
+        // Out of the 10° shell's band; inside it but antipodal to the
+        // track mid-window; under the track at the window start.
+        let polar = Geodetic::from_degrees(80.0, 0.0, 0.0);
+        let opposite = ground(-at(start + 0.01));
+        let under = ground(at(start));
+
         reset_stats();
-        record_considered();
-        record_considered();
-        record_considered();
-        record_lat_band_cull();
-        record_cone_cull();
-        record_kept();
+        let no_grid = || unreachable!("the latitude-band verdict fetched a grid");
+        assert!(screen(&sgp4, polar, 0.0, start, end, no_grid).is_none());
+        let shared = || Arc::clone(&grid);
+        assert!(screen(&sgp4, opposite, 0.0, start, end, shared).is_none());
+        let kept = screen(&sgp4, under, 0.0, start, end, shared).expect("the pair is kept");
+        assert!(Arc::ptr_eq(&kept, &grid));
         let s = stats();
+        assert_eq!(
+            (s.pairs_culled_lat_band, s.pairs_culled_cone, s.pairs_kept),
+            (1, 1, 1)
+        );
         assert_eq!(s.pairs_considered, 3);
-        assert_eq!(s.pairs_culled(), 2);
-        assert_eq!(s.pairs_culled_lat_band, 1);
-        assert_eq!(s.pairs_culled_cone, 1);
-        assert_eq!(s.pairs_kept, 1);
         assert_eq!(s.pairs_considered, s.pairs_culled() + s.pairs_kept);
         reset_stats();
         assert_eq!(stats().pairs_considered, 0);
