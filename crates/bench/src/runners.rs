@@ -9,13 +9,14 @@
 //!
 //! ## Scenario files
 //!
-//! `SATIOT_SCENARIO=<path>` points every runner at a `.scenario.json`
-//! file: the runner loads it through [`ScenarioSpec::from_file`],
-//! resolves it with [`ScenarioSpec::build`], and derives its campaign
-//! configuration from the resolved scenario instead of the compiled-in
-//! defaults. Fields the scenario leaves unset (`max_days` in
-//! particular) keep the scaled defaults, so `SATIOT_SCALE=quick` still
-//! truncates a scenario-driven run. A scenario that fails to
+//! Every runner derives its campaign configuration from one resolved
+//! scenario, [`scenario`]: the `.scenario.json` file that
+//! `SATIOT_SCENARIO=<path>` names, loaded through
+//! [`ScenarioSpec::from_file`], or else [`ScenarioSpec::paper_passive`],
+//! which sets no field. Fields the scenario leaves unset keep each
+//! campaign's defaults, and an unset `max_days` takes the scale's day
+//! count, so `SATIOT_SCALE=quick` still truncates a scenario-driven
+//! run. A scenario that fails to
 //! parse, validate, or resolve aborts the binary with the typed
 //! [`ScenarioError`] — a mis-spelled scenario must never silently fall
 //! back to the compiled-in campaign.
@@ -24,14 +25,17 @@ pub use satiot_core::options::Scale;
 use satiot_core::prelude::*;
 use satiot_terrestrial::campaign::{TerrestrialCampaign, TerrestrialConfig, TerrestrialResults};
 
-/// Load and resolve the `SATIOT_SCENARIO` override, if any. Aborts on a
-/// scenario error: a broken scenario file must not silently degrade to
-/// the compiled-in campaign.
-pub fn scenario_override(opts: &RunOptions) -> Option<ResolvedScenario> {
-    opts.scenario.map(|path| {
-        ScenarioSpec::from_file(path)
-            .and_then(|spec| spec.build())
-            .unwrap_or_else(|e| panic!("SATIOT_SCENARIO={path}: {e}"))
+/// The scenario every runner starts from: the `SATIOT_SCENARIO` file,
+/// or else the paper's passive campaign, whose unset fields keep every
+/// workload's defaults. Aborts on a scenario error: a broken scenario
+/// file must not silently degrade to the compiled-in campaign.
+pub fn scenario(opts: &RunOptions) -> ResolvedScenario {
+    let spec = opts
+        .scenario
+        .map_or(Ok(ScenarioSpec::paper_passive()), ScenarioSpec::from_file);
+    spec.and_then(|spec| spec.build()).unwrap_or_else(|e| {
+        let path = opts.scenario.unwrap_or("unset");
+        panic!("SATIOT_SCENARIO={path}: {e}")
     })
 }
 
@@ -41,14 +45,7 @@ pub fn scenario_override(opts: &RunOptions) -> Option<ResolvedScenario> {
 /// abort with the typed error rather than returning a `Result` every
 /// experiment would immediately unwrap.
 pub fn run_passive(opts: &RunOptions) -> PassiveResults {
-    // The compiled-in default is itself a scenario — the paper's full
-    // passive campaign — so every passive run goes through
-    // `ScenarioSpec::build()` whether or not `SATIOT_SCENARIO` is set.
-    let scenario = scenario_override(opts).unwrap_or_else(|| {
-        ScenarioSpec::paper_passive()
-            .build()
-            .expect("builtin paper scenario resolves")
-    });
+    let scenario = scenario(opts);
     let mut cfg = PassiveConfig::from_scenario(&scenario);
     if scenario.max_days.is_none() {
         cfg.max_days = opts.scale.passive_days();
@@ -59,44 +56,30 @@ pub fn run_passive(opts: &RunOptions) -> PassiveResults {
 }
 
 /// Run an active campaign with config tweaks applied on top of the
-/// scaled defaults (and on top of the `SATIOT_SCENARIO` override, when
-/// one is set — the caller's tweaks win).
+/// runners' scenario (the caller's tweaks win).
 pub fn run_active_with<F: FnOnce(&mut ActiveConfig)>(opts: &RunOptions, tweak: F) -> ActiveResults {
-    let mut cfg = match scenario_override(opts) {
-        Some(scenario) => {
-            let mut cfg = ActiveConfig::from_scenario(&scenario);
-            if scenario.max_days.is_none() {
-                cfg.days = opts.scale.active_days();
-            }
-            cfg
-        }
-        None => ActiveConfig::quick(opts.scale.active_days()),
-    };
+    let scenario = scenario(opts);
+    let mut cfg = ActiveConfig::from_scenario(&scenario);
+    if scenario.max_days.is_none() {
+        cfg.days = opts.scale.active_days();
+    }
     tweak(&mut cfg);
     ActiveCampaign::new(cfg)
         .run(opts)
         .unwrap_or_else(|e| panic!("active campaign rejected its scaled config: {e}"))
 }
 
-/// Run a terrestrial campaign with config tweaks (applied on top of the
-/// `SATIOT_SCENARIO` override, when one is set).
+/// Run a terrestrial campaign with config tweaks applied on top of the
+/// runners' scenario.
 pub fn run_terrestrial_with<F: FnOnce(&mut TerrestrialConfig)>(
     opts: &RunOptions,
     tweak: F,
 ) -> TerrestrialResults {
-    let mut cfg = match scenario_override(opts) {
-        Some(scenario) => {
-            let mut cfg = TerrestrialConfig::from_scenario(&scenario);
-            if scenario.max_days.is_none() {
-                cfg.days = opts.scale.active_days();
-            }
-            cfg
-        }
-        None => TerrestrialConfig {
-            days: opts.scale.active_days(),
-            ..Default::default()
-        },
-    };
+    let scenario = scenario(opts);
+    let mut cfg = TerrestrialConfig::from_scenario(&scenario);
+    if scenario.max_days.is_none() {
+        cfg.days = opts.scale.active_days();
+    }
     tweak(&mut cfg);
     TerrestrialCampaign::new(cfg)
         .run()

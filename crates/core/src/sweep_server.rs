@@ -23,16 +23,22 @@
 //!   budget its options carry (`RunOptions::sweep_cache_mb`, through
 //!   [`crate::sweep::enforce_cache_budget`]), so a sweep over disjoint
 //!   windows cannot grow without bound.
-//! * **Checkpoint/resume.** With a spill directory configured, each
-//!   completed job's results — its sketch, per-constellation outcomes,
-//!   and root RNG stream position — are written to
-//!   `<dir>/<fingerprint>.ckpt` (atomic rename). A killed sweep
-//!   resumes by reloading completed jobs and re-running only the rest,
-//!   losing at most the in-flight job; because every job's results are
-//!   a pure function of its spec, the resumed outcome is bit-identical
-//!   to an uninterrupted run (the `satiot-bench` `sweep_kill_resume`
-//!   test SIGKILLs a live sweep worker to prove it). Floats round-trip
-//!   through their exact bit patterns, and a FNV-64 content checksum
+//! * **Checkpoint/resume.** A job is a [`ScenarioSpec`] named by its
+//!   tag, plus a 64-bit seed. With a spill directory configured, each
+//!   completed job is written to `<dir>/<fingerprint>.ckpt` (atomic
+//!   rename), where the fingerprint is FNV-1a over the seed and the
+//!   scenario's canonical JSON. The file embeds both verbatim as its
+//!   job section, and a resumed sweep compares that section as text.
+//!   The result section — root RNG stream position, counts, cache
+//!   attribution, per-constellation outcomes and sketch — is written
+//!   down once, as one walk over a [`JobRecord`] that drives both a
+//!   line writer and a line reader. A killed sweep resumes by
+//!   reloading completed jobs and re-running only the rest, losing at
+//!   most the in-flight job; because every job's results are a pure
+//!   function of its spec, the resumed outcome is bit-identical to an
+//!   uninterrupted run (the `satiot-bench` `sweep_kill_resume` test
+//!   SIGKILLs a live sweep worker to prove it). Floats round-trip
+//!   through their exact bit patterns, and an FNV-1a content checksum
 //!   rejects torn or stale files. The [`SweepOutcome`] counts the jobs
 //!   run and resumed and the checkpoints written and rejected.
 //!
@@ -61,43 +67,37 @@ use crate::options::RunOptions;
 use crate::passive::{PassiveCampaign, PassiveConfig, SchedulerKind};
 use crate::sink::SinkMode;
 use crate::sweep;
-use satiot_measure::sketch::{
-    ConstellationSketch, MetricSketch, QuantileSketch, StreamSummary, TraceAggregate,
-};
+use satiot_measure::sketch::{ConstellationSketch, MetricSketch, QuantileSketch, TraceAggregate};
 use satiot_scenarios::constellations::all_constellations;
 use satiot_scenarios::sites::measurement_sites;
 use satiot_scenarios::{ConstellationRef, ScenarioSpec, SiteRef};
-use satiot_sim::rng::Rng;
+use satiot_sim::rng::{fnv1a, Rng};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
 // Jobs
 // ---------------------------------------------------------------------------
 
-/// One campaign job in a sweep queue: a passive-campaign scenario plus
-/// the seed and tag that identify it, resolved by [`Self::to_config`]
-/// through the same front door as a scenario file.
+/// One campaign job in a sweep queue: a passive-campaign scenario named
+/// by the tag, plus the seed that drives it. The scenario supplies the
+/// job's validation and resolution ([`Self::to_config`]), its identity
+/// ([`Self::fingerprint`]) and its checkpoint's job section.
 ///
-/// Empty `sites`/`constellations` lists mean "all of the paper's
-/// catalog"; non-empty lists select by site code / constellation label
-/// (resolved in *catalog* order, so job results are independent of the
-/// order codes are listed in).
+/// Empty site and constellation selections mean "all of the paper's
+/// catalog"; non-empty ones select by site code / constellation label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepJob {
-    /// Human-readable label, carried through records and checkpoints.
-    /// Must be printable ASCII without `"` or `\` (the checkpoint codec
-    /// stores it quoted).
+    /// Human-readable label and the scenario's name, carried through
+    /// records and checkpoints ([`ScenarioSpec::validate`]'s name rule
+    /// applies).
     pub tag: String,
-    /// Root campaign seed; every stochastic stream derives from it.
+    /// Root campaign seed; every stochastic stream derives from it. It
+    /// stays outside the scenario, whose seed must be below 2^53.
     pub seed: u64,
-    /// Per-site simulated-day cap.
-    pub max_days: f64,
-    /// Station-assignment policy.
-    pub scheduler: SchedulerKind,
-    /// Site codes to simulate (empty = all measurement sites).
-    pub sites: Vec<String>,
-    /// Constellation labels to observe (empty = all).
-    pub constellations: Vec<String>,
+    /// The campaign: day cap, scheduler, site and constellation
+    /// selections. [`Self::scenario`] names it by the tag.
+    spec: ScenarioSpec,
 }
 
 impl SweepJob {
@@ -107,28 +107,32 @@ impl SweepJob {
         SweepJob {
             tag: tag.into(),
             seed,
-            max_days: 1.0,
-            scheduler: SchedulerKind::Predictive,
-            sites: Vec::new(),
-            constellations: Vec::new(),
+            spec: ScenarioSpec {
+                max_days: Some(1.0),
+                scheduler: Some(SchedulerKind::Predictive),
+                ..ScenarioSpec::default()
+            },
         }
     }
 
     /// Override the per-site day cap.
     pub fn with_max_days(mut self, days: f64) -> SweepJob {
-        self.max_days = days;
+        self.spec.max_days = Some(days);
         self
     }
 
     /// Override the scheduler.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> SweepJob {
-        self.scheduler = scheduler;
+        self.spec.scheduler = Some(scheduler);
         self
     }
 
     /// Select sites by code (empty = all).
     pub fn with_sites<S: Into<String>>(mut self, codes: impl IntoIterator<Item = S>) -> SweepJob {
-        self.sites = codes.into_iter().map(Into::into).collect();
+        self.spec.sites = codes
+            .into_iter()
+            .map(|c| SiteRef::Named(c.into()))
+            .collect();
         self
     }
 
@@ -137,80 +141,43 @@ impl SweepJob {
         mut self,
         labels: impl IntoIterator<Item = S>,
     ) -> SweepJob {
-        self.constellations = labels.into_iter().map(Into::into).collect();
+        self.spec.constellations = labels
+            .into_iter()
+            .map(|l| ConstellationRef::Named(l.into()))
+            .collect();
         self
     }
 
-    /// The job's identity fingerprint: FNV-64 over the canonical spec.
-    /// Checkpoint files are named by it, and resume only accepts a file
-    /// whose embedded spec *and* fingerprint both match.
+    /// The job's scenario, named by its tag.
+    fn scenario(&self) -> ScenarioSpec {
+        ScenarioSpec {
+            name: self.tag.clone(),
+            ..self.spec.clone()
+        }
+    }
+
+    /// The job's identity: FNV-1a 64 over the seed and the scenario's
+    /// canonical JSON (its checkpoint job section). Checkpoint files are
+    /// named by it.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.text(&self.tag);
-        h.u64(self.seed);
-        h.u64(self.max_days.to_bits());
-        match self.scheduler {
-            SchedulerKind::Predictive => h.text("P"),
-            SchedulerKind::Vanilla { dwell_s } => {
-                h.text("V");
-                h.u64(dwell_s.to_bits());
-            }
-        }
-        for s in &self.sites {
-            h.text(s);
-        }
-        h.text("|");
-        for c in &self.constellations {
-            h.text(c);
-        }
-        h.finish()
+        JobId::of(self).fingerprint
     }
 
-    /// Spec equality with exact float semantics (`max_days` and any
-    /// vanilla dwell compare by bit pattern, so NaN-poisoned or sub-ulp
-    /// differences never alias).
-    pub fn same_spec(&self, other: &SweepJob) -> bool {
-        let scheduler_eq = match (self.scheduler, other.scheduler) {
-            (SchedulerKind::Predictive, SchedulerKind::Predictive) => true,
-            (SchedulerKind::Vanilla { dwell_s: a }, SchedulerKind::Vanilla { dwell_s: b }) => {
-                a.to_bits() == b.to_bits()
-            }
-            _ => false,
-        };
-        self.tag == other.tag
-            && self.seed == other.seed
-            && self.max_days.to_bits() == other.max_days.to_bits()
-            && scheduler_eq
-            && self.sites == other.sites
-            && self.constellations == other.constellations
-    }
-
-    /// Resolve the job through [`ScenarioSpec::build`], the scenario
-    /// front door, with the tag as the scenario name. The seed is set
-    /// afterwards (job seeds may exceed a scenario seed's 2^53 bound),
-    /// and sites and constellations are sorted into catalog order.
+    /// Resolve the job's scenario through [`ScenarioSpec::build`], the
+    /// scenario front door. The seed is set afterwards (job seeds may
+    /// exceed a scenario seed's 2^53 bound), and sites and
+    /// constellations are sorted into catalog order, so results do not
+    /// depend on the order the selections list them in (the
+    /// fingerprint does).
     ///
     /// # Errors
     ///
-    /// [`SatIotError::InvalidName`] on a `scenario` field: a tag the
-    /// checkpoint codec cannot store, an unknown or duplicated site or
+    /// [`SatIotError::InvalidName`] on a `scenario` field: a tag that
+    /// breaks the scenario name rule, an unknown or duplicated site or
     /// constellation, an unusable day cap or vanilla dwell. So
     /// [`SweepServer::run`] rejects all of them before any job runs.
     pub fn to_config(&self) -> Result<PassiveConfig, SatIotError> {
-        let spec = ScenarioSpec {
-            name: self.tag.clone(),
-            max_days: Some(self.max_days),
-            scheduler: Some(self.scheduler),
-            sites: self.sites.iter().cloned().map(SiteRef::Named).collect(),
-            constellations: self
-                .constellations
-                .iter()
-                .cloned()
-                .map(ConstellationRef::Named)
-                .collect(),
-            ..ScenarioSpec::default()
-        };
-        let mut cfg = PassiveConfig::from_scenario(&spec.build()?);
+        let mut cfg = PassiveConfig::from_scenario(&self.scenario().build()?);
         cfg.seed = self.seed;
         let (sites, constellations) = (measurement_sites(), all_constellations());
         cfg.sites
@@ -218,6 +185,30 @@ impl SweepJob {
         cfg.constellations
             .sort_by_key(|s| constellations.iter().position(|c| c.name == s.name));
         Ok(cfg)
+    }
+}
+
+/// A job's identity, computed once per sweep.
+struct JobId {
+    /// The checkpoint's job section: the seed line, then the job
+    /// scenario's canonical JSON. It identifies the job exactly.
+    section: String,
+    /// FNV-1a over `section`: [`SweepJob::fingerprint`].
+    fingerprint: u64,
+}
+
+impl JobId {
+    fn of(job: &SweepJob) -> JobId {
+        let section = format!("seed {}\n{}\n", job.seed, job.scenario().to_json());
+        JobId {
+            fingerprint: fnv1a(section.as_bytes()),
+            section,
+        }
+    }
+
+    /// The job's checkpoint file in `dir`.
+    fn path(&self, dir: &Path) -> PathBuf {
+        dir.join(format!("{:016x}.ckpt", self.fingerprint))
     }
 }
 
@@ -255,7 +246,7 @@ impl CacheAttribution {
 
 /// Per-constellation outcome of one job (the quantities the frontier
 /// studies consume).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConstellationOutcome {
     /// Constellation label.
     pub constellation: String,
@@ -307,7 +298,7 @@ impl JobRecord {
     /// and cache warmth (`cache`). This is the "bit-identical to an
     /// uninterrupted run" relation the kill-and-resume test asserts.
     pub fn same_results(&self, other: &JobRecord) -> bool {
-        self.job.same_spec(&other.job)
+        self.job == other.job
             && self.fingerprint == other.fingerprint
             && self.rng_state == other.rng_state
             && self.traces_total == other.traces_total
@@ -396,18 +387,19 @@ impl SweepServer {
     /// duplicate fingerprint ([`SatIotError::InvalidName`]), or a
     /// campaign failure from an executed job.
     pub fn run(&self, jobs: &[SweepJob]) -> Result<SweepOutcome, SatIotError> {
+        let mut ids = Vec::with_capacity(jobs.len());
+        let mut seen = HashSet::with_capacity(jobs.len());
         for job in jobs {
             job.to_config()?;
-        }
-        for (i, job) in jobs.iter().enumerate() {
-            let fp = job.fingerprint();
-            if jobs[..i].iter().any(|other| other.fingerprint() == fp) {
+            let id = JobId::of(job);
+            if !seen.insert(id.fingerprint) {
                 return Err(SatIotError::InvalidName {
                     field: "SweepJob (duplicate fingerprint)",
                     name: job.tag.clone(),
                     suggestion: None,
                 });
             }
+            ids.push(id);
         }
         if let Some(dir) = &self.spill_dir {
             std::fs::create_dir_all(dir).map_err(|_| SatIotError::InvalidName {
@@ -420,9 +412,9 @@ impl SweepServer {
         // Partition the queue: resumable jobs, pending jobs.
         let mut outcome = SweepOutcome::default();
         let mut slots: Vec<Option<JobRecord>> = Vec::with_capacity(jobs.len());
-        let mut pending: Vec<(usize, &SweepJob)> = Vec::new();
-        for job in jobs {
-            let resumed = match self.load_checkpoint(job) {
+        let mut pending = Vec::new();
+        for (job, id) in jobs.iter().zip(&ids) {
+            let resumed = match self.load_checkpoint(job, id) {
                 Some(Ok(record)) => Some(record),
                 Some(Err(_)) => {
                     outcome.checkpoints_rejected += 1;
@@ -433,17 +425,17 @@ impl SweepServer {
             if resumed.is_some() {
                 outcome.jobs_resumed += 1;
             } else {
-                pending.push((slots.len(), job));
+                pending.push((slots.len(), job, id));
             }
             slots.push(resumed);
         }
 
         // Execute the pending jobs, checkpointing each and holding the
         // caches to the budget between them.
-        for (slot, job) in pending {
-            let record = self.execute(job)?;
+        for (slot, job, id) in pending {
+            let record = self.execute(job, id)?;
             outcome.jobs_run += 1;
-            if self.write_checkpoint(&record) {
+            if self.write_checkpoint(&record, id) {
                 outcome.checkpoints_written += 1;
             }
             if let Some(mb) = self.opts.sweep_cache_mb {
@@ -462,7 +454,7 @@ impl SweepServer {
     }
 
     /// Execute one job end-to-end.
-    fn execute(&self, job: &SweepJob) -> Result<JobRecord, SatIotError> {
+    fn execute(&self, job: &SweepJob, id: &JobId) -> Result<JobRecord, SatIotError> {
         let (pass_before, grid_before) = (sweep::stats(), sweep::grid_stats());
         let config = job.to_config()?;
         let resolved: Vec<String> = config
@@ -503,7 +495,7 @@ impl SweepServer {
             .collect();
         let record = JobRecord {
             job: job.clone(),
-            fingerprint: job.fingerprint(),
+            fingerprint: id.fingerprint,
             rng_state: Rng::from_seed(job.seed).state(),
             resumed: false,
             traces_total: results.sink.emitted,
@@ -517,77 +509,33 @@ impl SweepServer {
     }
 
     /// Load `job`'s checkpoint: `None` when there is no file, `Err` when
-    /// one exists but fails to verify. Any mismatch — checksum,
-    /// fingerprint, spec, or RNG stream position — rejects the file and
-    /// the job re-runs.
-    fn load_checkpoint(&self, job: &SweepJob) -> Option<Result<JobRecord, String>> {
+    /// one exists but fails to verify. Any mismatch — checksum, job
+    /// section, or RNG stream position — rejects the file and the job
+    /// re-runs.
+    fn load_checkpoint(&self, job: &SweepJob, id: &JobId) -> Option<Result<JobRecord, String>> {
         let dir = self.spill_dir.as_ref()?;
-        let text = std::fs::read_to_string(checkpoint_path(dir, job)).ok()?;
-        Some(codec::decode(&text, job))
+        let text = std::fs::read_to_string(id.path(dir)).ok()?;
+        Some(codec::decode(&text, job, id))
     }
 
     /// Write `record`'s checkpoint atomically (tmp + rename), so a kill
     /// mid-write leaves either the old file or none — never a torn one.
-    /// Returns whether a checkpoint was written: IO failure degrades to
+    /// Returns whether a checkpoint was written: a failure degrades to
     /// "no checkpoint" (the job simply re-runs on resume) rather than
     /// failing the sweep.
-    fn write_checkpoint(&self, record: &JobRecord) -> bool {
+    fn write_checkpoint(&self, record: &JobRecord, id: &JobId) -> bool {
         let Some(dir) = &self.spill_dir else {
             return false;
         };
-        let path = checkpoint_path(dir, &record.job);
+        let Ok(text) = codec::encode(record, &id.section) else {
+            return false;
+        };
+        let path = id.path(dir);
         let tmp = path.with_extension("tmp");
-        let text = codec::encode(record);
         std::fs::write(&tmp, text.as_bytes())
             .and_then(|()| std::fs::rename(&tmp, &path))
             .is_ok()
     }
-}
-
-/// The checkpoint path for one job.
-fn checkpoint_path(dir: &Path, job: &SweepJob) -> PathBuf {
-    dir.join(format!("{:016x}.ckpt", job.fingerprint()))
-}
-
-// ---------------------------------------------------------------------------
-// FNV-64 (checksums and fingerprints)
-// ---------------------------------------------------------------------------
-
-/// Incremental FNV-1a 64 over length-prefixed fields (length prefixes
-/// keep `["ab","c"]` and `["a","bc"]` from colliding).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn text(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a 64 over raw bytes (the checkpoint content checksum).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(bytes);
-    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -596,139 +544,41 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 /// The std-only line-oriented checkpoint codec.
 ///
-/// Every float is stored as its exact `f64::to_bits` pattern, so a
-/// decoded record is *bit-identical* to the encoded one — the property
-/// the whole resume contract stands on. The final line is an FNV-64
-/// checksum of everything above it; torn or hand-edited files fail to
-/// load and the job re-runs.
+/// A checkpoint is the magic line, the job section (`JobId::section`),
+/// the result section and a checksum line: FNV-1a over everything above
+/// it, so torn or hand-edited files fail to load and the job re-runs.
+/// The result section is written down once, in `walk`: the `Writer`
+/// prints each line from a record's fields and the `Reader` parses each
+/// line into them. Every float is stored as its exact `f64::to_bits`
+/// word, so a decoded record is *bit-identical* to the encoded one —
+/// the property the whole resume contract stands on.
 mod codec {
     use super::*;
+    use std::fmt::Write as _;
+    use std::str::FromStr;
 
-    pub(super) fn encode(record: &JobRecord) -> String {
-        let mut out = String::with_capacity(4096);
-        let push = |out: &mut String, line: &str| {
-            out.push_str(line);
-            out.push('\n');
-        };
-        push(&mut out, "satiot-sweep-checkpoint v1");
-        push(
-            &mut out,
-            &format!("fingerprint {:016x}", record.fingerprint),
-        );
-        push(&mut out, &format!("tag \"{}\"", record.job.tag));
-        push(&mut out, &format!("seed {}", record.job.seed));
-        push(
-            &mut out,
-            &format!("max_days {}", record.job.max_days.to_bits()),
-        );
-        match record.job.scheduler {
-            SchedulerKind::Predictive => push(&mut out, "scheduler P"),
-            SchedulerKind::Vanilla { dwell_s } => {
-                push(&mut out, &format!("scheduler V {}", dwell_s.to_bits()));
-            }
-        }
-        push(&mut out, &format!("sites {}", record.job.sites.len()));
-        for s in &record.job.sites {
-            push(&mut out, &format!("s \"{s}\""));
-        }
-        push(
-            &mut out,
-            &format!("constellations {}", record.job.constellations.len()),
-        );
-        for c in &record.job.constellations {
-            push(&mut out, &format!("c \"{c}\""));
-        }
-        let [a, b, c, d] = record.rng_state;
-        push(&mut out, &format!("rng {a} {b} {c} {d}"));
-        push(&mut out, &format!("traces {}", record.traces_total));
-        push(&mut out, &format!("emitted {}", record.emitted));
-        push(&mut out, &format!("faults {}", record.faults));
-        push(
-            &mut out,
-            &format!(
-                "cache {} {} {} {}",
-                record.cache.pass_lookups,
-                record.cache.pass_computes,
-                record.cache.grid_lookups,
-                record.cache.grid_computes
-            ),
-        );
-        push(
-            &mut out,
-            &format!("outcomes {}", record.constellations.len()),
-        );
-        for o in &record.constellations {
-            push(
-                &mut out,
-                &format!(
-                    "o \"{}\" {} {} {} {}",
-                    o.constellation,
-                    o.received,
-                    o.transmitted,
-                    o.covered_passes,
-                    o.effective_min_mean.to_bits()
-                ),
-            );
-        }
-        match &record.sketch {
-            None => push(&mut out, "sketch 0"),
-            Some(aggregate) => {
-                push(&mut out, "sketch 1");
-                push(&mut out, &format!("total {}", aggregate.total));
-                push(&mut out, &format!("groups {}", aggregate.groups.len()));
-                for g in &aggregate.groups {
-                    push(&mut out, &format!("g \"{}\" {}", g.constellation, g.count));
-                    push(&mut out, &format!("gsites {}", g.sites.len()));
-                    for (site, n) in &g.sites {
-                        push(&mut out, &format!("gs \"{site}\" {n}"));
-                    }
-                    for (label, m) in [
-                        ("rssi", &g.rssi_dbm),
-                        ("snr", &g.snr_db),
-                        ("dist", &g.distance_km),
-                        ("elev", &g.elevation_deg),
-                    ] {
-                        encode_metric(&mut out, label, m);
-                    }
-                }
-            }
-        }
-        let checksum = fnv64(out.as_bytes());
-        out.push_str(&format!("checksum {checksum:016x}\n"));
-        out
+    /// The first line: the format and its version.
+    const MAGIC: &str = "satiot-sweep-checkpoint v2\n";
+
+    /// Encode `record`, whose job section is `section`. Fails only if
+    /// the record contradicts itself (an RNG position that is not its
+    /// seed's, or a sketch [`QuantileSketch::from_parts`] rejects).
+    pub(super) fn encode(record: &JobRecord, section: &str) -> Result<String, String> {
+        let mut writer = Writer(format!("{MAGIC}{section}"));
+        walk(&mut writer, &mut record.clone())?;
+        let mut out = writer.0;
+        let checksum = fnv1a(out.as_bytes());
+        let _ = writeln!(out, "checksum {checksum:016x}");
+        Ok(out)
     }
 
-    fn encode_metric(out: &mut String, label: &str, m: &MetricSketch) {
-        let s = &m.summary;
-        out.push_str(&format!(
-            "m {label} {} {} {} {} {} {}\n",
-            s.count,
-            s.mean.to_bits(),
-            s.m2.to_bits(),
-            s.min.to_bits(),
-            s.max.to_bits(),
-            s.non_finite_dropped
-        ));
-        let q = &m.quantiles;
-        out.push_str(&format!(
-            "q {} {} {} {} {} {}\n",
-            q.width().to_bits(),
-            q.min().to_bits(),
-            q.max().to_bits(),
-            q.count(),
-            q.non_finite_dropped,
-            q.buckets()
-        ));
-        for (k, n) in q.bucket_iter() {
-            out.push_str(&format!("b {k} {n}\n"));
-        }
-    }
-
-    /// Decode a checkpoint for `job`, validating the checksum, the
-    /// fingerprint, the embedded spec, and the RNG stream position.
-    pub(super) fn decode(text: &str, job: &SweepJob) -> Result<JobRecord, String> {
-        // Checksum first: everything up to the final line must hash to
-        // the value that line carries.
+    /// Decode `job`'s checkpoint. The checks run in order: the
+    /// checksum, the job section (compared as text), the RNG stream
+    /// position, then every result line and the rebuilt sketches; a
+    /// line after the last one rejects the file too.
+    pub(super) fn decode(text: &str, job: &SweepJob, id: &JobId) -> Result<JobRecord, String> {
+        // Everything up to the final line must hash to the value that
+        // line carries.
         let body_end = text
             .trim_end_matches('\n')
             .rfind('\n')
@@ -740,217 +590,270 @@ mod codec {
             .strip_prefix("checksum ")
             .ok_or("missing checksum line")?;
         let claimed = u64::from_str_radix(claimed, 16).map_err(|_| "bad checksum encoding")?;
-        if fnv64(body.as_bytes()) != claimed {
+        if fnv1a(body.as_bytes()) != claimed {
             return Err("checksum mismatch".to_string());
         }
+        let results = body
+            .strip_prefix(MAGIC)
+            .ok_or("not a v2 sweep checkpoint")?
+            .strip_prefix(id.section.as_str())
+            .ok_or("checkpoint is for a different job spec")?;
 
-        let mut lines = body.lines();
-        let mut next = || lines.next().ok_or("truncated checkpoint".to_string());
-        expect(next()?, "satiot-sweep-checkpoint v1")?;
-        let fingerprint = u64::from_str_radix(field(next()?, "fingerprint")?, 16)
-            .map_err(|_| "bad fingerprint")?;
-        let (tag, _) = take_quoted(field(next()?, "tag")?)?;
-        let seed: u64 = parse(field(next()?, "seed")?)?;
-        let max_days = f64::from_bits(parse(field(next()?, "max_days")?)?);
-        let scheduler = match field(next()?, "scheduler")? {
-            "P" => SchedulerKind::Predictive,
-            v => match v.strip_prefix("V ") {
-                Some(bits) => SchedulerKind::Vanilla {
-                    dwell_s: f64::from_bits(parse(bits)?),
-                },
-                None => return Err(format!("unknown scheduler {v:?}")),
-            },
+        let mut record = JobRecord {
+            job: job.clone(),
+            fingerprint: id.fingerprint,
+            rng_state: [0; 4],
+            resumed: true,
+            traces_total: 0,
+            emitted: 0,
+            faults: 0,
+            constellations: Vec::new(),
+            cache: CacheAttribution::default(),
+            sketch: None,
         };
-        let n_sites: usize = parse(field(next()?, "sites")?)?;
-        let mut sites = Vec::with_capacity(n_sites);
-        for _ in 0..n_sites {
-            sites.push(take_quoted(field(next()?, "s")?)?.0);
+        let mut reader = Reader(results.lines());
+        walk(&mut reader, &mut record)?;
+        match reader.0.next() {
+            None => Ok(record),
+            Some(line) => Err(format!("unexpected line {line:?}")),
         }
-        let n_consts: usize = parse(field(next()?, "constellations")?)?;
-        let mut constellations = Vec::with_capacity(n_consts);
-        for _ in 0..n_consts {
-            constellations.push(take_quoted(field(next()?, "c")?)?.0);
-        }
-        let decoded_job = SweepJob {
-            tag,
-            seed,
-            max_days,
-            scheduler,
-            sites,
-            constellations,
-        };
-        if fingerprint != job.fingerprint() || !decoded_job.same_spec(job) {
-            return Err("checkpoint is for a different job spec".to_string());
-        }
+    }
 
-        let rng_words: Vec<u64> = field(next()?, "rng")?
-            .split_whitespace()
-            .map(parse)
-            .collect::<Result<_, _>>()?;
-        let rng_state: [u64; 4] = rng_words
-            .try_into()
-            .map_err(|_| "bad rng state arity".to_string())?;
-        if rng_state != Rng::from_seed(job.seed).state() {
+    /// The result section in file order. The writer reads each line's
+    /// words from `r`; the reader, starting from an empty record, parses
+    /// them into it. Both directions check that the RNG position is the
+    /// seed's: the reader so a stale file is rejected, the writer so
+    /// none is ever written.
+    fn walk(l: &mut impl Lines, r: &mut JobRecord) -> Result<(), String> {
+        let [a, b, c, d] = &mut r.rng_state;
+        l.line("rng", &mut [a, b, c, d])?;
+        if r.rng_state != Rng::from_seed(r.job.seed).state() {
             return Err("rng stream position mismatch (stale build?)".to_string());
         }
-        let traces_total: u64 = parse(field(next()?, "traces")?)?;
-        let emitted: u64 = parse(field(next()?, "emitted")?)?;
-        let faults: u64 = parse(field(next()?, "faults")?)?;
-        let cache_words: Vec<u64> = field(next()?, "cache")?
-            .split_whitespace()
-            .map(parse)
-            .collect::<Result<_, _>>()?;
-        let [pl, pc, gl, gc]: [u64; 4] = cache_words
-            .try_into()
-            .map_err(|_| "bad cache arity".to_string())?;
-        let n_outcomes: usize = parse(field(next()?, "outcomes")?)?;
-        let mut outcomes = Vec::with_capacity(n_outcomes);
-        for _ in 0..n_outcomes {
-            let (constellation, rest) = take_quoted(field(next()?, "o")?)?;
-            let words: Vec<u64> = rest
-                .split_whitespace()
-                .map(parse)
-                .collect::<Result<_, _>>()?;
-            let [received, transmitted, covered, mean_bits]: [u64; 4] = words
-                .try_into()
-                .map_err(|_| "bad outcome arity".to_string())?;
-            outcomes.push(ConstellationOutcome {
-                constellation,
-                received,
-                transmitted,
-                covered_passes: covered,
-                effective_min_mean: f64::from_bits(mean_bits),
-            });
-        }
-        let sketch = match field(next()?, "sketch")? {
-            "0" => None,
-            "1" => {
-                let total: u64 = parse(field(next()?, "total")?)?;
-                let n_groups: usize = parse(field(next()?, "groups")?)?;
-                let mut groups = Vec::with_capacity(n_groups);
-                for _ in 0..n_groups {
-                    let (constellation, rest) = take_quoted(field(next()?, "g")?)?;
-                    let count: u64 = parse(rest)?;
-                    let n_gsites: usize = parse(field(next()?, "gsites")?)?;
-                    let mut gsites = Vec::with_capacity(n_gsites);
-                    for _ in 0..n_gsites {
-                        let (site, rest) = take_quoted(field(next()?, "gs")?)?;
-                        gsites.push((site, parse::<u64>(rest)?));
-                    }
-                    let mut metrics = Vec::with_capacity(4);
-                    for label in ["rssi", "snr", "dist", "elev"] {
-                        metrics.push(decode_metric(&mut next, label)?);
-                    }
-                    let [rssi_dbm, snr_db, distance_km, elevation_deg]: [MetricSketch; 4] =
-                        metrics.try_into().expect("four metrics decoded");
-                    groups.push(ConstellationSketch {
-                        constellation,
-                        count,
-                        rssi_dbm,
-                        snr_db,
-                        distance_km,
-                        elevation_deg,
-                        sites: gsites,
-                    });
-                }
-                Some(TraceAggregate { total, groups })
-            }
-            v => return Err(format!("bad sketch flag {v:?}")),
-        };
-        Ok(JobRecord {
-            job: decoded_job,
-            fingerprint,
-            rng_state,
-            resumed: true,
-            traces_total,
-            emitted,
-            faults,
-            constellations: outcomes,
-            cache: CacheAttribution {
-                pass_lookups: pl,
-                pass_computes: pc,
-                grid_lookups: gl,
-                grid_computes: gc,
-            },
-            sketch,
-        })
-    }
-
-    fn decode_metric<'a>(
-        next: &mut impl FnMut() -> Result<&'a str, String>,
-        label: &str,
-    ) -> Result<MetricSketch, String> {
-        let m_line = field(next()?, "m")?;
-        let rest = m_line
-            .strip_prefix(label)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| format!("expected metric {label:?}, got {m_line:?}"))?;
-        let words: Vec<u64> = rest
-            .split_whitespace()
-            .map(parse)
-            .collect::<Result<_, _>>()?;
-        let [count, mean, m2, min, max, nf]: [u64; 6] = words
-            .try_into()
-            .map_err(|_| "bad summary arity".to_string())?;
-        let summary = StreamSummary {
-            count,
-            mean: f64::from_bits(mean),
-            m2: f64::from_bits(m2),
-            min: f64::from_bits(min),
-            max: f64::from_bits(max),
-            non_finite_dropped: nf,
-        };
-        let words: Vec<u64> = field(next()?, "q")?
-            .split_whitespace()
-            .map(parse)
-            .collect::<Result<_, _>>()?;
-        let [width, qmin, qmax, qcount, qnf, n_buckets]: [u64; 6] = words
-            .try_into()
-            .map_err(|_| "bad quantile arity".to_string())?;
-        let mut buckets = Vec::with_capacity(n_buckets as usize);
-        for _ in 0..n_buckets {
-            let line = field(next()?, "b")?;
-            let (k, n) = line.split_once(' ').ok_or("bad bucket line")?;
-            let k: i64 = k.parse().map_err(|_| "bad bucket key".to_string())?;
-            buckets.push((k, parse::<u64>(n)?));
-        }
-        let quantiles = QuantileSketch::from_parts(
-            f64::from_bits(width),
-            f64::from_bits(qmin),
-            f64::from_bits(qmax),
-            qcount,
-            qnf,
-            buckets,
+        l.line("traces", &mut [&mut r.traces_total])?;
+        l.line("emitted", &mut [&mut r.emitted])?;
+        l.line("faults", &mut [&mut r.faults])?;
+        let c = &mut r.cache;
+        l.line(
+            "cache",
+            &mut [
+                &mut c.pass_lookups,
+                &mut c.pass_computes,
+                &mut c.grid_lookups,
+                &mut c.grid_computes,
+            ],
         )?;
-        Ok(MetricSketch { summary, quantiles })
+        let mut n = r.constellations.len() as u64;
+        l.line("outcomes", &mut [&mut n])?;
+        items(l, n, &mut r.constellations, Default::default, |l, o| {
+            l.line(
+                "o",
+                &mut [
+                    &mut o.constellation,
+                    &mut o.received,
+                    &mut o.transmitted,
+                    &mut o.covered_passes,
+                    &mut o.effective_min_mean,
+                ],
+            )
+        })?;
+        let mut present = u64::from(r.sketch.is_some());
+        l.line("sketch", &mut [&mut present])?;
+        r.sketch = match present {
+            0 => None,
+            1 => Some(aggregate(l, r.sketch.take().unwrap_or_default())?),
+            _ => return Err(format!("bad sketch flag {present}")),
+        };
+        Ok(())
     }
 
-    fn expect(line: &str, want: &str) -> Result<(), String> {
-        if line == want {
-            Ok(())
-        } else {
-            Err(format!("expected {want:?}, got {line:?}"))
+    fn aggregate<L: Lines>(l: &mut L, mut a: TraceAggregate) -> Result<TraceAggregate, String> {
+        l.line("total", &mut [&mut a.total])?;
+        let mut n = a.groups.len() as u64;
+        l.line("groups", &mut [&mut n])?;
+        items(l, n, &mut a.groups, blank_group, |l, g| {
+            l.line("g", &mut [&mut g.constellation, &mut g.count])?;
+            let mut n = g.sites.len() as u64;
+            l.line("gsites", &mut [&mut n])?;
+            items(l, n, &mut g.sites, Default::default, |l, (site, n)| {
+                l.line("gs", &mut [site, n])
+            })?;
+            metric(l, "m rssi", &mut g.rssi_dbm)?;
+            metric(l, "m snr", &mut g.snr_db)?;
+            metric(l, "m dist", &mut g.distance_km)?;
+            metric(l, "m elev", &mut g.elevation_deg)
+        })?;
+        Ok(a)
+    }
+
+    /// A metric's summary line, then its quantile sketch: a head line
+    /// and one line per bucket, rebuilt (and so validated) through
+    /// [`QuantileSketch::from_parts`].
+    fn metric<L: Lines>(l: &mut L, key: &str, m: &mut MetricSketch) -> Result<(), String> {
+        let s = &mut m.summary;
+        l.line(
+            key,
+            &mut [
+                &mut s.count,
+                &mut s.mean,
+                &mut s.m2,
+                &mut s.min,
+                &mut s.max,
+                &mut s.non_finite_dropped,
+            ],
+        )?;
+        let q = &m.quantiles;
+        let (mut width, mut min, mut max) = (q.width(), q.min(), q.max());
+        let (mut count, mut dropped) = (q.count(), q.non_finite_dropped);
+        let mut buckets: Vec<(i64, u64)> = q.bucket_iter().collect();
+        let mut n = buckets.len() as u64;
+        l.line(
+            "q",
+            &mut [
+                &mut width,
+                &mut min,
+                &mut max,
+                &mut count,
+                &mut dropped,
+                &mut n,
+            ],
+        )?;
+        items(l, n, &mut buckets, Default::default, |l, (k, n)| {
+            l.line("b", &mut [k, n])
+        })?;
+        m.quantiles = QuantileSketch::from_parts(width, min, max, count, dropped, buckets)?;
+        Ok(())
+    }
+
+    /// Walk the `n` items of a list whose length the line before stated.
+    /// The writer's `n` is `items.len()`; the reader starts from an
+    /// empty list and adds each item just before parsing it, so a forged
+    /// length fails at the end of the file, not in the allocator.
+    fn items<L: Lines, T>(
+        l: &mut L,
+        n: u64,
+        items: &mut Vec<T>,
+        fresh: fn() -> T,
+        mut each: impl FnMut(&mut L, &mut T) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let n = usize::try_from(n).map_err(|_| format!("bad length {n}"))?;
+        for i in 0..n {
+            if i == items.len() {
+                items.push(fresh());
+            }
+            each(l, &mut items[i])?;
+        }
+        Ok(())
+    }
+
+    /// A group for the reader to parse into; every field is overwritten.
+    fn blank_group() -> ConstellationSketch {
+        let blank = || MetricSketch::new(1.0);
+        ConstellationSketch {
+            constellation: String::new(),
+            count: 0,
+            rssi_dbm: blank(),
+            snr_db: blank(),
+            distance_km: blank(),
+            elevation_deg: blank(),
+            sites: Vec::new(),
         }
     }
 
-    /// Strip `"<key> "` from the line.
-    fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-        line.strip_prefix(key)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| format!("expected field {key:?}, got {line:?}"))
+    /// One direction over lines of the form `key word…`.
+    trait Lines {
+        /// Write the line from `words`, or read it into them.
+        fn line(&mut self, key: &str, words: &mut [&mut dyn Word]) -> Result<(), String>;
     }
 
-    /// Split a leading quoted name off the line (names never contain
-    /// quotes; [`SweepJob::to_config`] enforces it for tags and the
-    /// catalogs guarantee it for site/constellation names).
-    pub(super) fn take_quoted(s: &str) -> Result<(String, &str), String> {
-        let s = s.strip_prefix('"').ok_or("expected opening quote")?;
-        let end = s.find('"').ok_or("missing closing quote")?;
-        Ok((s[..end].to_string(), s[end + 1..].trim_start()))
+    /// Prints each line.
+    struct Writer(String);
+
+    impl Lines for Writer {
+        fn line(&mut self, key: &str, words: &mut [&mut dyn Word]) -> Result<(), String> {
+            self.0.push_str(key);
+            for w in words {
+                self.0.push(' ');
+                w.put(&mut self.0);
+            }
+            self.0.push('\n');
+            Ok(())
+        }
     }
 
-    fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-        s.trim().parse().map_err(|_| format!("bad number {s:?}"))
+    /// Parses each line.
+    struct Reader<'a>(std::str::Lines<'a>);
+
+    impl Lines for Reader<'_> {
+        fn line(&mut self, key: &str, words: &mut [&mut dyn Word]) -> Result<(), String> {
+            let line = self.0.next().ok_or("truncated checkpoint")?;
+            let mut rest = line
+                .strip_prefix(key)
+                .ok_or_else(|| format!("expected {key:?}, got {line:?}"))?;
+            for w in words {
+                rest = rest
+                    .strip_prefix(' ')
+                    .ok_or_else(|| format!("short line {line:?}"))?;
+                rest = w.take(rest)?;
+            }
+            if rest.is_empty() {
+                Ok(())
+            } else {
+                Err(format!("long line {line:?}"))
+            }
+        }
+    }
+
+    /// One value on a line.
+    trait Word {
+        /// Append the value's text.
+        fn put(&self, out: &mut String);
+        /// Parse the value off the front of `s`; return the rest.
+        fn take<'a>(&mut self, s: &'a str) -> Result<&'a str, String>;
+    }
+
+    /// Integers are decimals; bucket keys are signed.
+    trait Decimal: std::fmt::Display + FromStr {}
+    impl Decimal for u64 {}
+    impl Decimal for i64 {}
+
+    impl<T: Decimal> Word for T {
+        fn put(&self, out: &mut String) {
+            let _ = write!(out, "{self}");
+        }
+        fn take<'a>(&mut self, s: &'a str) -> Result<&'a str, String> {
+            let (token, rest) = s.split_at(s.find(' ').unwrap_or(s.len()));
+            *self = token.parse().map_err(|_| format!("bad number {token:?}"))?;
+            Ok(rest)
+        }
+    }
+
+    /// Floats are their exact `to_bits` words.
+    impl Word for f64 {
+        fn put(&self, out: &mut String) {
+            self.to_bits().put(out);
+        }
+        fn take<'a>(&mut self, s: &'a str) -> Result<&'a str, String> {
+            let mut bits = 0u64;
+            let rest = bits.take(s)?;
+            *self = f64::from_bits(bits);
+            Ok(rest)
+        }
+    }
+
+    /// Names are quoted. They are the constellation labels and site
+    /// codes of catalog entries (a job selects nothing else), and none
+    /// contains a quote.
+    impl Word for String {
+        fn put(&self, out: &mut String) {
+            let _ = write!(out, "\"{self}\"");
+        }
+        fn take<'a>(&mut self, s: &'a str) -> Result<&'a str, String> {
+            let s = s.strip_prefix('"').ok_or("expected opening quote")?;
+            let (name, rest) = s.split_once('"').ok_or("missing closing quote")?;
+            *self = name.to_string();
+            Ok(rest)
+        }
     }
 }
 
@@ -1022,7 +925,7 @@ mod tests {
         ];
         for v in &variants {
             assert_ne!(base.fingerprint(), v.fingerprint(), "{v:?}");
-            assert!(!base.same_spec(v), "{v:?}");
+            assert_ne!(&base, v);
         }
         assert_eq!(base.fingerprint(), quick_job("t", 1).fingerprint());
     }
@@ -1035,8 +938,9 @@ mod tests {
             .unwrap();
         let record = &outcome.records[0];
         assert!(record.sketch.is_some(), "aggregate sink must sketch");
-        let text = codec::encode(record);
-        let decoded = codec::decode(&text, &job).expect("round trip");
+        let id = JobId::of(&job);
+        let text = codec::encode(record, &id.section).expect("encode");
+        let decoded = codec::decode(&text, &job, &id).expect("round trip");
         assert!(decoded.resumed);
         assert!(decoded.same_results(record));
         // Full equality too, once provenance is aligned.
@@ -1049,9 +953,47 @@ mod tests {
         let mid = corrupt.len() / 2;
         corrupt[mid] = corrupt[mid].wrapping_add(1);
         let corrupt = String::from_utf8_lossy(&corrupt).into_owned();
-        assert!(codec::decode(&corrupt, &job).is_err());
+        assert!(codec::decode(&corrupt, &job, &id).is_err());
         // A checkpoint for one job never loads for another.
-        assert!(codec::decode(&text, &quick_job("codec", 12)).is_err());
+        let other = quick_job("codec", 12);
+        assert!(codec::decode(&text, &other, &JobId::of(&other)).is_err());
+    }
+
+    #[test]
+    fn resealed_checkpoint_edits_fail_to_parse() {
+        // Edits behind a valid checksum reach the result parser, which
+        // must reject them on its own.
+        let job = quick_job("reseal", 11);
+        let id = JobId::of(&job);
+        let outcome = SweepServer::new(RunOptions::default())
+            .run(std::slice::from_ref(&job))
+            .unwrap();
+        let text = codec::encode(&outcome.records[0], &id.section).expect("encode");
+        let seal = |lines: &[String]| {
+            let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            let checksum = fnv1a(body.as_bytes());
+            format!("{body}checksum {checksum:016x}\n")
+        };
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        lines.pop(); // the old checksum
+        assert_eq!(seal(&lines), text);
+        assert!(codec::decode(&seal(&lines), &job, &id).is_ok());
+
+        let bucket = lines
+            .iter()
+            .position(|l| l.starts_with("b "))
+            .expect("a sketched bucket");
+        let (key, count) = lines[bucket][2..].split_once(' ').unwrap();
+        let mut recounted = lines.clone();
+        recounted[bucket] = format!("b {key} {}", count.parse::<u64>().unwrap() + 1);
+        let mut dropped = lines.clone();
+        dropped.remove(bucket);
+        let mut appended = lines.clone();
+        appended.push("faults 0".to_string());
+        for edited in [recounted, dropped, appended] {
+            let err = codec::decode(&seal(&edited), &job, &id).expect_err("edited record parses");
+            assert_ne!(err, "checksum mismatch");
+        }
     }
 
     #[test]
@@ -1078,7 +1020,7 @@ mod tests {
 
         // Drop one checkpoint: exactly that job re-runs, results still
         // identical.
-        std::fs::remove_file(checkpoint_path(&dir, &jobs[1])).unwrap();
+        std::fs::remove_file(JobId::of(&jobs[1]).path(&dir)).unwrap();
         let partial = server.run(&jobs).unwrap();
         assert_eq!(partial.jobs_run, 1);
         assert_eq!(partial.jobs_resumed, 2);
@@ -1088,8 +1030,8 @@ mod tests {
         // Corrupt one checkpoint: it is rejected, that job re-runs and
         // rewrites it, and results stay identical.
         std::fs::write(
-            checkpoint_path(&dir, &jobs[2]),
-            "satiot-sweep-checkpoint v1\n",
+            JobId::of(&jobs[2]).path(&dir),
+            "satiot-sweep-checkpoint v2\n",
         )
         .unwrap();
         let healed = server.run(&jobs).unwrap();

@@ -449,21 +449,19 @@ mod tests {
     /// trips this.
     fn fingerprint(sats: &[SatelliteDef]) -> u64 {
         use satiot_orbit::elements::wrap_tau;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for s in sats {
-            for v in [
-                s.elements.sma_km,
-                s.elements.inclination_rad,
-                wrap_tau(s.elements.raan_rad),
-                wrap_tau(s.elements.mean_anomaly_rad),
-            ] {
-                for b in v.to_bits().to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        }
-        h
+        let bytes: Vec<u8> = sats
+            .iter()
+            .flat_map(|s| {
+                [
+                    s.elements.sma_km,
+                    s.elements.inclination_rad,
+                    wrap_tau(s.elements.raan_rad),
+                    wrap_tau(s.elements.mean_anomaly_rad),
+                ]
+            })
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        satiot_sim::rng::fnv1a(&bytes)
     }
 
     #[test]

@@ -17,16 +17,17 @@
 //!
 //! ## Fingerprints
 //!
-//! [`ScenarioSpec::fingerprint`] is an FNV-64 hash over the spec's
-//! *canonical serialisation* ([`ScenarioSpec::to_json`]) — the same
-//! hash family the sweep server uses for job checkpoints. Re-parsing
-//! and re-emitting a file erases formatting differences, so two specs
-//! fingerprint equal iff they are field-for-field, bit-for-bit equal.
-//! The committed paper scenarios pin their fingerprints in regression
-//! tests: editing a `.scenario.json` in a way that changes results
-//! also changes the fingerprint and fails the pin, and sweep-server
-//! checkpoints keyed on a scenario fingerprint can never silently
-//! resume against a different scenario.
+//! [`ScenarioSpec::fingerprint`] is FNV-1a 64 ([`satiot_sim::rng::fnv1a`])
+//! over the spec's *canonical serialisation* ([`ScenarioSpec::to_json`]).
+//! Re-parsing and re-emitting a file erases formatting differences, so
+//! two specs fingerprint equal iff they are field-for-field,
+//! bit-for-bit equal. The committed paper scenarios pin their
+//! fingerprints in regression tests: editing a `.scenario.json` in a
+//! way that changes results also changes the fingerprint and fails the
+//! pin. A sweep job is a scenario too: `satiot_core::sweep_server`
+//! embeds the job's canonical JSON verbatim in its checkpoint and
+//! names the file by FNV-1a over that JSON and the job's seed, so a
+//! checkpoint can never silently resume against a different scenario.
 
 use crate::constellations::{all_constellations, constellation_suggestion, ConstellationSpec};
 use crate::json::{escape_json, JsonError, JsonParser, JsonValue};
@@ -35,6 +36,7 @@ use crate::sites::{
     measurement_sites, site_code_suggestion, tianqi_ground_stations, Climate, Site, YUNNAN_FARM,
 };
 use crate::walker::{intern_name, WalkerConstellation, WalkerParseError, WalkerShell};
+use satiot_sim::rng::fnv1a;
 
 use core::fmt;
 use core::fmt::Write as _;
@@ -271,8 +273,8 @@ pub struct TerrestrialSpec {
 pub struct ScenarioSpec {
     /// Spec version ([`SPEC_VERSION`]).
     pub version: u32,
-    /// Scenario label (checkpoint-codec charset: printable ASCII
-    /// without `"` or `\`).
+    /// Scenario label: printable ASCII or space, without `"` or `\`
+    /// (see [`Self::validate`]).
     pub name: String,
     /// Root RNG seed; `None` keeps each workload's default.
     pub seed: Option<u64>,
@@ -391,8 +393,9 @@ impl ScenarioSpec {
                 supported: SPEC_VERSION,
             });
         }
-        // The name lands in sweep checkpoints; hold it to the same
-        // charset the sweep codec holds job tags to.
+        // Sweep checkpoints embed the canonical JSON line by line, and
+        // `escape_json` escapes only quotes and backslashes, so
+        // printable ASCII is what keeps a name on one line.
         if self.name.is_empty()
             || !self
                 .name
@@ -653,17 +656,10 @@ impl ScenarioSpec {
     // -----------------------------------------------------------------
     // Fingerprint.
 
-    /// FNV-64 fingerprint over the canonical serialisation (see the
+    /// FNV-1a 64 fingerprint over the canonical serialisation (see the
     /// module docs).
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in self.to_json().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        fnv1a(self.to_json().as_bytes())
     }
 
     // -----------------------------------------------------------------

@@ -19,8 +19,10 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a byte string — stable label hashing for stream forking.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over a byte string: the workspace's one stable hash. It
+/// labels forked streams here, and fingerprints scenarios, sweep jobs
+/// and checkpoint contents elsewhere.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
