@@ -30,7 +30,7 @@ use crate::options::RunOptions;
 use crate::passive::sanitize_candidates;
 use crate::satellite::{merge_contacts, SatellitePayload};
 use crate::scheduler::CandidatePass;
-use crate::sweep::{self, GridKey, PassKey};
+use crate::sweep::{self, GridKey};
 use satiot_channel::antenna::AntennaPattern;
 use satiot_channel::budget::LinkBudget;
 use satiot_channel::weather::{Weather, WeatherProcess};
@@ -340,25 +340,11 @@ impl ActiveCampaign {
         // each one exactly once.
         let farm_lists: Vec<Arc<Vec<Pass>>> =
             pool::parallel_map_with(&catalog, threads, |i, sat| {
-                let sgp4 = sgp4s[i].clone();
-                sweep::passes_for(
-                    PassKey::new(
-                        YUNNAN_FARM,
-                        sat.constellation,
-                        sat.sat_id,
-                        t0,
-                        t0 + cfg.days,
-                        calib::THEORETICAL_MASK_RAD,
-                    ),
-                    || {
-                        sweep::predictor(
-                            GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days),
-                            &sgp4,
-                            farm,
-                            calib::THEORETICAL_MASK_RAD,
-                        )
-                    },
-                )
+                let key = GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days);
+                let observer = [(YUNNAN_FARM, farm)];
+                let mut lists =
+                    sweep::passes_for_sites(key, &sgp4s[i], calib::THEORETICAL_MASK_RAD, &observer);
+                lists.pop().expect("one list per site")
             });
         // Geometry sampling during the event loop goes through one
         // predictor per satellite with farm passes (no other is
@@ -397,46 +383,24 @@ impl ActiveCampaign {
         farm_passes.sort_by(|a, b| a.pass.aos.0.total_cmp(&b.pass.aos.0));
         FARM_PASSES.add(farm_passes.len() as u64);
 
-        // GS contact plans: one *(satellite × station)* prediction per
-        // pool task (22 sats × 12 stations dominates cold setup time),
-        // every list shared through the cache.
-        let gs_tasks: Vec<(usize, usize)> = (0..catalog.len())
-            .flat_map(|i| (0..gs_sites.len()).map(move |g| (i, g)))
-            .collect();
-        let gs_lists: Vec<Arc<Vec<Pass>>> =
-            pool::parallel_map_with(&gs_tasks, threads, |_, &(i, g)| {
+        // GS contact plans: one pool task per satellite predicts its
+        // passes over all twelve stations in one margin sweep, every
+        // list shared through the cache.
+        let gs_lists: Vec<Vec<Arc<Vec<Pass>>>> =
+            pool::parallel_map_with(&catalog, threads, |i, sat| {
                 let _shard_span = CONTACT_PLAN_SHARD_S.start();
-                let sat = &catalog[i];
-                let (name, gs) = gs_sites[g];
-                let sgp4 = sgp4s[i].clone();
-                sweep::passes_for(
-                    PassKey::new(
-                        name,
-                        sat.constellation,
-                        sat.sat_id,
-                        t0,
-                        t0 + cfg.days + 1.0,
-                        gs_mask_rad,
-                    ),
-                    || {
-                        sweep::predictor(
-                            GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days + 1.0),
-                            &sgp4,
-                            gs,
-                            gs_mask_rad,
-                        )
-                    },
-                )
+                let key = GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days + 1.0);
+                sweep::passes_for_sites(key, &sgp4s[i], gs_mask_rad, &gs_sites)
             });
-        let contact_plans: Vec<Vec<(f64, f64)>> = (0..catalog.len())
-            .map(|i| {
-                let mut intervals = Vec::new();
-                for g in 0..gs_sites.len() {
-                    for pass in gs_lists[i * gs_sites.len() + g].iter() {
-                        intervals.push((pass.aos.seconds_since(t0), pass.los.seconds_since(t0)));
-                    }
-                }
-                merge_contacts(intervals)
+        let contact_plans: Vec<Vec<(f64, f64)>> = gs_lists
+            .iter()
+            .map(|lists| {
+                let intervals = lists.iter().flat_map(|list| list.iter());
+                merge_contacts(
+                    intervals
+                        .map(|pass| (pass.aos.seconds_since(t0), pass.los.seconds_since(t0)))
+                        .collect(),
+                )
             })
             .collect();
 

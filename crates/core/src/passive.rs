@@ -11,11 +11,13 @@
 //!    [`EffectiveWindow`] records.
 //!
 //! The driver runs in two phases. The *predict* phase shards one task
-//! per *(site × satellite)* pair across the `satiot_sim::pool` work
-//! queue, each task resolving its pass list through the process-wide
-//! [`crate::sweep`] cache (so re-runs — ablations, determinism checks,
-//! repeated campaigns in one binary — never predict the same list
-//! twice). The *simulate* phase then replays each site on its own
+//! per *(satellite × window)* across the `satiot_sim::pool` work queue:
+//! the sites whose simulated ranges coincide (HK, GZ and YC in the
+//! paper campaign; PGH and LDN) share one task, which resolves their
+//! pass lists through the process-wide [`crate::sweep`] cache with one
+//! margin sweep ([`sweep::passes_for_sites`]), so re-runs — ablations,
+//! determinism checks, repeated campaigns in one binary — never predict
+//! the same list twice. The *simulate* phase then replays each site on its own
 //! forked RNG stream; results merge in site order, so a campaign is
 //! bit-for-bit reproducible regardless of thread count or scheduling.
 //!
@@ -37,7 +39,7 @@ use crate::satellite::merge_contacts;
 use crate::scheduler::{CandidatePass, Coverage, PredictiveScheduler, Scheduler, VanillaScheduler};
 use crate::sink::{SinkStats, TraceSink};
 use crate::station::{AvailabilityParams, StationAvailability};
-use crate::sweep::{self, GridKey, PassKey};
+use crate::sweep::{self, GridKey};
 use satiot_channel::antenna::AntennaPattern;
 use satiot_channel::budget::LinkBudget;
 use satiot_channel::weather::WeatherProcess;
@@ -45,6 +47,7 @@ use satiot_measure::contact::{ContactStats, EffectiveWindow, TheoreticalWindow};
 use satiot_measure::sketch::TraceAggregate;
 use satiot_measure::trace::{BeaconTrace, TraceSet};
 use satiot_obs::metrics::{Counter, Timer};
+use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
 use satiot_orbit::time::JulianDate;
@@ -272,9 +275,10 @@ impl PassiveCampaign {
 
     /// Run the campaign and return merged results.
     ///
-    /// Two phases: the *predict* phase shards one *(site × satellite)*
-    /// pass-prediction task per pair across the sweep pool, all served
-    /// through the shared [`crate::sweep`] cache; the *simulate* phase
+    /// Two phases: the *predict* phase shards one pass-prediction task
+    /// per *(satellite × window)* across the sweep pool, for every site
+    /// that shares the window, all served through the shared
+    /// [`crate::sweep`] cache; the *simulate* phase
     /// then replays each site on its own forked RNG stream. Sites merge
     /// in configuration order, so the output is bit-identical to a
     /// one-thread run (`parallel_and_serial_agree` pins this).
@@ -298,23 +302,36 @@ impl PassiveCampaign {
         let n_sats = sats.len();
         let threads = opts.threads.unwrap_or_else(pool::thread_count);
 
-        // Predict phase: satellite-granularity sharding over the cache.
-        let tasks: Vec<(usize, usize)> = (0..n_sites)
-            .flat_map(|s| (0..n_sats).map(move |q| (s, q)))
+        // Predict phase: one task per (satellite, window), for every
+        // site that shares the window, through the shared cache.
+        let groups = window_groups(&self.config.sites, self.config.max_days);
+        let tasks: Vec<(usize, &WindowGroup)> = (0..n_sats)
+            .flat_map(|q| groups.iter().map(move |group| (q, group)))
             .collect();
-        let lists: Vec<Arc<Vec<Pass>>> =
-            pool::parallel_map_with(&tasks, threads, |_, &(si, qi)| {
-                predict_site_sat(&self.config.sites[si], &sats[qi], self.config.max_days)
+        let group_lists: Vec<Vec<Arc<Vec<Pass>>>> =
+            pool::parallel_map_with(&tasks, threads, |_, &(q, group)| {
+                let sat = &sats[q];
+                sweep::passes_for_sites(
+                    GridKey::new(sat.constellation, sat.sat_id, group.start, group.end),
+                    &sat.sgp4,
+                    calib::THEORETICAL_MASK_RAD,
+                    &group.observers,
+                )
             });
-        let site_lists: Vec<&[Arc<Vec<Pass>>]> = (0..n_sites)
-            .map(|s| &lists[s * n_sats..(s + 1) * n_sats])
-            .collect();
+        // Back to per-site lists in satellite order: the tasks run
+        // satellite-major, and every site sits in exactly one group.
+        let mut site_lists: Vec<Vec<Arc<Vec<Pass>>>> = vec![Vec::with_capacity(n_sats); n_sites];
+        for (&(_, group), lists) in tasks.iter().zip(group_lists) {
+            for (&s, list) in group.sites.iter().zip(lists) {
+                site_lists[s].push(list);
+            }
+        }
 
         // Simulate phase: one task per site, RNG streams forked by index.
         let partials: Vec<PassiveResults> =
             pool::parallel_map_with(&self.config.sites, threads, |idx, site| {
                 let rng = root.fork_indexed("site", idx as u64);
-                run_site(&self.config, opts, site, &sats, rng, site_lists[idx])
+                run_site(&self.config, opts, site, &sats, rng, &site_lists[idx])
             });
         Ok(merge(partials))
     }
@@ -430,29 +447,42 @@ fn site_range(site: &Site, max_days: f64) -> (JulianDate, JulianDate, f64) {
     (start, start + days, days)
 }
 
-/// Predict (through the shared cache) one satellite's passes over one
-/// site for the site's configured campaign range.
-fn predict_site_sat(site: &Site, sat: &FlatSat, max_days: f64) -> Arc<Vec<Pass>> {
-    let (start, end, _) = site_range(site, max_days);
-    let grid_key = GridKey::new(sat.constellation, sat.sat_id, start, end);
-    sweep::passes_for(
-        PassKey::new(
-            site.code,
-            sat.constellation,
-            sat.sat_id,
-            start,
-            end,
-            calib::THEORETICAL_MASK_RAD,
-        ),
-        || {
-            sweep::predictor(
-                grid_key,
-                &sat.sgp4,
-                site.geodetic(),
-                calib::THEORETICAL_MASK_RAD,
-            )
-        },
-    )
+/// The sites of one campaign that share one simulated range: the unit of
+/// the predict phase, whose sites one margin sweep per satellite serves.
+struct WindowGroup {
+    start: JulianDate,
+    end: JulianDate,
+    /// Indices of the group's sites in the configuration, ascending.
+    sites: Vec<usize>,
+    /// Each of those sites' pass-cache code and position.
+    observers: Vec<(&'static str, Geodetic)>,
+}
+
+/// Group `sites` by their simulated range ([`site_range`], compared to
+/// the bit), one group per distinct range in first-use order.
+fn window_groups(sites: &[Site], max_days: f64) -> Vec<WindowGroup> {
+    let mut groups: Vec<WindowGroup> = Vec::new();
+    for (s, site) in sites.iter().enumerate() {
+        let (start, end, _) = site_range(site, max_days);
+        let same = |g: &&mut WindowGroup| {
+            (g.start.0.to_bits(), g.end.0.to_bits()) == (start.0.to_bits(), end.0.to_bits())
+        };
+        let group = match groups.iter_mut().find(same) {
+            Some(group) => group,
+            None => {
+                groups.push(WindowGroup {
+                    start,
+                    end,
+                    sites: Vec::new(),
+                    observers: Vec::new(),
+                });
+                groups.last_mut().expect("just pushed")
+            }
+        };
+        group.sites.push(s);
+        group.observers.push((site.code, site.geodetic()));
+    }
+    groups
 }
 
 /// The coverage piece to probe for station liveness at culmination: the
@@ -768,24 +798,10 @@ pub fn theoretical_daily_hours(spec: &ConstellationSpec, site: &Site, days: u32)
                 return Arc::new(Vec::new());
             }
         };
-        sweep::passes_for(
-            PassKey::new(
-                site.code,
-                sat.constellation,
-                sat.sat_id,
-                start,
-                end,
-                calib::THEORETICAL_MASK_RAD,
-            ),
-            || {
-                sweep::predictor(
-                    GridKey::new(sat.constellation, sat.sat_id, start, end),
-                    &sgp4,
-                    site.geodetic(),
-                    calib::THEORETICAL_MASK_RAD,
-                )
-            },
-        )
+        let observer = [(site.code, site.geodetic())];
+        let key = GridKey::new(sat.constellation, sat.sat_id, start, end);
+        let mut lists = sweep::passes_for_sites(key, &sgp4, calib::THEORETICAL_MASK_RAD, &observer);
+        lists.pop().expect("one list per site")
     });
     // Collect all pass intervals (seconds relative to start).
     let intervals: Vec<(f64, f64)> = lists

@@ -15,6 +15,11 @@
 //! caching cannot perturb campaign determinism: a cached list is
 //! bit-identical to a fresh computation.
 //!
+//! Campaigns look their lists up through [`passes_for_sites`], one call
+//! per (satellite, window) for every site that shares the window and
+//! mask, which predicts the missing ones with one margin sweep;
+//! [`passes_for`] with [`predictor`] is the same lookup for one pair.
+//!
 //! Beside the pass cache sit the ephemeris grid store ([`grid_for`])
 //! and the tile store whose tiles its views slice (see
 //! [`gridded_predictor`]). Each store counts its own work, with metrics
@@ -51,7 +56,8 @@ use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
 use satiot_orbit::time::JulianDate;
 use satiot_orbit::visibility::VisibilityMode;
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::mem::size_of;
 use std::ops::Range;
@@ -186,28 +192,18 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
     }
 
     /// [`Self::get_or_compute`] over many keys: resolve every slot
-    /// (inserting empty ones) under one map lock and stamp them with one
-    /// recency tick, then fill each empty cell with `make(key)`, in key
-    /// order. The map lock is held only to resolve the slots; the
-    /// computations run outside it, so distinct keys compute in parallel
-    /// while racing lookups of the same key block on one computation
-    /// (`OnceLock` exactly-once).
+    /// ([`Self::resolve`]), then fill each empty cell with `make(key)`,
+    /// in key order. The computations run outside the map lock, so
+    /// distinct keys compute in parallel while racing lookups of the
+    /// same key block on one computation (`OnceLock` exactly-once).
     fn get_or_compute_all<F: FnMut(K) -> T>(
         &self,
         keys: impl Iterator<Item = K> + Clone,
         mut make: F,
     ) -> Vec<Arc<T>> {
-        let slots: Vec<Arc<Slot<T>>> = {
-            let mut map = self.lock();
-            keys.clone()
-                .map(|key| Arc::clone(map.entry(key).or_default()))
-                .collect()
-        };
-        self.lookups.fetch_add(slots.len() as u64, Relaxed);
-        let tick = CLOCK.fetch_add(1, Relaxed) + 1;
+        let slots = self.resolve(keys.clone());
         keys.zip(slots)
             .map(|(key, slot)| {
-                slot.last_used.store(tick, Relaxed);
                 slot.cell
                     .get_or_init(|| {
                         self.computes.fetch_add(1, Relaxed);
@@ -216,6 +212,62 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
                     .clone()
             })
             .collect()
+    }
+
+    /// [`Self::get_or_compute_all`] for entries computed together:
+    /// resolve every slot ([`Self::resolve`]), then one call of `make`
+    /// computes the entries of the distinct keys whose slots are still
+    /// empty — it gets their first positions in `keys`, ascending, and
+    /// returns one entry per position — and each of those slots is
+    /// filled once. When every slot is filled, `make` is not called.
+    ///
+    /// A racing lookup that fills one of those slots first keeps its
+    /// entry (a store entry is a pure function of its key, so both are
+    /// the same), and only fills count as computes. Campaign callers
+    /// never race that way: each pool task owns its group's keys.
+    fn get_or_compute_group<F: FnOnce(&[usize]) -> Vec<T>>(
+        &self,
+        keys: &[K],
+        make: F,
+    ) -> Vec<Arc<T>> {
+        let slots = self.resolve(keys.iter().copied());
+        let mut seen = HashSet::new();
+        let pending: Vec<usize> = (0..keys.len())
+            .filter(|&i| slots[i].cell.get().is_none() && seen.insert(keys[i]))
+            .collect();
+        if !pending.is_empty() {
+            let values = make(&pending);
+            assert_eq!(values.len(), pending.len(), "one entry per empty slot");
+            for (i, value) in pending.into_iter().zip(values) {
+                slots[i].cell.get_or_init(|| {
+                    self.computes.fetch_add(1, Relaxed);
+                    Arc::new(value)
+                });
+            }
+        }
+        slots
+            .iter()
+            .map(|slot| Arc::clone(slot.cell.get().expect("every slot is filled")))
+            .collect()
+    }
+
+    /// Resolve the slot of every key (inserting empty ones) under one
+    /// map lock, count the lookups, and stamp each slot with its own
+    /// recency tick: one [`CLOCK`] reservation per batch, tick `base +
+    /// i` for the `i`-th key, so no two lookups share a tick.
+    fn resolve(&self, keys: impl Iterator<Item = K>) -> Vec<Arc<Slot<T>>> {
+        let slots: Vec<Arc<Slot<T>>> = {
+            let mut map = self.lock();
+            keys.map(|key| Arc::clone(map.entry(key).or_default()))
+                .collect()
+        };
+        let n = slots.len() as u64;
+        self.lookups.fetch_add(n, Relaxed);
+        let base = CLOCK.fetch_add(n, Relaxed) + 1;
+        for (i, slot) in slots.iter().enumerate() {
+            slot.last_used.store(base + i as u64, Relaxed);
+        }
+        slots
     }
 
     /// The counters, with `approx_bytes` the sum of `payload_bytes`
@@ -304,7 +356,8 @@ fn view_bytes(grid: &EphemerisGrid) -> u64 {
 const TILE_BYTES: u64 = size_of::<EphemerisTile>() as u64;
 
 /// The pass list for `key`, predicting it with `make_predictor` on the
-/// first request and serving the shared list afterwards.
+/// first request and serving the shared list afterwards: the one-pair
+/// form of [`passes_for_sites`], which the campaigns call.
 ///
 /// `make_predictor` returning `None` means the pair was proven empty
 /// without prediction (the spatial pre-cull, see [`satiot_orbit::cull`])
@@ -325,6 +378,60 @@ where
             Some(predictor) => predictor.passes(start, end),
             None => Vec::new(),
         }
+    })
+}
+
+/// The pass lists of one satellite over every site in `sites`, for the
+/// window `key` names and the mask `mask_rad`, in input order: the
+/// entry every campaign predict phase goes through. Site `i`'s list is
+/// keyed by `PassKey::new(sites[i].0, …)` from `key` and the mask, and
+/// is bit for bit the one [`passes_for`] with [`predictor`] would cache.
+///
+/// The pass-cache slots of the whole group resolve under one map lock.
+/// Each distinct site whose slot is still empty then goes through
+/// [`cull::screen`], which fetches the shared grid only for a site its
+/// latitude-band test keeps, and the kept sites are predicted together
+/// by one margin sweep over that grid
+/// ([`PassPredictor::passes_from_sites`]); a culled site caches the
+/// empty list. A group whose slots are all filled culls and sweeps
+/// nothing.
+pub fn passes_for_sites(
+    key: GridKey,
+    sgp4: &Sgp4,
+    mask_rad: f64,
+    sites: &[(&'static str, Geodetic)],
+) -> Vec<Arc<Vec<Pass>>> {
+    let (start, end) = key.range();
+    let keys: Vec<PassKey> = sites
+        .iter()
+        .map(|&(code, _)| PassKey::new(code, key.constellation, key.sat_id, start, end, mask_rad))
+        .collect();
+    cache().get_or_compute_group(&keys, |pending| {
+        let grid = OnceCell::new();
+        let fetch = || Arc::clone(grid.get_or_init(|| shared_grid(key, sgp4)));
+        let kept: Vec<bool> = pending
+            .iter()
+            .map(|&i| cull::screen(sgp4, sites[i].1, mask_rad, start, end, fetch).is_some())
+            .collect();
+        let observers: Vec<Geodetic> = pending
+            .iter()
+            .zip(&kept)
+            .filter(|(_, &k)| k)
+            .map(|(&i, _)| sites[i].1)
+            .collect();
+        let mut swept = match (grid.get(), observers.first()) {
+            (Some(grid), Some(&site)) => PassPredictor::new(sgp4.clone(), site, mask_rad)
+                .with_ephemeris(Arc::clone(grid))
+                .passes_from_sites(&observers, start, end),
+            _ => Vec::new(),
+        }
+        .into_iter();
+        kept.into_iter()
+            .map(|k| match k {
+                true => swept.next().expect("one list per kept site"),
+                false => Vec::new(),
+            })
+            .collect()
     })
 }
 
@@ -936,6 +1043,124 @@ mod tests {
         assert_eq!(built.load(Relaxed), 1, "racing lookups predicted twice");
         for l in &lists {
             assert!(Arc::ptr_eq(&lists[0], l));
+        }
+    }
+
+    /// The batch entry caches, per site, the bits the per-pair path
+    /// gives: `passes_for` with `predictor` under a second constellation
+    /// label, so the two paths fill separate slots (and sample separate,
+    /// identical tiles). A site outside the shell's latitude band gets
+    /// the empty list, a repeated site code shares its slot, and a
+    /// second call returns the same lists.
+    #[test]
+    fn batch_entry_matches_per_pair_lookups() {
+        let sgp4 = Elements::circular(550.0, 53.0, epoch()).to_sgp4().unwrap();
+        let (start, end, mask) = (epoch(), epoch() + 1.0, 0.0);
+        let pole = Geodetic::from_degrees(85.0, 10.0, 0.0);
+        assert!(cull::never_in_latitude_band(
+            pole,
+            sgp4.inclination_rad(),
+            sgp4.apogee_radius_km(),
+            mask
+        ));
+        let sites = [
+            ("TEST_BATCH_HK", Geodetic::from_degrees(22.32, 114.17, 0.05)),
+            ("TEST_BATCH_POLE", pole),
+            (
+                "TEST_BATCH_SYD",
+                Geodetic::from_degrees(-33.87, 151.21, 0.05),
+            ),
+            ("TEST_BATCH_HK", Geodetic::from_degrees(22.32, 114.17, 0.05)),
+        ];
+        let key = GridKey::new("TEST_BATCH", 0, start, end);
+        let lists = passes_for_sites(key, &sgp4, mask, &sites);
+        assert_eq!(lists.len(), sites.len());
+        let bits = |passes: &[Pass]| -> Vec<[u64; 5]> {
+            passes
+                .iter()
+                .map(|p| {
+                    [
+                        p.aos.0,
+                        p.los.0,
+                        p.tca.0,
+                        p.max_elevation_rad,
+                        p.tca_range_km,
+                    ]
+                })
+                .map(|fields| fields.map(f64::to_bits))
+                .collect()
+        };
+        for (&(code, site), list) in sites.iter().zip(&lists) {
+            let pair = GridKey::new("TEST_BATCH_PAIR", 0, start, end);
+            let alone = passes_for(
+                PassKey::new(code, pair.constellation, 0, start, end, mask),
+                || predictor(pair, &sgp4, site, mask),
+            );
+            assert_eq!(bits(list), bits(&alone), "{code}");
+        }
+        assert!(lists[1].is_empty(), "the culled site has passes");
+        assert!(!lists[0].is_empty() && !lists[2].is_empty());
+        assert!(Arc::ptr_eq(&lists[0], &lists[3]), "one code, two slots");
+        let again = passes_for_sites(key, &sgp4, mask, &sites);
+        for (a, b) in lists.iter().zip(&again) {
+            assert!(Arc::ptr_eq(a, b), "a filled group computed again");
+        }
+    }
+
+    /// A group computes the distinct keys whose slots are empty, in
+    /// first-position order, with one call, and nothing once they are
+    /// all filled.
+    #[test]
+    fn a_group_computes_only_its_empty_slots_once() {
+        let store: Store<u32, u32> = Store::new();
+        store.get_or_compute(7, || 70);
+        let asked = Mutex::new(Vec::new());
+        let make = |pending: &[usize]| {
+            asked.lock().unwrap().push(pending.to_vec());
+            pending.iter().map(|&i| 10 * i as u32).collect()
+        };
+        let keys = [3, 7, 5, 3];
+        let values = store.get_or_compute_group(&keys, make);
+        let values: Vec<u32> = values.iter().map(|v| **v).collect();
+        assert_eq!(values, [0, 70, 20, 0]);
+        assert_eq!(*asked.lock().unwrap(), [vec![0, 2]]);
+        store.get_or_compute_group(&keys, make);
+        assert_eq!(asked.lock().unwrap().len(), 1, "a filled group computed");
+        let stats = store.stats(|_| 0);
+        assert_eq!((stats.lookups, stats.computes, stats.entries), (9, 3, 3));
+    }
+
+    /// Each slot of a batch gets its own recency tick, in key order, so
+    /// a budget pass evicts a batch's entries oldest key first, the same
+    /// victims in the same order on every run — with one tick per
+    /// batch, `HashMap` order would break the ties instead.
+    #[test]
+    fn batch_slots_get_distinct_ticks_and_evict_in_key_order() {
+        let keys: Vec<PassKey> = (0..6)
+            .map(|i| PassKey::new("TEST_TICKS", "T", i, epoch(), epoch() + 1.0, 0.0))
+            .collect();
+        let entry_bytes = pass_list_bytes(&[]);
+        for _ in 0..8 {
+            let passes: Store<PassKey, Vec<Pass>> = Store::new();
+            let grids: Store<GridKey, EphemerisGrid> = Store::new();
+            let tiles: Store<TileKey, EphemerisTile> = Store::new();
+            passes.get_or_compute_all(keys.iter().copied(), |_| Vec::new());
+            let ticks: Vec<u64> = {
+                let map = passes.lock();
+                keys.iter()
+                    .map(|k| map[k].last_used.load(Relaxed))
+                    .collect()
+            };
+            assert!(ticks.windows(2).all(|w| w[1] == w[0] + 1), "{ticks:?}");
+            for kept in (0..keys.len()).rev() {
+                let sweep = enforce_on(&passes, &grids, &tiles, kept as u64 * entry_bytes);
+                assert_eq!(sweep.pass_lists_evicted, 1);
+                let map = passes.lock();
+                let survivors: Vec<bool> = keys.iter().map(|k| map.contains_key(k)).collect();
+                let oldest_gone = keys.len() - kept;
+                assert!(survivors[..oldest_gone].iter().all(|s| !s), "{survivors:?}");
+                assert!(survivors[oldest_gone..].iter().all(|s| *s), "{survivors:?}");
+            }
         }
     }
 }

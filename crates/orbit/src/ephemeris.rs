@@ -332,6 +332,40 @@ impl EphemerisGrid {
     /// The interpolated ECEF state at `t`, or `None` when `t` falls
     /// outside the view or a bracketing sample is invalid.
     pub fn state_at(&self, t: JulianDate) -> Option<StateEcef> {
+        let (a, b, s) = self.bracket(t)?;
+        // d/dt = (d/ds)/h; the basis derivatives at s ∈ {0, 1} are
+        // (0, 1, 0, 0) and (0, 0, 0, 1), so endpoint velocities are
+        // exact too.
+        let h = STEP_S;
+        let s2 = s * s;
+        let d00 = 6.0 * s2 - 6.0 * s;
+        let d10 = 3.0 * s2 - 4.0 * s + 1.0;
+        let d01 = -6.0 * s2 + 6.0 * s;
+        let d11 = 3.0 * s2 - 2.0 * s;
+        let velocity_km_s = a.position_km * (d00 / h)
+            + a.velocity_km_s * d10
+            + b.position_km * (d01 / h)
+            + b.velocity_km_s * d11;
+        Some(StateEcef {
+            position_km: hermite_position(a, b, s),
+            velocity_km_s,
+        })
+    }
+
+    /// The interpolated ECEF position at `t`: the `position_km` of
+    /// [`Self::state_at`], bit for bit, without the velocity. Pass
+    /// refinement probes read only the elevation, which needs nothing
+    /// else.
+    pub fn position_at(&self, t: JulianDate) -> Option<Vec3> {
+        let (a, b, s) = self.bracket(t)?;
+        Some(hermite_position(a, b, s))
+    }
+
+    /// The two samples bracketing `t` and `t`'s fraction of the way
+    /// between them, counting the query as one interpolation or one
+    /// miss: `None` when `t` falls outside the view or a bracketing
+    /// sample is invalid.
+    fn bracket(&self, t: JulianDate) -> Option<(&StateEcef, &StateEcef, f64)> {
         let n = self.len;
         if n < 2 {
             GRID_MISSES.inc();
@@ -343,7 +377,6 @@ impl EphemerisGrid {
             return None;
         }
         let i = (x as usize).min(n - 2);
-        let s = x - i as f64;
         let a = self.sample(i);
         let b = self.sample(i + 1);
         if !(a.position_km.x.is_finite() && b.position_km.x.is_finite()) {
@@ -351,37 +384,7 @@ impl EphemerisGrid {
             return None;
         }
         INTERPOLATIONS.inc();
-
-        // Cubic Hermite on [0, 1] with tangents scaled by the step. At
-        // s = 0 and s = 1 the basis reproduces the stored samples
-        // (position and velocity) exactly, so on-lattice queries carry
-        // no interpolation error — only time-arithmetic rounding.
-        let h = STEP_S;
-        let s2 = s * s;
-        let s3 = s2 * s;
-        let h00 = 2.0 * s3 - 3.0 * s2 + 1.0;
-        let h10 = s3 - 2.0 * s2 + s;
-        let h01 = -2.0 * s3 + 3.0 * s2;
-        let h11 = s3 - s2;
-        let position_km = a.position_km * h00
-            + a.velocity_km_s * (h * h10)
-            + b.position_km * h01
-            + b.velocity_km_s * (h * h11);
-        // d/dt = (d/ds)/h; the basis derivatives at s ∈ {0, 1} are
-        // (0, 1, 0, 0) and (0, 0, 0, 1), so endpoint velocities are
-        // exact too.
-        let d00 = 6.0 * s2 - 6.0 * s;
-        let d10 = 3.0 * s2 - 4.0 * s + 1.0;
-        let d01 = -6.0 * s2 + 6.0 * s;
-        let d11 = 3.0 * s2 - 2.0 * s;
-        let velocity_km_s = a.position_km * (d00 / h)
-            + a.velocity_km_s * d10
-            + b.position_km * (d01 / h)
-            + b.velocity_km_s * d11;
-        Some(StateEcef {
-            position_km,
-            velocity_km_s,
-        })
+        Some((a, b, x - i as f64))
     }
 
     /// Sample `k` of the view (`k < len`).
@@ -481,6 +484,27 @@ impl EphemerisGrid {
         }
         report
     }
+}
+
+/// The cubic Hermite position between samples `a` and `b` at fraction
+/// `s ∈ [0, 1]`, with tangents scaled by the step: the one expression
+/// both [`EphemerisGrid::state_at`] and [`EphemerisGrid::position_at`]
+/// evaluate. At `s = 0` and `s = 1` the basis reproduces the stored
+/// positions exactly, so on-lattice queries carry no interpolation
+/// error — only time-arithmetic rounding.
+#[inline(always)]
+fn hermite_position(a: &StateEcef, b: &StateEcef, s: f64) -> Vec3 {
+    let h = STEP_S;
+    let s2 = s * s;
+    let s3 = s2 * s;
+    let h00 = 2.0 * s3 - 3.0 * s2 + 1.0;
+    let h10 = s3 - 2.0 * s2 + s;
+    let h01 = -2.0 * s3 + 3.0 * s2;
+    let h11 = s3 - s2;
+    a.position_km * h00
+        + a.velocity_km_s * (h * h10)
+        + b.position_km * h01
+        + b.velocity_km_s * (h * h11)
 }
 
 #[cfg(test)]

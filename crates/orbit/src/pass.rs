@@ -3,9 +3,17 @@
 //! A *pass* is the interval during which a satellite sits above a minimum
 //! elevation mask as seen from a ground site — the paper's "theoretical
 //! contact window". Every pass list comes from one scan: the margin
-//! sweep of [`visibility`] over an [`EphemerisGrid`] brackets the
-//! horizon crossings, bisection refines AOS/LOS to ~10 ms, and a
-//! golden-section search finds the culmination (maximum elevation).
+//! sweep of [`visibility`](crate::visibility) over an [`EphemerisGrid`]
+//! brackets the horizon crossings, bisection refines AOS/LOS to ~10 ms,
+//! and a golden-section search finds the culmination (maximum
+//! elevation).
+//!
+//! One scan serves any number of observers of one satellite:
+//! [`PassPredictor::passes_from_sites`] pushes every site into one
+//! [`VisibilitySweep`] arena, sweeps the grid once, and refines each
+//! site's events on their own, so each site's list is bit for bit the
+//! one [`PassPredictor::passes`] returns for it — which is that scan's
+//! one-observer case.
 //!
 //! The sweep reads the grid attached with
 //! [`PassPredictor::with_ephemeris`] when that grid covers the scan
@@ -13,8 +21,11 @@
 //! it and drops it. Refinement samples through the predictor's own
 //! backend — the attached grid where it covers an instant, direct SGP4
 //! elsewhere — so a predictor's passes agree with its
-//! [`PassPredictor::elevation_at`] and [`PassPredictor::look_at`], and
-//! multiple observers amortise one shared trajectory.
+//! [`PassPredictor::elevation_at`] and [`PassPredictor::look_at`]. Its
+//! probes read the elevation and nothing else: a position-only Hermite
+//! interpolant ([`EphemerisGrid::position_at`]) and `asin(z/r)`
+//! ([`Observer::elevation_at_ecef`]), the same expressions the full
+//! state and look angles evaluate.
 //!
 //! The adaptive direct-SGP4 scan, `reference_passes`, is kept only as
 //! the oracle the sweep is tested against.
@@ -24,8 +35,8 @@ use crate::error::OrbitError;
 use crate::frames::{teme_to_ecef, Geodetic, StateEcef};
 use crate::sgp4::Sgp4;
 use crate::time::JulianDate;
-use crate::topo::Observer;
-use crate::visibility::{self, SweepEventKind, SweepOutcome};
+use crate::topo::{LookAngles, Observer};
+use crate::visibility::{SweepEventKind, SweepOutcome, VisibilityMode, VisibilitySweep};
 use core::f64::consts::FRAC_PI_2;
 use satiot_obs::metrics::Counter;
 use std::cell::OnceCell;
@@ -171,23 +182,38 @@ impl PassPredictor {
     /// Elevation above the horizon at `t`, radians. Propagation failures
     /// (decayed elements, …) report as far below the horizon so scanning
     /// code treats them as "not visible".
+    ///
+    /// Bit for bit the `elevation_rad` of [`Self::look_at`], computed
+    /// without the velocity, the azimuth or the range rate.
     pub fn elevation_at(&self, t: JulianDate) -> f64 {
-        match self.state_ecef_at(t) {
-            Some(state) => {
-                self.observer
-                    .look_at_ecef(state.position_km, state.velocity_km_s)
-                    .elevation_rad
+        self.elevation_from(&self.observer, t)
+    }
+
+    /// [`Self::elevation_at`] as seen from `observer`: the probe behind
+    /// every refinement step. Over the attached grid it interpolates
+    /// the position alone; elsewhere it propagates as
+    /// [`Self::state_ecef_at`] does.
+    fn elevation_from(&self, observer: &Observer, t: JulianDate) -> f64 {
+        if let Some(grid) = &self.ephemeris {
+            if let Some(position) = grid.position_at(t) {
+                return observer.elevation_at_ecef(position);
             }
-            None => -FRAC_PI_2,
+        }
+        match self.sgp4.propagate_at(t) {
+            Ok(state) => observer.elevation_at_ecef(teme_to_ecef(&state, t).position_km),
+            Err(_) => -FRAC_PI_2,
         }
     }
 
     /// Look angles at `t`, if the satellite state is computable.
-    pub fn look_at(&self, t: JulianDate) -> Option<crate::topo::LookAngles> {
-        self.state_ecef_at(t).map(|state| {
-            self.observer
-                .look_at_ecef(state.position_km, state.velocity_km_s)
-        })
+    pub fn look_at(&self, t: JulianDate) -> Option<LookAngles> {
+        self.look_from(&self.observer, t)
+    }
+
+    /// [`Self::look_at`] as seen from `observer`.
+    fn look_from(&self, observer: &Observer, t: JulianDate) -> Option<LookAngles> {
+        self.state_ecef_at(t)
+            .map(|state| observer.look_at_ecef(state.position_km, state.velocity_km_s))
     }
 
     /// Re-site the predictor: same satellite, sampling backend and
@@ -234,8 +260,12 @@ impl PassPredictor {
         };
         let mut out = Vec::new();
         for leg in legs {
-            let sited = self.clone().with_observer_position(leg.position);
-            out.extend(sited.scan_passes(leg.start, leg.end, span_grid));
+            let observer = [Observer::new(leg.position)];
+            out.extend(
+                self.scan(&observer, leg.start, leg.end, span_grid)
+                    .into_iter()
+                    .flatten(),
+            );
             LEGS_SCANNED.inc();
         }
         Ok(out)
@@ -258,9 +288,10 @@ impl PassPredictor {
     ///
     /// Crossings are bracketed by the margin sweep over the attached
     /// grid when it covers the window, else over a grid built for the
-    /// window; the sweep misses no pass (see the [`visibility`] module
-    /// docs). A mask outside `[−π/2, π/2]` is clamped into it first:
-    /// elevation never leaves that range, so no answer changes.
+    /// window; the sweep misses no pass (see the
+    /// [`visibility`](crate::visibility) module docs). A mask outside
+    /// `[−π/2, π/2]` is clamped into it first: elevation never leaves
+    /// that range, so no answer changes.
     ///
     /// Non-finite bounds or masks degrade to an empty pass list (and a
     /// bump of the `orbit.pass.non_finite_scans` metric); callers that
@@ -274,9 +305,30 @@ impl PassPredictor {
     /// degrading to an empty list.
     pub fn try_passes(&self, start: JulianDate, end: JulianDate) -> Result<Vec<Pass>, OrbitError> {
         self.check_scan(start, end)?;
-        let local = OnceCell::new();
-        let local_grid = || local.get_or_init(|| EphemerisGrid::build(&self.sgp4, start, end));
-        Ok(self.scan_passes(start, end, local_grid))
+        let mut lists = self.scan_window(&[self.observer], start, end);
+        Ok(lists.pop().expect("one list per observer"))
+    }
+
+    /// [`Self::passes`] for many observers of this satellite at once:
+    /// list `i` is exactly the list [`Self::passes`] returns for this
+    /// predictor re-sited at `sites[i]` ([`Self::with_observer_position`]),
+    /// whatever the other sites are. Every site shares the mask and the
+    /// sampling backend, so one margin sweep over one grid brackets all
+    /// their crossings; each site's events are then refined on their
+    /// own. The predictor's own observer plays no part.
+    ///
+    /// Non-finite bounds or masks give every site an empty list.
+    pub fn passes_from_sites(
+        &self,
+        sites: &[Geodetic],
+        start: JulianDate,
+        end: JulianDate,
+    ) -> Vec<Vec<Pass>> {
+        if self.check_scan(start, end).is_err() {
+            return vec![Vec::new(); sites.len()];
+        }
+        let observers: Vec<Observer> = sites.iter().map(|&site| Observer::new(site)).collect();
+        self.scan_window(&observers, start, end)
     }
 
     /// Reject non-finite scan bounds and masks.
@@ -294,48 +346,80 @@ impl PassPredictor {
         Ok(())
     }
 
-    /// The one scan (bounds already validated): sweep the attached grid
-    /// when it covers `[start, end]`, else the grid `spare` supplies
-    /// (built on first use), then refine the sweep's events.
-    fn scan_passes<'g>(
+    /// [`Self::scan`] whose spare grid is built for `[start, end]` on
+    /// first use.
+    fn scan_window(
         &self,
+        observers: &[Observer],
+        start: JulianDate,
+        end: JulianDate,
+    ) -> Vec<Vec<Pass>> {
+        let local = OnceCell::new();
+        let local_grid = || local.get_or_init(|| EphemerisGrid::build(&self.sgp4, start, end));
+        self.scan(observers, start, end, local_grid)
+    }
+
+    /// The one scan (bounds already validated), one pass list per
+    /// observer: sweep the attached grid when it covers `[start, end]`,
+    /// else the grid `spare` supplies (built on first use), for every
+    /// observer at once, then refine each observer's events.
+    fn scan<'g>(
+        &self,
+        observers: &[Observer],
         start: JulianDate,
         end: JulianDate,
         spare: impl FnOnce() -> &'g EphemerisGrid,
-    ) -> Vec<Pass> {
-        if end <= start {
-            return Vec::new();
+    ) -> Vec<Vec<Pass>> {
+        if end <= start || observers.is_empty() {
+            return vec![Vec::new(); observers.len()];
         }
         // Clamping keeps the margin ⟺ elevation equivalence valid: asin
-        // is monotone on [−π/2, π/2]. `sweep_one` answers `None` when a
+        // is monotone on [−π/2, π/2]. The sweep answers `None` when a
         // grid does not cover the window.
         let mask = self.min_elevation_rad.clamp(-FRAC_PI_2, FRAC_PI_2);
-        let sweep =
-            |grid: &EphemerisGrid| visibility::sweep_one(grid, &self.observer, mask, start, end);
-        self.ephemeris
+        let mut arena = VisibilitySweep::new();
+        for observer in observers {
+            arena.push(observer, mask);
+        }
+        let sweep = |grid: &EphemerisGrid| arena.run(grid, start, end, VisibilityMode::On);
+        match self
+            .ephemeris
             .as_deref()
             .and_then(sweep)
             .or_else(|| sweep(spare()))
-            .map_or_else(Vec::new, |outcome| self.refine_sweep(&outcome, start, end))
+        {
+            Some(outcomes) => observers
+                .iter()
+                .zip(&outcomes)
+                .map(|(observer, outcome)| self.refine_sweep(observer, outcome, start, end))
+                .collect(),
+            None => vec![Vec::new(); observers.len()],
+        }
     }
 
-    /// Turn a margin sweep's sparse event list into refined passes,
+    /// Turn one observer's margin-sweep event list into refined passes,
     /// through bisection ([`Self::refine_crossing`]) and golden-section
     /// ([`Self::finish_pass`]) over the predictor's sampling backend.
-    fn refine_sweep(&self, sweep: &SweepOutcome, start: JulianDate, end: JulianDate) -> Vec<Pass> {
+    fn refine_sweep(
+        &self,
+        observer: &Observer,
+        sweep: &SweepOutcome,
+        start: JulianDate,
+        end: JulianDate,
+    ) -> Vec<Pass> {
         let mut result = Vec::new();
         let mut aos: Option<JulianDate> = sweep.above_at_start.then_some(start);
         for event in &sweep.events {
             match event.kind {
                 SweepEventKind::Rising => {
                     if aos.is_none() {
-                        aos = Some(self.refine_crossing(event.t_lo, event.t_hi));
+                        aos = Some(self.refine_crossing(observer, event.t_lo, event.t_hi));
                     }
                 }
                 SweepEventKind::Falling => {
                     if let Some(a) = aos.take() {
-                        let los = self.refine_crossing(event.t_lo, event.t_hi);
-                        result.extend(self.finish_pass(a, los));
+                        let los = self.refine_crossing(observer, event.t_lo, event.t_hi);
+                        result.extend(self.finish_pass(observer, a, los));
                     }
                 }
                 SweepEventKind::Candidate => {
@@ -343,11 +427,11 @@ impl PassPredictor {
                     // between two below-mask samples; probe the
                     // elevation peak before committing to bisection.
                     if aos.is_none() {
-                        let (t_peak, el_peak) = self.peak_probe(event.t_lo, event.t_hi);
+                        let (t_peak, el_peak) = self.peak_probe(observer, event.t_lo, event.t_hi);
                         if el_peak > self.min_elevation_rad {
-                            let a = self.refine_crossing(event.t_lo, t_peak);
-                            let los = self.refine_crossing(t_peak, event.t_hi);
-                            result.extend(self.finish_pass(a, los));
+                            let a = self.refine_crossing(observer, event.t_lo, t_peak);
+                            let los = self.refine_crossing(observer, t_peak, event.t_hi);
+                            result.extend(self.finish_pass(observer, a, los));
                         }
                     }
                 }
@@ -355,7 +439,7 @@ impl PassPredictor {
         }
         // Pass still in progress at `end`.
         if let Some(a) = aos {
-            result.extend(self.finish_pass(a, end));
+            result.extend(self.finish_pass(observer, a, end));
         }
         result
     }
@@ -381,6 +465,7 @@ impl PassPredictor {
         }
         let mut direct = self.clone();
         direct.ephemeris = None;
+        let observer = &self.observer;
         let mask = direct.min_elevation_rad;
         let mut t_prev = start;
         let mut el_prev = direct.elevation_at(t_prev);
@@ -391,11 +476,11 @@ impl PassPredictor {
             let el = direct.elevation_at(t);
             let above = el > mask;
             if above && aos.is_none() {
-                aos = Some(direct.refine_crossing(t_prev, t));
+                aos = Some(direct.refine_crossing(observer, t_prev, t));
             } else if !above {
                 if let Some(a) = aos.take() {
-                    let los = direct.refine_crossing(t_prev, t);
-                    result.extend(direct.finish_pass(a, los));
+                    let los = direct.refine_crossing(observer, t_prev, t);
+                    result.extend(direct.finish_pass(observer, a, los));
                 }
             }
             el_prev = el;
@@ -406,24 +491,29 @@ impl PassPredictor {
         }
         // Pass still in progress at `end`.
         if let Some(a) = aos {
-            result.extend(direct.finish_pass(a, end));
+            result.extend(direct.finish_pass(observer, a, end));
         }
         result
     }
 
-    /// Golden-section search for the elevation maximum inside
+    /// Golden-section search for `observer`'s elevation maximum inside
     /// `[lo, hi]`, to a 0.05 s bracket; returns the bracket's midpoint.
     /// The elevation profile of a LEO pass is unimodal. Unlike a
     /// ternary search, each iteration reuses one interior probe and
     /// evaluates only one new point, and the interval shrinks by 0.618
     /// per evaluation instead of 0.667 per two — about a third fewer
     /// elevation samples to the same bracket.
-    fn golden_peak(&self, mut lo: JulianDate, mut hi: JulianDate) -> JulianDate {
+    fn golden_peak(
+        &self,
+        observer: &Observer,
+        mut lo: JulianDate,
+        mut hi: JulianDate,
+    ) -> JulianDate {
         const INV_PHI: f64 = 0.618_033_988_749_894_9; // (√5 − 1) / 2
         let mut m1 = JulianDate(hi.0 - INV_PHI * (hi.0 - lo.0));
         let mut m2 = JulianDate(lo.0 + INV_PHI * (hi.0 - lo.0));
-        let mut e1 = self.elevation_at(m1);
-        let mut e2 = self.elevation_at(m2);
+        let mut e1 = self.elevation_from(observer, m1);
+        let mut e2 = self.elevation_from(observer, m2);
         for _ in 0..80 {
             if hi.seconds_since(lo) < 0.05 {
                 break;
@@ -433,13 +523,13 @@ impl PassPredictor {
                 m1 = m2;
                 e1 = e2;
                 m2 = JulianDate(lo.0 + INV_PHI * (hi.0 - lo.0));
-                e2 = self.elevation_at(m2);
+                e2 = self.elevation_from(observer, m2);
             } else {
                 hi = m2;
                 m2 = m1;
                 e2 = e1;
                 m1 = JulianDate(hi.0 - INV_PHI * (hi.0 - lo.0));
-                e1 = self.elevation_at(m1);
+                e1 = self.elevation_from(observer, m1);
             }
         }
         JulianDate(0.5 * (lo.0 + hi.0))
@@ -448,21 +538,27 @@ impl PassPredictor {
     /// Probe for the elevation peak inside `[lo, hi]` (one lattice
     /// interval): a 60 s below-horizon window holds at most one
     /// approach, so [`Self::golden_peak`]'s unimodality holds here too.
-    fn peak_probe(&self, lo: JulianDate, hi: JulianDate) -> (JulianDate, f64) {
-        let t_peak = self.golden_peak(lo, hi);
-        (t_peak, self.elevation_at(t_peak))
+    fn peak_probe(&self, observer: &Observer, lo: JulianDate, hi: JulianDate) -> (JulianDate, f64) {
+        let t_peak = self.golden_peak(observer, lo, hi);
+        (t_peak, self.elevation_from(observer, t_peak))
     }
 
-    /// Bisection: elevation crosses the mask somewhere in `(lo, hi)`.
-    fn refine_crossing(&self, mut lo: JulianDate, mut hi: JulianDate) -> JulianDate {
+    /// Bisection: `observer`'s elevation crosses the mask somewhere in
+    /// `(lo, hi)`.
+    fn refine_crossing(
+        &self,
+        observer: &Observer,
+        mut lo: JulianDate,
+        mut hi: JulianDate,
+    ) -> JulianDate {
         let mask = self.min_elevation_rad;
-        let lo_above = self.elevation_at(lo) > mask;
+        let lo_above = self.elevation_from(observer, lo) > mask;
         for _ in 0..40 {
             if hi.seconds_since(lo) < 0.01 {
                 break;
             }
             let mid = JulianDate(0.5 * (lo.0 + hi.0));
-            if (self.elevation_at(mid) > mask) == lo_above {
+            if (self.elevation_from(observer, mid) > mask) == lo_above {
                 lo = mid;
             } else {
                 hi = mid;
@@ -472,12 +568,12 @@ impl PassPredictor {
     }
 
     /// Locate culmination within `[aos, los]` and assemble the pass.
-    fn finish_pass(&self, aos: JulianDate, los: JulianDate) -> Option<Pass> {
+    fn finish_pass(&self, observer: &Observer, aos: JulianDate, los: JulianDate) -> Option<Pass> {
         if los.seconds_since(aos) < 1.0 {
             return None; // Grazing contact below timing resolution.
         }
-        let tca = self.golden_peak(aos, los);
-        let la = self.look_at(tca)?;
+        let tca = self.golden_peak(observer, aos, los);
+        let la = self.look_from(observer, tca)?;
         satiot_obs::invariants::check_elevation_rad(
             "pass::finish_pass max elevation",
             la.elevation_rad,
@@ -968,5 +1064,64 @@ mod tests {
         assert_eq!(from_mid.len(), passes.len());
         assert!((from_mid[0].aos.0 - mid.0).abs() < 1e-9);
         assert!((from_mid[0].los.0 - pass.los.0).abs() < 1.0 / 86_400.0);
+    }
+
+    /// One sweep for many sites: each site's list is, to the bit, the
+    /// list its own one-observer scan returns — over a covering grid,
+    /// over a grid that does not cover the window (the scan builds one
+    /// and refines through both), and with no grid at all. The window
+    /// opens inside HK's first pass, so HK starts in progress, and a
+    /// site with non-finite coordinates sees nothing without disturbing
+    /// the others.
+    #[test]
+    fn many_sites_in_one_sweep_match_their_own_scans_bit_for_bit() {
+        use crate::ephemeris::EphemerisGrid;
+        let sgp4 = leo_sgp4(550.0, 97.6);
+        let day = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
+        let first = PassPredictor::new(sgp4.clone(), hk(), 0.0).passes(day, day + 1.0)[0];
+        let (start, end) = (JulianDate(0.5 * (first.aos.0 + first.los.0)), day + 1.0);
+        let sites = [
+            hk(),
+            Geodetic::from_degrees(-33.87, 151.21, 0.05),
+            Geodetic::new(f64::NAN, 0.0, 0.0),
+            Geodetic::from_degrees(51.51, -0.13, 0.01),
+        ];
+        let bits = |passes: &[Pass]| -> Vec<[u64; 5]> {
+            passes
+                .iter()
+                .map(|p| {
+                    [
+                        p.aos.0,
+                        p.los.0,
+                        p.tca.0,
+                        p.max_elevation_rad,
+                        p.tca_range_km,
+                    ]
+                })
+                .map(|fields| fields.map(f64::to_bits))
+                .collect()
+        };
+        let covering = Arc::new(EphemerisGrid::build(&sgp4, day, day + 1.0));
+        let partial = Arc::new(EphemerisGrid::build(&sgp4, day, day + 0.3));
+        for grid in [Some(covering), Some(partial), None] {
+            // The predictor's own observer (Sydney) plays no part.
+            let mut p = PassPredictor::new(sgp4.clone(), sites[1], 0.0);
+            if let Some(grid) = grid {
+                p = p.with_ephemeris(grid);
+            }
+            let together = p.passes_from_sites(&sites, start, end);
+            assert_eq!(together.len(), sites.len());
+            for (site, list) in sites.iter().zip(&together) {
+                let alone = p.clone().with_observer_position(*site).passes(start, end);
+                assert_eq!(bits(list), bits(&alone), "site {site:?}");
+            }
+            assert_eq!(together[0][0].aos, start, "HK's pass is in progress");
+            assert!(together[2].is_empty(), "a site off the Earth sees passes");
+            assert!(!together[1].is_empty() && !together[3].is_empty());
+        }
+        // Non-finite bounds leave every site an empty list.
+        let p = PassPredictor::new(sgp4, hk(), 0.0);
+        let empty = p.passes_from_sites(&sites, JulianDate(f64::NAN), end);
+        assert_eq!(empty, vec![Vec::new(); sites.len()]);
     }
 }

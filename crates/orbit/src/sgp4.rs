@@ -103,6 +103,12 @@ pub struct Sgp4 {
     xlcof: f64,
     xmcof: f64,
     nodecf: f64,
+    // Per-satellite constants `propagate` reads instead of recomputing:
+    // the un-Kozai'd semi-major axis (Earth radii) and the sine and
+    // cosine of the mean inclination.
+    ao: f64,
+    sinio: f64,
+    cosio: f64,
 }
 
 impl Sgp4 {
@@ -303,6 +309,9 @@ impl Sgp4 {
             xlcof,
             xmcof,
             nodecf,
+            ao,
+            sinio,
+            cosio,
         })
     }
 
@@ -327,7 +336,7 @@ impl Sgp4 {
     /// Brouwer-mean semi-major axis implied by the un-Kozai'd mean
     /// motion, km.
     pub fn semi_major_axis_km(&self) -> f64 {
-        (XKE / self.no_unkozai).powf(X2O3) * EARTH_RADIUS_KM
+        self.ao * EARTH_RADIUS_KM
     }
 
     /// Mean apogee radius `a·(1+e)`, km from the geocentre.
@@ -380,7 +389,7 @@ impl Sgp4 {
         if nm <= 0.0 {
             return Err(OrbitError::MeanMotionNonPositive);
         }
-        let am = (XKE / nm).powf(X2O3) * tempa * tempa;
+        let am = self.ao * tempa * tempa;
         nm = XKE / am.powf(1.5);
         em -= tempe;
         #[allow(clippy::manual_range_contains)] // Mirrors the reference SGP4 code.
@@ -404,8 +413,8 @@ impl Sgp4 {
         let argpp = argpm;
         let nodep = nodem;
         let mp = mm;
-        let sinip = xincp.sin();
-        let cosip = xincp.cos();
+        let sinip = self.sinio;
+        let cosip = self.cosio;
 
         let axnl = ep * argpp.cos();
         let temp = 1.0 / (am * (1.0 - ep * ep));
@@ -553,6 +562,82 @@ mod tests {
             let dv = (s.velocity_km_s - Vec3::new(v_ref[0], v_ref[1], v_ref[2])).norm();
             assert!(dr < 0.05, "t={t}: position off by {dr} km");
             assert!(dv < 5e-4, "t={t}: velocity off by {dv} km/s");
+        }
+    }
+
+    /// The Spacetrack #3 states above, pinned to the bit: the TEME
+    /// position and velocity components, as recorded before `propagate`
+    /// read the per-satellite constants from fields. Any reordering of
+    /// the arithmetic moves a bit here long before the 50 m tolerance
+    /// notices.
+    #[test]
+    fn spacetrack_report_3_states_are_bit_exact() {
+        let cases: [(f64, [u64; 6]); 5] = [
+            (
+                0.0,
+                [
+                    0x40a2_31f0_836a_6052,
+                    0xc0b7_6b38_7390_96c7,
+                    0x409a_dfe4_52c0_020a,
+                    0x4007_4bed_1394_4d11,
+                    0xbfef_7828_eece_23dd,
+                    0xc01c_5cfe_ecb0_a704,
+                ],
+            ),
+            (
+                360.0,
+                [
+                    0x40a3_3036_d144_7bd0,
+                    0xc0b7_b7f0_4524_77b1,
+                    0x4093_1b97_3ae0_b777,
+                    0x4005_6f64_0ba0_4593,
+                    0xbfdc_b0cb_f12a_d134,
+                    0xc01c_ea48_7d9c_2aa9,
+                ],
+            ),
+            (
+                720.0,
+                [
+                    0x40a4_0f1f_e562_d0f6,
+                    0xc0b7_e080_fb9b_773e,
+                    0x4086_4fb5_bf99_8798,
+                    0x4003_859f_9081_1ad0,
+                    0x3fb9_1dab_eba1_b083,
+                    0xc01d_47a3_6659_04cd,
+                ],
+            ),
+            (
+                1080.0,
+                [
+                    0x40a4_ce2d_e5c1_764e,
+                    0xc0b7_e37b_9fea_0677,
+                    0x4068_8cd2_c4eb_a071,
+                    0x4001_91a8_2eb7_2e67,
+                    0x3fe4_e095_9dc1_620f,
+                    0xc01d_7388_2cb4_102a,
+                ],
+            ),
+            (
+                1440.0,
+                [
+                    0x40a5_6d1b_a45b_4d26,
+                    0xc0b7_bfab_8b19_4800,
+                    0xc074_663d_f546_cbb2,
+                    0x3fff_2d0b_df96_e30e,
+                    0x3ff3_608d_beaf_df2b,
+                    0xc01d_6cbd_e467_964b,
+                ],
+            ),
+        ];
+        let sgp4 = classic();
+        for (t, bits) in cases {
+            let s = sgp4.propagate(t).unwrap();
+            let (p, v) = (s.position_km, s.velocity_km_s);
+            assert_eq!(
+                [p.x, p.y, p.z, v.x, v.y, v.z].map(f64::to_bits),
+                bits,
+                "t={t}"
+            );
         }
     }
 

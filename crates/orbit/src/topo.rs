@@ -95,8 +95,7 @@ impl Observer {
 
         let s = rho.dot(self.south);
         let e = rho.dot(self.east);
-        let z = rho.dot(self.zenith);
-        let elevation = (z / range).asin();
+        let elevation = elevation_rad(rho, range, self.zenith);
         // Azimuth from north, clockwise: atan2(east, north) with north = −south.
         let mut azimuth = e.atan2(-s);
         if azimuth < 0.0 {
@@ -109,6 +108,23 @@ impl Observer {
             range_rate_km_s: range_rate,
         }
     }
+
+    /// Elevation of a satellite at ECEF `sat_pos_km` above the local
+    /// horizon, radians: the `elevation_rad` of [`Self::look_at_ecef`],
+    /// bit for bit, without the azimuth's `atan2` or the range rate.
+    /// Pass refinement probes read only this.
+    pub fn elevation_at_ecef(&self, sat_pos_km: Vec3) -> f64 {
+        let rho = sat_pos_km - self.ecef;
+        elevation_rad(rho, rho.norm(), self.zenith)
+    }
+}
+
+/// Elevation of the slant vector `rho` (norm `range`) above the horizon
+/// whose zenith is `zenith`: the one expression both look-angle
+/// projections evaluate.
+#[inline(always)]
+fn elevation_rad(rho: Vec3, range: f64, zenith: Vec3) -> f64 {
+    (rho.dot(zenith) / range).asin()
 }
 
 #[cfg(test)]

@@ -5,7 +5,11 @@
 //! crossings here. Rather than walking time per (site, sat) pair and
 //! calling the full look-angle projection (`asin`, `atan2`, range rate)
 //! at every probe — the per-timestep scalar anti-pattern — the
-//! bracketing phase is a data-parallel sweep:
+//! bracketing phase is a data-parallel sweep, one per satellite grid
+//! and scan window for every observer of it
+//! ([`PassPredictor::passes_from_sites`](crate::pass::PassPredictor::passes_from_sites);
+//! a campaign's predict phase pushes all the sites that share a window
+//! and mask into one arena):
 //!
 //! 1. hoist each observer's ECEF site vector, zenith basis vector, and
 //!    `sin(mask)` into a structure-of-arrays arena
@@ -695,23 +699,6 @@ impl VisibilitySweep {
     }
 }
 
-/// Sweep one observer over one grid — the [`PassPredictor`] entry
-/// point. See [`VisibilitySweep::run`] for the `None` contract.
-///
-/// [`PassPredictor`]: crate::pass::PassPredictor
-pub fn sweep_one(
-    grid: &EphemerisGrid,
-    observer: &Observer,
-    mask_rad: f64,
-    start: JulianDate,
-    end: JulianDate,
-) -> Option<SweepOutcome> {
-    let mut sweep = VisibilitySweep::new();
-    sweep.push(observer, mask_rad);
-    let mut outcomes = sweep.run(grid, start, end, VisibilityMode::On)?;
-    outcomes.pop()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,6 +718,19 @@ mod tests {
 
     fn hk() -> Observer {
         Observer::new(Geodetic::from_degrees(22.3193, 114.1694, 0.05))
+    }
+
+    /// One observer's outcome of a one-observer sweep.
+    fn sweep_one(
+        grid: &EphemerisGrid,
+        observer: &Observer,
+        mask_rad: f64,
+        start: JulianDate,
+        end: JulianDate,
+    ) -> Option<SweepOutcome> {
+        let mut sweep = VisibilitySweep::new();
+        sweep.push(observer, mask_rad);
+        sweep.run(grid, start, end, VisibilityMode::On)?.pop()
     }
 
     #[test]

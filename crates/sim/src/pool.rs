@@ -5,7 +5,7 @@
 //! behind the slowest site. This module replaces that with a shared
 //! work queue: tasks are claimed dynamically off an [`AtomicUsize`]
 //! cursor by `std::thread::scope` workers, so many small tasks
-//! (e.g. one *(site × satellite)* pass prediction each) balance across
+//! (e.g. one *(satellite × window)* pass prediction each) balance across
 //! every core regardless of how uneven their durations are.
 //!
 //! Results come back in input order, so callers that merge sequentially
