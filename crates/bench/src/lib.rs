@@ -37,6 +37,7 @@ pub fn prove_stores_exactly_once() {
         ("pass cache", sweep::stats()),
         ("ephemeris grids", sweep::grid_stats()),
         ("ephemeris tiles", sweep::tile_stats()),
+        ("lattice frames", sweep::frame_stats()),
     ];
     for (store, s) in stores {
         eprintln!(

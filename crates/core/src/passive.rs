@@ -303,10 +303,14 @@ impl PassiveCampaign {
         let threads = opts.threads.unwrap_or_else(pool::thread_count);
 
         // Predict phase: one task per (satellite, window), for every
-        // site that shares the window, through the shared cache.
+        // site that shares the window, through the shared cache. The
+        // tasks run window-major: one satellite's windows overlap and
+        // share its tiles, so two threads on two of them would take
+        // turns sampling the same tiles, each waiting on the other's.
         let groups = window_groups(&self.config.sites, self.config.max_days);
-        let tasks: Vec<(usize, &WindowGroup)> = (0..n_sats)
-            .flat_map(|q| groups.iter().map(move |group| (q, group)))
+        let tasks: Vec<(usize, &WindowGroup)> = groups
+            .iter()
+            .flat_map(|group| (0..n_sats).map(move |q| (q, group)))
             .collect();
         let group_lists: Vec<Vec<Arc<Vec<Pass>>>> =
             pool::parallel_map_with(&tasks, threads, |_, &(q, group)| {
@@ -318,8 +322,8 @@ impl PassiveCampaign {
                     &group.observers,
                 )
             });
-        // Back to per-site lists in satellite order: the tasks run
-        // satellite-major, and every site sits in exactly one group.
+        // Back to per-site lists in satellite order: every site sits in
+        // exactly one group, whose tasks run in satellite order.
         let mut site_lists: Vec<Vec<Arc<Vec<Pass>>>> = vec![Vec::with_capacity(n_sats); n_sites];
         for (&(_, group), lists) in tasks.iter().zip(group_lists) {
             for (&s, list) in group.sites.iter().zip(lists) {

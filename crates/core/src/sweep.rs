@@ -20,15 +20,17 @@
 //! mask, which predicts the missing ones with one margin sweep;
 //! [`passes_for`] with [`predictor`] is the same lookup for one pair.
 //!
-//! Beside the pass cache sit the ephemeris grid store ([`grid_for`])
-//! and the tile store whose tiles its views slice (see
-//! [`gridded_predictor`]). Each store counts its own work, with metrics
-//! on or off: keys looked up, entries computed and entries evicted,
-//! read as one [`StoreStats`] each through [`stats`], [`grid_stats`]
-//! and [`tile_stats`]. At rest every store holds `computes == entries +
-//! evictions`, i.e. each entry was computed exactly once per residency;
-//! `reproduce_all`, `ablations_all` and the `cache_exactly_once` test
-//! assert it.
+//! Beside the pass cache sit the ephemeris grid store ([`grid_for`]),
+//! the tile store whose tiles its views slice (see
+//! [`gridded_predictor`]) and the frame store: one [`LatticeFrame`] per
+//! tile index, the Earth rotation at its lattice instants, which every
+//! satellite's tile at that index is rotated by. Each store counts its
+//! own work, with metrics on or off: keys looked up, entries computed
+//! and entries evicted, read as one [`StoreStats`] each through
+//! [`stats`], [`grid_stats`], [`tile_stats`] and [`frame_stats`]. At
+//! rest every store holds `computes == entries + evictions`, i.e. each
+//! entry was computed exactly once per residency; `reproduce_all`,
+//! `ablations_all` and the `cache_exactly_once` test assert it.
 //!
 //! ```
 //! use satiot_core::sweep::{passes_for, PassKey};
@@ -50,7 +52,7 @@
 //! ```
 
 use satiot_orbit::cull::{self, CullingMode};
-use satiot_orbit::ephemeris::{EphemerisGrid, EphemerisMode, EphemerisTile};
+use satiot_orbit::ephemeris::{EphemerisGrid, EphemerisMode, EphemerisTile, LatticeFrame};
 use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
@@ -152,7 +154,7 @@ impl<T> Default for Slot<T> {
 }
 
 /// A keyed exactly-once memoisation store — the shared implementation
-/// behind the pass cache, the grid store and the tile store — that
+/// behind the pass cache, the grid, tile and frame stores — that
 /// counts its own work. Generic so the eviction machinery (and its
 /// tests) can run on private instances without perturbing the
 /// process-wide caches every campaign test shares.
@@ -300,12 +302,13 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
 }
 
 /// A snapshot of one store's proof-of-work counters: the pass cache's
-/// ([`stats`]), the grid store's ([`grid_stats`]) or the tile store's
-/// ([`tile_stats`]). They count whether or not metrics are on.
+/// ([`stats`]), the grid store's ([`grid_stats`]), the tile store's
+/// ([`tile_stats`]) or the frame store's ([`frame_stats`]). They count
+/// whether or not metrics are on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
     /// Keys requested: one per [`passes_for`] or [`grid_for`] call, one
-    /// per tile a campaign view asks for.
+    /// per tile a campaign view asks for, one frame per tile computed.
     pub lookups: u64,
     /// Lookups that computed their entry. Each compute fills one slot
     /// and each eviction empties one, so at rest `computes == entries +
@@ -318,8 +321,8 @@ pub struct StoreStats {
     pub entries: usize,
     /// Approximate payload bytes currently held (map and slot overhead
     /// excluded). A view's samples live in its tiles, so [`grid_stats`]
-    /// counts each stored tile once plus every view's array of tile
-    /// pointers.
+    /// counts each stored tile and frame once plus every view's array
+    /// of tile pointers.
     pub approx_bytes: u64,
     /// Entries evicted by [`enforce_cache_budget`] since the last
     /// [`clear`].
@@ -354,6 +357,9 @@ fn view_bytes(grid: &EphemerisGrid) -> u64 {
 /// ([`TILE`](satiot_orbit::ephemeris::TILE) samples and their
 /// aggregates).
 const TILE_BYTES: u64 = size_of::<EphemerisTile>() as u64;
+
+/// Heap payload of one stored lattice frame.
+const FRAME_BYTES: u64 = size_of::<LatticeFrame>() as u64;
 
 /// The pass list for `key`, predicting it with `make_predictor` on the
 /// first request and serving the shared list afterwards: the one-pair
@@ -440,13 +446,14 @@ pub fn stats() -> StoreStats {
     cache().stats(|l| pass_list_bytes(l))
 }
 
-/// Drop every cached pass list, stored ephemeris grid and stored tile,
-/// and zero all three stores' counters (benches measuring cold-cache
+/// Drop every cached pass list, stored ephemeris grid, tile and frame,
+/// and zero all four stores' counters (benches measuring cold-cache
 /// sweeps; long-lived processes rotating TLE epochs).
 pub fn clear() {
     cache().clear();
     grid_store().clear();
     tile_store().clear();
+    frame_store().clear();
 }
 
 /// What one [`enforce_cache_budget`] pass did.
@@ -458,6 +465,9 @@ pub struct EvictionSweep {
     pub grids_evicted: usize,
     /// Ephemeris tiles dropped from the store, once no view held them.
     pub tiles_evicted: usize,
+    /// Lattice frames dropped from the store, once no stored tile used
+    /// their index.
+    pub frames_evicted: usize,
     /// Approximate payload bytes freed.
     pub bytes_freed: u64,
     /// Approximate payload bytes still held after the pass.
@@ -466,9 +476,10 @@ pub struct EvictionSweep {
 
 /// Evict least-recently-used entries — pass lists and grid views ranked
 /// on one shared recency axis — until the combined approximate payload
-/// of all three stores fits `budget_bytes`. A tile goes only once no
+/// of all four stores fits `budget_bytes`. A tile goes only once no
 /// view holds it any more: first every such orphan, then each tile
-/// whose last holder an evicted view was.
+/// whose last holder an evicted view was. A frame goes with the last
+/// stored tile of its index.
 ///
 /// Lookups themselves never evict — the hot path stays lock-light, and
 /// a process that never calls this keeps exactly-once memoisation
@@ -478,19 +489,27 @@ pub struct EvictionSweep {
 /// by the budget instead of growing with the number of distinct
 /// windows.
 pub fn enforce_cache_budget(budget_bytes: u64) -> EvictionSweep {
-    enforce_on(cache(), grid_store(), tile_store(), budget_bytes)
+    enforce_on(
+        cache(),
+        grid_store(),
+        tile_store(),
+        frame_store(),
+        budget_bytes,
+    )
 }
 
 /// The eviction pass itself, on explicit stores (unit-testable without
 /// touching the process-wide caches), adding what it drops to each
-/// store's `evictions`. Holds all three map locks for the whole pass so
+/// store's `evictions`. Holds all four map locks for the whole pass so
 /// a concurrent lookup cannot resurrect a key mid-eviction; lookups
-/// only ever take one lock briefly and never nest, so the fixed
-/// pass→grid→tile acquisition order cannot deadlock.
+/// hold one lock at a time, briefly (a tile computes its frame outside
+/// the tile map's lock), so the fixed pass→grid→tile→frame acquisition
+/// order cannot deadlock.
 fn enforce_on(
     passes: &Store<PassKey, Vec<Pass>>,
     grids: &Store<GridKey, EphemerisGrid>,
     tiles: &Store<TileKey, EphemerisTile>,
+    frames: &Store<i64, LatticeFrame>,
     budget_bytes: u64,
 ) -> EvictionSweep {
     enum Victim {
@@ -499,7 +518,7 @@ fn enforce_on(
     }
     let mut pass_map = passes.lock();
     let mut grid_map = grids.lock();
-    let mut tile_map = tiles.lock();
+    let mut maps = TileMaps::new(tiles.lock(), frames.lock());
     let mut candidates: Vec<(u64, u64, Victim)> = Vec::new();
     let mut retained: u64 = 0;
     for (k, slot) in pass_map.iter() {
@@ -524,7 +543,9 @@ fn enforce_on(
             ));
         }
     }
-    retained += tile_map.values().filter(|s| s.cell.get().is_some()).count() as u64 * TILE_BYTES;
+    let stored_frames = maps.frames.values().filter(|s| s.cell.get().is_some());
+    retained += maps.per_index.values().sum::<usize>() as u64 * TILE_BYTES
+        + stored_frames.count() as u64 * FRAME_BYTES;
     let mut sweep = EvictionSweep {
         bytes_retained: retained,
         ..EvictionSweep::default()
@@ -532,13 +553,23 @@ fn enforce_on(
     if retained <= budget_bytes {
         return sweep;
     }
-    let orphans: Vec<TileKey> = tile_map
+    let orphans: Vec<TileKey> = maps
+        .tiles
         .iter()
         .filter(|(_, slot)| unheld(slot))
         .map(|(k, _)| *k)
         .collect();
     for key in orphans {
-        drop_if_unheld(&mut tile_map, key, &mut sweep);
+        maps.drop_if_unheld(key, &mut sweep);
+    }
+    let orphan_frames: Vec<i64> = maps
+        .frames
+        .keys()
+        .filter(|index| !maps.per_index.contains_key(index))
+        .copied()
+        .collect();
+    for index in orphan_frames {
+        maps.drop_frame(index, &mut sweep);
     }
     // Oldest tick first; ticks are unique (one global fetch_add per
     // lookup), so the order is deterministic.
@@ -559,7 +590,7 @@ fn enforce_on(
                 sweep.grids_evicted += 1;
                 for index in indices {
                     let key = TileKey::new(k.constellation, k.sat_id, index);
-                    drop_if_unheld(&mut tile_map, key, &mut sweep);
+                    maps.drop_if_unheld(key, &mut sweep);
                 }
             }
         }
@@ -570,6 +601,7 @@ fn enforce_on(
         (&passes.evictions, sweep.pass_lists_evicted),
         (&grids.evictions, sweep.grids_evicted),
         (&tiles.evictions, sweep.tiles_evicted),
+        (&frames.evictions, sweep.frames_evicted),
     ] {
         evictions.fetch_add(n as u64, Relaxed);
     }
@@ -582,17 +614,69 @@ fn unheld(slot: &Slot<EphemerisTile>) -> bool {
     slot.cell.get().is_some_and(|t| Arc::strong_count(t) == 1)
 }
 
-/// Evict `key`'s tile if no view holds it, accounting for it in `sweep`.
-fn drop_if_unheld(
-    map: &mut HashMap<TileKey, Arc<Slot<EphemerisTile>>>,
-    key: TileKey,
-    sweep: &mut EvictionSweep,
-) {
-    if map.get(&key).is_some_and(|slot| unheld(slot)) {
-        map.remove(&key);
+/// The locked tile and frame maps of one budget pass, with the stored
+/// tiles per tile index, so a frame goes with the last of them.
+struct TileMaps<'a> {
+    tiles: MutexGuard<'a, HashMap<TileKey, Arc<Slot<EphemerisTile>>>>,
+    frames: MutexGuard<'a, HashMap<i64, Arc<Slot<LatticeFrame>>>>,
+    /// Computed tiles stored per tile index (indices without one are
+    /// absent).
+    per_index: HashMap<i64, usize>,
+}
+
+impl<'a> TileMaps<'a> {
+    fn new(
+        tiles: MutexGuard<'a, HashMap<TileKey, Arc<Slot<EphemerisTile>>>>,
+        frames: MutexGuard<'a, HashMap<i64, Arc<Slot<LatticeFrame>>>>,
+    ) -> TileMaps<'a> {
+        let mut per_index = HashMap::new();
+        for (key, slot) in tiles.iter() {
+            if slot.cell.get().is_some() {
+                *per_index.entry(key.index).or_insert(0) += 1;
+            }
+        }
+        TileMaps {
+            tiles,
+            frames,
+            per_index,
+        }
+    }
+
+    /// Evict `key`'s tile if no view holds it, and its index's frame
+    /// with the last stored tile there, accounting for both in `sweep`.
+    fn drop_if_unheld(&mut self, key: TileKey, sweep: &mut EvictionSweep) {
+        if !self.tiles.get(&key).is_some_and(|slot| unheld(slot)) {
+            return;
+        }
+        self.tiles.remove(&key);
         sweep.tiles_evicted += 1;
         sweep.bytes_freed += TILE_BYTES;
         sweep.bytes_retained -= TILE_BYTES;
+        let left = self
+            .per_index
+            .get_mut(&key.index)
+            .expect("a stored tile is counted under its index");
+        *left -= 1;
+        if *left == 0 {
+            self.per_index.remove(&key.index);
+            self.drop_frame(key.index, sweep);
+        }
+    }
+
+    /// Evict `index`'s frame if it is computed (one in flight stays, so
+    /// its compute is accounted for by its entry), accounting for it in
+    /// `sweep`.
+    fn drop_frame(&mut self, index: i64, sweep: &mut EvictionSweep) {
+        if self
+            .frames
+            .get(&index)
+            .is_some_and(|s| s.cell.get().is_some())
+        {
+            self.frames.remove(&index);
+            sweep.frames_evicted += 1;
+            sweep.bytes_freed += FRAME_BYTES;
+            sweep.bytes_retained -= FRAME_BYTES;
+        }
     }
 }
 
@@ -673,17 +757,29 @@ fn tile_store() -> &'static Store<TileKey, EphemerisTile> {
     TILES.get_or_init(Store::new)
 }
 
+/// The frame store: one [`LatticeFrame`] per tile index, shared by
+/// every satellite's tile there.
+fn frame_store() -> &'static Store<i64, LatticeFrame> {
+    static FRAMES: OnceLock<Store<i64, LatticeFrame>> = OnceLock::new();
+    FRAMES.get_or_init(Store::new)
+}
+
 /// Tiles `indices` of the satellite `key` names, from `store`, sampling
-/// the missing ones from `sgp4`, under one map lock.
+/// the missing ones from `sgp4`: their slots resolve under one map
+/// lock, and each missing tile looks its frame up in `frames`.
 fn tiles_from(
     store: &Store<TileKey, EphemerisTile>,
+    frames: &Store<i64, LatticeFrame>,
     key: GridKey,
     sgp4: &Sgp4,
     indices: Range<i64>,
 ) -> Vec<Arc<EphemerisTile>> {
     store.get_or_compute_all(
         indices.map(|index| TileKey::new(key.constellation, key.sat_id, index)),
-        |tile| EphemerisTile::build(sgp4, tile.index),
+        |tile| {
+            let frame = frames.get_or_compute(tile.index, || LatticeFrame::new(tile.index));
+            EphemerisTile::build(sgp4, &frame)
+        },
     )
 }
 
@@ -701,12 +797,13 @@ where
     grid_store().get_or_compute(key, build)
 }
 
-/// The grid store's counters. Its `approx_bytes` includes the tile
-/// store's: every stored tile once, plus each view's tile pointers.
+/// The grid store's counters. Its `approx_bytes` includes the tile and
+/// frame stores': every stored tile and frame once, plus each view's
+/// tile pointers.
 pub fn grid_stats() -> StoreStats {
     let views = grid_store().stats(view_bytes);
     StoreStats {
-        approx_bytes: views.approx_bytes + tile_stats().approx_bytes,
+        approx_bytes: views.approx_bytes + tile_stats().approx_bytes + frame_stats().approx_bytes,
         ..views
     }
 }
@@ -715,6 +812,12 @@ pub fn grid_stats() -> StoreStats {
 /// [`TILE`](satiot_orbit::ephemeris::TILE) SGP4 samples.
 pub fn tile_stats() -> StoreStats {
     tile_store().stats(|_| TILE_BYTES)
+}
+
+/// The frame store's counters: one lookup per tile computed, one
+/// compute per tile index sampled (per residency).
+pub fn frame_stats() -> StoreStats {
+    frame_store().stats(|_| FRAME_BYTES)
 }
 
 /// Build the pass predictor every campaign predict phase uses for one
@@ -760,7 +863,7 @@ fn shared_grid(key: GridKey, sgp4: &Sgp4) -> Arc<EphemerisGrid> {
     let (start, end) = key.range();
     grid_for(key, || {
         EphemerisGrid::build_with(start, end, |indices| {
-            tiles_from(tile_store(), key, sgp4, indices)
+            tiles_from(tile_store(), frame_store(), key, sgp4, indices)
         })
     })
 }
@@ -889,6 +992,7 @@ mod tests {
         let passes: Store<PassKey, Vec<Pass>> = Store::new();
         let grids: Store<GridKey, EphemerisGrid> = Store::new();
         let tiles: Store<TileKey, EphemerisTile> = Store::new();
+        let frames: Store<i64, LatticeFrame> = Store::new();
         let base = make_predictor().passes(epoch(), epoch() + 1.0);
         assert!(!base.is_empty());
         let list = |n: usize| -> Vec<Pass> { base.iter().cycle().take(n).cloned().collect() };
@@ -902,7 +1006,7 @@ mod tests {
             let (start, end) = key.range();
             grids.get_or_compute(key, || {
                 EphemerisGrid::build_with(start, end, |indices| {
-                    tiles_from(&tiles, key, &sgp4, indices)
+                    tiles_from(&tiles, &frames, key, &sgp4, indices)
                 })
             })
         };
@@ -911,18 +1015,20 @@ mod tests {
                 passes.stats(|l| pass_list_bytes(l)),
                 grids.stats(view_bytes),
                 tiles.stats(|_| TILE_BYTES),
+                frames.stats(|_| FRAME_BYTES),
             ]
         };
         // Every pass records what it dropped in each store's own
         // counter, and every compute stays accounted for.
         let enforce = |budget_bytes: u64| {
             let before = all_stats();
-            let sweep = enforce_on(&passes, &grids, &tiles, budget_bytes);
+            let sweep = enforce_on(&passes, &grids, &tiles, &frames, budget_bytes);
             let after = all_stats();
             let evicted = [
                 sweep.pass_lists_evicted,
                 sweep.grids_evicted,
                 sweep.tiles_evicted,
+                sweep.frames_evicted,
             ];
             for ((b, a), n) in before.iter().zip(&after).zip(evicted) {
                 assert_eq!(a.evictions - b.evictions, n as u64);
@@ -938,12 +1044,16 @@ mod tests {
         // Touch k1 again: k2 becomes the least recently used entry.
         passes.get_or_compute(k1, || unreachable!("k1 evicted early"));
 
-        let [pass_stats, view_stats, tile_stats] = all_stats();
+        let [pass_stats, view_stats, tile_stats, frame_stats] = all_stats();
         let pass_bytes = pass_stats.approx_bytes;
-        let grid_bytes = view_stats.approx_bytes + tile_stats.approx_bytes;
+        let grid_bytes =
+            view_stats.approx_bytes + tile_stats.approx_bytes + frame_stats.approx_bytes;
         let total = pass_bytes + grid_bytes;
         assert!(pass_bytes > 0 && grid_bytes > 0);
         assert_eq!((pass_stats.lookups, pass_stats.computes), (4, 3));
+        // One frame per tile index, looked up once per tile computed.
+        assert_eq!(frame_stats.entries, tile_stats.entries);
+        assert_eq!(frame_stats.lookups, tile_stats.computes);
 
         // Over budget by one byte: exactly the LRU entry (k2) must go.
         let sweep = enforce(total - 1);
@@ -958,24 +1068,32 @@ mod tests {
         let recomputed = passes.stats(|l| pass_list_bytes(l)).computes - pass_stats.computes;
         assert_eq!(recomputed, 1, "the LRU entry survived the sweep");
 
-        // Budget zero drains all three stores completely: the evicted
-        // view was its tiles' only holder.
+        // Budget zero drains all four stores completely: the evicted
+        // view was its tiles' only holder, and each index's frame goes
+        // with its last tile.
         let sweep = enforce(0);
         assert_eq!(sweep.bytes_retained, 0);
         assert_eq!(sweep.grids_evicted, 1);
         assert!(sweep.tiles_evicted > 0);
+        assert_eq!(sweep.frames_evicted, sweep.tiles_evicted);
         assert!(all_stats().iter().all(|s| s.entries == 0));
 
         // A tile some live view still holds outlives its evicted cached
-        // view, and goes as an orphan once that holder is gone.
+        // view, and goes as an orphan once that holder is gone. A second
+        // satellite's tiles over the same window share its frames, which
+        // stay while any tile of their index does and go with the last.
         let held = view(gk);
         let held_tiles = held.tiles().len();
+        view(GridKey::new("TEST_EVICT", 2, epoch(), epoch() + 0.2));
+        assert_eq!(all_stats()[3].entries, held_tiles, "one frame per index");
         let sweep = enforce(0);
-        assert_eq!((sweep.grids_evicted, sweep.tiles_evicted), (1, 0));
+        assert_eq!((sweep.grids_evicted, sweep.tiles_evicted), (2, held_tiles));
+        assert_eq!(sweep.frames_evicted, 0, "a held tile's frame was dropped");
         assert_eq!(all_stats()[2].entries, held_tiles);
         drop(held);
         let sweep = enforce(0);
         assert_eq!(sweep.tiles_evicted, held_tiles);
+        assert_eq!(sweep.frames_evicted, held_tiles);
         assert_eq!((all_stats()[2].entries, sweep.bytes_retained), (0, 0));
 
         // Under budget: a pass is a pure measurement, nothing moves.
@@ -1144,6 +1262,7 @@ mod tests {
             let passes: Store<PassKey, Vec<Pass>> = Store::new();
             let grids: Store<GridKey, EphemerisGrid> = Store::new();
             let tiles: Store<TileKey, EphemerisTile> = Store::new();
+            let frames: Store<i64, LatticeFrame> = Store::new();
             passes.get_or_compute_all(keys.iter().copied(), |_| Vec::new());
             let ticks: Vec<u64> = {
                 let map = passes.lock();
@@ -1153,7 +1272,7 @@ mod tests {
             };
             assert!(ticks.windows(2).all(|w| w[1] == w[0] + 1), "{ticks:?}");
             for kept in (0..keys.len()).rev() {
-                let sweep = enforce_on(&passes, &grids, &tiles, kept as u64 * entry_bytes);
+                let sweep = enforce_on(&passes, &grids, &tiles, &frames, kept as u64 * entry_bytes);
                 assert_eq!(sweep.pass_lists_evicted, 1);
                 let map = passes.lock();
                 let survivors: Vec<bool> = keys.iter().map(|k| map.contains_key(k)).collect();

@@ -1,4 +1,4 @@
-//! The shared pass cache, ephemeris grid store and tile store compute
+//! The shared pass cache, ephemeris grid, tile and frame stores compute
 //! each entry exactly once: over repeated campaigns, unbudgeted, every
 //! lookup after the first is served warm; under a cache budget, the
 //! footprint holds the ceiling, results do not change, and each compute
@@ -12,9 +12,10 @@ use satiot_core::prelude::*;
 use satiot_core::sweep;
 
 /// Two pooled runs and a one-thread run of three sites for one day
-/// predict each pass list, build each grid view and sample each tile
-/// once. HK and GZ start on the same campaign day, so their satellites
-/// share grids.
+/// predict each pass list, build each grid view, sample each tile and
+/// rotate each lattice frame once. HK and GZ start on the same campaign
+/// day, so their satellites share grids; every satellite's tiles at one
+/// index share that index's frame.
 fn repeated_campaigns_compute_each_entry_once() {
     let mut cfg = PassiveConfig {
         max_days: 1.0,
@@ -44,6 +45,13 @@ fn repeated_campaigns_compute_each_entry_once() {
         tiles.computes, tiles.entries as u64,
         "an ephemeris tile was sampled more than once"
     );
+    let frames = sweep::frame_stats();
+    assert_eq!(
+        frames.computes, frames.entries as u64,
+        "a lattice frame was rotated more than once"
+    );
+    assert_eq!(frames.lookups, tiles.computes, "one frame lookup per tile");
+    assert!(frames.hits() > 0, "no frame was shared across satellites");
     sweep::clear();
 }
 
@@ -77,7 +85,12 @@ fn budget_holds_and_results_do_not_change() {
         .run(&jobs)
         .expect("budgeted sweep runs");
     let bounded = footprint();
-    let (cache, grids, tiles) = (sweep::stats(), sweep::grid_stats(), sweep::tile_stats());
+    let (cache, grids, tiles, frames) = (
+        sweep::stats(),
+        sweep::grid_stats(),
+        sweep::tile_stats(),
+        sweep::frame_stats(),
+    );
     assert!(
         bounded <= budget,
         "footprint {bounded} B exceeds the {budget} B budget"
@@ -95,6 +108,7 @@ fn budget_holds_and_results_do_not_change() {
     assert_eq!(cache.computes, cache.entries as u64 + cache.evictions);
     assert_eq!(grids.computes, grids.entries as u64 + grids.evictions);
     assert_eq!(tiles.computes, tiles.entries as u64 + tiles.evictions);
+    assert_eq!(frames.computes, frames.entries as u64 + frames.evictions);
     sweep::clear();
 }
 

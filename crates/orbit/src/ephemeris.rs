@@ -36,6 +36,15 @@
 //! so the passive site windows, Fig 3a's windows and the active
 //! campaign's windows all slice one set of SGP4 samples.
 //!
+//! The TEME→ECEF rotation at a lattice instant is the same for every
+//! satellite, so it is computed once per tile index: a
+//! [`LatticeFrame`] holds the sine and cosine of `−GMST` at the tile's
+//! [`TILE`] instants, and [`EphemerisTile::build`] rotates each SGP4
+//! state by it through the expression [`teme_to_ecef`] itself
+//! evaluates, so a tile holds `teme_to_ecef(propagate_at(t), t)` to the
+//! bit. `satiot_core::sweep` keeps one frame per index beside its tile
+//! store; [`EphemerisGrid::build`] computes one per private tile.
+//!
 //! ## Accuracy contract
 //!
 //! Hermite interpolation with exact endpoint derivatives has error
@@ -68,7 +77,7 @@
 //! the `ephemeris_contract` test runs it across the Table-3
 //! constellations.
 
-use crate::frames::{teme_to_ecef, StateEcef};
+use crate::frames::{ecef_rotation, rotate_teme_to_ecef, teme_to_ecef, StateEcef};
 use crate::sgp4::Sgp4;
 use crate::time::{JulianDate, JD_J2000};
 use crate::vec3::Vec3;
@@ -151,6 +160,37 @@ impl ValidationReport {
     }
 }
 
+/// The TEME→ECEF rotation at the [`TILE`] lattice instants of one tile
+/// index: the sine and cosine of `−GMST` at each [`lattice_time`].
+///
+/// The Earth's rotation at an instant is the same for every satellite,
+/// so one frame serves every satellite's tile at its index:
+/// `satiot_core::sweep` keeps one per index beside its tile store, and
+/// [`EphemerisGrid::build`] computes one per private tile.
+#[derive(Debug)]
+pub struct LatticeFrame {
+    /// Tile index: the frame covers lattice points from `index·TILE` on.
+    index: i64,
+    /// `(sin, cos)` of the TEME→ECEF angle at each lattice point.
+    sin_cos: [(f64, f64); TILE],
+}
+
+impl LatticeFrame {
+    /// The rotation at the lattice points of tile `index`.
+    pub fn new(index: i64) -> LatticeFrame {
+        let first = index * TILE as i64;
+        LatticeFrame {
+            index,
+            sin_cos: std::array::from_fn(|j| ecef_rotation(lattice_time(first + j as i64))),
+        }
+    }
+
+    /// The tile index.
+    pub fn index(&self) -> i64 {
+        self.index
+    }
+}
+
 /// [`TILE`] consecutive lattice samples of one satellite, with the
 /// aggregates the spatial pre-cull reads.
 #[derive(Debug)]
@@ -173,14 +213,18 @@ pub struct EphemerisTile {
 }
 
 impl EphemerisTile {
-    /// Propagate `sgp4` at the [`TILE`] lattice points of tile `index`.
-    pub fn build(sgp4: &Sgp4, index: i64) -> EphemerisTile {
+    /// Propagate `sgp4` at the [`TILE`] lattice points of `frame`'s tile
+    /// index and rotate each state into ECEF by the frame's angle there:
+    /// bit for bit [`teme_to_ecef`] at that instant, which evaluates the
+    /// same rotation expression.
+    pub fn build(sgp4: &Sgp4, frame: &LatticeFrame) -> EphemerisTile {
+        let index = frame.index;
         let first = index * TILE as i64;
         let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
         let samples: [StateEcef; TILE] = std::array::from_fn(|j| {
             let t = lattice_time(first + j as i64);
             match sgp4.propagate_at(t) {
-                Ok(state) => teme_to_ecef(&state, t),
+                Ok(state) => rotate_teme_to_ecef(&state, frame.sin_cos[j]),
                 Err(_) => StateEcef {
                     position_km: nan,
                     velocity_km_s: nan,
@@ -252,12 +296,13 @@ pub struct EphemerisGrid {
 }
 
 impl EphemerisGrid {
-    /// Propagate `sgp4` across `[start, end]` into private tiles and
-    /// build the view over them (see [`Self::build_with`]).
+    /// Propagate `sgp4` across `[start, end]` into private tiles, each
+    /// with its own [`LatticeFrame`], and build the view over them (see
+    /// [`Self::build_with`]).
     pub fn build(sgp4: &Sgp4, start: JulianDate, end: JulianDate) -> EphemerisGrid {
         Self::build_with(start, end, |tiles| {
             tiles
-                .map(|index| Arc::new(EphemerisTile::build(sgp4, index)))
+                .map(|index| Arc::new(EphemerisTile::build(sgp4, &LatticeFrame::new(index))))
                 .collect()
         })
     }
@@ -612,21 +657,17 @@ mod tests {
         let shift = (b.sample_time(0).seconds_since(a.sample_time(0)) / STEP_S).round() as usize;
         let (sa, sb) = (samples(&a), samples(&b));
         assert_eq!((sa.len(), sb.len()), (a.len(), b.len()));
-        let bits = |s: &StateEcef| {
-            let (p, v) = (s.position_km, s.velocity_km_s);
-            [p.x, p.y, p.z, v.x, v.y, v.z].map(f64::to_bits)
-        };
         let overlap = a.len() - shift;
         assert!(overlap > 800);
         for k in 0..overlap {
             let (ka, kb) = (shift + k, k);
             assert_eq!(a.sample_time(ka).0.to_bits(), b.sample_time(kb).0.to_bits());
-            assert_eq!(bits(&sa[ka]), bits(&sb[kb]), "sample {ka} of a");
+            assert_eq!(state_bits(&sa[ka]), state_bits(&sb[kb]), "sample {ka} of a");
         }
         // Off-lattice queries inside the overlap agree to the bit too.
         let t = epoch() + 0.77;
         let (qa, qb) = (a.state_at(t).unwrap(), b.state_at(t).unwrap());
-        assert_eq!(bits(&qa), bits(&qb));
+        assert_eq!(state_bits(&qa), state_bits(&qb));
     }
 
     #[test]
@@ -657,13 +698,82 @@ mod tests {
         assert!(samples(&grid).iter().all(|s| s.position_km.norm() <= r_max));
     }
 
+    /// A sample's six components, as bits.
+    fn state_bits(s: &StateEcef) -> [u64; 6] {
+        let (p, v) = (s.position_km, s.velocity_km_s);
+        [p.x, p.y, p.z, v.x, v.y, v.z].map(f64::to_bits)
+    }
+
+    /// Every sample of `tile` is [`teme_to_ecef`] of direct SGP4 at its
+    /// lattice instant, to the bit, or all NaN where SGP4 fails there.
+    fn assert_tile_is_teme_to_ecef(tile: &EphemerisTile, sgp4: &Sgp4) {
+        let first = tile.index * TILE as i64;
+        for (j, sample) in tile.samples.iter().enumerate() {
+            let t = lattice_time(first + j as i64);
+            match sgp4.propagate_at(t) {
+                Ok(state) => assert_eq!(
+                    state_bits(sample),
+                    state_bits(&teme_to_ecef(&state, t)),
+                    "tile {} sample {j}",
+                    tile.index
+                ),
+                Err(_) => assert!(
+                    state_bits(sample)
+                        .iter()
+                        .all(|&b| f64::from_bits(b).is_nan()),
+                    "tile {} sample {j} failed to propagate but is not NaN",
+                    tile.index
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn satellites_sharing_one_frame_hold_teme_to_ecef_bits() {
+        let j2000 = JulianDate(JD_J2000);
+        let circular = |incl_deg| {
+            Elements::circular(550.0, incl_deg, j2000)
+                .to_sgp4()
+                .unwrap()
+        };
+        // Vallado's eccentric (e = 0.186) distribution case #00005,
+        // epoch 2000-06-27, in tile 1002.
+        let l1 = "1 00005U 58002B   00179.78495062  .00000023  00000-0  28098-4 0  4753";
+        let l2 = "2 00005  34.2682 348.7242 1859667 331.7664  19.3264 10.82419157413667";
+        let vallado = Sgp4::new(&crate::tle::Tle::parse_lines(l1, l2).unwrap()).unwrap();
+        let sats = [circular(0.0), circular(53.0), circular(97.6), vallado];
+        // Tiles before J2000, either side of it, and at the eccentric
+        // set's epoch: one frame per index serves all four satellites.
+        for index in [-7, -1, 0, 1002] {
+            let frame = LatticeFrame::new(index);
+            for sgp4 in &sats {
+                let tile = EphemerisTile::build(sgp4, &frame);
+                assert_eq!(tile.index(), index);
+                assert_tile_is_teme_to_ecef(&tile, sgp4);
+            }
+        }
+        // A 300 km orbit under heavy drag decays 48 samples into tile 5:
+        // the rest of the tile stores NaN, and the aggregates say so.
+        let decaying = Elements {
+            bstar: 0.05,
+            ..Elements::circular(300.0, 51.6, j2000)
+        }
+        .to_sgp4()
+        .unwrap();
+        let tile = EphemerisTile::build(&decaying, &LatticeFrame::new(5));
+        let nan = tile.samples.iter().filter(|s| s.position_km.x.is_nan());
+        assert_eq!(nan.count(), TILE - 48);
+        assert!(tile.max_radius_km.is_nan() && tile.max_angular_rate.is_nan());
+        assert_tile_is_teme_to_ecef(&tile, &decaying);
+    }
+
     #[test]
     #[should_panic(expected = "other than the ones asked for")]
     fn a_tile_source_must_return_the_tiles_asked_for() {
         let sgp4 = leo(550.0, 97.6);
         EphemerisGrid::build_with(epoch(), epoch() + 0.5, |tiles| {
             tiles
-                .map(|index| Arc::new(EphemerisTile::build(&sgp4, index + 1)))
+                .map(|index| Arc::new(EphemerisTile::build(&sgp4, &LatticeFrame::new(index + 1))))
                 .collect()
         });
     }

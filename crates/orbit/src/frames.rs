@@ -71,10 +71,22 @@ pub struct StateEcef {
 ///
 /// Velocity is corrected for the frame rotation (`v_ecef = R·v_teme − ω×r`).
 pub fn teme_to_ecef(state: &StateTeme, when: JulianDate) -> StateEcef {
-    let gmst = when.gmst_rad();
-    // ECEF = R3(gmst) · TEME, i.e. rotate by −gmst about Z.
-    let r = state.position_km.rotate_z(-gmst);
-    let v_rot = state.velocity_km_s.rotate_z(-gmst);
+    rotate_teme_to_ecef(state, ecef_rotation(when))
+}
+
+/// The sine and cosine of the TEME→ECEF angle at `when`: ECEF =
+/// R3(gmst) · TEME, i.e. a rotation by −GMST about Z.
+pub(crate) fn ecef_rotation(when: JulianDate) -> (f64, f64) {
+    (-when.gmst_rad()).sin_cos()
+}
+
+/// [`teme_to_ecef`] given [`ecef_rotation`]'s sine and cosine: the one
+/// rotation expression both it and the ephemeris tiles evaluate, the
+/// tiles with the angles of a shared
+/// [`LatticeFrame`](crate::ephemeris::LatticeFrame).
+pub(crate) fn rotate_teme_to_ecef(state: &StateTeme, sin_cos: (f64, f64)) -> StateEcef {
+    let r = state.position_km.rotate_z(sin_cos);
+    let v_rot = state.velocity_km_s.rotate_z(sin_cos);
     let omega = Vec3::new(0.0, 0.0, EARTH_OMEGA_RAD_S);
     let v = v_rot - omega.cross(r);
     StateEcef {

@@ -5,6 +5,7 @@
 //! UTC. [`JulianDate`] is the bridge: a thin newtype over the UT1≈UTC Julian
 //! day number with enough arithmetic to express campaign timelines.
 
+use crate::sgp4::rem_tau;
 use core::f64::consts::TAU;
 use core::ops::{Add, Sub};
 
@@ -75,7 +76,7 @@ impl JulianDate {
             + (876_600.0 * 3_600.0 + 8_640_184.812_866) * tut1
             + 67_310.548_41;
         // 240 sidereal seconds per degree; convert to radians and wrap.
-        temp = (temp * core::f64::consts::PI / 180.0 / 240.0) % TAU;
+        temp = rem_tau(temp * core::f64::consts::PI / 180.0 / 240.0);
         if temp < 0.0 {
             temp += TAU;
         }

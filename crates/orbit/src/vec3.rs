@@ -69,10 +69,10 @@ impl Vec3 {
         }
     }
 
-    /// Rotate this vector about the Z axis by `angle_rad` (right-handed).
+    /// Rotate this vector about the Z axis (right-handed) by the angle
+    /// whose sine and cosine `angle.sin_cos()` gives.
     #[inline]
-    pub fn rotate_z(self, angle_rad: f64) -> Vec3 {
-        let (s, c) = angle_rad.sin_cos();
+    pub fn rotate_z(self, (s, c): (f64, f64)) -> Vec3 {
         Vec3 {
             x: c * self.x - s * self.y,
             y: s * self.x + c * self.y,
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn rotate_z_quarter_turn() {
-        let v = Vec3::new(1.0, 0.0, 5.0).rotate_z(core::f64::consts::FRAC_PI_2);
+        let v = Vec3::new(1.0, 0.0, 5.0).rotate_z(core::f64::consts::FRAC_PI_2.sin_cos());
         assert!(v.x.abs() < 1e-15);
         assert!((v.y - 1.0).abs() < 1e-15);
         assert!((v.z - 5.0).abs() < 1e-15);

@@ -19,7 +19,10 @@
 //!    observers in fixed-width chunks of [`CHUNK`] columns;
 //! 3. emit only sparse [`SweepEvent`]s — sign-change windows and
 //!    near-miss candidates — for the existing bisection /
-//!    golden-section refinement in [`pass`](crate::pass).
+//!    golden-section refinement in [`pass`](crate::pass), after a
+//!    screen that skips every 8-sample block whose Bézier hull bound
+//!    (below) proves it eventless, so only the blocks around a pass
+//!    reach the per-sample event detector.
 //!
 //! ## The margin trick
 //!
@@ -60,7 +63,8 @@
 //!
 //! 1. a Bézier convex-hull bound (`max` of the four control points)
 //!    rejects the overwhelmingly common deep-below intervals in ~8
-//!    flops;
+//!    flops (the block screen applies the same bound to a whole block
+//!    and the interval bridging it to the carried previous sample);
 //! 2. the exact interior maximum of the cubic (quadratic root solve)
 //!    rejects most of the rest;
 //! 3. only intervals whose modelled maximum clears
@@ -111,6 +115,11 @@ static SWEEP_CANDIDATES: Counter = Counter::new("orbit.visibility.candidates");
 /// two outputs (4 KiB) live comfortably in L1 beside the observer
 /// arena.
 pub const CHUNK: usize = 64;
+
+/// Columns per eventless screen: each [`CHUNK`] is screened in blocks
+/// of this many, so a pass inside a chunk feeds the detector only the
+/// blocks around it.
+const BLOCK: usize = 8;
 
 /// Candidate guard band, km of margin. The cubic Hermite margin model
 /// is exact at interval endpoints and within ~0.03 km in the interior
@@ -401,7 +410,7 @@ impl Detector {
     }
 
     /// Advance the detector across `n` samples proven eventless by the
-    /// chunk screen (see [`VisibilitySweep::sweep_chunked`]): every
+    /// block screen (see [`VisibilitySweep::sweep_chunked`]): every
     /// skipped margin — and the carried previous one — sits so far
     /// below the mask that neither a sign change nor a near-miss hull
     /// could fire, so feeding them one by one would only have updated
@@ -607,9 +616,9 @@ impl VisibilitySweep {
 
     /// The chunked sweep: gather up to [`CHUNK`] columns of one tile
     /// run into SoA arrays once, then run every observer's kernel over
-    /// the gathered chunk while it is hot in L1. Where the chunks start
-    /// does not matter: the chunk screen below skips only what the
-    /// scalar feed would not have reported.
+    /// the gathered chunk while it is hot in L1. Where the chunks and
+    /// their blocks start does not matter: the block screen below skips
+    /// only what the scalar feed would not have reported.
     fn sweep_chunked(
         &self,
         grid: &EphemerisGrid,
@@ -640,29 +649,32 @@ impl VisibilitySweep {
             }
             for (o, d) in detectors.iter_mut().enumerate() {
                 margin_chunk(&cols, self.params(o), &mut m, &mut dm);
-                // Chunk screen: the Hermite model of every interval in
-                // this chunk (and the bridge from the carried previous
+                // Block screen: the Hermite model of every interval in
+                // a block (and of the bridge from the carried previous
                 // sample) lies inside its Bézier hull, which is bounded
                 // by `max(m) + dt·max|dm|/3` with `dt ≤ step`. When that
                 // bound cannot reach the candidate guard, no crossing or
-                // near-miss exists here and the scalar state machine is
-                // bypassed wholesale — the dominant case for LEO
+                // near-miss exists there and the scalar state machine is
+                // bypassed for the block — the dominant case for LEO
                 // satellites, which spend most of a day far below any
                 // observer's horizon. `f64::max` ignores NaN carries,
                 // and NaN margins route to the slow path via the NaN
                 // bound, so degraded samples keep their feed semantics.
-                let mut max_m = d.m_prev;
-                let mut max_abs_dm = d.dm_prev.abs();
-                for i in 0..n_real {
-                    max_m = max_m.max(m[i]);
-                    max_abs_dm = max_abs_dm.max(dm[i].abs());
-                }
-                if max_m + step_s * max_abs_dm / 3.0 <= -CANDIDATE_GUARD_KM {
-                    d.skip_eventless(n_real, times[n_real - 1], m[n_real - 1], dm[n_real - 1]);
-                    continue;
-                }
-                for i in 0..n_real {
-                    d.feed(times[i], m[i], dm[i]);
+                for lo in (0..n_real).step_by(BLOCK) {
+                    let hi = (lo + BLOCK).min(n_real);
+                    let mut max_m = d.m_prev;
+                    let mut max_abs_dm = d.dm_prev.abs();
+                    for i in lo..hi {
+                        max_m = max_m.max(m[i]);
+                        max_abs_dm = max_abs_dm.max(dm[i].abs());
+                    }
+                    if max_m + step_s * max_abs_dm / 3.0 <= -CANDIDATE_GUARD_KM {
+                        d.skip_eventless(hi - lo, times[hi - 1], m[hi - 1], dm[hi - 1]);
+                        continue;
+                    }
+                    for i in lo..hi {
+                        d.feed(times[i], m[i], dm[i]);
+                    }
                 }
             }
         }
@@ -812,6 +824,23 @@ mod tests {
             &Observer::new(Geodetic::from_degrees(-33.87, 151.21, 0.03)),
             5.0_f64.to_radians(),
         );
+        // 24 observers on a Fibonacci lattice (equal areas of the
+        // sphere), masks 0–30°: passes start and end at every offset
+        // inside a chunk, so skipped and fed blocks alternate within
+        // one chunk, and a pass can end on a block edge, where only the
+        // carried sample sees the crossing.
+        let n = 24;
+        for i in 0..n {
+            let lat = (1.0 - 2.0 * (i as f64 + 0.5) / n as f64)
+                .asin()
+                .to_degrees();
+            let lon = (i as f64 * 137.507_764_050_037_86) % 360.0 - 180.0;
+            let mask = (5 * (i % 7)) as f64;
+            sweep.push(
+                &Observer::new(Geodetic::from_degrees(lat, lon, 0.0)),
+                mask.to_radians(),
+            );
+        }
         let start = epoch().plus_seconds(13.0); // off-lattice boundaries
         let end = epoch().plus_seconds(2.0 * 86_400.0 - 29.0);
         let scalar = sweep.run_scalar(&grid, start, end).expect("covered window");
@@ -819,9 +848,10 @@ mod tests {
             .run(&grid, start, end, VisibilityMode::On)
             .expect("covered window");
         assert_eq!(scalar.len(), vector.len());
-        for (a, b) in scalar.iter().zip(&vector) {
-            assert_eq!(a.above_at_start, b.above_at_start);
-            assert_eq!(a.events.len(), b.events.len());
+        for (o, (a, b)) in scalar.iter().zip(&vector).enumerate() {
+            assert_eq!(a.above_at_start, b.above_at_start, "observer {o}");
+            assert_eq!(a.points, b.points, "observer {o}");
+            assert_eq!(a.events.len(), b.events.len(), "observer {o}");
             for (x, y) in a.events.iter().zip(&b.events) {
                 assert_eq!(x.kind, y.kind);
                 assert_eq!(x.t_lo.0.to_bits(), y.t_lo.0.to_bits());
@@ -829,6 +859,13 @@ mod tests {
             }
         }
         assert!(scalar.iter().any(|o| !o.events.is_empty()));
+        assert!(
+            scalar
+                .iter()
+                .flat_map(|o| &o.events)
+                .any(|e| e.kind == SweepEventKind::Candidate),
+            "no near-miss window: the hull path is untested"
+        );
     }
 
     #[test]
