@@ -26,9 +26,12 @@
 //! * **Checkpoint/resume.** A job is a [`ScenarioSpec`] named by its
 //!   tag, plus a 64-bit seed. With a spill directory configured, each
 //!   completed job is written to `<dir>/<fingerprint>.ckpt` (atomic
-//!   rename), where the fingerprint is FNV-1a over the seed and the
-//!   scenario's canonical JSON. The file embeds both verbatim as its
-//!   job section, and a resumed sweep compares that section as text.
+//!   rename), where the fingerprint is FNV-1a over the job section: the
+//!   seed, a line naming the ephemeris lattice (step and interpolant
+//!   degree, from `satiot_orbit::ephemeris`), and the scenario's
+//!   canonical JSON. The file embeds that section verbatim, and a
+//!   resumed sweep compares it as text, so a file written on another
+//!   lattice is never resumed.
 //!   The result section — root RNG stream position, counts, cache
 //!   attribution, per-constellation outcomes and sketch — is written
 //!   down once, as one walk over a [`JobRecord`] that drives both a
@@ -68,6 +71,7 @@ use crate::passive::{PassiveCampaign, PassiveConfig, SchedulerKind};
 use crate::sink::SinkMode;
 use crate::sweep;
 use satiot_measure::sketch::{ConstellationSketch, MetricSketch, QuantileSketch, TraceAggregate};
+use satiot_orbit::ephemeris::{HERMITE_DEGREE, STEP_S};
 use satiot_scenarios::constellations::all_constellations;
 use satiot_scenarios::sites::measurement_sites;
 use satiot_scenarios::{ConstellationRef, ScenarioSpec, SiteRef};
@@ -156,9 +160,9 @@ impl SweepJob {
         }
     }
 
-    /// The job's identity: FNV-1a 64 over the seed and the scenario's
-    /// canonical JSON (its checkpoint job section). Checkpoint files are
-    /// named by it.
+    /// The job's identity: FNV-1a 64 over its checkpoint job section —
+    /// the seed, the ephemeris lattice and the scenario's canonical
+    /// JSON. Checkpoint files are named by it.
     pub fn fingerprint(&self) -> u64 {
         JobId::of(self).fingerprint
     }
@@ -190,8 +194,9 @@ impl SweepJob {
 
 /// A job's identity, computed once per sweep.
 struct JobId {
-    /// The checkpoint's job section: the seed line, then the job
-    /// scenario's canonical JSON. It identifies the job exactly.
+    /// The checkpoint's job section: the seed line, the ephemeris line
+    /// ([`ephemeris_line`]), then the job scenario's canonical JSON. It
+    /// identifies the job and the lattice its passes came from exactly.
     section: String,
     /// FNV-1a over `section`: [`SweepJob::fingerprint`].
     fingerprint: u64,
@@ -199,7 +204,12 @@ struct JobId {
 
 impl JobId {
     fn of(job: &SweepJob) -> JobId {
-        let section = format!("seed {}\n{}\n", job.seed, job.scenario().to_json());
+        let section = format!(
+            "seed {}\n{}\n{}\n",
+            job.seed,
+            ephemeris_line(),
+            job.scenario().to_json()
+        );
         JobId {
             fingerprint: fnv1a(section.as_bytes()),
             section,
@@ -536,6 +546,14 @@ impl SweepServer {
             .and_then(|()| std::fs::rename(&tmp, &path))
             .is_ok()
     }
+}
+
+/// The job section's ephemeris line: the lattice step and the degree of
+/// the interpolant every pass list is computed on. Both come from
+/// `satiot_orbit::ephemeris`'s constants, so a build on another lattice
+/// names another file and never resumes this one's results.
+fn ephemeris_line() -> String {
+    format!("ephemeris lattice {STEP_S} s, Hermite degree {HERMITE_DEGREE}")
 }
 
 // ---------------------------------------------------------------------------
@@ -994,6 +1012,43 @@ mod tests {
             let err = codec::decode(&seal(&edited), &job, &id).expect_err("edited record parses");
             assert_ne!(err, "checksum mismatch");
         }
+    }
+
+    /// The job section names the ephemeris lattice, so a checkpoint
+    /// written on another lattice — here a 60 s cubic one, sealed with a
+    /// valid checksum at this job's path — is rejected and the job
+    /// re-runs rather than resuming passes this lattice does not
+    /// produce.
+    #[test]
+    fn checkpoints_name_the_ephemeris_lattice() {
+        let job = quick_job("lattice", 13);
+        let id = JobId::of(&job);
+        let line = format!("ephemeris lattice {STEP_S} s, Hermite degree {HERMITE_DEGREE}");
+        assert!(id.section.lines().any(|l| l == line), "{}", id.section);
+
+        let dir = std::env::temp_dir().join(format!("satiot_lattice_test_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = SweepServer::new(RunOptions::default()).with_spill_dir(Some(&dir));
+        let cold = server.run(std::slice::from_ref(&job)).unwrap();
+        assert_eq!(cold.checkpoints_written, 1);
+        let path = id.path(&dir);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (body, _) = text.rsplit_once("checksum ").unwrap();
+        let other = body.replacen(&line, "ephemeris lattice 60 s, Hermite degree 3", 1);
+        assert_ne!(other, body);
+        let checksum = fnv1a(other.as_bytes());
+        std::fs::write(&path, format!("{other}checksum {checksum:016x}\n")).unwrap();
+
+        let rerun = server.run(std::slice::from_ref(&job)).unwrap();
+        assert_eq!(rerun.checkpoints_rejected, 1);
+        assert_eq!((rerun.jobs_run, rerun.jobs_resumed), (1, 0));
+        assert!(rerun.same_results(&cold));
+        // The re-run rewrote the file on this lattice, and it resumes.
+        assert_eq!(rerun.checkpoints_written, 1);
+        let resumed = server.run(std::slice::from_ref(&job)).unwrap();
+        assert_eq!((resumed.jobs_run, resumed.jobs_resumed), (0, 1));
+        assert!(resumed.same_results(&cold));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use satiot_core::passive::theoretical_daily_hours;
 use satiot_core::prelude::*;
 use satiot_core::sweep::{self, GridKey};
 use satiot_obs::metrics::{self, Counter};
-use satiot_orbit::ephemeris::{MAX_ELEVATION_ERROR_DEG, TILE};
+use satiot_orbit::ephemeris::{MAX_ELEVATION_ERROR_DEG, STEP_S, TILE};
 use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::PassPredictor;
 use satiot_orbit::sgp4::Sgp4;
@@ -193,7 +193,7 @@ fn windows_inside_a_sampled_one_propagate_nothing() {
 
     let (passes, extended) = passes_over(hk.geodetic(), hk.start(), hk.start() + 4.0);
     assert!(passes > 0);
-    let day_of_tiles = (sats.len() * (1_440 + 2 * TILE)) as u64;
+    let day_of_tiles = (sats.len() * ((86_400.0 / STEP_S) as usize + 2 * TILE)) as u64;
     assert!(
         extended > 0 && extended <= day_of_tiles,
         "a one-day extension propagated {extended} samples, over the {day_of_tiles} bound"

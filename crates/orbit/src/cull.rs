@@ -22,8 +22,8 @@
 //!    raw grid samples only, no interpolation): if at every stored grid
 //!    sample the Earth-central angle between the satellite and the site
 //!    exceeds `λ + Δ` — where `Δ` bounds how much that angle can change
-//!    within one grid step — then no instant between samples can reach
-//!    the cone either, and the window provably holds no pass.
+//!    within half a grid step — then no instant between samples can
+//!    reach the cone either, and the window provably holds no pass.
 //!
 //! ## Margin math — why the cull is conservative
 //!
@@ -36,8 +36,8 @@
 //!   `λ = acos(r_site/r_sat · cos ε̃) − ε̃`, with `r_sat` the maximum
 //!   over the relevant radii plus [`RADIUS_PAD_KM`] (covering SGP4
 //!   short-period J₂ oscillations around the Brouwer-mean apogee and
-//!   interpolation overshoot between samples). λ grows with `r_sat`,
-//!   so padding the radius up widens the cone.
+//!   the radius's rise between samples). λ grows with `r_sat`, so
+//!   padding the radius up widens the cone.
 //! * Elevation is measured from the *geodetic* horizon while the cone
 //!   test uses geocentric radials; the two zeniths differ by at most
 //!   ≈ 0.19° (WGS-84 deflection of the vertical radial, maximal near
@@ -45,12 +45,17 @@
 //!   [`ZENITH_DEFLECTION_RAD`] before computing λ — a *smaller* ε̃
 //!   gives a *larger* λ, again widening the cone. ε̃ may go slightly
 //!   negative at a 0° mask; the λ formula remains valid there.
-//! * The per-step angle bound `Δ` uses the maximum `|v|/|r|` over the
-//!   grid's stored ECEF samples (site direction is constant in ECEF,
-//!   and `|d r̂/dt| ≤ |v|/|r|`), inflated by [`ANGULAR_RATE_PAD`] for
-//!   inter-sample rate variation. If a pass touched the cone at time
-//!   `t`, the sample at most one step away could have drifted only `Δ`
-//!   further out — so requiring *every* sample to clear `λ + Δ` (plus
+//! * The drift bound `Δ = ½·h·max|v|/|r|·`[`ANGULAR_RATE_PAD`] covers
+//!   the nearest sample. The scan reads every sample of the lattice
+//!   intervals that touch `[start, end]`, so every instant `t` in the
+//!   window lies within half a step `h/2` of a scanned sample. The
+//!   site direction is constant in ECEF and `|d r̂/dt| ≤ |v|/|r|`, so
+//!   over those `h/2` the satellite's direction turns by at most
+//!   `h/2·max|v|/|r|`, with the maximum taken over the grid's stored
+//!   samples and inflated by [`ANGULAR_RATE_PAD`] for the rate's
+//!   variation between them. If a pass touched the cone at `t`, the
+//!   sample nearest `t` would lie within `λ + Δ` of the site — so
+//!   requiring *every* sample to clear `λ + Δ` (plus
 //!   [`CONE_MARGIN_RAD`]) before culling cannot hide a pass.
 //! * The latitude-band test additionally pads by
 //!   [`LAT_BAND_MARGIN_RAD`], covering the small short-period
@@ -82,8 +87,9 @@ use std::sync::Arc;
 /// Pad, km, added to the satellite's maximum geocentric radius before
 /// computing the cone half-angle. Covers SGP4 short-period J₂ radial
 /// oscillations around the Brouwer-mean ellipse (≲ 12 km in LEO),
-/// cubic-Hermite overshoot between grid samples (≤ 0.05 km under the
-/// grid contract), and radial drift within one coarse step.
+/// quintic-Hermite overshoot between grid samples (≤ 0.05 km under
+/// the grid contract, sub-metre as measured), and the radius's rise
+/// within the half step between an instant and its nearest sample.
 pub const RADIUS_PAD_KM: f64 = 25.0;
 
 /// Maximum angle between the geodetic zenith (which elevation masks are
@@ -97,11 +103,11 @@ pub const ZENITH_DEFLECTION_RAD: f64 = 0.0034;
 pub const LAT_BAND_MARGIN_RAD: f64 = 0.0088;
 
 /// Extra conservative margin, radians, on the cone-scan threshold
-/// (≈ 0.3°) on top of the per-step motion bound `Δ`.
+/// (≈ 0.3°) on top of the half-step motion bound `Δ`.
 pub const CONE_MARGIN_RAD: f64 = 0.0053;
 
-/// Inflation factor on the per-step angular-rate bound `max |v|/|r|`,
-/// covering rate variation between the sampled instants.
+/// Inflation factor on the angular-rate bound `max |v|/|r|`, covering
+/// rate variation between the sampled instants.
 pub const ANGULAR_RATE_PAD: f64 = 1.1;
 
 /// Whether pass prediction pre-culls (site, satellite) pairs: always.
@@ -251,10 +257,10 @@ pub fn never_in_latitude_band(
 /// Footprint-cone scan over the coarse grid's **raw samples** (no
 /// interpolation): `true` iff every sample of the lattice intervals
 /// that touch `[start, end]` sits further than `λ + Δ + margin`
-/// (Earth-central angle) from the site, which proves no instant in
-/// `[start, end]` can see the satellite above the mask. Samples the
-/// view holds beyond those intervals (its padding and tile rounding)
-/// are not scanned.
+/// (Earth-central angle, `Δ` the drift within half a step) from the
+/// site, which proves no instant in `[start, end]` can see the
+/// satellite above the mask. Samples the view holds beyond those
+/// intervals (its padding and tile rounding) are not scanned.
 ///
 /// Returns `false` (keep) when the grid does not fully cover the scan
 /// window, has fewer than two samples, or any sample degenerates.
@@ -291,9 +297,10 @@ pub fn cone_clears_grid(
     let Some(lam) = cone_half_angle_rad(r_site, r_max + RADIUS_PAD_KM, mask_rad) else {
         return false;
     };
-    // Max Earth-central angle the satellite can close within one step:
-    // the site direction is fixed in ECEF and |d r̂/dt| ≤ |v|/|r|.
-    let delta = grid.step_s() * rate_max * ANGULAR_RATE_PAD;
+    // Max Earth-central angle the satellite can close between an
+    // instant and its nearest scanned sample, half a step away: the
+    // site direction is fixed in ECEF and |d r̂/dt| ≤ |v|/|r|.
+    let delta = 0.5 * grid.step_s() * rate_max * ANGULAR_RATE_PAD;
     let threshold = lam + delta + CONE_MARGIN_RAD;
     if !(0.0..PI).contains(&threshold) {
         return false;

@@ -10,21 +10,22 @@
 //! compute once, serve many:
 //!
 //! 1. propagate SGP4 once per point of one absolute lattice, every
-//!    [`STEP_S`] seconds from J2000, storing the **ECEF** position
-//!    *and* velocity of every sample (the velocity falls out of
-//!    [`teme_to_ecef`] for free and is the *exact* time derivative of
-//!    the ECEF position — the transport theorem's `−ω×r` term is what
-//!    makes it so);
-//! 2. answer any `state_at(t)` query by **cubic Hermite** interpolation
-//!    between the two bracketing samples — no SGP4, no `gmst_rad`, no
-//!    frame rotation on the per-site hot path;
+//!    [`STEP_S`] seconds from J2000, storing the **ECEF** position,
+//!    velocity *and* acceleration of every sample (the velocity falls
+//!    out of [`teme_to_ecef`] for free and is the *exact* time
+//!    derivative of the ECEF position — the transport theorem's `−ω×r`
+//!    term is what makes it so; the acceleration is computed from the
+//!    sample's own state, see [`Sample`]);
+//! 2. answer any `state_at(t)` query by **quintic Hermite**
+//!    interpolation between the two bracketing samples — no SGP4, no
+//!    `gmst_rad`, no frame rotation on the per-site hot path;
 //! 3. feed the interpolated state to the observer's cheap
 //!    [`look_at_ecef`](crate::topo::Observer::look_at_ecef) projection.
 //!
 //! ## One lattice, shared tiles
 //!
 //! Lattice point `k` sits at [`lattice_time`]`(k)`, `k` whole steps
-//! after J2000, so every whole minute is a lattice point and sample
+//! after J2000, so every third whole minute is a lattice point and sample
 //! `k`'s instant and state are a pure function of (satellite, `k`).
 //! An [`EphemerisTile`] holds [`TILE`] consecutive samples; tile `i`
 //! holds lattice points `i·TILE ..= i·TILE + TILE − 1`. A grid is a
@@ -47,14 +48,26 @@
 //!
 //! ## Accuracy contract
 //!
-//! Hermite interpolation with exact endpoint derivatives has error
-//! `‖f − H‖ ≤ h⁴/384 · max‖f⁗‖`. A LEO ECEF trajectory is dominated by
-//! a rotation at orbital rate `ω ≈ 1.1×10⁻³ rad/s` with radius
-//! `r ≈ 7000 km`, so `max‖f⁗‖ ≈ r·ω⁴` and the bound evaluates to
-//! ~0.35 m at the lattice step `h = 60 s` — *sub-metre* for every
-//! window, however long. Slant ranges are ≥ 400 km for any
-//! above-horizon LEO geometry, so that error perturbs elevation by
-//! < 0.0001°, comfortably inside the documented contract:
+//! Hermite interpolation with the value and first two derivatives
+//! matched at both ends has error `‖f − H‖ ≤ h⁶/46 080 · max‖f⁽⁶⁾‖`
+//! (the `(t − t₀)³(t − t₁)³/6!` remainder, largest mid-interval). A LEO
+//! ECEF trajectory is dominated by a rotation at orbital rate
+//! `ω ≈ 1.1×10⁻³ rad/s` with radius `r ≈ 7000 km`, so
+//! `max‖f⁽⁶⁾‖ ≈ r·ω⁶` and the bound evaluates to about a centimetre at
+//! the lattice step `h = 180 s`. Two floors sit above it. Sample
+//! instants are `JulianDate`s, quantised to ~50 µs ≈ 0.4 m of
+//! along-track motion (see `on_sample_queries_match_direct_propagation`
+//! below). And the stored acceleration is a two-body + J₂ model, not
+//! SGP4's own second derivative (drag, J₃, J₄ and SGP4's short-period
+//! terms differ), and the acceleration basis weighs that difference by
+//! up to `h²/32`. Measured against direct SGP4 over two days with nine
+//! probes per interval, circular orbits of 440–850 km stay within
+//! 0.53–0.78 m — *sub-metre* for every window, however long (a cubic
+//! Hermite from position and velocity alone reaches 19–32 m at this
+//! step). Slant
+//! ranges are ≥ 400 km for any above-horizon LEO geometry, so that
+//! error perturbs elevation by < 0.0002°, comfortably inside the
+//! documented contract:
 //!
 //! * interpolated **position** within [`MAX_POSITION_ERROR_KM`] of
 //!   direct SGP4 (asserted by [`EphemerisGrid::validate`], which
@@ -77,8 +90,10 @@
 //! the `ephemeris_contract` test runs it across the Table-3
 //! constellations.
 
-use crate::frames::{ecef_rotation, rotate_teme_to_ecef, teme_to_ecef, StateEcef};
-use crate::sgp4::Sgp4;
+use crate::frames::{
+    ecef_rotation, rotate_teme_to_ecef, teme_to_ecef, StateEcef, EARTH_OMEGA_RAD_S,
+};
+use crate::sgp4::{Sgp4, EARTH_RADIUS_KM, J2, MU_KM3_S2};
 use crate::time::{JulianDate, JD_J2000};
 use crate::vec3::Vec3;
 use satiot_obs::metrics::Counter;
@@ -94,11 +109,17 @@ static INTERPOLATIONS: Counter = Counter::new("orbit.ephemeris.interpolations");
 /// `state_at` queries outside the grid or over invalid samples (metrics).
 static GRID_MISSES: Counter = Counter::new("orbit.ephemeris.grid_misses");
 
-/// Lattice step, seconds. 60 s keeps the Hermite error sub-metre for
-/// any LEO orbit (see the module docs).
-pub const STEP_S: f64 = 60.0;
+/// Lattice step, seconds. 180 s keeps the quintic Hermite error
+/// sub-metre for any LEO orbit (see the module docs).
+pub const STEP_S: f64 = 180.0;
 
-/// Lattice samples per tile: 4 h 16 min at [`STEP_S`], four visibility
+/// Degree of the Hermite interpolant between two lattice samples: a
+/// quintic, from position, velocity and acceleration at both ends.
+/// Together with [`STEP_S`] it names the lattice a result was computed
+/// on (sweep checkpoints record both).
+pub const HERMITE_DEGREE: u32 = 5;
+
+/// Lattice samples per tile: 12 h 48 min at [`STEP_S`], four visibility
 /// [`CHUNK`](crate::visibility::CHUNK)s. Short enough that the samples a
 /// view rounds out to stay small next to a two-day window's own; long
 /// enough that the per-tile store overhead stays under 2 % of the
@@ -109,6 +130,11 @@ pub const TILE: usize = 256;
 /// about 17 billion years): beyond it the index arithmetic would lose
 /// integer precision, so such windows build empty grids.
 const MAX_LATTICE_INDEX: f64 = 9_007_199_254_740_992.0;
+
+/// How far past either end of a view, in lattice steps, a query still
+/// counts as on it: a few `JulianDate` quanta (tens of µs, ~2×10⁻⁷ of
+/// a step).
+const EDGE_SLACK: f64 = 1e-6;
 
 /// Position-error contract: interpolated ECEF position stays within
 /// this of direct SGP4 at the lattice step.
@@ -191,17 +217,70 @@ impl LatticeFrame {
     }
 }
 
+/// One lattice sample of a satellite in ECEF: the SGP4 position and
+/// velocity rotated by [`teme_to_ecef`], and the acceleration the
+/// quintic interpolant matches.
+///
+/// The acceleration comes from the sample's own state: two-body + J₂
+/// gravity with SGP4's WGS-72 [`MU_KM3_S2`], [`J2`] and
+/// [`EARTH_RADIUS_KM`], evaluated on the ECEF position (the J₂ field is
+/// symmetric about z, so the TEME→ECEF rotation leaves it unchanged),
+/// minus the rotating frame's Coriolis term `2ω×v` and centrifugal term
+/// `ω×(ω×r)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sample {
+    /// Position, km.
+    pub position_km: Vec3,
+    /// Velocity relative to the rotating Earth, km/s.
+    pub velocity_km_s: Vec3,
+    /// Acceleration relative to the rotating Earth, km/s².
+    pub acceleration_km_s2: Vec3,
+}
+
+impl Sample {
+    /// The sample a failed propagation stores: every component NaN.
+    pub(crate) const NAN: Sample = {
+        let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
+        Sample {
+            position_km: nan,
+            velocity_km_s: nan,
+            acceleration_km_s2: nan,
+        }
+    };
+
+    /// The sample of an ECEF state, with its modelled acceleration.
+    fn of(state: StateEcef) -> Sample {
+        let (r, v) = (state.position_km, state.velocity_km_s);
+        let r2 = r.norm_sq();
+        let mu_r3 = MU_KM3_S2 / (r2 * r2.sqrt());
+        let j2 = 1.5 * J2 * EARTH_RADIUS_KM * EARTH_RADIUS_KM / r2;
+        let z2 = 5.0 * r.z * r.z / r2;
+        let g_xy = -mu_r3 * (1.0 + j2 * (1.0 - z2));
+        let g_z = -mu_r3 * (1.0 + j2 * (3.0 - z2));
+        let w = EARTH_OMEGA_RAD_S;
+        Sample {
+            position_km: r,
+            velocity_km_s: v,
+            acceleration_km_s2: Vec3::new(
+                (g_xy + w * w) * r.x + 2.0 * w * v.y,
+                (g_xy + w * w) * r.y - 2.0 * w * v.x,
+                g_z * r.z,
+            ),
+        }
+    }
+}
+
 /// [`TILE`] consecutive lattice samples of one satellite, with the
 /// aggregates the spatial pre-cull reads.
 #[derive(Debug)]
 pub struct EphemerisTile {
     /// Tile index: the tile holds lattice points from `index·TILE` on.
     index: i64,
-    /// One `(position, velocity)` ECEF sample per lattice point. A
-    /// sample whose propagation failed stores NaN components; queries
-    /// bracketed by one degrade to `None` (callers fall back to direct
-    /// propagation, which reports the same failure its own way).
-    samples: [StateEcef; TILE],
+    /// One ECEF sample per lattice point. A sample whose propagation
+    /// failed stores NaN components; queries bracketed by one degrade
+    /// to `None` (callers fall back to direct propagation, which
+    /// reports the same failure its own way).
+    samples: [Sample; TILE],
     /// Maximum geocentric radius over the samples, km (NaN when any
     /// sample is degenerate).
     max_radius_km: f64,
@@ -216,19 +295,16 @@ impl EphemerisTile {
     /// Propagate `sgp4` at the [`TILE`] lattice points of `frame`'s tile
     /// index and rotate each state into ECEF by the frame's angle there:
     /// bit for bit [`teme_to_ecef`] at that instant, which evaluates the
-    /// same rotation expression.
+    /// same rotation expression. Each sample's acceleration is modelled
+    /// from that state (see [`Sample`]).
     pub fn build(sgp4: &Sgp4, frame: &LatticeFrame) -> EphemerisTile {
         let index = frame.index;
         let first = index * TILE as i64;
-        let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
-        let samples: [StateEcef; TILE] = std::array::from_fn(|j| {
+        let samples: [Sample; TILE] = std::array::from_fn(|j| {
             let t = lattice_time(first + j as i64);
             match sgp4.propagate_at(t) {
-                Ok(state) => rotate_teme_to_ecef(&state, frame.sin_cos[j]),
-                Err(_) => StateEcef {
-                    position_km: nan,
-                    velocity_km_s: nan,
-                },
+                Ok(state) => Sample::of(rotate_teme_to_ecef(&state, frame.sin_cos[j])),
+                Err(_) => Sample::NAN,
             }
         });
         GRID_SAMPLES.add(TILE as u64);
@@ -259,7 +335,7 @@ impl EphemerisTile {
     }
 }
 
-/// A Hermite-interpolable ECEF trajectory of one satellite over one
+/// A quintic-Hermite-interpolable ECEF trajectory of one satellite over one
 /// scan window: a view over the lattice tiles that cover the window.
 ///
 /// ```
@@ -378,27 +454,38 @@ impl EphemerisGrid {
     /// outside the view or a bracketing sample is invalid.
     pub fn state_at(&self, t: JulianDate) -> Option<StateEcef> {
         let (a, b, s) = self.bracket(t)?;
-        // d/dt = (d/ds)/h; the basis derivatives at s ∈ {0, 1} are
-        // (0, 1, 0, 0) and (0, 0, 0, 1), so endpoint velocities are
-        // exact too.
-        let h = STEP_S;
-        let s2 = s * s;
-        let d00 = 6.0 * s2 - 6.0 * s;
-        let d10 = 3.0 * s2 - 4.0 * s + 1.0;
-        let d01 = -6.0 * s2 + 6.0 * s;
-        let d11 = 3.0 * s2 - 2.0 * s;
-        let velocity_km_s = a.position_km * (d00 / h)
-            + a.velocity_km_s * d10
-            + b.position_km * (d01 / h)
-            + b.velocity_km_s * d11;
         Some(StateEcef {
             position_km: hermite_position(a, b, s),
-            velocity_km_s,
+            velocity_km_s: hermite_velocity(a, b, s),
+        })
+    }
+
+    /// The interpolant at `t` with its first two time derivatives: the
+    /// position and velocity of [`Self::state_at`], bit for bit, and
+    /// the interpolant's own second derivative. The margin sweep reads
+    /// the scan window's off-lattice edges this way.
+    pub fn sample_at(&self, t: JulianDate) -> Option<Sample> {
+        let (a, b, s) = self.bracket(t)?;
+        // d²/dt² = (d²/ds²)/h². At s ∈ {0, 1} the basis picks out the
+        // endpoint acceleration alone, as the first derivatives pick
+        // out the endpoint velocity.
+        let h = STEP_S;
+        let (s2, s3) = (s * s, s * s * s);
+        let acceleration_km_s2 = a.position_km * ((-60.0 * s + 180.0 * s2 - 120.0 * s3) / (h * h))
+            + a.velocity_km_s * ((-36.0 * s + 96.0 * s2 - 60.0 * s3) / h)
+            + a.acceleration_km_s2 * (1.0 - 9.0 * s + 18.0 * s2 - 10.0 * s3)
+            + b.acceleration_km_s2 * (3.0 * s - 12.0 * s2 + 10.0 * s3)
+            + b.velocity_km_s * ((-24.0 * s + 84.0 * s2 - 60.0 * s3) / h)
+            + b.position_km * ((60.0 * s - 180.0 * s2 + 120.0 * s3) / (h * h));
+        Some(Sample {
+            position_km: hermite_position(a, b, s),
+            velocity_km_s: hermite_velocity(a, b, s),
+            acceleration_km_s2,
         })
     }
 
     /// The interpolated ECEF position at `t`: the `position_km` of
-    /// [`Self::state_at`], bit for bit, without the velocity. Pass
+    /// [`Self::state_at`], bit for bit, without the derivatives. Pass
     /// refinement probes read only the elevation, which needs nothing
     /// else.
     pub fn position_at(&self, t: JulianDate) -> Option<Vec3> {
@@ -410,18 +497,21 @@ impl EphemerisGrid {
     /// between them, counting the query as one interpolation or one
     /// miss: `None` when `t` falls outside the view or a bracketing
     /// sample is invalid.
-    fn bracket(&self, t: JulianDate) -> Option<(&StateEcef, &StateEcef, f64)> {
+    fn bracket(&self, t: JulianDate) -> Option<(&Sample, &Sample, f64)> {
         let n = self.len;
         if n < 2 {
             GRID_MISSES.inc();
             return None;
         }
+        // A sample instant is a `JulianDate`, quantised to tens of µs,
+        // so a query at the view's first or last sample can index a
+        // hair outside it; the end interval answers those.
         let x = self.index_at(t);
-        if !(x >= 0.0 && x <= (n - 1) as f64) {
+        if !(x >= -EDGE_SLACK && x <= (n - 1) as f64 + EDGE_SLACK) {
             GRID_MISSES.inc();
             return None;
         }
-        let i = (x as usize).min(n - 2);
+        let i = (x.max(0.0) as usize).min(n - 2);
         let a = self.sample(i);
         let b = self.sample(i + 1);
         if !(a.position_km.x.is_finite() && b.position_km.x.is_finite()) {
@@ -433,7 +523,7 @@ impl EphemerisGrid {
     }
 
     /// Sample `k` of the view (`k < len`).
-    fn sample(&self, k: usize) -> &StateEcef {
+    fn sample(&self, k: usize) -> &Sample {
         let at = self.offset + k;
         &self.tiles[at / TILE].samples[at % TILE]
     }
@@ -485,7 +575,7 @@ impl EphemerisGrid {
     /// Column-sweep kernels ([`visibility`](crate::visibility)) and the
     /// cone cull read the samples this way, with no per-sample tile
     /// lookup.
-    pub fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (usize, &[StateEcef])> + '_ {
+    pub fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (usize, &[Sample])> + '_ {
         let end = range.end.min(self.len);
         let mut k = range.start;
         std::iter::from_fn(move || {
@@ -531,25 +621,45 @@ impl EphemerisGrid {
     }
 }
 
-/// The cubic Hermite position between samples `a` and `b` at fraction
-/// `s ∈ [0, 1]`, with tangents scaled by the step: the one expression
-/// both [`EphemerisGrid::state_at`] and [`EphemerisGrid::position_at`]
-/// evaluate. At `s = 0` and `s = 1` the basis reproduces the stored
-/// positions exactly, so on-lattice queries carry no interpolation
-/// error — only time-arithmetic rounding.
+/// The quintic Hermite position between samples `a` and `b` at
+/// fraction `s ∈ [0, 1]`, with velocities scaled by the step and
+/// accelerations by its square: the one expression
+/// [`EphemerisGrid::state_at`], [`EphemerisGrid::sample_at`] and
+/// [`EphemerisGrid::position_at`] evaluate. At `s = 0` and `s = 1` the
+/// basis reproduces the stored positions exactly, so on-lattice queries
+/// carry no interpolation error — only time-arithmetic rounding.
 #[inline(always)]
-fn hermite_position(a: &StateEcef, b: &StateEcef, s: f64) -> Vec3 {
+fn hermite_position(a: &Sample, b: &Sample, s: f64) -> Vec3 {
     let h = STEP_S;
     let s2 = s * s;
     let s3 = s2 * s;
-    let h00 = 2.0 * s3 - 3.0 * s2 + 1.0;
-    let h10 = s3 - 2.0 * s2 + s;
-    let h01 = -2.0 * s3 + 3.0 * s2;
-    let h11 = s3 - s2;
-    a.position_km * h00
-        + a.velocity_km_s * (h * h10)
-        + b.position_km * h01
-        + b.velocity_km_s * (h * h11)
+    let (s4, s5) = (s3 * s, s3 * s2);
+    let h0 = 1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5;
+    let h1 = s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5;
+    let h2 = 0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5;
+    let h3 = 0.5 * s3 - s4 + 0.5 * s5;
+    let h4 = -4.0 * s3 + 7.0 * s4 - 3.0 * s5;
+    let h5 = 10.0 * s3 - 15.0 * s4 + 6.0 * s5;
+    a.position_km * h0
+        + a.velocity_km_s * (h * h1)
+        + a.acceleration_km_s2 * (h * h * h2)
+        + b.acceleration_km_s2 * (h * h * h3)
+        + b.velocity_km_s * (h * h4)
+        + b.position_km * h5
+}
+
+/// The time derivative of [`hermite_position`]: `d/dt = (d/ds)/h`.
+#[inline(always)]
+fn hermite_velocity(a: &Sample, b: &Sample, s: f64) -> Vec3 {
+    let h = STEP_S;
+    let (s2, s3) = (s * s, s * s * s);
+    let s4 = s2 * s2;
+    a.position_km * ((-30.0 * s2 + 60.0 * s3 - 30.0 * s4) / h)
+        + a.velocity_km_s * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4)
+        + a.acceleration_km_s2 * (h * (s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4))
+        + b.acceleration_km_s2 * (h * (1.5 * s2 - 4.0 * s3 + 2.5 * s4))
+        + b.velocity_km_s * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4)
+        + b.position_km * ((30.0 * s2 - 60.0 * s3 + 30.0 * s4) / h)
 }
 
 #[cfg(test)]
@@ -640,7 +750,7 @@ mod tests {
     }
 
     /// Every sample of `grid`, through its per-tile runs.
-    fn samples(grid: &EphemerisGrid) -> Vec<StateEcef> {
+    fn samples(grid: &EphemerisGrid) -> Vec<Sample> {
         grid.runs(0..grid.len())
             .flat_map(|(_, run)| run.iter().copied())
             .collect()
@@ -658,11 +768,15 @@ mod tests {
         let (sa, sb) = (samples(&a), samples(&b));
         assert_eq!((sa.len(), sb.len()), (a.len(), b.len()));
         let overlap = a.len() - shift;
-        assert!(overlap > 800);
+        assert!(overlap as f64 > 0.6 * 86_400.0 / STEP_S);
         for k in 0..overlap {
             let (ka, kb) = (shift + k, k);
             assert_eq!(a.sample_time(ka).0.to_bits(), b.sample_time(kb).0.to_bits());
-            assert_eq!(state_bits(&sa[ka]), state_bits(&sb[kb]), "sample {ka} of a");
+            assert_eq!(
+                sample_bits(&sa[ka]),
+                sample_bits(&sb[kb]),
+                "sample {ka} of a"
+            );
         }
         // Off-lattice queries inside the overlap agree to the bit too.
         let t = epoch() + 0.77;
@@ -698,27 +812,34 @@ mod tests {
         assert!(samples(&grid).iter().all(|s| s.position_km.norm() <= r_max));
     }
 
-    /// A sample's six components, as bits.
+    /// A state's six components, as bits.
     fn state_bits(s: &StateEcef) -> [u64; 6] {
         let (p, v) = (s.position_km, s.velocity_km_s);
         [p.x, p.y, p.z, v.x, v.y, v.z].map(f64::to_bits)
     }
 
+    /// A sample's nine components, as bits.
+    fn sample_bits(s: &Sample) -> [u64; 9] {
+        let (p, v, a) = (s.position_km, s.velocity_km_s, s.acceleration_km_s2);
+        [p.x, p.y, p.z, v.x, v.y, v.z, a.x, a.y, a.z].map(f64::to_bits)
+    }
+
     /// Every sample of `tile` is [`teme_to_ecef`] of direct SGP4 at its
-    /// lattice instant, to the bit, or all NaN where SGP4 fails there.
+    /// lattice instant, with its modelled acceleration, to the bit, or
+    /// all NaN where SGP4 fails there.
     fn assert_tile_is_teme_to_ecef(tile: &EphemerisTile, sgp4: &Sgp4) {
         let first = tile.index * TILE as i64;
         for (j, sample) in tile.samples.iter().enumerate() {
             let t = lattice_time(first + j as i64);
             match sgp4.propagate_at(t) {
                 Ok(state) => assert_eq!(
-                    state_bits(sample),
-                    state_bits(&teme_to_ecef(&state, t)),
+                    sample_bits(sample),
+                    sample_bits(&Sample::of(teme_to_ecef(&state, t))),
                     "tile {} sample {j}",
                     tile.index
                 ),
                 Err(_) => assert!(
-                    state_bits(sample)
+                    sample_bits(sample)
                         .iter()
                         .all(|&b| f64::from_bits(b).is_nan()),
                     "tile {} sample {j} failed to propagate but is not NaN",
@@ -737,14 +858,14 @@ mod tests {
                 .unwrap()
         };
         // Vallado's eccentric (e = 0.186) distribution case #00005,
-        // epoch 2000-06-27, in tile 1002.
+        // epoch 2000-06-27, in tile 334.
         let l1 = "1 00005U 58002B   00179.78495062  .00000023  00000-0  28098-4 0  4753";
         let l2 = "2 00005  34.2682 348.7242 1859667 331.7664  19.3264 10.82419157413667";
         let vallado = Sgp4::new(&crate::tle::Tle::parse_lines(l1, l2).unwrap()).unwrap();
         let sats = [circular(0.0), circular(53.0), circular(97.6), vallado];
         // Tiles before J2000, either side of it, and at the eccentric
         // set's epoch: one frame per index serves all four satellites.
-        for index in [-7, -1, 0, 1002] {
+        for index in [-7, -1, 0, 334] {
             let frame = LatticeFrame::new(index);
             for sgp4 in &sats {
                 let tile = EphemerisTile::build(sgp4, &frame);
@@ -752,17 +873,18 @@ mod tests {
                 assert_tile_is_teme_to_ecef(&tile, sgp4);
             }
         }
-        // A 300 km orbit under heavy drag decays 48 samples into tile 5:
-        // the rest of the tile stores NaN, and the aggregates say so.
+        // A 300 km orbit under heavy drag decays 187 samples into tile 1
+        // (22.1 h after J2000): the rest of the tile stores NaN, and the
+        // aggregates say so.
         let decaying = Elements {
             bstar: 0.05,
             ..Elements::circular(300.0, 51.6, j2000)
         }
         .to_sgp4()
         .unwrap();
-        let tile = EphemerisTile::build(&decaying, &LatticeFrame::new(5));
+        let tile = EphemerisTile::build(&decaying, &LatticeFrame::new(1));
         let nan = tile.samples.iter().filter(|s| s.position_km.x.is_nan());
-        assert_eq!(nan.count(), TILE - 48);
+        assert_eq!(nan.count(), TILE - 187);
         assert!(tile.max_radius_km.is_nan() && tile.max_angular_rate.is_nan());
         assert_tile_is_teme_to_ecef(&tile, &decaying);
     }

@@ -18,7 +18,7 @@
 //!   range-rate) and Doppler shift for a ground observer.
 //! * [`pass`] — contact-window (pass) prediction: a margin sweep over an
 //!   ephemeris grid plus bisection refinement of AOS/LOS times.
-//! * [`ephemeris`] — per-satellite precomputed ECEF grids with cubic
+//! * [`ephemeris`] — per-satellite precomputed ECEF grids with quintic
 //!   Hermite interpolation, so multi-site sweeps propagate each
 //!   satellite once instead of once per observer.
 //! * [`visibility`] — chunked, auto-vectorisable horizon-margin

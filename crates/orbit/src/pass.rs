@@ -446,16 +446,15 @@ impl PassPredictor {
 
     /// The direct-SGP4 reference scan: the oracle the margin sweep is
     /// tested against, with no caller outside tests. It samples direct
-    /// SGP4 only — never an attached grid — and steps adaptively. A
-    /// ground observer never sees a LEO satellite's elevation rise
-    /// faster than ~0.25°/s (the rate peaks near the horizon at v/d ≈
-    /// 7.6 km/s / 2 300 km), so climbing a deficit of `E` degrees takes
-    /// at least `4E` seconds and a `2E` s step (600 s cap) cannot
-    /// overshoot the mask. Less than `floor_s / 2` degrees below the
-    /// mask, or above it, the scan steps `floor_s`: it can skip a pass
-    /// shorter than `floor_s`, but none longer, and panics on a floor
-    /// that is not positive. Bounds and masks degrade as in
-    /// [`Self::passes`].
+    /// SGP4 only — never an attached grid — and steps adaptively, by
+    /// the elevation deficit over a bound on the elevation rate that
+    /// the orbit itself sets ([`Self::max_elevation_rate`]): climbing a
+    /// deficit of `E` takes at least `E / rate` seconds, so a step that
+    /// long (600 s cap) cannot overshoot the mask. Once that step falls
+    /// under `floor_s`, or above the mask, the scan steps `floor_s`: it
+    /// can skip a pass shorter than `floor_s`, but none longer, and
+    /// panics on a floor that is not positive. Bounds and masks degrade
+    /// as in [`Self::passes`].
     #[doc(hidden)]
     pub fn reference_passes(&self, start: JulianDate, end: JulianDate, floor_s: f64) -> Vec<Pass> {
         assert!(floor_s > 0.0, "a step floor of {floor_s} s");
@@ -467,11 +466,12 @@ impl PassPredictor {
         direct.ephemeris = None;
         let observer = &self.observer;
         let mask = direct.min_elevation_rad;
+        let rate = self.max_elevation_rate(mask);
         let mut t_prev = start;
         let mut el_prev = direct.elevation_at(t_prev);
         let mut aos: Option<JulianDate> = (el_prev > mask).then_some(start);
         loop {
-            let step_s = (2.0 * (mask - el_prev).to_degrees()).max(floor_s);
+            let step_s = ((mask - el_prev) / rate).max(floor_s);
             let t = JulianDate((t_prev.0 + step_s.min(600.0) / 86_400.0).min(end.0));
             let el = direct.elevation_at(t);
             let above = el > mask;
@@ -494,6 +494,40 @@ impl PassPredictor {
             result.extend(direct.finish_pass(observer, a, end));
         }
         result
+    }
+
+    /// An upper bound, rad/s, on how fast the observer's elevation of
+    /// this satellite can change while it is at or below `mask`.
+    ///
+    /// The line of sight turns at most at `|v|/|ρ|` (the site is fixed
+    /// in ECEF), and elevation changes no faster than the line of sight
+    /// turns. The ECEF speed is at most the vis-viva speed at the
+    /// lowest radius plus the Earth's rotation at the highest, and
+    /// below the mask the slant range is at least the range at the mask
+    /// elevation (geocentric, so raised by the zenith deflection) from
+    /// the lowest radius. Those radii are the mean perigee and apogee
+    /// padded by [`RADIUS_PAD_KM`](crate::cull::RADIUS_PAD_KM) for SGP4's
+    /// short-period oscillations. Near zenith over a 400 km orbit the
+    /// bound is about 1.2°/s; at a 0° mask, 0.2°/s. It is infinite —
+    /// every step is the floor — when the lowest radius reaches the
+    /// site.
+    fn max_elevation_rate(&self, mask: f64) -> f64 {
+        use crate::cull::{RADIUS_PAD_KM, ZENITH_DEFLECTION_RAD};
+        use crate::frames::EARTH_OMEGA_RAD_S;
+        use crate::sgp4::MU_KM3_S2;
+        let a = self.sgp4.semi_major_axis_km();
+        let r_min = a * (1.0 - self.sgp4.eccentricity()) - RADIUS_PAD_KM;
+        let r_max = self.sgp4.apogee_radius_km() + RADIUS_PAD_KM;
+        let r_site = self.observer.position_ecef().norm();
+        let speed = (MU_KM3_S2 * (2.0 / r_min - 1.0 / a)).sqrt() + EARTH_OMEGA_RAD_S * r_max;
+        let el = (mask + ZENITH_DEFLECTION_RAD).clamp(-FRAC_PI_2, FRAC_PI_2);
+        let (sin_el, cos_el) = el.sin_cos();
+        let range = (r_min * r_min - r_site * r_site * cos_el * cos_el).sqrt() - r_site * sin_el;
+        if r_min > r_site && range > 0.0 && speed.is_finite() {
+            speed / range
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// Golden-section search for `observer`'s elevation maximum inside
@@ -536,8 +570,10 @@ impl PassPredictor {
     }
 
     /// Probe for the elevation peak inside `[lo, hi]` (one lattice
-    /// interval): a 60 s below-horizon window holds at most one
-    /// approach, so [`Self::golden_peak`]'s unimodality holds here too.
+    /// interval, [`STEP_S`](crate::ephemeris::STEP_S) = 180 s): a
+    /// below-horizon window that short holds at most one approach, since
+    /// passes over one site are ≥ 45 min apart, so
+    /// [`Self::golden_peak`]'s unimodality holds here too.
     fn peak_probe(&self, observer: &Observer, lo: JulianDate, hi: JulianDate) -> (JulianDate, f64) {
         let t_peak = self.golden_peak(observer, lo, hi);
         (t_peak, self.elevation_from(observer, t_peak))
@@ -905,50 +941,83 @@ mod tests {
     /// A mask raised to just under a pass's culmination shrinks the
     /// contact to less than one grid step, between two lattice samples
     /// that both sit below the mask. No sign change brackets it, so the
-    /// candidate windows must surface it instead of stepping over it.
+    /// candidate windows must surface it instead of stepping over it —
+    /// for a 49° pass, and for a 68.7° one, where the margin curves
+    /// fastest between the samples.
     #[test]
     fn sweep_finds_passes_shorter_than_one_grid_step() {
         use crate::ephemeris::{lattice_time, EphemerisGrid, STEP_S};
-        let day = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
-        let best_of_day = |sgp4: &Sgp4| {
-            PassPredictor::new(sgp4.clone(), hk(), 0.0)
-                .passes(day, day + 1.0)
-                .into_iter()
-                .max_by(|a, b| a.max_elevation_rad.total_cmp(&b.max_elevation_rad))
-                .expect("a pass")
-        };
-        // Find the day's best culmination with an open mask…
+        let epoch = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
         let phase = |t: JulianDate| (t.seconds_since(lattice_time(0)) / STEP_S).rem_euclid(1.0);
-        let first = best_of_day(&leo_sgp4(550.0, 97.6));
-        // …and, since the 60 s lattice is absolute, move the satellite
-        // rather than the window: the same elements at an epoch shifted
-        // by δ culminate about δ later, midway between two samples…
-        let shift_s = (0.5 - phase(first.tca)) * STEP_S;
-        let sgp4 = leo_sgp4_at(550.0, 97.6, day.plus_seconds(shift_s));
-        let best = best_of_day(&sgp4);
-        assert!((phase(best.tca) - 0.5).abs() < 0.05, "TCA not mid-interval");
-        let (start, end) = (day, day + 1.0);
-        let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
-        // …then mask 0.15° below it: the surviving contact lasts well
-        // under the grid step. (The reference scan at a 30 s floor can
-        // genuinely step over this contact — the sweep must not.)
-        let mask = best.max_elevation_rad - 0.15_f64.to_radians();
-        let swept = PassPredictor::new(sgp4, hk(), mask).with_ephemeris(Arc::clone(&grid));
-        let k = (best.tca.seconds_since(grid.sample_time(0)) / grid.step_s()) as usize;
-        for t in [grid.sample_time(k), grid.sample_time(k + 1)] {
-            assert!(swept.elevation_at(t) < mask, "sample above the mask");
+        // The best culmination of day 0 (49°) and of day 2 (68.7°)
+        // over HK, with an open mask…
+        for (day, peak_deg) in [(0.0, 49.0), (2.0, 68.7)] {
+            let (start, end) = (epoch + day, epoch + day + 1.0);
+            let best_of_day = |sgp4: &Sgp4| {
+                PassPredictor::new(sgp4.clone(), hk(), 0.0)
+                    .passes(start, end)
+                    .into_iter()
+                    .max_by(|a, b| a.max_elevation_rad.total_cmp(&b.max_elevation_rad))
+                    .expect("a pass")
+            };
+            let first = best_of_day(&leo_sgp4(550.0, 97.6));
+            // …and, since the lattice is absolute, move the satellite
+            // rather than the window: the same elements at an epoch
+            // shifted by δ culminate about δ later, midway between two
+            // samples…
+            let shift_s = (0.5 - phase(first.tca)) * STEP_S;
+            let sgp4 = leo_sgp4_at(550.0, 97.6, epoch.plus_seconds(shift_s));
+            let best = best_of_day(&sgp4);
+            assert!((phase(best.tca) - 0.5).abs() < 0.05, "TCA not mid-interval");
+            let peak = best.max_elevation_rad.to_degrees();
+            assert!((peak - peak_deg).abs() < 1.0, "culmination at {peak}°");
+            let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
+            // …then mask 0.15° below it: the surviving contact lasts well
+            // under the grid step. (The reference scan at a 30 s floor can
+            // genuinely step over this contact — the sweep must not.)
+            let mask = best.max_elevation_rad - 0.15_f64.to_radians();
+            let swept = PassPredictor::new(sgp4, hk(), mask).with_ephemeris(Arc::clone(&grid));
+            let k = (best.tca.seconds_since(grid.sample_time(0)) / grid.step_s()) as usize;
+            for t in [grid.sample_time(k), grid.sample_time(k + 1)] {
+                assert!(swept.elevation_at(t) < mask, "sample above the mask");
+            }
+            let passes = swept.passes(start, end);
+            let reference = swept.reference_passes(start, end, 1.0);
+            assert!(!passes.is_empty(), "{peak}° short pass missed by the sweep");
+            assert_eq!(passes.len(), reference.len(), "{peak}° pass");
+            for (pass, x) in passes.iter().zip(&reference) {
+                assert!(pass.duration_s() < STEP_S, "contact should be sub-step");
+                assert!(pass.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
+                assert!(pass.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
+                // The found window is genuine: its culmination clears the
+                // mask, its boundaries sit on it.
+                assert!(pass.max_elevation_rad > mask);
+                let el_aos = swept.elevation_at(pass.aos);
+                assert!((el_aos - mask).abs().to_degrees() < 0.05, "AOS off mask");
+            }
         }
-        let passes = swept.passes(start, end);
-        assert!(!passes.is_empty(), "short pass missed by the sweep");
-        assert_eq!(passes.len(), swept.reference_passes(start, end, 1.0).len());
-        for pass in &passes {
-            assert!(pass.duration_s() < 60.0, "contact should be sub-step");
-            // The found window is genuine: its culmination clears the
-            // mask, its boundaries sit on it.
-            assert!(pass.max_elevation_rad > mask);
-            let el_aos = swept.elevation_at(pass.aos);
-            assert!((el_aos - mask).abs().to_degrees() < 0.05, "AOS off mask");
-        }
+    }
+
+    /// Near zenith a 400 km satellite climbs about 1.1°/s, so a step of
+    /// two seconds per degree below the mask jumped over this 15.7 s
+    /// contact under an 80.8° mask. The reference scan's steps now come
+    /// from the orbit's own elevation-rate bound: it finds the contact,
+    /// and so does the sweep.
+    #[test]
+    fn reference_scan_finds_a_short_contact_near_zenith() {
+        use crate::elements::Elements;
+        let epoch = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
+        let sgp4 = Elements::circular(400.0, 51.6, epoch).to_sgp4().unwrap();
+        let site = Geodetic::from_degrees(-15.15, 142.54, 0.0);
+        let p = PassPredictor::new(sgp4, site, 80.8_f64.to_radians());
+        let (start, end) = (epoch.plus_seconds(9_000.0), epoch.plus_seconds(12_600.0));
+        let reference = p.reference_passes(start, end, 1.0);
+        let swept = p.passes(start, end);
+        assert_eq!((reference.len(), swept.len()), (1, 1));
+        let (x, y) = (reference[0], swept[0]);
+        assert!((x.duration_s() - 15.7).abs() < 0.1, "{} s", x.duration_s());
+        assert!(y.aos.seconds_since(x.aos).abs() < 0.05, "AOS drifted");
+        assert!(y.los.seconds_since(x.los).abs() < 0.05, "LOS drifted");
     }
 
     /// A grid that covers only part of the window, or a mask outside

@@ -20,8 +20,8 @@
 //! 3. emit only sparse [`SweepEvent`]s — sign-change windows and
 //!    near-miss candidates — for the existing bisection /
 //!    golden-section refinement in [`pass`](crate::pass), after a
-//!    screen that skips every 8-sample block whose Bézier hull bound
-//!    (below) proves it eventless, so only the blocks around a pass
+//!    screen that skips every 8-sample block whose interval bounds
+//!    (below) prove it eventless, so only the blocks around a pass
 //!    reach the per-sample event detector.
 //!
 //! ## The margin trick
@@ -35,12 +35,13 @@
 //! ```
 //!
 //! for any mask in `[−π/2, π/2]` — so the kernel needs one `sqrt`
-//! and no transcendentals per (observer, column). The margin's exact
-//! time derivative falls out of the grid's stored ECEF velocities:
-//! `m′ = v·ζ − sin(mask)·(ρ·v)/r`, which powers near-miss detection
-//! below. Both `m` and `m′` are in km and km/s of *zenith-projected
-//! slant distance*; near the horizon a margin of 1 km is ≈ 0.02° of
-//! elevation at a 2 500 km slant range.
+//! and no transcendentals per (observer, column). The margin is in km
+//! of *zenith-projected slant distance*; near the horizon a margin of
+//! 1 km is ≈ 0.02° of elevation at a 2 500 km slant range. Its time
+//! derivatives follow from the grid's stored ECEF velocity `v` and
+//! acceleration `a`: `m′ = ζ·v − sin(mask)·r′` and
+//! `m″ = ζ·a − sin(mask)·r″`, with `r′ = ρ·v/r` and
+//! `r″ = (|v|² + ρ·a − r′²)/r`.
 //!
 //! ## Sign-change-window contract
 //!
@@ -48,56 +49,67 @@
 //! ordered event list. Every horizon crossing inside `[start, end]`
 //! is bracketed by exactly one [`SweepEventKind::Rising`] or
 //! [`SweepEventKind::Falling`] window no wider than one lattice step
-//! ([`STEP_S`](crate::ephemeris::STEP_S)); a lattice interval whose
-//! endpoints are both below the mask but whose margin may peek above
-//! it in the interior is reported as a [`SweepEventKind::Candidate`]
-//! window. LEO passes over one site are ≥ 45 min apart, so one 60 s
-//! lattice interval contains at most one crossing (two crossings
-//! inside one interval — a whole pass — is exactly the candidate case).
+//! ([`STEP_S`](crate::ephemeris::STEP_S), 180 s); a lattice interval
+//! whose endpoints are both below the mask but whose true margin may
+//! peek above it in the interior is reported as a
+//! [`SweepEventKind::Candidate`] window. LEO passes over one site are
+//! ≥ 45 min apart, so one lattice interval contains at most one
+//! crossing (two crossings inside one interval — a whole pass — is
+//! exactly the candidate case).
 //!
-//! Candidate detection is a three-stage filter on the cubic Hermite
-//! model of the margin over the interval (exact endpoint values *and*
-//! derivatives, so the model error is bounded by `h⁴/384·max|m⁗|` —
-//! well under 0.03 km at the lattice step wherever the margin varies
-//! as smoothly as the trajectory, as it does near the horizon):
+//! ## The interval bound: no sub-step pass is missed
 //!
-//! 1. a Bézier convex-hull bound (`max` of the four control points)
-//!    rejects the overwhelmingly common deep-below intervals in ~8
-//!    flops (the block screen applies the same bound to a whole block
-//!    and the interval bridging it to the carried previous sample);
-//! 2. the exact interior maximum of the cubic (quadratic root solve)
-//!    rejects most of the rest;
-//! 3. only intervals whose modelled maximum clears
-//!    `−`[`CANDIDATE_GUARD_KM`] — twice the combined interpolation +
-//!    grid position error — are handed to the golden-section
-//!    elevation probe in `pass`. A real pass hiding inside the
-//!    interval has a true margin maximum > 0, so while the model error
-//!    stays under the guard its modelled maximum cannot fall below
-//!    `−`[`CANDIDATE_GUARD_KM`] and it is never missed. Close to
-//!    zenith under a high mask the margin curves far faster than the
-//!    trajectory, the error can exceed the guard, and a contact shorter
-//!    than one step can be missed (a 7 s contact under a 68.6° mask
-//!    has been). Under a 0° mask a sub-step contact is a horizon
-//!    graze, where the model holds.
+//! An interval whose two endpoints are below the mask is a candidate
+//! unless an upper bound on the *true* margin over the whole interval
+//! is below zero. The bound comes from the interval's own samples:
+//!
+//! * the grid's position over the interval is a quintic, the Hermite
+//!   interpolant of `p`, `v`, `a` at both ends, and lies in the convex
+//!   hull of its six Bézier control points `p₀`, `p₀ + hv₀/5`,
+//!   `p₀ + 2hv₀/5 + h²a₀/20` and their mirror images at `p₁`;
+//! * for a mask `ε ≥ 0` the margin `g(ρ) = ζ·ρ − sin ε·|ρ|` is
+//!   concave, so it lies below its tangent plane at the first
+//!   endpoint, the linear `g(ρ) ≤ n·ρ` with `n = ζ − sin ε·ρ̂₀`; the
+//!   largest `n·(B − site)` over the control points `B` bounds the
+//!   margin along the interpolant. Its first two terms are the margin
+//!   model's own `m₀` and `m₀ + h·m₀′/5`;
+//! * for `ε < 0`, `g` is convex and its maximum over the hull is its
+//!   largest value at a control point;
+//! * the true trajectory lies within
+//!   [`MAX_POSITION_ERROR_KM`] of the interpolant, and `g` changes by
+//!   at most `1 + |sin ε|` per km, which the bound adds.
+//!
+//! At a 0° mask (every passive, farm and Fig 3a scan) the bound is the
+//! Bézier hull of the margin's own quintic model from `m`, `m′` and
+//! `m″` at both ends, plus the position error. The bound holds for any
+//! mask, however close to zenith, so no contact shorter than a step is
+//! missed: a candidate reaches `pass`'s peak probe, which decides. The
+//! block screen skips a block of `BLOCK` columns only when the bound
+//! of every interval in it (and of the interval bridging it to the
+//! carried previous sample) is below zero — exactly when the
+//! per-sample detector would emit nothing there.
 //!
 //! ## Bit-identity with the element-at-a-time oracle
 //!
-//! The chunked kernel evaluates the margin in [`CHUNK`]-wide batches
-//! through the *same* inlined `margin_terms` expression per element
-//! that the element-at-a-time sweep (kept as a test oracle) uses, and
-//! it is a straight elementwise loop over fixed-width arrays:
+//! The chunked kernel evaluates the margins and interval bounds in
+//! [`CHUNK`]-wide batches through the *same* inlined `margin_terms` and
+//! bound expressions per element that the element-at-a-time sweep
+//! (kept as a test oracle) uses, and it is a straight elementwise loop
+//! over fixed-width arrays:
 //! auto-vectorisation (including the runtime-dispatched AVX2 recompile
 //! on `x86_64`) maps each IEEE-754 operation onto per-lane SIMD
 //! equivalents with identical rounding, and no reassociation or FMA
-//! contraction is enabled. Identical margins ⟹ identical sign changes
-//! ⟹ identical event lists ⟹ bit-identical refined passes. The
+//! contraction is enabled. Identical margins and bounds ⟹ identical
+//! sign changes and candidates ⟹ identical event lists ⟹ bit-identical
+//! refined passes. The
 //! direct-SGP4 reference scan that [`pass`](crate::pass) keeps as a
 //! test oracle refines from *different* brackets and is therefore
 //! equivalent only to refinement tolerance, not to the bit.
 
-use crate::ephemeris::EphemerisGrid;
+use crate::ephemeris::{EphemerisGrid, Sample, MAX_POSITION_ERROR_KM};
 use crate::time::JulianDate;
 use crate::topo::Observer;
+use crate::vec3::Vec3;
 use satiot_obs::metrics::Counter;
 
 /// Column sweeps executed (one per satellite grid per scan) (metrics).
@@ -111,23 +123,15 @@ static SWEEP_CANDIDATES: Counter = Counter::new("orbit.visibility.candidates");
 
 /// Fixed kernel width, in grid columns. 64 f64 lanes = 8 AVX-512 /
 /// 16 AVX2 vectors per array: wide enough to hide the `sqrt`/`div`
-/// latency chain, small enough that one chunk's six input arrays plus
-/// two outputs (4 KiB) live comfortably in L1 beside the observer
-/// arena.
+/// latency chain, small enough that one chunk's ten input arrays (nine
+/// state lanes and the instants) plus three outputs (6.5 KiB) live
+/// comfortably in L1 beside the observer arena.
 pub const CHUNK: usize = 64;
 
 /// Columns per eventless screen: each [`CHUNK`] is screened in blocks
 /// of this many, so a pass inside a chunk feeds the detector only the
 /// blocks around it.
 const BLOCK: usize = 8;
-
-/// Candidate guard band, km of margin. The cubic Hermite margin model
-/// is exact at interval endpoints and within ~0.03 km in the interior
-/// at the widest grid step (same quartic error bound as the grid),
-/// and the grid position contract adds ≤ 0.05 km; a modelled maximum
-/// below −0.2 km therefore proves the true margin never reaches 0 and
-/// the interval holds no pass.
-pub const CANDIDATE_GUARD_KM: f64 = 0.2;
 
 /// How pass prediction scans for horizon crossings over a covering
 /// grid: always the margin sweep.
@@ -149,8 +153,8 @@ pub enum SweepEventKind {
     Rising,
     /// The margin falls through zero inside the window: bisect for LOS.
     Falling,
-    /// Both endpoints are below the mask but the margin model may peek
-    /// above it in the interior (a pass shorter than one lattice
+    /// Both endpoints are below the mask but the interval bound does
+    /// not rule out a pass in the interior (one shorter than a lattice
     /// interval): probe the elevation peak before deciding.
     Candidate,
 }
@@ -183,36 +187,107 @@ pub struct SweepOutcome {
 /// sweep: ECEF site vector, zenith basis vector, `sin(mask)`.
 #[derive(Debug, Clone, Copy)]
 struct ObsParams {
-    sx: f64,
-    sy: f64,
-    sz: f64,
-    zx: f64,
-    zy: f64,
-    zz: f64,
+    site: Vec3,
+    zenith: Vec3,
     sin_mask: f64,
 }
 
-/// The horizon margin and its exact time derivative for one
-/// (observer, satellite-state) pair — the *single* FP expression both
-/// the chunked kernels and the element-at-a-time test oracle evaluate,
-/// which is what makes them bit-identical (see the module docs).
+/// The horizon margin of one grid sample and the reciprocal slant
+/// range `1/r` the interval bound reuses — the *single* FP expression
+/// both the chunked kernels and the element-at-a-time test oracle
+/// evaluate, which is what makes them bit-identical (see the module
+/// docs).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // Scalar SoA lanes by design: arrays of structs would defeat vectorisation.
-fn margin_terms(px: f64, py: f64, pz: f64, vx: f64, vy: f64, vz: f64, p: ObsParams) -> (f64, f64) {
-    let rx = px - p.sx;
-    let ry = py - p.sy;
-    let rz = pz - p.sz;
-    let z = rx * p.zx + ry * p.zy + rz * p.zz;
-    let r = (rx * rx + ry * ry + rz * rz).sqrt();
-    let m = z - r * p.sin_mask;
-    let zdot = vx * p.zx + vy * p.zy + vz * p.zz;
-    let rv = rx * vx + ry * vy + rz * vz;
-    let dm = zdot - p.sin_mask * (rv / r);
-    (m, dm)
+fn margin_terms(s: &Sample, p: ObsParams) -> (f64, f64) {
+    let rho = s.position_km - p.site;
+    let r = rho.norm();
+    (rho.dot(p.zenith) - r * p.sin_mask, 1.0 / r)
+}
+
+/// An upper bound on the true margin over the interval from sample `a`
+/// (margin `m0`, `1/r` `inv_r0`) to sample `b` (margin `m1`), `h`
+/// seconds long, for a mask `ε ≥ 0`: the tangent plane of the concave
+/// margin at `a`, `n = ζ − sin ε·ρ̂₀`, maximised over the six Bézier
+/// control points of the interval's quintic, plus the position error
+/// (see the module docs). NaN when either endpoint is.
+#[inline(always)]
+fn concave_bound(
+    a: &Sample,
+    m0: f64,
+    inv_r0: f64,
+    b: &Sample,
+    m1: f64,
+    h: f64,
+    p: ObsParams,
+) -> f64 {
+    let n = p.zenith - (a.position_km - p.site) * (p.sin_mask * inv_r0);
+    let (h5, h20) = (0.2 * h, 0.05 * h * h);
+    let nv0 = h5 * n.dot(a.velocity_km_s);
+    let na0 = h20 * n.dot(a.acceleration_km_s2);
+    let nr1 = n.dot(b.position_km - p.site);
+    let nv1 = h5 * n.dot(b.velocity_km_s);
+    let na1 = h20 * n.dot(b.acceleration_km_s2);
+    let c1 = m0 + nv0;
+    let c2 = c1 + nv0 + na0;
+    let c4 = nr1 - nv1;
+    let c3 = c4 - nv1 + na1;
+    let hull = m0.max(c1).max(c2).max(c3).max(c4).max(nr1);
+    poison(hull + (1.0 + p.sin_mask) * MAX_POSITION_ERROR_KM, m0, m1)
+}
+
+/// [`concave_bound`] for a mask `ε < 0`, where the margin is convex:
+/// its largest value at the six Bézier control points, plus the
+/// position error.
+#[inline(always)]
+fn convex_bound(a: &Sample, m0: f64, b: &Sample, m1: f64, h: f64, p: ObsParams) -> f64 {
+    let (h5, h20) = (0.2 * h, 0.05 * h * h);
+    let g = |x: Vec3| {
+        let rho = x - p.site;
+        rho.dot(p.zenith) - p.sin_mask * rho.norm()
+    };
+    let (pa, va, aa) = (a.position_km, a.velocity_km_s, a.acceleration_km_s2);
+    let (pb, vb, ab) = (b.position_km, b.velocity_km_s, b.acceleration_km_s2);
+    let c1 = g(pa + va * h5);
+    let c2 = g(pa + va * (2.0 * h5) + aa * h20);
+    let c3 = g(pb - vb * (2.0 * h5) + ab * h20);
+    let c4 = g(pb - vb * h5);
+    let hull = m0.max(c1).max(c2).max(c3).max(c4).max(m1);
+    poison(hull + (1.0 - p.sin_mask) * MAX_POSITION_ERROR_KM, m0, m1)
+}
+
+/// `bound`, or NaN when an endpoint margin is NaN (a failed
+/// propagation): `f64::max` skips NaN, and such an interval must
+/// neither be skipped by the block screen nor become a candidate.
+#[inline(always)]
+fn poison(bound: f64, m0: f64, m1: f64) -> f64 {
+    if (m0 + m1).is_nan() {
+        f64::NAN
+    } else {
+        bound
+    }
+}
+
+/// The interval bound for the observer's mask sign: what the detector
+/// reads and the block screen compares with zero.
+#[inline(always)]
+fn interval_bound(
+    a: &Sample,
+    m0: f64,
+    inv_r0: f64,
+    b: &Sample,
+    m1: f64,
+    h: f64,
+    p: ObsParams,
+) -> f64 {
+    if p.sin_mask >= 0.0 {
+        concave_bound(a, m0, inv_r0, b, m1, h, p)
+    } else {
+        convex_bound(a, m0, b, m1, h, p)
+    }
 }
 
 /// One chunk of satellite grid columns, gathered into fixed-width SoA
-/// arrays so the margin kernel is a straight elementwise loop.
+/// arrays so the kernels are straight elementwise loops.
 struct ColumnChunk {
     px: [f64; CHUNK],
     py: [f64; CHUNK],
@@ -220,6 +295,11 @@ struct ColumnChunk {
     vx: [f64; CHUNK],
     vy: [f64; CHUNK],
     vz: [f64; CHUNK],
+    ax: [f64; CHUNK],
+    ay: [f64; CHUNK],
+    az: [f64; CHUNK],
+    /// Each column's instant, as a Julian date.
+    t: [f64; CHUNK],
 }
 
 impl ColumnChunk {
@@ -231,26 +311,73 @@ impl ColumnChunk {
             vx: [0.0; CHUNK],
             vy: [0.0; CHUNK],
             vz: [0.0; CHUNK],
+            ax: [0.0; CHUNK],
+            ay: [0.0; CHUNK],
+            az: [0.0; CHUNK],
+            t: [0.0; CHUNK],
         }
+    }
+
+    #[inline(always)]
+    fn sample(&self, i: usize) -> Sample {
+        Sample {
+            position_km: Vec3::new(self.px[i], self.py[i], self.pz[i]),
+            velocity_km_s: Vec3::new(self.vx[i], self.vy[i], self.vz[i]),
+            acceleration_km_s2: Vec3::new(self.ax[i], self.ay[i], self.az[i]),
+        }
+    }
+
+    /// Seconds from column `i − 1` to column `i`.
+    #[inline(always)]
+    fn step(&self, i: usize) -> f64 {
+        JulianDate(self.t[i]).seconds_since(JulianDate(self.t[i - 1]))
     }
 }
 
-/// The portable chunk kernel: [`margin_terms`] over a fixed-width
-/// array. A fixed trip count over `[f64; CHUNK]` arrays compiles to
-/// branch-free straight-line SIMD under the default target features.
+/// One observer's per-chunk kernel outputs.
+struct ChunkTerms {
+    /// Margin at each column.
+    m: [f64; CHUNK],
+    /// `1/r` at each column.
+    inv_r: [f64; CHUNK],
+    /// Bound of the interval ending at each column; entry 0 (the
+    /// interval bridging the carried sample) is left to the caller.
+    bound: [f64; CHUNK],
+}
+
+/// The portable chunk kernel: [`margin_terms`] at every column, then
+/// the bound of every interval inside the chunk, over fixed-width
+/// arrays. A fixed trip count over `[f64; CHUNK]` arrays compiles to
+/// branch-free straight-line SIMD under the default target features;
+/// the mask's sign picks the bound once per observer, outside the loop.
 #[inline(always)]
-fn margin_chunk_body(
-    cols: &ColumnChunk,
-    p: ObsParams,
-    m: &mut [f64; CHUNK],
-    dm: &mut [f64; CHUNK],
-) {
+fn chunk_kernel_body(cols: &ColumnChunk, p: ObsParams, out: &mut ChunkTerms) {
     for i in 0..CHUNK {
-        let (mi, dmi) = margin_terms(
-            cols.px[i], cols.py[i], cols.pz[i], cols.vx[i], cols.vy[i], cols.vz[i], p,
-        );
-        m[i] = mi;
-        dm[i] = dmi;
+        (out.m[i], out.inv_r[i]) = margin_terms(&cols.sample(i), p);
+    }
+    if p.sin_mask >= 0.0 {
+        for i in 1..CHUNK {
+            out.bound[i] = concave_bound(
+                &cols.sample(i - 1),
+                out.m[i - 1],
+                out.inv_r[i - 1],
+                &cols.sample(i),
+                out.m[i],
+                cols.step(i),
+                p,
+            );
+        }
+    } else {
+        for i in 1..CHUNK {
+            out.bound[i] = convex_bound(
+                &cols.sample(i - 1),
+                out.m[i - 1],
+                &cols.sample(i),
+                out.m[i],
+                cols.step(i),
+                p,
+            );
+        }
     }
 }
 
@@ -261,96 +388,35 @@ fn margin_chunk_body(
 /// stays off, so dispatching here preserves bit-identity.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn margin_chunk_avx2(
-    cols: &ColumnChunk,
-    p: ObsParams,
-    m: &mut [f64; CHUNK],
-    dm: &mut [f64; CHUNK],
-) {
-    margin_chunk_body(cols, p, m, dm);
+unsafe fn chunk_kernel_avx2(cols: &ColumnChunk, p: ObsParams, out: &mut ChunkTerms) {
+    chunk_kernel_body(cols, p, out);
 }
 
-/// Evaluate one observer's margins over a gathered column chunk,
-/// through the widest kernel the CPU supports.
-fn margin_chunk(cols: &ColumnChunk, p: ObsParams, m: &mut [f64; CHUNK], dm: &mut [f64; CHUNK]) {
+/// Evaluate one observer's margins and interval bounds over a gathered
+/// column chunk, through the widest kernel the CPU supports.
+fn chunk_kernel(cols: &ColumnChunk, p: ObsParams, out: &mut ChunkTerms) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: guarded by the runtime AVX2 detection above.
-            unsafe { margin_chunk_avx2(cols, p, m, dm) };
+            unsafe { chunk_kernel_avx2(cols, p, out) };
             return;
         }
     }
-    margin_chunk_body(cols, p, m, dm);
+    chunk_kernel_body(cols, p, out);
 }
 
-/// Exact maximum of the cubic Hermite `H` on `[0, 1]` given endpoint
-/// values `p0`, `p1` and *step-scaled* endpoint derivatives `v0`, `v1`
-/// (the same parameterisation as the grid's interpolant). Interior
-/// extrema come from the quadratic `H′(s) = 0`, solved with the
-/// sign-stable pairing to avoid cancellation.
-fn cubic_max(p0: f64, v0: f64, p1: f64, v1: f64) -> f64 {
-    let mut best = p0.max(p1);
-    let mut consider = |s: f64| {
-        if s > 0.0 && s < 1.0 {
-            let s2 = s * s;
-            let s3 = s2 * s;
-            let h = p0 * (2.0 * s3 - 3.0 * s2 + 1.0)
-                + v0 * (s3 - 2.0 * s2 + s)
-                + p1 * (-2.0 * s3 + 3.0 * s2)
-                + v1 * (s3 - s2);
-            if h > best {
-                best = h;
-            }
-        }
-    };
-    // H′(s) = a·s² + b·s + c.
-    let a = 6.0 * p0 + 3.0 * v0 - 6.0 * p1 + 3.0 * v1;
-    let b = -6.0 * p0 - 4.0 * v0 + 6.0 * p1 - 2.0 * v1;
-    let c = v0;
-    if a == 0.0 {
-        if b != 0.0 {
-            consider(-c / b);
-        }
-    } else {
-        let disc = b * b - 4.0 * a * c;
-        if disc >= 0.0 {
-            let q = -0.5 * (b + b.signum() * disc.sqrt());
-            consider(q / a);
-            if q != 0.0 {
-                consider(c / q);
-            }
-        }
-    }
-    best
-}
-
-/// Whether a lattice interval with both endpoints below the mask could
-/// still hide a pass (see the module docs for the three-stage filter).
-fn near_miss_candidate(m_a: f64, dm_a: f64, m_b: f64, dm_b: f64, dt_s: f64) -> bool {
-    if !(m_a.is_finite() && dm_a.is_finite() && m_b.is_finite() && dm_b.is_finite() && dt_s > 0.0) {
-        return false; // Invalid samples never promote to probes.
-    }
-    let v0 = dt_s * dm_a;
-    let v1 = dt_s * dm_b;
-    // Stage 1: Bézier hull bound — the cubic never exceeds the largest
-    // of its four control points.
-    let hull = m_a.max(m_a + v0 / 3.0).max(m_b - v1 / 3.0).max(m_b);
-    if hull <= -CANDIDATE_GUARD_KM {
-        return false;
-    }
-    // Stage 2: the exact interior maximum of the Hermite model.
-    cubic_max(m_a, v0, m_b, v1) > -CANDIDATE_GUARD_KM
-}
-
-/// The per-observer sign-change state machine. Consumes `(t, m, m′)`
-/// points in chronological order and emits sparse events.
+/// The per-observer sign-change state machine. Consumes points in
+/// chronological order, each with its margin and the bound of the
+/// interval it closes, and emits sparse events.
 struct Detector {
     started: bool,
     above_at_start: bool,
+    /// The previous point: its instant, state, margin and `1/r`.
     t_prev: JulianDate,
+    s_prev: Sample,
     m_prev: f64,
-    dm_prev: f64,
+    inv_r_prev: f64,
     points: usize,
     events: Vec<SweepEvent>,
 }
@@ -361,15 +427,26 @@ impl Detector {
             started: false,
             above_at_start: false,
             t_prev: JulianDate(0.0),
+            s_prev: Sample::NAN,
             m_prev: f64::NAN,
-            dm_prev: f64::NAN,
+            inv_r_prev: f64::NAN,
             points: 0,
             events: Vec::new(),
         }
     }
 
+    /// The bound of the interval from the previous point to `s` at `t`
+    /// (margin `m`).
     #[inline]
-    fn feed(&mut self, t: JulianDate, m: f64, dm: f64) {
+    fn bound_to(&self, t: JulianDate, s: &Sample, m: f64, p: ObsParams) -> f64 {
+        let h = t.seconds_since(self.t_prev);
+        interval_bound(&self.s_prev, self.m_prev, self.inv_r_prev, s, m, h, p)
+    }
+
+    /// Feed one point: `bound` bounds the true margin over the interval
+    /// from the previous point (ignored for the first point).
+    #[inline]
+    fn feed(&mut self, t: JulianDate, s: Sample, (m, inv_r): (f64, f64), bound: f64) {
         self.points += 1;
         let above = m > 0.0; // NaN margins read as "below", like a failed propagation.
         if !self.started {
@@ -377,55 +454,33 @@ impl Detector {
             self.above_at_start = above;
         } else {
             let was_above = self.m_prev > 0.0;
-            if above != was_above {
-                let kind = if above {
+            let kind = if above != was_above {
+                Some(if above {
                     SweepEventKind::Rising
                 } else {
                     SweepEventKind::Falling
-                };
+                })
+            } else {
+                // NaN bounds (invalid samples) never promote to probes.
+                (!above && bound >= 0.0).then_some(SweepEventKind::Candidate)
+            };
+            if let Some(kind) = kind {
                 self.events.push(SweepEvent {
                     kind,
                     t_lo: self.t_prev,
                     t_hi: t,
                 });
-            } else if !above
-                && near_miss_candidate(
-                    self.m_prev,
-                    self.dm_prev,
-                    m,
-                    dm,
-                    t.seconds_since(self.t_prev),
-                )
-            {
-                self.events.push(SweepEvent {
-                    kind: SweepEventKind::Candidate,
-                    t_lo: self.t_prev,
-                    t_hi: t,
-                });
             }
         }
-        self.t_prev = t;
-        self.m_prev = m;
-        self.dm_prev = dm;
+        self.carry(t, s, m, inv_r);
     }
 
-    /// Advance the detector across `n` samples proven eventless by the
-    /// block screen (see [`VisibilitySweep::sweep_chunked`]): every
-    /// skipped margin — and the carried previous one — sits so far
-    /// below the mask that neither a sign change nor a near-miss hull
-    /// could fire, so feeding them one by one would only have updated
-    /// the carry state this method writes directly. Outcomes therefore
-    /// stay bit-identical to the scalar sweep.
     #[inline]
-    fn skip_eventless(&mut self, n: usize, t_last: JulianDate, m_last: f64, dm_last: f64) {
-        debug_assert!(
-            self.started,
-            "screen may only skip after the start boundary"
-        );
-        self.points += n;
-        self.t_prev = t_last;
-        self.m_prev = m_last;
-        self.dm_prev = dm_last;
+    fn carry(&mut self, t: JulianDate, s: Sample, m: f64, inv_r: f64) {
+        self.t_prev = t;
+        self.s_prev = s;
+        self.m_prev = m;
+        self.inv_r_prev = inv_r;
     }
 
     fn into_outcome(self) -> SweepOutcome {
@@ -504,12 +559,8 @@ impl VisibilitySweep {
 
     fn params(&self, o: usize) -> ObsParams {
         ObsParams {
-            sx: self.sx[o],
-            sy: self.sy[o],
-            sz: self.sz[o],
-            zx: self.zx[o],
-            zy: self.zy[o],
-            zz: self.zz[o],
+            site: Vec3::new(self.sx[o], self.sy[o], self.sz[o]),
+            zenith: Vec3::new(self.zx[o], self.zy[o], self.zz[o]),
             sin_mask: self.sin_mask[o],
         }
     }
@@ -595,22 +646,18 @@ impl VisibilitySweep {
     }
 
     /// Feed the exact window boundary to every detector, through the
-    /// grid's Hermite interpolant and the shared margin expression.
-    /// An uninterpolable boundary (NaN bracketing samples) feeds NaN
+    /// grid's Hermite interpolant (its position and first two
+    /// derivatives, so the bound of the sub-interval it opens or closes
+    /// is that sub-curve's own) and the shared margin expression. An
+    /// uninterpolable boundary (NaN bracketing samples) feeds NaN
     /// margins, which read as "below the mask" in both kernels.
     fn feed_boundary(&self, grid: &EphemerisGrid, t: JulianDate, detectors: &mut [Detector]) {
-        let (p, v) = match grid.state_at(t) {
-            Some(s) => (s.position_km, s.velocity_km_s),
-            None => {
-                for d in detectors.iter_mut() {
-                    d.feed(t, f64::NAN, f64::NAN);
-                }
-                return;
-            }
-        };
+        let s = grid.sample_at(t).unwrap_or(Sample::NAN);
         for (o, d) in detectors.iter_mut().enumerate() {
-            let (m, dm) = margin_terms(p.x, p.y, p.z, v.x, v.y, v.z, self.params(o));
-            d.feed(t, m, dm);
+            let p = self.params(o);
+            let terms = margin_terms(&s, p);
+            let bound = d.bound_to(t, &s, terms.0, p);
+            d.feed(t, s, terms, bound);
         }
     }
 
@@ -627,10 +674,11 @@ impl VisibilitySweep {
         detectors: &mut [Detector],
     ) {
         let mut cols = ColumnChunk::zeroed();
-        let mut times = [JulianDate(0.0); CHUNK];
-        let mut m = [0.0_f64; CHUNK];
-        let mut dm = [0.0_f64; CHUNK];
-        let step_s = grid.step_s();
+        let mut terms = ChunkTerms {
+            m: [0.0; CHUNK],
+            inv_r: [0.0; CHUNK],
+            bound: [0.0; CHUNK],
+        };
         let chunks = grid.runs(k_first..k_last + 1).flat_map(|(k, run)| {
             run.chunks(CHUNK)
                 .enumerate()
@@ -639,50 +687,56 @@ impl VisibilitySweep {
         for (k, chunk) in chunks {
             let n_real = chunk.len();
             for (i, s) in chunk.iter().enumerate() {
-                cols.px[i] = s.position_km.x;
-                cols.py[i] = s.position_km.y;
-                cols.pz[i] = s.position_km.z;
-                cols.vx[i] = s.velocity_km_s.x;
-                cols.vy[i] = s.velocity_km_s.y;
-                cols.vz[i] = s.velocity_km_s.z;
-                times[i] = grid.sample_time(k + i);
+                let (p, v, a) = (s.position_km, s.velocity_km_s, s.acceleration_km_s2);
+                (cols.px[i], cols.py[i], cols.pz[i]) = (p.x, p.y, p.z);
+                (cols.vx[i], cols.vy[i], cols.vz[i]) = (v.x, v.y, v.z);
+                (cols.ax[i], cols.ay[i], cols.az[i]) = (a.x, a.y, a.z);
+                cols.t[i] = grid.sample_time(k + i).0;
             }
             for (o, d) in detectors.iter_mut().enumerate() {
-                margin_chunk(&cols, self.params(o), &mut m, &mut dm);
-                // Block screen: the Hermite model of every interval in
-                // a block (and of the bridge from the carried previous
-                // sample) lies inside its Bézier hull, which is bounded
-                // by `max(m) + dt·max|dm|/3` with `dt ≤ step`. When that
-                // bound cannot reach the candidate guard, no crossing or
-                // near-miss exists there and the scalar state machine is
-                // bypassed for the block — the dominant case for LEO
-                // satellites, which spend most of a day far below any
-                // observer's horizon. `f64::max` ignores NaN carries,
-                // and NaN margins route to the slow path via the NaN
-                // bound, so degraded samples keep their feed semantics.
+                let p = self.params(o);
+                chunk_kernel(&cols, p, &mut terms);
+                let t0 = JulianDate(cols.t[0]);
+                terms.bound[0] = d.bound_to(t0, &cols.sample(0), terms.m[0], p);
+                // Block screen: when the bound of every interval in a
+                // block (the first one bridging the carried previous
+                // sample) is below zero, the true margin stays below the
+                // mask throughout, no crossing or candidate exists
+                // there, and the scalar state machine is bypassed for
+                // the block — the dominant case for LEO satellites,
+                // which spend most of a day far below any observer's
+                // horizon. NaN bounds (degraded samples) are not below
+                // zero, so they keep their feed semantics.
                 for lo in (0..n_real).step_by(BLOCK) {
                     let hi = (lo + BLOCK).min(n_real);
-                    let mut max_m = d.m_prev;
-                    let mut max_abs_dm = d.dm_prev.abs();
-                    for i in lo..hi {
-                        max_m = max_m.max(m[i]);
-                        max_abs_dm = max_abs_dm.max(dm[i].abs());
-                    }
-                    if max_m + step_s * max_abs_dm / 3.0 <= -CANDIDATE_GUARD_KM {
-                        d.skip_eventless(hi - lo, times[hi - 1], m[hi - 1], dm[hi - 1]);
+                    if terms.bound[lo..hi].iter().all(|&b| b < 0.0) {
+                        let last = hi - 1;
+                        d.points += hi - lo;
+                        d.carry(
+                            JulianDate(cols.t[last]),
+                            cols.sample(last),
+                            terms.m[last],
+                            terms.inv_r[last],
+                        );
                         continue;
                     }
                     for i in lo..hi {
-                        d.feed(times[i], m[i], dm[i]);
+                        d.feed(
+                            JulianDate(cols.t[i]),
+                            cols.sample(i),
+                            (terms.m[i], terms.inv_r[i]),
+                            terms.bound[i],
+                        );
                     }
                 }
             }
         }
     }
 
-    /// The element-at-a-time sweep: the same margin expression and
-    /// feed order as [`Self::sweep_chunked`], one column at a time —
-    /// the bit-identical oracle the chunked kernel is tested against.
+    /// The element-at-a-time sweep: the same margin and bound
+    /// expressions and feed order as [`Self::sweep_chunked`], one column
+    /// at a time — the bit-identical oracle the chunked kernel is
+    /// tested against.
     #[cfg(test)]
     fn sweep_scalar(
         &self,
@@ -695,16 +749,10 @@ impl VisibilitySweep {
             let p = self.params(o);
             for (k, run) in grid.runs(k_first..k_last + 1) {
                 for (i, s) in run.iter().enumerate() {
-                    let (m, dm) = margin_terms(
-                        s.position_km.x,
-                        s.position_km.y,
-                        s.position_km.z,
-                        s.velocity_km_s.x,
-                        s.velocity_km_s.y,
-                        s.velocity_km_s.z,
-                        p,
-                    );
-                    d.feed(grid.sample_time(k + i), m, dm);
+                    let t = grid.sample_time(k + i);
+                    let terms = margin_terms(s, p);
+                    let bound = d.bound_to(t, s, terms.0, p);
+                    d.feed(t, *s, terms, bound);
                 }
             }
         }
@@ -715,6 +763,7 @@ impl VisibilitySweep {
 mod tests {
     use super::*;
     use crate::elements::Elements;
+    use crate::ephemeris::STEP_S;
     use crate::frames::Geodetic;
     use crate::sgp4::Sgp4;
 
@@ -759,15 +808,7 @@ mod tests {
             let p = sweep.params(0);
             let samples = grid.runs(0..grid.len()).flat_map(|(_, run)| run);
             for (k, s) in samples.enumerate() {
-                let (m, _) = margin_terms(
-                    s.position_km.x,
-                    s.position_km.y,
-                    s.position_km.z,
-                    s.velocity_km_s.x,
-                    s.velocity_km_s.y,
-                    s.velocity_km_s.z,
-                    p,
-                );
+                let (m, _) = margin_terms(s, p);
                 let el = obs
                     .look_at_ecef(s.position_km, s.velocity_km_s)
                     .elevation_rad;
@@ -776,37 +817,49 @@ mod tests {
         }
     }
 
+    /// The interval bound is an upper bound on the true margin: over
+    /// every lattice interval of a day, for masks from −10° to 85°, no
+    /// probe of direct SGP4 (nor of the interpolant itself, whose hull
+    /// the bound maximises over before padding) exceeds it.
     #[test]
-    fn margin_derivative_matches_finite_differences() {
-        let sgp4 = leo(550.0, 97.6);
-        let grid = EphemerisGrid::build(&sgp4, epoch(), epoch() + 0.5);
-        let obs = hk();
-        let mut sweep = VisibilitySweep::new();
-        sweep.push(&obs, 5.0_f64.to_radians());
-        let p = sweep.params(0);
-        let eval = |t: JulianDate| {
-            let s = grid.state_at(t).unwrap();
-            margin_terms(
-                s.position_km.x,
-                s.position_km.y,
-                s.position_km.z,
-                s.velocity_km_s.x,
-                s.velocity_km_s.y,
-                s.velocity_km_s.z,
-                p,
-            )
-        };
-        for k in [5, 17, 40] {
-            let t = grid.sample_time(k);
-            let (_, dm) = eval(t);
-            let h = 0.5; // seconds
-            let (m_plus, _) = eval(t.plus_seconds(h));
-            let (m_minus, _) = eval(t.plus_seconds(-h));
-            let fd = (m_plus - m_minus) / (2.0 * h);
-            assert!(
-                (dm - fd).abs() < 1e-3 * dm.abs().max(1.0),
-                "dm {dm} vs finite difference {fd} at column {k}"
-            );
+    fn interval_bounds_cover_the_true_margin() {
+        use crate::frames::teme_to_ecef;
+        for (alt_km, incl_deg) in [(400.0, 51.6), (550.0, 97.6)] {
+            let sgp4 = leo(alt_km, incl_deg);
+            let grid = EphemerisGrid::build(&sgp4, epoch(), epoch() + 1.0);
+            let samples: Vec<Sample> = grid
+                .runs(0..grid.len())
+                .flat_map(|(_, r)| r)
+                .copied()
+                .collect();
+            for mask_deg in [-10.0_f64, 0.0, 10.0, 45.0, 70.0, 85.0] {
+                let mut sweep = VisibilitySweep::new();
+                sweep.push(&hk(), mask_deg.to_radians());
+                let p = sweep.params(0);
+                let pad = (1.0 + p.sin_mask.abs()) * MAX_POSITION_ERROR_KM;
+                let margin_at = |s: &Sample| margin_terms(s, p).0;
+                for k in 0..grid.len() - 1 {
+                    let (a, b) = (&samples[k], &samples[k + 1]);
+                    let (m0, inv_r0) = margin_terms(a, p);
+                    let h = grid.sample_time(k + 1).seconds_since(grid.sample_time(k));
+                    let bound = interval_bound(a, m0, inv_r0, b, margin_at(b), h, p);
+                    for j in 1..16 {
+                        let t = grid.sample_time(k).plus_seconds(h * j as f64 / 16.0);
+                        let model = grid.sample_at(t).unwrap();
+                        let truth = teme_to_ecef(&sgp4.propagate_at(t).unwrap(), t);
+                        let truth = Sample {
+                            position_km: truth.position_km,
+                            ..model
+                        };
+                        let (g_model, g_true) = (margin_at(&model), margin_at(&truth));
+                        assert!(
+                            g_model <= bound - pad + 1e-9 && g_true <= bound,
+                            "{alt_km} km, mask {mask_deg}°, interval {k}: bound {bound} km, \
+                             margin {g_model} km interpolated, {g_true} km true"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -841,6 +894,11 @@ mod tests {
                 mask.to_radians(),
             );
         }
+        // Negative masks take the convex bound; high ones make
+        // candidates of near-zenith intervals.
+        for mask in [-5.0_f64, 60.0, 85.0] {
+            sweep.push(&hk(), mask.to_radians());
+        }
         let start = epoch().plus_seconds(13.0); // off-lattice boundaries
         let end = epoch().plus_seconds(2.0 * 86_400.0 - 29.0);
         let scalar = sweep.run_scalar(&grid, start, end).expect("covered window");
@@ -871,7 +929,9 @@ mod tests {
     #[test]
     fn events_bracket_every_dense_scan_crossing() {
         // Reference: a dense 5 s elevation scan. Every crossing it
-        // finds must fall inside exactly one Rising/Falling window.
+        // finds must fall inside exactly one Rising/Falling window, or
+        // inside the Candidate window of a pass shorter than a step,
+        // which holds both of its crossings.
         let sgp4 = leo(550.0, 97.6);
         let start = epoch();
         let end = epoch() + 1.0;
@@ -904,10 +964,10 @@ mod tests {
                 .events
                 .iter()
                 .filter(|e| {
-                    let kind_ok = if rising {
-                        e.kind == SweepEventKind::Rising
-                    } else {
-                        e.kind == SweepEventKind::Falling
+                    let kind_ok = match e.kind {
+                        SweepEventKind::Rising => rising,
+                        SweepEventKind::Falling => !rising,
+                        SweepEventKind::Candidate => true,
                     };
                     kind_ok && e.t_lo <= hi && e.t_hi >= lo
                 })
@@ -931,30 +991,43 @@ mod tests {
         assert!(sweep_one(&empty, &obs, 0.0, epoch(), epoch() + 0.4).is_none());
     }
 
-    #[test]
-    fn cubic_max_finds_the_interior_peak() {
-        // H(s) = -(s - 0.5)² + 0.25 scaled: p0 = p1 = 0, peak 0.25 at
-        // s = 0.5 ⟹ endpoint derivatives ±1.
-        let max = cubic_max(0.0, 1.0, 0.0, -1.0);
-        assert!((max - 0.25).abs() < 1e-12, "max {max}");
-        // Monotone segment: no interior extremum beats the endpoints.
-        let max = cubic_max(-3.0, 1.0, -1.0, 1.0);
-        assert!((max - (-1.0)).abs() < 1e-12, "max {max}");
+    /// A satellite 1 000 km west of an origin site, flying east, seen
+    /// with zenith `+z` and a 0° mask: the margin is its height `z`.
+    fn arc(z0: f64, vz0: f64, z1: f64, vz1: f64, az: f64) -> (Sample, Sample) {
+        let sample = |x: f64, z: f64, vz: f64| Sample {
+            position_km: Vec3::new(x, 0.0, z),
+            velocity_km_s: Vec3::new(7.0, 0.0, vz),
+            acceleration_km_s2: Vec3::new(0.0, 0.0, az),
+        };
+        (
+            sample(-1_000.0, z0, vz0),
+            sample(-1_000.0 + 7.0 * STEP_S, z1, vz1),
+        )
     }
 
     #[test]
-    fn near_miss_filter_rejects_deep_intervals_and_keeps_shallow_peaks() {
-        // Deep below, flat: hull reject.
-        assert!(!near_miss_candidate(-500.0, 0.0, -480.0, 0.01, 60.0));
-        // Endpoints at −5 km with derivatives that arch the model to
-        // +2.5 km mid-interval: must stay a candidate.
-        assert!(near_miss_candidate(-5.0, 0.5, -5.0, -0.5, 60.0));
-        // Same arch but the peak stays ~3 km below: rejected by the
-        // exact cubic even though one Bézier control point is high.
-        assert!(!near_miss_candidate(-10.0, 0.3, -10.0, -0.3, 60.0));
-        // Invalid samples never probe.
-        assert!(!near_miss_candidate(f64::NAN, 0.0, -1.0, 0.0, 60.0));
-        assert!(!near_miss_candidate(-1.0, 0.0, -1.0, 0.0, 0.0));
+    fn interval_bound_rejects_deep_intervals_and_keeps_shallow_peaks() {
+        let p = ObsParams {
+            site: Vec3::new(0.0, 0.0, 0.0),
+            zenith: Vec3::new(0.0, 0.0, 1.0),
+            sin_mask: 0.0,
+        };
+        let bound = |(a, b): (Sample, Sample)| {
+            let (m0, inv_r0) = margin_terms(&a, p);
+            interval_bound(&a, m0, inv_r0, &b, margin_terms(&b, p).0, STEP_S, p)
+        };
+        // Deep below, flat: rejected.
+        assert!(bound(arc(-500.0, 0.0, -480.0, 0.01, 0.0)) < 0.0);
+        // Endpoints 5 km below, climbing then falling at 0.5 km/s under
+        // a constant pull: the true arc peaks 17.5 km above.
+        let pull = -1.0 / STEP_S;
+        assert!(bound(arc(-5.0, 0.5, -5.0, -0.5, pull)) >= 0.0);
+        // The same arc from 40 km below peaks 22.5 km under the mask,
+        // and the hull proves it.
+        assert!(bound(arc(-40.0, 0.5, -40.0, -0.5, pull)) < 0.0);
+        // Invalid samples never probe: the bound is NaN.
+        let (a, b) = arc(f64::NAN, 0.0, -1.0, 0.0, 0.0);
+        assert!(bound((a, b)).is_nan());
     }
 
     #[test]
@@ -965,19 +1038,19 @@ mod tests {
         // matching how `PassPredictor::elevation_at` reports
         // unanswerable instants (−90°).
         let p = ObsParams {
-            sx: 0.0,
-            sy: 0.0,
-            sz: 0.0,
-            zx: 1.0,
-            zy: 0.0,
-            zz: 0.0,
+            site: Vec3::new(0.0, 0.0, 0.0),
+            zenith: Vec3::new(1.0, 0.0, 0.0),
             sin_mask: 0.0,
         };
-        let (m, dm) = margin_terms(f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0, p);
-        assert!(m.is_nan() && dm.is_nan());
+        let s = Sample::NAN;
+        let (m, inv_r) = margin_terms(&s, p);
+        assert!(m.is_nan() && inv_r.is_nan());
         let mut d = Detector::new();
-        d.feed(epoch(), f64::NAN, f64::NAN);
-        d.feed(epoch().plus_seconds(60.0), f64::NAN, f64::NAN);
+        d.feed(epoch(), s, (m, inv_r), f64::NAN);
+        let t = epoch().plus_seconds(STEP_S);
+        let bound = d.bound_to(t, &s, m, p);
+        assert!(bound.is_nan());
+        d.feed(t, s, (m, inv_r), bound);
         let out = d.into_outcome();
         assert!(!out.above_at_start && out.events.is_empty());
     }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use satiot_orbit::elements::Elements;
 use satiot_orbit::frames::Geodetic;
-use satiot_orbit::pass::PassPredictor;
+use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::{EARTH_RADIUS_KM, MU_KM3_S2};
 use satiot_orbit::time::JulianDate;
 use satiot_orbit::tle::{checksum, Tle};
@@ -157,6 +157,43 @@ proptest! {
             // Compare on the circle: 0 and 2π−ε are the same angle.
             let diff = wrap_tau(got - want).min(wrap_tau(want - got));
             prop_assert!(diff < tol, "angle {got} vs wrapped {want} (raw {raw})");
+        }
+    }
+
+    /// The margin sweep misses no pass and invents none, over random
+    /// geometry: circular LEO orbits of 400–1 200 km at 0–130°, sites
+    /// at up to ±85° latitude, masks of 0–85° and half-day windows.
+    /// Every pass of at least 2 s that the 1 s-floor reference scan
+    /// finds has a swept pass whose AOS and LOS lie within 1 s of its
+    /// own, and every swept pass of at least 2 s has such a reference
+    /// pass.
+    #[test]
+    fn sweep_matches_the_reference_scan(
+        alt in 400.0_f64..1_200.0,
+        incl in 0.0_f64..130.0,
+        lat in -85.0_f64..85.0,
+        lon in -180.0_f64..180.0,
+        mask_deg in 0.0_f64..85.0,
+    ) {
+        let e = Elements::circular(alt, incl, epoch());
+        let site = Geodetic::from_degrees(lat, lon, 0.0);
+        let predictor = PassPredictor::new(e.to_sgp4().unwrap(), site, mask_deg.to_radians());
+        let (start, end) = (epoch(), epoch() + 0.5);
+        let reference = predictor.reference_passes(start, end, 1.0);
+        let swept = predictor.passes(start, end);
+        let near = |a: &Pass, b: &Pass| {
+            a.aos.seconds_since(b.aos).abs() < 1.0 && a.los.seconds_since(b.los).abs() < 1.0
+        };
+        for (from, to, what) in [
+            (&reference, &swept, "a reference pass is missing from the sweep"),
+            (&swept, &reference, "a swept pass is missing from the reference"),
+        ] {
+            for x in from.iter().filter(|x| x.duration_s() >= 2.0) {
+                prop_assert!(
+                    to.iter().any(|y| near(x, y)),
+                    "{what}: {x:?} (alt {alt}, incl {incl}, site {lat},{lon}, mask {mask_deg}°)"
+                );
+            }
         }
     }
 
