@@ -16,21 +16,11 @@ use crate::fading::FadingParams;
 use crate::fspl::fspl_db;
 use crate::noise::{noise_floor_dbm, SATELLITE_RX_NOISE_FIGURE_DB, SX126X_NOISE_FIGURE_DB};
 use crate::weather::Weather;
-use satiot_obs::metrics::{Counter, Histogram};
+use satiot_obs::metrics::Counter;
 use satiot_sim::Rng;
 
 /// Packet-level link samples drawn (metrics).
 static LINK_SAMPLES: Counter = Counter::new("channel.budget.samples");
-/// Distribution of the sampled link margin — SNR relative to a 0 dB
-/// reference — in dB (metrics).
-static SNR_DB: Histogram = Histogram::new(
-    "channel.budget.snr_db",
-    &[-30.0, -20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0],
-);
-/// Samples drawn under each weather state (metrics).
-static WEATHER_SUNNY: Counter = Counter::new("channel.budget.weather_sunny");
-static WEATHER_CLOUDY: Counter = Counter::new("channel.budget.weather_cloudy");
-static WEATHER_RAINY: Counter = Counter::new("channel.budget.weather_rainy");
 
 /// A fully parameterised radio link.
 ///
@@ -171,12 +161,6 @@ impl LinkBudget {
         let rssi = self.mean_rssi_dbm(distance_km, elevation_rad, weather) + shadowing_db + fast;
         let snr_db = rssi - self.noise_floor_dbm();
         LINK_SAMPLES.inc();
-        SNR_DB.record(snr_db);
-        match weather {
-            Weather::Sunny => WEATHER_SUNNY.inc(),
-            Weather::Cloudy => WEATHER_CLOUDY.inc(),
-            Weather::Rainy => WEATHER_RAINY.inc(),
-        }
         LinkSample {
             rssi_dbm: rssi,
             snr_db,

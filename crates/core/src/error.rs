@@ -15,11 +15,11 @@
 //!   failures: inputs the pipeline can survive by dropping or clamping
 //!   the offending item (a NaN pass time, a corrupted sequence number, a
 //!   site with an inverted time range). Every recorded fault is mirrored
-//!   into a `satiot_obs` counter (`core.faults.*`, visible under
-//!   `SATIOT_METRICS=1`), and the log itself is merged per site in
-//!   configuration order, so serial and pooled campaign drivers produce
-//!   bit-identical accounting — the invariant the `satiot-bench` chaos
-//!   test pins.
+//!   into a `satiot_obs` counter (`core.faults.*`, in the metrics
+//!   report `reproduce_all` writes to stderr), and the log itself is
+//!   merged per site in configuration order, so serial and pooled
+//!   campaign drivers produce bit-identical accounting — the invariant
+//!   the `satiot-bench` chaos test pins.
 
 use core::fmt;
 use satiot_obs::metrics::Counter;

@@ -2,13 +2,12 @@
 //!
 //! Campaigns take `&RunOptions`. Each binary's `main` parses the
 //! environment exactly once with [`RunOptions::from_env`] and calls
-//! [`RunOptions::apply`] once to install the process-wide settings that
-//! code below the campaign API reads (pool worker count, metrics flag);
-//! library code and tests only ever receive the value. Every knob
-//! changes *what* is computed or *where* results go; the pipeline itself
-//! has one shape. A set `SATIOT_*` variable that is not one of the six
-//! knobs (a retired knob or a typo) is reported, never silently
-//! ignored.
+//! [`RunOptions::apply`] once to pin the pool's worker count, the one
+//! process-wide setting that code below the campaign API reads; library
+//! code and tests only ever receive the value. Every knob changes *what*
+//! is computed or *where* results go; the pipeline itself has one shape.
+//! A set `SATIOT_*` variable that is not one of the five knobs (a
+//! retired knob or a typo) is reported, never silently ignored.
 //!
 //! ```
 //! use satiot_core::options::{RunOptions, Scale};
@@ -30,9 +29,8 @@ use crate::sink::SinkMode;
 use satiot_sim::pool;
 
 /// Every `SATIOT_*` knob [`RunOptions::from_env`] reads.
-const KNOBS: [&str; 6] = [
+const KNOBS: [&str; 5] = [
     "SATIOT_THREADS",
-    "SATIOT_METRICS",
     "SATIOT_SCALE",
     "SATIOT_SWEEP_DIR",
     "SATIOT_SWEEP_CACHE_MB",
@@ -94,8 +92,8 @@ impl Scale {
 
 /// Typed options for one campaign run.
 ///
-/// `Default` is the machine default (auto thread count, metrics off,
-/// full scale, full-trace sink) with **no** environment involvement —
+/// `Default` is the machine default (auto thread count, full scale,
+/// full-trace sink) with **no** environment involvement —
 /// hermetic for tests. [`from_env`](Self::from_env) layers the
 /// `SATIOT_*` knobs on top; the `with_*` builders override either. The
 /// trace sink is the one field no knob sets: `reproduce_all` needs the
@@ -105,9 +103,6 @@ pub struct RunOptions {
     /// Worker threads for the sweep pool phases; `None` uses the
     /// machine's available parallelism (`SATIOT_THREADS`).
     pub threads: Option<usize>,
-    /// Whether the `satiot_obs` metrics registry records
-    /// (`SATIOT_METRICS`).
-    pub metrics: bool,
     /// Campaign scale for the bench/reproduction binaries
     /// (`SATIOT_SCALE`).
     pub scale: Scale,
@@ -132,7 +127,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             threads: None,
-            metrics: false,
             scale: Scale::Full,
             sink: SinkMode::Full,
             sweep_dir: None,
@@ -202,9 +196,6 @@ impl RunOptions {
                 None
             }
         });
-        let metrics = lookup("SATIOT_METRICS")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
         let scale = match lookup("SATIOT_SCALE").as_deref() {
             Some("quick") => Scale::Quick,
             Some("full") | Some("") | None => Scale::Full,
@@ -241,7 +232,6 @@ impl RunOptions {
         });
         let opts = RunOptions {
             threads,
-            metrics,
             scale,
             sink: SinkMode::Full,
             sweep_dir,
@@ -257,9 +247,10 @@ impl RunOptions {
         self
     }
 
-    /// Override the metrics flag.
-    pub fn with_metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
+    /// Does nothing: metrics always record. Kept because the perfbench
+    /// worker calls it.
+    #[doc(hidden)]
+    pub fn with_metrics(self, _on: bool) -> Self {
         self
     }
 
@@ -282,13 +273,12 @@ impl RunOptions {
         self
     }
 
-    /// Install these options into the process-wide settings read by
-    /// code below the campaign API: the pool worker count and the
-    /// metrics flag. Binaries call `RunOptions::from_env().apply()` once
-    /// at startup; returns `self` for chaining into a campaign call.
+    /// Pin the pool's worker count, the one process-wide setting read
+    /// by code below the campaign API. Binaries call
+    /// `RunOptions::from_env().apply()` once at startup; returns `self`
+    /// for chaining into a campaign call.
     pub fn apply(self) -> Self {
         pool::set_thread_count(self.threads);
-        satiot_obs::metrics::set_enabled(self.metrics);
         self
     }
 }
@@ -316,7 +306,6 @@ mod tests {
     fn every_knob_parses() {
         let opts = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "4"),
-            ("SATIOT_METRICS", "1"),
             ("SATIOT_SCALE", "quick"),
             ("SATIOT_SWEEP_DIR", "/tmp/sweep"),
             ("SATIOT_SWEEP_CACHE_MB", "256"),
@@ -326,7 +315,6 @@ mod tests {
         assert_eq!(opts.sweep_dir, Some("/tmp/sweep"));
         assert_eq!(opts.sweep_cache_mb, Some(256));
         assert_eq!(opts.threads, Some(4));
-        assert!(opts.metrics);
         assert_eq!(opts.scale, Scale::Quick);
         assert_eq!(opts.sink, SinkMode::Full);
     }
@@ -335,11 +323,9 @@ mod tests {
     fn malformed_values_fall_back() {
         let opts = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "zero"),
-            ("SATIOT_METRICS", "0"),
             ("SATIOT_SCALE", "huge"),
         ]));
         assert_eq!(opts.threads, None);
-        assert!(!opts.metrics);
         assert_eq!(opts.scale, Scale::Full);
     }
 
@@ -414,7 +400,7 @@ mod tests {
     #[test]
     fn unknown_satiot_names_warn_once_each() {
         let names = |list: &[&str]| list.iter().map(|n| n.to_string()).collect::<Vec<_>>();
-        // The six knobs and non-SATIOT names pass silently.
+        // The five knobs and non-SATIOT names pass silently.
         let mut silent = names(&KNOBS);
         silent.extend(names(&["PATH", "HOME", "SATIOT", "satiot_sink"]));
         assert!(unknown_knob_warnings(silent).is_empty());
@@ -424,11 +410,17 @@ mod tests {
             "SATIOT_SWEEP_SHARD",
             "PATH",
             "SATIOT_SINK",
+            "SATIOT_METRICS",
             "SATIOT_THREADS",
             "SATIOT_THREAD",
         ]));
-        assert_eq!(warnings.len(), 3, "{warnings:?}");
-        let expected = ["SATIOT_SINK ", "SATIOT_SWEEP_SHARD ", "SATIOT_THREAD "];
+        assert_eq!(warnings.len(), 4, "{warnings:?}");
+        let expected = [
+            "SATIOT_METRICS ",
+            "SATIOT_SINK ",
+            "SATIOT_SWEEP_SHARD ",
+            "SATIOT_THREAD ",
+        ];
         for (w, name) in warnings.iter().zip(expected) {
             assert!(w.starts_with(name) && w.contains("ignored"), "{w}");
         }
@@ -444,12 +436,10 @@ mod tests {
         ]));
         let opts = base
             .with_threads(Some(2))
-            .with_metrics(true)
             .with_scale(Scale::Full)
             .with_sink(SinkMode::Aggregate);
         assert_eq!(opts.sink, SinkMode::Aggregate);
         assert_eq!(opts.threads, Some(2));
-        assert!(opts.metrics);
         assert_eq!(opts.scale, Scale::Full);
         // Untouched builder chains preserve the parsed values.
         assert_eq!(base.threads, Some(8));

@@ -25,7 +25,7 @@
 //! [`gridded_predictor`]) and the frame store: one [`LatticeFrame`] per
 //! tile index, the Earth rotation at its lattice instants, which every
 //! satellite's tile at that index is rotated by. Each store counts its
-//! own work, with metrics on or off: keys looked up, entries computed
+//! own work: keys looked up, entries computed
 //! and entries evicted, read as one [`StoreStats`] each through
 //! [`stats`], [`grid_stats`], [`tile_stats`] and [`frame_stats`]. At
 //! rest every store holds `computes == entries + evictions`, i.e. each
@@ -303,8 +303,7 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
 
 /// A snapshot of one store's proof-of-work counters: the pass cache's
 /// ([`stats`]), the grid store's ([`grid_stats`]), the tile store's
-/// ([`tile_stats`]) or the frame store's ([`frame_stats`]). They count
-/// whether or not metrics are on.
+/// ([`tile_stats`]) or the frame store's ([`frame_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
     /// Keys requested: one per [`passes_for`] or [`grid_for`] call, one

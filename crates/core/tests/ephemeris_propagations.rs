@@ -1,24 +1,24 @@
-//! The shared ephemeris grids pay, proven by the metrics-gated
-//! `orbit.sgp4.propagate_calls` counter: over the active campaign's
-//! observer set, the campaign predictors of `sweep::predictor`
-//! propagate at least 3× less than the direct-SGP4 reference scan at
-//! its 30 s floor, find the same passes as the reference at a 1 s
-//! floor, and a warm re-run through the pass cache propagates nothing.
+//! The shared ephemeris grids pay, proven by the tile store's own
+//! count of SGP4 samples (`sweep::tile_stats`, `TILE` samples per tile
+//! computed): over the active campaign's observer set, a cold run of
+//! the campaign predictors of `sweep::predictor` samples at most one
+//! padded, tile-rounded lattice per satellite, however many observers
+//! see it, finds the same passes as the direct-SGP4 reference scan at a
+//! 1 s floor, and a warm re-run through the pass cache samples nothing.
 //! Once a campaign has sampled a window, any window inside it — Fig 3a's,
-//! or another observer's sub-window — propagates nothing either, and a
+//! or another observer's sub-window — samples nothing either, and a
 //! window one day longer samples only that day's tiles.
 //!
-//! The test enables the process-wide metrics registry and reads that
-//! counter, which any prediction running in the same process would also
-//! move, so it is the only test in this binary (one process per
-//! integration-test file).
+//! The test clears and reads the process-wide stores, which any
+//! prediction running in the same process would also move, so it is
+//! the only test in this binary (one process per integration-test
+//! file).
 
 use satiot_core::calib::THEORETICAL_MASK_RAD;
 use satiot_core::passive::theoretical_daily_hours;
 use satiot_core::prelude::*;
 use satiot_core::sweep::{self, GridKey};
-use satiot_obs::metrics::{self, Counter};
-use satiot_orbit::ephemeris::{MAX_ELEVATION_ERROR_DEG, STEP_S, TILE};
+use satiot_orbit::ephemeris::{EphemerisGrid, MAX_ELEVATION_ERROR_DEG, STEP_S, TILE};
 use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::PassPredictor;
 use satiot_orbit::sgp4::Sgp4;
@@ -30,23 +30,25 @@ use satiot_scenarios::sites::{
 use satiot_sim::pool;
 use std::sync::Arc;
 
-/// Shared-slot view of `Sgp4::propagate`'s call counter (name-keyed).
-static PROPAGATE_CALLS: Counter = Counter::new("orbit.sgp4.propagate_calls");
-
 /// Every (observer, satellite) pair, observer-major.
 type Pairs<'a> = Vec<((&'static str, Geodetic), &'a (SatelliteDef, Sgp4))>;
 
+/// SGP4 samples the tile store has taken since its last clear.
+fn samples() -> u64 {
+    sweep::tile_stats().computes * TILE as u64
+}
+
 /// Run `predict` over every pair on the sweep pool, and count the SGP4
-/// propagations it took.
-fn propagations_of<T: Send>(
+/// samples the tile store took for it.
+fn samples_of<T: Send>(
     pairs: &Pairs<'_>,
     predict: impl Fn((&'static str, Geodetic), &SatelliteDef, &Sgp4) -> T + Sync,
 ) -> (Vec<T>, u64) {
-    let before = PROPAGATE_CALLS.value();
+    let before = samples();
     let out = pool::parallel_map(pairs, |_, &(observer, (sat, sgp4))| {
         predict(observer, sat, sgp4)
     });
-    (out, PROPAGATE_CALLS.value() - before)
+    (out, samples() - before)
 }
 
 /// FOSSA's catalog at `epoch`, with each satellite's propagator.
@@ -63,12 +65,11 @@ fn fossa_sats(epoch: JulianDate) -> Vec<(SatelliteDef, Sgp4)> {
 
 #[test]
 fn campaign_predictors_propagate_less_and_find_the_same_passes() {
-    metrics::set_enabled(true);
-    campaign_predictors_beat_the_reference_scan();
+    campaign_predictors_share_one_lattice_per_satellite();
     windows_inside_a_sampled_one_propagate_nothing();
 }
 
-fn campaign_predictors_beat_the_reference_scan() {
+fn campaign_predictors_share_one_lattice_per_satellite() {
     let epoch = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
     let (start, end) = (epoch, epoch + 1.0);
     let mask = THEORETICAL_MASK_RAD;
@@ -91,29 +92,30 @@ fn campaign_predictors_beat_the_reference_scan() {
         })
     };
     sweep::clear();
-    let (cold, cold_propagations) = propagations_of(&pairs, campaign);
-    let (warm, warm_propagations) = propagations_of(&pairs, campaign);
-    assert_eq!(warm_propagations, 0, "the warm re-run propagated");
+    let (cold, cold_samples) = samples_of(&pairs, campaign);
+    let (warm, warm_samples) = samples_of(&pairs, campaign);
+    assert_eq!(warm_samples, 0, "the warm re-run propagated");
     assert!(cold.iter().zip(&warm).all(|(a, b)| Arc::ptr_eq(a, b)));
     sweep::clear();
 
-    // The direct-SGP4 reference scan, no grid and no cache.
-    let direct = |floor_s: f64| {
-        move |(_, site): (&'static str, Geodetic), _: &SatelliteDef, sgp4: &Sgp4| {
-            PassPredictor::new(sgp4.clone(), site, mask).reference_passes(start, end, floor_s)
-        }
-    };
-    let (_, direct_propagations) = propagations_of(&pairs, direct(30.0));
-    let ratio = direct_propagations as f64 / cold_propagations.max(1) as f64;
+    // Every observer reads its satellite's one view over the shared
+    // window: at most the tiles a single view needs, per satellite.
+    let lattices: u64 = sats
+        .iter()
+        .map(|(_, sgp4)| (EphemerisGrid::build(sgp4, start, end).tiles().len() * TILE) as u64)
+        .sum();
     assert!(
-        ratio >= 3.0,
-        "campaign predictors must propagate at least 3× less than the reference scan \
-         (got {ratio:.2}×: {direct_propagations} direct, {cold_propagations} campaign)"
+        cold_samples > 0 && cold_samples <= lattices,
+        "{} observers took {cold_samples} SGP4 samples, over one lattice per satellite \
+         ({lattices})",
+        observers.len()
     );
 
-    // Same passes as the reference scan at a 1 s floor, which skips no
-    // pass the margin sweep can report.
-    let (reference, _) = propagations_of(&pairs, direct(1.0));
+    // Same passes as the direct-SGP4 reference scan at a 1 s floor,
+    // which skips no pass the margin sweep can report.
+    let (reference, _) = samples_of(&pairs, |(_, site), _, sgp4| {
+        PassPredictor::new(sgp4.clone(), site, mask).reference_passes(start, end, 1.0)
+    });
     assert!(
         reference.iter().any(|l| !l.is_empty()),
         "the observers see no pass"
@@ -154,22 +156,18 @@ fn windows_inside_a_sampled_one_propagate_nothing() {
         constellations: vec![fossa()],
         ..Default::default()
     };
-    let before = PROPAGATE_CALLS.value();
     PassiveCampaign::new(cfg)
         .run(&RunOptions::default())
         .expect("campaign runs");
-    assert!(
-        PROPAGATE_CALLS.value() > before,
-        "the campaign sampled nothing"
-    );
+    assert!(samples() > 0, "the campaign sampled nothing");
 
-    let before = PROPAGATE_CALLS.value();
+    let before = samples();
     let hours = theoretical_daily_hours(&fossa(), &hk, 2);
     assert!(
         hours.iter().all(|h| *h > 0.0),
         "FOSSA never seen: {hours:?}"
     );
-    let fig3a = PROPAGATE_CALLS.value() - before;
+    let fig3a = samples() - before;
     assert_eq!(fig3a, 0, "Fig 3a's window inside the campaign's propagated");
 
     // The campaign's satellites, seen over sub- and super-windows from
@@ -179,13 +177,13 @@ fn windows_inside_a_sampled_one_propagate_nothing() {
     let passes_over = |site: Geodetic, start: JulianDate, end: JulianDate| {
         let observer = [("window", site)];
         let pairs: Pairs = sats.iter().map(|s| (observer[0], s)).collect();
-        let (lists, propagations) = propagations_of(&pairs, |(_, site), sat, sgp4| {
+        let (lists, samples) = samples_of(&pairs, |(_, site), sat, sgp4| {
             let key = GridKey::new(sat.constellation, sat.sat_id, start, end);
             sweep::predictor(key, sgp4, site, THEORETICAL_MASK_RAD)
                 .map(|p| p.passes(start, end).len())
                 .unwrap_or(0)
         });
-        (lists.iter().sum::<usize>(), propagations)
+        (lists.iter().sum::<usize>(), samples)
     };
     let (passes, sub_window) = passes_over(syd.geodetic(), hk.start() + 1.0, hk.start() + 2.0);
     assert!(passes > 0, "SYD sees no FOSSA pass in a day");

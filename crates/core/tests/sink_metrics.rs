@@ -6,7 +6,7 @@
 //! records: it counts every beacon transmitted inside a predicted
 //! window, whether or not a station covered the pass.
 //!
-//! The test enables and resets the process-wide metrics registry, which
+//! The test resets the process-wide metrics registry, which
 //! any campaign running in the same process would also move, so it is
 //! the only test in this binary (one process per integration-test
 //! file).
@@ -27,14 +27,12 @@ fn sink_metric_counters_agree_with_sink_stats() {
     };
     cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ" | "SH"));
     let campaign = PassiveCampaign::new(cfg);
-    metrics::set_enabled(true);
     metrics::reset();
     let aggregate = RunOptions::default().with_sink(SinkMode::Aggregate);
     let pooled = campaign.run(&aggregate).expect("pooled run");
     let serial = campaign
         .run(&aggregate.with_threads(Some(1)))
         .expect("one-thread run");
-    metrics::set_enabled(false);
     assert!(pooled.sink.emitted > 0, "the campaign decoded nothing");
     assert_eq!(RETAINED.value(), 0, "the metric says traces were retained");
     assert_eq!(

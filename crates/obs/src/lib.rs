@@ -4,11 +4,9 @@
 //! Two concerns live here:
 //!
 //! - [`metrics`] — a process-global registry of counters, gauges,
-//!   fixed-bucket histograms, and span timers. Recording is a handful of
-//!   relaxed atomic operations and is gated on a single flag (the
-//!   `SATIOT_METRICS` environment variable, or [`metrics::set_enabled`]),
-//!   so instrumented hot paths cost two atomic loads when metrics are
-//!   off.
+//!   fixed-bucket histograms, and span timers. Recording is always on
+//!   and is a handful of relaxed atomic operations, kept out of the
+//!   hottest loops.
 //! - [`invariants`] — debug-assertion helpers for the physical
 //!   quantities the simulator passes between crates (elevations,
 //!   probabilities, durations). They compile to nothing in release

@@ -10,42 +10,22 @@
 //! static SNR: Histogram =
 //!     Histogram::new("channel.snr_db", &[-20.0, -10.0, 0.0, 10.0]);
 //!
-//! satiot_obs::metrics::set_enabled(true);
 //! EVENTS.inc();
 //! SNR.record(-3.5);
 //! assert!(satiot_obs::metrics::report().contains("events_processed"));
 //! ```
 //!
 //! Each handle lazily registers itself in the global registry on first
-//! use; recording is relaxed atomics. When metrics are disabled (the
-//! default) every record call returns after one atomic load. Recording
-//! is enabled with [`set_enabled`]; the `SATIOT_METRICS=1` environment
-//! knob reaches it through `satiot_core::RunOptions::from_env().apply()`
-//! — this module never reads the environment itself.
+//! use; recording is relaxed atomics and always on. A record call on a
+//! shared atomic costs little alone but contends across pool threads,
+//! so the hottest loops (SGP4 calls, grid queries, discrete-event
+//! steps) record nothing per call: they publish once per run, or a
+//! store counts their work (the tile store's SGP4 samples).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Enable flag
-// ---------------------------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Whether metric recording is on (off until [`set_enabled`] turns it
-/// on — typed campaign options install the `SATIOT_METRICS` environment
-/// knob here via `satiot_core::RunOptions::from_env().apply()`).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Relaxed)
-}
-
-/// Force metric recording on or off (tests, programmatic use).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -129,9 +109,7 @@ impl Counter {
     /// Add `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.slot().fetch_add(n, Relaxed);
-        }
+        self.slot().fetch_add(n, Relaxed);
     }
 
     /// Add one event.
@@ -140,7 +118,7 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (0 until first use or while disabled).
+    /// Current value (0 until first use).
     pub fn value(&self) -> u64 {
         self.slot().load(Relaxed)
     }
@@ -201,10 +179,8 @@ impl Gauge {
     /// Record the current level.
     #[inline]
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.slot().store(v, Relaxed);
-            self.high().fetch_max(v, Relaxed);
-        }
+        self.slot().store(v, Relaxed);
+        self.high().fetch_max(v, Relaxed);
     }
 
     /// Latest recorded level.
@@ -330,9 +306,7 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: f64) {
-        if enabled() {
-            self.slot().record(v);
-        }
+        self.slot().record(v);
     }
 
     /// Number of recorded samples.
@@ -374,11 +348,11 @@ impl Timer {
     }
 
     /// Start a span; elapsed seconds are recorded when the guard drops.
-    /// While metrics are disabled the guard is inert.
     #[inline]
     pub fn start(&self) -> SpanGuard<'_> {
         SpanGuard {
-            target: enabled().then(|| (&self.hist, Instant::now())),
+            hist: &self.hist,
+            start: Instant::now(),
         }
     }
 
@@ -390,14 +364,13 @@ impl Timer {
 
 /// Guard returned by [`Timer::start`].
 pub struct SpanGuard<'a> {
-    target: Option<(&'a Histogram, Instant)>,
+    hist: &'a Histogram,
+    start: Instant,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some((hist, start)) = self.target.take() {
-            hist.record(start.elapsed().as_secs_f64());
-        }
+        self.hist.record(self.start.elapsed().as_secs_f64());
     }
 }
 
@@ -482,8 +455,13 @@ pub fn report() -> String {
                     Some(b) => {
                         writeln!(out, "    <= {b:<12} {n}").expect("String writes are infallible")
                     }
-                    None => writeln!(out, "    >  {:<12} {n}", h.bounds[i - 1])
-                        .expect("String writes are infallible"),
+                    // The overflow bucket; with no bounds it holds every
+                    // finite sample.
+                    None => {
+                        let above = i.checked_sub(1).map_or(f64::NEG_INFINITY, |j| h.bounds[j]);
+                        writeln!(out, "    >  {above:<12} {n}")
+                            .expect("String writes are infallible")
+                    }
                 }
             }
         }
@@ -508,23 +486,16 @@ pub fn report() -> String {
 mod tests {
     use super::*;
 
-    // The registry and enable flag are process-global, so exercise all
-    // behaviour from one test to avoid cross-test interference.
+    // The registry is process-global, so exercise all behaviour from
+    // one test to avoid cross-test interference.
     #[test]
     fn end_to_end() {
         static HITS: Counter = Counter::new("test.hits");
         static DEPTH: Gauge = Gauge::new("test.depth");
         static DIST: Histogram = Histogram::new("test.dist", &[1.0, 2.0, 4.0]);
+        static UNBOUNDED: Histogram = Histogram::new("test.unbounded", &[]);
         static SPAN: Timer = Timer::new("test.span_s");
 
-        // Disabled: nothing records.
-        set_enabled(false);
-        HITS.inc();
-        DIST.record(1.5);
-        assert_eq!(HITS.value(), 0);
-        assert_eq!(DIST.count(), 0);
-
-        set_enabled(true);
         HITS.inc();
         HITS.add(4);
         assert_eq!(HITS.value(), 5);
@@ -553,6 +524,10 @@ mod tests {
         }
         assert_eq!(SPAN.count(), 1);
 
+        // No bounds: one overflow bucket, rendered without a lower bound.
+        UNBOUNDED.record(7.0);
+        assert_eq!(UNBOUNDED.count(), 1);
+
         let text = report();
         assert!(text.contains("test.hits"), "{text}");
         assert!(text.contains("test.depth.high_water"), "{text}");
@@ -560,6 +535,7 @@ mod tests {
         assert!(text.contains("dropped=3"), "{text}");
         assert!(text.contains("-- data quality --"), "{text}");
         assert!(text.contains("non_finite_samples_dropped"), "{text}");
+        assert!(text.contains("    >  -inf         1\n"), "{text}");
 
         // High-water mark survived the later, lower set.
         assert!(text.contains("9"), "{text}");
@@ -568,7 +544,6 @@ mod tests {
         assert_eq!(HITS.value(), 0);
         assert_eq!(DIST.count(), 0);
         assert_eq!(DIST.dropped(), 0);
-        set_enabled(false);
     }
 
     #[test]

@@ -68,10 +68,9 @@
 //!
 //! [`screen`] runs both tests for one pair and counts its verdict:
 //! `pairs_considered`, `pairs_culled_lat_band`, `pairs_culled_cone` and
-//! `pairs_kept`, read through [`stats`]. They are plain atomics, so
-//! they count with metrics off (the `sweep_cull` and
-//! `extension_megascale` tests assert on them), and only the screen
-//! adds to them. `considered = culled + kept` always holds;
+//! `pairs_kept`, read through [`stats`]. They are plain atomics outside
+//! the metrics registry (the `sweep_cull` and `extension_megascale`
+//! tests assert on them), and only the screen adds to them. `considered = culled + kept` always holds;
 //! `pairs_kept` is exactly the number of pairs that went on to grid
 //! interpolation, which the `sweep_cull` test proves shrinks ≥ 5× on a
 //! mega-shell matrix.

@@ -104,10 +104,6 @@ use std::sync::Arc;
 static GRIDS_BUILT: Counter = Counter::new("orbit.ephemeris.grids_built");
 /// SGP4 samples stored across all tiles (metrics).
 static GRID_SAMPLES: Counter = Counter::new("orbit.ephemeris.grid_samples");
-/// `state_at` queries answered by interpolation (metrics).
-static INTERPOLATIONS: Counter = Counter::new("orbit.ephemeris.interpolations");
-/// `state_at` queries outside the grid or over invalid samples (metrics).
-static GRID_MISSES: Counter = Counter::new("orbit.ephemeris.grid_misses");
 
 /// Lattice step, seconds. 180 s keeps the quintic Hermite error
 /// sub-metre for any LEO orbit (see the module docs).
@@ -494,13 +490,11 @@ impl EphemerisGrid {
     }
 
     /// The two samples bracketing `t` and `t`'s fraction of the way
-    /// between them, counting the query as one interpolation or one
-    /// miss: `None` when `t` falls outside the view or a bracketing
-    /// sample is invalid.
+    /// between them: `None` when `t` falls outside the view or a
+    /// bracketing sample is invalid.
     fn bracket(&self, t: JulianDate) -> Option<(&Sample, &Sample, f64)> {
         let n = self.len;
         if n < 2 {
-            GRID_MISSES.inc();
             return None;
         }
         // A sample instant is a `JulianDate`, quantised to tens of µs,
@@ -508,17 +502,14 @@ impl EphemerisGrid {
         // hair outside it; the end interval answers those.
         let x = self.index_at(t);
         if !(x >= -EDGE_SLACK && x <= (n - 1) as f64 + EDGE_SLACK) {
-            GRID_MISSES.inc();
             return None;
         }
         let i = (x.max(0.0) as usize).min(n - 2);
         let a = self.sample(i);
         let b = self.sample(i + 1);
         if !(a.position_km.x.is_finite() && b.position_km.x.is_finite()) {
-            GRID_MISSES.inc();
             return None;
         }
-        INTERPOLATIONS.inc();
         Some((a, b, x - i as f64))
     }
 

@@ -938,6 +938,45 @@ mod tests {
         assert_eq!(a, b, "fallback must be bit-identical to direct");
     }
 
+    /// Pass refinement's probe reads the elevation and nothing else, yet
+    /// answers exactly what the full look-angle projection does, at
+    /// lattice points, mid-interval, at and beside tile edges, and
+    /// outside the attached grid. Inside, it is the observer's elevation
+    /// of the grid's interpolated position; outside, where the grid has
+    /// no position, it is the direct-SGP4 look angle.
+    #[test]
+    fn elevation_probes_match_look_angles_bit_for_bit() {
+        use crate::ephemeris::{lattice_time, EphemerisGrid, STEP_S, TILE};
+        let epoch = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
+        let sgp4 = leo_sgp4_at(550.0, 97.6, epoch);
+        let (start, end) = (epoch.plus_seconds(17.0), epoch + 1.0);
+        let grid = Arc::new(EphemerisGrid::build(&sgp4, start, end));
+        let direct = PassPredictor::new(sgp4.clone(), hk(), 0.0);
+        let predictor = PassPredictor::new(sgp4, hk(), 0.0).with_ephemeris(Arc::clone(&grid));
+
+        let edge = lattice_time(grid.tiles()[1].index() * TILE as i64);
+        let mut inside = vec![edge, edge.plus_seconds(-0.5), edge.plus_seconds(0.5)];
+        for k in [2, 3, grid.len() / 2, grid.len() - 3] {
+            inside.push(grid.sample_time(k));
+            inside.push(grid.sample_time(k).plus_seconds(0.5 * STEP_S));
+        }
+        let outside = [start.plus_seconds(-3.0 * 86_400.0), end + 3.0];
+
+        let bits = |t: JulianDate| predictor.elevation_at(t).to_bits();
+        let look = |p: &PassPredictor, t| p.look_at(t).expect("computable").elevation_rad;
+        for t in inside {
+            let position = grid.position_at(t).expect("the grid covers t");
+            let interpolated = predictor.observer.elevation_at_ecef(position);
+            assert_eq!(bits(t), interpolated.to_bits(), "t = {t:?}");
+            assert_eq!(bits(t), look(&predictor, t).to_bits(), "t = {t:?}");
+        }
+        for t in outside {
+            assert!(grid.position_at(t).is_none(), "t = {t:?}");
+            assert_eq!(bits(t), look(&direct, t).to_bits(), "t = {t:?}");
+            assert_eq!(bits(t), look(&predictor, t).to_bits(), "t = {t:?}");
+        }
+    }
+
     /// A mask raised to just under a pass's culmination shrinks the
     /// contact to less than one grid step, between two lattice samples
     /// that both sit below the mask. No sign change brackets it, so the

@@ -22,15 +22,6 @@ use crate::tle::Tle;
 use crate::vec3::Vec3;
 
 use core::f64::consts::TAU;
-use satiot_obs::metrics::{Counter, Histogram};
-
-/// Total [`Sgp4::propagate`] invocations (metrics).
-static PROPAGATE_CALLS: Counter = Counter::new("orbit.sgp4.propagate_calls");
-/// Newton iterations Kepler's equation needed per propagation (metrics).
-static KEPLER_ITERATIONS: Histogram = Histogram::new(
-    "orbit.sgp4.kepler_iterations",
-    &[1.0, 2.0, 3.0, 5.0, 8.0, 10.0],
-);
 
 /// WGS-72 gravitational parameter, km³/s².
 pub const MU_KM3_S2: f64 = 398_600.8;
@@ -389,7 +380,6 @@ impl Sgp4 {
     /// Returns the TEME position/velocity, or a typed error if the element
     /// set degenerates (eccentricity blow-up, decay, …) at this offset.
     pub fn propagate(&self, tsince_min: f64) -> Result<StateTeme, OrbitError> {
-        PROPAGATE_CALLS.inc();
         let t = tsince_min;
 
         // ---- Secular gravity and atmospheric drag. ----
@@ -474,7 +464,6 @@ impl Sgp4 {
             eo1 += tem5;
             ktr += 1;
         }
-        KEPLER_ITERATIONS.record(ktr as f64 - 1.0);
 
         // ---- Short-period preliminary quantities. ----
         let ecose = axnl * coseo1 + aynl * sineo1;

@@ -4,10 +4,11 @@ use crate::queue::EventQueue;
 use crate::time::SimTime;
 use satiot_obs::metrics::{Counter, Gauge};
 
-/// Events processed across every engine instance (metrics).
+/// Events processed by [`Engine::run_until`] across every engine
+/// instance, published once per call (metrics).
 static EVENTS_PROCESSED: Counter = Counter::new("sim.engine.events_processed");
-/// Queue depth observed at each step; `.high_water` tracks the peak
-/// (metrics).
+/// Peak queue depth after a step of the latest [`Engine::run_until`];
+/// `.high_water` tracks the peak over all calls (metrics).
 static QUEUE_DEPTH: Gauge = Gauge::new("sim.engine.queue_depth");
 
 /// A discrete-event engine over event type `E`.
@@ -78,8 +79,6 @@ impl<E> Engine<E> {
         let (t, e) = self.queue.pop()?;
         self.now = t;
         self.processed += 1;
-        EVENTS_PROCESSED.inc();
-        QUEUE_DEPTH.set(self.queue.len() as i64);
         Some((t, e))
     }
 
@@ -92,14 +91,19 @@ impl<E> Engine<E> {
     where
         F: FnMut(&mut Engine<E>, SimTime, E),
     {
+        let processed = self.processed;
+        let mut depth = 0;
         while let Some(t) = self.queue.peek_time() {
             if t > end {
                 break;
             }
             // Unwrap is safe: peek just saw an event, and only we pop.
             let (now, event) = self.step().expect("queue changed under us");
+            depth = depth.max(self.queue.len());
             handler(self, now, event);
         }
+        EVENTS_PROCESSED.add(self.processed - processed);
+        QUEUE_DEPTH.set(depth as i64);
     }
 
     /// Run until the queue is exhausted.

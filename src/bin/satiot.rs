@@ -230,7 +230,7 @@ fn budget(
 }
 
 fn campaign(kind: CampaignKind, days: f64) {
-    // The `SATIOT_*` knobs (threads, metrics, the scenario file) steer
+    // The `SATIOT_*` knobs (threads, the scenario file) steer
     // the CLI, resolved in one place.
     let opts = RunOptions::from_env().apply();
     // Every campaign goes through the scenario front door: either the
