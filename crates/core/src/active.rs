@@ -443,10 +443,12 @@ impl ActiveCampaign {
                 if p.max_elevation_rad.to_degrees() < calib::LISTEN_PLAN_MIN_MAX_EL_DEG {
                     continue;
                 }
-                // Trim the window to the above-threshold arc by bisecting
-                // the (unimodal) elevation profile on each flank.
-                let rise = bisect_elevation(predictor(*sat_index), p.aos, p.tca, trim, true);
-                let fall = bisect_elevation(predictor(*sat_index), p.tca, p.los, trim, false);
+                // Trim the window to the above-threshold arc: the
+                // (unimodal) elevation crosses the threshold once on each
+                // flank, and a flank wholly above it listens from its end.
+                let predictor = predictor(*sat_index);
+                let rise = predictor.crossing(p.aos, p.tca, trim).unwrap_or(p.aos);
+                let fall = predictor.crossing(p.tca, p.los, trim).unwrap_or(p.los);
                 intervals.push((rise.seconds_since(t0), fall.seconds_since(t0)));
             }
             intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -890,44 +892,16 @@ fn validate(cfg: &ActiveConfig) -> Result<(), SatIotError> {
     Ok(())
 }
 
-/// Bisect the time at which the elevation crosses `threshold` between
-/// `lo` and `hi`; `rising` selects the flank direction. Falls back to the
-/// nearer endpoint when the whole flank is on one side.
-fn bisect_elevation(
-    predictor: &PassPredictor,
-    mut lo: JulianDate,
-    mut hi: JulianDate,
-    threshold: f64,
-    rising: bool,
-) -> JulianDate {
-    let at = |t: JulianDate| predictor.elevation_at(t);
-    let (lo_above, hi_above) = (at(lo) >= threshold, at(hi) >= threshold);
-    if lo_above == hi_above {
-        // No crossing on this flank: the pass is entirely above (listen
-        // from the endpoint) or below (degenerate — return the peak side).
-        return if lo_above == rising { lo } else { hi };
-    }
-    for _ in 0..30 {
-        if hi.seconds_since(lo) < 0.5 {
-            break;
-        }
-        let mid = JulianDate(0.5 * (lo.0 + hi.0));
-        if (at(mid) >= threshold) == lo_above {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    JulianDate(0.5 * (lo.0 + hi.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use satiot_measure::latency::LatencyBreakdown;
 
+    /// The listen-plan trim's crossing call: each flank of a high pass
+    /// crosses the threshold once, and a flank that does not cross it
+    /// listens from its endpoint.
     #[test]
-    fn bisect_elevation_finds_the_crossing() {
+    fn listen_plan_trim_finds_the_crossing() {
         use satiot_orbit::elements::Elements;
         let epoch = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
         let sgp4 = Elements::circular(860.0, 49.97, epoch).to_sgp4().unwrap();
@@ -938,17 +912,23 @@ mod tests {
             .find(|p| p.max_elevation_rad.to_degrees() > 40.0)
             .expect("a high pass within six days");
         let threshold = 20.0_f64.to_radians();
-        let rise = bisect_elevation(&predictor, pass.aos, pass.tca, threshold, true);
-        let fall = bisect_elevation(&predictor, pass.tca, pass.los, threshold, false);
+        let rise = predictor
+            .crossing(pass.aos, pass.tca, threshold)
+            .expect("a rise");
+        let fall = predictor
+            .crossing(pass.tca, pass.los, threshold)
+            .expect("a fall");
         assert!(rise > pass.aos && rise < pass.tca);
         assert!(fall > pass.tca && fall < pass.los);
         let el_rise = predictor.elevation_at(rise).to_degrees();
         let el_fall = predictor.elevation_at(fall).to_degrees();
         assert!((el_rise - 20.0).abs() < 0.3, "rise el {el_rise}");
         assert!((el_fall - 20.0).abs() < 0.3, "fall el {el_fall}");
-        // A pass entirely above the threshold listens from its start.
-        let low = bisect_elevation(&predictor, pass.tca, pass.tca, threshold, true);
-        assert_eq!(low.0, pass.tca.0);
+        // A flank entirely above the threshold does not cross it, and
+        // the trim listens from its endpoint.
+        assert_eq!(predictor.crossing(pass.tca, pass.tca, threshold), None);
+        let above = pass.tca.plus_seconds(-10.0);
+        assert_eq!(predictor.crossing(above, pass.tca, threshold), None);
     }
 
     fn quick_results(days: f64, seed: u64) -> ActiveResults {

@@ -245,7 +245,7 @@ impl Sample {
     };
 
     /// The sample of an ECEF state, with its modelled acceleration.
-    fn of(state: StateEcef) -> Sample {
+    pub(crate) fn of(state: StateEcef) -> Sample {
         let (r, v) = (state.position_km, state.velocity_km_s);
         let r2 = r.norm_sq();
         let mu_r3 = MU_KM3_S2 / (r2 * r2.sqrt());
@@ -459,7 +459,8 @@ impl EphemerisGrid {
     /// The interpolant at `t` with its first two time derivatives: the
     /// position and velocity of [`Self::state_at`], bit for bit, and
     /// the interpolant's own second derivative. The margin sweep reads
-    /// the scan window's off-lattice edges this way.
+    /// the scan window's off-lattice edges this way, and the
+    /// culmination search its Newton probes.
     pub fn sample_at(&self, t: JulianDate) -> Option<Sample> {
         let (a, b, s) = self.bracket(t)?;
         // d²/dt² = (d²/ds²)/h². At s ∈ {0, 1} the basis picks out the
@@ -481,9 +482,8 @@ impl EphemerisGrid {
     }
 
     /// The interpolated ECEF position at `t`: the `position_km` of
-    /// [`Self::state_at`], bit for bit, without the derivatives. Pass
-    /// refinement probes read only the elevation, which needs nothing
-    /// else.
+    /// [`Self::state_at`], bit for bit, without the derivatives. An
+    /// elevation query reads nothing else.
     pub fn position_at(&self, t: JulianDate) -> Option<Vec3> {
         let (a, b, s) = self.bracket(t)?;
         Some(hermite_position(a, b, s))

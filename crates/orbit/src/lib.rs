@@ -17,7 +17,8 @@
 //! * [`topo`] — topocentric look angles (azimuth, elevation, slant range,
 //!   range-rate) and Doppler shift for a ground observer.
 //! * [`pass`] — contact-window (pass) prediction: a margin sweep over an
-//!   ephemeris grid plus bisection refinement of AOS/LOS times.
+//!   ephemeris grid plus safeguarded Newton refinement of AOS, LOS and
+//!   culmination.
 //! * [`ephemeris`] — per-satellite precomputed ECEF grids with quintic
 //!   Hermite interpolation, so multi-site sweeps propagate each
 //!   satellite once instead of once per observer.

@@ -4,9 +4,9 @@
 //! elevation mask as seen from a ground site — the paper's "theoretical
 //! contact window". Every pass list comes from one scan: the margin
 //! sweep of [`visibility`](crate::visibility) over an [`EphemerisGrid`]
-//! brackets the horizon crossings, bisection refines AOS/LOS to ~10 ms,
-//! and a golden-section search finds the culmination (maximum
-//! elevation).
+//! brackets the horizon crossings, and one safeguarded Newton routine
+//! refines each bracket — AOS and LOS as roots of the horizon margin,
+//! the culmination (maximum elevation) as the root of `d(sin el)/dt`.
 //!
 //! One scan serves any number of observers of one satellite:
 //! [`PassPredictor::passes_from_sites`] pushes every site into one
@@ -21,16 +21,43 @@
 //! it and drops it. Refinement samples through the predictor's own
 //! backend — the attached grid where it covers an instant, direct SGP4
 //! elsewhere — so a predictor's passes agree with its
-//! [`PassPredictor::elevation_at`] and [`PassPredictor::look_at`]. Its
-//! probes read the elevation and nothing else: a position-only Hermite
-//! interpolant ([`EphemerisGrid::position_at`]) and `asin(z/r)`
-//! ([`Observer::elevation_at_ecef`]), the same expressions the full
-//! state and look angles evaluate.
+//! [`PassPredictor::elevation_at`] and [`PassPredictor::look_at`].
+//!
+//! ## Refinement
+//!
+//! Each root is found by Newton's method inside a shrinking sign
+//! bracket. A probe reads the function and its time derivative at the
+//! iterate, and the iterate replaces the bracket end on its side. The
+//! Newton step is taken only when it lands inside the bracket; any
+//! other step bisects the bracket instead. The search stops on a step
+//! shorter than 1 ms, and Newton's quadratic convergence leaves the
+//! root within microseconds of that step's target.
+//!
+//! * **AOS/LOS** are roots of the margin `f = ζ·ρ − sin ε·|ρ|` of the
+//!   sweep, with `f′ = ζ·v − sin ε·(ρ·v)/|ρ|` from the interpolated
+//!   state ([`EphemerisGrid::state_at`]). The first iterate is the
+//!   secant root of the sweep's own margins at the bracket's ends.
+//! * **Culmination** is the root of `d(sin el)/dt`, whose derivative
+//!   reads the interpolant's acceleration
+//!   ([`EphemerisGrid::sample_at`]); the first iterate is the window's
+//!   midpoint. One more probe reads the look angles at the culmination
+//!   itself. A window that holds no root — a pass truncated by the scan
+//!   window before or after its peak — culminates at its edge.
+//! * Off the grid a probe propagates SGP4 directly, with the
+//!   acceleration modelled from the state ([`Sample`]). A state that
+//!   cannot be computed counts as below the mask and takes a bisection
+//!   step.
+//!
+//! The bracket check is what keeps short passes. A rising interval can
+//! end on a lattice sample just above the mask, milliseconds before the
+//! pass sets again; the secant seed then lands past the culmination,
+//! where the Newton step points at the setting root, outside the
+//! bracket. Taking that step, however short, would put AOS on LOS.
 //!
 //! The adaptive direct-SGP4 scan, `reference_passes`, is kept only as
 //! the oracle the sweep is tested against.
 
-use crate::ephemeris::EphemerisGrid;
+use crate::ephemeris::{EphemerisGrid, Sample};
 use crate::error::OrbitError;
 use crate::frames::{teme_to_ecef, Geodetic, StateEcef};
 use crate::sgp4::Sgp4;
@@ -48,6 +75,16 @@ static PASSES_PREDICTED: Counter = Counter::new("orbit.pass.passes_predicted");
 static NON_FINITE_SCANS: Counter = Counter::new("orbit.pass.non_finite_scans");
 /// Moving-observer legs scanned (metrics).
 static LEGS_SCANNED: Counter = Counter::new("orbit.pass.legs_scanned");
+/// Refinement probes of every pass scan, one per margin or culmination
+/// probe, published once per scan (metrics).
+static REFINE_PROBES: Counter = Counter::new("orbit.pass.refine_probes");
+
+/// A refinement stops on an in-bracket step shorter than this, seconds.
+const NEWTON_STOP_S: f64 = 1e-3;
+
+/// Probes after which a refinement returns its iterate. Bisection alone
+/// narrows a day-long bracket to [`NEWTON_STOP_S`] in 27.
+const NEWTON_MAX_PROBES: usize = 64;
 
 /// One leg of a moving observer's itinerary: the observer holds
 /// `position` throughout `[start, end]`. Mobility tracks (ships, asset
@@ -179,41 +216,72 @@ impl PassPredictor {
             .map(|state| teme_to_ecef(&state, t))
     }
 
+    /// The satellite's ECEF sample at `t` — position, velocity and
+    /// acceleration — through the sampling backend: the attached grid's
+    /// interpolant with its own second derivative where the grid covers
+    /// `t`, direct SGP4 with the acceleration [`Sample`] models
+    /// otherwise.
+    fn sample_ecef_at(&self, t: JulianDate) -> Option<Sample> {
+        if let Some(grid) = &self.ephemeris {
+            if let Some(sample) = grid.sample_at(t) {
+                return Some(sample);
+            }
+        }
+        self.sgp4
+            .propagate_at(t)
+            .ok()
+            .map(|state| Sample::of(teme_to_ecef(&state, t)))
+    }
+
     /// Elevation above the horizon at `t`, radians. Propagation failures
     /// (decayed elements, …) report as far below the horizon so scanning
     /// code treats them as "not visible".
     ///
     /// Bit for bit the `elevation_rad` of [`Self::look_at`], computed
-    /// without the velocity, the azimuth or the range rate.
+    /// without the velocity, the azimuth or the range rate: over the
+    /// attached grid it interpolates the position alone; elsewhere it
+    /// propagates SGP4 directly.
     pub fn elevation_at(&self, t: JulianDate) -> f64 {
-        self.elevation_from(&self.observer, t)
-    }
-
-    /// [`Self::elevation_at`] as seen from `observer`: the probe behind
-    /// every refinement step. Over the attached grid it interpolates
-    /// the position alone; elsewhere it propagates as
-    /// [`Self::state_ecef_at`] does.
-    fn elevation_from(&self, observer: &Observer, t: JulianDate) -> f64 {
         if let Some(grid) = &self.ephemeris {
             if let Some(position) = grid.position_at(t) {
-                return observer.elevation_at_ecef(position);
+                return self.observer.elevation_at_ecef(position);
             }
         }
         match self.sgp4.propagate_at(t) {
-            Ok(state) => observer.elevation_at_ecef(teme_to_ecef(&state, t).position_km),
+            Ok(state) => self
+                .observer
+                .elevation_at_ecef(teme_to_ecef(&state, t).position_km),
             Err(_) => -FRAC_PI_2,
         }
     }
 
     /// Look angles at `t`, if the satellite state is computable.
     pub fn look_at(&self, t: JulianDate) -> Option<LookAngles> {
-        self.look_from(&self.observer, t)
+        self.state_ecef_at(t).map(|state| {
+            self.observer
+                .look_at_ecef(state.position_km, state.velocity_km_s)
+        })
     }
 
-    /// [`Self::look_at`] as seen from `observer`.
-    fn look_from(&self, observer: &Observer, t: JulianDate) -> Option<LookAngles> {
-        self.state_ecef_at(t)
-            .map(|state| observer.look_at_ecef(state.position_km, state.velocity_km_s))
+    /// The instant in `[lo, hi]` at which the elevation crosses
+    /// `threshold_rad`, rising or falling, refined as every pass
+    /// boundary is; `None` when the elevation is on one side of the
+    /// threshold at both ends, so the flank does not cross it. An
+    /// instant whose state cannot be computed counts as below.
+    pub fn crossing(
+        &self,
+        lo: JulianDate,
+        hi: JulianDate,
+        threshold_rad: f64,
+    ) -> Option<JulianDate> {
+        let sin_mask = threshold_rad.clamp(-FRAC_PI_2, FRAC_PI_2).sin();
+        let margin_at = |t| {
+            let state = self.state_ecef_at(t);
+            state.map_or(f64::NAN, |s| margin(&self.observer, sin_mask, &s).0)
+        };
+        let (lo, hi) = ((lo, margin_at(lo)), (hi, margin_at(hi)));
+        ((lo.1 > 0.0) != (hi.1 > 0.0))
+            .then(|| self.refine_crossing(&self.observer, sin_mask, lo, hi, &mut 0))
     }
 
     /// Re-site the predictor: same satellite, sampling backend and
@@ -388,50 +456,63 @@ impl PassPredictor {
             .and_then(sweep)
             .or_else(|| sweep(spare()))
         {
-            Some(outcomes) => observers
-                .iter()
-                .zip(&outcomes)
-                .map(|(observer, outcome)| self.refine_sweep(observer, outcome, start, end))
-                .collect(),
+            Some(outcomes) => {
+                let mut probes = 0;
+                let passes = observers
+                    .iter()
+                    .zip(&outcomes)
+                    .map(|(observer, outcome)| {
+                        self.refine_sweep(observer, outcome, mask.sin(), start, end, &mut probes)
+                    })
+                    .collect();
+                REFINE_PROBES.add(probes);
+                passes
+            }
             None => vec![Vec::new(); observers.len()],
         }
     }
 
-    /// Turn one observer's margin-sweep event list into refined passes,
-    /// through bisection ([`Self::refine_crossing`]) and golden-section
-    /// ([`Self::finish_pass`]) over the predictor's sampling backend.
+    /// Turn one observer's margin-sweep event list into refined passes
+    /// ([`Self::refine_crossing`], [`Self::finish_pass`]) over the
+    /// predictor's sampling backend, adding the probes taken to
+    /// `probes`. `sin_mask` is the sweep's own mask term.
     fn refine_sweep(
         &self,
         observer: &Observer,
         sweep: &SweepOutcome,
+        sin_mask: f64,
         start: JulianDate,
         end: JulianDate,
+        probes: &mut u64,
     ) -> Vec<Pass> {
         let mut result = Vec::new();
         let mut aos: Option<JulianDate> = sweep.above_at_start.then_some(start);
         for event in &sweep.events {
+            let (lo, hi) = ((event.t_lo, event.m_lo), (event.t_hi, event.m_hi));
             match event.kind {
                 SweepEventKind::Rising => {
                     if aos.is_none() {
-                        aos = Some(self.refine_crossing(observer, event.t_lo, event.t_hi));
+                        aos = Some(self.refine_crossing(observer, sin_mask, lo, hi, probes));
                     }
                 }
                 SweepEventKind::Falling => {
                     if let Some(a) = aos.take() {
-                        let los = self.refine_crossing(observer, event.t_lo, event.t_hi);
-                        result.extend(self.finish_pass(observer, a, los));
+                        let los = self.refine_crossing(observer, sin_mask, lo, hi, probes);
+                        result.extend(self.finish_pass(observer, a, los, probes));
                     }
                 }
                 SweepEventKind::Candidate => {
                     // A pass shorter than one lattice interval may hide
-                    // between two below-mask samples; probe the
-                    // elevation peak before committing to bisection.
+                    // between two below-mask samples: the margin at the
+                    // interval's elevation peak decides.
                     if aos.is_none() {
-                        let (t_peak, el_peak) = self.peak_probe(observer, event.t_lo, event.t_hi);
-                        if el_peak > self.min_elevation_rad {
-                            let a = self.refine_crossing(observer, event.t_lo, t_peak);
-                            let los = self.refine_crossing(observer, t_peak, event.t_hi);
-                            result.extend(self.finish_pass(observer, a, los));
+                        let (t_peak, peak) = self.culmination(observer, lo.0, hi.0, probes);
+                        let m_peak = peak.map_or(f64::NAN, |s| margin(observer, sin_mask, &s).0);
+                        if m_peak > 0.0 {
+                            let peak = (t_peak, m_peak);
+                            let a = self.refine_crossing(observer, sin_mask, lo, peak, probes);
+                            let los = self.refine_crossing(observer, sin_mask, peak, hi, probes);
+                            result.extend(self.finish_pass(observer, a, los, probes));
                         }
                     }
                 }
@@ -439,7 +520,7 @@ impl PassPredictor {
         }
         // Pass still in progress at `end`.
         if let Some(a) = aos {
-            result.extend(self.finish_pass(observer, a, end));
+            result.extend(self.finish_pass(observer, a, end, probes));
         }
         result
     }
@@ -466,7 +547,9 @@ impl PassPredictor {
         direct.ephemeris = None;
         let observer = &self.observer;
         let mask = direct.min_elevation_rad;
+        let sin_mask = mask.clamp(-FRAC_PI_2, FRAC_PI_2).sin();
         let rate = self.max_elevation_rate(mask);
+        let probes = &mut 0;
         let mut t_prev = start;
         let mut el_prev = direct.elevation_at(t_prev);
         let mut aos: Option<JulianDate> = (el_prev > mask).then_some(start);
@@ -475,12 +558,15 @@ impl PassPredictor {
             let t = JulianDate((t_prev.0 + step_s.min(600.0) / 86_400.0).min(end.0));
             let el = direct.elevation_at(t);
             let above = el > mask;
+            // The elevations' distances from the mask stand in for the
+            // margins: they carry the signs, and seed the search.
+            let (lo, hi) = ((t_prev, el_prev - mask), (t, el - mask));
             if above && aos.is_none() {
-                aos = Some(direct.refine_crossing(observer, t_prev, t));
+                aos = Some(direct.refine_crossing(observer, sin_mask, lo, hi, probes));
             } else if !above {
                 if let Some(a) = aos.take() {
-                    let los = direct.refine_crossing(observer, t_prev, t);
-                    result.extend(direct.finish_pass(observer, a, los));
+                    let los = direct.refine_crossing(observer, sin_mask, lo, hi, probes);
+                    result.extend(direct.finish_pass(observer, a, los, probes));
                 }
             }
             el_prev = el;
@@ -491,7 +577,7 @@ impl PassPredictor {
         }
         // Pass still in progress at `end`.
         if let Some(a) = aos {
-            result.extend(direct.finish_pass(observer, a, end));
+            result.extend(direct.finish_pass(observer, a, end, probes));
         }
         result
     }
@@ -530,86 +616,64 @@ impl PassPredictor {
         }
     }
 
-    /// Golden-section search for `observer`'s elevation maximum inside
-    /// `[lo, hi]`, to a 0.05 s bracket; returns the bracket's midpoint.
-    /// The elevation profile of a LEO pass is unimodal. Unlike a
-    /// ternary search, each iteration reuses one interior probe and
-    /// evaluates only one new point, and the interval shrinks by 0.618
-    /// per evaluation instead of 0.667 per two — about a third fewer
-    /// elevation samples to the same bracket.
-    fn golden_peak(
-        &self,
-        observer: &Observer,
-        mut lo: JulianDate,
-        mut hi: JulianDate,
-    ) -> JulianDate {
-        const INV_PHI: f64 = 0.618_033_988_749_894_9; // (√5 − 1) / 2
-        let mut m1 = JulianDate(hi.0 - INV_PHI * (hi.0 - lo.0));
-        let mut m2 = JulianDate(lo.0 + INV_PHI * (hi.0 - lo.0));
-        let mut e1 = self.elevation_from(observer, m1);
-        let mut e2 = self.elevation_from(observer, m2);
-        for _ in 0..80 {
-            if hi.seconds_since(lo) < 0.05 {
-                break;
-            }
-            if e1 < e2 {
-                lo = m1;
-                m1 = m2;
-                e1 = e2;
-                m2 = JulianDate(lo.0 + INV_PHI * (hi.0 - lo.0));
-                e2 = self.elevation_from(observer, m2);
-            } else {
-                hi = m2;
-                m2 = m1;
-                e2 = e1;
-                m1 = JulianDate(hi.0 - INV_PHI * (hi.0 - lo.0));
-                e1 = self.elevation_from(observer, m1);
-            }
-        }
-        JulianDate(0.5 * (lo.0 + hi.0))
-    }
-
-    /// Probe for the elevation peak inside `[lo, hi]` (one lattice
-    /// interval, [`STEP_S`](crate::ephemeris::STEP_S) = 180 s): a
-    /// below-horizon window that short holds at most one approach, since
-    /// passes over one site are ≥ 45 min apart, so
-    /// [`Self::golden_peak`]'s unimodality holds here too.
-    fn peak_probe(&self, observer: &Observer, lo: JulianDate, hi: JulianDate) -> (JulianDate, f64) {
-        let t_peak = self.golden_peak(observer, lo, hi);
-        (t_peak, self.elevation_from(observer, t_peak))
-    }
-
-    /// Bisection: `observer`'s elevation crosses the mask somewhere in
-    /// `(lo, hi)`.
+    /// The horizon crossing of `observer`'s margin inside `[lo, hi]`,
+    /// given values at the two ends that carry the margin's signs there
+    /// (the sweep's own margins): the crossing rises when the value at
+    /// `hi` is above zero, and the search starts at the secant root of
+    /// the two values.
     fn refine_crossing(
         &self,
         observer: &Observer,
-        mut lo: JulianDate,
-        mut hi: JulianDate,
+        sin_mask: f64,
+        (lo, m_lo): (JulianDate, f64),
+        (hi, m_hi): (JulianDate, f64),
+        probes: &mut u64,
     ) -> JulianDate {
-        let mask = self.min_elevation_rad;
-        let lo_above = self.elevation_from(observer, lo) > mask;
-        for _ in 0..40 {
-            if hi.seconds_since(lo) < 0.01 {
-                break;
-            }
-            let mid = JulianDate(0.5 * (lo.0 + hi.0));
-            if (self.elevation_from(observer, mid) > mask) == lo_above {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        JulianDate(0.5 * (lo.0 + hi.0))
+        let seed_s = hi.seconds_since(lo) * m_lo / (m_lo - m_hi);
+        newton_root(lo, hi, seed_s, m_hi > 0.0, probes, |t| {
+            let state = self.state_ecef_at(t)?;
+            Some(margin(observer, sin_mask, &state))
+        })
     }
 
-    /// Locate culmination within `[aos, los]` and assemble the pass.
-    fn finish_pass(&self, observer: &Observer, aos: JulianDate, los: JulianDate) -> Option<Pass> {
+    /// `observer`'s elevation peak inside `[lo, hi]`, as the root of
+    /// `d(sin el)/dt` searched from the midpoint, and the satellite's
+    /// state there, one probe more. A LEO pass's elevation profile is
+    /// unimodal, and a candidate interval (one lattice step,
+    /// [`STEP_S`](crate::ephemeris::STEP_S) = 180 s) holds at most one
+    /// approach, since passes over one site are ≥ 45 min apart; a peak
+    /// outside the window leaves it at the nearer end.
+    fn culmination(
+        &self,
+        observer: &Observer,
+        lo: JulianDate,
+        hi: JulianDate,
+        probes: &mut u64,
+    ) -> (JulianDate, Option<StateEcef>) {
+        let seed_s = 0.5 * hi.seconds_since(lo);
+        let tca = newton_root(lo, hi, seed_s, false, probes, |t| {
+            let sample = self.sample_ecef_at(t)?;
+            Some(elevation_rate(observer, &sample))
+        });
+        *probes += 1;
+        (tca, self.state_ecef_at(tca))
+    }
+
+    /// Locate culmination within `[aos, los]` and assemble the pass with
+    /// the look angles there.
+    fn finish_pass(
+        &self,
+        observer: &Observer,
+        aos: JulianDate,
+        los: JulianDate,
+        probes: &mut u64,
+    ) -> Option<Pass> {
         if los.seconds_since(aos) < 1.0 {
             return None; // Grazing contact below timing resolution.
         }
-        let tca = self.golden_peak(observer, aos, los);
-        let la = self.look_from(observer, tca)?;
+        let (tca, peak) = self.culmination(observer, aos, los, probes);
+        let peak = peak?;
+        let la = observer.look_at_ecef(peak.position_km, peak.velocity_km_s);
         satiot_obs::invariants::check_elevation_rad(
             "pass::finish_pass max elevation",
             la.elevation_rad,
@@ -627,6 +691,106 @@ impl PassPredictor {
             tca_range_km: la.range_km,
         })
     }
+}
+
+/// Safeguarded Newton's method: the instant in `[lo, hi]` at which `f`
+/// changes sign — from below zero to above when `rising`, the other way
+/// otherwise. `probe` answers `f` and its time derivative (per second)
+/// at an instant, or `None` when the state there cannot be computed,
+/// which counts as below zero; each call adds one to `probes`.
+///
+/// The first iterate is `seed_s` seconds past `lo` (the midpoint when
+/// the seed lies outside the window). Each probe moves the bracket end
+/// on its side to the iterate. The next iterate is the Newton step's
+/// target when that lies inside the bracket, and the bracket's midpoint
+/// otherwise: a step that leaves the bracket, however short, heads for
+/// another root. An in-bracket step shorter than [`NEWTON_STOP_S`] ends
+/// the search at its target, and so does a bracket narrowed below two
+/// of them by bisection, at its midpoint — or at `lo` or `hi` when the
+/// bracket still holds one of them: no probe found the sign change,
+/// which lies at that end or beyond it (a pass truncated by the scan
+/// window culminates at the window's edge).
+fn newton_root(
+    lo: JulianDate,
+    hi: JulianDate,
+    seed_s: f64,
+    rising: bool,
+    probes: &mut u64,
+    mut probe: impl FnMut(JulianDate) -> Option<(f64, f64)>,
+) -> JulianDate {
+    let width = hi.seconds_since(lo);
+    let (mut a, mut b) = (0.0, width);
+    let mut x = if (a..=b).contains(&seed_s) {
+        seed_s
+    } else {
+        0.5 * width
+    };
+    for _ in 0..NEWTON_MAX_PROBES {
+        *probes += 1;
+        let (above, step) = match probe(lo.plus_seconds(x)) {
+            Some((f, df)) => (f > 0.0, -f / df),
+            None => (false, f64::NAN),
+        };
+        if above == rising {
+            b = x;
+        } else {
+            a = x;
+        }
+        let newton = x + step;
+        if (a..=b).contains(&newton) {
+            if step.abs() < NEWTON_STOP_S {
+                return lo.plus_seconds(newton);
+            }
+            x = newton;
+        } else if b - a < 2.0 * NEWTON_STOP_S {
+            return if a == 0.0 {
+                lo
+            } else if b == width {
+                hi
+            } else {
+                lo.plus_seconds(0.5 * (a + b))
+            };
+        } else {
+            x = 0.5 * (a + b);
+        }
+    }
+    lo.plus_seconds(x)
+}
+
+/// The horizon margin `ζ·ρ − sin ε·|ρ|` from `observer` of a satellite
+/// in ECEF `state`, and its time derivative `ζ·v − sin ε·(ρ·v)/|ρ|`:
+/// the sweep's margin (see [`visibility`](crate::visibility)), km and
+/// km/s.
+fn margin(observer: &Observer, sin_mask: f64, state: &StateEcef) -> (f64, f64) {
+    let (rho, v) = (
+        state.position_km - observer.position_ecef(),
+        state.velocity_km_s,
+    );
+    let r = rho.norm();
+    let zenith = observer.zenith();
+    (
+        rho.dot(zenith) - sin_mask * r,
+        v.dot(zenith) - sin_mask * rho.dot(v) / r,
+    )
+}
+
+/// `d(sin el)/dt` from `observer` of the satellite `sample`, and its
+/// time derivative, in 1/s and 1/s². With `u = ζ·ρ` and `r = |ρ|`,
+/// `sin el = u/r`, so `(sin el)′ = (u′ − u·r′/r)/r` and
+/// `(sin el)″ = (u″ − (2u′r′ + u·r″)/r + 2u·r′²/r²)/r`, where
+/// `r′ = ρ·v/r` and `r″ = (|v|² + ρ·a − r′²)/r`.
+fn elevation_rate(observer: &Observer, sample: &Sample) -> (f64, f64) {
+    let rho = sample.position_km - observer.position_ecef();
+    let (v, acc) = (sample.velocity_km_s, sample.acceleration_km_s2);
+    let zenith = observer.zenith();
+    let r = rho.norm();
+    let (u, du, ddu) = (rho.dot(zenith), v.dot(zenith), acc.dot(zenith));
+    let dr = rho.dot(v) / r;
+    let ddr = (v.norm_sq() + rho.dot(acc) - dr * dr) / r;
+    (
+        (du - u * dr / r) / r,
+        (ddu - (2.0 * du * dr + u * ddr) / r + 2.0 * u * dr * dr / (r * r)) / r,
+    )
 }
 
 #[cfg(test)]
@@ -828,14 +992,19 @@ mod tests {
         let pass = passes[0];
         assert_eq!(pass.normalized_position(pass.aos), 0.0);
         assert_eq!(pass.normalized_position(pass.los), 1.0);
+        // The midpoint is itself a `JulianDate`, rounded to the instant
+        // grid (one ulp of the date, about 40 µs): it sits at 0.5 to
+        // within that rounding over the pass's duration.
         let mid = JulianDate(0.5 * (pass.aos.0 + pass.los.0));
-        assert!((pass.normalized_position(mid) - 0.5).abs() < 1e-9);
+        let quantum_s = mid.0 * f64::EPSILON * 86_400.0;
+        let off = (pass.normalized_position(mid) - 0.5).abs();
+        assert!(off * pass.duration_s() <= quantum_s, "{off}");
         assert!(pass.contains(mid));
         assert!(!pass.contains(JulianDate(pass.los.0 + 1.0)));
     }
 
-    /// The old two-probe ternary search, kept as the reference the
-    /// golden-section replacement is regression-tested against.
+    /// A two-probe ternary search on the elevation, kept as the
+    /// reference the Newton culmination is regression-tested against.
     fn ternary_tca(p: &PassPredictor, aos: JulianDate, los: JulianDate) -> JulianDate {
         let mut lo = aos;
         let mut hi = los;
@@ -854,12 +1023,12 @@ mod tests {
         JulianDate(0.5 * (lo.0 + hi.0))
     }
 
-    /// Golden-section culmination must land where the old ternary search
-    /// did (< 0.05 s — both brackets converge on the same unimodal
-    /// maximum) while `max_elevation_is_actually_maximum` above keeps
-    /// holding for the new search.
+    /// The Newton culmination must land where a ternary search on the
+    /// elevation does (< 0.05 s, the search's bracket: both converge on
+    /// the same unimodal maximum) while `max_elevation_is_actually_maximum`
+    /// above keeps holding.
     #[test]
-    fn golden_section_tca_matches_ternary_search() {
+    fn newton_tca_matches_ternary_search() {
         let sgp4 = leo_sgp4(550.0, 97.6);
         let p = PassPredictor::new(sgp4, hk(), 0.0);
         let start = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
@@ -870,9 +1039,44 @@ mod tests {
             let drift_s = pass.tca.seconds_since(reference).abs();
             assert!(drift_s < 0.05, "TCA moved {drift_s} s vs ternary search");
             // The reported maximum still beats the reference probe (to
-            // the curvature slack of the two ≤ 0.05 s brackets).
+            // the curvature slack of its ≤ 0.05 s bracket).
             assert!(p.elevation_at(reference) <= pass.max_elevation_rad + 1e-6);
         }
+    }
+
+    /// The safeguard, on a margin shaped like a pass that rises and sets
+    /// inside one bracket: `f(t) = 1 − (t − 120)²/3 600`, which rises
+    /// through zero at 60 s and sets at 180 s, over a bracket that ends
+    /// 0.4 ms before it sets. Seeded near that end, where `f > 0` and
+    /// `f′ < 0`, the Newton step points past the bracket at the setting
+    /// root — by 0.5 ms from the first seed, a step short enough to end
+    /// the search. The routine bisects instead and finds the rising
+    /// root, within microseconds, from every seed and from the midpoint.
+    #[test]
+    fn newton_root_bisects_rather_than_leave_its_bracket() {
+        let lo = JulianDate::from_calendar(2025, 1, 29, 9, 15, 0.0);
+        let hi = lo.plus_seconds(179.9996);
+        let f = |t: JulianDate| {
+            let x = t.seconds_since(lo) - 120.0;
+            Some((1.0 - x * x / 3_600.0, -2.0 * x / 3_600.0))
+        };
+        for seed_s in [179.9995, 179.99, 90.0, f64::NAN] {
+            let mut probes = 0;
+            let aos = newton_root(lo, hi, seed_s, true, &mut probes, f);
+            let error_s = aos.seconds_since(lo) - 60.0;
+            assert!(
+                error_s.abs() < 1e-4,
+                "seed {seed_s}: AOS off by {error_s} s"
+            );
+            assert!(probes < 20, "seed {seed_s}: {probes} probes");
+        }
+        // A root-free bracket ends at the end its values point to, and a
+        // state that cannot be computed reads as below zero.
+        let mut probes = 0;
+        let t = newton_root(lo, hi, 30.0, true, &mut probes, |_| Some((-1.0, 0.0)));
+        assert!(hi.seconds_since(t) < 2.0 * NEWTON_STOP_S);
+        let t = newton_root(lo, hi, 30.0, false, &mut probes, |_| None);
+        assert!(t.seconds_since(lo) < 2.0 * NEWTON_STOP_S);
     }
 
     /// Both backends sweep — the grid-backed predictor its covering
@@ -938,7 +1142,7 @@ mod tests {
         assert_eq!(a, b, "fallback must be bit-identical to direct");
     }
 
-    /// Pass refinement's probe reads the elevation and nothing else, yet
+    /// The elevation query reads the position and nothing else, yet
     /// answers exactly what the full look-angle projection does, at
     /// lattice points, mid-interval, at and beside tile edges, and
     /// outside the attached grid. Inside, it is the observer's elevation

@@ -18,11 +18,11 @@
 //!    evaluating the *horizon margin* (not the elevation) for all
 //!    observers in fixed-width chunks of [`CHUNK`] columns;
 //! 3. emit only sparse [`SweepEvent`]s — sign-change windows and
-//!    near-miss candidates — for the existing bisection /
-//!    golden-section refinement in [`pass`](crate::pass), after a
-//!    screen that skips every 8-sample block whose interval bounds
-//!    (below) prove it eventless, so only the blocks around a pass
-//!    reach the per-sample event detector.
+//!    near-miss candidates, each with the margins at its ends — for
+//!    the Newton refinement in [`pass`](crate::pass), after a screen
+//!    that skips every 8-sample block whose interval bounds (below)
+//!    prove it eventless, so only the blocks around a pass reach the
+//!    per-sample event detector.
 //!
 //! ## The margin trick
 //!
@@ -149,9 +149,9 @@ pub enum VisibilityMode {
 /// What a sweep event window asks refinement to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepEventKind {
-    /// The margin rises through zero inside the window: bisect for AOS.
+    /// The margin rises through zero inside the window: refine AOS.
     Rising,
-    /// The margin falls through zero inside the window: bisect for LOS.
+    /// The margin falls through zero inside the window: refine LOS.
     Falling,
     /// Both endpoints are below the mask but the interval bound does
     /// not rule out a pass in the interior (one shorter than a lattice
@@ -169,6 +169,11 @@ pub struct SweepEvent {
     pub t_lo: JulianDate,
     /// Window end.
     pub t_hi: JulianDate,
+    /// The margin at `t_lo`, km: the sweep's own value, which seeds
+    /// the crossing refinement (NaN for an invalid sample).
+    pub m_lo: f64,
+    /// The margin at `t_hi`, km.
+    pub m_hi: f64,
 }
 
 /// Per-observer result of one column sweep.
@@ -469,6 +474,8 @@ impl Detector {
                     kind,
                     t_lo: self.t_prev,
                     t_hi: t,
+                    m_lo: self.m_prev,
+                    m_hi: m,
                 });
             }
         }
@@ -914,6 +921,8 @@ mod tests {
                 assert_eq!(x.kind, y.kind);
                 assert_eq!(x.t_lo.0.to_bits(), y.t_lo.0.to_bits());
                 assert_eq!(x.t_hi.0.to_bits(), y.t_hi.0.to_bits());
+                assert_eq!(x.m_lo.to_bits(), y.m_lo.to_bits());
+                assert_eq!(x.m_hi.to_bits(), y.m_hi.to_bits());
             }
         }
         assert!(scalar.iter().any(|o| !o.events.is_empty()));

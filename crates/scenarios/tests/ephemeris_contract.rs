@@ -5,8 +5,8 @@
 //! 1. each satellite's [`EphemerisGrid`] holds the position half of the
 //!    contract against direct SGP4 ([`EphemerisGrid::validate`]);
 //! 2. the gridded predictor agrees pass for pass with the direct-SGP4
-//!    reference scan: AOS/LOS within the bisection refinement
-//!    tolerance, culmination elevation within
+//!    reference scan: AOS/LOS within the refinement tolerance,
+//!    culmination elevation within
 //!    [`MAX_ELEVATION_ERROR_DEG`], and TCA within the flat-peak
 //!    tolerance (a 0.01° elevation perturbation can slide the argmax of
 //!    a grazing pass by seconds without moving its height). The gridded
@@ -23,8 +23,8 @@ use satiot_orbit::time::JulianDate;
 use satiot_scenarios::constellations::all_constellations;
 use std::sync::Arc;
 
-/// AOS/LOS agreement bound, seconds: two ~10 ms bisections plus the
-/// crossing shift induced by the elevation-error contract.
+/// AOS/LOS agreement bound, seconds: two refinements to within 1 ms
+/// plus the crossing shift induced by the elevation-error contract.
 const CROSSING_TOL_S: f64 = 0.05;
 /// TCA agreement bound, seconds (flat-peaked grazing passes).
 const TCA_TOL_S: f64 = 2.0;
