@@ -157,13 +157,7 @@ impl Megascale {
                     rel,
                     abs: (a_sim - a_theory).abs(),
                     passes,
-                    cull: CullStats {
-                        pairs_considered: after.pairs_considered - before.pairs_considered,
-                        pairs_culled_lat_band: after.pairs_culled_lat_band
-                            - before.pairs_culled_lat_band,
-                        pairs_culled_cone: after.pairs_culled_cone - before.pairs_culled_cone,
-                        pairs_kept: after.pairs_kept - before.pairs_kept,
-                    },
+                    cull: after.since(&before),
                 });
             }
         }

@@ -30,8 +30,9 @@ use satiot_orbit::ephemeris::TILE;
 
 /// Print each sweep store's work to stderr and assert that it computed
 /// every entry exactly once per residency: `computes == entries +
-/// evictions`. Only a sweep-server run under a cache budget evicts, and
-/// each eviction frees the one slot a later recompute refills.
+/// evictions`. Only a sweep server releases entries, after each job
+/// ([`sweep::release_read_between`]), and each release frees the one
+/// slot a later recompute refills.
 pub fn prove_stores_exactly_once() {
     let stores = [
         ("pass cache", sweep::stats()),

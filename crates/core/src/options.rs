@@ -6,7 +6,7 @@
 //! process-wide setting that code below the campaign API reads; library
 //! code and tests only ever receive the value. Every knob changes *what*
 //! is computed or *where* results go; the pipeline itself has one shape.
-//! A set `SATIOT_*` variable that is not one of the five knobs (a
+//! A set `SATIOT_*` variable that is not one of the four knobs (a
 //! retired knob or a typo) is reported, never silently ignored.
 //!
 //! ```
@@ -29,11 +29,10 @@ use crate::sink::SinkMode;
 use satiot_sim::pool;
 
 /// Every `SATIOT_*` knob [`RunOptions::from_env`] reads.
-const KNOBS: [&str; 5] = [
+const KNOBS: [&str; 4] = [
     "SATIOT_THREADS",
     "SATIOT_SCALE",
     "SATIOT_SWEEP_DIR",
-    "SATIOT_SWEEP_CACHE_MB",
     "SATIOT_SCENARIO",
 ];
 
@@ -111,11 +110,6 @@ pub struct RunOptions {
     /// Sweep-server spill directory for checkpoint/resume
     /// (`SATIOT_SWEEP_DIR`); `None` disables checkpointing.
     pub sweep_dir: Option<&'static str>,
-    /// Combined payload budget for the process-wide pass cache and
-    /// ephemeris grid store, MiB (`SATIOT_SWEEP_CACHE_MB`; `0` or unset
-    /// = unlimited, preserving exactly-once memoisation). The sweep
-    /// server enforces it between jobs; nothing else evicts.
-    pub sweep_cache_mb: Option<u64>,
     /// Path to a `.scenario.json` file (`SATIOT_SCENARIO`); `None` runs
     /// the compiled-in scenarios. The experiment runners load it through
     /// `ScenarioSpec::from_file` and build their configs from the
@@ -130,7 +124,6 @@ impl Default for RunOptions {
             scale: Scale::Full,
             sink: SinkMode::Full,
             sweep_dir: None,
-            sweep_cache_mb: None,
             scenario: None,
         }
     }
@@ -173,8 +166,6 @@ impl RunOptions {
     ///   *documented* spelling of auto, not a rejection.
     /// * `SATIOT_SCALE`: unknown word → `full`.
     /// * `SATIOT_SWEEP_DIR`: empty → checkpointing off.
-    /// * `SATIOT_SWEEP_CACHE_MB`: unparsable → unlimited; `0` is the
-    ///   documented spelling of unlimited, not a rejection.
     /// * `SATIOT_SCENARIO`: empty → the compiled-in scenario. (Whether
     ///   the file exists and parses is decided by the binary that loads
     ///   it, with a typed `ScenarioError`.)
@@ -212,16 +203,6 @@ impl RunOptions {
                 Some(&*Box::leak(v.into_boxed_str()))
             }
         });
-        let sweep_cache_mb = lookup("SATIOT_SWEEP_CACHE_MB").and_then(|v| {
-            match v.trim().parse::<u64>() {
-                Ok(0) => None, // Documented: 0 = unlimited.
-                Ok(mb) => Some(mb),
-                Err(_) => {
-                    reject("SATIOT_SWEEP_CACHE_MB", &v, "an unbounded cache");
-                    None
-                }
-            }
-        });
         let scenario = lookup("SATIOT_SCENARIO").and_then(|v| {
             if v.is_empty() {
                 reject("SATIOT_SCENARIO", &v, "the compiled-in scenario");
@@ -235,7 +216,6 @@ impl RunOptions {
             scale,
             sink: SinkMode::Full,
             sweep_dir,
-            sweep_cache_mb,
             scenario,
         };
         (opts, warnings)
@@ -263,13 +243,6 @@ impl RunOptions {
     /// Override the simulate-phase trace sink.
     pub fn with_sink(mut self, sink: SinkMode) -> Self {
         self.sink = sink;
-        self
-    }
-
-    /// Override the combined cache payload budget in MiB (`None` =
-    /// unlimited).
-    pub fn with_sweep_cache_mb(mut self, mb: Option<u64>) -> Self {
-        self.sweep_cache_mb = mb;
         self
     }
 
@@ -308,12 +281,10 @@ mod tests {
             ("SATIOT_THREADS", "4"),
             ("SATIOT_SCALE", "quick"),
             ("SATIOT_SWEEP_DIR", "/tmp/sweep"),
-            ("SATIOT_SWEEP_CACHE_MB", "256"),
             ("SATIOT_SCENARIO", "/tmp/run.scenario.json"),
         ]));
         assert_eq!(opts.scenario, Some("/tmp/run.scenario.json"));
         assert_eq!(opts.sweep_dir, Some("/tmp/sweep"));
-        assert_eq!(opts.sweep_cache_mb, Some(256));
         assert_eq!(opts.threads, Some(4));
         assert_eq!(opts.scale, Scale::Quick);
         assert_eq!(opts.sink, SinkMode::Full);
@@ -360,16 +331,6 @@ mod tests {
 
     #[test]
     fn malformed_sweep_knobs_warn_and_fall_back() {
-        let (opts, warnings) = parse_with_warnings(&[("SATIOT_SWEEP_CACHE_MB", "lots")]);
-        assert_eq!(opts.sweep_cache_mb, None);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        let (opts, warnings) = parse_with_warnings(&[("SATIOT_SWEEP_CACHE_MB", "0")]);
-        assert_eq!(
-            opts.sweep_cache_mb, None,
-            "0 is the documented unlimited spelling"
-        );
-        assert!(warnings.is_empty(), "{warnings:?}");
-
         let (opts, warnings) = parse_with_warnings(&[("SATIOT_SWEEP_DIR", "")]);
         assert_eq!(opts.sweep_dir, None);
         assert_eq!(warnings.len(), 1, "{warnings:?}");
@@ -384,7 +345,7 @@ mod tests {
         let (opts, warnings) = parse_with_warnings(&[
             ("SATIOT_THREADS", "zero"),
             ("SATIOT_SCALE", "huge"),
-            ("SATIOT_SWEEP_CACHE_MB", "big"),
+            ("SATIOT_SWEEP_DIR", ""),
             ("SATIOT_SCENARIO", ""),
         ]);
         // Every malformed knob fell back to its documented default…
@@ -400,7 +361,7 @@ mod tests {
     #[test]
     fn unknown_satiot_names_warn_once_each() {
         let names = |list: &[&str]| list.iter().map(|n| n.to_string()).collect::<Vec<_>>();
-        // The five knobs and non-SATIOT names pass silently.
+        // The four knobs and non-SATIOT names pass silently.
         let mut silent = names(&KNOBS);
         silent.extend(names(&["PATH", "HOME", "SATIOT", "satiot_sink"]));
         assert!(unknown_knob_warnings(silent).is_empty());
@@ -410,14 +371,16 @@ mod tests {
             "SATIOT_SWEEP_SHARD",
             "PATH",
             "SATIOT_SINK",
+            "SATIOT_SWEEP_CACHE_MB",
             "SATIOT_METRICS",
             "SATIOT_THREADS",
             "SATIOT_THREAD",
         ]));
-        assert_eq!(warnings.len(), 4, "{warnings:?}");
+        assert_eq!(warnings.len(), 5, "{warnings:?}");
         let expected = [
             "SATIOT_METRICS ",
             "SATIOT_SINK ",
+            "SATIOT_SWEEP_CACHE_MB ",
             "SATIOT_SWEEP_SHARD ",
             "SATIOT_THREAD ",
         ];

@@ -26,11 +26,15 @@
 //! tile index, the Earth rotation at its lattice instants, which every
 //! satellite's tile at that index is rotated by. Each store counts its
 //! own work: keys looked up, entries computed
-//! and entries evicted, read as one [`StoreStats`] each through
+//! and entries released, read as one [`StoreStats`] each through
 //! [`stats`], [`grid_stats`], [`tile_stats`] and [`frame_stats`]. At
 //! rest every store holds `computes == entries + evictions`, i.e. each
 //! entry was computed exactly once per residency; `reproduce_all`,
 //! `ablations_all` and the `cache_exactly_once` test assert it.
+//!
+//! Lookups never drop anything; [`release_read_between`] drops what was
+//! last read between two [`read_mark`]s, and the sweep server calls it
+//! after each job.
 //!
 //! ```
 //! use satiot_core::sweep::{passes_for, PassKey};
@@ -66,10 +70,10 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Monotone LRU clock shared by the stores, so one cross-store
-/// eviction pass can order pass lists and grids on a single recency
-/// axis. Ticks only ever move forward; wraparound is unreachable
-/// (2⁶⁴ lookups).
+/// The read clock shared by the stores: each lookup stamps its slot
+/// with a tick of its own, so two [`read_mark`]s bracket what the pass
+/// and grid stores served between them. Ticks only ever move forward;
+/// wraparound is unreachable (2⁶⁴ lookups).
 static CLOCK: AtomicU64 = AtomicU64::new(0);
 
 /// Identity of one cached pass list.
@@ -135,13 +139,21 @@ impl PassKey {
     }
 }
 
-/// One memoisation slot: the exactly-once cell plus the recency stamp
-/// budget enforcement orders evictions by.
+/// One memoisation slot: the exactly-once cell plus the tick of its
+/// last read.
 #[derive(Debug)]
 struct Slot<T> {
     cell: OnceLock<Arc<T>>,
     /// [`CLOCK`] tick of the most recent lookup.
     last_used: AtomicU64,
+}
+
+impl<T> Slot<T> {
+    /// Whether the most recent lookup came after the `from` mark and no
+    /// later than the `to` mark.
+    fn last_read_in(&self, from: u64, to: u64) -> bool {
+        (from + 1..=to).contains(&self.last_used.load(Relaxed))
+    }
 }
 
 impl<T> Default for Slot<T> {
@@ -155,9 +167,9 @@ impl<T> Default for Slot<T> {
 
 /// A keyed exactly-once memoisation store — the shared implementation
 /// behind the pass cache, the grid, tile and frame stores — that
-/// counts its own work. Generic so the eviction machinery (and its
-/// tests) can run on private instances without perturbing the
-/// process-wide caches every campaign test shares.
+/// counts its own work. Generic so the release pass (and its tests)
+/// can run on private instances without perturbing the process-wide
+/// caches every campaign test shares.
 #[derive(Debug)]
 struct Store<K, T> {
     map: Mutex<HashMap<K, Arc<Slot<T>>>>,
@@ -165,7 +177,7 @@ struct Store<K, T> {
     lookups: AtomicU64,
     /// Requests that computed their entry.
     computes: AtomicU64,
-    /// Entries [`enforce_on`] dropped.
+    /// Entries [`release_read_between`] dropped.
     evictions: AtomicU64,
 }
 
@@ -255,8 +267,8 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
 
     /// Resolve the slot of every key (inserting empty ones) under one
     /// map lock, count the lookups, and stamp each slot with its own
-    /// recency tick: one [`CLOCK`] reservation per batch, tick `base +
-    /// i` for the `i`-th key, so no two lookups share a tick.
+    /// read tick: one [`CLOCK`] reservation per batch, tick `base + i`
+    /// for the `i`-th key, so no two lookups share a tick.
     fn resolve(&self, keys: impl Iterator<Item = K>) -> Vec<Arc<Slot<T>>> {
         let slots: Vec<Arc<Slot<T>>> = {
             let mut map = self.lock();
@@ -291,6 +303,21 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
         }
     }
 
+    /// Drop each computed entry of `map`, this store's locked map, that
+    /// `drop` picks from its key, slot and value, and count it as
+    /// released. A slot still being computed stays, so its compute is
+    /// accounted for by its entry.
+    fn release_where(
+        &self,
+        map: &mut HashMap<K, Arc<Slot<T>>>,
+        drop: impl Fn(&K, &Slot<T>, &Arc<T>) -> bool,
+    ) {
+        let before = map.len();
+        map.retain(|key, slot| !slot.cell.get().is_some_and(|value| drop(key, slot, value)));
+        self.evictions
+            .fetch_add((before - map.len()) as u64, Relaxed);
+    }
+
     /// Drop every entry and zero the counters.
     fn clear(&self) {
         let mut map = self.lock();
@@ -310,11 +337,10 @@ pub struct StoreStats {
     /// per tile a campaign view asks for, one frame per tile computed.
     pub lookups: u64,
     /// Lookups that computed their entry. Each compute fills one slot
-    /// and each eviction empties one, so at rest `computes == entries +
+    /// and each release empties one, so at rest `computes == entries +
     /// evictions`: every entry was computed exactly once per residency.
-    /// In a process that never enforces a budget (the default) nothing
-    /// is evicted, and `computes == entries` proves every stored entry
-    /// was computed exactly once this process.
+    /// In a process that releases nothing, `computes == entries` proves
+    /// every stored entry was computed exactly once this process.
     pub computes: u64,
     /// Distinct keys currently stored.
     pub entries: usize,
@@ -323,7 +349,7 @@ pub struct StoreStats {
     /// counts each stored tile and frame once plus every view's array
     /// of tile pointers.
     pub approx_bytes: u64,
-    /// Entries evicted by [`enforce_cache_budget`] since the last
+    /// Entries [`release_read_between`] dropped since the last
     /// [`clear`].
     pub evictions: u64,
 }
@@ -455,228 +481,51 @@ pub fn clear() {
     frame_store().clear();
 }
 
-/// What one [`enforce_cache_budget`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvictionSweep {
-    /// Pass lists dropped from the cache.
-    pub pass_lists_evicted: usize,
-    /// Ephemeris grids dropped from the store.
-    pub grids_evicted: usize,
-    /// Ephemeris tiles dropped from the store, once no view held them.
-    pub tiles_evicted: usize,
-    /// Lattice frames dropped from the store, once no stored tile used
-    /// their index.
-    pub frames_evicted: usize,
-    /// Approximate payload bytes freed.
-    pub bytes_freed: u64,
-    /// Approximate payload bytes still held after the pass.
-    pub bytes_retained: u64,
+/// The read clock's current tick. Every later lookup stamps its slot
+/// with a later tick, so two marks bracket what the stores served
+/// between them (see [`release_read_between`]).
+pub fn read_mark() -> u64 {
+    CLOCK.load(Relaxed)
 }
 
-/// Evict least-recently-used entries — pass lists and grid views ranked
-/// on one shared recency axis — until the combined approximate payload
-/// of all four stores fits `budget_bytes`. A tile goes only once no
-/// view holds it any more: first every such orphan, then each tile
-/// whose last holder an evicted view was. A frame goes with the last
-/// stored tile of its index.
+/// Release what was last read between the marks `from` and `to`
+/// ([`read_mark`]): every pass list and grid view whose most recent
+/// lookup came after `from` and no later than `to`, then every tile no
+/// view holds any more, then every frame whose tile index has no stored
+/// tile. Each drop counts in its store's `evictions`, and a slot still
+/// being computed stays, so `computes == entries + evictions` holds.
 ///
-/// Lookups themselves never evict — the hot path stays lock-light, and
-/// a process that never calls this keeps exactly-once memoisation
-/// (`computes == entries`). Long-lived drivers call it at their job
-/// boundaries (the sweep server does so after every job when its
-/// options set a budget), so a sweep over disjoint windows is bounded
-/// by the budget instead of growing with the number of distinct
-/// windows.
-pub fn enforce_cache_budget(budget_bytes: u64) -> EvictionSweep {
-    enforce_on(
-        cache(),
-        grid_store(),
-        tile_store(),
-        frame_store(),
-        budget_bytes,
-    )
+/// A process that never calls this keeps `computes == entries`. The
+/// sweep server calls it after each job, from the mark taken before its
+/// first job to the one taken before that job: what an earlier job of
+/// the queue read and this one did not.
+pub fn release_read_between(from: u64, to: u64) {
+    release_on(cache(), grid_store(), tile_store(), frame_store(), from, to);
 }
 
-/// The eviction pass itself, on explicit stores (unit-testable without
-/// touching the process-wide caches), adding what it drops to each
-/// store's `evictions`. Holds all four map locks for the whole pass so
-/// a concurrent lookup cannot resurrect a key mid-eviction; lookups
-/// hold one lock at a time, briefly (a tile computes its frame outside
-/// the tile map's lock), so the fixed pass→grid→tile→frame acquisition
-/// order cannot deadlock.
-fn enforce_on(
+/// The release pass itself, on explicit stores (unit-testable without
+/// touching the process-wide caches). Holds all four map locks for the
+/// whole pass so a concurrent lookup cannot resurrect a key mid-pass;
+/// lookups hold one lock at a time, briefly (a tile computes its frame
+/// outside the tile map's lock), so the fixed pass→grid→tile→frame
+/// acquisition order cannot deadlock.
+fn release_on(
     passes: &Store<PassKey, Vec<Pass>>,
     grids: &Store<GridKey, EphemerisGrid>,
     tiles: &Store<TileKey, EphemerisTile>,
     frames: &Store<i64, LatticeFrame>,
-    budget_bytes: u64,
-) -> EvictionSweep {
-    enum Victim {
-        Pass(PassKey),
-        Grid(GridKey, Range<i64>),
-    }
-    let mut pass_map = passes.lock();
-    let mut grid_map = grids.lock();
-    let mut maps = TileMaps::new(tiles.lock(), frames.lock());
-    let mut candidates: Vec<(u64, u64, Victim)> = Vec::new();
-    let mut retained: u64 = 0;
-    for (k, slot) in pass_map.iter() {
-        if let Some(list) = slot.cell.get() {
-            let bytes = pass_list_bytes(list);
-            retained += bytes;
-            candidates.push((slot.last_used.load(Relaxed), bytes, Victim::Pass(*k)));
-        }
-    }
-    for (k, slot) in grid_map.iter() {
-        if let Some(grid) = slot.cell.get() {
-            let bytes = view_bytes(grid);
-            retained += bytes;
-            let tiles = grid.tiles();
-            let indices = tiles
-                .first()
-                .map_or(0..0, |t| t.index()..t.index() + tiles.len() as i64);
-            candidates.push((
-                slot.last_used.load(Relaxed),
-                bytes,
-                Victim::Grid(*k, indices),
-            ));
-        }
-    }
-    let stored_frames = maps.frames.values().filter(|s| s.cell.get().is_some());
-    retained += maps.per_index.values().sum::<usize>() as u64 * TILE_BYTES
-        + stored_frames.count() as u64 * FRAME_BYTES;
-    let mut sweep = EvictionSweep {
-        bytes_retained: retained,
-        ..EvictionSweep::default()
-    };
-    if retained <= budget_bytes {
-        return sweep;
-    }
-    let orphans: Vec<TileKey> = maps
-        .tiles
-        .iter()
-        .filter(|(_, slot)| unheld(slot))
-        .map(|(k, _)| *k)
-        .collect();
-    for key in orphans {
-        maps.drop_if_unheld(key, &mut sweep);
-    }
-    let orphan_frames: Vec<i64> = maps
-        .frames
-        .keys()
-        .filter(|index| !maps.per_index.contains_key(index))
-        .copied()
-        .collect();
-    for index in orphan_frames {
-        maps.drop_frame(index, &mut sweep);
-    }
-    // Oldest tick first; ticks are unique (one global fetch_add per
-    // lookup), so the order is deterministic.
-    candidates.sort_by_key(|(tick, _, _)| *tick);
-    for (_, bytes, victim) in candidates {
-        if sweep.bytes_retained <= budget_bytes {
-            break;
-        }
-        match victim {
-            Victim::Pass(k) => {
-                pass_map.remove(&k);
-                sweep.pass_lists_evicted += 1;
-            }
-            Victim::Grid(k, indices) => {
-                // Dropping the store's slot drops the view (no campaign
-                // holds one between jobs), releasing its tiles.
-                grid_map.remove(&k);
-                sweep.grids_evicted += 1;
-                for index in indices {
-                    let key = TileKey::new(k.constellation, k.sat_id, index);
-                    maps.drop_if_unheld(key, &mut sweep);
-                }
-            }
-        }
-        sweep.bytes_freed += bytes;
-        sweep.bytes_retained -= bytes;
-    }
-    for (evictions, n) in [
-        (&passes.evictions, sweep.pass_lists_evicted),
-        (&grids.evictions, sweep.grids_evicted),
-        (&tiles.evictions, sweep.tiles_evicted),
-        (&frames.evictions, sweep.frames_evicted),
-    ] {
-        evictions.fetch_add(n as u64, Relaxed);
-    }
-    sweep
-}
-
-/// Whether a stored tile is held by no view: only the store's own `Arc`
-/// is left.
-fn unheld(slot: &Slot<EphemerisTile>) -> bool {
-    slot.cell.get().is_some_and(|t| Arc::strong_count(t) == 1)
-}
-
-/// The locked tile and frame maps of one budget pass, with the stored
-/// tiles per tile index, so a frame goes with the last of them.
-struct TileMaps<'a> {
-    tiles: MutexGuard<'a, HashMap<TileKey, Arc<Slot<EphemerisTile>>>>,
-    frames: MutexGuard<'a, HashMap<i64, Arc<Slot<LatticeFrame>>>>,
-    /// Computed tiles stored per tile index (indices without one are
-    /// absent).
-    per_index: HashMap<i64, usize>,
-}
-
-impl<'a> TileMaps<'a> {
-    fn new(
-        tiles: MutexGuard<'a, HashMap<TileKey, Arc<Slot<EphemerisTile>>>>,
-        frames: MutexGuard<'a, HashMap<i64, Arc<Slot<LatticeFrame>>>>,
-    ) -> TileMaps<'a> {
-        let mut per_index = HashMap::new();
-        for (key, slot) in tiles.iter() {
-            if slot.cell.get().is_some() {
-                *per_index.entry(key.index).or_insert(0) += 1;
-            }
-        }
-        TileMaps {
-            tiles,
-            frames,
-            per_index,
-        }
-    }
-
-    /// Evict `key`'s tile if no view holds it, and its index's frame
-    /// with the last stored tile there, accounting for both in `sweep`.
-    fn drop_if_unheld(&mut self, key: TileKey, sweep: &mut EvictionSweep) {
-        if !self.tiles.get(&key).is_some_and(|slot| unheld(slot)) {
-            return;
-        }
-        self.tiles.remove(&key);
-        sweep.tiles_evicted += 1;
-        sweep.bytes_freed += TILE_BYTES;
-        sweep.bytes_retained -= TILE_BYTES;
-        let left = self
-            .per_index
-            .get_mut(&key.index)
-            .expect("a stored tile is counted under its index");
-        *left -= 1;
-        if *left == 0 {
-            self.per_index.remove(&key.index);
-            self.drop_frame(key.index, sweep);
-        }
-    }
-
-    /// Evict `index`'s frame if it is computed (one in flight stays, so
-    /// its compute is accounted for by its entry), accounting for it in
-    /// `sweep`.
-    fn drop_frame(&mut self, index: i64, sweep: &mut EvictionSweep) {
-        if self
-            .frames
-            .get(&index)
-            .is_some_and(|s| s.cell.get().is_some())
-        {
-            self.frames.remove(&index);
-            sweep.frames_evicted += 1;
-            sweep.bytes_freed += FRAME_BYTES;
-            sweep.bytes_retained -= FRAME_BYTES;
-        }
-    }
+    from: u64,
+    to: u64,
+) {
+    let (mut pass_map, mut grid_map) = (passes.lock(), grids.lock());
+    let (mut tile_map, mut frame_map) = (tiles.lock(), frames.lock());
+    passes.release_where(&mut pass_map, |_, slot, _| slot.last_read_in(from, to));
+    // Dropping the store's slot drops the view (no campaign holds one
+    // between jobs), and with it the view's hold on its tiles.
+    grids.release_where(&mut grid_map, |_, slot, _| slot.last_read_in(from, to));
+    tiles.release_where(&mut tile_map, |_, _, tile| Arc::strong_count(tile) == 1);
+    let indices: HashSet<i64> = tile_map.keys().map(|key| key.index).collect();
+    frames.release_where(&mut frame_map, |index, _, _| !indices.contains(index));
 }
 
 /// Identity of one shared ephemeris grid view.
@@ -983,25 +832,28 @@ mod tests {
         }
     }
 
+    /// A release drops the pass lists and grid views last read between
+    /// its two marks, then the tiles no view holds and the frames no
+    /// stored tile uses, counting each drop once; what was read before
+    /// or after the marks stays.
     #[test]
-    fn eviction_pass_respects_budget_and_lru_order() {
+    fn release_drops_what_was_last_read_between_the_marks() {
         // Private stores: the process-wide caches are shared by every
-        // campaign test in this binary, so evicting from them here
+        // campaign test in this binary, so releasing from them here
         // would race their exactly-once assertions.
         let passes: Store<PassKey, Vec<Pass>> = Store::new();
         let grids: Store<GridKey, EphemerisGrid> = Store::new();
         let tiles: Store<TileKey, EphemerisTile> = Store::new();
         let frames: Store<i64, LatticeFrame> = Store::new();
-        let base = make_predictor().passes(epoch(), epoch() + 1.0);
-        assert!(!base.is_empty());
-        let list = |n: usize| -> Vec<Pass> { base.iter().cycle().take(n).cloned().collect() };
-
-        let k1 = PassKey::new("TEST_EVICT", "T", 1, epoch(), epoch() + 1.0, 0.0);
-        let k2 = PassKey::new("TEST_EVICT", "T", 2, epoch(), epoch() + 1.0, 0.0);
-        let k3 = PassKey::new("TEST_EVICT", "T", 3, epoch(), epoch() + 1.0, 0.0);
-        let gk = GridKey::new("TEST_EVICT", 1, epoch(), epoch() + 0.2);
         let sgp4 = Elements::circular(550.0, 97.6, epoch()).to_sgp4().unwrap();
-        let view = |key: GridKey| {
+        let list = |id: u32| {
+            let key = PassKey::new("TEST_RELEASE", "T", id, epoch(), epoch() + 1.0, 0.0);
+            passes.get_or_compute(key, Vec::new)
+        };
+        // Satellite `id`'s view over a fifth of a day from `day`; views
+        // two days apart share no tile index, so no frame either.
+        let view = |id: u32, day: f64| {
+            let key = GridKey::new("TEST_RELEASE", id, epoch() + day, epoch() + day + 0.2);
             let (start, end) = key.range();
             grids.get_or_compute(key, || {
                 EphemerisGrid::build_with(start, end, |indices| {
@@ -1009,97 +861,42 @@ mod tests {
                 })
             })
         };
-        let all_stats = || {
+        // Each store's (entries, released) after a release, which keeps
+        // every compute accounted for.
+        let release = |from, to| {
+            release_on(&passes, &grids, &tiles, &frames, from, to);
             [
-                passes.stats(|l| pass_list_bytes(l)),
-                grids.stats(view_bytes),
-                tiles.stats(|_| TILE_BYTES),
-                frames.stats(|_| FRAME_BYTES),
+                passes.stats(|_| 0),
+                grids.stats(|_| 0),
+                tiles.stats(|_| 0),
+                frames.stats(|_| 0),
             ]
-        };
-        // Every pass records what it dropped in each store's own
-        // counter, and every compute stays accounted for.
-        let enforce = |budget_bytes: u64| {
-            let before = all_stats();
-            let sweep = enforce_on(&passes, &grids, &tiles, &frames, budget_bytes);
-            let after = all_stats();
-            let evicted = [
-                sweep.pass_lists_evicted,
-                sweep.grids_evicted,
-                sweep.tiles_evicted,
-                sweep.frames_evicted,
-            ];
-            for ((b, a), n) in before.iter().zip(&after).zip(evicted) {
-                assert_eq!(a.evictions - b.evictions, n as u64);
-                assert_eq!(a.computes, a.entries as u64 + a.evictions);
-            }
-            sweep
+            .map(|s| {
+                assert_eq!(s.computes, s.entries as u64 + s.evictions);
+                (s.entries, s.evictions as usize)
+            })
         };
 
-        passes.get_or_compute(k1, || list(40));
-        passes.get_or_compute(k2, || list(20));
-        passes.get_or_compute(k3, || list(10));
-        view(gk);
-        // Touch k1 again: k2 becomes the least recently used entry.
-        passes.get_or_compute(k1, || unreachable!("k1 evicted early"));
-
-        let [pass_stats, view_stats, tile_stats, frame_stats] = all_stats();
-        let pass_bytes = pass_stats.approx_bytes;
-        let grid_bytes =
-            view_stats.approx_bytes + tile_stats.approx_bytes + frame_stats.approx_bytes;
-        let total = pass_bytes + grid_bytes;
-        assert!(pass_bytes > 0 && grid_bytes > 0);
-        assert_eq!((pass_stats.lookups, pass_stats.computes), (4, 3));
-        // One frame per tile index, looked up once per tile computed.
-        assert_eq!(frame_stats.entries, tile_stats.entries);
-        assert_eq!(frame_stats.lookups, tile_stats.computes);
-
-        // Over budget by one byte: exactly the LRU entry (k2) must go.
-        let sweep = enforce(total - 1);
-        assert_eq!(sweep.pass_lists_evicted, 1);
-        assert_eq!(sweep.grids_evicted, 0);
-        assert_eq!(sweep.tiles_evicted, 0);
-        assert_eq!(sweep.bytes_freed, pass_list_bytes(&list(20)));
-        assert_eq!(sweep.bytes_freed + sweep.bytes_retained, total);
-        assert!(sweep.bytes_retained < total);
-        passes.get_or_compute(k2, || list(20));
-        passes.get_or_compute(k3, || unreachable!("k3 evicted"));
-        let recomputed = passes.stats(|l| pass_list_bytes(l)).computes - pass_stats.computes;
-        assert_eq!(recomputed, 1, "the LRU entry survived the sweep");
-
-        // Budget zero drains all four stores completely: the evicted
-        // view was its tiles' only holder, and each index's frame goes
-        // with its last tile.
-        let sweep = enforce(0);
-        assert_eq!(sweep.bytes_retained, 0);
-        assert_eq!(sweep.grids_evicted, 1);
-        assert!(sweep.tiles_evicted > 0);
-        assert_eq!(sweep.frames_evicted, sweep.tiles_evicted);
-        assert!(all_stats().iter().all(|s| s.entries == 0));
-
-        // A tile some live view still holds outlives its evicted cached
-        // view, and goes as an orphan once that holder is gone. A second
-        // satellite's tiles over the same window share its frames, which
-        // stay while any tile of their index does and go with the last.
-        let held = view(gk);
-        let held_tiles = held.tiles().len();
-        view(GridKey::new("TEST_EVICT", 2, epoch(), epoch() + 0.2));
-        assert_eq!(all_stats()[3].entries, held_tiles, "one frame per index");
-        let sweep = enforce(0);
-        assert_eq!((sweep.grids_evicted, sweep.tiles_evicted), (2, held_tiles));
-        assert_eq!(sweep.frames_evicted, 0, "a held tile's frame was dropped");
-        assert_eq!(all_stats()[2].entries, held_tiles);
+        list(0);
+        let early = view(0, 0.0).tiles().len();
+        let from = read_mark();
+        list(1);
+        list(2);
+        let gone = view(1, 2.0).tiles().len();
+        let held = view(2, 4.0);
+        let to = read_mark();
+        list(2);
+        let late = view(3, 6.0).tiles().len();
+        let kept = early + held.tiles().len() + late;
+        // List 1 and views 1 and 2 were last read between the marks. The
+        // held view keeps its tiles and frames; view 1's go with it.
+        let first = release(from, to);
+        assert_eq!(first, [(2, 1), (2, 2), (kept, gone), (kept, gone)]);
+        assert_eq!(release(from, to), first, "a second release dropped more");
+        let orphaned = held.tiles().len();
         drop(held);
-        let sweep = enforce(0);
-        assert_eq!(sweep.tiles_evicted, held_tiles);
-        assert_eq!(sweep.frames_evicted, held_tiles);
-        assert_eq!((all_stats()[2].entries, sweep.bytes_retained), (0, 0));
-
-        // Under budget: a pass is a pure measurement, nothing moves.
-        passes.get_or_compute(k1, || list(5));
-        let sweep = enforce(u64::MAX - 1);
-        assert_eq!(sweep.pass_lists_evicted, 0);
-        assert_eq!(sweep.bytes_retained, pass_list_bytes(&list(5)));
+        let left = (kept - orphaned, gone + orphaned);
+        assert_eq!(release(from, to), [(2, 1), (2, 2), left, left]);
     }
 
     #[test]
@@ -1245,40 +1042,5 @@ mod tests {
         assert_eq!(asked.lock().unwrap().len(), 1, "a filled group computed");
         let stats = store.stats(|_| 0);
         assert_eq!((stats.lookups, stats.computes, stats.entries), (9, 3, 3));
-    }
-
-    /// Each slot of a batch gets its own recency tick, in key order, so
-    /// a budget pass evicts a batch's entries oldest key first, the same
-    /// victims in the same order on every run — with one tick per
-    /// batch, `HashMap` order would break the ties instead.
-    #[test]
-    fn batch_slots_get_distinct_ticks_and_evict_in_key_order() {
-        let keys: Vec<PassKey> = (0..6)
-            .map(|i| PassKey::new("TEST_TICKS", "T", i, epoch(), epoch() + 1.0, 0.0))
-            .collect();
-        let entry_bytes = pass_list_bytes(&[]);
-        for _ in 0..8 {
-            let passes: Store<PassKey, Vec<Pass>> = Store::new();
-            let grids: Store<GridKey, EphemerisGrid> = Store::new();
-            let tiles: Store<TileKey, EphemerisTile> = Store::new();
-            let frames: Store<i64, LatticeFrame> = Store::new();
-            passes.get_or_compute_all(keys.iter().copied(), |_| Vec::new());
-            let ticks: Vec<u64> = {
-                let map = passes.lock();
-                keys.iter()
-                    .map(|k| map[k].last_used.load(Relaxed))
-                    .collect()
-            };
-            assert!(ticks.windows(2).all(|w| w[1] == w[0] + 1), "{ticks:?}");
-            for kept in (0..keys.len()).rev() {
-                let sweep = enforce_on(&passes, &grids, &tiles, &frames, kept as u64 * entry_bytes);
-                assert_eq!(sweep.pass_lists_evicted, 1);
-                let map = passes.lock();
-                let survivors: Vec<bool> = keys.iter().map(|k| map.contains_key(k)).collect();
-                let oldest_gone = keys.len() - kept;
-                assert!(survivors[..oldest_gone].iter().all(|s| !s), "{survivors:?}");
-                assert!(survivors[oldest_gone..].iter().all(|s| *s), "{survivors:?}");
-            }
-        }
     }
 }

@@ -17,12 +17,13 @@
 //!   (the `sweep_server_amortisation` test pins it: warm jobs compute
 //!   nothing, and the server beats cold jobs on the clock).
 //! * **Bounded memory.** Jobs run under the aggregating sink — traces
-//!   stream into the PR-6 mergeable sketches ([`TraceAggregate`]'s
-//!   exact merge law), so sweep memory is O(jobs' summaries), never
-//!   O(traces). Between jobs the server enforces the cache payload
-//!   budget its options carry (`RunOptions::sweep_cache_mb`, through
-//!   [`crate::sweep::enforce_cache_budget`]), so a sweep over disjoint
-//!   windows cannot grow without bound.
+//!   stream into mergeable sketches ([`TraceAggregate`]'s exact merge
+//!   law), so sweep memory is O(jobs' summaries), never O(traces).
+//!   After each job the server releases what an earlier job of its
+//!   queue read and that job did not
+//!   ([`crate::sweep::release_read_between`]), so a sweep over disjoint
+//!   windows holds one job's predictions, while one whose jobs share
+//!   their windows releases nothing.
 //! * **Checkpoint/resume.** A job is a [`ScenarioSpec`] named by its
 //!   tag, plus a 64-bit seed. With a spill directory configured, each
 //!   completed job is written to `<dir>/<fingerprint>.ckpt` (atomic
@@ -78,6 +79,7 @@ use satiot_scenarios::{ConstellationRef, ScenarioSpec, SiteRef};
 use satiot_sim::rng::{fnv1a, Rng};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Jobs
@@ -365,16 +367,19 @@ pub struct SweepServer {
     opts: RunOptions,
     /// Checkpoint directory; `None` disables checkpoint/resume.
     spill_dir: Option<PathBuf>,
+    /// The [`sweep::read_mark`] taken before the server's first executed
+    /// job, over all its [`Self::run`] calls: entries last read before
+    /// it were read outside the server's queue, and stay.
+    first_mark: OnceLock<u64>,
 }
 
 impl SweepServer {
-    /// A server honouring `opts` — including its `SATIOT_SWEEP_DIR` and
-    /// `SATIOT_SWEEP_CACHE_MB` knobs. A configured cache budget is
-    /// enforced between jobs; without one nothing is evicted.
+    /// A server honouring `opts`, including its `SATIOT_SWEEP_DIR` knob.
     pub fn new(opts: RunOptions) -> SweepServer {
         SweepServer {
             opts,
             spill_dir: opts.sweep_dir.map(PathBuf::from),
+            first_mark: OnceLock::new(),
         }
     }
 
@@ -397,10 +402,10 @@ impl SweepServer {
     /// duplicate fingerprint ([`SatIotError::InvalidName`]), or a
     /// campaign failure from an executed job.
     pub fn run(&self, jobs: &[SweepJob]) -> Result<SweepOutcome, SatIotError> {
-        let mut ids = Vec::with_capacity(jobs.len());
+        let mut resolved = Vec::with_capacity(jobs.len());
         let mut seen = HashSet::with_capacity(jobs.len());
         for job in jobs {
-            job.to_config()?;
+            let config = job.to_config()?;
             let id = JobId::of(job);
             if !seen.insert(id.fingerprint) {
                 return Err(SatIotError::InvalidName {
@@ -409,7 +414,7 @@ impl SweepServer {
                     suggestion: None,
                 });
             }
-            ids.push(id);
+            resolved.push((id, config));
         }
         if let Some(dir) = &self.spill_dir {
             std::fs::create_dir_all(dir).map_err(|_| SatIotError::InvalidName {
@@ -423,8 +428,8 @@ impl SweepServer {
         let mut outcome = SweepOutcome::default();
         let mut slots: Vec<Option<JobRecord>> = Vec::with_capacity(jobs.len());
         let mut pending = Vec::new();
-        for (job, id) in jobs.iter().zip(&ids) {
-            let resumed = match self.load_checkpoint(job, id) {
+        for (job, (id, config)) in jobs.iter().zip(resolved) {
+            let resumed = match self.load_checkpoint(job, &id) {
                 Some(Ok(record)) => Some(record),
                 Some(Err(_)) => {
                     outcome.checkpoints_rejected += 1;
@@ -435,22 +440,22 @@ impl SweepServer {
             if resumed.is_some() {
                 outcome.jobs_resumed += 1;
             } else {
-                pending.push((slots.len(), job, id));
+                pending.push((slots.len(), job, id, config));
             }
             slots.push(resumed);
         }
 
-        // Execute the pending jobs, checkpointing each and holding the
-        // caches to the budget between them.
-        for (slot, job, id) in pending {
-            let record = self.execute(job, id)?;
+        // Execute the pending jobs, checkpointing each, then releasing
+        // what the server's earlier jobs read and this one did not.
+        for (slot, job, id, config) in pending {
+            let mark = sweep::read_mark();
+            let first = *self.first_mark.get_or_init(|| mark);
+            let record = self.execute(job, &id, config)?;
             outcome.jobs_run += 1;
-            if self.write_checkpoint(&record, id) {
+            if self.write_checkpoint(&record, &id) {
                 outcome.checkpoints_written += 1;
             }
-            if let Some(mb) = self.opts.sweep_cache_mb {
-                sweep::enforce_cache_budget(mb << 20);
-            }
+            sweep::release_read_between(first, mark);
             slots[slot] = Some(record);
         }
 
@@ -463,10 +468,15 @@ impl SweepServer {
         Ok(outcome)
     }
 
-    /// Execute one job end-to-end.
-    fn execute(&self, job: &SweepJob, id: &JobId) -> Result<JobRecord, SatIotError> {
+    /// Execute one job end-to-end, on its config as [`Self::run`]
+    /// resolved it.
+    fn execute(
+        &self,
+        job: &SweepJob,
+        id: &JobId,
+        config: PassiveConfig,
+    ) -> Result<JobRecord, SatIotError> {
         let (pass_before, grid_before) = (sweep::stats(), sweep::grid_stats());
-        let config = job.to_config()?;
         let resolved: Vec<String> = config
             .constellations
             .iter()

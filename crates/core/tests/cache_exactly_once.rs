@@ -1,8 +1,8 @@
 //! The shared pass cache, ephemeris grid, tile and frame stores compute
-//! each entry exactly once: over repeated campaigns, unbudgeted, every
-//! lookup after the first is served warm; under a cache budget, the
-//! footprint holds the ceiling, results do not change, and each compute
-//! is accounted for by an entry or an eviction.
+//! each entry exactly once: over repeated campaigns every lookup after
+//! the first is served warm; over a sweep of disjoint windows the
+//! server keeps only the last job's entries, results do not change,
+//! and each compute is accounted for by an entry or a release.
 //!
 //! The test clears the stores and reads their counters, which any
 //! campaign running in the same process would also move, so it is the
@@ -55,65 +55,80 @@ fn repeated_campaigns_compute_each_entry_once() {
     sweep::clear();
 }
 
-/// Disjoint windows grow both stores without bound unless the budget
-/// stops them. The budget is half the queue's natural footprint,
-/// rounded down to whole MiB, so the check tracks the scenario instead
-/// of a magic constant.
-fn budget_holds_and_results_do_not_change() {
-    let jobs: Vec<SweepJob> = (0..6)
-        .map(|i| {
-            SweepJob::new(format!("ceiling-{i}"), 0xCE11 + i)
-                .with_max_days(0.5 + 0.1 * i as f64)
-                .with_sites(["HK"])
+/// A sweep over disjoint windows holds one job's predictions: after
+/// each job the server releases what an earlier job of its queue read
+/// and that job did not. HK, SH, NC, SYD and LDN start on distinct
+/// Table 1 days, so one job per site shares no pass list, view, tile or
+/// frame with another. Before the sweep, a campaign over a window no
+/// job reads (SH for a quarter day) fills the stores, and what it read
+/// stays.
+fn disjoint_sweep_holds_the_last_job_and_results_do_not_change() {
+    let jobs: Vec<SweepJob> = ["HK", "SH", "NC", "SYD", "LDN"]
+        .into_iter()
+        .zip(0xD15..)
+        .map(|(code, seed)| {
+            SweepJob::new(format!("disjoint-{code}"), seed)
+                .with_max_days(0.5)
+                .with_sites([code])
         })
         .collect();
-    let footprint = || sweep::stats().approx_bytes + sweep::grid_stats().approx_bytes;
-    sweep::clear();
-    let unbudgeted = SweepServer::new(RunOptions::default())
-        .run(&jobs)
-        .expect("unbudgeted sweep runs");
-    let natural = footprint();
-    let budget_mb = (natural / 2) >> 20;
-    assert!(
-        budget_mb > 0,
-        "the sweep's {natural} B footprint is too small to halve"
-    );
+    let stores = || {
+        [
+            sweep::stats(),
+            sweep::grid_stats(),
+            sweep::tile_stats(),
+            sweep::frame_stats(),
+        ]
+    };
+    let entries = || stores().map(|s| s.entries);
+    let server = || SweepServer::new(RunOptions::default());
+    // Each job cold, on its own; the last one's entries are what the
+    // sweep keeps of its queue.
+    let mut alone = Vec::new();
+    let mut last = [0; 4];
+    for job in &jobs {
+        sweep::clear();
+        let outcome = server()
+            .run(std::slice::from_ref(job))
+            .expect("a cold job runs");
+        alone.extend(outcome.records);
+        last = entries();
+    }
 
-    let budget = budget_mb << 20;
     sweep::clear();
-    let budgeted = SweepServer::new(RunOptions::default().with_sweep_cache_mb(Some(budget_mb)))
-        .run(&jobs)
-        .expect("budgeted sweep runs");
-    let bounded = footprint();
-    let (cache, grids, tiles, frames) = (
-        sweep::stats(),
-        sweep::grid_stats(),
-        sweep::tile_stats(),
-        sweep::frame_stats(),
-    );
-    assert!(
-        bounded <= budget,
-        "footprint {bounded} B exceeds the {budget} B budget"
-    );
-    assert!(
-        cache.evictions + grids.evictions > 0,
-        "the budget never fired an eviction"
-    );
-    assert!(tiles.evictions > 0, "the budget never evicted a tile");
-    assert!(
-        budgeted.same_results(&unbudgeted),
-        "evictions changed sweep results"
-    );
-    // Each compute fills one slot and each eviction empties one.
-    assert_eq!(cache.computes, cache.entries as u64 + cache.evictions);
-    assert_eq!(grids.computes, grids.entries as u64 + grids.evictions);
-    assert_eq!(tiles.computes, tiles.entries as u64 + tiles.evictions);
-    assert_eq!(frames.computes, frames.entries as u64 + frames.evictions);
+    let mut early = PassiveConfig {
+        max_days: 0.25,
+        ..Default::default()
+    };
+    early.sites.retain(|s| s.code == "SH");
+    PassiveCampaign::new(early)
+        .run(&RunOptions::default())
+        .expect("the early campaign runs");
+    let before = entries();
+    let outcome = server().run(&jobs).expect("the disjoint sweep runs");
+    let names = ["pass cache", "grids", "tiles", "frames"];
+    for (((s, name), before), last) in stores().iter().zip(names).zip(before).zip(last) {
+        assert_eq!(
+            s.entries,
+            before + last,
+            "{name}: keeps other than the early and last entries"
+        );
+        assert!(s.evictions > 0, "{name}: nothing was released");
+        // Each compute fills one slot and each release empties one.
+        assert_eq!(s.computes, s.entries as u64 + s.evictions, "{name}");
+    }
+    for (record, alone) in outcome.records.iter().zip(&alone) {
+        assert!(
+            record.same_results(alone),
+            "{}: releases changed results",
+            record.job.tag
+        );
+    }
     sweep::clear();
 }
 
 #[test]
-fn caches_compute_exactly_once_and_hold_their_budget() {
+fn caches_compute_exactly_once_and_release_what_the_queue_left() {
     repeated_campaigns_compute_each_entry_once();
-    budget_holds_and_results_do_not_change();
+    disjoint_sweep_holds_the_last_job_and_results_do_not_change();
 }

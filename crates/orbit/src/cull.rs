@@ -66,11 +66,13 @@
 //!
 //! ## Proof counters
 //!
-//! [`screen`] runs both tests for one pair and counts its verdict:
-//! `pairs_considered`, `pairs_culled_lat_band`, `pairs_culled_cone` and
-//! `pairs_kept`, read through [`stats`]. They are plain atomics outside
-//! the metrics registry (the `sweep_cull` and `extension_megascale`
-//! tests assert on them), and only the screen adds to them. `considered = culled + kept` always holds;
+//! [`screen`] runs both tests for one pair and counts its verdict in
+//! four metrics-registry counters, `orbit.cull.pairs_considered`,
+//! `orbit.cull.pairs_culled_lat_band`, `orbit.cull.pairs_culled_cone`
+//! and `orbit.cull.pairs_kept`, read together through [`stats`]. Only
+//! the screen adds to them, and readers take deltas (the `sweep_cull`
+//! and `extension_megascale` tests assert on them). `considered =
+//! culled + kept` always holds;
 //! `pairs_kept` is exactly the number of pairs that went on to grid
 //! interpolation, which the `sweep_cull` test proves shrinks ≥ 5× on a
 //! mega-shell matrix.
@@ -80,7 +82,7 @@ use crate::frames::Geodetic;
 use crate::sgp4::Sgp4;
 use crate::time::JulianDate;
 use core::f64::consts::PI;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use satiot_obs::metrics::Counter;
 use std::sync::Arc;
 
 /// Pad, km, added to the satellite's maximum geocentric radius before
@@ -124,10 +126,10 @@ pub enum CullingMode {
 }
 
 // The proof counters behind [`stats`]; only [`screen`] adds to them.
-static PAIRS_CONSIDERED: AtomicU64 = AtomicU64::new(0);
-static PAIRS_CULLED_LAT_BAND: AtomicU64 = AtomicU64::new(0);
-static PAIRS_CULLED_CONE: AtomicU64 = AtomicU64::new(0);
-static PAIRS_KEPT: AtomicU64 = AtomicU64::new(0);
+static PAIRS_CONSIDERED: Counter = Counter::new("orbit.cull.pairs_considered");
+static PAIRS_CULLED_LAT_BAND: Counter = Counter::new("orbit.cull.pairs_culled_lat_band");
+static PAIRS_CULLED_CONE: Counter = Counter::new("orbit.cull.pairs_culled_cone");
+static PAIRS_KEPT: Counter = Counter::new("orbit.cull.pairs_kept");
 
 /// Snapshot of the cull proof counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,25 +149,27 @@ impl CullStats {
     pub fn pairs_culled(&self) -> u64 {
         self.pairs_culled_lat_band + self.pairs_culled_cone
     }
-}
 
-/// Read the proof counters.
-pub fn stats() -> CullStats {
-    CullStats {
-        pairs_considered: PAIRS_CONSIDERED.load(Relaxed),
-        pairs_culled_lat_band: PAIRS_CULLED_LAT_BAND.load(Relaxed),
-        pairs_culled_cone: PAIRS_CULLED_CONE.load(Relaxed),
-        pairs_kept: PAIRS_KEPT.load(Relaxed),
+    /// The verdicts counted since the `earlier` read.
+    pub fn since(&self, earlier: &CullStats) -> CullStats {
+        CullStats {
+            pairs_considered: self.pairs_considered - earlier.pairs_considered,
+            pairs_culled_lat_band: self.pairs_culled_lat_band - earlier.pairs_culled_lat_band,
+            pairs_culled_cone: self.pairs_culled_cone - earlier.pairs_culled_cone,
+            pairs_kept: self.pairs_kept - earlier.pairs_kept,
+        }
     }
 }
 
-/// Reset the proof counters (benchmark sections and counter tests
-/// isolate measurements with this).
-pub fn reset_stats() {
-    PAIRS_CONSIDERED.store(0, Relaxed);
-    PAIRS_CULLED_LAT_BAND.store(0, Relaxed);
-    PAIRS_CULLED_CONE.store(0, Relaxed);
-    PAIRS_KEPT.store(0, Relaxed);
+/// Read the proof counters. A measurement is the delta between two
+/// reads ([`CullStats::since`]).
+pub fn stats() -> CullStats {
+    CullStats {
+        pairs_considered: PAIRS_CONSIDERED.value(),
+        pairs_culled_lat_band: PAIRS_CULLED_LAT_BAND.value(),
+        pairs_culled_cone: PAIRS_CULLED_CONE.value(),
+        pairs_kept: PAIRS_KEPT.value(),
+    }
 }
 
 /// Screen one (site, satellite) pair over `[start, end]` and count the
@@ -181,18 +185,18 @@ pub fn screen(
     end: JulianDate,
     grid: impl FnOnce() -> Arc<EphemerisGrid>,
 ) -> Option<Arc<EphemerisGrid>> {
-    PAIRS_CONSIDERED.fetch_add(1, Relaxed);
+    PAIRS_CONSIDERED.inc();
     let (incl_rad, apogee_km) = (sgp4.inclination_rad(), sgp4.apogee_radius_km());
     if never_in_latitude_band(site, incl_rad, apogee_km, mask_rad) {
-        PAIRS_CULLED_LAT_BAND.fetch_add(1, Relaxed);
+        PAIRS_CULLED_LAT_BAND.inc();
         return None;
     }
     let grid = grid();
     if cone_clears_grid(&grid, site, mask_rad, start, end) {
-        PAIRS_CULLED_CONE.fetch_add(1, Relaxed);
+        PAIRS_CULLED_CONE.inc();
         return None;
     }
-    PAIRS_KEPT.fetch_add(1, Relaxed);
+    PAIRS_KEPT.inc();
     Some(grid)
 }
 
@@ -421,21 +425,19 @@ mod tests {
         let opposite = ground(-at(start + 0.01));
         let under = ground(at(start));
 
-        reset_stats();
+        let before = stats();
         let no_grid = || unreachable!("the latitude-band verdict fetched a grid");
         assert!(screen(&sgp4, polar, 0.0, start, end, no_grid).is_none());
         let shared = || Arc::clone(&grid);
         assert!(screen(&sgp4, opposite, 0.0, start, end, shared).is_none());
         let kept = screen(&sgp4, under, 0.0, start, end, shared).expect("the pair is kept");
         assert!(Arc::ptr_eq(&kept, &grid));
-        let s = stats();
+        let s = stats().since(&before);
         assert_eq!(
             (s.pairs_culled_lat_band, s.pairs_culled_cone, s.pairs_kept),
             (1, 1, 1)
         );
         assert_eq!(s.pairs_considered, 3);
         assert_eq!(s.pairs_considered, s.pairs_culled() + s.pairs_kept);
-        reset_stats();
-        assert_eq!(stats().pairs_considered, 0);
     }
 }

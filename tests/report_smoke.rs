@@ -2,7 +2,10 @@
 //! experiment registry (paper tables and figures, ablations, and
 //! extensions) renders from one quick-scale campaign set without
 //! panicking and carries its headline fields — the safety net that
-//! keeps `reproduce_all` and `ablations_all` runnable.
+//! keeps `reproduce_all` and `ablations_all` runnable. It ends, as they
+//! do, by proving every sweep store computed each entry exactly once
+//! per residency, the sweep servers of A1 and E3 included; so it is the
+//! only test in this binary.
 
 use satiot::core::options::{RunOptions, Scale};
 use satiot_bench::experiments::{Campaigns, ABLATIONS, PAPER};
@@ -33,4 +36,5 @@ fn every_registry_section_renders_at_quick_scale() {
     ] {
         assert!(body(id).contains(needle), "{id} lacks {needle:?}");
     }
+    satiot_bench::prove_stores_exactly_once();
 }
