@@ -115,14 +115,29 @@ pub fn table1(passive: &PassiveResults) -> String {
         ("NC", "2024/11", 328),
         ("YC", "2024/09", 37_198),
     ];
-    let mut total_ours = 0usize;
-    for site in measurement_sites() {
+    // Every trace's (site, constellation) cell in one pass. A site's own
+    // count takes every trace of the site; a constellation outside the
+    // four columns has no cell.
+    let sites = measurement_sites();
+    let mut per_site = vec![0usize; sites.len()];
+    let mut cells = vec![[0usize; CONSTELLATIONS.len()]; sites.len()];
+    for trace in &passive.traces.traces {
+        let Some(s) = sites.iter().position(|site| site.code == trace.site) else {
+            continue;
+        };
+        per_site[s] += 1;
+        if let Some(c) = CONSTELLATIONS
+            .iter()
+            .position(|&c| c == trace.constellation)
+        {
+            cells[s][c] += 1;
+        }
+    }
+    for (site, ours) in sites.iter().zip(&per_site) {
         let (_, start, paper_count) = paper
             .iter()
             .find(|(c, _, _)| *c == site.code)
             .expect("site in paper table");
-        let ours = passive.traces.by_site(site.code).count();
-        total_ours += ours;
         t.row(&[
             site.code.to_string(),
             site.station_count.to_string(),
@@ -131,6 +146,7 @@ pub fn table1(passive: &PassiveResults) -> String {
             ours.to_string(),
         ]);
     }
+    let total_ours: usize = per_site.iter().sum();
     t.row(&[
         "TOTAL".into(),
         "27".into(),
@@ -145,17 +161,10 @@ pub fn table1(passive: &PassiveResults) -> String {
         "Table 1 (extended): traces by site x constellation",
         &["City", "Tianqi", "FOSSA", "PICO", "CSTP"],
     );
-    for site in measurement_sites() {
-        let mut cells = vec![site.code.to_string()];
-        for c in CONSTELLATIONS {
-            let n = passive
-                .traces
-                .by_site(site.code)
-                .filter(|tr| tr.constellation == c)
-                .count();
-            cells.push(n.to_string());
-        }
-        xt.row(&cells);
+    for (site, counts) in sites.iter().zip(&cells) {
+        let mut row = vec![site.code.to_string()];
+        row.extend(counts.iter().map(|n| n.to_string()));
+        xt.row(&row);
     }
     out.push('\n');
     out.push_str(&xt.render());

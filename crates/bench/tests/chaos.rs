@@ -485,9 +485,8 @@ fn component_scenario(plan: &mut ChaosPlan) -> Verdict {
         max_elevation_rad: 0.6,
         tca_range_km: 900.0,
     });
-    let beacons = beacon_times(&probe, plan.corrupt_duration(60.0), plan.corrupt_f64(5.0));
-    for b in &beacons {
-        if !(b.0.is_finite() && *b >= probe.aos && *b <= probe.los) {
+    for b in beacon_times(&probe, plan.corrupt_duration(60.0), plan.corrupt_f64(5.0)) {
+        if !(b.0.is_finite() && b >= probe.aos && b <= probe.los) {
             return Verdict::Mismatch(format!(
                 "beacon {:?} outside pass [{:?}..{:?}]",
                 b, probe.aos, probe.los

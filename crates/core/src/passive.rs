@@ -18,8 +18,13 @@
 //! margin sweep ([`sweep::passes_for_sites`]), so re-runs — ablations,
 //! determinism checks, repeated campaigns in one binary — never predict
 //! the same list twice. The *simulate* phase then replays each site on its own
-//! forked RNG stream; results merge in site order, so a campaign is
-//! bit-for-bit reproducible regardless of thread count or scheduling.
+//! forked RNG stream. Once the pass lists are known, so is each site's
+//! record count: one per candidate pass. Every [`SitePassRecord`] is
+//! written once, by its site, into that site's slice of one
+//! campaign-sized buffer, which becomes [`PassiveResults::passes`] in
+//! place; traces, faults and sketches merge in site order. So a
+//! campaign is bit-for-bit reproducible regardless of thread count or
+//! scheduling.
 //!
 //! Inside the simulate phase, each covered pass first runs a *listen
 //! prepass*: the deterministic coverage gates plus the stochastic
@@ -37,7 +42,7 @@ use crate::messages::BEACON_ON_AIR_BYTES;
 use crate::options::RunOptions;
 use crate::satellite::merge_contacts;
 use crate::scheduler::{CandidatePass, Coverage, PredictiveScheduler, Scheduler, VanillaScheduler};
-use crate::sink::{SinkStats, TraceSink};
+use crate::sink::{SinkOutput, SinkStats, TraceSink};
 use crate::station::{AvailabilityParams, StationAvailability};
 use crate::sweep::{self, GridKey};
 use satiot_channel::antenna::AntennaPattern;
@@ -57,7 +62,7 @@ use satiot_phy::per::packet_decodes;
 use satiot_scenarios::constellations::{all_constellations, ConstellationSpec};
 use satiot_scenarios::sites::{campaign_epoch, Site};
 use satiot_sim::{pool, Rng, SimTime};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Candidate passes predicted across all sites and satellites (metrics).
 static PASSES_PREDICTED: Counter = Counter::new("core.passive.passes_predicted");
@@ -134,7 +139,7 @@ impl PassiveConfig {
     }
 }
 
-/// One covered pass with its measured outcome.
+/// One predicted pass, covered or not, with its measured outcome.
 #[derive(Debug, Clone)]
 pub struct SitePassRecord {
     /// Site code.
@@ -165,7 +170,8 @@ pub struct PassiveResults {
     /// ([`crate::sink::SinkMode::Full`], the default); empty under the
     /// aggregating sink.
     pub traces: TraceSet,
-    /// Every covered pass.
+    /// One record per simulated candidate pass, covered or not: site by
+    /// site in configuration order, each site's in AOS order.
     pub passes: Vec<SitePassRecord>,
     /// Recoverable input damage survived during the run (sites skipped,
     /// NaN passes dropped, …), merged per site in configuration order.
@@ -332,12 +338,46 @@ impl PassiveCampaign {
         }
 
         // Simulate phase: one task per site, RNG streams forked by index.
-        let partials: Vec<PassiveResults> =
-            pool::parallel_map_with(&self.config.sites, threads, |idx, site| {
-                let rng = root.fork_indexed("site", idx as u64);
-                run_site(&self.config, opts, site, &sats, rng, &site_lists[idx])
-            });
-        Ok(merge(partials))
+        // A site writes at most one record per candidate pass (sanitising
+        // only drops candidates), into its own slice of one buffer split
+        // in site order; a site `run_site` skips gets an empty slice.
+        let max_days = self.config.max_days;
+        let counts: Vec<usize> = self
+            .config
+            .sites
+            .iter()
+            .zip(&site_lists)
+            .map(|(site, lists)| match simulable(site, max_days) {
+                true => lists.iter().map(|list| list.len()).sum(),
+                false => 0,
+            })
+            .collect();
+        let mut records: Vec<Option<SitePassRecord>> = vec![None; counts.iter().sum()];
+        let mut rest = records.as_mut_slice();
+        let slices: Vec<Mutex<&mut [Option<SitePassRecord>]>> = counts
+            .iter()
+            .map(|&n| {
+                let (slice, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                rest = tail;
+                Mutex::new(slice)
+            })
+            .collect();
+        let partials = pool::parallel_map_with(&self.config.sites, threads, |idx, site| {
+            let rng = root.fork_indexed("site", idx as u64);
+            let mut slice = slices[idx]
+                .lock()
+                .expect("only its own site task locks a slice");
+            run_site(
+                &self.config,
+                opts,
+                site,
+                &sats,
+                rng,
+                &site_lists[idx],
+                &mut slice,
+            )
+        });
+        Ok(merge(partials, compact(records)))
     }
 
     /// Reject configurations the campaign cannot run meaningfully.
@@ -400,22 +440,47 @@ impl PassiveCampaign {
     }
 }
 
-/// Merge per-site partial results in site order (sketch merges
-/// included, so the aggregate is identical across thread counts).
-fn merge(partials: Vec<PassiveResults>) -> PassiveResults {
-    let mut merged = PassiveResults::default();
-    for p in partials {
-        merged.traces.traces.extend(p.traces.traces);
-        merged.passes.extend(p.passes);
-        merged.faults.merge(&p.faults);
-        match (&mut merged.sketch, p.sketch) {
-            (Some(mine), Some(theirs)) => mine.merge(&theirs),
-            (slot @ None, Some(theirs)) => *slot = Some(theirs),
-            (_, None) => {}
+/// The campaign's results from its pass records and each site's faults
+/// and finished sink (`None` for a skipped site), merged in site order
+/// (sketch merges included, so the aggregate is identical across thread
+/// counts). The traces are concatenated into one exactly sized vector.
+fn merge(
+    partials: Vec<(FaultLog, Option<SinkOutput>)>,
+    passes: Vec<SitePassRecord>,
+) -> PassiveResults {
+    let mut merged = PassiveResults {
+        passes,
+        ..PassiveResults::default()
+    };
+    let traces = partials
+        .iter()
+        .flat_map(|(_, out)| out)
+        .map(|out| out.traces.len());
+    merged.traces.traces.reserve_exact(traces.sum());
+    for (faults, out) in partials {
+        merged.faults.merge(&faults);
+        let Some(out) = out else { continue };
+        merged.traces.traces.extend(out.traces.traces);
+        match &mut merged.sketch {
+            Some(mine) => mine.merge(&out.sketch),
+            None => merged.sketch = Some(out.sketch),
         }
-        merged.sink.merge(&p.sink);
+        merged.sink.merge(&out.stats);
     }
     merged
+}
+
+/// The written records of `slots`, in order, holes closed, in `slots`'
+/// own allocation: `retain` never reallocates, and a `map` over a
+/// vector's `into_iter` collects in place when the item sizes match, as
+/// an `Option<SitePassRecord>`'s and a record's do. (`flatten` would
+/// collect into a second allocation.)
+fn compact(mut slots: Vec<Option<SitePassRecord>>) -> Vec<SitePassRecord> {
+    slots.retain(Option::is_some);
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("retained slots are written"))
+        .collect()
 }
 
 /// Drop candidate passes the pipeline cannot simulate: NaN/∞ AOS, LOS,
@@ -449,6 +514,16 @@ fn site_range(site: &Site, max_days: f64) -> (JulianDate, JulianDate, f64) {
     let start = site.start();
     let days = site.active_days().min(max_days);
     (start, start + days, days)
+}
+
+/// Whether `run_site` simulates `site`: a non-empty range under the day
+/// cap and a location that is a point on Earth. It skips, and counts,
+/// any other site.
+fn simulable(site: &Site, max_days: f64) -> bool {
+    let (_, _, days) = site_range(site, max_days);
+    let location_ok =
+        site.lat_deg.is_finite() && site.lon_deg.is_finite() && site.alt_km.is_finite();
+    days.is_finite() && days > 0.0 && location_ok
 }
 
 /// The sites of one campaign that share one simulated range: the unit of
@@ -518,7 +593,10 @@ fn piece_for_tca<'a>(pieces: &[&'a Coverage], tca: JulianDate) -> Option<&'a Cov
 }
 
 /// Simulate one site end to end on its forked RNG stream; `lists`
-/// carries the predict phase's per-satellite pass lists.
+/// carries the predict phase's per-satellite pass lists. Writes one
+/// record per candidate pass that survives sanitising into `records`,
+/// in AOS order from the front, and returns the site's faults and its
+/// finished sink (`None` when the site is skipped).
 fn run_site(
     cfg: &PassiveConfig,
     opts: &RunOptions,
@@ -526,18 +604,16 @@ fn run_site(
     sats: &[FlatSat],
     rng: Rng,
     lists: &[Arc<Vec<Pass>>],
-) -> PassiveResults {
+    records: &mut [Option<SitePassRecord>],
+) -> (FaultLog, Option<SinkOutput>) {
     let _shard_span = SITE_SHARD_S.start();
-    let mut results = PassiveResults::default();
+    let mut faults = FaultLog::default();
     let (start, end, days) = site_range(site, cfg.max_days);
-    // A site with an empty/inverted range or a location that is not a
-    // point on Earth cannot be simulated; skip it, count it, and let the
-    // rest of the campaign proceed.
-    let location_ok =
-        site.lat_deg.is_finite() && site.lon_deg.is_finite() && site.alt_km.is_finite();
-    if !(days.is_finite() && days > 0.0 && location_ok) {
-        results.faults.record(Fault::SkippedSite);
-        return results;
+    // A site that cannot be simulated is skipped and counted, and the
+    // rest of the campaign proceeds.
+    if !simulable(site, cfg.max_days) {
+        faults.record(Fault::SkippedSite);
+        return (faults, None);
     }
     // The shard's trace sink: decoded beacons flow here instead of an
     // unconditional in-RAM Vec (see `crate::sink`).
@@ -575,7 +651,7 @@ fn run_site(
         }));
     }
     PASSES_PREDICTED.add(candidates.len() as u64);
-    sanitize_candidates(&mut candidates, &mut results.faults);
+    sanitize_candidates(&mut candidates, &mut faults);
     // total_cmp on the raw JD bits: a NaN that slipped past sanitising
     // must never panic the sort (it orders after every finite time).
     candidates.sort_by(|a, b| a.pass.aos.0.total_cmp(&b.pass.aos.0));
@@ -612,11 +688,15 @@ fn run_site(
 
     let beacon_cfg = LoRaConfig::dts_beacon();
     let epoch = campaign_epoch();
-    // The heard-emission list the listen-gate prepass fills, reused
-    // across every pass of the site (cleared, not reallocated).
+    // A covered pass's emissions and the heard ones the listen-gate
+    // prepass keeps, reused across every pass of the site (cleared, not
+    // reallocated).
+    let mut emissions: Vec<JulianDate> = Vec::new();
     let mut heard: Vec<(JulianDate, u32)> = Vec::new();
+    let mut slots = records.iter_mut();
 
     for (pass_idx, pieces) in coverage_by_pass.iter().enumerate() {
+        let slot = slots.next().expect("one slot per candidate pass");
         let cp = &candidates[pass_idx];
         let sat = &sats[cp.sat_index];
         let predictor = predictors[cp.sat_index]
@@ -635,9 +715,9 @@ fn run_site(
             // denominator would bias the Fig 4b gap/ratio statistics
             // between covered and uncovered windows.
             let phase = (sat.sat_id as f64 * 1.37) % sat.beacon_interval_s;
-            let transmitted = beacon_times(&cp.pass, sat.beacon_interval_s, phase).len();
+            let transmitted = beacon_times(&cp.pass, sat.beacon_interval_s, phase).count();
             BEACONS_EMITTED.add(transmitted as u64);
-            results.passes.push(SitePassRecord {
+            *slot = Some(SitePassRecord {
                 site: site.code,
                 constellation: sat.constellation,
                 sat_id: sat.sat_id,
@@ -673,7 +753,8 @@ fn run_site(
 
         // Beacon emissions across the whole pass (phase per satellite).
         let phase = (sat.sat_id as f64 * 1.37) % sat.beacon_interval_s;
-        let emissions = beacon_times(&cp.pass, sat.beacon_interval_s, phase);
+        emissions.clear();
+        emissions.extend(beacon_times(&cp.pass, sat.beacon_interval_s, phase));
         let transmitted = emissions.len();
         BEACONS_EMITTED.add(transmitted as u64);
 
@@ -760,7 +841,7 @@ fn run_site(
         let station_up = piece_for_tca(pieces, cp.pass.tca)
             .map(|c| availability[c.station as usize].is_up(tca_rel))
             .unwrap_or(false);
-        results.passes.push(SitePassRecord {
+        *slot = Some(SitePassRecord {
             site: site.code,
             constellation: sat.constellation,
             sat_id: sat.sat_id,
@@ -773,11 +854,7 @@ fn run_site(
         });
     }
 
-    let out = trace_sink.finish();
-    results.traces = out.traces;
-    results.sketch = Some(out.sketch);
-    results.sink = out.stats;
-    results
+    (faults, Some(trace_sink.finish()))
 }
 
 /// Theoretical daily availability (hours/day) of a constellation over a
@@ -1223,6 +1300,165 @@ mod tests {
         // Shards merge in configuration order: bit-identical aggregates.
         assert_eq!(serial.sketch, pooled.sketch);
         assert_eq!(serial.sink, pooled.sink);
+    }
+
+    /// Every field of a pass record: its labels, then every number, the
+    /// floats by their bits (an absent reception time as `None`).
+    fn record_bits(p: &SitePassRecord) -> ([&str; 3], Vec<Option<u64>>) {
+        let w = &p.window;
+        let mut numbers = vec![
+            Some(p.sat_id as u64),
+            Some(p.station_up as u64),
+            Some(w.received as u64),
+            Some(w.transmitted as u64),
+            w.first_rx_s.map(f64::to_bits),
+            w.last_rx_s.map(f64::to_bits),
+        ];
+        let floats = [
+            w.theoretical.start_s,
+            w.theoretical.end_s,
+            p.covered_s,
+            p.max_elevation_deg,
+        ];
+        numbers.extend(
+            floats
+                .iter()
+                .chain(&p.reception_positions)
+                .map(|x| Some(x.to_bits())),
+        );
+        ([p.site, p.constellation, p.weather], numbers)
+    }
+
+    /// Many sites in two window groups, with one skipped site among
+    /// them, write their records into one buffer: the results are the
+    /// same at 1, 2 and 3 threads, record by record and bit by bit, and
+    /// the pass vector is exactly sized.
+    #[test]
+    fn many_site_records_are_identical_across_thread_counts() {
+        use satiot_scenarios::sites::Climate;
+        use satiot_scenarios::walker::{WalkerConstellation, WalkerShell};
+        use satiot_scenarios::{ConstellationRef, ScenarioSpec, SiteRef, SiteSpec};
+
+        const SITES: usize = 24;
+        const GOLDEN_ANGLE: f64 = 2.399_963_229_728_653;
+        // Equal-area latitudes and golden-angle longitudes; the codes are
+        // this test's own, so no other test shares their cache keys.
+        let sites = (0..SITES)
+            .map(|k| {
+                let z = 1.0 - 2.0 * (k as f64 + 0.5) / SITES as f64;
+                let lon = (k as f64 * GOLDEN_ANGLE).rem_euclid(std::f64::consts::TAU);
+                SiteRef::Inline(SiteSpec {
+                    code: format!("TEST_RECORDS_{k:02}"),
+                    name: format!("record buffer site {k}"),
+                    lat_deg: z.asin().to_degrees(),
+                    lon_deg: lon.to_degrees() - 180.0,
+                    alt_km: 0.0,
+                    stations: 1 + k as u32 % 3,
+                    start_day: (k % 2) as f64 * 0.25,
+                    climate: Climate::Subtropical,
+                    track: None,
+                })
+            })
+            .collect();
+        let spec = ScenarioSpec {
+            name: "record buffer".to_string(),
+            seed: Some(11),
+            max_days: Some(0.5),
+            constellations: vec![ConstellationRef::Inline {
+                walker: WalkerConstellation {
+                    name: "TEST_RECORDS".to_string(),
+                    shells: vec![WalkerShell {
+                        planes: 4,
+                        sats_per_plane: 6,
+                        altitude_km: 550.0,
+                        inclination_deg: 53.0,
+                        phasing: 1,
+                    }],
+                    frequency_mhz: 400.45,
+                    beacon_interval_s: 10.0,
+                },
+                tx_power_dbm: 30.0,
+            }],
+            sites,
+            ..ScenarioSpec::paper_passive()
+        };
+        let scenario = spec.build().expect("the test scenario resolves");
+        let mut cfg = PassiveConfig::from_scenario(&scenario);
+        let mut broken = cfg.sites[5].clone();
+        broken.code = "TEST_RECORDS_NAN";
+        broken.lat_deg = f64::NAN;
+        cfg.sites.insert(6, broken);
+        let campaign = PassiveCampaign::new(cfg);
+
+        let runs: Vec<PassiveResults> = (1..=3)
+            .map(|n| campaign.run(&opts().with_threads(Some(n))).unwrap())
+            .collect();
+        let first = &runs[0];
+        assert_eq!(first.faults.skipped_sites, 1);
+        assert!(first.passes.iter().any(|p| p.covered_s == 0.0));
+        assert!(first
+            .passes
+            .iter()
+            .any(|p| !p.reception_positions.is_empty()));
+        let codes: Vec<&str> = first.passes.iter().map(|p| p.site).collect();
+        assert!(codes.windows(2).all(|w| w[0] <= w[1]), "sites out of order");
+        assert!(!codes.contains(&"TEST_RECORDS_NAN"), "a skipped site wrote");
+        for run in &runs {
+            assert_eq!(run.passes.capacity(), run.passes.len());
+            assert_eq!(run.passes.len(), first.passes.len());
+            for (a, b) in run.passes.iter().zip(&first.passes) {
+                assert_eq!(record_bits(a), record_bits(b));
+            }
+            assert_eq!(run.traces.traces, first.traces.traces);
+            assert_eq!(run.faults, first.faults);
+            assert_eq!(run.sketch, first.sketch);
+            assert_eq!(run.sink, first.sink);
+        }
+    }
+
+    /// Compaction closes the holes in order and keeps the buffer's own
+    /// allocation.
+    #[test]
+    fn compaction_closes_holes_in_place() {
+        let record = |sat_id: u32| SitePassRecord {
+            site: "TEST_COMPACT",
+            constellation: "T",
+            sat_id,
+            window: EffectiveWindow {
+                theoretical: TheoreticalWindow {
+                    start_s: 0.0,
+                    end_s: 60.0,
+                },
+                first_rx_s: None,
+                last_rx_s: None,
+                received: 0,
+                transmitted: 6,
+            },
+            covered_s: 0.0,
+            station_up: false,
+            weather: "sunny",
+            max_elevation_deg: 12.0,
+            reception_positions: vec![sat_id as f64 / 10.0],
+        };
+        let slots = vec![
+            Some(record(0)),
+            None,
+            Some(record(1)),
+            Some(record(2)),
+            None,
+            None,
+            Some(record(3)),
+            None,
+        ];
+        let buffer = slots.as_ptr() as usize;
+        let records = compact(slots);
+        assert_eq!(records.as_ptr() as usize, buffer);
+        let kept: Vec<(u32, Vec<f64>)> = records
+            .iter()
+            .map(|r| (r.sat_id, r.reception_positions.clone()))
+            .collect();
+        let expected: Vec<(u32, Vec<f64>)> = (0..4).map(|i| (i, vec![i as f64 / 10.0])).collect();
+        assert_eq!(kept, expected);
     }
 
     /// A damaged site degrades the campaign (skipped + counted) instead

@@ -304,18 +304,19 @@ impl<K: Copy + Eq + Hash, T> Store<K, T> {
     }
 
     /// Drop each computed entry of `map`, this store's locked map, that
-    /// `drop` picks from its key, slot and value, and count it as
-    /// released. A slot still being computed stays, so its compute is
-    /// accounted for by its entry.
+    /// `drop` picks from its key, slot and value, count it as released,
+    /// and return how many went. A slot still being computed stays, so
+    /// its compute is accounted for by its entry.
     fn release_where(
         &self,
         map: &mut HashMap<K, Arc<Slot<T>>>,
         drop: impl Fn(&K, &Slot<T>, &Arc<T>) -> bool,
-    ) {
+    ) -> u64 {
         let before = map.len();
         map.retain(|key, slot| !slot.cell.get().is_some_and(|value| drop(key, slot, value)));
-        self.evictions
-            .fetch_add((before - map.len()) as u64, Relaxed);
+        let released = (before - map.len()) as u64;
+        self.evictions.fetch_add(released, Relaxed);
+        released
     }
 
     /// Drop every entry and zero the counters.
@@ -523,9 +524,13 @@ fn release_on(
     // Dropping the store's slot drops the view (no campaign holds one
     // between jobs), and with it the view's hold on its tiles.
     grids.release_where(&mut grid_map, |_, slot, _| slot.last_read_in(from, to));
-    tiles.release_where(&mut tile_map, |_, _, tile| Arc::strong_count(tile) == 1);
-    let indices: HashSet<i64> = tile_map.keys().map(|key| key.index).collect();
-    frames.release_where(&mut frame_map, |index, _, _| !indices.contains(index));
+    // A frame is created only with a tile key at its index, and only
+    // this pass or `clear` removes tile keys. So a release that drops no
+    // tile orphans no frame, and skips the frame pass.
+    if tiles.release_where(&mut tile_map, |_, _, tile| Arc::strong_count(tile) == 1) > 0 {
+        let indices: HashSet<i64> = tile_map.keys().map(|key| key.index).collect();
+        frames.release_where(&mut frame_map, |index, _, _| !indices.contains(index));
+    }
 }
 
 /// Identity of one shared ephemeris grid view.
@@ -897,6 +902,11 @@ mod tests {
         drop(held);
         let left = (kept - orphaned, gone + orphaned);
         assert_eq!(release(from, to), [(2, 1), (2, 2), left, left]);
+        // A release that drops a list but no tile keeps every frame.
+        let from = read_mark();
+        list(4);
+        let to = read_mark();
+        assert_eq!(release(from, to), [(2, 2), (2, 2), left, left]);
     }
 
     #[test]
@@ -1014,6 +1024,9 @@ mod tests {
         }
         assert!(lists[1].is_empty(), "the culled site has passes");
         assert!(!lists[0].is_empty() && !lists[2].is_empty());
+        for list in &lists {
+            assert_eq!(list.capacity(), list.len(), "a list cached with spare room");
+        }
         assert!(Arc::ptr_eq(&lists[0], &lists[3]), "one code, two slots");
         let again = passes_for_sites(key, &sgp4, mask, &sites);
         for (a, b) in lists.iter().zip(&again) {

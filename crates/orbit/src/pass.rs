@@ -522,6 +522,9 @@ impl PassPredictor {
         if let Some(a) = aos {
             result.extend(self.finish_pass(observer, a, end, probes));
         }
+        // Callers cache the list for a whole campaign: hand it over
+        // without the spare capacity pushing left.
+        result.shrink_to_fit();
         result
     }
 
