@@ -537,130 +537,132 @@ impl ActiveCampaign {
                     } = farm_passes[pass];
                     let t_rx = t + beacon_airtime;
                     let when = t0.plus_seconds(t_rx);
-                    if let Some(geom) =
-                        sample_at(predictor(sat), when, spec.dts_frequency_mhz * 1e6)
-                    {
-                        let mut heard = false;
-                        #[allow(clippy::needless_range_loop)] // Index is a node id used in events.
-                        for n in 0..nodes.len() {
-                            // Half-duplex: a transmitting node cannot hear.
-                            let busy = in_flight
-                                .iter()
-                                .any(|u| u.node == n && t_rx >= u.start_s && t_rx <= u.end_s);
-                            if busy || !nodes[n].is_listening(t) {
-                                continue;
-                            }
-                            let mut link = downlink;
-                            link.clutter_scale = clutter(pass, n);
-                            let sh = shadow(pass, n, wx, &link);
-                            let s =
-                                link.sample(geom.range_km, geom.elevation_rad, wx, sh, &mut rng);
-                            let Some(pen) = doppler_penalty(
-                                &beacon_cfg,
-                                beacon_len,
-                                geom.doppler_hz,
-                                geom.doppler_rate_hz_s,
-                            ) else {
-                                continue;
-                            };
-                            if !packet_decodes(&beacon_cfg, beacon_len, s.snr_db - pen, &mut rng) {
-                                continue;
-                            }
-                            heard = true;
-                            let pass_end_s = p.los.seconds_since(t0);
-                            match nodes[n].on_beacon(t_rx, pass_end_s) {
-                                BeaconReaction::Idle => {}
-                                BeaconReaction::Transmit { seq, .. } => {
-                                    // A corrupted sequence number cannot
-                                    // index the ledger: drop the
-                                    // transmission, count it, move on.
-                                    let Some(rec) = timelines.get_mut(seq as usize) else {
-                                        faults.record(Fault::CorruptSeq);
-                                        continue;
-                                    };
-                                    // Slotted uplink inside the response
-                                    // window following the beacon.
-                                    let max_slot = (calib::UPLINK_RESPONSE_WINDOW_S
-                                        .min(spec.beacon_interval_s)
-                                        - uplink_airtime
-                                        - 0.3)
-                                        .max(0.1);
-                                    let slot = match cfg.mac {
-                                        MacPolicy::RandomSlot => rng.uniform(0.05, max_slot),
-                                        MacPolicy::Tdma => {
-                                            // Own a fixed fraction of the
-                                            // window; nudge inside it to
-                                            // absorb clock skew.
-                                            let width = max_slot / cfg.nodes.max(1) as f64;
-                                            0.05 + width * n as f64
-                                                + rng.uniform(
-                                                    0.0,
-                                                    (width - uplink_airtime).clamp(0.01, 0.2),
-                                                )
-                                        }
-                                    };
-                                    let start = t_rx + slot;
-                                    nodes[n].on_transmit(start, uplink_airtime);
-                                    rec.attempts += 1;
-                                    if rec.first_tx_s.is_none() {
-                                        rec.first_tx_s = Some(start);
+                    // The beacon's geometry, computed at the first node
+                    // that can hear it: it draws no random number, so
+                    // skipping it for a beacon nobody hears moves nothing.
+                    let mut geometry = None;
+                    let mut heard = false;
+                    #[allow(clippy::needless_range_loop)] // Index is a node id used in events.
+                    for n in 0..nodes.len() {
+                        // Half-duplex: a transmitting node cannot hear.
+                        let busy = in_flight
+                            .iter()
+                            .any(|u| u.node == n && t_rx >= u.start_s && t_rx <= u.end_s);
+                        if busy || !nodes[n].is_listening(t) {
+                            continue;
+                        }
+                        let Some(geom) = *geometry.get_or_insert_with(|| {
+                            sample_at(predictor(sat), when, spec.dts_frequency_mhz * 1e6)
+                        }) else {
+                            break; // No geometry: no node hears the beacon.
+                        };
+                        let mut link = downlink;
+                        link.clutter_scale = clutter(pass, n);
+                        let sh = shadow(pass, n, wx, &link);
+                        let s = link.sample(geom.range_km, geom.elevation_rad, wx, sh, &mut rng);
+                        let Some(pen) = doppler_penalty(
+                            &beacon_cfg,
+                            beacon_len,
+                            geom.doppler_hz,
+                            geom.doppler_rate_hz_s,
+                        ) else {
+                            continue;
+                        };
+                        if !packet_decodes(&beacon_cfg, beacon_len, s.snr_db - pen, &mut rng) {
+                            continue;
+                        }
+                        heard = true;
+                        let pass_end_s = p.los.seconds_since(t0);
+                        match nodes[n].on_beacon(t_rx, pass_end_s) {
+                            BeaconReaction::Idle => {}
+                            BeaconReaction::Transmit { seq, .. } => {
+                                // A corrupted sequence number cannot
+                                // index the ledger: drop the
+                                // transmission, count it, move on.
+                                let Some(rec) = timelines.get_mut(seq as usize) else {
+                                    faults.record(Fault::CorruptSeq);
+                                    continue;
+                                };
+                                // Slotted uplink inside the response
+                                // window following the beacon.
+                                let max_slot = (calib::UPLINK_RESPONSE_WINDOW_S
+                                    .min(spec.beacon_interval_s)
+                                    - uplink_airtime
+                                    - 0.3)
+                                    .max(0.1);
+                                let slot = match cfg.mac {
+                                    MacPolicy::RandomSlot => rng.uniform(0.05, max_slot),
+                                    MacPolicy::Tdma => {
+                                        // Own a fixed fraction of the
+                                        // window; nudge inside it to
+                                        // absorb clock skew.
+                                        let width = max_slot / cfg.nodes.max(1) as f64;
+                                        0.05 + width * n as f64
+                                            + rng.uniform(
+                                                0.0,
+                                                (width - uplink_airtime).clamp(0.01, 0.2),
+                                            )
                                     }
-                                    counters.uplinks_tx += 1;
-                                    // Sample the uplink as received on orbit.
-                                    let up_when = t0.plus_seconds(start);
-                                    if let Some(up_geom) = sample_at(
-                                        predictor(sat),
-                                        up_when,
-                                        spec.dts_frequency_mhz * 1e6,
-                                    ) {
-                                        let mut up_link = uplink;
-                                        up_link.clutter_scale = clutter(pass, n);
-                                        let sh_up = shadow(pass, n, wx, &up_link);
-                                        let us = up_link.sample(
-                                            up_geom.range_km,
-                                            up_geom.elevation_rad,
-                                            wx,
-                                            sh_up,
-                                            &mut rng,
-                                        );
-                                        let pen_up = doppler_penalty(
-                                            &uplink_cfg,
-                                            uplink_len,
-                                            up_geom.doppler_hz,
-                                            up_geom.doppler_rate_hz_s,
-                                        );
-                                        let end_s = start + uplink_airtime;
-                                        in_flight.push(InFlight {
+                                };
+                                let start = t_rx + slot;
+                                nodes[n].on_transmit(start, uplink_airtime);
+                                rec.attempts += 1;
+                                if rec.first_tx_s.is_none() {
+                                    rec.first_tx_s = Some(start);
+                                }
+                                counters.uplinks_tx += 1;
+                                // Sample the uplink as received on orbit.
+                                let up_when = t0.plus_seconds(start);
+                                if let Some(up_geom) =
+                                    sample_at(predictor(sat), up_when, spec.dts_frequency_mhz * 1e6)
+                                {
+                                    let mut up_link = uplink;
+                                    up_link.clutter_scale = clutter(pass, n);
+                                    let sh_up = shadow(pass, n, wx, &up_link);
+                                    let us = up_link.sample(
+                                        up_geom.range_km,
+                                        up_geom.elevation_rad,
+                                        wx,
+                                        sh_up,
+                                        &mut rng,
+                                    );
+                                    let pen_up = doppler_penalty(
+                                        &uplink_cfg,
+                                        uplink_len,
+                                        up_geom.doppler_hz,
+                                        up_geom.doppler_rate_hz_s,
+                                    );
+                                    let end_s = start + uplink_airtime;
+                                    in_flight.push(InFlight {
+                                        node: n,
+                                        sat,
+                                        seq,
+                                        start_s: start,
+                                        end_s,
+                                        rssi_dbm: us.rssi_dbm,
+                                        snr_db: us.snr_db - pen_up.unwrap_or(99.0),
+                                    });
+                                    eng.schedule_at(
+                                        SimTime::from_secs(end_s),
+                                        Event::UplinkEnd {
                                             node: n,
-                                            sat,
+                                            pass,
                                             seq,
                                             start_s: start,
-                                            end_s,
-                                            rssi_dbm: us.rssi_dbm,
-                                            snr_db: us.snr_db - pen_up.unwrap_or(99.0),
-                                        });
-                                        eng.schedule_at(
-                                            SimTime::from_secs(end_s),
-                                            Event::UplinkEnd {
-                                                node: n,
-                                                pass,
-                                                seq,
-                                                start_s: start,
-                                            },
-                                        );
-                                    }
-                                    eng.schedule_at(
-                                        SimTime::from_secs(
-                                            start + uplink_airtime + calib::ACK_TIMEOUT_S,
-                                        ),
-                                        Event::AckTimeout { node: n, seq },
+                                        },
                                     );
                                 }
+                                eng.schedule_at(
+                                    SimTime::from_secs(
+                                        start + uplink_airtime + calib::ACK_TIMEOUT_S,
+                                    ),
+                                    Event::AckTimeout { node: n, seq },
+                                );
                             }
                         }
-                        if heard {
-                            counters.beacons_heard += 1;
-                        }
+                    }
+                    if heard {
+                        counters.beacons_heard += 1;
                     }
                     // Next beacon within the pass.
                     let next = t + spec.beacon_interval_s;

@@ -251,8 +251,7 @@ fn contact_stats_per_site<'a>(
             None => groups.push((p.site, vec![p.window.clone()])),
         }
     }
-    let groups: Vec<Vec<EffectiveWindow>> = groups.into_iter().map(|(_, v)| v).collect();
-    ContactStats::compute_grouped(&groups)
+    ContactStats::compute_grouped(groups.into_iter().map(|(_, v)| v).collect())
 }
 
 /// The passive campaign driver.

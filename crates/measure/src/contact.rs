@@ -127,42 +127,53 @@ pub struct ContactStats {
 /// the union of simultaneous per-satellite passes — the quantity the
 /// paper's interval analysis (Fig 4b) uses.
 pub fn merge_overlapping(windows: &[EffectiveWindow]) -> Vec<EffectiveWindow> {
-    let mut sorted: Vec<EffectiveWindow> = windows.to_vec();
-    sorted.sort_by(|a, b| a.theoretical.start_s.total_cmp(&b.theoretical.start_s));
-    let mut merged: Vec<EffectiveWindow> = Vec::with_capacity(sorted.len());
-    for w in sorted {
-        match merged.last_mut() {
-            Some(last) if w.theoretical.start_s <= last.theoretical.end_s => {
-                last.theoretical.end_s = last.theoretical.end_s.max(w.theoretical.end_s);
-                last.received += w.received;
-                last.transmitted += w.transmitted;
-                last.first_rx_s = match (last.first_rx_s, w.first_rx_s) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                last.last_rx_s = match (last.last_rx_s, w.last_rx_s) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            _ => merged.push(w),
-        }
-    }
+    let mut merged = windows.to_vec();
+    sort_by_start(&mut merged);
+    union_sorted(&mut merged);
     merged
+}
+
+/// Sort windows by theoretical start; a stable sort, so windows with
+/// tied starts keep their input order.
+fn sort_by_start(windows: &mut [EffectiveWindow]) {
+    windows.sort_by(|a, b| a.theoretical.start_s.total_cmp(&b.theoretical.start_s));
+}
+
+/// Union start-sorted windows in place: each window that starts before
+/// the running union ends folds into it.
+fn union_sorted(windows: &mut Vec<EffectiveWindow>) {
+    windows.dedup_by(|w, last| {
+        let overlaps = w.theoretical.start_s <= last.theoretical.end_s;
+        if overlaps {
+            last.theoretical.end_s = last.theoretical.end_s.max(w.theoretical.end_s);
+            last.received += w.received;
+            last.transmitted += w.transmitted;
+            last.first_rx_s = match (last.first_rx_s, w.first_rx_s) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            last.last_rx_s = match (last.last_rx_s, w.last_rx_s) {
+                (Some(a), Some(b)) => Some(a.max(b)),
+                (a, b) => a.or(b),
+            };
+        }
+        overlaps
+    });
 }
 
 impl ContactStats {
     /// Compute aggregate contact statistics. Windows must be in
     /// chronological order.
     pub fn compute(windows: &[EffectiveWindow]) -> ContactStats {
-        Self::compute_grouped(std::slice::from_ref(&windows.to_vec()))
+        Self::compute_grouped(vec![windows.to_vec()])
     }
 
     /// Compute statistics over several independent timelines (e.g. one
     /// per measurement site): durations pool directly, inter-contact gaps
     /// are computed within each timeline, and overlapping windows inside
-    /// a timeline are unioned first.
-    pub fn compute_grouped(groups: &[Vec<EffectiveWindow>]) -> ContactStats {
+    /// a timeline are unioned first. Each group is sorted and unioned in
+    /// place.
+    pub fn compute_grouped(groups: Vec<Vec<EffectiveWindow>>) -> ContactStats {
         let mut theoretical: Vec<f64> = Vec::new();
         let mut effective: Vec<f64> = Vec::new();
         let mut th_gaps: Vec<f64> = Vec::new();
@@ -172,15 +183,14 @@ impl ContactStats {
         let mut outage_windows = 0;
         let mut total_windows = 0;
 
-        for group in groups {
+        for mut windows in groups {
             // Durations compare per-satellite passes (the paper's Fig 4a
             // quantity: each scheduled pass has a theoretical and an
             // effective span)…
-            let mut per_pass: Vec<EffectiveWindow> = group.clone();
-            per_pass.sort_by(|a, b| a.theoretical.start_s.total_cmp(&b.theoretical.start_s));
-            total_windows += per_pass.len();
-            outage_windows += per_pass.iter().filter(|w| w.received == 0).count();
-            for w in &per_pass {
+            sort_by_start(&mut windows);
+            total_windows += windows.len();
+            outage_windows += windows.iter().filter(|w| w.received == 0).count();
+            for w in &windows {
                 let th = w.theoretical.duration_s() / 60.0;
                 theoretical.push(th);
                 total_th += th;
@@ -193,7 +203,7 @@ impl ContactStats {
             // …while inter-contact gaps treat the constellation as one
             // service: simultaneous passes union into a single contact
             // (the paper's Fig 4b quantity).
-            let windows = merge_overlapping(group);
+            union_sorted(&mut windows);
             // Theoretical gaps: LOS → next AOS (within this timeline).
             for pair in windows.windows(2) {
                 th_gaps.push((pair[1].theoretical.start_s - pair[0].theoretical.end_s) / 60.0);

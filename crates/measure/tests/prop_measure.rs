@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use satiot_measure::contact::{
-    effective_windows, merge_overlapping, ContactStats, TheoreticalWindow,
+    effective_windows, merge_overlapping, ContactStats, EffectiveWindow, TheoreticalWindow,
 };
 use satiot_measure::csv::{read_traces, write_traces};
 use satiot_measure::sketch::{QuantileSketch, StreamSummary};
@@ -153,6 +153,116 @@ proptest! {
         let stats = ContactStats::compute(&windows);
         prop_assert!((0.0..=1.0).contains(&stats.duration_shrink));
         prop_assert_eq!(stats.total_windows, count);
+    }
+
+    /// Grouped statistics, each group sorted and unioned in place, equal
+    /// the copying expression to the bit, and so does the union itself:
+    /// unsorted, overlapping windows with tied starts, in two timelines.
+    #[test]
+    fn grouped_stats_match_the_copying_expression(
+        drawn in proptest::collection::vec(
+            (0usize..12, 60.0_f64..1_500.0, 0.0_f64..0.5, 0usize..4, any::<bool>()),
+            1..40,
+        ),
+    ) {
+        let mut groups = vec![Vec::new(), Vec::new()];
+        for &(slot, duration, trim, received, second) in &drawn {
+            // Starts on a 400 s grid tie; durations up to 1 500 s overlap.
+            let (start_s, end_s) = (slot as f64 * 400.0, slot as f64 * 400.0 + duration);
+            groups[usize::from(second)].push(EffectiveWindow {
+                theoretical: TheoreticalWindow { start_s, end_s },
+                first_rx_s: (received > 0).then_some(start_s + trim * duration),
+                last_rx_s: (received > 0).then_some(end_s - trim * duration),
+                received,
+                transmitted: received + 2,
+            });
+        }
+        for group in &groups {
+            prop_assert_eq!(merge_overlapping(group), copying_merge(group));
+        }
+        let want = copying_stats(&groups);
+        let got = ContactStats::compute_grouped(groups);
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+}
+
+/// The union of `windows` as `merge_overlapping` computed it when it
+/// copied its input: clone, sort by start, then fold each window that
+/// overlaps the last kept one into it.
+fn copying_merge(windows: &[EffectiveWindow]) -> Vec<EffectiveWindow> {
+    let mut sorted = windows.to_vec();
+    sorted.sort_by(|a, b| a.theoretical.start_s.total_cmp(&b.theoretical.start_s));
+    let mut merged: Vec<EffectiveWindow> = Vec::new();
+    for w in sorted {
+        match merged.last_mut() {
+            Some(last) if w.theoretical.start_s <= last.theoretical.end_s => {
+                last.theoretical.end_s = last.theoretical.end_s.max(w.theoretical.end_s);
+                last.received += w.received;
+                last.transmitted += w.transmitted;
+                last.first_rx_s = match (last.first_rx_s, w.first_rx_s) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+                last.last_rx_s = match (last.last_rx_s, w.last_rx_s) {
+                    (Some(a), Some(b)) => Some(a.max(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+            _ => merged.push(w),
+        }
+    }
+    merged
+}
+
+/// `ContactStats::compute_grouped` as it was when it copied each group
+/// twice: a sorted clone for the durations, and `copying_merge` for the
+/// gaps.
+fn copying_stats(groups: &[Vec<EffectiveWindow>]) -> ContactStats {
+    let (mut theoretical, mut effective) = (Vec::new(), Vec::new());
+    let (mut th_gaps, mut eff_gaps) = (Vec::new(), Vec::new());
+    let (mut total_th, mut total_eff) = (0.0, 0.0);
+    let (mut outage_windows, mut total_windows) = (0, 0);
+    for group in groups {
+        let mut per_pass = group.clone();
+        per_pass.sort_by(|a, b| a.theoretical.start_s.total_cmp(&b.theoretical.start_s));
+        total_windows += per_pass.len();
+        outage_windows += per_pass.iter().filter(|w| w.received == 0).count();
+        for w in &per_pass {
+            let th = w.theoretical.duration_s() / 60.0;
+            theoretical.push(th);
+            total_th += th;
+            let eff = w.effective_duration_s() / 60.0;
+            total_eff += eff;
+            if w.received > 0 {
+                effective.push(eff);
+            }
+        }
+        let windows = copying_merge(group);
+        for pair in windows.windows(2) {
+            th_gaps.push((pair[1].theoretical.start_s - pair[0].theoretical.end_s) / 60.0);
+        }
+        let mut prev_last: Option<f64> = None;
+        for w in &windows {
+            if let (Some(first), Some(last)) = (w.first_rx_s, w.last_rx_s) {
+                if let Some(p) = prev_last {
+                    eff_gaps.push((first - p) / 60.0);
+                }
+                prev_last = Some(last);
+            }
+        }
+    }
+    ContactStats {
+        theoretical_min: Summary::of(&theoretical),
+        effective_min: Summary::of(&effective),
+        duration_shrink: if total_th > 0.0 {
+            1.0 - total_eff / total_th
+        } else {
+            0.0
+        },
+        theoretical_interval_min: Summary::of(&th_gaps),
+        effective_interval_min: Summary::of(&eff_gaps),
+        outage_windows,
+        total_windows,
     }
 }
 

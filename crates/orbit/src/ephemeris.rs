@@ -10,15 +10,18 @@
 //! compute once, serve many:
 //!
 //! 1. propagate SGP4 once per point of one absolute lattice, every
-//!    [`STEP_S`] seconds from J2000, storing the **ECEF** position,
-//!    velocity *and* acceleration of every sample (the velocity falls
-//!    out of [`teme_to_ecef`] for free and is the *exact* time
-//!    derivative of the ECEF position — the transport theorem's `−ω×r`
-//!    term is what makes it so; the acceleration is computed from the
-//!    sample's own state, see [`Sample`]);
+//!    [`STEP_S`] seconds from J2000, storing the **ECEF** position and
+//!    velocity of every sample, 48 B (the velocity falls out of
+//!    [`teme_to_ecef`] for free and is the *exact* time derivative of
+//!    the ECEF position — the transport theorem's `−ω×r` term is what
+//!    makes it so);
 //! 2. answer any `state_at(t)` query by **quintic Hermite**
 //!    interpolation between the two bracketing samples — no SGP4, no
-//!    `gmst_rad`, no frame rotation on the per-site hot path;
+//!    `gmst_rad`, no frame rotation on the per-site hot path. The
+//!    acceleration the quintic matches at each end is modelled from
+//!    that end's stored state when it is read ([`Sample`]), a pure
+//!    function of the state, so storing it would change no bit and
+//!    cost a third more memory;
 //! 3. feed the interpolated state to the observer's cheap
 //!    [`look_at_ecef`](crate::topo::Observer::look_at_ecef) projection.
 //!
@@ -57,7 +60,7 @@
 //! the lattice step `h = 180 s`. Two floors sit above it. Sample
 //! instants are `JulianDate`s, quantised to ~50 µs ≈ 0.4 m of
 //! along-track motion (see `on_sample_queries_match_direct_propagation`
-//! below). And the stored acceleration is a two-body + J₂ model, not
+//! below). And the modelled acceleration is a two-body + J₂ model, not
 //! SGP4's own second derivative (drag, J₃, J₄ and SGP4's short-period
 //! terms differ), and the acceleration basis weighs that difference by
 //! up to `h²/32`. Measured against direct SGP4 over two days with nine
@@ -213,16 +216,18 @@ impl LatticeFrame {
     }
 }
 
-/// One lattice sample of a satellite in ECEF: the SGP4 position and
-/// velocity rotated by [`teme_to_ecef`], and the acceleration the
-/// quintic interpolant matches.
+/// One lattice sample of a satellite in ECEF, as the quintic
+/// interpolant reads it: the SGP4 position and velocity rotated by
+/// [`teme_to_ecef`] (what a tile stores), and the acceleration the
+/// interpolant matches, modelled on read.
 ///
 /// The acceleration comes from the sample's own state: two-body + J₂
 /// gravity with SGP4's WGS-72 [`MU_KM3_S2`], [`J2`] and
 /// [`EARTH_RADIUS_KM`], evaluated on the ECEF position (the J₂ field is
 /// symmetric about z, so the TEME→ECEF rotation leaves it unchanged),
 /// minus the rotating frame's Coriolis term `2ω×v` and centrifugal term
-/// `ω×(ω×r)`.
+/// `ω×(ω×r)`. It is a pure function of the stored state, so every
+/// reader models the same bits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Position, km.
@@ -233,8 +238,14 @@ pub struct Sample {
     pub acceleration_km_s2: Vec3,
 }
 
+/// The state a failed propagation stores: every component NaN.
+const NAN_STATE: StateEcef = StateEcef {
+    position_km: Sample::NAN.position_km,
+    velocity_km_s: Sample::NAN.velocity_km_s,
+};
+
 impl Sample {
-    /// The sample a failed propagation stores: every component NaN.
+    /// The sample of a failed propagation: every component NaN.
     pub(crate) const NAN: Sample = {
         let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
         Sample {
@@ -266,17 +277,18 @@ impl Sample {
     }
 }
 
-/// [`TILE`] consecutive lattice samples of one satellite, with the
+/// [`TILE`] consecutive lattice states of one satellite, with the
 /// aggregates the spatial pre-cull reads.
 #[derive(Debug)]
 pub struct EphemerisTile {
     /// Tile index: the tile holds lattice points from `index·TILE` on.
     index: i64,
-    /// One ECEF sample per lattice point. A sample whose propagation
+    /// One ECEF state per lattice point, 48 B; readers model each
+    /// one's acceleration ([`Sample`]). A state whose propagation
     /// failed stores NaN components; queries bracketed by one degrade
     /// to `None` (callers fall back to direct propagation, which
     /// reports the same failure its own way).
-    samples: [Sample; TILE],
+    states: [StateEcef; TILE],
     /// Maximum geocentric radius over the samples, km (NaN when any
     /// sample is degenerate).
     max_radius_km: f64,
@@ -291,22 +303,21 @@ impl EphemerisTile {
     /// Propagate `sgp4` at the [`TILE`] lattice points of `frame`'s tile
     /// index and rotate each state into ECEF by the frame's angle there:
     /// bit for bit [`teme_to_ecef`] at that instant, which evaluates the
-    /// same rotation expression. Each sample's acceleration is modelled
-    /// from that state (see [`Sample`]).
+    /// same rotation expression.
     pub fn build(sgp4: &Sgp4, frame: &LatticeFrame) -> EphemerisTile {
         let index = frame.index;
         let first = index * TILE as i64;
-        let samples: [Sample; TILE] = std::array::from_fn(|j| {
+        let states: [StateEcef; TILE] = std::array::from_fn(|j| {
             let t = lattice_time(first + j as i64);
             match sgp4.propagate_at(t) {
-                Ok(state) => Sample::of(rotate_teme_to_ecef(&state, frame.sin_cos[j])),
-                Err(_) => Sample::NAN,
+                Ok(state) => rotate_teme_to_ecef(&state, frame.sin_cos[j]),
+                Err(_) => NAN_STATE,
             }
         });
         GRID_SAMPLES.add(TILE as u64);
         let mut max_radius_km = 0.0_f64;
         let mut max_angular_rate = 0.0_f64;
-        for st in &samples {
+        for st in &states {
             let r = st.position_km.norm();
             let rate = st.velocity_km_s.norm() / r;
             if !(r.is_finite() && r > 0.0 && rate.is_finite()) {
@@ -319,7 +330,7 @@ impl EphemerisTile {
         }
         EphemerisTile {
             index,
-            samples,
+            states,
             max_radius_km,
             max_angular_rate,
         }
@@ -449,11 +460,7 @@ impl EphemerisGrid {
     /// The interpolated ECEF state at `t`, or `None` when `t` falls
     /// outside the view or a bracketing sample is invalid.
     pub fn state_at(&self, t: JulianDate) -> Option<StateEcef> {
-        let (a, b, s) = self.bracket(t)?;
-        Some(StateEcef {
-            position_km: hermite_position(a, b, s),
-            velocity_km_s: hermite_velocity(a, b, s),
-        })
+        GridReader::new(self).state_at(t)
     }
 
     /// The interpolant at `t` with its first two time derivatives: the
@@ -462,37 +469,20 @@ impl EphemerisGrid {
     /// the scan window's off-lattice edges this way, and the
     /// culmination search its Newton probes.
     pub fn sample_at(&self, t: JulianDate) -> Option<Sample> {
-        let (a, b, s) = self.bracket(t)?;
-        // d²/dt² = (d²/ds²)/h². At s ∈ {0, 1} the basis picks out the
-        // endpoint acceleration alone, as the first derivatives pick
-        // out the endpoint velocity.
-        let h = STEP_S;
-        let (s2, s3) = (s * s, s * s * s);
-        let acceleration_km_s2 = a.position_km * ((-60.0 * s + 180.0 * s2 - 120.0 * s3) / (h * h))
-            + a.velocity_km_s * ((-36.0 * s + 96.0 * s2 - 60.0 * s3) / h)
-            + a.acceleration_km_s2 * (1.0 - 9.0 * s + 18.0 * s2 - 10.0 * s3)
-            + b.acceleration_km_s2 * (3.0 * s - 12.0 * s2 + 10.0 * s3)
-            + b.velocity_km_s * ((-24.0 * s + 84.0 * s2 - 60.0 * s3) / h)
-            + b.position_km * ((60.0 * s - 180.0 * s2 + 120.0 * s3) / (h * h));
-        Some(Sample {
-            position_km: hermite_position(a, b, s),
-            velocity_km_s: hermite_velocity(a, b, s),
-            acceleration_km_s2,
-        })
+        GridReader::new(self).sample_at(t)
     }
 
     /// The interpolated ECEF position at `t`: the `position_km` of
     /// [`Self::state_at`], bit for bit, without the derivatives. An
     /// elevation query reads nothing else.
     pub fn position_at(&self, t: JulianDate) -> Option<Vec3> {
-        let (a, b, s) = self.bracket(t)?;
-        Some(hermite_position(a, b, s))
+        GridReader::new(self).position_at(t)
     }
 
-    /// The two samples bracketing `t` and `t`'s fraction of the way
-    /// between them: `None` when `t` falls outside the view or a
-    /// bracketing sample is invalid.
-    fn bracket(&self, t: JulianDate) -> Option<(&Sample, &Sample, f64)> {
+    /// The view interval holding `t`, from sample `i` to `i + 1`, and
+    /// `t`'s fraction of the way along it: `None` when `t` falls
+    /// outside the view.
+    fn locate(&self, t: JulianDate) -> Option<(usize, f64)> {
         let n = self.len;
         if n < 2 {
             return None;
@@ -505,18 +495,13 @@ impl EphemerisGrid {
             return None;
         }
         let i = (x.max(0.0) as usize).min(n - 2);
-        let a = self.sample(i);
-        let b = self.sample(i + 1);
-        if !(a.position_km.x.is_finite() && b.position_km.x.is_finite()) {
-            return None;
-        }
-        Some((a, b, x - i as f64))
+        Some((i, x - i as f64))
     }
 
-    /// Sample `k` of the view (`k < len`).
-    fn sample(&self, k: usize) -> &Sample {
+    /// State `k` of the view (`k < len`).
+    fn state(&self, k: usize) -> &StateEcef {
         let at = self.offset + k;
-        &self.tiles[at / TILE].samples[at % TILE]
+        &self.tiles[at / TILE].states[at % TILE]
     }
 
     /// Number of samples in the view.
@@ -561,12 +546,13 @@ impl EphemerisGrid {
         &self.tiles
     }
 
-    /// Samples `range` (clamped to the view) as contiguous runs, one
-    /// per tile touched: `(k, run)` holds samples `k .. k + run.len()`.
-    /// Column-sweep kernels ([`visibility`](crate::visibility)) and the
-    /// cone cull read the samples this way, with no per-sample tile
-    /// lookup.
-    pub fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (usize, &[Sample])> + '_ {
+    /// The stored states of samples `range` (clamped to the view) as
+    /// contiguous runs, one per tile touched: `(k, run)` holds samples
+    /// `k .. k + run.len()`. Column-sweep kernels
+    /// ([`visibility`](crate::visibility)), which model each column's
+    /// acceleration ([`Sample`]), and the cone cull read the samples
+    /// this way, with no per-sample tile lookup.
+    pub fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (usize, &[StateEcef])> + '_ {
         let end = range.end.min(self.len);
         let mut k = range.start;
         std::iter::from_fn(move || {
@@ -576,7 +562,7 @@ impl EphemerisGrid {
             let at = self.offset + k;
             let (tile, within) = (at / TILE, at % TILE);
             let take = (TILE - within).min(end - k);
-            let run = (k, &self.tiles[tile].samples[within..within + take]);
+            let run = (k, &self.tiles[tile].states[within..within + take]);
             k += take;
             Some(run)
         })
@@ -609,6 +595,82 @@ impl EphemerisGrid {
             report.probes += 1;
         }
         report
+    }
+}
+
+/// A reader of one [`EphemerisGrid`] for a run of nearby queries, such
+/// as the probes of one root search. It keeps the view interval it last
+/// read with both endpoints modelled ([`Sample::of`]), so queries that
+/// land in one interval model its endpoints once. Every answer is the
+/// grid's own, bit for bit: the endpoints are a pure function of the
+/// stored states.
+#[derive(Debug)]
+pub(crate) struct GridReader<'g> {
+    grid: &'g EphemerisGrid,
+    /// The interval last read, from view sample `.0` to `.0 + 1`, and
+    /// its two modelled endpoints (`usize::MAX`, no interval, at first).
+    last: (usize, Sample, Sample),
+}
+
+impl<'g> GridReader<'g> {
+    /// A reader of `grid` that has read nothing yet.
+    pub(crate) fn new(grid: &'g EphemerisGrid) -> GridReader<'g> {
+        GridReader {
+            grid,
+            last: (usize::MAX, Sample::NAN, Sample::NAN),
+        }
+    }
+
+    /// [`EphemerisGrid::state_at`].
+    pub(crate) fn state_at(&mut self, t: JulianDate) -> Option<StateEcef> {
+        let (a, b, s) = self.bracket(t)?;
+        Some(StateEcef {
+            position_km: hermite_position(a, b, s),
+            velocity_km_s: hermite_velocity(a, b, s),
+        })
+    }
+
+    /// [`EphemerisGrid::sample_at`].
+    pub(crate) fn sample_at(&mut self, t: JulianDate) -> Option<Sample> {
+        let (a, b, s) = self.bracket(t)?;
+        // d²/dt² = (d²/ds²)/h². At s ∈ {0, 1} the basis picks out the
+        // endpoint acceleration alone, as the first derivatives pick
+        // out the endpoint velocity.
+        let h = STEP_S;
+        let (s2, s3) = (s * s, s * s * s);
+        let acceleration_km_s2 = a.position_km * ((-60.0 * s + 180.0 * s2 - 120.0 * s3) / (h * h))
+            + a.velocity_km_s * ((-36.0 * s + 96.0 * s2 - 60.0 * s3) / h)
+            + a.acceleration_km_s2 * (1.0 - 9.0 * s + 18.0 * s2 - 10.0 * s3)
+            + b.acceleration_km_s2 * (3.0 * s - 12.0 * s2 + 10.0 * s3)
+            + b.velocity_km_s * ((-24.0 * s + 84.0 * s2 - 60.0 * s3) / h)
+            + b.position_km * ((60.0 * s - 180.0 * s2 + 120.0 * s3) / (h * h));
+        Some(Sample {
+            position_km: hermite_position(a, b, s),
+            velocity_km_s: hermite_velocity(a, b, s),
+            acceleration_km_s2,
+        })
+    }
+
+    /// [`EphemerisGrid::position_at`].
+    pub(crate) fn position_at(&mut self, t: JulianDate) -> Option<Vec3> {
+        let (a, b, s) = self.bracket(t)?;
+        Some(hermite_position(a, b, s))
+    }
+
+    /// The two modelled samples bracketing `t` and `t`'s fraction of
+    /// the way between them: `None` when `t` falls outside the view or
+    /// a bracketing sample is invalid.
+    fn bracket(&mut self, t: JulianDate) -> Option<(&Sample, &Sample, f64)> {
+        let (i, s) = self.grid.locate(t)?;
+        if self.last.0 != i {
+            let (a, b) = (self.grid.state(i), self.grid.state(i + 1));
+            if !(a.position_km.x.is_finite() && b.position_km.x.is_finite()) {
+                return None;
+            }
+            self.last = (i, Sample::of(*a), Sample::of(*b));
+        }
+        let (_, a, b) = &self.last;
+        Some((a, b, s))
     }
 }
 
@@ -740,10 +802,10 @@ mod tests {
         }
     }
 
-    /// Every sample of `grid`, through its per-tile runs.
+    /// Every sample of `grid`, through its per-tile runs, modelled.
     fn samples(grid: &EphemerisGrid) -> Vec<Sample> {
         grid.runs(0..grid.len())
-            .flat_map(|(_, run)| run.iter().copied())
+            .flat_map(|(_, run)| run.iter().copied().map(Sample::of))
             .collect()
     }
 
@@ -815,22 +877,21 @@ mod tests {
         [p.x, p.y, p.z, v.x, v.y, v.z, a.x, a.y, a.z].map(f64::to_bits)
     }
 
-    /// Every sample of `tile` is [`teme_to_ecef`] of direct SGP4 at its
-    /// lattice instant, with its modelled acceleration, to the bit, or
-    /// all NaN where SGP4 fails there.
+    /// Every state of `tile` is [`teme_to_ecef`] of direct SGP4 at its
+    /// lattice instant, to the bit, or all NaN where SGP4 fails there.
     fn assert_tile_is_teme_to_ecef(tile: &EphemerisTile, sgp4: &Sgp4) {
         let first = tile.index * TILE as i64;
-        for (j, sample) in tile.samples.iter().enumerate() {
+        for (j, state) in tile.states.iter().enumerate() {
             let t = lattice_time(first + j as i64);
             match sgp4.propagate_at(t) {
-                Ok(state) => assert_eq!(
-                    sample_bits(sample),
-                    sample_bits(&Sample::of(teme_to_ecef(&state, t))),
+                Ok(direct) => assert_eq!(
+                    state_bits(state),
+                    state_bits(&teme_to_ecef(&direct, t)),
                     "tile {} sample {j}",
                     tile.index
                 ),
                 Err(_) => assert!(
-                    sample_bits(sample)
+                    state_bits(state)
                         .iter()
                         .all(|&b| f64::from_bits(b).is_nan()),
                     "tile {} sample {j} failed to propagate but is not NaN",
@@ -864,20 +925,113 @@ mod tests {
                 assert_tile_is_teme_to_ecef(&tile, sgp4);
             }
         }
-        // A 300 km orbit under heavy drag decays 187 samples into tile 1
-        // (22.1 h after J2000): the rest of the tile stores NaN, and the
-        // aggregates say so.
-        let decaying = Elements {
-            bstar: 0.05,
-            ..Elements::circular(300.0, 51.6, j2000)
-        }
-        .to_sgp4()
-        .unwrap();
+        // The decaying orbit fails 187 samples into tile 1 (22.1 h after
+        // J2000): the rest of the tile stores NaN, and the aggregates
+        // say so.
+        let decaying = decaying();
         let tile = EphemerisTile::build(&decaying, &LatticeFrame::new(1));
-        let nan = tile.samples.iter().filter(|s| s.position_km.x.is_nan());
+        let nan = tile.states.iter().filter(|s| s.position_km.x.is_nan());
         assert_eq!(nan.count(), TILE - 187);
         assert!(tile.max_radius_km.is_nan() && tile.max_angular_rate.is_nan());
         assert_tile_is_teme_to_ecef(&tile, &decaying);
+    }
+
+    /// A 300 km orbit under heavy drag, from J2000: its last computable
+    /// lattice state is sample 442 (tile 1, 22.1 h in).
+    fn decaying() -> Sgp4 {
+        Elements {
+            bstar: 0.05,
+            ..Elements::circular(300.0, 51.6, JulianDate(JD_J2000))
+        }
+        .to_sgp4()
+        .unwrap()
+    }
+
+    #[test]
+    fn tiles_store_48_bytes_per_sample() {
+        // Position and velocity only: a stored acceleration would add
+        // 24 B per sample, a third of every tile.
+        assert_eq!(std::mem::size_of::<StateEcef>(), 48);
+        assert_eq!(
+            std::mem::size_of::<EphemerisTile>(),
+            TILE * std::mem::size_of::<StateEcef>() + 24
+        );
+    }
+
+    #[test]
+    fn a_reader_answers_the_grids_bits() {
+        // One reader per grid, kept across queries that stay in an
+        // interval, step to the next one and back, reach into the edge
+        // slack at both ends, leave the view, and meet decayed samples:
+        // each of its answers is the grid's own, bit for bit.
+        let j2000 = JulianDate(JD_J2000);
+        let healthy = EphemerisGrid::build(&leo(550.0, 97.6), epoch(), epoch() + 0.5);
+        let decayed = EphemerisGrid::build(&decaying(), j2000 + 0.8, j2000 + 0.95);
+        let decay = (0..decayed.len())
+            .find(|&k| {
+                decayed
+                    .runs(k..k + 1)
+                    .all(|(_, run)| run[0].position_km.x.is_nan())
+            })
+            .expect("the view reaches the decay");
+        assert!(decay > 3);
+        let at = |grid: &EphemerisGrid, k: usize, frac: f64| {
+            grid.sample_time(k).plus_seconds(frac * STEP_S)
+        };
+        let (last, slack, beyond) = (healthy.len() - 1, 0.5 * EDGE_SLACK, 10.0 * EDGE_SLACK);
+        let cases = [
+            (
+                &healthy,
+                vec![
+                    (1, 0.3),
+                    (1, 0.7),
+                    (2, 0.1),
+                    (1, 0.9),
+                    (0, -slack),
+                    (0, 0.0),
+                    (0, -beyond),
+                    (last, 0.0),
+                    (last, slack),
+                    (last, beyond),
+                    (1, 0.3),
+                ],
+            ),
+            (
+                &decayed,
+                vec![
+                    (decay - 2, 0.5),
+                    (decay - 1, 0.5),
+                    (decay, 0.5),
+                    (decay - 2, 0.6),
+                ],
+            ),
+        ];
+        let mut unanswered = 0;
+        for (grid, queries) in cases {
+            let mut reader = GridReader::new(grid);
+            for (k, frac) in queries {
+                let t = at(grid, k, frac);
+                let state = reader.state_at(t).map(|s| state_bits(&s));
+                assert_eq!(
+                    state,
+                    grid.state_at(t).map(|s| state_bits(&s)),
+                    "{k} {frac}"
+                );
+                let sample = reader.sample_at(t).map(|s| sample_bits(&s));
+                assert_eq!(
+                    sample,
+                    grid.sample_at(t).map(|s| sample_bits(&s)),
+                    "{k} {frac}"
+                );
+                let bits = |p: Vec3| [p.x, p.y, p.z].map(f64::to_bits);
+                let position = reader.position_at(t).map(bits);
+                assert_eq!(position, grid.position_at(t).map(bits), "{k} {frac}");
+                unanswered += usize::from(state.is_none());
+            }
+        }
+        // The two queries beyond the slack and the two intervals that
+        // reach a decayed sample answer nothing.
+        assert_eq!(unanswered, 4);
     }
 
     #[test]

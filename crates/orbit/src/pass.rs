@@ -47,6 +47,9 @@
 //!   acceleration modelled from the state ([`Sample`]). A state that
 //!   cannot be computed counts as below the mask and takes a bisection
 //!   step.
+//! * On the grid, each search models the acceleration at a lattice
+//!   interval's two ends once, however many of its probes land in that
+//!   interval: a Newton search spends most of its probes inside one.
 //!
 //! The bracket check is what keeps short passes. A rising interval can
 //! end on a lattice sample just above the mask, milliseconds before the
@@ -57,7 +60,7 @@
 //! The adaptive direct-SGP4 scan, `reference_passes`, is kept only as
 //! the oracle the sweep is tested against.
 
-use crate::ephemeris::{EphemerisGrid, Sample};
+use crate::ephemeris::{EphemerisGrid, GridReader, Sample};
 use crate::error::OrbitError;
 use crate::frames::{teme_to_ecef, Geodetic, StateEcef};
 use crate::sgp4::Sgp4;
@@ -201,36 +204,12 @@ impl PassPredictor {
         self.ephemeris.as_ref()
     }
 
-    /// The satellite's ECEF state at `t` through the sampling backend:
-    /// grid interpolation when a grid is attached and covers `t`,
-    /// direct SGP4 + frame rotation otherwise.
-    fn state_ecef_at(&self, t: JulianDate) -> Option<StateEcef> {
-        if let Some(grid) = &self.ephemeris {
-            if let Some(state) = grid.state_at(t) {
-                return Some(state);
-            }
+    /// The sampling backend, for one run of queries.
+    fn sampler(&self) -> Sampler<'_> {
+        Sampler {
+            sgp4: &self.sgp4,
+            grid: self.ephemeris.as_deref().map(GridReader::new),
         }
-        self.sgp4
-            .propagate_at(t)
-            .ok()
-            .map(|state| teme_to_ecef(&state, t))
-    }
-
-    /// The satellite's ECEF sample at `t` — position, velocity and
-    /// acceleration — through the sampling backend: the attached grid's
-    /// interpolant with its own second derivative where the grid covers
-    /// `t`, direct SGP4 with the acceleration [`Sample`] models
-    /// otherwise.
-    fn sample_ecef_at(&self, t: JulianDate) -> Option<Sample> {
-        if let Some(grid) = &self.ephemeris {
-            if let Some(sample) = grid.sample_at(t) {
-                return Some(sample);
-            }
-        }
-        self.sgp4
-            .propagate_at(t)
-            .ok()
-            .map(|state| Sample::of(teme_to_ecef(&state, t)))
     }
 
     /// Elevation above the horizon at `t`, radians. Propagation failures
@@ -257,7 +236,7 @@ impl PassPredictor {
 
     /// Look angles at `t`, if the satellite state is computable.
     pub fn look_at(&self, t: JulianDate) -> Option<LookAngles> {
-        self.state_ecef_at(t).map(|state| {
+        self.sampler().state_at(t).map(|state| {
             self.observer
                 .look_at_ecef(state.position_km, state.velocity_km_s)
         })
@@ -275,8 +254,9 @@ impl PassPredictor {
         threshold_rad: f64,
     ) -> Option<JulianDate> {
         let sin_mask = threshold_rad.clamp(-FRAC_PI_2, FRAC_PI_2).sin();
-        let margin_at = |t| {
-            let state = self.state_ecef_at(t);
+        let mut sampler = self.sampler();
+        let mut margin_at = |t| {
+            let state = sampler.state_at(t);
             state.map_or(f64::NAN, |s| margin(&self.observer, sin_mask, &s).0)
         };
         let (lo, hi) = ((lo, margin_at(lo)), (hi, margin_at(hi)));
@@ -633,8 +613,9 @@ impl PassPredictor {
         probes: &mut u64,
     ) -> JulianDate {
         let seed_s = hi.seconds_since(lo) * m_lo / (m_lo - m_hi);
+        let mut sampler = self.sampler();
         newton_root(lo, hi, seed_s, m_hi > 0.0, probes, |t| {
-            let state = self.state_ecef_at(t)?;
+            let state = sampler.state_at(t)?;
             Some(margin(observer, sin_mask, &state))
         })
     }
@@ -654,12 +635,13 @@ impl PassPredictor {
         probes: &mut u64,
     ) -> (JulianDate, Option<StateEcef>) {
         let seed_s = 0.5 * hi.seconds_since(lo);
+        let mut sampler = self.sampler();
         let tca = newton_root(lo, hi, seed_s, false, probes, |t| {
-            let sample = self.sample_ecef_at(t)?;
+            let sample = sampler.sample_at(t)?;
             Some(elevation_rate(observer, &sample))
         });
         *probes += 1;
-        (tca, self.state_ecef_at(tca))
+        (tca, sampler.state_at(tca))
     }
 
     /// Locate culmination within `[aos, los]` and assemble the pass with
@@ -693,6 +675,44 @@ impl PassPredictor {
             max_elevation_rad: la.elevation_rad,
             tca_range_km: la.range_km,
         })
+    }
+}
+
+/// A predictor's sampling backend for one run of nearby queries, such as
+/// the probes of one root search: the attached grid where it covers an
+/// instant, read through a [`GridReader`], which models a lattice
+/// interval's endpoints once however many probes land in it; direct
+/// SGP4 elsewhere.
+struct Sampler<'p> {
+    sgp4: &'p Sgp4,
+    grid: Option<GridReader<'p>>,
+}
+
+impl Sampler<'_> {
+    /// The satellite's ECEF state at `t`: grid interpolation where the
+    /// grid covers `t`, direct SGP4 + frame rotation otherwise.
+    fn state_at(&mut self, t: JulianDate) -> Option<StateEcef> {
+        if let Some(state) = self.grid.as_mut().and_then(|g| g.state_at(t)) {
+            return Some(state);
+        }
+        self.sgp4
+            .propagate_at(t)
+            .ok()
+            .map(|state| teme_to_ecef(&state, t))
+    }
+
+    /// The satellite's ECEF sample at `t` — position, velocity and
+    /// acceleration: the grid's interpolant with its own second
+    /// derivative where the grid covers `t`, direct SGP4 with the
+    /// acceleration [`Sample`] models otherwise.
+    fn sample_at(&mut self, t: JulianDate) -> Option<Sample> {
+        if let Some(sample) = self.grid.as_mut().and_then(|g| g.sample_at(t)) {
+            return Some(sample);
+        }
+        self.sgp4
+            .propagate_at(t)
+            .ok()
+            .map(|state| Sample::of(teme_to_ecef(&state, t)))
     }
 }
 

@@ -38,8 +38,10 @@
 //! and no transcendentals per (observer, column). The margin is in km
 //! of *zenith-projected slant distance*; near the horizon a margin of
 //! 1 km is ≈ 0.02° of elevation at a 2 500 km slant range. Its time
-//! derivatives follow from the grid's stored ECEF velocity `v` and
-//! acceleration `a`: `m′ = ζ·v − sin(mask)·r′` and
+//! derivatives follow from the grid's stored ECEF velocity `v` and the
+//! acceleration `a` modelled from each stored state
+//! ([`Sample::of`](crate::ephemeris::Sample)), once per column as the
+//! chunk is gathered: `m′ = ζ·v − sin(mask)·r′` and
 //! `m″ = ζ·a − sin(mask)·r″`, with `r′ = ρ·v/r` and
 //! `r″ = (|v|² + ρ·a − r′²)/r`.
 //!
@@ -693,7 +695,8 @@ impl VisibilitySweep {
         });
         for (k, chunk) in chunks {
             let n_real = chunk.len();
-            for (i, s) in chunk.iter().enumerate() {
+            for (i, &state) in chunk.iter().enumerate() {
+                let s = Sample::of(state);
                 let (p, v, a) = (s.position_km, s.velocity_km_s, s.acceleration_km_s2);
                 (cols.px[i], cols.py[i], cols.pz[i]) = (p.x, p.y, p.z);
                 (cols.vx[i], cols.vy[i], cols.vz[i]) = (v.x, v.y, v.z);
@@ -740,10 +743,10 @@ impl VisibilitySweep {
         }
     }
 
-    /// The element-at-a-time sweep: the same margin and bound
-    /// expressions and feed order as [`Self::sweep_chunked`], one column
-    /// at a time — the bit-identical oracle the chunked kernel is
-    /// tested against.
+    /// The element-at-a-time sweep: the same modelled samples, margin
+    /// and bound expressions and feed order as [`Self::sweep_chunked`],
+    /// one column at a time — the bit-identical oracle the chunked
+    /// kernel is tested against.
     #[cfg(test)]
     fn sweep_scalar(
         &self,
@@ -755,11 +758,11 @@ impl VisibilitySweep {
         for (o, d) in detectors.iter_mut().enumerate() {
             let p = self.params(o);
             for (k, run) in grid.runs(k_first..k_last + 1) {
-                for (i, s) in run.iter().enumerate() {
-                    let t = grid.sample_time(k + i);
-                    let terms = margin_terms(s, p);
-                    let bound = d.bound_to(t, s, terms.0, p);
-                    d.feed(t, *s, terms, bound);
+                for (i, &state) in run.iter().enumerate() {
+                    let (t, s) = (grid.sample_time(k + i), Sample::of(state));
+                    let terms = margin_terms(&s, p);
+                    let bound = d.bound_to(t, &s, terms.0, p);
+                    d.feed(t, s, terms, bound);
                 }
             }
         }
@@ -814,8 +817,8 @@ mod tests {
             sweep.push(&obs, mask);
             let p = sweep.params(0);
             let samples = grid.runs(0..grid.len()).flat_map(|(_, run)| run);
-            for (k, s) in samples.enumerate() {
-                let (m, _) = margin_terms(s, p);
+            for (k, &s) in samples.enumerate() {
+                let (m, _) = margin_terms(&Sample::of(s), p);
                 let el = obs
                     .look_at_ecef(s.position_km, s.velocity_km_s)
                     .elevation_rad;
@@ -838,6 +841,7 @@ mod tests {
                 .runs(0..grid.len())
                 .flat_map(|(_, r)| r)
                 .copied()
+                .map(Sample::of)
                 .collect();
             for mask_deg in [-10.0_f64, 0.0, 10.0, 45.0, 70.0, 85.0] {
                 let mut sweep = VisibilitySweep::new();
